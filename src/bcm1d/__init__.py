@@ -69,6 +69,8 @@ from .solver import (
     nd_map_many,
     solve,
     solve_many,
+    transfer_linearized_nd_map_many,
+    transfer_nd_map_many,
 )
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -371,6 +372,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except BrokenPipeError:
+        # the reader closed the pipe (`bcm check control | head -1`); point
+        # stdout at devnull so the flush at exit cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _dispatch(args) -> int:
     if args.command == "experiment":
         config = RunConfig(
             command="experiment", experiment_id=args.id, noise=args.noise,

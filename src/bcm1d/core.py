@@ -138,11 +138,18 @@ class MediumSpec:
             raise ConfigurationError(f"rho0 must be positive, got {self.rho0}")
         if self.sigma0 < 0:
             raise ConfigurationError(f"sigma0 must be non-negative, got {self.sigma0}")
-        object.__setattr__(self, "sigma_dot", np.asarray(self.sigma_dot, dtype=float))
-        if self.sigma_ddot is not None:
-            object.__setattr__(
-                self, "sigma_ddot", np.asarray(self.sigma_ddot, dtype=float)
-            )
+        for name in ("sigma_dot", "sigma_ddot"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            arr = np.asarray(value, dtype=float)
+            if arr.ndim != 1:
+                raise ConfigurationError(
+                    f"{name} must be 1-D node samples, got shape {arr.shape}"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise ConfigurationError(f"{name} has non-finite samples")
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)

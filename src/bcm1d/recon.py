@@ -43,7 +43,7 @@ from .core import (
 )
 from .extension import AnalyticProfile, cosine_profile, sine_profile
 from .identity import PairData, linearized_rhs
-from .solver import linearized_nd_map_many, nd_map_many
+from .solver import transfer_linearized_nd_map_many, transfer_nd_map_many
 
 _REL_L2_FLOOR = 1e-12
 
@@ -190,11 +190,12 @@ def acquire_clean_pair_data(
         driven += [bf.f, bh.f]
 
     if settings.data_mode == LINEARIZED:
-        meas = [out.trace for out in linearized_nd_map_many(grid, medium, driven)]
+        meas = transfer_linearized_nd_map_many(grid, medium, driven)
     else:
         eps = settings.eps_linearization
-        full = nd_map_many(grid, medium.rho0, _full_sigma(medium, eps), driven)
-        base = nd_map_many(grid, medium.rho0, medium.sigma0, driven)
+        full = transfer_nd_map_many(grid, medium.rho0, _full_sigma(medium, eps),
+                                    driven)
+        base = transfer_nd_map_many(grid, medium.rho0, medium.sigma0, driven)
         meas = [m_full - m_base for m_full, m_base in zip(full, base)]
 
     xs = grid.xs
@@ -303,15 +304,15 @@ def _error_metrics(sigma_recon, truth, grid):
     return rel_l2, float(np.max(np.abs(diff)))
 
 
-def reconstruct_from_data(
-    pair_data: Sequence[PairData], settings: ReconSettings, truth: np.ndarray
-) -> ReconResult:
-    """Identity evaluation, coefficient assembly and synthesis for given data."""
-    S_ff, S_hh, S_fh = [], [], []
-    for pd in pair_data:
-        S_fh.append(linearized_rhs(pd))
-        S_ff.append(linearized_rhs(pd.pair_ff()))
-        S_hh.append(linearized_rhs(pd.pair_hh()))
+def _identity_values(pd: PairData) -> tuple[complex, complex, complex]:
+    """Identity values (S_ff, S_hh, S_fh) of one mode's pairs."""
+    return (linearized_rhs(pd.pair_ff()), linearized_rhs(pd.pair_hh()),
+            linearized_rhs(pd))
+
+
+def _result_from_identities(values, settings: ReconSettings,
+                            truth: np.ndarray) -> ReconResult:
+    S_ff, S_hh, S_fh = zip(*values)
     scale = (settings.eps_linearization
              if settings.data_mode == NONLINEAR_DIFFERENCE else 1.0)
     coeffs = assemble_coefficients(S_ff, S_hh, S_fh, settings.N, scale)
@@ -322,6 +323,15 @@ def reconstruct_from_data(
                        rel_l2=rel_l2, linf=linf)
 
 
+def reconstruct_from_data(
+    pair_data: Sequence[PairData], settings: ReconSettings, truth: np.ndarray
+) -> ReconResult:
+    """Identity evaluation, coefficient assembly and synthesis for given data."""
+    return _result_from_identities(
+        [_identity_values(pd) for pd in pair_data], settings, truth
+    )
+
+
 def reconstruct(
     settings: ReconSettings, medium: MediumSpec, truth: np.ndarray
 ) -> ReconResult:
@@ -329,14 +339,16 @@ def reconstruct(
 
     Deterministic for a fixed seed.  The medium must be the free background
     (rho0 = 1, sigma0 = 0), the regime with exact closed-form controls.
+    Each mode's data are dropped as soon as its identity values are taken,
+    before the next mode is acquired.
     """
     if medium.rho0 != 1.0 or medium.sigma0 != 0.0:
         raise UnsupportedRegimeError(
             "reconstruction requires rho0 = 1 and sigma0 = 0; got "
             f"rho0 = {medium.rho0}, sigma0 = {medium.sigma0}"
         )
-    data = [
-        acquire_pair_data(k, settings, medium)
+    values = [
+        _identity_values(acquire_pair_data(k, settings, medium))
         for k in range(1, settings.N + 1)
     ]
-    return reconstruct_from_data(data, settings, truth)
+    return _result_from_identities(values, settings, truth)

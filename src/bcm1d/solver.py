@@ -41,10 +41,27 @@ parameter derivative of the discrete nonlinear solve.
 
 Several independent solves driven by different traces over the same medium
 may be batched into one time loop; columns of the batch never interact.
+
+Each time loop reads six input channels per step: g, dg/dt and d2g/dt2 at
+both endpoints, at steps 1 .. nt-2.  For a time-independent medium and zero
+initial data the loop is a linear time-invariant map from those channels to
+the two endpoint traces, so it is fixed by its responses to a unit impulse
+in each channel.  The transfer backend (``transfer_nd_map_many``,
+``transfer_linearized_nd_map_many``) drives the same loop once per medium
+with the six impulses, memoizes the response spectra for the two most
+recent media, and measures each trace by FFT convolution of its channels,
+derived exactly as the stepper derives them.  Kernels are kept per channel,
+not per endpoint, because an endpoint impulse passed through the centered
+differences is amplified by about dx/(3 dt^2) in the d2g/dt2 edge term and
+cancels on the way out, costing about three digits; per-channel kernels agree
+with the stepper to about 1e-10 relative.  The stepper stays the reference:
+the backend is tested against it, and it alone serves sources, monitors and
+snapshots at T.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -59,6 +76,7 @@ from .core import (
 )
 
 _INITIAL_DATA_TOL = 1e-9
+_N_CHANNELS = 6  # g, dg/dt and d2g/dt2 at each endpoint
 
 
 @dataclass(frozen=True)
@@ -119,15 +137,27 @@ def _check_initial_data(neumanns: Sequence[BoundaryTrace], source) -> None:
             )
 
 
+def _check_trace(grid: GridSpec, j: int, g: BoundaryTrace) -> None:
+    if len(g) != grid.nt or g.dt != grid.dt:
+        raise ConfigurationError(
+            f"Neumann trace {j} has {len(g)} samples (dt={g.dt}); "
+            f"the grid needs {grid.nt} (dt={grid.dt})"
+        )
+
+
+def _check_sigma_dot(grid: GridSpec, medium: MediumSpec) -> None:
+    if medium.sigma_dot.shape != (grid.nx,):
+        raise ConfigurationError(
+            f"sigma_dot has {medium.sigma_dot.shape[0]} samples but the grid "
+            f"has {grid.nx} nodes"
+        )
+
+
 def _stack_neumann(grid: GridSpec, neumanns: Sequence[BoundaryTrace]):
     ga = np.empty((grid.nt, len(neumanns)), dtype=complex)
     gb = np.empty_like(ga)
     for j, g in enumerate(neumanns):
-        if len(g) != grid.nt or g.dt != grid.dt:
-            raise ConfigurationError(
-                f"Neumann trace {j} has {len(g)} samples (dt={g.dt}); "
-                f"the grid needs {grid.nt} (dt={grid.dt})"
-            )
+        _check_trace(grid, j, g)
         ga[:, j] = g.values_a
         gb[:, j] = g.values_b
     return ga, gb
@@ -165,37 +195,27 @@ def _snapshots(grid, rho0, u_mid, u_minus, u_plus, ga_T, gb_T):
     return pT, qT
 
 
-def solve_many(
-    grid: GridSpec,
-    rho0: float,
-    sigma,
-    neumanns: Sequence[BoundaryTrace],
-    source: Callable[[int], np.ndarray] | None = None,
-    monitor: Callable[[int, np.ndarray], None] | None = None,
-) -> list[SolveOutput]:
-    """Advance one field per Neumann trace through a single time loop.
+def _plain_loop(grid, rho0, sigma, channels, source=None, monitor=None):
+    """Time loop of the nonlinear map: one field per column of the channels.
 
-    ``source``, if given, maps a time index n to the S(t_n, .) samples and is
-    applied to every column.  ``monitor`` receives (n, u^n) for each level.
+    ``channels`` is (g_a, g_b, dg_a/dt, dg_b/dt, d2g_a/dt2, d2g_b/dt2), each
+    of shape (nt, m); the loop reads steps 1 .. nt-2 only.  Returns the
+    endpoint traces, each (nt, m), and the levels (u^{T-dt}, u^T, u^{T+dt}).
     """
-    _check_cfl(grid, rho0)
-    sig = _as_sigma_array(sigma, grid.nx)[:, None]
-    _check_initial_data(neumanns, source)
-    ga, gb = _stack_neumann(grid, neumanns)
-
-    m = len(neumanns)
+    ga, gb, ga_t, gb_t, ga_tt, gb_tt = channels
+    sig = sigma[:, None]
+    m = ga.shape[1]
     nt, nhalf, dt, dx = grid.nt, grid.half_index, grid.dt, grid.dx
-    u_prev = np.zeros((grid.nx, m), dtype=complex)
+    u_prev = np.zeros((grid.nx, m), dtype=ga.dtype)
     u_curr = np.zeros_like(u_prev)
     lap = np.empty_like(u_prev)
     denom = rho0 / dt**2 + sig / (2.0 * dt)
     c_curr = 2.0 * rho0 / dt**2
     c_prev = rho0 / dt**2 - sig / (2.0 * dt)
-    ga_t, gb_t, ga_tt, gb_tt = _trace_time_derivatives(ga, gb, dt)
-    sx_a, sx_b = _edge_slope(sig[:, 0], dx)
+    sx_a, sx_b = _edge_slope(sigma, dx)
 
-    dir_a = np.zeros((nt, m), dtype=complex)
-    dir_b = np.zeros((nt, m), dtype=complex)
+    dir_a = np.zeros((nt, m), dtype=ga.dtype)
+    dir_b = np.zeros((nt, m), dtype=ga.dtype)
     if source is not None:
         # Taylor first step: with zero initial data, rho0 u_tt(0) = S(0);
         # sources with S(0) != 0 would otherwise leave an O(dt) velocity
@@ -235,15 +255,96 @@ def solve_many(
         if monitor is not None:
             monitor(n + 1, u_next)
         u_prev, u_curr = u_curr, u_next
+    return dir_a, dir_b, (u_minus, u_mid, u_plus)
+
+
+def _coupled_loop(grid, rho0, sigma0, sigma_dot, channels):
+    """Time loop of the linearized map: background and perturbation together.
+
+    ``channels`` is as for :func:`_plain_loop`.  Returns the background's
+    endpoint traces, its levels (u0^{T-dt}, u0^T, u0^{T+dt}) and the
+    perturbation's endpoint traces.
+    """
+    ga, gb, ga_t, gb_t, ga_tt, gb_tt = channels
+    sd = sigma_dot[:, None]
+    m = ga.shape[1]
+    nt, nhalf, dt, dx = grid.nt, grid.half_index, grid.dt, grid.dx
+    u0_prev = np.zeros((grid.nx, m), dtype=ga.dtype)
+    u0_curr = np.zeros_like(u0_prev)
+    ud_prev = np.zeros_like(u0_prev)
+    ud_curr = np.zeros_like(u0_prev)
+    lap0 = np.empty_like(u0_prev)
+    lapd = np.empty_like(u0_prev)
+    denom = rho0 / dt**2 + sigma0 / (2.0 * dt)
+    c_curr = 2.0 * rho0 / dt**2
+    c_prev = rho0 / dt**2 - sigma0 / (2.0 * dt)
+    sdx_a, sdx_b = _edge_slope(sigma_dot, dx)
+
+    dir0_a = np.zeros((nt, m), dtype=ga.dtype)
+    dir0_b = np.zeros((nt, m), dtype=ga.dtype)
+    dird_a = np.zeros((nt, m), dtype=ga.dtype)
+    dird_b = np.zeros((nt, m), dtype=ga.dtype)
+    u0_minus = u0_mid = u0_plus = None
+    for n in range(1, nt - 1):
+        _laplacian(u0_curr, ga[n], gb[n], grid.dx, lap0)
+        # constant background damping: sigma_x = 0 in the edge correction
+        lap0[0] -= (dx / 3.0) * (-rho0 * ga_tt[n] - sigma0 * ga_t[n])
+        lap0[-1] += (dx / 3.0) * (rho0 * gb_tt[n] + sigma0 * gb_t[n])
+        u0_next = (c_curr * u0_curr - c_prev * u0_prev + lap0) / denom
+        dudt = (u0_next - u0_prev) / (2.0 * dt)
+        src = -sd * dudt
+        _laplacian(ud_curr, 0.0, 0.0, grid.dx, lapd)
+        # perturbation field: zero data, so its u_xxx at the edges is -S_x,
+        # expanded by the product rule with du0/dx = -+ g at the endpoints
+        lapd[0] -= (dx / 3.0) * (sdx_a * dudt[0] - sd[0] * ga_t[n])
+        lapd[-1] += (dx / 3.0) * (sdx_b * dudt[-1] + sd[-1] * gb_t[n])
+        ud_next = (c_curr * ud_curr - c_prev * ud_prev + lapd + src) / denom
+        dir0_a[n + 1] = u0_next[0]
+        dir0_b[n + 1] = u0_next[-1]
+        dird_a[n + 1] = ud_next[0]
+        dird_b[n + 1] = ud_next[-1]
+        if n + 1 == nhalf - 1:
+            u0_minus = u0_next.copy()
+        elif n + 1 == nhalf:
+            u0_mid = u0_next.copy()
+        elif n + 1 == nhalf + 1:
+            u0_plus = u0_next.copy()
+        u0_prev, u0_curr = u0_curr, u0_next
+        ud_prev, ud_curr = ud_curr, ud_next
+    return dir0_a, dir0_b, (u0_minus, u0_mid, u0_plus), dird_a, dird_b
+
+
+def solve_many(
+    grid: GridSpec,
+    rho0: float,
+    sigma,
+    neumanns: Sequence[BoundaryTrace],
+    source: Callable[[int], np.ndarray] | None = None,
+    monitor: Callable[[int, np.ndarray], None] | None = None,
+) -> list[SolveOutput]:
+    """Advance one field per Neumann trace through a single time loop.
+
+    ``source``, if given, maps a time index n to the S(t_n, .) samples and is
+    applied to every column.  ``monitor`` receives (n, u^n) for each level.
+    """
+    _check_cfl(grid, rho0)
+    sig = _as_sigma_array(sigma, grid.nx)
+    _check_initial_data(neumanns, source)
+    ga, gb = _stack_neumann(grid, neumanns)
+    channels = (ga, gb, *_trace_time_derivatives(ga, gb, grid.dt))
+    dir_a, dir_b, (u_minus, u_mid, u_plus) = _plain_loop(
+        grid, rho0, sig, channels, source, monitor
+    )
+    nhalf = grid.half_index
     pT, qT = _snapshots(grid, rho0, u_mid, u_minus, u_plus, ga[nhalf], gb[nhalf])
     return [
         SolveOutput(
-            dirichlet=BoundaryTrace(dir_a[:, j], dir_b[:, j], dt),
+            dirichlet=BoundaryTrace(dir_a[:, j], dir_b[:, j], grid.dt),
             pT_snapshot=pT[:, j],
             qT_snapshot=qT[:, j],
             uT_snapshot=u_mid[:, j],
         )
-        for j in range(m)
+        for j in range(len(neumanns))
     ]
 
 
@@ -281,62 +382,16 @@ def linearized_nd_map_many(
     linearized measurement.
     """
     _check_cfl(grid, medium.rho0)
-    if medium.sigma_dot.shape != (grid.nx,):
-        raise ConfigurationError(
-            f"sigma_dot has {medium.sigma_dot.shape[0]} samples but the grid "
-            f"has {grid.nx} nodes"
-        )
+    _check_sigma_dot(grid, medium)
     _check_initial_data(fs, None)
     ga, gb = _stack_neumann(grid, fs)
-
-    m = len(fs)
-    rho0, sigma0 = medium.rho0, medium.sigma0
-    sd = medium.sigma_dot[:, None]
-    nt, nhalf, dt, dx = grid.nt, grid.half_index, grid.dt, grid.dx
-    u0_prev = np.zeros((grid.nx, m), dtype=complex)
-    u0_curr = np.zeros_like(u0_prev)
-    ud_prev = np.zeros_like(u0_prev)
-    ud_curr = np.zeros_like(u0_prev)
-    lap0 = np.empty_like(u0_prev)
-    lapd = np.empty_like(u0_prev)
-    denom = rho0 / dt**2 + sigma0 / (2.0 * dt)
-    c_curr = 2.0 * rho0 / dt**2
-    c_prev = rho0 / dt**2 - sigma0 / (2.0 * dt)
-    ga_t, gb_t, ga_tt, gb_tt = _trace_time_derivatives(ga, gb, dt)
-    sdx_a, sdx_b = _edge_slope(medium.sigma_dot, dx)
-
-    dir0_a = np.zeros((nt, m), dtype=complex)
-    dir0_b = np.zeros((nt, m), dtype=complex)
-    dird_a = np.zeros((nt, m), dtype=complex)
-    dird_b = np.zeros((nt, m), dtype=complex)
-    u0_minus = u0_mid = u0_plus = None
-    for n in range(1, nt - 1):
-        _laplacian(u0_curr, ga[n], gb[n], grid.dx, lap0)
-        # constant background damping: sigma_x = 0 in the edge correction
-        lap0[0] -= (dx / 3.0) * (-rho0 * ga_tt[n] - sigma0 * ga_t[n])
-        lap0[-1] += (dx / 3.0) * (rho0 * gb_tt[n] + sigma0 * gb_t[n])
-        u0_next = (c_curr * u0_curr - c_prev * u0_prev + lap0) / denom
-        dudt = (u0_next - u0_prev) / (2.0 * dt)
-        src = -sd * dudt
-        _laplacian(ud_curr, 0.0, 0.0, grid.dx, lapd)
-        # perturbation field: zero data, so its u_xxx at the edges is -S_x,
-        # expanded by the product rule with du0/dx = -+ g at the endpoints
-        lapd[0] -= (dx / 3.0) * (sdx_a * dudt[0] - sd[0] * ga_t[n])
-        lapd[-1] += (dx / 3.0) * (sdx_b * dudt[-1] + sd[-1] * gb_t[n])
-        ud_next = (c_curr * ud_curr - c_prev * ud_prev + lapd + src) / denom
-        dir0_a[n + 1] = u0_next[0]
-        dir0_b[n + 1] = u0_next[-1]
-        dird_a[n + 1] = ud_next[0]
-        dird_b[n + 1] = ud_next[-1]
-        if n + 1 == nhalf - 1:
-            u0_minus = u0_next.copy()
-        elif n + 1 == nhalf:
-            u0_mid = u0_next.copy()
-        elif n + 1 == nhalf + 1:
-            u0_plus = u0_next.copy()
-        u0_prev, u0_curr = u0_curr, u0_next
-        ud_prev, ud_curr = ud_curr, ud_next
-    pT, qT = _snapshots(grid, rho0, u0_mid, u0_minus, u0_plus, ga[nhalf], gb[nhalf])
+    channels = (ga, gb, *_trace_time_derivatives(ga, gb, grid.dt))
+    dir0_a, dir0_b, (u0_minus, u0_mid, u0_plus), dird_a, dird_b = _coupled_loop(
+        grid, medium.rho0, medium.sigma0, medium.sigma_dot, channels
+    )
+    nhalf, dt = grid.half_index, grid.dt
+    pT, qT = _snapshots(grid, medium.rho0, u0_mid, u0_minus, u0_plus,
+                        ga[nhalf], gb[nhalf])
     return [
         LinearizedOutput(
             trace=BoundaryTrace(dird_a[:, j], dird_b[:, j], dt),
@@ -347,7 +402,7 @@ def linearized_nd_map_many(
                 uT_snapshot=u0_mid[:, j],
             ),
         )
-        for j in range(m)
+        for j in range(len(fs))
     ]
 
 
@@ -356,3 +411,100 @@ def linearized_nd_map(
 ) -> LinearizedOutput:
     """Linearized ND map for a single trace; see :func:`linearized_nd_map_many`."""
     return linearized_nd_map_many(grid, medium, [f])[0]
+
+
+# ---------------------------------------------------------------------------
+# transfer-kernel backend
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n; numpy's FFT is fastest on such lengths."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=2)
+def _kernel_spectra(grid: GridSpec, rho0: float, sigma0: float,
+                    damping: bytes, linearized: bool):
+    """FFT length and spectra of the endpoint responses to channel impulses.
+
+    ``damping`` holds the bytes of a node array: the perturbation sigma_dot
+    of the linearized map about ``sigma0``, or the node damping
+    sigma0 + damping of the nonlinear map.  Column c of each spectrum
+    (a side, then b side) is the response to a unit impulse at step 1 in
+    channel c, shifted so that row k holds the output k steps later.
+    """
+    sigma = np.frombuffer(damping)
+    impulses = np.zeros((_N_CHANNELS, grid.nt, _N_CHANNELS))
+    impulses[range(_N_CHANNELS), 1, range(_N_CHANNELS)] = 1.0
+    if linearized:
+        *_, resp_a, resp_b = _coupled_loop(grid, rho0, sigma0, sigma,
+                                           tuple(impulses))
+    else:
+        resp_a, resp_b, _ = _plain_loop(grid, rho0, sigma0 + sigma,
+                                        tuple(impulses))
+    # no wrap-around: inputs and responses both span fewer than nt - 1 steps
+    n_fft = _fft_length(2 * grid.nt - 3)
+    spectra = tuple(np.fft.rfft(r[1:], n_fft, axis=0) for r in (resp_a, resp_b))
+    for s in spectra:
+        s.flags.writeable = False
+    return n_fft, spectra
+
+
+def _convolve(grid: GridSpec, kernel, f: BoundaryTrace) -> BoundaryTrace:
+    """Endpoint response to ``f``: the channels convolved with the kernel."""
+    n_fft, (h_a, h_b) = kernel
+    x = np.stack((f.values_a, f.values_b,
+                  *_trace_time_derivatives(f.values_a, f.values_b, grid.dt)),
+                 axis=1)
+    x[[0, -1]] = 0.0  # samples the time loops never read
+    xr = np.fft.rfft(x.real, n_fft, axis=0)
+    xi = np.fft.rfft(x.imag, n_fft, axis=0)
+
+    def response(h):
+        re = np.fft.irfft(np.sum(xr * h, axis=1), n_fft)[: grid.nt]
+        im = np.fft.irfft(np.sum(xi * h, axis=1), n_fft)[: grid.nt]
+        return re + 1j * im
+
+    return BoundaryTrace(response(h_a), response(h_b), grid.dt)
+
+
+def transfer_nd_map_many(
+    grid: GridSpec, rho0: float, sigma, fs: Sequence[BoundaryTrace]
+) -> list[BoundaryTrace]:
+    """:func:`nd_map_many` by convolution with the medium's transfer kernel.
+
+    Agrees with the stepper to about 1e-10 relative.  The kernel costs one
+    time loop per medium and is memoized for the two most recent media.
+    """
+    _check_cfl(grid, rho0)
+    sig = _as_sigma_array(sigma, grid.nx)
+    _check_initial_data(fs, None)
+    for j, f in enumerate(fs):
+        _check_trace(grid, j, f)
+    kernel = _kernel_spectra(grid, rho0, 0.0, sig.tobytes(), False)
+    return [_convolve(grid, kernel, f) for f in fs]
+
+
+def transfer_linearized_nd_map_many(
+    grid: GridSpec, medium: MediumSpec, fs: Sequence[BoundaryTrace]
+) -> list[BoundaryTrace]:
+    """Linearized measurements of :func:`linearized_nd_map_many` by convolution.
+
+    Returns the perturbation traces only; see :func:`transfer_nd_map_many`.
+    """
+    _check_cfl(grid, medium.rho0)
+    _check_sigma_dot(grid, medium)
+    _check_initial_data(fs, None)
+    for j, f in enumerate(fs):
+        _check_trace(grid, j, f)
+    kernel = _kernel_spectra(grid, medium.rho0, medium.sigma0,
+                             medium.sigma_dot.tobytes(), True)
+    return [_convolve(grid, kernel, f) for f in fs]

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,28 @@ class TestMain:
         code = main(["reconstruct", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class _ClosedPipe:
+    """Stdout whose reader has gone away, backed by a real descriptor."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fh.fileno()
+
+
+def test_closed_stdout_pipe_exits_cleanly(tmp_path, monkeypatch):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh))
+        assert main(["check", "control"]) == 1
 
 
 def test_run_config_grid_roundtrip():

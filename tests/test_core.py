@@ -8,6 +8,7 @@ from bcm1d import (
     ConfigurationError,
     GridMismatchError,
     GridSpec,
+    MediumSpec,
     bilinear_time_boundary_pairing,
     discrete_sobolev_norm,
     reflect_trace,
@@ -192,3 +193,26 @@ class TestTraceAlgebra:
         g2 = BoundaryTrace(np.zeros(5), np.zeros(5), coarse_grid.dt)
         with pytest.raises(GridMismatchError):
             g1 + g2
+
+
+class TestMediumSpec:
+    @pytest.mark.parametrize("field", ["sigma_dot", "sigma_ddot"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, field, bad):
+        samples = np.ones(11)
+        samples[4] = bad
+        fields = {"sigma_dot": np.ones(11), field: samples}
+        with pytest.raises(ConfigurationError, match=f"{field} has non-finite"):
+            MediumSpec(1.0, 0.0, **fields)
+
+    @pytest.mark.parametrize("field", ["sigma_dot", "sigma_ddot"])
+    @pytest.mark.parametrize("shape", [(), (11, 2)])
+    def test_non_1d_samples_rejected(self, field, shape):
+        fields = {"sigma_dot": np.ones(11), field: np.ones(shape)}
+        with pytest.raises(ConfigurationError, match=f"{field} must be 1-D"):
+            MediumSpec(1.0, 0.0, **fields)
+
+    def test_samples_stored_as_float_arrays(self):
+        med = MediumSpec(1.0, 0.0, [1, 2, 3], [0, 1, 0])
+        assert med.sigma_dot.dtype == float and med.sigma_ddot.dtype == float
+        assert MediumSpec(1.0, 0.0, [1.0]).sigma_ddot is None

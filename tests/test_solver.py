@@ -7,9 +7,13 @@ from bcm1d import (
     GridSpec,
     MediumSpec,
     linearized_nd_map,
+    linearized_nd_map_many,
     nd_map,
+    nd_map_many,
     solve,
     solve_many,
+    transfer_linearized_nd_map_many,
+    transfer_nd_map_many,
 )
 from bcm1d.cli import smooth_pulse_trace
 
@@ -196,3 +200,94 @@ class TestValidation:
             single = solve(coarse_grid, 1.0, 0.15, f)
             assert np.array_equal(out.dirichlet.values_a, single.dirichlet.values_a)
             assert np.array_equal(out.qT_snapshot, single.qT_snapshot)
+
+
+def _window_traces(grid):
+    """Complex traces that are nonzero at both ends of the time window."""
+    f, _ = smooth_pulse_trace(grid, 1.0, 0.2, 5.0, 1.0, 0.3)
+    h, _ = smooth_pulse_trace(grid, 1.3, 0.25, 3.0, 0.2, 1.0)
+    ramp = BoundaryTrace.from_functions(
+        grid, lambda t: 0.3 + 0.1 * t, lambda t: np.cos(2.0 * t) - 0.5j
+    )
+    return [f + 1j * h + ramp, (0.5 - 2j) * h + 1j * ramp]
+
+
+def _max_rel_deviation(traces, refs):
+    worst = 0.0
+    for tr, ref in zip(traces, refs, strict=True):
+        dev = max(np.max(np.abs(tr.values_a - ref.values_a)),
+                  np.max(np.abs(tr.values_b - ref.values_b)))
+        scale = max(np.max(np.abs(ref.values_a)), np.max(np.abs(ref.values_b)))
+        worst = max(worst, dev / scale)
+    return worst
+
+
+def _stepper_linearized(grid, medium, fs):
+    return [out.trace for out in linearized_nd_map_many(grid, medium, fs)]
+
+
+def _sigma(grid):
+    return 0.1 + 0.3 * smooth_sigma_dot(grid.xs) + 0.2 * grid.xs
+
+
+@pytest.mark.filterwarnings("ignore:Neumann data nonzero at t = 0")
+class TestTransfer:
+    """The transfer-kernel backend against the stepper, its oracle."""
+
+    def test_linearized_matches_stepper(self, coarse_grid):
+        med = MediumSpec(1.0, 0.1, smooth_sigma_dot(coarse_grid.xs) + coarse_grid.xs)
+        fs = _window_traces(coarse_grid)
+        dev = _max_rel_deviation(
+            transfer_linearized_nd_map_many(coarse_grid, med, fs),
+            _stepper_linearized(coarse_grid, med, fs),
+        )
+        assert dev <= 1e-9
+
+    def test_nonlinear_matches_stepper(self, coarse_grid):
+        sigma = _sigma(coarse_grid)
+        fs = _window_traces(coarse_grid)
+        dev = _max_rel_deviation(
+            transfer_nd_map_many(coarse_grid, 1.0, sigma, fs),
+            nd_map_many(coarse_grid, 1.0, sigma, fs),
+        )
+        assert dev <= 1e-9
+
+    def test_medium_mutated_in_place_gets_new_kernel(self, coarse_grid):
+        med = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
+        sigma = _sigma(coarse_grid)
+        fs = _window_traces(coarse_grid)[:1]
+        transfer_linearized_nd_map_many(coarse_grid, med, fs)
+        transfer_nd_map_many(coarse_grid, 1.0, sigma, fs)
+        med.sigma_dot[: coarse_grid.nx // 2] *= -2.0
+        sigma[::3] += 0.5
+        lin = transfer_linearized_nd_map_many(coarse_grid, med, fs)
+        assert _max_rel_deviation(
+            lin, _stepper_linearized(coarse_grid, med, fs)) <= 1e-9
+        plain = transfer_nd_map_many(coarse_grid, 1.0, sigma, fs)
+        assert _max_rel_deviation(
+            plain, nd_map_many(coarse_grid, 1.0, sigma, fs)) <= 1e-9
+
+
+_TRANSFER_MAPS = {
+    "linearized": lambda grid, fs: transfer_linearized_nd_map_many(
+        grid, MediumSpec(1.0, 0.0, smooth_sigma_dot(grid.xs)), fs),
+    "nonlinear": lambda grid, fs: transfer_nd_map_many(grid, 1.0, 0.2, fs),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TRANSFER_MAPS))
+class TestTransferValidation:
+    def test_cfl_violation(self, kind):
+        g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 25, 3.0)  # dt > dx
+        with pytest.raises(ConfigurationError, match="CFL"):
+            _TRANSFER_MAPS[kind](g, [BoundaryTrace.zeros(g)])
+
+    def test_trace_length_mismatch(self, kind, coarse_grid):
+        bad = BoundaryTrace(np.zeros(11), np.zeros(11), coarse_grid.dt)
+        with pytest.raises(ConfigurationError, match="Neumann trace 0"):
+            _TRANSFER_MAPS[kind](coarse_grid, [bad])
+
+    def test_nonzero_initial_data_warns(self, kind, coarse_grid):
+        f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
+        with pytest.warns(UserWarning, match="Neumann data nonzero"):
+            _TRANSFER_MAPS[kind](coarse_grid, [f])
