@@ -24,6 +24,7 @@ second-derivative data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .extension import (
     Antiderivative,
     antiderivative,
     extend,
+    extended_derivatives,
     scale_profile,
 )
 
@@ -52,18 +54,26 @@ class ControlBundle:
 
     ``f`` realizes the snapshots p(T) = pT and q(T) = -(1/lam) pT' for the
     free background; ``f_t`` and ``f_tt`` are its exact time derivatives.
+    The antiderivative of the extended velocity target and the constant
+    ``Cq`` are computed on first use: only the d'Alembert field needs them.
     """
 
     lam: complex
     pT: AnalyticProfile
     phi_ext: AnalyticProfile
     psi_ext: AnalyticProfile
-    Cq: complex
     f: BoundaryTrace
     f_t: BoundaryTrace
     f_tt: BoundaryTrace
     grid: GridSpec
-    psi_antideriv: Antiderivative
+
+    @functools.cached_property
+    def psi_antideriv(self) -> Antiderivative:
+        return antiderivative(self.psi_ext, self.grid.dx / _ANTIDERIV_REFINEMENT)
+
+    @functools.cached_property
+    def Cq(self) -> complex:
+        return 0.5 * self.psi_antideriv.total
 
 
 def build_control(
@@ -79,35 +89,32 @@ def build_control(
         f_tt = +/- (1/2) [ phi'''(s+) + phi'''(s-) + psi''(s-) - psi''(s+) ]
 
     with + at x = b and - at x = a, where phi, psi denote the extended
-    position and velocity targets.
+    position and velocity targets.  Since phi = -(1/lam) psi, every term
+    comes from one evaluation of psi and its derivatives per argument array.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero (zero-frequency pairs are not used)")
     a, b, T = grid.a, grid.b, grid.T
-    phi_ext = extend(scale_profile(pT, -1.0 / lam), a, b, d)
+    c = -1.0 / lam
     psi_ext = extend(pT, a, b, d)
-    psi_anti = antiderivative(psi_ext, grid.dx / _ANTIDERIV_REFINEMENT)
-    Cq = 0.5 * psi_anti.total
+    phi_ext = scale_profile(psi_ext, c)
 
     ts = grid.ts
     traces = {}
     for x0, sign in ((a, -1.0), (b, +1.0)):
-        sp = x0 + T - ts
-        sm = x0 - T + ts
+        p = extended_derivatives(pT, a, b, x0 + T - ts, d)  # at s+
+        m = extended_derivatives(pT, a, b, x0 - T + ts, d)  # at s-
         traces[x0] = (
-            sign * 0.5 * (phi_ext.deriv1(sp) + phi_ext.deriv1(sm)
-                          + psi_ext.value(sm) - psi_ext.value(sp)),
-            sign * 0.5 * (-phi_ext.deriv2(sp) + phi_ext.deriv2(sm)
-                          + psi_ext.deriv1(sm) + psi_ext.deriv1(sp)),
-            sign * 0.5 * (phi_ext.deriv3(sp) + phi_ext.deriv3(sm)
-                          + psi_ext.deriv2(sm) - psi_ext.deriv2(sp)),
+            sign * 0.5 * (c * (p[1] + m[1]) + m[0] - p[0]),
+            sign * 0.5 * (c * (m[2] - p[2]) + m[1] + p[1]),
+            sign * 0.5 * (c * (p[3] + m[3]) + m[2] - p[2]),
         )
     f, f_t, f_tt = (
         BoundaryTrace(traces[a][j], traces[b][j], grid.dt) for j in range(3)
     )
     return ControlBundle(
-        lam=lam, pT=pT, phi_ext=phi_ext, psi_ext=psi_ext, Cq=Cq,
-        f=f, f_t=f_t, f_tt=f_tt, grid=grid, psi_antideriv=psi_anti,
+        lam=lam, pT=pT, phi_ext=phi_ext, psi_ext=psi_ext,
+        f=f, f_t=f_t, f_tt=f_tt, grid=grid,
     )
 
 

@@ -149,6 +149,9 @@ class MediumSpec:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ConfigurationError(f"{name} has non-finite samples")
+            if name == "sigma_ddot" and arr.shape != self.sigma_dot.shape:
+                raise ConfigurationError(f"sigma_ddot has {arr.size} samples "
+                                         f"but sigma_dot has {self.sigma_dot.size}")
             object.__setattr__(self, name, arr)
 
 

@@ -18,11 +18,10 @@ the time-reversal traces need derivative values at arbitrary real arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 ArrayFunc = Callable[[np.ndarray], np.ndarray]
 
@@ -128,8 +127,6 @@ def _bump_factors(u: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
     u = np.asarray(u, dtype=float)
     out = tuple(np.zeros(u.shape, dtype=float) for _ in range(4))
     inside = np.abs(u) < 1.0
-    if not np.any(inside):
-        return out
     ui = u[inside]
     w = 1.0 / (1.0 - ui ** (2 * d))
     g = 1.0 - w
@@ -150,6 +147,28 @@ def _bump_factors(u: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
     return out
 
 
+def extended_derivatives(phi: AnalyticProfile, a: float, b: float, x,
+                         d: int = 2, top: int = 3) -> list[np.ndarray]:
+    """Derivatives 0 .. ``top`` of ``extend(phi, a, b, d)`` at the points ``x``.
+
+    Each flank's bump factors and each derivative of ``phi`` are evaluated
+    once and shared by all orders.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    res = [np.zeros(x.shape, dtype=complex) for _ in range(top + 1)]
+    derivs = (phi.value, phi.deriv1, phi.deriv2, phi.deriv3)[: top + 1]
+    mid = (x >= a) & (x <= b)
+    for r, deriv in zip(res, derivs):
+        r[mid] = deriv(x[mid])
+    for edge, lo, hi in ((a, a - 1.0, a), (b, b, b + 1.0)):
+        flank = (x > lo) & (x < hi)
+        B = _bump_factors(x[flank] - edge, d)
+        p = [deriv(x[flank]) for deriv in derivs]
+        for k, r in enumerate(res):  # product rule
+            r[flank] = sum(comb(k, j) * p[k - j] * B[j] for j in range(k + 1))
+    return res
+
+
 def extend(phi: AnalyticProfile, a: float, b: float, d: int = 2) -> AnalyticProfile:
     """Extend ``phi`` from [a, b] to a C^(2d-1) profile supported in (a-1, b+1).
 
@@ -162,34 +181,8 @@ def extend(phi: AnalyticProfile, a: float, b: float, d: int = 2) -> AnalyticProf
     if d < 2:
         raise ValueError(f"extension order d must be >= 2, got {d}")
 
-    phi_derivs = (phi.value, phi.deriv1, phi.deriv2, phi.deriv3)
-
     def make(order: int) -> ArrayFunc:
-        def f(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            res = np.zeros(x.shape, dtype=complex)
-            mid = (x >= a) & (x <= b)
-            if np.any(mid):
-                res[mid] = phi_derivs[order](x[mid])
-            for edge, lo, hi in ((a, a - 1.0, a), (b, b, b + 1.0)):
-                flank = (x > lo) & (x < hi)
-                if not np.any(flank):
-                    continue
-                xf = x[flank]
-                B = _bump_factors(xf - edge, d)
-                p = [phi_derivs[j](xf) for j in range(order + 1)]
-                if order == 0:
-                    res[flank] = p[0] * B[0]
-                elif order == 1:
-                    res[flank] = p[1] * B[0] + p[0] * B[1]
-                elif order == 2:
-                    res[flank] = p[2] * B[0] + 2 * p[1] * B[1] + p[0] * B[2]
-                else:
-                    res[flank] = (p[3] * B[0] + 3 * p[2] * B[1]
-                                  + 3 * p[1] * B[2] + p[0] * B[3])
-            return res
-
-        return f
+        return lambda x: extended_derivatives(phi, a, b, x, d, order)[order]
 
     return AnalyticProfile(make(0), make(1), make(2), make(3), (a - 1.0, b + 1.0))
 
@@ -197,8 +190,10 @@ def extend(phi: AnalyticProfile, a: float, b: float, d: int = 2) -> AnalyticProf
 class Antiderivative:
     """Cumulative integral of a compactly supported profile.
 
-    Built from a cumulative-Simpson table on a uniform refinement grid with
-    cubic interpolation between nodes.  Evaluations clamp to 0 left of the
+    Node values on a uniform refinement grid come from the trapezoid rule
+    with the Euler-Maclaurin end correction -h^2/12 [psi'], values between
+    nodes from cubic Hermite interpolation with the profile as the exact
+    slope; both are fourth order.  Evaluations clamp to 0 left of the
     support and to ``total`` right of it, so the two tails are exact.
     """
 
@@ -207,23 +202,28 @@ class Antiderivative:
         if not np.isfinite(s0) or not np.isfinite(s1):
             raise ValueError("antiderivative requires a compactly supported profile")
         n = int(np.ceil((s1 - s0) / spacing))
-        n += n % 2  # Simpson needs an even interval count
         xf = np.linspace(s0, s1, n + 1)
-        yf = np.asarray(profile.value(xf), dtype=complex)
-        cum_re = cumulative_simpson(yf.real, x=xf, initial=0.0)
-        cum_im = cumulative_simpson(yf.imag, x=xf, initial=0.0)
+        h = self._h = (s1 - s0) / n
+        y = np.asarray(profile.value(xf), dtype=complex)
+        dy = np.asarray(profile.deriv1(xf), dtype=complex)
+        trap = np.concatenate(([0.0], np.cumsum(0.5 * h * (y[1:] + y[:-1]))))
+        self._values = trap - (h**2 / 12.0) * (dy - dy[0])
+        self._slopes = h * y  # per unit of the interpolation variable
         self.support = (s0, s1)
-        self.total = complex(cum_re[-1] + 1j * cum_im[-1])
-        self._spline_re = CubicSpline(xf, cum_re)
-        self._spline_im = CubicSpline(xf, cum_im)
+        self.total = complex(self._values[-1])
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         s0, s1 = self.support
         out = np.where(x >= s1, self.total, 0.0 + 0.0j)
         mid = (x > s0) & (x < s1)
-        if np.any(mid):
-            out[mid] = self._spline_re(x[mid]) + 1j * self._spline_im(x[mid])
+        pos = (x[mid] - s0) / self._h
+        k = np.minimum(pos.astype(int), len(self._values) - 2)
+        t = pos - k
+        c0, c1 = self._values[k], self._values[k + 1]
+        m0, m1 = self._slopes[k], self._slopes[k + 1]
+        out[mid] = c0 + t * (m0 + t * (3.0 * (c1 - c0) - 2.0 * m0 - m1
+                                       + t * (2.0 * (c0 - c1) + m0 + m1)))
         return out
 
 

@@ -22,9 +22,9 @@ equation and the time-differentiated boundary condition,
     u_xxx = -+ rho0 d2g/dt2 + sigma_x u_t -+ sigma dg/dt - S_x
             (upper signs at a, lower at b),
 
-with dg/dt, d2g/dt2 taken by centered differences of the supplied data and
-S_x, sigma_x by one-sided differences; every ingredient multiplies dx^3, so
-those low-order estimates cost no accuracy.
+with dg/dt, d2g/dt2 taken by centered differences of the supplied data,
+u_t = (u^n - u^{n-1})/dt, and S_x, sigma_x by one-sided differences; every
+ingredient multiplies dx^3, so those low-order estimates cost no accuracy.
 
 Initial layers are u^0 = u^1 = 0, valid because all admitted data and
 sources vanish near t = 0 (the solver warns otherwise).  When a source is
@@ -32,31 +32,42 @@ supplied, the first layer gets the Taylor term dt^2 S(0) / (2 rho0): with
 zero initial data, rho0 u_tt(0) = S(0), and omitting the term leaves an
 O(dt) velocity defect whose mean grows linearly under Neumann conditions.
 
-Both Neumann-to-Dirichlet maps are provided: the nonlinear map restricts the
-solution to the endpoints, and the linearized map advances the background
-field and its perturbation in one coupled pass, feeding the source
--sigma_dot * du0/dt (leapfrog centered difference, using the already-updated
-layer) into the perturbation update.  The coupled discrete pass is the exact
-parameter derivative of the discrete nonlinear solve.
+One time loop serves every map.  It advances the increment v^n = u^n -
+u^{n-1} by per-node coefficients computed once per medium,
 
-Several independent solves driven by different traces over the same medium
-may be batched into one time loop; columns of the batch never interact.
+    v^{n+1} = carry v^n + right (u_{i+1} - u_i) - left (u_i - u_{i-1}),
 
-Each time loop reads six input channels per step: g, dg/dt and d2g/dt2 at
-both endpoints, at steps 1 .. nt-2.  For a time-independent medium and zero
-initial data the loop is a linear time-invariant map from those channels to
-the two endpoint traces, so it is fixed by its responses to a unit impulse
-in each channel.  The transfer backend (``transfer_nd_map_many``,
-``transfer_linearized_nd_map_many``) drives the same loop once per medium
-with the six impulses, memoizes the response spectra for the two most
-recent media, and measures each trace by FFT convolution of its channels,
-derived exactly as the stepper derives them.  Kernels are kept per channel,
-not per endpoint, because an endpoint impulse passed through the centered
-differences is amplified by about dx/(3 dt^2) in the d2g/dt2 edge term and
-cancels on the way out, costing about three digits; per-channel kernels agree
-with the stepper to about 1e-10 relative.  The stepper stays the reference:
-the backend is tested against it, and it alone serves sources, monitors and
-snapshots at T.
+then u^{n+1} = u^n + v^{n+1}; the ghost node's doubled inward difference
+and the sigma_x u_t edge term fold into the rows of nodes 0 and nx-1, and
+the outer differences there take one injection signal per end,
+
+    (2/dx) g + (dx/3) (rho0 d2g/dt2 + sigma_end dg/dt),
+
+computed before the loop (a source adds gain S, and -+ (dx/3) S_x to the
+injection).  Differencing before scaling keeps a constant field exact, so
+rounding does not feed the undamped mean mode's double root at z = 1: on
+the default grid the loop agrees with the scheme run in extended precision
+to about 1e-12.  Fields are real rows of nodes, so every update runs along
+x; complex data take a real and an imaginary row.
+
+The nonlinear ND (Neumann-to-Dirichlet) map restricts the solution to the
+endpoints.  The linearized map stacks background and perturbation rows in
+one pass: the perturbation (source -sigma_dot du0/dt, zero data) shares the
+background's coefficients, its injection is (dx/3) sigma_dot_end dg/dt, and
+its increment gains K (u0^{n+1} - u0^{n-1}), K folding the centered source
+with the sigma_dot_x edge term.  This pass is the exact parameter
+derivative of the discrete nonlinear solve.
+
+With a time-independent medium and zero initial data the loop is a linear
+time-invariant map from injection signals to endpoint traces.  The transfer
+backend (``transfer_nd_map_many``, ``transfer_linearized_nd_map_many``)
+drives it once per medium with a unit impulse in each signal, memoizes the
+response spectra of the two most recent media, and measures a trace by FFT
+convolution of its signals, derived as the stepper derives them: 2 for the
+nonlinear map, 4 for the linearized one, whose perturbation injection reuses
+the background response (same operator).  It agrees with the stepper to
+about 1e-13 relative; the stepper stays the reference it is tested against,
+and alone serves sources, monitors and snapshots at T.
 """
 
 from __future__ import annotations
@@ -68,15 +79,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    BoundaryTrace,
-    ConfigurationError,
-    GridSpec,
-    MediumSpec,
-)
+from .core import BoundaryTrace, ConfigurationError, GridSpec, MediumSpec
 
 _INITIAL_DATA_TOL = 1e-9
-_N_CHANNELS = 6  # g, dg/dt and d2g/dt2 at each endpoint
+_ENDS = [0, -1]
 
 
 @dataclass(frozen=True)
@@ -94,13 +100,13 @@ class LinearizedOutput(NamedTuple):
     background: SolveOutput
 
 
-def _as_sigma_array(sigma, nx: int) -> np.ndarray:
+def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
     arr = np.asarray(sigma, dtype=float)
     if arr.ndim == 0:
         return np.full(nx, float(arr))
     if arr.shape != (nx,):
         raise ConfigurationError(
-            f"sigma has {arr.shape[0]} samples but the grid has {nx} nodes"
+            f"{name} has {arr.shape[0]} samples but the grid has {nx} nodes"
         )
     return arr
 
@@ -117,201 +123,192 @@ def _check_cfl(grid: GridSpec, rho0: float) -> None:
         raise ConfigurationError("grid too coarse: fewer than 3 steps to t = T")
 
 
-def _check_initial_data(neumanns: Sequence[BoundaryTrace], source) -> None:
-    for g in neumanns:
-        scale = max(np.max(np.abs(g.values_a)), np.max(np.abs(g.values_b)), 1.0)
-        if max(abs(g.values_a[0]), abs(g.values_b[0])) > _INITIAL_DATA_TOL * scale:
-            warnings.warn(
-                "Neumann data nonzero at t = 0; zero initial layers are "
-                "inconsistent with it",
-                stacklevel=3,
+def _stack_neumann(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
+                   source=None) -> np.ndarray:
+    """Checked endpoint data as one (nt, traces, 2) array, a side then b."""
+    g = np.empty((grid.nt, len(neumanns), 2), dtype=complex)
+    for j, tr in enumerate(neumanns):
+        if len(tr) != grid.nt or tr.dt != grid.dt:
+            raise ConfigurationError(
+                f"Neumann trace {j} has {len(tr)} samples (dt={tr.dt}); "
+                f"the grid needs {grid.nt} (dt={grid.dt})"
             )
-            break
-    if source is not None:
-        s0 = np.asarray(source(0))
-        if np.max(np.abs(s0)) > _INITIAL_DATA_TOL:
-            warnings.warn(
-                "source nonzero at t = 0; zero initial layers introduce a "
-                "one-step O(dt^2) error",
-                stacklevel=3,
-            )
-
-
-def _check_trace(grid: GridSpec, j: int, g: BoundaryTrace) -> None:
-    if len(g) != grid.nt or g.dt != grid.dt:
-        raise ConfigurationError(
-            f"Neumann trace {j} has {len(g)} samples (dt={g.dt}); "
-            f"the grid needs {grid.nt} (dt={grid.dt})"
+        g[:, j] = np.stack((tr.values_a, tr.values_b), axis=1)
+    scale = np.maximum(np.max(np.abs(g), axis=(0, 2)), 1.0)
+    if np.any(np.max(np.abs(g[0]), axis=1) > _INITIAL_DATA_TOL * scale):
+        warnings.warn(
+            "Neumann data nonzero at t = 0; zero initial layers are "
+            "inconsistent with it",
+            stacklevel=3,
         )
-
-
-def _check_sigma_dot(grid: GridSpec, medium: MediumSpec) -> None:
-    if medium.sigma_dot.shape != (grid.nx,):
-        raise ConfigurationError(
-            f"sigma_dot has {medium.sigma_dot.shape[0]} samples but the grid "
-            f"has {grid.nx} nodes"
+    if source is not None and np.max(np.abs(source(0))) > _INITIAL_DATA_TOL:
+        warnings.warn(
+            "source nonzero at t = 0; zero initial layers introduce a "
+            "one-step O(dt^2) error",
+            stacklevel=3,
         )
+    return g
 
 
-def _stack_neumann(grid: GridSpec, neumanns: Sequence[BoundaryTrace]):
-    ga = np.empty((grid.nt, len(neumanns)), dtype=complex)
-    gb = np.empty_like(ga)
-    for j, g in enumerate(neumanns):
-        _check_trace(grid, j, g)
-        ga[:, j] = g.values_a
-        gb[:, j] = g.values_b
-    return ga, gb
+def _edge_term(arr):
+    """(dx/3) (-d/dx at a, +d/dx at b) along the last axis, one-sided."""
+    return np.stack((3.0 * arr[..., 0] - 4.0 * arr[..., 1] + arr[..., 2],
+                     3.0 * arr[..., -1] - 4.0 * arr[..., -2] + arr[..., -3]),
+                    axis=-1) / 6.0
 
 
-def _laplacian(u, ga_n, gb_n, dx, out):
-    idx2 = 1.0 / dx**2
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * idx2
-    out[0] = (2.0 * u[1] - 2.0 * u[0] + 2.0 * dx * ga_n) * idx2
-    out[-1] = (2.0 * u[-2] - 2.0 * u[-1] + 2.0 * dx * gb_n) * idx2
-    return out
+def _rows(z: np.ndarray, with_imag: bool, axis: int) -> np.ndarray:
+    """Real rows of complex data: a new ``axis`` of real (and imag) parts."""
+    return np.stack((z.real, z.imag) if with_imag else (z.real,), axis=axis)
 
 
-def _edge_slope(arr, dx):
-    """Second-order one-sided d/dx of a node array at both endpoints."""
-    left = (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * dx)
-    right = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * dx)
-    return left, right
+def _from_rows(x: np.ndarray, axis: int) -> np.ndarray:
+    """Inverse of :func:`_rows`."""
+    imag = x.take(1, axis) if x.shape[axis] == 2 else 0.0
+    return x.take(0, axis) + 1j * imag
 
 
-def _trace_time_derivatives(ga, gb, dt):
-    ga_t = np.gradient(ga, dt, axis=0)
-    gb_t = np.gradient(gb, dt, axis=0)
-    ga_tt = np.gradient(ga_t, dt, axis=0)
-    gb_tt = np.gradient(gb_t, dt, axis=0)
-    return ga_t, gb_t, ga_tt, gb_tt
+def _stencil(grid: GridSpec, rho0: float, sigma: np.ndarray):
+    """Per-node coefficients (carry, left, right, gain) of the update
+
+        v^{n+1} = carry v^n + right (u_{i+1} - u_i) - left (u_i - u_{i-1})
+                  + gain S,    u^{n+1} = u^n + v^{n+1},
+
+    with v^n = u^n - u^{n-1} and gain = 1/(rho0/dt^2 + sigma/(2 dt)); at
+    the end nodes the injection signals stand for the outer differences.
+    """
+    dt, dx = grid.dt, grid.dx
+    gain = 1.0 / (rho0 / dt**2 + sigma / (2.0 * dt))
+    carry = (rho0 / dt**2 - sigma / (2.0 * dt)) * gain
+    carry[_ENDS] += gain[_ENDS] * _edge_term(sigma) / dt  # sigma_x v^n / dt
+    # the ghost node doubles the inward difference
+    left = gain / dx**2
+    right = left.copy()
+    left[-1] *= 2.0
+    right[0] *= 2.0
+    left[0], right[-1] = gain[0], gain[-1]
+    return carry, left, right, gain
 
 
-def _snapshots(grid, rho0, u_mid, u_minus, u_plus, ga_T, gb_T):
+def _coupling(grid: GridSpec, gain: np.ndarray, sigma_dot: np.ndarray):
+    """K of the perturbation update v^{n+1} += K (u0^{n+1} - u0^{n-1}).
+
+    It holds the centered source -sigma_dot w, w = (u0^{n+1} - u0^{n-1})/(2 dt),
+    and the edge term -S_x by the product rule (w_x = -+ dg/dt at the ends
+    goes into the perturbation's injection signal)."""
+    k = -sigma_dot
+    k[_ENDS] += _edge_term(sigma_dot)
+    return k * gain / (2.0 * grid.dt)
+
+
+def _injection(grid: GridSpec, rho0: float, sigma, g, sigma_dot=None):
+    """Injection signals of the endpoint data ``g`` (nt, ..., 2); with
+    ``sigma_dot``, axis 1 holds the background's and the perturbation's."""
+    dx, dt = grid.dx, grid.dt
+    g_t = np.gradient(g, dt, axis=0)
+    g_tt = np.gradient(g_t, dt, axis=0)
+    inj = (2.0 / dx) * g + (dx / 3.0) * (rho0 * g_tt + sigma[_ENDS] * g_t)
+    if sigma_dot is None:
+        return inj
+    return np.stack((inj, (dx / 3.0) * sigma_dot[_ENDS] * g_t), axis=1)
+
+
+class _Level(NamedTuple):
+    """A level of the loop: a flat buffer and the views the loop updates.
+
+    Each row of nodes sits between two cells, so that a whole update is a
+    few contiguous numpy calls; the coefficients vanish at the cells, which
+    keeps the rows apart.  In the buffer of differences u_{k+1} - u_k, the
+    slots next to the cells take the injection signals.
+    """
+
+    flat: np.ndarray
+    head: np.ndarray          # flat[:-1]
+    tail: np.ndarray          # flat[1:]
+    background: np.ndarray    # first half: background rows of a coupled pass
+    perturbation: np.ndarray  # second half: their perturbation rows
+    slots: np.ndarray         # (*rows, 2) outer differences at a and b
+    ends: np.ndarray          # (*rows, 2) nodes 0 and nx-1
+    nodes: np.ndarray         # (*rows, nx)
+
+    @classmethod
+    def of(cls, rows: tuple, nx: int, nodes=0.0) -> "_Level":
+        grid2d = np.zeros(rows + (nx + 2,))
+        grid2d[..., 1:-1] = nodes
+        flat, half = grid2d.reshape(-1), grid2d.size // 2
+        return cls(flat, flat[:-1], flat[1:], flat[:half], flat[half:],
+                   grid2d[..., ::nx], grid2d[..., 1:nx + 1:nx - 1],
+                   grid2d[..., 1:-1])
+
+
+def _time_loop(grid, stencil, inj, coupling=None, u1=0.0, source=None,
+               monitor=None):
+    """Advance real rows of nodes from u^0 = 0 and u^1 = ``u1``.
+
+    ``inj`` (nt, *rows, 2) holds each row's injection signals at a and b for
+    steps 1 .. nt-2; the field has shape (*rows, nx).  With ``coupling`` the
+    first row axis is [background, perturbation], and the perturbation
+    gains ``coupling * (u0^{n+1} - u0^{n-1})`` in each update.
+    ``source(n)`` gives S(t_n, .) broadcastable against the field, and
+    ``monitor(n, u^n)`` sees every level.  Returns the endpoint traces
+    (nt, *rows, 2) and the levels at steps T/dt - 1, T/dt and T/dt + 1.
+    """
+    rows, nx = inj.shape[1:-1], grid.nx
+    carry, left, right, gain = (_Level.of(rows, nx, c) for c in stencil)
+    if coupling is not None:
+        coupling = _Level.of(rows, nx, coupling).background
+    u, v = _Level.of(rows, nx, u1), _Level.of(rows, nx, u1)
+    diff, tmp, acc = (_Level.of(rows, nx) for _ in range(3))
+    # slot values for which -left * slot at a and right * slot at b inject
+    outer = inj * np.array([-1.0, 1.0])
+    traces = np.zeros(inj.shape)
+    traces[1] = u.ends
+    snap_steps, levels = range(grid.half_index - 1, grid.half_index + 2), []
+    if monitor is not None:
+        monitor(0, np.zeros_like(u.nodes))
+        monitor(1, u.nodes)
+    for n in range(1, grid.nt - 1):
+        np.subtract(u.tail, u.head, out=diff.head)
+        if source is None:
+            diff.slots[...] = outer[n]
+        else:
+            s = source(n)
+            np.add(outer[n], _edge_term(s) * [1.0, -1.0], out=diff.slots)
+        if coupling is not None:
+            np.multiply(v.background, coupling, out=acc.background)
+        np.multiply(v.flat, carry.flat, out=v.flat)
+        np.multiply(diff.head, right.head, out=tmp.head)
+        np.add(v.head, tmp.head, out=v.head)
+        np.multiply(diff.head, left.tail, out=tmp.tail)
+        np.subtract(v.tail, tmp.tail, out=v.tail)
+        if source is not None:
+            v.nodes[...] += s * gain.nodes
+        if coupling is not None:
+            np.add(v.perturbation, acc.background, out=v.perturbation)
+            np.multiply(v.background, coupling, out=acc.background)
+            np.add(v.perturbation, acc.background, out=v.perturbation)
+        np.add(u.flat, v.flat, out=u.flat)
+        traces[n + 1] = u.ends
+        if n + 1 in snap_steps:
+            levels.append(u.nodes.copy())
+        if monitor is not None:
+            monitor(n + 1, u.nodes)
+    return traces, levels
+
+
+def _outputs(grid, rho0, traces, levels, g_T) -> list[SolveOutput]:
+    """Outputs from complex traces (nt, traces, 2) and levels around T."""
+    u_minus, u_mid, u_plus = levels
     pT = np.sqrt(rho0) * (u_plus - u_minus) / (2.0 * grid.dt)
     qT = np.empty_like(u_mid)
-    qT[1:-1] = (u_mid[2:] - u_mid[:-2]) / (2.0 * grid.dx)
-    qT[0] = -ga_T  # ghost-consistent: the outward normal at a is -d/dx
-    qT[-1] = gb_T
-    return pT, qT
-
-
-def _plain_loop(grid, rho0, sigma, channels, source=None, monitor=None):
-    """Time loop of the nonlinear map: one field per column of the channels.
-
-    ``channels`` is (g_a, g_b, dg_a/dt, dg_b/dt, d2g_a/dt2, d2g_b/dt2), each
-    of shape (nt, m); the loop reads steps 1 .. nt-2 only.  Returns the
-    endpoint traces, each (nt, m), and the levels (u^{T-dt}, u^T, u^{T+dt}).
-    """
-    ga, gb, ga_t, gb_t, ga_tt, gb_tt = channels
-    sig = sigma[:, None]
-    m = ga.shape[1]
-    nt, nhalf, dt, dx = grid.nt, grid.half_index, grid.dt, grid.dx
-    u_prev = np.zeros((grid.nx, m), dtype=ga.dtype)
-    u_curr = np.zeros_like(u_prev)
-    lap = np.empty_like(u_prev)
-    denom = rho0 / dt**2 + sig / (2.0 * dt)
-    c_curr = 2.0 * rho0 / dt**2
-    c_prev = rho0 / dt**2 - sig / (2.0 * dt)
-    sx_a, sx_b = _edge_slope(sigma, dx)
-
-    dir_a = np.zeros((nt, m), dtype=ga.dtype)
-    dir_b = np.zeros((nt, m), dtype=ga.dtype)
-    if source is not None:
-        # Taylor first step: with zero initial data, rho0 u_tt(0) = S(0);
-        # sources with S(0) != 0 would otherwise leave an O(dt) velocity
-        # defect whose mean grows linearly under Neumann conditions
-        u_curr += (dt**2 / (2.0 * rho0)) * np.asarray(source(0), dtype=complex)[:, None]
-        dir_a[1] = u_curr[0]
-        dir_b[1] = u_curr[-1]
-    u_minus = u_mid = u_plus = None
-    if monitor is not None:
-        monitor(0, u_prev)
-        monitor(1, u_curr)
-    for n in range(1, nt - 1):
-        _laplacian(u_curr, ga[n], gb[n], grid.dx, lap)
-        uxxx_a = (-rho0 * ga_tt[n] - sig[0] * ga_t[n]
-                  + sx_a * (u_curr[0] - u_prev[0]) / dt)
-        uxxx_b = (rho0 * gb_tt[n] + sig[-1] * gb_t[n]
-                  + sx_b * (u_curr[-1] - u_prev[-1]) / dt)
-        rhs = c_curr * u_curr - c_prev * u_prev
-        if source is not None:
-            s_n = np.asarray(source(n), dtype=complex)
-            s_xa, s_xb = _edge_slope(s_n, dx)
-            uxxx_a = uxxx_a - s_xa
-            uxxx_b = uxxx_b - s_xb
-            rhs += s_n[:, None]
-        lap[0] -= (dx / 3.0) * uxxx_a
-        lap[-1] += (dx / 3.0) * uxxx_b
-        rhs += lap
-        u_next = rhs / denom
-        dir_a[n + 1] = u_next[0]
-        dir_b[n + 1] = u_next[-1]
-        if n + 1 == nhalf - 1:
-            u_minus = u_next.copy()
-        elif n + 1 == nhalf:
-            u_mid = u_next.copy()
-        elif n + 1 == nhalf + 1:
-            u_plus = u_next.copy()
-        if monitor is not None:
-            monitor(n + 1, u_next)
-        u_prev, u_curr = u_curr, u_next
-    return dir_a, dir_b, (u_minus, u_mid, u_plus)
-
-
-def _coupled_loop(grid, rho0, sigma0, sigma_dot, channels):
-    """Time loop of the linearized map: background and perturbation together.
-
-    ``channels`` is as for :func:`_plain_loop`.  Returns the background's
-    endpoint traces, its levels (u0^{T-dt}, u0^T, u0^{T+dt}) and the
-    perturbation's endpoint traces.
-    """
-    ga, gb, ga_t, gb_t, ga_tt, gb_tt = channels
-    sd = sigma_dot[:, None]
-    m = ga.shape[1]
-    nt, nhalf, dt, dx = grid.nt, grid.half_index, grid.dt, grid.dx
-    u0_prev = np.zeros((grid.nx, m), dtype=ga.dtype)
-    u0_curr = np.zeros_like(u0_prev)
-    ud_prev = np.zeros_like(u0_prev)
-    ud_curr = np.zeros_like(u0_prev)
-    lap0 = np.empty_like(u0_prev)
-    lapd = np.empty_like(u0_prev)
-    denom = rho0 / dt**2 + sigma0 / (2.0 * dt)
-    c_curr = 2.0 * rho0 / dt**2
-    c_prev = rho0 / dt**2 - sigma0 / (2.0 * dt)
-    sdx_a, sdx_b = _edge_slope(sigma_dot, dx)
-
-    dir0_a = np.zeros((nt, m), dtype=ga.dtype)
-    dir0_b = np.zeros((nt, m), dtype=ga.dtype)
-    dird_a = np.zeros((nt, m), dtype=ga.dtype)
-    dird_b = np.zeros((nt, m), dtype=ga.dtype)
-    u0_minus = u0_mid = u0_plus = None
-    for n in range(1, nt - 1):
-        _laplacian(u0_curr, ga[n], gb[n], grid.dx, lap0)
-        # constant background damping: sigma_x = 0 in the edge correction
-        lap0[0] -= (dx / 3.0) * (-rho0 * ga_tt[n] - sigma0 * ga_t[n])
-        lap0[-1] += (dx / 3.0) * (rho0 * gb_tt[n] + sigma0 * gb_t[n])
-        u0_next = (c_curr * u0_curr - c_prev * u0_prev + lap0) / denom
-        dudt = (u0_next - u0_prev) / (2.0 * dt)
-        src = -sd * dudt
-        _laplacian(ud_curr, 0.0, 0.0, grid.dx, lapd)
-        # perturbation field: zero data, so its u_xxx at the edges is -S_x,
-        # expanded by the product rule with du0/dx = -+ g at the endpoints
-        lapd[0] -= (dx / 3.0) * (sdx_a * dudt[0] - sd[0] * ga_t[n])
-        lapd[-1] += (dx / 3.0) * (sdx_b * dudt[-1] + sd[-1] * gb_t[n])
-        ud_next = (c_curr * ud_curr - c_prev * ud_prev + lapd + src) / denom
-        dir0_a[n + 1] = u0_next[0]
-        dir0_b[n + 1] = u0_next[-1]
-        dird_a[n + 1] = ud_next[0]
-        dird_b[n + 1] = ud_next[-1]
-        if n + 1 == nhalf - 1:
-            u0_minus = u0_next.copy()
-        elif n + 1 == nhalf:
-            u0_mid = u0_next.copy()
-        elif n + 1 == nhalf + 1:
-            u0_plus = u0_next.copy()
-        u0_prev, u0_curr = u0_curr, u0_next
-        ud_prev, ud_curr = ud_curr, ud_next
-    return dir0_a, dir0_b, (u0_minus, u0_mid, u0_plus), dird_a, dird_b
+    qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
+    qT[:, 0] = -g_T[:, 0]  # ghost-consistent: the outward normal at a is -d/dx
+    qT[:, -1] = g_T[:, 1]
+    return [
+        SolveOutput(BoundaryTrace(traces[:, j, 0], traces[:, j, 1], grid.dt),
+                    pT[j], qT[j], u_mid[j])
+        for j in range(len(u_mid))
+    ]
 
 
 def solve_many(
@@ -325,27 +322,32 @@ def solve_many(
     """Advance one field per Neumann trace through a single time loop.
 
     ``source``, if given, maps a time index n to the S(t_n, .) samples and is
-    applied to every column.  ``monitor`` receives (n, u^n) for each level.
+    applied to every column.  ``monitor`` receives (n, u^n) for each level,
+    u^n a complex (nx, traces) array.
     """
     _check_cfl(grid, rho0)
     sig = _as_sigma_array(sigma, grid.nx)
-    _check_initial_data(neumanns, source)
-    ga, gb = _stack_neumann(grid, neumanns)
-    channels = (ga, gb, *_trace_time_derivatives(ga, gb, grid.dt))
-    dir_a, dir_b, (u_minus, u_mid, u_plus) = _plain_loop(
-        grid, rho0, sig, channels, source, monitor
-    )
-    nhalf = grid.half_index
-    pT, qT = _snapshots(grid, rho0, u_mid, u_minus, u_plus, ga[nhalf], gb[nhalf])
-    return [
-        SolveOutput(
-            dirichlet=BoundaryTrace(dir_a[:, j], dir_b[:, j], grid.dt),
-            pT_snapshot=pT[:, j],
-            qT_snapshot=qT[:, j],
-            uT_snapshot=u_mid[:, j],
-        )
-        for j in range(len(neumanns))
-    ]
+    g = _stack_neumann(grid, neumanns, source)
+    # rows (parts, traces); real data without a source need no imaginary part
+    with_imag = source is not None or bool(np.any(g.imag))
+    inj = _rows(_injection(grid, rho0, sig, g), with_imag, axis=1)
+    u1, row_source, row_monitor = 0.0, None, None
+    if source is not None:
+        def row_source(n):
+            return _rows(np.asarray(source(n), dtype=complex), True, 0)[:, None]
+
+        # Taylor first step: with zero initial data, rho0 u_tt(0) = S(0);
+        # sources with S(0) != 0 would otherwise leave an O(dt) velocity
+        # defect whose mean grows linearly under Neumann conditions
+        u1 = (grid.dt**2 / (2.0 * rho0)) * row_source(0)
+    if monitor is not None:
+        def row_monitor(n, u):
+            monitor(n, _from_rows(u, axis=0).T)
+
+    traces, levels = _time_loop(grid, _stencil(grid, rho0, sig), inj, u1=u1,
+                                source=row_source, monitor=row_monitor)
+    return _outputs(grid, rho0, _from_rows(traces, axis=1),
+                    [_from_rows(u, axis=0) for u in levels], g[grid.half_index])
 
 
 def solve(
@@ -382,27 +384,24 @@ def linearized_nd_map_many(
     linearized measurement.
     """
     _check_cfl(grid, medium.rho0)
-    _check_sigma_dot(grid, medium)
-    _check_initial_data(fs, None)
-    ga, gb = _stack_neumann(grid, fs)
-    channels = (ga, gb, *_trace_time_derivatives(ga, gb, grid.dt))
-    dir0_a, dir0_b, (u0_minus, u0_mid, u0_plus), dird_a, dird_b = _coupled_loop(
-        grid, medium.rho0, medium.sigma0, medium.sigma_dot, channels
+    _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
+    g = _stack_neumann(grid, fs)
+    sig0 = np.full(grid.nx, medium.sigma0)
+    stencil = _stencil(grid, medium.rho0, sig0)
+    inj = _injection(grid, medium.rho0, sig0, g, medium.sigma_dot)
+    # rows (fields, parts, traces)
+    traces, levels = _time_loop(
+        grid, stencil, _rows(inj, bool(np.any(g.imag)), axis=2),
+        coupling=_coupling(grid, stencil[-1], medium.sigma_dot),
     )
-    nhalf, dt = grid.half_index, grid.dt
-    pT, qT = _snapshots(grid, medium.rho0, u0_mid, u0_minus, u0_plus,
-                        ga[nhalf], gb[nhalf])
+    traces = _from_rows(traces, axis=2)
+    backgrounds = _outputs(grid, medium.rho0, traces[:, 0],
+                           [_from_rows(u[0], axis=0) for u in levels],
+                           g[grid.half_index])
     return [
         LinearizedOutput(
-            trace=BoundaryTrace(dird_a[:, j], dird_b[:, j], dt),
-            background=SolveOutput(
-                dirichlet=BoundaryTrace(dir0_a[:, j], dir0_b[:, j], dt),
-                pT_snapshot=pT[:, j],
-                qT_snapshot=qT[:, j],
-                uT_snapshot=u0_mid[:, j],
-            ),
-        )
-        for j in range(len(fs))
+            BoundaryTrace(traces[:, 1, j, 0], traces[:, 1, j, 1], grid.dt), bg)
+        for j, bg in enumerate(backgrounds)
     ]
 
 
@@ -419,61 +418,52 @@ def linearized_nd_map(
 
 def _fft_length(n: int) -> int:
     """Smallest 2^i 3^j 5^k >= n; numpy's FFT is fastest on such lengths."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    r = range(n.bit_length() + 1)
+    return min(m for m in (2**i * 3**j * 5**k for i in r for j in r for k in r)
+               if m >= n)
 
 
 @functools.lru_cache(maxsize=2)
-def _kernel_spectra(grid: GridSpec, rho0: float, sigma0: float,
-                    damping: bytes, linearized: bool):
-    """FFT length and spectra of the endpoint responses to channel impulses.
+def _kernel(grid: GridSpec, rho0: float, sigma0: float, damping: bytes,
+            linearized: bool):
+    """FFT length and spectrum (signals, 2 ends, frequencies) of the
+    responses to a unit impulse at step 1, shifted to start at that step.
 
-    ``damping`` holds the bytes of a node array: the perturbation sigma_dot
-    of the linearized map about ``sigma0``, or the node damping
-    sigma0 + damping of the nonlinear map.  Column c of each spectrum
-    (a side, then b side) is the response to a unit impulse at step 1 in
-    channel c, shifted so that row k holds the output k steps later.
+    ``damping`` holds the bytes of a node array: sigma_dot of the linearized
+    map about ``sigma0``, or the nonlinear map's damping less ``sigma0``.
     """
     sigma = np.frombuffer(damping)
-    impulses = np.zeros((_N_CHANNELS, grid.nt, _N_CHANNELS))
-    impulses[range(_N_CHANNELS), 1, range(_N_CHANNELS)] = 1.0
+    impulses = np.zeros((grid.nt, 2, 2))  # (steps, impulse end, output end)
+    impulses[1] = np.eye(2)
     if linearized:
-        *_, resp_a, resp_b = _coupled_loop(grid, rho0, sigma0, sigma,
-                                           tuple(impulses))
+        stencil = _stencil(grid, rho0, np.full(grid.nx, sigma0))
+        # drive the background rows only: the perturbation's own injection
+        # meets the same operator, so its response is the background's
+        traces, _ = _time_loop(grid, stencil,
+                               np.stack((impulses, 0.0 * impulses), axis=1),
+                               coupling=_coupling(grid, stencil[-1], sigma))
+        responses = np.concatenate((traces[:, 1], traces[:, 0]), axis=1)
     else:
-        resp_a, resp_b, _ = _plain_loop(grid, rho0, sigma0 + sigma,
-                                        tuple(impulses))
+        stencil = _stencil(grid, rho0, sigma0 + sigma)
+        responses, _ = _time_loop(grid, stencil, impulses)
     # no wrap-around: inputs and responses both span fewer than nt - 1 steps
     n_fft = _fft_length(2 * grid.nt - 3)
-    spectra = tuple(np.fft.rfft(r[1:], n_fft, axis=0) for r in (resp_a, resp_b))
-    for s in spectra:
-        s.flags.writeable = False
-    return n_fft, spectra
+    spectrum = np.fft.rfft(np.moveaxis(responses[1:], 0, -1), n_fft)
+    spectrum.flags.writeable = False
+    return n_fft, spectrum
 
 
-def _convolve(grid: GridSpec, kernel, f: BoundaryTrace) -> BoundaryTrace:
-    """Endpoint response to ``f``: the channels convolved with the kernel."""
-    n_fft, (h_a, h_b) = kernel
-    x = np.stack((f.values_a, f.values_b,
-                  *_trace_time_derivatives(f.values_a, f.values_b, grid.dt)),
-                 axis=1)
-    x[[0, -1]] = 0.0  # samples the time loops never read
-    xr = np.fft.rfft(x.real, n_fft, axis=0)
-    xi = np.fft.rfft(x.imag, n_fft, axis=0)
-
-    def response(h):
-        re = np.fft.irfft(np.sum(xr * h, axis=1), n_fft)[: grid.nt]
-        im = np.fft.irfft(np.sum(xi * h, axis=1), n_fft)[: grid.nt]
-        return re + 1j * im
-
-    return BoundaryTrace(response(h_a), response(h_b), grid.dt)
+def _convolve(grid: GridSpec, kernel, signals) -> list[BoundaryTrace]:
+    """Endpoint traces from injection signals (nt, traces, signals)."""
+    n_fft, spectrum = kernel
+    signals[[0, -1]] = 0.0  # steps the time loop never reads
+    traces = []
+    for x in np.moveaxis(signals, 0, -1):  # one trace: (signals, nt)
+        spec = np.fft.rfft(np.stack((x.real, x.imag)), n_fft)
+        y = np.fft.irfft(np.einsum("psf,sef->pef", spec, spectrum), n_fft)
+        a, b = y[0, :, : grid.nt] + 1j * y[1, :, : grid.nt]
+        traces.append(BoundaryTrace(a, b, grid.dt))
+    return traces
 
 
 def transfer_nd_map_many(
@@ -481,16 +471,14 @@ def transfer_nd_map_many(
 ) -> list[BoundaryTrace]:
     """:func:`nd_map_many` by convolution with the medium's transfer kernel.
 
-    Agrees with the stepper to about 1e-10 relative.  The kernel costs one
+    Agrees with the stepper to about 1e-13 relative.  The kernel costs one
     time loop per medium and is memoized for the two most recent media.
     """
     _check_cfl(grid, rho0)
     sig = _as_sigma_array(sigma, grid.nx)
-    _check_initial_data(fs, None)
-    for j, f in enumerate(fs):
-        _check_trace(grid, j, f)
-    kernel = _kernel_spectra(grid, rho0, 0.0, sig.tobytes(), False)
-    return [_convolve(grid, kernel, f) for f in fs]
+    g = _stack_neumann(grid, fs)
+    kernel = _kernel(grid, rho0, 0.0, sig.tobytes(), False)
+    return _convolve(grid, kernel, _injection(grid, rho0, sig, g))
 
 
 def transfer_linearized_nd_map_many(
@@ -501,10 +489,12 @@ def transfer_linearized_nd_map_many(
     Returns the perturbation traces only; see :func:`transfer_nd_map_many`.
     """
     _check_cfl(grid, medium.rho0)
-    _check_sigma_dot(grid, medium)
-    _check_initial_data(fs, None)
-    for j, f in enumerate(fs):
-        _check_trace(grid, j, f)
-    kernel = _kernel_spectra(grid, medium.rho0, medium.sigma0,
-                             medium.sigma_dot.tobytes(), True)
-    return [_convolve(grid, kernel, f) for f in fs]
+    _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
+    g = _stack_neumann(grid, fs)
+    kernel = _kernel(grid, medium.rho0, medium.sigma0,
+                     medium.sigma_dot.tobytes(), True)
+    inj = _injection(grid, medium.rho0, np.full(grid.nx, medium.sigma0), g,
+                     medium.sigma_dot)
+    # (steps, fields, traces, ends) -> (steps, traces, fields x ends)
+    return _convolve(grid, kernel,
+                     inj.transpose(0, 2, 1, 3).reshape(grid.nt, len(fs), 4))

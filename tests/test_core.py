@@ -216,3 +216,7 @@ class TestMediumSpec:
         med = MediumSpec(1.0, 0.0, [1, 2, 3], [0, 1, 0])
         assert med.sigma_dot.dtype == float and med.sigma_ddot.dtype == float
         assert MediumSpec(1.0, 0.0, [1.0]).sigma_ddot is None
+
+    def test_sigma_ddot_length_must_match_sigma_dot(self):
+        with pytest.raises(ConfigurationError, match="sigma_ddot has 7 samples"):
+            MediumSpec(1.0, 0.0, np.ones(501), np.ones(7))

@@ -1,0 +1,149 @@
+"""The time loop against the scheme written out step by step.
+
+The reference below advances one complex field with the per-step arithmetic
+of the solver module's docstring: ghost nodes carrying the cubic u_xxx
+correction, the 3-point Laplacian and the implicit-symmetric damping, with
+no precomputed coefficients.  The solver's loop reorders that arithmetic
+(increments, folded coefficients, injection signals, real rows), so the two
+agree to rounding, not bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from bcm1d import BoundaryTrace, MediumSpec, linearized_nd_map, solve
+from bcm1d.cli import smooth_pulse_trace
+
+from conftest import smooth_sigma_dot
+
+_TOL = 1e-10
+
+
+def _edge_slopes(arr, dx):
+    return ((-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * dx),
+            (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * dx))
+
+
+def _step(u, u_prev, rho0, sigma, dt, dx, flux_a, flux_b, uxxx_a, uxxx_b, s):
+    """u^{n+1} from u^n, u^{n-1}, the Neumann data and u_xxx at the ends."""
+    ghost_a = u[1] + 2.0 * dx * flux_a - dx**3 / 3.0 * uxxx_a
+    ghost_b = u[-2] + 2.0 * dx * flux_b + dx**3 / 3.0 * uxxx_b
+    padded = np.concatenate(([ghost_a], u, [ghost_b]))
+    lap = (padded[2:] - 2.0 * u + padded[:-2]) / dx**2
+    rhs = rho0 * (2.0 * u - u_prev) / dt**2 + sigma * u_prev / (2.0 * dt) + lap + s
+    return rhs / (rho0 / dt**2 + sigma / (2.0 * dt))
+
+
+def _derivs(g, dt):
+    g_t = np.gradient(g, dt)
+    return g_t, np.gradient(g_t, dt)
+
+
+def reference_solve(grid, rho0, sigma, f, source=None):
+    """Endpoint trace (nt, 2) and u(T) of one field, scheme as documented."""
+    dt, dx = grid.dt, grid.dx
+    ga_t, ga_tt = _derivs(f.values_a, dt)
+    gb_t, gb_tt = _derivs(f.values_b, dt)
+    sx_a, sx_b = _edge_slopes(sigma, dx)
+    u_prev = np.zeros(grid.nx, dtype=complex)
+    u = np.zeros_like(u_prev)
+    if source is not None:
+        u = u + dt**2 / (2.0 * rho0) * source(0)
+    trace = np.zeros((grid.nt, 2), dtype=complex)
+    trace[1] = u[[0, -1]]
+    u_mid = None
+    for n in range(1, grid.nt - 1):
+        s = np.zeros(grid.nx) if source is None else source(n)
+        s_xa, s_xb = _edge_slopes(s, dx)
+        u_t = (u - u_prev) / dt
+        uxxx_a = (-rho0 * ga_tt[n] + sx_a * u_t[0] - sigma[0] * ga_t[n] - s_xa)
+        uxxx_b = (rho0 * gb_tt[n] + sx_b * u_t[-1] + sigma[-1] * gb_t[n] - s_xb)
+        u_prev, u = u, _step(u, u_prev, rho0, sigma, dt, dx, f.values_a[n],
+                             f.values_b[n], uxxx_a, uxxx_b, s)
+        trace[n + 1] = u[[0, -1]]
+        if n + 1 == grid.half_index:
+            u_mid = u
+    return trace, u_mid
+
+
+def reference_linearized(grid, medium, f):
+    """Perturbation and background traces (nt, 2) of one coupled pass.
+
+    The perturbation has zero data and the source S = -sigma_dot w with
+    w = (u0^{n+1} - u0^{n-1})/(2 dt); its edge term u_xxx = -S_x expands by
+    the product rule, with w_x = -+ dg/dt at the ends.
+    """
+    dt, dx, rho0 = grid.dt, grid.dx, medium.rho0
+    sig0 = np.full(grid.nx, medium.sigma0)
+    sd = medium.sigma_dot
+    sdx_a, sdx_b = _edge_slopes(sd, dx)
+    ga_t, ga_tt = _derivs(f.values_a, dt)
+    gb_t, gb_tt = _derivs(f.values_b, dt)
+    u0_prev, u0 = np.zeros(grid.nx, dtype=complex), np.zeros(grid.nx, dtype=complex)
+    ud_prev, ud = np.zeros_like(u0), np.zeros_like(u0)
+    trace, background = (np.zeros((grid.nt, 2), dtype=complex) for _ in range(2))
+    for n in range(1, grid.nt - 1):
+        u0_next = _step(u0, u0_prev, rho0, sig0, dt, dx,
+                        f.values_a[n], f.values_b[n],
+                        -rho0 * ga_tt[n] - medium.sigma0 * ga_t[n],
+                        rho0 * gb_tt[n] + medium.sigma0 * gb_t[n], 0.0)
+        w = (u0_next - u0_prev) / (2.0 * dt)
+        ud_next = _step(ud, ud_prev, rho0, sig0, dt, dx, 0.0, 0.0,
+                        sdx_a * w[0] - sd[0] * ga_t[n],
+                        sdx_b * w[-1] + sd[-1] * gb_t[n], -sd * w)
+        u0_prev, u0 = u0, u0_next
+        ud_prev, ud = ud, ud_next
+        background[n + 1] = u0[[0, -1]]
+        trace[n + 1] = ud[[0, -1]]
+    return trace, background
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _as_array(trace: BoundaryTrace):
+    return np.stack((trace.values_a, trace.values_b), axis=1)
+
+
+@pytest.fixture(scope="module")
+def complex_trace(coarse_grid):
+    f, _ = smooth_pulse_trace(coarse_grid, 1.2, 0.2, 5.0, 1.0, 0.3)
+    h, _ = smooth_pulse_trace(coarse_grid, 1.6, 0.25, 3.0, -0.4, 1.0)
+    return f + (0.5 - 1j) * h
+
+
+def _varying_sigma(grid):
+    return 0.1 + 0.3 * smooth_sigma_dot(grid.xs) + 0.2 * grid.xs
+
+
+def test_nonlinear_map_matches_reference(coarse_grid, complex_trace):
+    sigma = _varying_sigma(coarse_grid)
+    out = solve(coarse_grid, 1.0, sigma, complex_trace)
+    trace, u_mid = reference_solve(coarse_grid, 1.0, sigma, complex_trace)
+    assert _rel(_as_array(out.dirichlet), trace) <= _TOL
+    assert _rel(out.uT_snapshot, u_mid) <= _TOL
+
+
+def test_source_path_matches_reference(coarse_grid, complex_trace):
+    grid = coarse_grid
+    sigma = _varying_sigma(grid)
+    shape = (1.0 - 0.5j) * np.cos(np.pi * grid.xs) + 0.3j * grid.xs**2
+
+    def source(n):
+        t = n * grid.dt
+        return (1.0 + t) * t**2 * np.exp(-t) * shape
+
+    out = solve(grid, 1.3, sigma, complex_trace, source=source)
+    trace, u_mid = reference_solve(grid, 1.3, sigma, complex_trace, source)
+    assert _rel(_as_array(out.dirichlet), trace) <= _TOL
+    assert _rel(out.uT_snapshot, u_mid) <= _TOL
+
+
+def test_linearized_map_matches_reference(coarse_grid, complex_trace):
+    xs = coarse_grid.xs
+    medium = MediumSpec(1.0, 0.15, smooth_sigma_dot(xs) + 2.0 * xs)
+    out = linearized_nd_map(coarse_grid, medium, complex_trace)
+    trace, background = reference_linearized(coarse_grid, medium, complex_trace)
+    assert _rel(_as_array(out.trace), trace) <= _TOL
+    assert _rel(_as_array(out.background.dirichlet), background) <= _TOL
