@@ -24,15 +24,11 @@ from .core import (
 from .extension import (
     AnalyticProfile,
     Antiderivative,
-    add_profiles,
     antiderivative,
-    complex_exponential_profile,
-    constant_profile,
     cosine_profile,
     extend,
     scale_profile,
     sine_profile,
-    total_integral,
 )
 from .identity import (
     IdentityReport,

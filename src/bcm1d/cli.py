@@ -47,7 +47,6 @@ _FLOAT_FMT = "{:.12g}"
 
 @dataclass
 class RunConfig:
-    command: str = "experiment"
     experiment_id: int = 1
     noise: float = 0.0
     seed: int = 0
@@ -56,7 +55,6 @@ class RunConfig:
     dt: float = PAPER["dt"]
     T: float = PAPER["T"]
     out_dir: str = "."
-    check_kind: str = "identity"
 
     def grid(self) -> GridSpec:
         return GridSpec(PAPER["a"], PAPER["b"], self.dx, self.dt, self.T)
@@ -228,11 +226,10 @@ def _check_control(table: _CheckTable) -> None:
     # unit-CFL time step: exact 1D propagation isolates the controls from
     # the instrument's dispersion (see README, notes on numerics)
     grid = GridSpec(PAPER["a"], PAPER["b"], PAPER["dx"], PAPER["dx"], PAPER["T"])
-    medium = MediumSpec(1.0, 0.0, np.zeros(grid.nx))
     pT_f, pT_h, lam = fourier_targets(1, grid)
-    for name, target in (("sin", pT_f), ("cos", pT_h)):
-        bundle = build_control(target, lam, grid)
-        rep = verify_control(bundle, medium, grid)
+    reps = verify_control([build_control(pT_f, lam, grid),
+                           build_control(pT_h, lam, grid)])
+    for name, rep in zip(("sin", "cos"), reps):
         table.row(f"control fidelity err_p ({name}, k=1)", rep.err_p, 1e-2)
         table.row(f"control fidelity err_init ({name}, k=1)", rep.err_init, 1e-10)
 
@@ -386,9 +383,8 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "experiment":
         config = RunConfig(
-            command="experiment", experiment_id=args.id, noise=args.noise,
-            seed=args.seed, N=args.N, dx=args.dx, dt=args.dt, T=args.T,
-            out_dir=args.out,
+            experiment_id=args.id, noise=args.noise, seed=args.seed, N=args.N,
+            dx=args.dx, dt=args.dt, T=args.T, out_dir=args.out,
         )
         return run_experiment(config)
     if args.command == "reconstruct":
@@ -397,7 +393,7 @@ def _dispatch(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        config = RunConfig(command="reconstruct")
+        config = RunConfig()
         for attr, value in updates.items():
             setattr(config, attr, value)
         if args.out is not None:

@@ -98,16 +98,6 @@ class GridSpec:
     def ts(self) -> np.ndarray:
         return np.linspace(0.0, 2.0 * self.T, self.nt)
 
-    def index_of_time(self, t: float) -> int:
-        """Grid index of time t; raises if t is off-grid."""
-        r = t / self.dt
-        if not _is_close_to_integer(r):
-            raise ValueError(f"time {t} is not a multiple of dt = {self.dt}")
-        j = round(r)
-        if not 0 <= j <= self.nt - 1:
-            raise ValueError(f"time {t} outside [0, {2 * self.T}]")
-        return j
-
     def cfl_number(self, rho0: float) -> float:
         """dt * max(rho0^(-1/2)) / dx for a constant background density."""
         return self.dt / (self.dx * np.sqrt(rho0))
@@ -246,6 +236,17 @@ class FourierCoeffs:
         object.__setattr__(self, "b", b)
 
 
+def _window_end(g: BoundaryTrace, upto: float) -> int:
+    """Sample index of time ``upto``; raises unless it is a grid time of ``g``."""
+    r = upto / g.dt
+    if not _is_close_to_integer(r):
+        raise ValueError(f"upto = {upto} is not a multiple of dt = {g.dt}")
+    j = round(r)
+    if not 0 <= j <= len(g) - 1:
+        raise ValueError(f"upto = {upto} outside the trace window")
+    return j
+
+
 def bilinear_time_boundary_pairing(
     g1: BoundaryTrace, g2: BoundaryTrace, upto: float
 ) -> complex:
@@ -258,13 +259,7 @@ def bilinear_time_boundary_pairing(
     with no complex conjugation.  ``upto`` must be a grid time.
     """
     g1._check_compatible(g2)
-    r = upto / g1.dt
-    if not _is_close_to_integer(r):
-        raise ValueError(f"upto = {upto} is not a multiple of dt = {g1.dt}")
-    j = round(r)
-    if not 0 <= j <= len(g1) - 1:
-        raise ValueError(f"upto = {upto} outside the trace window")
-    sl = slice(0, j + 1)
+    sl = slice(0, _window_end(g1, upto) + 1)
     integrand = (g1.values_a[sl] * g2.values_a[sl]
                  + g1.values_b[sl] * g2.values_b[sl])
     return complex(np.trapezoid(integrand, dx=g1.dt))
@@ -288,9 +283,7 @@ def discrete_sobolev_norm(g: BoundaryTrace, s: int, upto: float) -> float:
     """
     if s not in (0, 1, 2):
         raise ValueError(f"s must be in {{0, 1, 2}}, got {s}")
-    j = round(upto / g.dt)
-    if not _is_close_to_integer(upto / g.dt) or not 0 <= j <= len(g) - 1:
-        raise ValueError(f"upto = {upto} is not a grid time within the window")
+    j = _window_end(g, upto)
     if j + 1 < 3:
         raise ValueError("too few samples for second-order differences")
     total = 0.0

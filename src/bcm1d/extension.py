@@ -51,16 +51,6 @@ class AnalyticProfile:
         return (self.deriv1, self.deriv2, self.deriv3)[order - 1]
 
 
-def constant_profile(c: complex) -> AnalyticProfile:
-    def val(x):
-        return np.full_like(np.asarray(x, dtype=float), c, dtype=complex)
-
-    def zero(x):
-        return np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
-
-    return AnalyticProfile(val, zero, zero, zero)
-
-
 def sine_profile(kappa: float) -> AnalyticProfile:
     return AnalyticProfile(
         lambda x: np.sin(kappa * np.asarray(x)),
@@ -79,16 +69,6 @@ def cosine_profile(kappa: float) -> AnalyticProfile:
     )
 
 
-def complex_exponential_profile(k: float) -> AnalyticProfile:
-    """exp(i k x) with derivatives (i k)^j exp(i k x)."""
-
-    def make(j):
-        c = (1j * k) ** j
-        return lambda x: c * np.exp(1j * k * np.asarray(x, dtype=float))
-
-    return AnalyticProfile(make(0), make(1), make(2), make(3))
-
-
 def scale_profile(p: AnalyticProfile, c: complex) -> AnalyticProfile:
     return AnalyticProfile(
         lambda x: c * p.value(x),
@@ -96,18 +76,6 @@ def scale_profile(p: AnalyticProfile, c: complex) -> AnalyticProfile:
         lambda x: c * p.deriv2(x),
         lambda x: c * p.deriv3(x),
         p.support,
-    )
-
-
-def add_profiles(p: AnalyticProfile, q: AnalyticProfile) -> AnalyticProfile:
-    lo = min(p.support[0], q.support[0])
-    hi = max(p.support[1], q.support[1])
-    return AnalyticProfile(
-        lambda x: p.value(x) + q.value(x),
-        lambda x: p.deriv1(x) + q.deriv1(x),
-        lambda x: p.deriv2(x) + q.deriv2(x),
-        lambda x: p.deriv3(x) + q.deriv3(x),
-        (lo, hi),
     )
 
 
@@ -230,8 +198,3 @@ class Antiderivative:
 def antiderivative(psi_ext: AnalyticProfile, spacing: float) -> Antiderivative:
     """Callable x -> integral of ``psi_ext`` from the left support edge to x."""
     return Antiderivative(psi_ext, spacing)
-
-
-def total_integral(psi_ext: AnalyticProfile, spacing: float) -> complex:
-    """Integral of ``psi_ext`` over its support (shares the cumulative table)."""
-    return Antiderivative(psi_ext, spacing).total

@@ -37,7 +37,7 @@ from .core import (
     discrete_sobolev_norm,
     reflect_trace,
 )
-from .control import ControlBundle
+from .solver import solve_many
 
 _RESIDUAL_FLOOR = 1e-12
 _STABILITY_SLACK = 0.05
@@ -158,29 +158,20 @@ class IdentityReport:
     rel_residual: float
 
 
-def _control_traces(obj) -> tuple[BoundaryTrace, BoundaryTrace]:
-    if isinstance(obj, ControlBundle):
-        return obj.f, obj.f_t
-    f, f_t = obj
-    return f, f_t
-
-
 def nonlinear_identity_residual(
     f, h, sigma, grid: GridSpec, rho0: float = 1.0
 ) -> IdentityReport:
     """Check the nonlinear identity for full damping ``sigma``.
 
-    ``f`` and ``h`` are either :class:`ControlBundle` objects or pairs
-    (trace, analytic time-derivative trace).  The interior side is computed
-    from t = T snapshots of the two forward solves; the boundary side pairs
-    each datum with the reflected measured trace of the other datum's
-    derivative.  The relative residual is |lhs - rhs| normalized by the
-    larger magnitude (with a small floor so trivially zero cases report 0).
+    ``f`` and ``h`` are pairs (trace, analytic time-derivative trace).  The
+    interior side is computed from t = T snapshots of the two forward
+    solves; the boundary side pairs each datum with the reflected measured
+    trace of the other datum's derivative.  The relative residual is
+    |lhs - rhs| normalized by the larger magnitude (with a small floor so
+    trivially zero cases report 0).
     """
-    from .solver import solve_many
-
-    f_trace, f_t_trace = _control_traces(f)
-    h_trace, h_t_trace = _control_traces(h)
+    f_trace, f_t_trace = f
+    h_trace, h_t_trace = h
     out_f, out_h, out_ft, out_ht = solve_many(
         grid, rho0, sigma, [f_trace, h_trace, f_t_trace, h_t_trace]
     )

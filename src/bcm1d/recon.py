@@ -69,6 +69,10 @@ class ReconSettings:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
+        for name in ("noise_eps", "eps_linearization"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.noise_eps < 0:
             raise ValueError(f"noise_eps must be >= 0, got {self.noise_eps}")
         if self.data_mode not in (LINEARIZED, NONLINEAR_DIFFERENCE):

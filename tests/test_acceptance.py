@@ -196,22 +196,19 @@ def test_criterion_07_control_fidelity(grid):
     # controls from the instrument; the reference-dt instrument values are
     # reported alongside.
     exact_grid = GridSpec(grid.a, grid.b, grid.dx, grid.dx, grid.T)
-    medium = MediumSpec(1.0, 0.0, np.zeros(exact_grid.nx))
-    medium_ref = MediumSpec(1.0, 0.0, np.zeros(grid.nx))
     ok_all = True
     worst_p = worst_init = 0.0
-    worst_ref = 0.0
+    targets = []
     for k in range(1, 11):
         pT_f, pT_h, lam = fourier_targets(k, grid)
-        for target in (pT_f, pT_h):
-            rep = verify_control(build_control(target, lam, exact_grid),
-                                 medium, exact_grid)
-            worst_p = max(worst_p, rep.err_p)
-            worst_init = max(worst_init, rep.err_init)
-            ok_all &= rep.err_p <= 1e-2 and rep.err_init <= 1e-10
-            rep_ref = verify_control(build_control(target, lam, grid),
-                                     medium_ref, grid)
-            worst_ref = max(worst_ref, rep_ref.err_p)
+        targets += [(pT_f, lam), (pT_h, lam)]
+    for rep in verify_control([build_control(target, lam, exact_grid)
+                               for target, lam in targets]):
+        worst_p = max(worst_p, rep.err_p)
+        worst_init = max(worst_init, rep.err_init)
+        ok_all &= rep.err_p <= 1e-2 and rep.err_init <= 1e-10
+    worst_ref = max(rep.err_p for rep in verify_control(
+        [build_control(target, lam, grid) for target, lam in targets]))
     _report(7, "control fidelity k <= 10 (exact-propagation instrument)",
             f"worst err_p = {worst_p:.2e} (tol 1e-2), worst err_init = "
             f"{worst_init:.1e} (tol 1e-10); reference-dt instrument worst "

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcm1d
 from bcm1d import FourierCoeffs, ReconResult
 from bcm1d.cli import (
     RunConfig,
@@ -148,6 +151,15 @@ class TestMain:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_noise_rejected(self, tmp_path, capsys):
+        code = main([
+            "experiment", "--id", "1", "--noise", "nan", "--dx", "0.04",
+            "--dt", "0.004", "--N", "3", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "error: noise_eps must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_invalid_id_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--id", "9", "--out", str(tmp_path)])
@@ -183,6 +195,16 @@ def test_closed_stdout_pipe_exits_cleanly(tmp_path, monkeypatch):
     with open(tmp_path / "stdout", "w") as fh:
         monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh))
         assert main(["check", "control"]) == 1
+
+
+def test_cli_import_loads_no_scipy_or_sympy():
+    # both are test-only dependencies; start-up must not pay for them
+    code = ("import sys, bcm1d.cli; "
+            "print(sorted(m for m in ('scipy', 'sympy') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(bcm1d.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_config_grid_roundtrip():

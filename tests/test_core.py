@@ -35,13 +35,6 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(-1.0, 1.0, 0.01, 0.001, 2.5)
 
-    def test_index_of_time(self, coarse_grid):
-        assert coarse_grid.index_of_time(coarse_grid.T) == coarse_grid.half_index
-        with pytest.raises(ValueError):
-            coarse_grid.index_of_time(coarse_grid.dt * 0.5)
-        with pytest.raises(ValueError):
-            coarse_grid.index_of_time(2 * coarse_grid.T + coarse_grid.dt)
-
     def test_refined(self, coarse_grid):
         g2 = coarse_grid.refined()
         assert g2.nx == 2 * (coarse_grid.nx - 1) + 1
@@ -118,8 +111,20 @@ class TestPairing:
 
     def test_off_grid_upto_rejected(self, coarse_grid):
         z = BoundaryTrace.zeros(coarse_grid)
-        with pytest.raises(ValueError):
-            bilinear_time_boundary_pairing(z, z, coarse_grid.dt * 1.5)
+        for upto in (coarse_grid.dt * 0.5, coarse_grid.dt * 1.5):
+            with pytest.raises(ValueError, match="not a multiple of dt"):
+                bilinear_time_boundary_pairing(z, z, upto)
+
+    def test_upto_window_edges(self, coarse_grid):
+        g = coarse_grid
+        ones = _trace_from(g, np.ones_like, np.ones_like)
+        # t = 2T is the last sample; one step further leaves the window
+        val = bilinear_time_boundary_pairing(ones, ones, 2 * g.T)
+        assert np.isclose(val, 4 * g.T, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="outside the trace window"):
+            bilinear_time_boundary_pairing(ones, ones, 2 * g.T + g.dt)
+        with pytest.raises(ValueError, match="outside the trace window"):
+            discrete_sobolev_norm(ones, 0, 2 * g.T + g.dt)
 
     def test_mismatched_traces_rejected(self, coarse_grid):
         z = BoundaryTrace.zeros(coarse_grid)

@@ -4,14 +4,11 @@ import sympy as sp
 from scipy.integrate import quad
 
 from bcm1d import (
-    add_profiles,
+    AnalyticProfile,
     antiderivative,
-    constant_profile,
     cosine_profile,
     extend,
-    scale_profile,
     sine_profile,
-    total_integral,
 )
 from bcm1d.extension import _bump_factors
 
@@ -31,14 +28,14 @@ def test_bump_factor_derivatives_match_symbolic(d):
 
 
 def test_extension_is_identity_on_the_domain():
-    ext = extend(constant_profile(1.0), A, B, d=2)
+    ext = extend(cosine_profile(0.0), A, B, d=2)
     assert np.isclose(ext.value(0.3)[0], 1.0)
     xs = np.linspace(A, B, 11)
     assert np.allclose(ext.value(xs), 1.0)
 
 
 def test_extension_vanishes_outside_support():
-    ext = extend(constant_profile(1.0), A, B, d=2)
+    ext = extend(cosine_profile(0.0), A, B, d=2)
     assert ext.value(-2.1)[0] == 0
     assert ext.value(2.0)[0] == 0
     xs = np.array([-3.0, -2.0, 2.0, 5.0])
@@ -48,7 +45,7 @@ def test_extension_vanishes_outside_support():
 
 def test_flank_value_closed_form():
     # at x - a = -1/2 with d = 2 the bump exponent is 1 - 16/15 = -1/15
-    ext = extend(constant_profile(1.0), A, B, d=2)
+    ext = extend(cosine_profile(0.0), A, B, d=2)
     want = np.exp(-1.0 / 15.0)
     assert np.isclose(ext.value(-1.5)[0], want, rtol=1e-14)
     assert np.isclose(want, 0.935507, atol=5e-7)
@@ -83,7 +80,12 @@ def test_extension_derivatives_consistent_with_finite_differences(d):
 def test_extension_linearity():
     p1, p2 = sine_profile(1.0), cosine_profile(2.0)
     al, be = 2.0, -0.5 + 1.0j
-    combo = add_profiles(scale_profile(p1, al), scale_profile(p2, be))
+    combo = AnalyticProfile(
+        lambda x: al * p1.value(x) + be * p2.value(x),
+        lambda x: al * p1.deriv1(x) + be * p2.deriv1(x),
+        lambda x: al * p1.deriv2(x) + be * p2.deriv2(x),
+        lambda x: al * p1.deriv3(x) + be * p2.deriv3(x),
+    )
     e1 = extend(p1, A, B)
     e2 = extend(p2, A, B)
     ec = extend(combo, A, B)
@@ -118,17 +120,17 @@ def test_one_sided_continuity_at_domain_edges():
 
 def test_order_below_two_rejected():
     with pytest.raises(ValueError):
-        extend(constant_profile(1.0), A, B, d=1)
+        extend(cosine_profile(0.0), A, B, d=1)
 
 
 class TestIntegrals:
     def test_zero_profile(self):
-        ext = extend(constant_profile(0.0), A, B)
-        assert total_integral(ext, 1e-3) == 0
+        ext = extend(sine_profile(0.0), A, B)
+        assert antiderivative(ext, 1e-3).total == 0
 
     def test_constant_extension_bounds_and_symmetry(self):
-        ext = extend(constant_profile(1.0), A, B, d=2)
-        tot = total_integral(ext, 1e-3)
+        ext = extend(cosine_profile(0.0), A, B, d=2)
+        tot = antiderivative(ext, 1e-3).total
         assert 2.0 < tot.real < 4.0 and abs(tot.imag) < 1e-15
         Psi = antiderivative(ext, 1e-3)
         left_flank = Psi(np.array([A]))[0]
@@ -137,12 +139,12 @@ class TestIntegrals:
 
     def test_constant_extension_against_adaptive_quadrature(self):
         # independent oracle: adaptive quadrature of the flank bump
-        ext = extend(constant_profile(1.0), A, B, d=2)
+        ext = extend(cosine_profile(0.0), A, B, d=2)
         flank, err = quad(lambda s: np.exp(1 - 1 / (1 - s**4)), 0.0, 1.0,
                           epsabs=1e-12)
         want = 2.0 + 2.0 * flank
         assert err < 1e-8
-        assert np.isclose(total_integral(ext, 4e-5).real, want, atol=1e-8)
+        assert np.isclose(antiderivative(ext, 4e-5).total.real, want, atol=1e-8)
 
     def test_antiderivative_tails(self):
         ext = extend(sine_profile(2.0), A, B)
@@ -152,7 +154,7 @@ class TestIntegrals:
         assert Psi(np.array([B + 7.5]))[0] == Psi.total
 
     def test_antiderivative_monotone_for_nonnegative(self):
-        ext = extend(constant_profile(1.0), A, B)
+        ext = extend(cosine_profile(0.0), A, B)
         Psi = antiderivative(ext, 1e-3)
         xs = np.linspace(A - 1.2, B + 1.2, 400)
         vals = Psi(xs).real

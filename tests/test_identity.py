@@ -151,7 +151,8 @@ class TestNonlinearIdentity:
         kappa = np.pi / 2
         bf = build_control(sine_profile(kappa), 1j * kappa, coarse_grid)
         bh = build_control(cosine_profile(kappa), 1j * kappa, coarse_grid)
-        rep = nonlinear_identity_residual(bf, bh, 0.25, coarse_grid)
+        rep = nonlinear_identity_residual((bf.f, bf.f_t), (bh.f, bh.f_t), 0.25,
+                                          coarse_grid)
         # the Helmholtz pair makes the interior side degenerate (p p = q q),
         # so only smallness of both sides is meaningful here
         assert abs(rep.lhs) < 5e-2 and abs(rep.rhs) < 5e-2

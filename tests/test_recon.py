@@ -261,6 +261,12 @@ class TestReconstructPipeline:
             ReconSettings(grid=coarse_grid, N=0)
         with pytest.raises(ValueError):
             ReconSettings(grid=coarse_grid, noise_eps=-0.1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="noise_eps must be finite"):
+                ReconSettings(grid=coarse_grid, noise_eps=bad)
+            with pytest.raises(ValueError, match="eps_linearization must be finite"):
+                ReconSettings(grid=coarse_grid, data_mode="nonlinear_difference",
+                              eps_linearization=bad)
         with pytest.raises(ValueError):
             ReconSettings(grid=coarse_grid, data_mode="bogus")
         with pytest.raises(ValueError):
