@@ -31,8 +31,8 @@ from .extension import (
     sine_profile,
 )
 from .identity import (
+    ControlData,
     IdentityReport,
-    PairData,
     StabilityReport,
     linearized_rhs,
     nonlinear_identity_residual,
@@ -45,7 +45,6 @@ from .recon import (
     ReconResult,
     ReconSettings,
     acquire_clean_pair_data,
-    acquire_pair_data,
     add_noise,
     apply_measurement_noise,
     assemble_coefficients,
@@ -59,9 +58,7 @@ from .recon import (
 from .solver import (
     LinearizedOutput,
     SolveOutput,
-    linearized_nd_map,
     linearized_nd_map_many,
-    nd_map,
     nd_map_many,
     solve,
     solve_many,

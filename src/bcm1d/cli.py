@@ -38,7 +38,7 @@ from .recon import (
     projection_truth,
     reconstruct,
 )
-from .solver import linearized_nd_map, solve
+from .solver import linearized_nd_map_many, solve
 
 PAPER = dict(a=-1.0, b=1.0, dx=1.0 / 250, dt=1.0 / 2500, T=5.0, N=10)
 
@@ -248,7 +248,7 @@ def _check_identity(table: _CheckTable) -> None:
               rep.rel_residual, 1e-2)
     # zero perturbation: the linearized response must vanish identically
     medium = MediumSpec(1.0, 0.0, np.zeros(grid.nx))
-    out = linearized_nd_map(grid, medium, f[0])
+    out = linearized_nd_map_many(grid, medium, [f[0]])[0]
     leak = max(np.max(np.abs(out.trace.values_a)),
                np.max(np.abs(out.trace.values_b)))
     table.row("linearized response to zero perturbation", leak, 1e-12)
@@ -337,7 +337,10 @@ def parse_config_file(path) -> dict:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         attr, conv = _CONFIG_KEYS[key]
-        updates[attr] = conv(value)
+        try:
+            updates[attr] = conv(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return updates
 
 

@@ -17,6 +17,11 @@ interior product
 from linearized measurements alone.  Both are checked here against
 independent volume quadrature.
 
+Each control enters as one :class:`ControlData` record: the control, its
+analytic derivatives and its measured responses.  The linearized form takes
+the two records of a pair as arguments, so the pairs (f, h), (f, f) and
+(h, h) of a mode are three calls on the same two records.
+
 All pairings are bilinear; reflected factors are sampled at 2T - t, which
 stays on the grid by construction.  The measured derivative traces entering
 the linearized form come from separate linearized solves driven by the
@@ -26,7 +31,7 @@ measurement map), never from differencing measured data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,71 +49,30 @@ _STABILITY_SLACK = 0.05
 
 
 @dataclass(frozen=True)
-class PairData:
-    """Everything the linearized identity needs for one control pair (f, h).
+class ControlData:
+    """One boundary control with its measured linearized responses.
 
-    The f slot carries the control and the measured linearized trace of its
-    first derivative; the h slot additionally carries second derivatives.
-    ``snap_f`` and ``snap_h`` are the analytic target snapshots p0(T) on the
-    spatial nodes, kept for oracle comparisons only.  The optional fields
-    hold data for the symmetric pairs (f, f) and (h, h) and for the
-    stability check.
+    ``g``, ``g_t`` and ``g_tt`` are the control and its analytic time
+    derivatives; ``meas_t`` and ``meas_tt`` are the measured linearized
+    responses to ``g_t`` and ``g_tt``.  ``snap`` is the analytic target
+    snapshot p0(T) on the spatial nodes, kept for oracle comparisons only.
+    ``meas``, the measured response to ``g`` itself, is needed by the
+    stability check only.
     """
 
-    lam: complex
-    grid: GridSpec
-    f: BoundaryTrace
-    f_t: BoundaryTrace
-    h: BoundaryTrace
-    h_t: BoundaryTrace
-    h_tt: BoundaryTrace
-    meas_f_t: BoundaryTrace
-    meas_h_t: BoundaryTrace
-    meas_h_tt: BoundaryTrace
-    snap_f: np.ndarray
-    snap_h: np.ndarray
-    f_tt: BoundaryTrace | None = None
-    meas_f_tt: BoundaryTrace | None = None
-    meas_f: BoundaryTrace | None = None
-    meas_h: BoundaryTrace | None = None
-
-    def pair_ff(self) -> "PairData":
-        """View with the f control occupying both slots."""
-        if self.f_tt is None or self.meas_f_tt is None:
-            raise ValueError("pair_ff needs f_tt and meas_f_tt")
-        return replace(
-            self,
-            h=self.f, h_t=self.f_t, h_tt=self.f_tt,
-            meas_h_t=self.meas_f_t, meas_h_tt=self.meas_f_tt,
-            snap_h=self.snap_f, meas_h=self.meas_f,
-        )
-
-    def pair_hh(self) -> "PairData":
-        """View with the h control occupying both slots."""
-        return replace(
-            self,
-            f=self.h, f_t=self.h_t, f_tt=self.h_tt,
-            meas_f_t=self.meas_h_t, meas_f_tt=self.meas_h_tt,
-            snap_f=self.snap_h, meas_f=self.meas_h,
-        )
-
-    def swapped(self) -> "PairData":
-        """View with the f and h slots exchanged (needs full f-side data)."""
-        if self.f_tt is None or self.meas_f_tt is None:
-            raise ValueError("swapped needs f_tt and meas_f_tt")
-        return replace(
-            self,
-            f=self.h, f_t=self.h_t, f_tt=self.h_tt,
-            meas_f_t=self.meas_h_t, meas_f_tt=self.meas_h_tt,
-            h=self.f, h_t=self.f_t, h_tt=self.f_tt,
-            meas_h_t=self.meas_f_t, meas_h_tt=self.meas_f_tt,
-            snap_f=self.snap_h, snap_h=self.snap_f,
-            meas_f=self.meas_h, meas_h=self.meas_f,
-        )
+    g: BoundaryTrace
+    g_t: BoundaryTrace
+    g_tt: BoundaryTrace
+    meas_t: BoundaryTrace
+    meas_tt: BoundaryTrace
+    snap: np.ndarray
+    meas: BoundaryTrace | None = None
 
 
-def linearized_rhs(pd: PairData) -> complex:
-    """Boundary-data side of the linearized identity.
+def linearized_rhs(
+    f: ControlData, h: ControlData, lam: complex, grid: GridSpec
+) -> complex:
+    """Boundary-data side of the linearized identity for the pair (f, h).
 
     Evaluates
 
@@ -121,18 +85,18 @@ def linearized_rhs(pd: PairData) -> complex:
     where L denotes the measured linearized map, [.] sums the two endpoint
     products at t = T and <.,.> is the bilinear pairing over (0, T) x {a, b}.
     """
-    g, T = pd.grid, pd.grid.T
-    nT = g.half_index
+    T = grid.T
+    nT = grid.half_index
     boundary_at_T = (
-        pd.f.values_a[nT] * pd.meas_h_t.values_a[nT]
-        + pd.f.values_b[nT] * pd.meas_h_t.values_b[nT]
+        f.g.values_a[nT] * h.meas_t.values_a[nT]
+        + f.g.values_b[nT] * h.meas_t.values_b[nT]
     )
     return (
         -boundary_at_T
-        - bilinear_time_boundary_pairing(pd.f, reflect_trace(pd.meas_h_tt), T)
-        + bilinear_time_boundary_pairing(pd.meas_f_t, reflect_trace(pd.h_t), T)
-        - pd.lam * bilinear_time_boundary_pairing(pd.f, reflect_trace(pd.meas_h_t), T)
-        + pd.lam * bilinear_time_boundary_pairing(pd.meas_f_t, reflect_trace(pd.h), T)
+        - bilinear_time_boundary_pairing(f.g, reflect_trace(h.meas_tt), T)
+        + bilinear_time_boundary_pairing(f.meas_t, reflect_trace(h.g_t), T)
+        - lam * bilinear_time_boundary_pairing(f.g, reflect_trace(h.meas_t), T)
+        + lam * bilinear_time_boundary_pairing(f.meas_t, reflect_trace(h.g), T)
     )
 
 
@@ -201,27 +165,29 @@ class StabilityReport:
     ok: bool
 
 
-def stability_bound_check(pd: PairData) -> StabilityReport:
+def stability_bound_check(
+    f: ControlData, h: ControlData, lam: complex, grid: GridSpec
+) -> StabilityReport:
     """Cauchy-Schwarz chain bounding the identity value by trace norms.
 
     Checks |linearized_rhs| <= (2 + |lam|) ||f||_H1 ||Lh||_H2
                                + (1 + |lam|) ||Lf||_H2 ||h||_H1
     with discrete Sobolev norms over (0, T) x {a, b}; a 5% slack absorbs
     the discretization of the norms.  Requires the measured traces of the
-    controls themselves (``meas_f``, ``meas_h``).
+    controls themselves (``f.meas``, ``h.meas``).
     """
-    if pd.meas_f is None or pd.meas_h is None:
+    if f.meas is None or h.meas is None:
         raise ValueError("stability check needs the measured f and h traces")
-    T = pd.grid.T
-    lhs_abs = abs(linearized_rhs(pd))
-    lam_abs = abs(pd.lam)
+    T = grid.T
+    lhs_abs = abs(linearized_rhs(f, h, lam, grid))
+    lam_abs = abs(lam)
     bound = (
         (2.0 + lam_abs)
-        * discrete_sobolev_norm(pd.f, 1, T)
-        * discrete_sobolev_norm(pd.meas_h, 2, T)
+        * discrete_sobolev_norm(f.g, 1, T)
+        * discrete_sobolev_norm(h.meas, 2, T)
         + (1.0 + lam_abs)
-        * discrete_sobolev_norm(pd.meas_f, 2, T)
-        * discrete_sobolev_norm(pd.h, 1, T)
+        * discrete_sobolev_norm(f.meas, 2, T)
+        * discrete_sobolev_norm(h.g, 1, T)
     )
     return StabilityReport(
         lhs_abs=lhs_abs,

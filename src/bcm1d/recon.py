@@ -24,6 +24,11 @@ zero-mean samples with standard deviation eps_noise times the trace's RMS
 (real and imaginary parts independently, each with 1/sqrt(2) of the
 variance).  Noise streams are derived per (mode, trace role), so results
 are reproducible and independent of evaluation order.
+
+Each mode's data are one :class:`ModeData`: the free parameter and one
+:class:`~bcm1d.identity.ControlData` record per control (f the sine, h the
+cosine control), each carrying its control, analytic derivatives, measured
+responses and target snapshot.
 """
 
 from __future__ import annotations
@@ -42,16 +47,13 @@ from .core import (
     UnsupportedRegimeError,
 )
 from .extension import AnalyticProfile, cosine_profile, sine_profile
-from .identity import PairData, linearized_rhs
+from .identity import ControlData, linearized_rhs
 from .solver import transfer_linearized_nd_map_many, transfer_nd_map_many
 
 _REL_L2_FLOOR = 1e-12
 
 LINEARIZED = "linearized"
 NONLINEAR_DIFFERENCE = "nonlinear_difference"
-
-# substream labels for the measured traces of one mode
-_NOISE_ROLES = {"f_t": 0, "f_tt": 1, "h_t": 2, "h_tt": 3, "f": 4, "h": 5}
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,12 @@ class ReconSettings:
     seed: int = 0
     data_mode: str = LINEARIZED
     eps_linearization: float = 1e-3
-    d: int = 2
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("noise_eps", "eps_linearization"):
             value = getattr(self, name)
             if not np.isfinite(value):
@@ -95,6 +98,14 @@ class TargetSet(NamedTuple):
     pT_f: AnalyticProfile
     pT_h: AnalyticProfile
     lam: complex
+
+
+class ModeData(NamedTuple):
+    """Free parameter and the sine (f) and cosine (h) control data of a mode."""
+
+    lam: complex
+    f: ControlData
+    h: ControlData
 
 
 def mode_wavenumber(k: int, grid: GridSpec) -> float:
@@ -134,32 +145,26 @@ def add_noise(
                          trace.dt)
 
 
-def _role_rng(seed: int, k: int, role: str) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(k, _NOISE_ROLES[role]))
-    return np.random.default_rng(ss)
-
-
 def apply_measurement_noise(
-    pd: PairData, k: int, eps: float, seed: int
-) -> PairData:
-    """Noisy copy of ``pd``; each measured trace gets its (k, role) substream."""
+    data: ModeData, k: int, eps: float, seed: int
+) -> ModeData:
+    """Noisy copy of ``data``; each measured trace gets its (k, label) stream."""
     if eps == 0.0:
-        return pd
+        return data
 
-    def noisy(trace, role):
+    def noisy(trace, label):
         if trace is None:
             return None
-        return add_noise(trace, eps, _role_rng(seed, k, role))
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(k, label))
+        return add_noise(trace, eps, np.random.default_rng(ss))
 
-    return replace(
-        pd,
-        meas_f_t=noisy(pd.meas_f_t, "f_t"),
-        meas_f_tt=noisy(pd.meas_f_tt, "f_tt"),
-        meas_h_t=noisy(pd.meas_h_t, "h_t"),
-        meas_h_tt=noisy(pd.meas_h_tt, "h_tt"),
-        meas_f=noisy(pd.meas_f, "f"),
-        meas_h=noisy(pd.meas_h, "h"),
-    )
+    def noisy_control(c: ControlData, t: int, tt: int, op: int) -> ControlData:
+        return replace(c, meas_t=noisy(c.meas_t, t),
+                       meas_tt=noisy(c.meas_tt, tt), meas=noisy(c.meas, op))
+
+    # substream labels of (meas_t, meas_tt, meas): 0, 1, 4 for f; 2, 3, 5 for h
+    return data._replace(f=noisy_control(data.f, 0, 1, 4),
+                         h=noisy_control(data.h, 2, 3, 5))
 
 
 def _full_sigma(medium: MediumSpec, eps: float) -> np.ndarray:
@@ -174,7 +179,7 @@ def acquire_clean_pair_data(
     settings: ReconSettings,
     medium: MediumSpec,
     with_operator_traces: bool = False,
-) -> PairData:
+) -> ModeData:
     """Controls, measurements and target snapshots for mode ``k``, no noise.
 
     In linearized mode the measured traces are linearized responses to the
@@ -186,8 +191,8 @@ def acquire_clean_pair_data(
     """
     grid = settings.grid
     pT_f, pT_h, lam = fourier_targets(k, grid)
-    bf = build_control(pT_f, lam, grid, settings.d)
-    bh = build_control(pT_h, lam, grid, settings.d)
+    bf = build_control(pT_f, lam, grid)
+    bh = build_control(pT_h, lam, grid)
 
     driven = [bf.f_t, bf.f_tt, bh.f_t, bh.f_tt]
     if with_operator_traces:
@@ -201,31 +206,16 @@ def acquire_clean_pair_data(
                                     driven)
         base = transfer_nd_map_many(grid, medium.rho0, medium.sigma0, driven)
         meas = [m_full - m_base for m_full, m_base in zip(full, base)]
+    meas_f, meas_h = meas[4:] if with_operator_traces else (None, None)
 
     xs = grid.xs
-    return PairData(
-        lam=lam,
-        grid=grid,
-        f=bf.f, f_t=bf.f_t, f_tt=bf.f_tt,
-        h=bh.f, h_t=bh.f_t, h_tt=bh.f_tt,
-        meas_f_t=meas[0], meas_f_tt=meas[1],
-        meas_h_t=meas[2], meas_h_tt=meas[3],
-        meas_f=meas[4] if with_operator_traces else None,
-        meas_h=meas[5] if with_operator_traces else None,
-        snap_f=np.asarray(pT_f.value(xs), dtype=complex),
-        snap_h=np.asarray(pT_h.value(xs), dtype=complex),
+    return ModeData(
+        lam,
+        ControlData(bf.f, bf.f_t, bf.f_tt, meas[0], meas[1],
+                    np.asarray(pT_f.value(xs), dtype=complex), meas_f),
+        ControlData(bh.f, bh.f_t, bh.f_tt, meas[2], meas[3],
+                    np.asarray(pT_h.value(xs), dtype=complex), meas_h),
     )
-
-
-def acquire_pair_data(
-    k: int,
-    settings: ReconSettings,
-    medium: MediumSpec,
-    with_operator_traces: bool = False,
-) -> PairData:
-    """Mode-``k`` data with the configured measurement noise applied."""
-    pd = acquire_clean_pair_data(k, settings, medium, with_operator_traces)
-    return apply_measurement_noise(pd, k, settings.noise_eps, settings.seed)
 
 
 def assemble_coefficients(
@@ -308,10 +298,12 @@ def _error_metrics(sigma_recon, truth, grid):
     return rel_l2, float(np.max(np.abs(diff)))
 
 
-def _identity_values(pd: PairData) -> tuple[complex, complex, complex]:
+def _identity_values(data: ModeData,
+                     grid: GridSpec) -> tuple[complex, complex, complex]:
     """Identity values (S_ff, S_hh, S_fh) of one mode's pairs."""
-    return (linearized_rhs(pd.pair_ff()), linearized_rhs(pd.pair_hh()),
-            linearized_rhs(pd))
+    lam, f, h = data
+    return (linearized_rhs(f, f, lam, grid), linearized_rhs(h, h, lam, grid),
+            linearized_rhs(f, h, lam, grid))
 
 
 def _result_from_identities(values, settings: ReconSettings,
@@ -328,11 +320,12 @@ def _result_from_identities(values, settings: ReconSettings,
 
 
 def reconstruct_from_data(
-    pair_data: Sequence[PairData], settings: ReconSettings, truth: np.ndarray
+    mode_data: Sequence[ModeData], settings: ReconSettings, truth: np.ndarray
 ) -> ReconResult:
     """Identity evaluation, coefficient assembly and synthesis for given data."""
     return _result_from_identities(
-        [_identity_values(pd) for pd in pair_data], settings, truth
+        [_identity_values(data, settings.grid) for data in mode_data],
+        settings, truth,
     )
 
 
@@ -352,7 +345,11 @@ def reconstruct(
             f"rho0 = {medium.rho0}, sigma0 = {medium.sigma0}"
         )
     values = [
-        _identity_values(acquire_pair_data(k, settings, medium))
+        _identity_values(
+            apply_measurement_noise(acquire_clean_pair_data(k, settings, medium),
+                                    k, settings.noise_eps, settings.seed),
+            settings.grid,
+        )
         for k in range(1, settings.N + 1)
     ]
     return _result_from_identities(values, settings, truth)

@@ -362,11 +362,6 @@ def solve(
     return solve_many(grid, rho0, sigma, [neumann], source, monitor)[0]
 
 
-def nd_map(grid: GridSpec, rho0: float, sigma, f: BoundaryTrace) -> BoundaryTrace:
-    """Neumann-to-Dirichlet map for the full damping ``sigma``."""
-    return solve(grid, rho0, sigma, f).dirichlet
-
-
 def nd_map_many(
     grid: GridSpec, rho0: float, sigma, fs: Sequence[BoundaryTrace]
 ) -> list[BoundaryTrace]:
@@ -403,13 +398,6 @@ def linearized_nd_map_many(
             BoundaryTrace(traces[:, 1, j, 0], traces[:, 1, j, 1], grid.dt), bg)
         for j, bg in enumerate(backgrounds)
     ]
-
-
-def linearized_nd_map(
-    grid: GridSpec, medium: MediumSpec, f: BoundaryTrace
-) -> LinearizedOutput:
-    """Linearized ND map for a single trace; see :func:`linearized_nd_map_many`."""
-    return linearized_nd_map_many(grid, medium, [f])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ def exp3(grid):
 
 def _noisy_rel_l2(bundle, eps, seed):
     noisy = [
-        apply_measurement_noise(pd, k, eps, seed)
-        for k, pd in enumerate(bundle["data"], start=1)
+        apply_measurement_noise(data, k, eps, seed)
+        for k, data in enumerate(bundle["data"], start=1)
     ]
     return reconstruct_from_data(noisy, bundle["settings"], bundle["truth"]).rel_l2
 
@@ -172,15 +172,16 @@ def test_criterion_06_linearized_identity_oracle(exp1, grid):
     sig = exp1["truth"]
     ok_all = True
     worst = 0.0
-    for k, pd in enumerate(exp1["data"][:5], start=1):
-        for label, pair in (("fh", pd), ("ff", pd.pair_ff()), ("hh", pd.pair_hh())):
-            value = linearized_rhs(pair)
-            vol = weighted_volume_pairing(pair.snap_f, pair.snap_h, sig, grid)
+    for lam, f, h in exp1["data"][:5]:
+        for a, b in ((f, h), (f, f), (h, h)):
+            value = linearized_rhs(a, b, lam, grid)
+            vol = weighted_volume_pairing(a.snap, b.snap, sig, grid)
             err = abs(value - vol) / max(abs(vol), 1.0)
             worst = max(worst, err)
             ok_all &= err <= 1e-2
-        sym = abs(linearized_rhs(pd) - linearized_rhs(pd.swapped()))
-        vol_fh = weighted_volume_pairing(pd.snap_f, pd.snap_h, sig, grid)
+        sym = abs(linearized_rhs(f, h, lam, grid)
+                  - linearized_rhs(h, f, lam, grid))
+        vol_fh = weighted_volume_pairing(f.snap, h.snap, sig, grid)
         ok_all &= sym / max(abs(vol_fh), 1.0) <= 1e-2
     _report(6, "linearized identity vs volume oracle (k <= 5, all pairs)",
             f"worst relative deviation = {worst:.2e}, tol 1e-2", ok_all)
@@ -254,19 +255,19 @@ def test_invariant_imaginary_leakage_is_pure_dispersion(exp1, grid):
     magic = GridSpec(grid.a, grid.b, grid.dx, grid.dx, grid.T)
     medium = MediumSpec(1.0, 0.0, smooth_perturbation(magic.xs))
     settings = ReconSettings(grid=magic, N=N_MODES)
-    pd = acquire_clean_pair_data(N_MODES, settings, medium)
-    a_N = linearized_rhs(pd.pair_hh()) - linearized_rhs(pd.pair_ff())
+    lam, f, h = acquire_clean_pair_data(N_MODES, settings, medium)
+    a_N = linearized_rhs(h, h, lam, magic) - linearized_rhs(f, f, lam, magic)
     print(f"imaginary leakage: reference dt {leak_ref:.2e}, unit-CFL "
           f"|Im a_N| = {abs(a_N.imag):.2e}")
     assert abs(a_N.imag) <= 1e-5
 
 
-def test_criterion_09_stability_chain(exp1):
+def test_criterion_09_stability_chain(exp1, grid):
     ok_all = True
     min_slack = np.inf
-    for pd in exp1["data"][:5]:
-        for pair in (pd, pd.pair_ff(), pd.pair_hh()):
-            rep = stability_bound_check(pair)
+    for lam, f, h in exp1["data"][:5]:
+        for a, b in ((f, h), (f, f), (h, h)):
+            rep = stability_bound_check(a, b, lam, grid)
             ok_all &= rep.ok
             if rep.lhs_abs > 0:
                 min_slack = min(min_slack, rep.bound / rep.lhs_abs)

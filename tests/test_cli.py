@@ -81,6 +81,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="key = value"):
             parse_config_file(cfg)
 
+    def test_unconvertible_value(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("noise = 0\nN = 1e3\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(cfg)
+        assert str(exc.value).startswith(f"{cfg}:2: N: invalid literal")
+
 
 def _fake_result(nx=11, N=2):
     xs = np.linspace(-1, 1, nx)
@@ -158,6 +165,15 @@ class TestMain:
         ])
         assert code == 2
         assert "error: noise_eps must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code = main([
+            "experiment", "--id", "1", "--noise", "0.01", "--seed", "-1",
+            "--dx", "0.04", "--dt", "0.004", "--N", "3", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
     def test_invalid_id_rejected_by_parser(self, tmp_path):

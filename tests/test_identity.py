@@ -13,7 +13,7 @@ from bcm1d import (
     weighted_volume_pairing,
 )
 from bcm1d.cli import smooth_pulse_trace
-from bcm1d.identity import PairData
+from bcm1d.identity import ControlData
 
 from conftest import smooth_sigma_dot
 
@@ -26,33 +26,31 @@ def half_grid():
 
 @pytest.fixture(scope="module")
 def mode4_data(half_grid):
-    """Mode-4 pair data for the smooth reference perturbation."""
+    """Mode-4 control data for the smooth reference perturbation."""
     medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(half_grid.xs))
     settings = ReconSettings(grid=half_grid, N=4)
     return acquire_clean_pair_data(4, settings, medium, with_operator_traces=True)
 
 
-def _zero_pair(grid):
+def _zero_control(grid):
     z = BoundaryTrace.zeros(grid)
     zx = np.zeros(grid.nx, dtype=complex)
-    return PairData(
-        lam=2j, grid=grid, f=z, f_t=z, h=z, h_t=z, h_tt=z,
-        meas_f_t=z, meas_h_t=z, meas_h_tt=z, snap_f=zx, snap_h=zx,
-        f_tt=z, meas_f_tt=z, meas_f=z, meas_h=z,
-    )
+    return ControlData(g=z, g_t=z, g_tt=z, meas_t=z, meas_tt=z, snap=zx, meas=z)
 
 
 class TestLinearizedRhs:
     def test_zero_measurements_give_zero(self, coarse_grid):
-        assert linearized_rhs(_zero_pair(coarse_grid)) == 0
+        z = _zero_control(coarse_grid)
+        assert linearized_rhs(z, z, 2j, coarse_grid) == 0
 
     def test_mode4_pair_recovers_sine_moment(self, mode4_data, half_grid):
         # the perturbation contains the fourth sine mode with unit weight, so
         # the (f, h) product integrates to exactly 1/2 by orthogonality
-        value = linearized_rhs(mode4_data)
+        lam, f, h = mode4_data
+        value = linearized_rhs(f, h, lam, half_grid)
         assert abs(value - 0.5) <= 1e-2
         vol = weighted_volume_pairing(
-            mode4_data.snap_f, mode4_data.snap_h,
+            f.snap, h.snap,
             smooth_sigma_dot(half_grid.xs), half_grid,
         )
         assert abs(vol - 0.5) <= 1e-4
@@ -60,16 +58,17 @@ class TestLinearizedRhs:
 
     def test_symmetric_pairs_match_volume_oracle(self, mode4_data, half_grid):
         sig = smooth_sigma_dot(half_grid.xs)
-        for pd in (mode4_data.pair_ff(), mode4_data.pair_hh()):
-            value = linearized_rhs(pd)
-            vol = weighted_volume_pairing(pd.snap_f, pd.snap_h, sig, half_grid)
+        for c in (mode4_data.f, mode4_data.h):
+            value = linearized_rhs(c, c, mode4_data.lam, half_grid)
+            vol = weighted_volume_pairing(c.snap, c.snap, sig, half_grid)
             assert abs(value - vol) / abs(vol) <= 1e-2
 
-    def test_swap_symmetry(self, mode4_data):
+    def test_swap_symmetry(self, mode4_data, half_grid):
         # the volume side is symmetric in the pair, so both orderings of the
         # boundary evaluation must agree to discretization tolerance
-        forward = linearized_rhs(mode4_data)
-        backward = linearized_rhs(mode4_data.swapped())
+        lam, f, h = mode4_data
+        forward = linearized_rhs(f, h, lam, half_grid)
+        backward = linearized_rhs(h, f, lam, half_grid)
         assert abs(forward - backward) <= 1e-2
 
     def test_swap_asymmetry_shrinks_under_refinement(self):
@@ -78,24 +77,22 @@ class TestLinearizedRhs:
             g = GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 5.0)
             medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(g.xs))
             settings = ReconSettings(grid=g, N=4)
-            pd = acquire_clean_pair_data(4, settings, medium)
-            diffs.append(abs(linearized_rhs(pd) - linearized_rhs(pd.swapped())))
+            lam, f, h = acquire_clean_pair_data(4, settings, medium)
+            diffs.append(abs(linearized_rhs(f, h, lam, g)
+                             - linearized_rhs(h, f, lam, g)))
         # both orderings converge to the symmetric volume value at second
         # order; their gap decays at least that fast
         assert diffs[1] <= 0.35 * diffs[0]
 
-    def test_f_side_scaling(self, mode4_data):
+    def test_f_side_scaling(self, mode4_data, half_grid):
         # scaling every f-side trace scales the identity value linearly
         from dataclasses import replace
 
+        lam, f, h = mode4_data
         al = 1.5 - 0.5j
-        scaled = replace(
-            mode4_data,
-            f=al * mode4_data.f, f_t=al * mode4_data.f_t,
-            meas_f_t=al * mode4_data.meas_f_t,
-        )
-        assert np.isclose(linearized_rhs(scaled), al * linearized_rhs(mode4_data),
-                          rtol=1e-12)
+        scaled = replace(f, g=al * f.g, g_t=al * f.g_t, meas_t=al * f.meas_t)
+        assert np.isclose(linearized_rhs(scaled, h, lam, half_grid),
+                          al * linearized_rhs(f, h, lam, half_grid), rtol=1e-12)
 
 
 class TestVolumePairing:
@@ -160,27 +157,29 @@ class TestNonlinearIdentity:
 
 class TestStabilityBound:
     def test_zero_data_ok(self, coarse_grid):
-        rep = stability_bound_check(_zero_pair(coarse_grid))
+        z = _zero_control(coarse_grid)
+        rep = stability_bound_check(z, z, 2j, coarse_grid)
         assert rep.lhs_abs == 0 and rep.bound == 0 and rep.ok
 
-    def test_mode_data_passes_with_wide_margin(self, mode4_data):
-        for pd in (mode4_data, mode4_data.pair_ff(), mode4_data.pair_hh()):
-            rep = stability_bound_check(pd)
+    def test_mode_data_passes_with_wide_margin(self, mode4_data, half_grid):
+        lam, f, h = mode4_data
+        for a, b in ((f, h), (f, f), (h, h)):
+            rep = stability_bound_check(a, b, lam, half_grid)
             assert rep.ok
             assert rep.bound > 10 * rep.lhs_abs
 
-    def test_bound_monotone_in_lambda(self, mode4_data):
-        from dataclasses import replace
-
+    def test_bound_monotone_in_lambda(self, mode4_data, half_grid):
+        _, f, h = mode4_data
         bounds = [
-            stability_bound_check(replace(mode4_data, lam=lam)).bound
+            stability_bound_check(f, h, lam, half_grid).bound
             for lam in (0.5j, 2.0j, 8.0j)
         ]
         assert bounds[0] <= bounds[1] <= bounds[2]
 
-    def test_missing_operator_traces_rejected(self, mode4_data):
+    def test_missing_operator_traces_rejected(self, mode4_data, half_grid):
         from dataclasses import replace
 
-        incomplete = replace(mode4_data, meas_f=None)
+        lam, f, h = mode4_data
+        incomplete = replace(f, meas=None)
         with pytest.raises(ValueError):
-            stability_bound_check(incomplete)
+            stability_bound_check(incomplete, h, lam, half_grid)

@@ -97,18 +97,18 @@ class TestNoiseDeterminism:
     def test_same_seed_bitwise_identical(self, pair_data):
         n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
         n2 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
-        assert np.array_equal(n1.meas_f_t.values_a, n2.meas_f_t.values_a)
-        assert np.array_equal(n1.meas_h_tt.values_b, n2.meas_h_tt.values_b)
+        assert np.array_equal(n1.f.meas_t.values_a, n2.f.meas_t.values_a)
+        assert np.array_equal(n1.h.meas_tt.values_b, n2.h.meas_tt.values_b)
 
     def test_different_seeds_differ(self, pair_data):
         n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
         n2 = apply_measurement_noise(pair_data, 1, 0.01, seed=43)
-        assert not np.array_equal(n1.meas_f_t.values_a, n2.meas_f_t.values_a)
+        assert not np.array_equal(n1.f.meas_t.values_a, n2.f.meas_t.values_a)
 
     def test_roles_get_independent_streams(self, pair_data):
         noisy = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
-        d1 = (noisy.meas_f_t - pair_data.meas_f_t).values_a
-        d2 = (noisy.meas_h_t - pair_data.meas_h_t).values_a
+        d1 = (noisy.f.meas_t - pair_data.f.meas_t).values_a
+        d2 = (noisy.h.meas_t - pair_data.h.meas_t).values_a
         # identical streams would give perfectly correlated increments
         scale1 = np.sqrt(np.mean(np.abs(d1) ** 2))
         scale2 = np.sqrt(np.mean(np.abs(d2) ** 2))
@@ -118,7 +118,26 @@ class TestNoiseDeterminism:
     def test_mode_index_changes_stream(self, pair_data):
         n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
         n2 = apply_measurement_noise(pair_data, 2, 0.01, seed=42)
-        assert not np.array_equal(n1.meas_f_t.values_a, n2.meas_f_t.values_a)
+        assert not np.array_equal(n1.f.meas_t.values_a, n2.f.meas_t.values_a)
+
+    def test_substream_labels_pinned(self, coarse_grid):
+        # the (mode, label) spawn keys fix every noisy output; moving a label
+        # changes the noisy results of every earlier run
+        medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
+        settings = ReconSettings(grid=coarse_grid, N=2)
+        k, eps, seed = 2, 0.03, 11
+        clean = acquire_clean_pair_data(k, settings, medium,
+                                        with_operator_traces=True)
+        noisy = apply_measurement_noise(clean, k, eps, seed)
+        labels = {("f", "meas_t"): 0, ("f", "meas_tt"): 1, ("h", "meas_t"): 2,
+                  ("h", "meas_tt"): 3, ("f", "meas"): 4, ("h", "meas"): 5}
+        for (control, field), label in labels.items():
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(k, label)))
+            want = add_noise(getattr(getattr(clean, control), field), eps, rng)
+            got = getattr(getattr(noisy, control), field)
+            assert np.array_equal(got.values_a, want.values_a)
+            assert np.array_equal(got.values_b, want.values_b)
 
 
 class TestAssembleAndSynthesize:
@@ -261,6 +280,8 @@ class TestReconstructPipeline:
             ReconSettings(grid=coarse_grid, N=0)
         with pytest.raises(ValueError):
             ReconSettings(grid=coarse_grid, noise_eps=-0.1)
+        with pytest.raises(ValueError, match="seed"):
+            ReconSettings(grid=coarse_grid, seed=-1)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="noise_eps must be finite"):
                 ReconSettings(grid=coarse_grid, noise_eps=bad)

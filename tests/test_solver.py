@@ -6,9 +6,7 @@ from bcm1d import (
     ConfigurationError,
     GridSpec,
     MediumSpec,
-    linearized_nd_map,
     linearized_nd_map_many,
-    nd_map,
     nd_map_many,
     solve,
     solve_many,
@@ -79,9 +77,9 @@ def test_nd_map_linearity(coarse_grid):
     f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
     f2, _ = smooth_pulse_trace(coarse_grid, 1.4, 0.3, 3.0, 0.0, 1.0)
     al, be = 2.0 - 1.0j, 0.7
-    combo = nd_map(coarse_grid, 1.0, 0.25, al * f1 + be * f2)
-    separate = (al * nd_map(coarse_grid, 1.0, 0.25, f1)
-                + be * nd_map(coarse_grid, 1.0, 0.25, f2))
+    combo = solve(coarse_grid, 1.0, 0.25, al * f1 + be * f2).dirichlet
+    separate = (al * solve(coarse_grid, 1.0, 0.25, f1).dirichlet
+                + be * solve(coarse_grid, 1.0, 0.25, f2).dirichlet)
     assert np.allclose(combo.values_a, separate.values_a, rtol=1e-12, atol=1e-14)
     assert np.allclose(combo.values_b, separate.values_b, rtol=1e-12, atol=1e-14)
 
@@ -91,8 +89,8 @@ def test_nd_map_commutes_with_time_derivative(coarse_grid):
     # measurement, up to the O(dt^2) differentiation error
     f, f_t = smooth_pulse_trace(coarse_grid, 1.2, 0.25, 4.0, 1.0, 0.6)
     sigma = 0.2
-    meas_dot = nd_map(coarse_grid, 1.0, sigma, f_t)
-    meas = nd_map(coarse_grid, 1.0, sigma, f)
+    meas_dot = solve(coarse_grid, 1.0, sigma, f_t).dirichlet
+    meas = solve(coarse_grid, 1.0, sigma, f).dirichlet
     for side in ("values_a", "values_b"):
         fd = np.gradient(getattr(meas, side), coarse_grid.dt, edge_order=2)
         err = np.max(np.abs(fd - getattr(meas_dot, side)))
@@ -125,7 +123,7 @@ def test_energy_non_increasing_after_data_stops(coarse_grid):
 class TestLinearized:
     def test_zero_perturbation_zero_response(self, coarse_grid, zero_medium):
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
-        out = linearized_nd_map(coarse_grid, zero_medium, f)
+        out = linearized_nd_map_many(coarse_grid, zero_medium, [f])[0]
         assert np.all(out.trace.values_a == 0)
         assert np.all(out.trace.values_b == 0)
 
@@ -136,9 +134,9 @@ class TestLinearized:
         s2 = np.sin(2 * np.pi * xs)
         al, be = 1.7, -0.4
         med = lambda s: MediumSpec(1.0, 0.0, s)
-        combo = linearized_nd_map(coarse_grid, med(al * s1 + be * s2), f).trace
-        separate = (al * linearized_nd_map(coarse_grid, med(s1), f).trace
-                    + be * linearized_nd_map(coarse_grid, med(s2), f).trace)
+        lin = lambda s: linearized_nd_map_many(coarse_grid, med(s), [f])[0].trace
+        combo = lin(al * s1 + be * s2)
+        separate = al * lin(s1) + be * lin(s2)
         assert np.allclose(combo.values_a, separate.values_a, rtol=1e-12, atol=1e-15)
 
     def test_matches_nonlinear_differences(self, coarse_grid):
@@ -148,13 +146,14 @@ class TestLinearized:
         sigma_dot = smooth_sigma_dot(xs)
         sigma0 = 0.1
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
-        lin = linearized_nd_map(
-            coarse_grid, MediumSpec(1.0, sigma0, sigma_dot), f
-        ).trace
-        base = nd_map(coarse_grid, 1.0, sigma0, f)
+        lin = linearized_nd_map_many(
+            coarse_grid, MediumSpec(1.0, sigma0, sigma_dot), [f]
+        )[0].trace
+        base = solve(coarse_grid, 1.0, sigma0, f).dirichlet
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
-            diff = nd_map(coarse_grid, 1.0, sigma0 + eps * sigma_dot, f) - base
+            diff = solve(coarse_grid, 1.0, sigma0 + eps * sigma_dot,
+                         f).dirichlet - base
             resid = diff - eps * lin
             errs.append(max(np.max(np.abs(resid.values_a)),
                             np.max(np.abs(resid.values_b))))
@@ -165,7 +164,7 @@ class TestLinearized:
         xs = coarse_grid.xs
         med = MediumSpec(1.0, 0.2, np.sin(np.pi * xs))
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
-        out = linearized_nd_map(coarse_grid, med, f)
+        out = linearized_nd_map_many(coarse_grid, med, [f])[0]
         plain = solve(coarse_grid, 1.0, 0.2, f)
         assert np.array_equal(out.background.dirichlet.values_a,
                               plain.dirichlet.values_a)

@@ -11,7 +11,7 @@ agree to rounding, not bit for bit.
 import numpy as np
 import pytest
 
-from bcm1d import BoundaryTrace, MediumSpec, linearized_nd_map, solve
+from bcm1d import BoundaryTrace, MediumSpec, linearized_nd_map_many, solve
 from bcm1d.cli import smooth_pulse_trace
 
 from conftest import smooth_sigma_dot
@@ -143,7 +143,7 @@ def test_source_path_matches_reference(coarse_grid, complex_trace):
 def test_linearized_map_matches_reference(coarse_grid, complex_trace):
     xs = coarse_grid.xs
     medium = MediumSpec(1.0, 0.15, smooth_sigma_dot(xs) + 2.0 * xs)
-    out = linearized_nd_map(coarse_grid, medium, complex_trace)
+    out = linearized_nd_map_many(coarse_grid, medium, [complex_trace])[0]
     trace, background = reference_linearized(coarse_grid, medium, complex_trace)
     assert _rel(_as_array(out.trace), trace) <= _TOL
     assert _rel(_as_array(out.background.dirichlet), background) <= _TOL
