@@ -7,8 +7,7 @@ into interior moments of the damping perturbation, and assembles the
 truncated Fourier reconstruction together with its error metrics.
 """
 
-from .control import ControlBundle, ControlReport, build_control, dalembert_field, \
-    dalembert_field_dt, verify_control
+from .control import ControlBundle, ControlReport, build_control, verify_control
 from .core import (
     BoundaryTrace,
     ConfigurationError,
@@ -23,11 +22,7 @@ from .core import (
 )
 from .extension import (
     AnalyticProfile,
-    Antiderivative,
-    antiderivative,
     cosine_profile,
-    extend,
-    scale_profile,
     sine_profile,
 )
 from .identity import (

@@ -11,8 +11,13 @@ there, so the trace is an admissible control for zero initial data.
 Targets come coupled: prescribing the velocity snapshot p(T) = pT and the
 gradient snapshot q(T) = -(1/lam) pT' is realized by the d'Alembert position
 target phi = -(1/lam) pT (plus a constant) and velocity target psi = pT.
-The additive constant Cq = (1/2) integral(psi_ext) is the unique choice that
-makes the field vanish at t = 0.
+
+At t = 0 the d'Alembert arguments of a node x in [a, b] are the shifted nodes
+x - T <= a - 1 and x + T >= b + 1, on either side of the extension's support
+(a - 1, b + 1).  There the cumulative integral Psi of psi is 0 on the left
+and its total on the right, so the constant total/2 cancels its term exactly
+and the field reduces to (1/2)[phi(x + T) + phi(x - T)]: the extension's
+values at the shifted nodes, which vanish.
 
 Control traces are evaluated on all of [0, 2T]: the boundary identities
 sample their reflected arguments in (T, 2T), where the normal trace is
@@ -24,53 +29,33 @@ second-derivative data.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import BoundaryTrace, GridMismatchError, GridSpec
-from .extension import (
-    AnalyticProfile,
-    Antiderivative,
-    antiderivative,
-    extend,
-    extended_derivatives,
-    scale_profile,
-)
+from .extension import AnalyticProfile, extended_derivatives
 from .solver import solve_many
-
-# refinement of the cumulative-integral grid relative to the solver spacing
-_ANTIDERIV_REFINEMENT = 10
 
 
 @dataclass(frozen=True)
 class ControlBundle:
-    """A synthesized control: targets, extensions and analytic traces.
+    """A synthesized control: target, extension order and analytic traces.
 
     ``f`` realizes the snapshots p(T) = pT and q(T) = -(1/lam) pT' for the
     free background; ``f_t`` and ``f_tt`` are its exact time derivatives.
-    The antiderivative of the extended velocity target and the constant
-    ``Cq`` are computed on first use: only the d'Alembert field needs them.
+    ``d`` is the order of the bump extension of ``pT`` the traces were
+    built from, kept so that verification evaluates the same extension.
     """
 
     lam: complex
     pT: AnalyticProfile
-    phi_ext: AnalyticProfile
-    psi_ext: AnalyticProfile
+    d: int
     f: BoundaryTrace
     f_t: BoundaryTrace
     f_tt: BoundaryTrace
     grid: GridSpec
-
-    @functools.cached_property
-    def psi_antideriv(self) -> Antiderivative:
-        return antiderivative(self.psi_ext, self.grid.dx / _ANTIDERIV_REFINEMENT)
-
-    @functools.cached_property
-    def Cq(self) -> complex:
-        return 0.5 * self.psi_antideriv.total
 
 
 def build_control(
@@ -91,10 +76,10 @@ def build_control(
     """
     if lam == 0:
         raise ValueError("lam must be nonzero (zero-frequency pairs are not used)")
+    if d < 2:
+        raise ValueError(f"extension order d must be >= 2, got {d}")
     a, b, T = grid.a, grid.b, grid.T
     c = -1.0 / lam
-    psi_ext = extend(pT, a, b, d)
-    phi_ext = scale_profile(psi_ext, c)
 
     ts = grid.ts
     traces = {}
@@ -109,34 +94,7 @@ def build_control(
     f, f_t, f_tt = (
         BoundaryTrace(traces[a][j], traces[b][j], grid.dt) for j in range(3)
     )
-    return ControlBundle(
-        lam=lam, pT=pT, phi_ext=phi_ext, psi_ext=psi_ext,
-        f=f, f_t=f_t, f_tt=f_tt, grid=grid,
-    )
-
-
-def dalembert_field(bundle: ControlBundle, t: float, x) -> np.ndarray:
-    """Free-space field value w(t, x) underlying the control.
-
-    w(t,x) = (1/2)[phi(s+) + phi(s-)] - (1/2)[Psi(s+) - Psi(s-)] + Cq with
-    Psi the cumulative integral of the extended velocity target.  At t = T
-    this collapses to phi(x) + Cq; at t = 0 it vanishes on [a, b].
-    """
-    x = np.asarray(x, dtype=float)
-    sp = x + bundle.grid.T - t
-    sm = x - bundle.grid.T + t
-    Psi = bundle.psi_antideriv
-    return (0.5 * (bundle.phi_ext.value(sp) + bundle.phi_ext.value(sm))
-            - 0.5 * (Psi(sp) - Psi(sm)) + bundle.Cq)
-
-
-def dalembert_field_dt(bundle: ControlBundle, t: float, x) -> np.ndarray:
-    """Exact time derivative of :func:`dalembert_field` (equals psi at t = T)."""
-    x = np.asarray(x, dtype=float)
-    sp = x + bundle.grid.T - t
-    sm = x - bundle.grid.T + t
-    return (0.5 * (-bundle.phi_ext.deriv1(sp) + bundle.phi_ext.deriv1(sm))
-            + 0.5 * (bundle.psi_ext.value(sp) + bundle.psi_ext.value(sm)))
+    return ControlBundle(lam=lam, pT=pT, d=d, f=f, f_t=f_t, f_tt=f_tt, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -155,9 +113,20 @@ def verify_control(bundles: Sequence[ControlBundle]) -> list[ControlReport]:
     order.
 
     ``err_p`` and ``err_q`` are relative L2 errors of the computed t = T
-    velocity and gradient snapshots against the analytic targets; ``err_init``
-    is the sup of |w(0, .)| and |w_t(0, .)| over [a, b] evaluated from the
-    d'Alembert form (an analytic cancellation, not a solver property).
+    velocity and gradient snapshots against the analytic targets.
+
+    ``err_init`` is the sup of |w(0, .)| and |w_t(0, .)| over the nodes of
+    [a, b], with the d'Alembert field w and phi = -(1/lam) psi:
+
+        w(0, x)   = (1/2) [ phi(x + T) + phi(x - T) ]
+        w_t(0, x) = (1/2) [ phi'(x - T) - phi'(x + T) + psi(x + T) + psi(x - T) ]
+
+    both from one evaluation of the extension and its first derivative at
+    the shifted nodes x -+ T.  The cumulative-integral term of w is left out:
+    it cancels exactly against the additive constant because x - T and
+    x + T lie on either side of the extension's support, which GridSpec's
+    check T >= (b - a) + 1 guarantees.  The value is an analytic
+    cancellation, not a solver property.
 
     The velocity snapshot is measured through the derivative datum: since
     time differentiation commutes with the solution map, the field driven by
@@ -172,6 +141,7 @@ def verify_control(bundles: Sequence[ControlBundle]) -> list[ControlReport]:
         )
     (grid,) = grids
     xs = grid.xs
+    shifted = np.concatenate((xs - grid.T, xs + grid.T))
     outs = solve_many(grid, 1.0, 0.0,
                       [tr for bundle in bundles for tr in (bundle.f, bundle.f_t)])
     reports = []
@@ -187,8 +157,12 @@ def verify_control(bundles: Sequence[ControlBundle]) -> list[ControlReport]:
         else:
             err_p = float(np.linalg.norm(p_got - p_want) / p_norm)
             err_q = float(np.linalg.norm(out.qT_snapshot - q_want) / q_norm)
-        w0 = dalembert_field(bundle, 0.0, xs)
-        w0_t = dalembert_field_dt(bundle, 0.0, xs)
+        (psi_m, psi_p), (dpsi_m, dpsi_p) = (
+            np.split(v, 2) for v in extended_derivatives(
+                bundle.pT, grid.a, grid.b, shifted, bundle.d, top=1))
+        c = -1.0 / bundle.lam
+        w0 = 0.5 * c * (psi_p + psi_m)
+        w0_t = 0.5 * (c * (dpsi_m - dpsi_p) + psi_p + psi_m)
         err_init = float(max(np.max(np.abs(w0)), np.max(np.abs(w0_t))))
         reports.append(ControlReport(err_p=err_p, err_q=err_q, err_init=err_init))
     return reports

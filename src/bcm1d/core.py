@@ -32,6 +32,13 @@ class UnsupportedRegimeError(ValueError):
     """An operation was requested outside the background regime it supports."""
 
 
+def _check_finite(spec, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not np.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 def _is_close_to_integer(x: float, tol: float = 1e-9) -> bool:
     return abs(x - round(x)) <= tol * max(1.0, abs(x))
 
@@ -61,6 +68,7 @@ class GridSpec:
     T: float
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("a", "b", "dx", "dt", "T"))
         if not self.b > self.a:
             raise ConfigurationError(f"need b > a, got a={self.a}, b={self.b}")
         if self.dx <= 0 or self.dt <= 0 or self.T <= 0:
@@ -124,6 +132,7 @@ class MediumSpec:
     sigma_ddot: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("rho0", "sigma0"))
         if self.rho0 <= 0:
             raise ConfigurationError(f"rho0 must be positive, got {self.rho0}")
         if self.sigma0 < 0:

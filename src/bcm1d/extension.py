@@ -25,30 +25,15 @@ import numpy as np
 
 ArrayFunc = Callable[[np.ndarray], np.ndarray]
 
-_UNBOUNDED = (-np.inf, np.inf)
-
 
 @dataclass(frozen=True)
 class AnalyticProfile:
-    """A scalar function of one variable with three analytic derivatives.
-
-    ``support`` is the interval outside which every evaluation returns 0;
-    profiles defined by globally analytic formulas use an unbounded support.
-    """
+    """A scalar function of one variable with three analytic derivatives."""
 
     value: ArrayFunc
     deriv1: ArrayFunc
     deriv2: ArrayFunc
     deriv3: ArrayFunc
-    support: tuple[float, float] = _UNBOUNDED
-
-    def __call__(self, x):
-        return self.value(x)
-
-    def derivative(self, order: int) -> ArrayFunc:
-        if order == 0:
-            return self.value
-        return (self.deriv1, self.deriv2, self.deriv3)[order - 1]
 
 
 def sine_profile(kappa: float) -> AnalyticProfile:
@@ -66,16 +51,6 @@ def cosine_profile(kappa: float) -> AnalyticProfile:
         lambda x: -kappa * np.sin(kappa * np.asarray(x)),
         lambda x: -(kappa**2) * np.cos(kappa * np.asarray(x)),
         lambda x: kappa**3 * np.sin(kappa * np.asarray(x)),
-    )
-
-
-def scale_profile(p: AnalyticProfile, c: complex) -> AnalyticProfile:
-    return AnalyticProfile(
-        lambda x: c * p.value(x),
-        lambda x: c * p.deriv1(x),
-        lambda x: c * p.deriv2(x),
-        lambda x: c * p.deriv3(x),
-        p.support,
     )
 
 
@@ -117,10 +92,14 @@ def _bump_factors(u: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
 
 def extended_derivatives(phi: AnalyticProfile, a: float, b: float, x,
                          d: int = 2, top: int = 3) -> list[np.ndarray]:
-    """Derivatives 0 .. ``top`` of ``extend(phi, a, b, d)`` at the points ``x``.
+    """Derivatives 0 .. ``top`` of the extension of ``phi`` at the points ``x``.
 
-    Each flank's bump factors and each derivative of ``phi`` are evaluated
-    once and shared by all orders.
+    The extension equals ``phi`` on [a, b], equals ``phi`` times the flank
+    bump factor on (a-1, a) and (b, b+1), and is identically zero outside.
+    Its derivatives are assembled by the product rule with the analytic
+    bump-factor derivatives, so ``phi`` must supply ``top`` derivatives on
+    [a-1, b+1].  Each flank's bump factors and each derivative of ``phi``
+    are evaluated once and shared by all orders.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     res = [np.zeros(x.shape, dtype=complex) for _ in range(top + 1)]
@@ -135,66 +114,3 @@ def extended_derivatives(phi: AnalyticProfile, a: float, b: float, x,
         for k, r in enumerate(res):  # product rule
             r[flank] = sum(comb(k, j) * p[k - j] * B[j] for j in range(k + 1))
     return res
-
-
-def extend(phi: AnalyticProfile, a: float, b: float, d: int = 2) -> AnalyticProfile:
-    """Extend ``phi`` from [a, b] to a C^(2d-1) profile supported in (a-1, b+1).
-
-    The result equals ``phi`` on [a, b], equals ``phi`` times the flank bump
-    factor on (a-1, a) and (b, b+1), and is identically zero outside.  Its
-    derivatives up to order 3 are assembled by the product rule with the
-    analytic bump-factor derivatives, so ``phi`` must supply three
-    derivatives on [a-1, b+1].
-    """
-    if d < 2:
-        raise ValueError(f"extension order d must be >= 2, got {d}")
-
-    def make(order: int) -> ArrayFunc:
-        return lambda x: extended_derivatives(phi, a, b, x, d, order)[order]
-
-    return AnalyticProfile(make(0), make(1), make(2), make(3), (a - 1.0, b + 1.0))
-
-
-class Antiderivative:
-    """Cumulative integral of a compactly supported profile.
-
-    Node values on a uniform refinement grid come from the trapezoid rule
-    with the Euler-Maclaurin end correction -h^2/12 [psi'], values between
-    nodes from cubic Hermite interpolation with the profile as the exact
-    slope; both are fourth order.  Evaluations clamp to 0 left of the
-    support and to ``total`` right of it, so the two tails are exact.
-    """
-
-    def __init__(self, profile: AnalyticProfile, spacing: float):
-        s0, s1 = profile.support
-        if not np.isfinite(s0) or not np.isfinite(s1):
-            raise ValueError("antiderivative requires a compactly supported profile")
-        n = int(np.ceil((s1 - s0) / spacing))
-        xf = np.linspace(s0, s1, n + 1)
-        h = self._h = (s1 - s0) / n
-        y = np.asarray(profile.value(xf), dtype=complex)
-        dy = np.asarray(profile.deriv1(xf), dtype=complex)
-        trap = np.concatenate(([0.0], np.cumsum(0.5 * h * (y[1:] + y[:-1]))))
-        self._values = trap - (h**2 / 12.0) * (dy - dy[0])
-        self._slopes = h * y  # per unit of the interpolation variable
-        self.support = (s0, s1)
-        self.total = complex(self._values[-1])
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        s0, s1 = self.support
-        out = np.where(x >= s1, self.total, 0.0 + 0.0j)
-        mid = (x > s0) & (x < s1)
-        pos = (x[mid] - s0) / self._h
-        k = np.minimum(pos.astype(int), len(self._values) - 2)
-        t = pos - k
-        c0, c1 = self._values[k], self._values[k + 1]
-        m0, m1 = self._slopes[k], self._slopes[k + 1]
-        out[mid] = c0 + t * (m0 + t * (3.0 * (c1 - c0) - 2.0 * m0 - m1
-                                       + t * (2.0 * (c0 - c1) + m0 + m1)))
-        return out
-
-
-def antiderivative(psi_ext: AnalyticProfile, spacing: float) -> Antiderivative:
-    """Callable x -> integral of ``psi_ext`` from the left support edge to x."""
-    return Antiderivative(psi_ext, spacing)

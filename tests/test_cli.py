@@ -151,12 +151,22 @@ class TestMain:
         assert code == 0
         assert (out / "summary.json").exists()
 
-    def test_invalid_grid_override(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag,value", [
+        ("T", "2.0"), ("dx", "inf"), ("dx", "nan"), ("dt", "nan"), ("T", "inf"),
+    ])
+    def test_invalid_grid_override(self, flag, value, tmp_path, capsys):
         code = main([
-            "experiment", "--id", "1", "--T", "2.0", "--out", str(tmp_path),
+            "experiment", "--id", "1", f"--{flag}", value, "--out", str(tmp_path),
         ])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+    def test_non_finite_grid_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dx = inf\n")
+        code = main(["reconstruct", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: dx must be finite" in capsys.readouterr().err
 
     def test_non_finite_noise_rejected(self, tmp_path, capsys):
         code = main([
@@ -235,3 +245,13 @@ def test_check_commands_pass(kind, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_check_control_keeps_err_init_rows(capsys):
+    # criterion 7's initial-state row: its name, tolerance and exact zero
+    assert main(["check", "control"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    for name in ("sin", "cos"):
+        label = f"control fidelity err_init ({name}, k=1)"
+        (row,) = [r for r in rows if r.startswith(label)]
+        assert row[len(label):].split() == ["measured=0", "tol=1e-10", "PASS"]

@@ -7,36 +7,20 @@ from bcm1d import (
     GridSpec,
     build_control,
     cosine_profile,
-    scale_profile,
     sine_profile,
     verify_control,
 )
-from bcm1d.control import dalembert_field, dalembert_field_dt
 
 
 def test_zero_target_gives_zero_control(coarse_grid):
     bundle = build_control(sine_profile(0.0), 1j, coarse_grid)
     for tr in (bundle.f, bundle.f_t, bundle.f_tt):
         assert np.all(tr.values_a == 0) and np.all(tr.values_b == 0)
-    assert bundle.Cq == 0
 
 
 def test_zero_lambda_rejected(coarse_grid):
     with pytest.raises(ValueError):
         build_control(sine_profile(1.0), 0.0, coarse_grid)
-
-
-def test_position_target_for_complex_exponential(coarse_grid):
-    # complex velocity target i cos(kx) with lam = ik forces position target
-    # -(1/lam) i cos(kx) = -(1/k) cos(kx)
-    k = 2.0
-    lam = 1j * k
-    bundle = build_control(scale_profile(cosine_profile(k), 1j), lam, coarse_grid)
-    xs = np.linspace(-0.95, 0.95, 21)
-    want = -(1 / lam) * 1j * np.cos(k * xs)
-    assert np.allclose(bundle.phi_ext.value(xs), want, rtol=1e-13)
-    assert np.allclose(bundle.phi_ext.value(xs),
-                       -(1 / lam) * bundle.psi_ext.value(xs), rtol=1e-13)
 
 
 def test_control_achieves_target_snapshots(coarse_grid):
@@ -85,37 +69,6 @@ def test_verify_control_rejects_mixed_grids(coarse_grid, coarse_grid_t5):
     b2 = build_control(sine_profile(1.0), 1j, coarse_grid_t5)
     with pytest.raises(GridMismatchError):
         verify_control([b1, b2])
-
-
-@pytest.fixture(scope="module")
-def bundle(coarse_grid):
-    kappa = np.pi
-    return build_control(cosine_profile(kappa), 1j * kappa, coarse_grid)
-
-
-class TestDalembertField:
-    def test_half_time_snapshot_is_position_target(self, bundle, coarse_grid):
-        xs = np.linspace(-2.3, 2.3, 31)
-        w = dalembert_field(bundle, coarse_grid.T, xs)
-        want = bundle.phi_ext.value(xs) + bundle.Cq
-        assert np.allclose(w, want, rtol=1e-12, atol=1e-12)
-
-    def test_field_vanishes_at_start(self, bundle, coarse_grid):
-        xs = coarse_grid.xs
-        assert np.max(np.abs(dalembert_field(bundle, 0.0, xs))) <= 1e-13
-        assert np.max(np.abs(dalembert_field_dt(bundle, 0.0, xs))) <= 1e-13
-
-    def test_time_derivative_at_half_time_is_velocity_target(
-        self, bundle, coarse_grid
-    ):
-        # centered difference of the field in t against the extended target
-        xs = np.linspace(-1.7, 1.7, 23)
-        h = 1e-5
-        fd = (dalembert_field(bundle, coarse_grid.T + h, xs)
-              - dalembert_field(bundle, coarse_grid.T - h, xs)) / (2 * h)
-        assert np.allclose(fd, bundle.psi_ext.value(xs), atol=5e-8)
-        assert np.allclose(dalembert_field_dt(bundle, coarse_grid.T, xs),
-                           bundle.psi_ext.value(xs), rtol=1e-12)
 
 
 def test_control_map_is_linear(coarse_grid):

@@ -35,6 +35,14 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(-1.0, 1.0, 0.01, 0.001, 2.5)
 
+    @pytest.mark.parametrize("field", ["a", "b", "dx", "dt", "T"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, field, bad):
+        fields = dict(a=-1.0, b=1.0, dx=0.02, dt=0.002, T=3.0)
+        fields[field] = bad
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+            GridSpec(**fields)
+
     def test_refined(self, coarse_grid):
         g2 = coarse_grid.refined()
         assert g2.nx == 2 * (coarse_grid.nx - 1) + 1
@@ -209,6 +217,14 @@ class TestMediumSpec:
         fields = {"sigma_dot": np.ones(11), field: samples}
         with pytest.raises(ConfigurationError, match=f"{field} has non-finite"):
             MediumSpec(1.0, 0.0, **fields)
+
+    @pytest.mark.parametrize("rho0,sigma0,field", [
+        (np.nan, 0.0, "rho0"), (np.inf, 0.0, "rho0"),
+        (1.0, np.nan, "sigma0"), (1.0, np.inf, "sigma0"),
+    ])
+    def test_non_finite_background_rejected(self, rho0, sigma0, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+            MediumSpec(rho0, sigma0, np.ones(11))
 
     @pytest.mark.parametrize("field", ["sigma_dot", "sigma_ddot"])
     @pytest.mark.parametrize("shape", [(), (11, 2)])
