@@ -13,13 +13,18 @@ well defined.
 Profiles are analytic objects (value plus first three derivatives), not grid
 samples: the targets used downstream all have closed-form derivatives, and
 the time-reversal traces need derivative values at arbitrary real arguments.
+
+The geometry of an evaluation, which points fall on the domain or a flank and
+the bump factors there, does not depend on the profile.  It is a plan of its
+own, so that the controls, which evaluate many profiles at the same
+grid-determined points, build it once per grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,6 +95,67 @@ def _bump_factors(u: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
     return out
 
 
+class _Plan(NamedTuple):
+    """Where points fall on the extension, and the bump factors there.
+
+    ``mid`` and each of the two flanks pair an index into the flattened
+    points (a slice when the region's points are contiguous, as for
+    monotone points, else a mask) with the points it selects; a flank adds
+    the bump factors B .. B''' at those points.  A plan depends on the
+    points, the domain and d only, so one serves every profile evaluated
+    at those points; its arrays are read-only.
+    """
+
+    shape: tuple[int, ...]
+    mid: tuple
+    flanks: tuple
+
+
+def _region(x: np.ndarray, inside: np.ndarray) -> tuple:
+    """(index, points) of the points of ``x`` where ``inside`` holds."""
+    idx = np.flatnonzero(inside)
+    if idx.size == 0:
+        index = slice(0)
+    elif idx[-1] - idx[0] + 1 == idx.size:
+        index = slice(idx[0], idx[-1] + 1)
+    else:
+        index = inside
+    points = x[index].copy()  # not a view: a plan keeps only its regions
+    points.flags.writeable = False
+    return index, points
+
+
+def _plan(a: float, b: float, x, d: int) -> _Plan:
+    """The :class:`_Plan` of the extension of a profile on [a, b] at ``x``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    flat = x.reshape(-1)
+    flanks = []
+    for edge, lo, hi in ((a, a - 1.0, a), (b, b, b + 1.0)):
+        index, points = _region(flat, (flat > lo) & (flat < hi))
+        B = _bump_factors(points - edge, d)
+        for factor in B:
+            factor.flags.writeable = False
+        flanks.append((index, points, B))
+    return _Plan(x.shape, _region(flat, (flat >= a) & (flat <= b)),
+                 tuple(flanks))
+
+
+def _derivatives(phi: AnalyticProfile, plan: _Plan,
+                 top: int = 3) -> list[np.ndarray]:
+    """:func:`extended_derivatives` at the points of ``plan``."""
+    res = [np.zeros(plan.shape, dtype=complex).reshape(-1)
+           for _ in range(top + 1)]
+    derivs = (phi.value, phi.deriv1, phi.deriv2, phi.deriv3)[: top + 1]
+    index, points = plan.mid
+    for r, deriv in zip(res, derivs):
+        r[index] = deriv(points)
+    for index, points, B in plan.flanks:
+        p = [deriv(points) for deriv in derivs]
+        for k, r in enumerate(res):  # product rule
+            r[index] = sum(comb(k, j) * p[k - j] * B[j] for j in range(k + 1))
+    return [r.reshape(plan.shape) for r in res]
+
+
 def extended_derivatives(phi: AnalyticProfile, a: float, b: float, x,
                          d: int = 2, top: int = 3) -> list[np.ndarray]:
     """Derivatives 0 .. ``top`` of the extension of ``phi`` at the points ``x``.
@@ -99,18 +165,8 @@ def extended_derivatives(phi: AnalyticProfile, a: float, b: float, x,
     Its derivatives are assembled by the product rule with the analytic
     bump-factor derivatives, so ``phi`` must supply ``top`` derivatives on
     [a-1, b+1].  Each flank's bump factors and each derivative of ``phi``
-    are evaluated once and shared by all orders.
+    are evaluated once and shared by all orders.  The geometry, which
+    regions the points fall in and the bump factors there, is built afresh
+    on each call; ``build_control`` keeps it per grid instead.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    res = [np.zeros(x.shape, dtype=complex) for _ in range(top + 1)]
-    derivs = (phi.value, phi.deriv1, phi.deriv2, phi.deriv3)[: top + 1]
-    mid = (x >= a) & (x <= b)
-    for r, deriv in zip(res, derivs):
-        r[mid] = deriv(x[mid])
-    for edge, lo, hi in ((a, a - 1.0, a), (b, b, b + 1.0)):
-        flank = (x > lo) & (x < hi)
-        B = _bump_factors(x[flank] - edge, d)
-        p = [deriv(x[flank]) for deriv in derivs]
-        for k, r in enumerate(res):  # product rule
-            r[flank] = sum(comb(k, j) * p[k - j] * B[j] for j in range(k + 1))
-    return res
+    return _derivatives(phi, _plan(a, b, x, d), top)

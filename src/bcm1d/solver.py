@@ -65,9 +65,14 @@ drives it once per medium with a unit impulse in each signal, memoizes the
 response spectra of the two most recent media, and measures a trace by FFT
 convolution of its signals, derived as the stepper derives them: 2 for the
 nonlinear map, 4 for the linearized one, whose perturbation injection reuses
-the background response (same operator).  It agrees with the stepper to
-about 1e-13 relative; the stepper stays the reference it is tested against,
-and alone serves sources, monitors and snapshots at T.
+the background response (same operator).  The signals are computed in place
+straight into the (steps, traces, signals) layout the convolution reads, and
+the spectra are stored C-contiguous as (signals, ends, frequencies), so each
+trace's contraction over the signals runs along contiguous frequencies.  It
+agrees with the stepper to about 1e-13 relative; the stepper stays the
+reference it is tested against, and alone serves sources, monitors and
+snapshots at T.  Every map rejects Neumann data with a non-finite sample:
+one such sample would silently spread NaN over both endpoint outputs.
 """
 
 from __future__ import annotations
@@ -133,8 +138,14 @@ def _stack_neumann(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
                 f"Neumann trace {j} has {len(tr)} samples (dt={tr.dt}); "
                 f"the grid needs {grid.nt} (dt={grid.dt})"
             )
-        g[:, j] = np.stack((tr.values_a, tr.values_b), axis=1)
+        g[:, j, 0] = tr.values_a
+        g[:, j, 1] = tr.values_b
     scale = np.maximum(np.max(np.abs(g), axis=(0, 2)), 1.0)
+    bad = np.flatnonzero(~np.isfinite(scale))
+    if bad.size:
+        raise ConfigurationError(
+            f"Neumann trace {bad[0]} has a non-finite sample"
+        )
     if np.any(np.max(np.abs(g[0]), axis=1) > _INITIAL_DATA_TOL * scale):
         warnings.warn(
             "Neumann data nonzero at t = 0; zero initial layers are "
@@ -202,15 +213,28 @@ def _coupling(grid: GridSpec, gain: np.ndarray, sigma_dot: np.ndarray):
 
 
 def _injection(grid: GridSpec, rho0: float, sigma, g, sigma_dot=None):
-    """Injection signals of the endpoint data ``g`` (nt, ..., 2); with
-    ``sigma_dot``, axis 1 holds the background's and the perturbation's."""
+    """Injection signals (nt, traces, 2) of the endpoint data ``g``; with
+    ``sigma_dot``, (nt, traces, 2, 2): the background's, then the
+    perturbation's.  Computed in place, rounded as
+
+        (2/dx) g + (dx/3) (rho0 g_tt + sigma_end g_t),  (dx/3) sigma_dot_end g_t.
+    """
     dx, dt = grid.dx, grid.dt
     g_t = np.gradient(g, dt, axis=0)
     g_tt = np.gradient(g_t, dt, axis=0)
-    inj = (2.0 / dx) * g + (dx / 3.0) * (rho0 * g_tt + sigma[_ENDS] * g_t)
     if sigma_dot is None:
-        return inj
-    return np.stack((inj, (dx / 3.0) * sigma_dot[_ENDS] * g_t), axis=1)
+        inj = out = np.empty(g.shape, dtype=complex)
+    else:
+        out = np.empty(g.shape[:2] + (2, 2), dtype=complex)
+        inj = out[:, :, 0]
+        np.multiply((dx / 3.0) * sigma_dot[_ENDS], g_t, out=out[:, :, 1])
+    g_tt *= rho0
+    g_t *= sigma[_ENDS]
+    g_tt += g_t
+    g_tt *= dx / 3.0
+    np.multiply(2.0 / dx, g, out=inj)
+    inj += g_tt
+    return out
 
 
 class _Level(NamedTuple):
@@ -383,7 +407,8 @@ def linearized_nd_map_many(
     g = _stack_neumann(grid, fs)
     sig0 = np.full(grid.nx, medium.sigma0)
     stencil = _stencil(grid, medium.rho0, sig0)
-    inj = _injection(grid, medium.rho0, sig0, g, medium.sigma_dot)
+    inj = np.moveaxis(_injection(grid, medium.rho0, sig0, g, medium.sigma_dot),
+                      2, 1)
     # rows (fields, parts, traces)
     traces, levels = _time_loop(
         grid, stencil, _rows(inj, bool(np.any(g.imag)), axis=2),
@@ -436,7 +461,9 @@ def _kernel(grid: GridSpec, rho0: float, sigma0: float, damping: bytes,
         responses, _ = _time_loop(grid, stencil, impulses)
     # no wrap-around: inputs and responses both span fewer than nt - 1 steps
     n_fft = _fft_length(2 * grid.nt - 3)
-    spectrum = np.fft.rfft(np.moveaxis(responses[1:], 0, -1), n_fft)
+    # C-contiguous, frequencies last: the convolution's einsum runs along f
+    spectrum = np.fft.rfft(
+        np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1)), n_fft)
     spectrum.flags.writeable = False
     return n_fft, spectrum
 
@@ -483,6 +510,5 @@ def transfer_linearized_nd_map_many(
                      medium.sigma_dot.tobytes(), True)
     inj = _injection(grid, medium.rho0, np.full(grid.nx, medium.sigma0), g,
                      medium.sigma_dot)
-    # (steps, fields, traces, ends) -> (steps, traces, fields x ends)
-    return _convolve(grid, kernel,
-                     inj.transpose(0, 2, 1, 3).reshape(grid.nt, len(fs), 4))
+    # (steps, traces, fields, ends) -> (steps, traces, fields x ends), a view
+    return _convolve(grid, kernel, inj.reshape(grid.nt, len(fs), 4))

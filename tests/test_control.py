@@ -10,6 +10,7 @@ from bcm1d import (
     sine_profile,
     verify_control,
 )
+from bcm1d.extension import extended_derivatives
 
 
 def test_zero_target_gives_zero_control(coarse_grid):
@@ -62,6 +63,28 @@ def test_batched_verification_matches_single(coarse_grid):
     b2 = build_control(cosine_profile(np.pi), 1j * np.pi, coarse_grid)
     assert verify_control([b1, b2]) == [verify_control([b1])[0],
                                         verify_control([b2])[0]]
+
+
+def test_traces_match_direct_extension(coarse_grid):
+    # the controls share per-grid extension geometry; built alternately on
+    # two grids of equal size but different domains, and with d = 2 and 3,
+    # each bundle must equal the extension evaluated at x0 -+ (T - t) itself
+    shifted = GridSpec(0.0, 2.0, coarse_grid.dx, coarse_grid.dt, coarse_grid.T)
+    kappa = 1.3
+    lam, prof = 1j * kappa, cosine_profile(kappa)
+    c = -1.0 / lam
+    for d in (2, 3, 2):
+        for g in (coarse_grid, shifted):
+            bundle = build_control(prof, lam, g, d=d)
+            for x0, sign, end in ((g.a, -1.0, "values_a"),
+                                  (g.b, +1.0, "values_b")):
+                p = extended_derivatives(prof, g.a, g.b, x0 + g.T - g.ts, d)
+                m = extended_derivatives(prof, g.a, g.b, x0 - g.T + g.ts, d)
+                want = (sign * 0.5 * (c * (p[1] + m[1]) + m[0] - p[0]),
+                        sign * 0.5 * (c * (m[2] - p[2]) + m[1] + p[1]),
+                        sign * 0.5 * (c * (p[3] + m[3]) + m[2] - p[2]))
+                for tr, w in zip((bundle.f, bundle.f_t, bundle.f_tt), want):
+                    assert np.array_equal(getattr(tr, end), w)
 
 
 def test_verify_control_rejects_mixed_grids(coarse_grid, coarse_grid_t5):

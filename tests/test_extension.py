@@ -88,6 +88,19 @@ def test_extension_linearity():
                            rtol=1e-12, atol=1e-12)
 
 
+def test_extension_at_unsorted_points_of_any_shape():
+    # regions of unsorted points are not contiguous; the values stay pointwise
+    xs = np.linspace(-2.2, 2.2, 97)
+    perm = np.random.default_rng(0).permutation(xs.size)
+    want = extended_derivatives(sine_profile(1.1), A, B, xs)
+    got = extended_derivatives(sine_profile(1.1), A, B,
+                               xs[perm].reshape(-1, 1))
+    for k in range(4):
+        assert got[k].shape == (xs.size, 1)
+        assert np.allclose(got[k][:, 0], want[k][perm],
+                           rtol=1e-14, atol=0.0)
+
+
 def test_one_sided_continuity_at_domain_edges():
     # C^(2d-1) = C^3 for d = 2: one-sided limits of derivatives 0..3 agree.
     # Linear extrapolation 2 f(e -+ h) - f(e -+ 2h) estimates each one-sided

@@ -171,6 +171,18 @@ class TestLinearized:
         assert np.array_equal(out.background.pT_snapshot, plain.pT_snapshot)
 
 
+def _one_bad_sample(grid, bad):
+    """A clean trace, then one with a single sample ``bad`` at end b."""
+    values = np.zeros(grid.nt, dtype=complex)
+    values[grid.nt // 2] = bad
+    return [BoundaryTrace.zeros(grid),
+            BoundaryTrace(np.zeros(grid.nt), values, grid.dt)]
+
+
+_NON_FINITE = {"nan": np.nan, "inf": np.inf,
+               "imag_inf": complex(0.0, -np.inf)}
+
+
 class TestValidation:
     def test_cfl_violation(self):
         g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 25, 3.0)  # dt > dx
@@ -190,6 +202,12 @@ class TestValidation:
         f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
         with pytest.warns(UserWarning, match="Neumann data nonzero"):
             solve(coarse_grid, 1.0, 0.0, f)
+
+    @pytest.mark.parametrize("bad", _NON_FINITE.values(), ids=_NON_FINITE)
+    def test_non_finite_sample_rejected(self, coarse_grid, bad):
+        with pytest.raises(ConfigurationError,
+                           match="Neumann trace 1 has a non-finite sample"):
+            solve_many(coarse_grid, 1.0, 0.0, _one_bad_sample(coarse_grid, bad))
 
     def test_batched_matches_single(self, coarse_grid):
         f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
@@ -290,3 +308,20 @@ class TestTransferValidation:
         f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
         with pytest.warns(UserWarning, match="Neumann data nonzero"):
             _TRANSFER_MAPS[kind](coarse_grid, [f])
+
+    @pytest.mark.parametrize("bad", _NON_FINITE.values(), ids=_NON_FINITE)
+    def test_non_finite_sample_rejected(self, kind, coarse_grid, bad):
+        with pytest.raises(ConfigurationError,
+                           match="Neumann trace 1 has a non-finite sample"):
+            _TRANSFER_MAPS[kind](coarse_grid, _one_bad_sample(coarse_grid, bad))
+
+    @pytest.mark.filterwarnings("ignore:Neumann data nonzero at t = 0")
+    def test_batched_matches_single(self, kind, coarse_grid):
+        # a batch must not mix up traces, fields or ends
+        pulse, _ = smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5, 0.7)
+        fs = _window_traces(coarse_grid) + [(1.0 - 0.5j) * pulse]
+        batched = _TRANSFER_MAPS[kind](coarse_grid, fs)
+        for f, got in zip(fs, batched, strict=True):
+            (single,) = _TRANSFER_MAPS[kind](coarse_grid, [f])
+            assert np.array_equal(got.values_a, single.values_a)
+            assert np.array_equal(got.values_b, single.values_b)
