@@ -54,7 +54,6 @@ from .solver import (
     LinearizedOutput,
     SolveOutput,
     linearized_nd_map_many,
-    nd_map_many,
     solve,
     solve_many,
     transfer_linearized_nd_map_many,

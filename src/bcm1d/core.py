@@ -110,10 +110,6 @@ class GridSpec:
         """dt * max(rho0^(-1/2)) / dx for a constant background density."""
         return self.dt / (self.dx * np.sqrt(rho0))
 
-    def refined(self, factor: int = 2) -> "GridSpec":
-        """Simultaneously refined grid (dx, dt divided by ``factor``)."""
-        return GridSpec(self.a, self.b, self.dx / factor, self.dt / factor, self.T)
-
 
 @dataclass(frozen=True)
 class MediumSpec:

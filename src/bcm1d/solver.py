@@ -47,8 +47,11 @@ computed before the loop (a source adds gain S, and -+ (dx/3) S_x to the
 injection).  Differencing before scaling keeps a constant field exact, so
 rounding does not feed the undamped mean mode's double root at z = 1: on
 the default grid the loop agrees with the scheme run in extended precision
-to about 1e-12.  Fields are real rows of nodes, so every update runs along
-x; complex data take a real and an imaginary row.
+to about 1e-12.  Fields are rows of nodes, so every update runs along x.
+A row is real when the data and the source are, and complex otherwise; the
+loop only adds, subtracts, multiplies by real coefficients and divides a
+source's edge term as reals, which numpy does on the two parts of a complex
+row exactly as on two real rows.  The outputs are complex either way.
 
 The nonlinear ND (Neumann-to-Dirichlet) map restricts the solution to the
 endpoints.  The linearized map stacks background and perturbation rows in
@@ -108,11 +111,13 @@ class LinearizedOutput(NamedTuple):
 def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
     arr = np.asarray(sigma, dtype=float)
     if arr.ndim == 0:
-        return np.full(nx, float(arr))
-    if arr.shape != (nx,):
+        arr = np.full(nx, float(arr))
+    elif arr.shape != (nx,):
         raise ConfigurationError(
-            f"{name} has {arr.shape[0]} samples but the grid has {nx} nodes"
+            f"{name} has shape {arr.shape} but the grid has {nx} nodes"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{name} has a non-finite value")
     return arr
 
 
@@ -128,8 +133,8 @@ def _check_cfl(grid: GridSpec, rho0: float) -> None:
         raise ConfigurationError("grid too coarse: fewer than 3 steps to t = T")
 
 
-def _stack_neumann(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
-                   source=None) -> np.ndarray:
+def _stack_neumann(grid: GridSpec,
+                   neumanns: Sequence[BoundaryTrace]) -> np.ndarray:
     """Checked endpoint data as one (nt, traces, 2) array, a side then b."""
     g = np.empty((grid.nt, len(neumanns), 2), dtype=complex)
     for j, tr in enumerate(neumanns):
@@ -152,31 +157,17 @@ def _stack_neumann(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
             "inconsistent with it",
             stacklevel=3,
         )
-    if source is not None and np.max(np.abs(source(0))) > _INITIAL_DATA_TOL:
-        warnings.warn(
-            "source nonzero at t = 0; zero initial layers introduce a "
-            "one-step O(dt^2) error",
-            stacklevel=3,
-        )
     return g
 
 
 def _edge_term(arr):
     """(dx/3) (-d/dx at a, +d/dx at b) along the last axis, one-sided."""
-    return np.stack((3.0 * arr[..., 0] - 4.0 * arr[..., 1] + arr[..., 2],
+    ends = np.stack((3.0 * arr[..., 0] - 4.0 * arr[..., 1] + arr[..., 2],
                      3.0 * arr[..., -1] - 4.0 * arr[..., -2] + arr[..., -3]),
-                    axis=-1) / 6.0
-
-
-def _rows(z: np.ndarray, with_imag: bool, axis: int) -> np.ndarray:
-    """Real rows of complex data: a new ``axis`` of real (and imag) parts."""
-    return np.stack((z.real, z.imag) if with_imag else (z.real,), axis=axis)
-
-
-def _from_rows(x: np.ndarray, axis: int) -> np.ndarray:
-    """Inverse of :func:`_rows`."""
-    imag = x.take(1, axis) if x.shape[axis] == 2 else 0.0
-    return x.take(0, axis) + 1j * imag
+                    axis=-1)
+    # divide as reals: numpy divides a complex array by a real through a
+    # rounded reciprocal, which would round each part unlike a real row
+    return (ends.view(float) / 6.0).view(ends.dtype)
 
 
 def _stencil(grid: GridSpec, rho0: float, sigma: np.ndarray):
@@ -256,8 +247,8 @@ class _Level(NamedTuple):
     nodes: np.ndarray         # (*rows, nx)
 
     @classmethod
-    def of(cls, rows: tuple, nx: int, nodes=0.0) -> "_Level":
-        grid2d = np.zeros(rows + (nx + 2,))
+    def of(cls, rows: tuple, nx: int, nodes=0.0, dtype=float) -> "_Level":
+        grid2d = np.zeros(rows + (nx + 2,), dtype)
         grid2d[..., 1:-1] = nodes
         flat, half = grid2d.reshape(-1), grid2d.size // 2
         return cls(flat, flat[:-1], flat[1:], flat[:half], flat[half:],
@@ -267,30 +258,35 @@ class _Level(NamedTuple):
 
 def _time_loop(grid, stencil, inj, coupling=None, u1=0.0, source=None,
                monitor=None):
-    """Advance real rows of nodes from u^0 = 0 and u^1 = ``u1``.
+    """Advance rows of nodes from u^0 = 0 and u^1 = ``u1``.
 
     ``inj`` (nt, *rows, 2) holds each row's injection signals at a and b for
-    steps 1 .. nt-2; the field has shape (*rows, nx).  With ``coupling`` the
-    first row axis is [background, perturbation], and the perturbation
-    gains ``coupling * (u0^{n+1} - u0^{n-1})`` in each update.
-    ``source(n)`` gives S(t_n, .) broadcastable against the field, and
-    ``monitor(n, u^n)`` sees every level.  Returns the endpoint traces
-    (nt, *rows, 2) and the levels at steps T/dt - 1, T/dt and T/dt + 1.
+    steps 1 .. nt-2; the field has shape (*rows, nx).  The field is real
+    when ``inj`` has no nonzero imaginary part, and takes the dtype of
+    ``u1`` when that is wider.  With ``coupling`` the first row axis is
+    [background, perturbation], and the perturbation gains
+    ``coupling * (u0^{n+1} - u0^{n-1})`` in each update.  ``source(n)``
+    gives S(t_n, .) broadcastable against the field, and ``monitor(n, u^n)``
+    sees every level as an (nx, *rows) view of the live field.  Returns the
+    endpoint traces (nt, *rows, 2) and the levels at steps T/dt - 1, T/dt
+    and T/dt + 1, in the field's dtype.
     """
-    rows, nx = inj.shape[1:-1], grid.nx
+    if not np.any(inj.imag):
+        inj = inj.real
+    rows, nx, dtype = inj.shape[1:-1], grid.nx, np.result_type(inj, u1)
     carry, left, right, gain = (_Level.of(rows, nx, c) for c in stencil)
     if coupling is not None:
         coupling = _Level.of(rows, nx, coupling).background
-    u, v = _Level.of(rows, nx, u1), _Level.of(rows, nx, u1)
-    diff, tmp, acc = (_Level.of(rows, nx) for _ in range(3))
+    u, v = (_Level.of(rows, nx, u1, dtype) for _ in range(2))
+    diff, tmp, acc = (_Level.of(rows, nx, dtype=dtype) for _ in range(3))
     # slot values for which -left * slot at a and right * slot at b inject
     outer = inj * np.array([-1.0, 1.0])
-    traces = np.zeros(inj.shape)
+    traces = np.zeros(inj.shape, dtype)
     traces[1] = u.ends
     snap_steps, levels = range(grid.half_index - 1, grid.half_index + 2), []
     if monitor is not None:
-        monitor(0, np.zeros_like(u.nodes))
-        monitor(1, u.nodes)
+        monitor(0, np.zeros_like(u.nodes.T))
+        monitor(1, u.nodes.T)
     for n in range(1, grid.nt - 1):
         np.subtract(u.tail, u.head, out=diff.head)
         if source is None:
@@ -316,13 +312,13 @@ def _time_loop(grid, stencil, inj, coupling=None, u1=0.0, source=None,
         if n + 1 in snap_steps:
             levels.append(u.nodes.copy())
         if monitor is not None:
-            monitor(n + 1, u.nodes)
+            monitor(n + 1, u.nodes.T)
     return traces, levels
 
 
 def _outputs(grid, rho0, traces, levels, g_T) -> list[SolveOutput]:
-    """Outputs from complex traces (nt, traces, 2) and levels around T."""
-    u_minus, u_mid, u_plus = levels
+    """Complex outputs from traces (nt, traces, 2) and levels around T."""
+    u_minus, u_mid, u_plus = (u.astype(complex, copy=False) for u in levels)
     pT = np.sqrt(rho0) * (u_plus - u_minus) / (2.0 * grid.dt)
     qT = np.empty_like(u_mid)
     qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
@@ -346,32 +342,31 @@ def solve_many(
     """Advance one field per Neumann trace through a single time loop.
 
     ``source``, if given, maps a time index n to the S(t_n, .) samples and is
-    applied to every column.  ``monitor`` receives (n, u^n) for each level,
-    u^n a complex (nx, traces) array.
+    applied to every column; the dtype of S(0) stands for all its values.
+    ``monitor`` receives (n, u^n) for each level, u^n an (nx, traces) view
+    of the live field, real when the data and the source are and complex
+    otherwise; copy it to keep it.
     """
     _check_cfl(grid, rho0)
     sig = _as_sigma_array(sigma, grid.nx)
-    g = _stack_neumann(grid, neumanns, source)
-    # rows (parts, traces); real data without a source need no imaginary part
-    with_imag = source is not None or bool(np.any(g.imag))
-    inj = _rows(_injection(grid, rho0, sig, g), with_imag, axis=1)
-    u1, row_source, row_monitor = 0.0, None, None
+    g = _stack_neumann(grid, neumanns)
+    u1 = 0.0
     if source is not None:
-        def row_source(n):
-            return _rows(np.asarray(source(n), dtype=complex), True, 0)[:, None]
-
+        s0 = np.asarray(source(0))
+        if np.max(np.abs(s0)) > _INITIAL_DATA_TOL:
+            warnings.warn(
+                "source nonzero at t = 0; zero initial layers introduce a "
+                "one-step O(dt^2) error",
+                stacklevel=2,
+            )
         # Taylor first step: with zero initial data, rho0 u_tt(0) = S(0);
         # sources with S(0) != 0 would otherwise leave an O(dt) velocity
         # defect whose mean grows linearly under Neumann conditions
-        u1 = (grid.dt**2 / (2.0 * rho0)) * row_source(0)
-    if monitor is not None:
-        def row_monitor(n, u):
-            monitor(n, _from_rows(u, axis=0).T)
-
-    traces, levels = _time_loop(grid, _stencil(grid, rho0, sig), inj, u1=u1,
-                                source=row_source, monitor=row_monitor)
-    return _outputs(grid, rho0, _from_rows(traces, axis=1),
-                    [_from_rows(u, axis=0) for u in levels], g[grid.half_index])
+        u1 = (grid.dt**2 / (2.0 * rho0)) * s0
+    traces, levels = _time_loop(grid, _stencil(grid, rho0, sig),
+                                _injection(grid, rho0, sig, g), u1=u1,
+                                source=source, monitor=monitor)
+    return _outputs(grid, rho0, traces, levels, g[grid.half_index])
 
 
 def solve(
@@ -384,12 +379,6 @@ def solve(
 ) -> SolveOutput:
     """Single-trace forward solve; see :func:`solve_many`."""
     return solve_many(grid, rho0, sigma, [neumann], source, monitor)[0]
-
-
-def nd_map_many(
-    grid: GridSpec, rho0: float, sigma, fs: Sequence[BoundaryTrace]
-) -> list[BoundaryTrace]:
-    return [out.dirichlet for out in solve_many(grid, rho0, sigma, fs)]
 
 
 def linearized_nd_map_many(
@@ -407,17 +396,14 @@ def linearized_nd_map_many(
     g = _stack_neumann(grid, fs)
     sig0 = np.full(grid.nx, medium.sigma0)
     stencil = _stencil(grid, medium.rho0, sig0)
-    inj = np.moveaxis(_injection(grid, medium.rho0, sig0, g, medium.sigma_dot),
-                      2, 1)
-    # rows (fields, parts, traces)
+    inj = _injection(grid, medium.rho0, sig0, g, medium.sigma_dot)
+    # rows (fields, traces)
     traces, levels = _time_loop(
-        grid, stencil, _rows(inj, bool(np.any(g.imag)), axis=2),
+        grid, stencil, np.moveaxis(inj, 2, 1),
         coupling=_coupling(grid, stencil[-1], medium.sigma_dot),
     )
-    traces = _from_rows(traces, axis=2)
     backgrounds = _outputs(grid, medium.rho0, traces[:, 0],
-                           [_from_rows(u[0], axis=0) for u in levels],
-                           g[grid.half_index])
+                           [u[0] for u in levels], g[grid.half_index])
     return [
         LinearizedOutput(
             BoundaryTrace(traces[:, 1, j, 0], traces[:, 1, j, 1], grid.dt), bg)
@@ -437,28 +423,27 @@ def _fft_length(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=2)
-def _kernel(grid: GridSpec, rho0: float, sigma0: float, damping: bytes,
-            linearized: bool):
+def _kernel(grid: GridSpec, rho0: float, sigma: bytes,
+            sigma_dot: bytes | None = None):
     """FFT length and spectrum (signals, 2 ends, frequencies) of the
     responses to a unit impulse at step 1, shifted to start at that step.
 
-    ``damping`` holds the bytes of a node array: sigma_dot of the linearized
-    map about ``sigma0``, or the nonlinear map's damping less ``sigma0``.
+    ``sigma`` holds the bytes of the damping node array; ``sigma_dot``, if
+    given, those of the perturbation the linearized map is taken along.
     """
-    sigma = np.frombuffer(damping)
+    stencil = _stencil(grid, rho0, np.frombuffer(sigma))
     impulses = np.zeros((grid.nt, 2, 2))  # (steps, impulse end, output end)
     impulses[1] = np.eye(2)
-    if linearized:
-        stencil = _stencil(grid, rho0, np.full(grid.nx, sigma0))
+    if sigma_dot is None:
+        responses, _ = _time_loop(grid, stencil, impulses)
+    else:
         # drive the background rows only: the perturbation's own injection
         # meets the same operator, so its response is the background's
+        coupling = _coupling(grid, stencil[-1], np.frombuffer(sigma_dot))
         traces, _ = _time_loop(grid, stencil,
                                np.stack((impulses, 0.0 * impulses), axis=1),
-                               coupling=_coupling(grid, stencil[-1], sigma))
+                               coupling=coupling)
         responses = np.concatenate((traces[:, 1], traces[:, 0]), axis=1)
-    else:
-        stencil = _stencil(grid, rho0, sigma0 + sigma)
-        responses, _ = _time_loop(grid, stencil, impulses)
     # no wrap-around: inputs and responses both span fewer than nt - 1 steps
     n_fft = _fft_length(2 * grid.nt - 3)
     # C-contiguous, frequencies last: the convolution's einsum runs along f
@@ -484,15 +469,17 @@ def _convolve(grid: GridSpec, kernel, signals) -> list[BoundaryTrace]:
 def transfer_nd_map_many(
     grid: GridSpec, rho0: float, sigma, fs: Sequence[BoundaryTrace]
 ) -> list[BoundaryTrace]:
-    """:func:`nd_map_many` by convolution with the medium's transfer kernel.
+    """Endpoint traces of :func:`solve_many` by convolution with the
+    medium's transfer kernel.
 
-    Agrees with the stepper to about 1e-13 relative.  The kernel costs one
-    time loop per medium and is memoized for the two most recent media.
+    Agrees with the stepper, its oracle, to about 1e-13 relative.  The
+    kernel costs one time loop per medium and is memoized for the two most
+    recent media.
     """
     _check_cfl(grid, rho0)
     sig = _as_sigma_array(sigma, grid.nx)
     g = _stack_neumann(grid, fs)
-    kernel = _kernel(grid, rho0, 0.0, sig.tobytes(), False)
+    kernel = _kernel(grid, rho0, sig.tobytes())
     return _convolve(grid, kernel, _injection(grid, rho0, sig, g))
 
 
@@ -506,9 +493,9 @@ def transfer_linearized_nd_map_many(
     _check_cfl(grid, medium.rho0)
     _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     g = _stack_neumann(grid, fs)
-    kernel = _kernel(grid, medium.rho0, medium.sigma0,
-                     medium.sigma_dot.tobytes(), True)
-    inj = _injection(grid, medium.rho0, np.full(grid.nx, medium.sigma0), g,
-                     medium.sigma_dot)
+    sig0 = np.full(grid.nx, medium.sigma0)
+    kernel = _kernel(grid, medium.rho0, sig0.tobytes(),
+                     medium.sigma_dot.tobytes())
+    inj = _injection(grid, medium.rho0, sig0, g, medium.sigma_dot)
     # (steps, traces, fields, ends) -> (steps, traces, fields x ends), a view
     return _convolve(grid, kernel, inj.reshape(grid.nt, len(fs), 4))

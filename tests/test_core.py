@@ -43,11 +43,6 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
             GridSpec(**fields)
 
-    def test_refined(self, coarse_grid):
-        g2 = coarse_grid.refined()
-        assert g2.nx == 2 * (coarse_grid.nx - 1) + 1
-        assert g2.nt == 2 * (coarse_grid.nt - 1) + 1
-
 
 def _trace_from(grid, fa, fb):
     return BoundaryTrace.from_functions(grid, fa, fb)

@@ -7,7 +7,6 @@ from bcm1d import (
     GridSpec,
     MediumSpec,
     linearized_nd_map_many,
-    nd_map_many,
     solve,
     solve_many,
     transfer_linearized_nd_map_many,
@@ -22,20 +21,30 @@ def mms_grid(n):
     return GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 3.0)
 
 
-def mms_error(grid, rho0=1.0, sigma_fn=lambda x: 0.3 * (1 + x**2)):
-    """u* = t^2 cos(pi x): zero Neumann flux, zero initial data, known source."""
-    xs = grid.xs
-    sigma = sigma_fn(xs)
-    cos_px = np.cos(np.pi * xs)
+def mms_source(grid, rho0, sigma):
+    """Source of u* = t^2 cos(pi x): zero Neumann flux, zero initial data."""
+    cos_px = np.cos(np.pi * grid.xs)
 
     def source(n):
         t = n * grid.dt
         return (2 * rho0 + 2 * t * sigma + np.pi**2 * t**2) * cos_px
 
+    return source
+
+
+def mms_error(grid, rho0=1.0, sigma_fn=lambda x: 0.3 * (1 + x**2)):
+    xs = grid.xs
+    sigma = sigma_fn(xs)
+    source = mms_source(grid, rho0, sigma)
     with pytest.warns(UserWarning, match="source nonzero"):
         out = solve(grid, rho0, sigma, BoundaryTrace.zeros(grid), source=source)
-    exact = grid.T**2 * cos_px
+    exact = grid.T**2 * np.cos(np.pi * xs)
     return np.linalg.norm(out.uT_snapshot - exact) / np.linalg.norm(exact)
+
+
+def _fields(out):
+    return (out.dirichlet.values_a, out.dirichlet.values_b,
+            out.pT_snapshot, out.qT_snapshot, out.uT_snapshot)
 
 
 def test_zero_data_zero_solution(coarse_grid):
@@ -60,17 +69,62 @@ def test_real_data_real_field(coarse_grid):
 
 
 def test_complex_solve_equals_pair_of_real_solves(coarse_grid):
+    # a complex field must round exactly as its real and imaginary parts
+    # advanced as two real fields
     fr, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.4)
     fi, _ = smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)
-    fc = fr + 1j * fi
-    sigma = 0.1
-    out_c = solve(coarse_grid, 1.0, sigma, fc)
-    out_r = solve(coarse_grid, 1.0, sigma, fr)
-    out_i = solve(coarse_grid, 1.0, sigma, fi)
-    assert np.array_equal(out_c.dirichlet.values_a,
-                          out_r.dirichlet.values_a + 1j * out_i.dirichlet.values_a)
-    assert np.array_equal(out_c.pT_snapshot,
-                          out_r.pT_snapshot + 1j * out_i.pT_snapshot)
+    sigma = 0.1 + 0.2 * coarse_grid.xs**2
+    out_c, out_r, out_i = (solve(coarse_grid, 1.0, sigma, f)
+                           for f in (fr + 1j * fi, fr, fi))
+    for c, r, i in zip(_fields(out_c), _fields(out_r), _fields(out_i)):
+        assert np.iscomplexobj(c)
+        assert np.array_equal(c, r + 1j * i)
+
+
+def test_complex_linearized_equals_pair_of_real_passes(coarse_grid):
+    fr, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.4)
+    fi, _ = smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)
+    med = MediumSpec(1.0, 0.1, smooth_sigma_dot(coarse_grid.xs))
+    (out_c,), (out_r,), (out_i,) = (
+        linearized_nd_map_many(coarse_grid, med, [f])
+        for f in (fr + 1j * fi, fr, fi))
+    for c, r, i in zip(*((out.trace.values_a, out.trace.values_b,
+                          *_fields(out.background))
+                         for out in (out_c, out_r, out_i))):
+        assert np.array_equal(c, r + 1j * i)
+
+
+@pytest.mark.filterwarnings("ignore:source nonzero at t = 0")
+def test_complex_source_matches_real_source(coarse_grid):
+    # the same source as float64 runs a real field, as complex a complex one
+    sigma = 0.3 * (1 + coarse_grid.xs**2)
+    source = mms_source(coarse_grid, 1.0, sigma)
+    zero = [BoundaryTrace.zeros(coarse_grid)]
+    (real,) = solve_many(coarse_grid, 1.0, sigma, zero, source)
+    (cplx,) = solve_many(coarse_grid, 1.0, sigma, zero,
+                         lambda n: source(n).astype(complex))
+    for r, c in zip(_fields(real), _fields(cplx)):
+        assert np.array_equal(r, c)
+
+
+@pytest.mark.filterwarnings("ignore:source nonzero at t = 0")
+def test_complex_source_equals_pair_of_real_sources(coarse_grid):
+    # S vanishes at x = a but its slope does not, so the update of node 0
+    # sees the source only through its edge term, divided by 6 per part
+    xs, dt = coarse_grid.xs, coarse_grid.dt
+    sigma = 0.1 + 0.3 * np.cos(np.pi * xs) ** 2 + 0.2 * xs
+
+    def source(n):
+        t = n * dt
+        return (1.0 + 2.0j * t + t**2) * (xs - coarse_grid.a) * (1.0 - 0.7j * xs)
+
+    zero = [BoundaryTrace.zeros(coarse_grid)]
+    (out_c,), (out_r,), (out_i,) = (
+        solve_many(coarse_grid, 1.0, sigma, zero, part)
+        for part in (source, lambda n: source(n).real,
+                     lambda n: source(n).imag))
+    for c, r, i in zip(_fields(out_c), _fields(out_r), _fields(out_i)):
+        assert np.array_equal(c, r + 1j * i)
 
 
 def test_nd_map_linearity(coarse_grid):
@@ -193,6 +247,28 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             solve(coarse_grid, 1.0, np.zeros(7), BoundaryTrace.zeros(coarse_grid))
 
+    @pytest.mark.parametrize("nonlinear_map", [solve_many, transfer_nd_map_many])
+    def test_sigma_bad_shape_named(self, coarse_grid, nonlinear_map):
+        nx = coarse_grid.nx
+        with pytest.raises(ConfigurationError,
+                           match=rf"sigma has shape \({nx}, 1\) but the grid"):
+            nonlinear_map(coarse_grid, 1.0, np.zeros((nx, 1)),
+                          [BoundaryTrace.zeros(coarse_grid)])
+
+    @pytest.mark.parametrize("nonlinear_map", [solve_many, transfer_nd_map_many])
+    @pytest.mark.parametrize("where", ["node", "scalar"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, coarse_grid, nonlinear_map,
+                                       where, bad):
+        sigma = bad
+        if where == "node":
+            sigma = np.full(coarse_grid.nx, 0.2)
+            sigma[3] = bad
+        with pytest.raises(ConfigurationError,
+                           match="sigma has a non-finite value"):
+            nonlinear_map(coarse_grid, 1.0, sigma,
+                          [BoundaryTrace.zeros(coarse_grid)])
+
     def test_trace_length_mismatch(self, coarse_grid):
         bad = BoundaryTrace(np.zeros(11), np.zeros(11), coarse_grid.dt)
         with pytest.raises(ConfigurationError):
@@ -239,6 +315,10 @@ def _max_rel_deviation(traces, refs):
     return worst
 
 
+def _stepper(grid, sigma, fs):
+    return [out.dirichlet for out in solve_many(grid, 1.0, sigma, fs)]
+
+
 def _stepper_linearized(grid, medium, fs):
     return [out.trace for out in linearized_nd_map_many(grid, medium, fs)]
 
@@ -265,7 +345,7 @@ class TestTransfer:
         fs = _window_traces(coarse_grid)
         dev = _max_rel_deviation(
             transfer_nd_map_many(coarse_grid, 1.0, sigma, fs),
-            nd_map_many(coarse_grid, 1.0, sigma, fs),
+            _stepper(coarse_grid, sigma, fs),
         )
         assert dev <= 1e-9
 
@@ -282,7 +362,7 @@ class TestTransfer:
             lin, _stepper_linearized(coarse_grid, med, fs)) <= 1e-9
         plain = transfer_nd_map_many(coarse_grid, 1.0, sigma, fs)
         assert _max_rel_deviation(
-            plain, nd_map_many(coarse_grid, 1.0, sigma, fs)) <= 1e-9
+            plain, _stepper(coarse_grid, sigma, fs)) <= 1e-9
 
 
 _TRANSFER_MAPS = {

@@ -18,7 +18,7 @@ from bcm1d import (
     BoundaryTrace,
     MediumSpec,
     linearized_nd_map_many,
-    nd_map_many,
+    solve_many,
     transfer_linearized_nd_map_many,
     transfer_nd_map_many,
 )
@@ -37,7 +37,8 @@ def _sigma(grid):
 
 MAPS = {
     "nonlinear-stepper":
-        lambda grid, fs: nd_map_many(grid, 1.0, _sigma(grid), fs),
+        lambda grid, fs: [out.dirichlet for out in
+                          solve_many(grid, 1.0, _sigma(grid), fs)],
     "nonlinear-transfer":
         lambda grid, fs: transfer_nd_map_many(grid, 1.0, _sigma(grid), fs),
     "linearized-stepper":
