@@ -51,10 +51,8 @@ from .recon import (
     synthesize,
 )
 from .solver import (
-    LinearizedOutput,
     SolveOutput,
     linearized_nd_map_many,
-    solve,
     solve_many,
     transfer_linearized_nd_map_many,
     transfer_nd_map_many,

@@ -122,10 +122,8 @@ class IdentityReport:
     rel_residual: float
 
 
-def nonlinear_identity_residual(
-    f, h, sigma, grid: GridSpec, rho0: float = 1.0
-) -> IdentityReport:
-    """Check the nonlinear identity for full damping ``sigma``.
+def nonlinear_identity_residual(f, h, sigma, grid: GridSpec) -> IdentityReport:
+    """Check the nonlinear identity for full damping ``sigma`` and rho0 = 1.
 
     ``f`` and ``h`` are pairs (trace, analytic time-derivative trace).  The
     interior side is computed from t = T snapshots of the two forward
@@ -137,7 +135,7 @@ def nonlinear_identity_residual(
     f_trace, f_t_trace = f
     h_trace, h_t_trace = h
     out_f, out_h, out_ft, out_ht = solve_many(
-        grid, rho0, sigma, [f_trace, h_trace, f_t_trace, h_t_trace]
+        grid, 1.0, sigma, [f_trace, h_trace, f_t_trace, h_t_trace]
     )
     lhs = complex(
         np.trapezoid(

@@ -34,7 +34,7 @@ responses and target snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -298,35 +298,29 @@ def _error_metrics(sigma_recon, truth, grid):
     return rel_l2, float(np.max(np.abs(diff)))
 
 
-def _identity_values(data: ModeData,
-                     grid: GridSpec) -> tuple[complex, complex, complex]:
-    """Identity values (S_ff, S_hh, S_fh) of one mode's pairs."""
-    lam, f, h = data
-    return (linearized_rhs(f, f, lam, grid), linearized_rhs(h, h, lam, grid),
-            linearized_rhs(f, h, lam, grid))
+def reconstruct_from_data(
+    mode_data: Iterable[ModeData], settings: ReconSettings, truth: np.ndarray
+) -> ReconResult:
+    """Identity evaluation, coefficient assembly and synthesis for the data
+    of modes 1 .. N, taken one mode at a time."""
+    grid = settings.grid
 
+    def values(data: ModeData) -> tuple[complex, complex, complex]:
+        lam, f, h = data
+        return (linearized_rhs(f, f, lam, grid), linearized_rhs(h, h, lam, grid),
+                linearized_rhs(f, h, lam, grid))
 
-def _result_from_identities(values, settings: ReconSettings,
-                            truth: np.ndarray) -> ReconResult:
-    S_ff, S_hh, S_fh = zip(*values)
+    # map, not a comprehension, whose loop variable would keep each mode's
+    # data alive while ``mode_data`` produces the next one
+    S_ff, S_hh, S_fh = zip(*map(values, mode_data))
     scale = (settings.eps_linearization
              if settings.data_mode == NONLINEAR_DIFFERENCE else 1.0)
     coeffs = assemble_coefficients(S_ff, S_hh, S_fh, settings.N, scale)
-    sigma_recon = synthesize(coeffs, settings.grid)
+    sigma_recon = synthesize(coeffs, grid)
     truth = np.asarray(truth, dtype=float)
-    rel_l2, linf = _error_metrics(sigma_recon, truth, settings.grid)
+    rel_l2, linf = _error_metrics(sigma_recon, truth, grid)
     return ReconResult(coeffs=coeffs, sigma_recon=sigma_recon, truth=truth,
                        rel_l2=rel_l2, linf=linf)
-
-
-def reconstruct_from_data(
-    mode_data: Sequence[ModeData], settings: ReconSettings, truth: np.ndarray
-) -> ReconResult:
-    """Identity evaluation, coefficient assembly and synthesis for given data."""
-    return _result_from_identities(
-        [_identity_values(data, settings.grid) for data in mode_data],
-        settings, truth,
-    )
 
 
 def reconstruct(
@@ -344,12 +338,9 @@ def reconstruct(
             "reconstruction requires rho0 = 1 and sigma0 = 0; got "
             f"rho0 = {medium.rho0}, sigma0 = {medium.sigma0}"
         )
-    values = [
-        _identity_values(
-            apply_measurement_noise(acquire_clean_pair_data(k, settings, medium),
-                                    k, settings.noise_eps, settings.seed),
-            settings.grid,
-        )
+    modes = (
+        apply_measurement_noise(acquire_clean_pair_data(k, settings, medium),
+                                k, settings.noise_eps, settings.seed)
         for k in range(1, settings.N + 1)
-    ]
-    return _result_from_identities(values, settings, truth)
+    )
+    return reconstruct_from_data(modes, settings, truth)

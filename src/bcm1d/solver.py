@@ -48,10 +48,11 @@ injection).  Differencing before scaling keeps a constant field exact, so
 rounding does not feed the undamped mean mode's double root at z = 1: on
 the default grid the loop agrees with the scheme run in extended precision
 to about 1e-12.  Fields are rows of nodes, so every update runs along x.
-A row is real when the data and the source are, and complex otherwise; the
-loop only adds, subtracts, multiplies by real coefficients and divides a
-source's edge term as reals, which numpy does on the two parts of a complex
-row exactly as on two real rows.  The outputs are complex either way.
+A row is real when the data and S(0) are, and complex otherwise (a source
+that turns complex later is rejected at that step); the loop only adds,
+subtracts, multiplies by real coefficients and divides a source's edge term
+as reals, which numpy does on the two parts of a complex row exactly as on
+two real rows.  The outputs are complex either way.
 
 The nonlinear ND (Neumann-to-Dirichlet) map restricts the solution to the
 endpoints.  The linearized map stacks background and perturbation rows in
@@ -59,7 +60,8 @@ one pass: the perturbation (source -sigma_dot du0/dt, zero data) shares the
 background's coefficients, its injection is (dx/3) sigma_dot_end dg/dt, and
 its increment gains K (u0^{n+1} - u0^{n-1}), K folding the centered source
 with the sigma_dot_x edge term.  This pass is the exact parameter
-derivative of the discrete nonlinear solve.
+derivative of the discrete nonlinear solve.  Like its transfer twin, the
+linearized map returns the perturbation's endpoint traces only.
 
 With a time-independent medium and zero initial data the loop is a linear
 time-invariant map from injection signals to endpoint traces.  The transfer
@@ -101,11 +103,6 @@ class SolveOutput:
     pT_snapshot: np.ndarray  # sqrt(rho0) * u_t(T, .) on the spatial nodes
     qT_snapshot: np.ndarray  # u_x(T, .) on the spatial nodes
     uT_snapshot: np.ndarray  # u(T, .), kept for verification work
-
-
-class LinearizedOutput(NamedTuple):
-    trace: BoundaryTrace
-    background: SolveOutput
 
 
 def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
@@ -293,6 +290,10 @@ def _time_loop(grid, stencil, inj, coupling=None, u1=0.0, source=None,
             diff.slots[...] = outer[n]
         else:
             s = source(n)
+            if np.iscomplexobj(s) and not np.iscomplexobj(u.flat):
+                raise ConfigurationError(
+                    f"source is complex at step {n} but real at step 0, "
+                    "whose dtype the field takes")
             np.add(outer[n], _edge_term(s) * [1.0, -1.0], out=diff.slots)
         if coupling is not None:
             np.multiply(v.background, coupling, out=acc.background)
@@ -316,21 +317,6 @@ def _time_loop(grid, stencil, inj, coupling=None, u1=0.0, source=None,
     return traces, levels
 
 
-def _outputs(grid, rho0, traces, levels, g_T) -> list[SolveOutput]:
-    """Complex outputs from traces (nt, traces, 2) and levels around T."""
-    u_minus, u_mid, u_plus = (u.astype(complex, copy=False) for u in levels)
-    pT = np.sqrt(rho0) * (u_plus - u_minus) / (2.0 * grid.dt)
-    qT = np.empty_like(u_mid)
-    qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
-    qT[:, 0] = -g_T[:, 0]  # ghost-consistent: the outward normal at a is -d/dx
-    qT[:, -1] = g_T[:, 1]
-    return [
-        SolveOutput(BoundaryTrace(traces[:, j, 0], traces[:, j, 1], grid.dt),
-                    pT[j], qT[j], u_mid[j])
-        for j in range(len(u_mid))
-    ]
-
-
 def solve_many(
     grid: GridSpec,
     rho0: float,
@@ -342,7 +328,8 @@ def solve_many(
     """Advance one field per Neumann trace through a single time loop.
 
     ``source``, if given, maps a time index n to the S(t_n, .) samples and is
-    applied to every column; the dtype of S(0) stands for all its values.
+    applied to every column; the dtype of S(0) stands for all its values,
+    and a complex value after a real S(0) raises ``ConfigurationError``.
     ``monitor`` receives (n, u^n) for each level, u^n an (nx, traces) view
     of the live field, real when the data and the source are and complex
     otherwise; copy it to keep it.
@@ -366,30 +353,32 @@ def solve_many(
     traces, levels = _time_loop(grid, _stencil(grid, rho0, sig),
                                 _injection(grid, rho0, sig, g), u1=u1,
                                 source=source, monitor=monitor)
-    return _outputs(grid, rho0, traces, levels, g[grid.half_index])
-
-
-def solve(
-    grid: GridSpec,
-    rho0: float,
-    sigma,
-    neumann: BoundaryTrace,
-    source: Callable[[int], np.ndarray] | None = None,
-    monitor: Callable[[int, np.ndarray], None] | None = None,
-) -> SolveOutput:
-    """Single-trace forward solve; see :func:`solve_many`."""
-    return solve_many(grid, rho0, sigma, [neumann], source, monitor)[0]
+    # complex arithmetic for real fields too: numpy divides a complex array
+    # by a real through a rounded reciprocal, so real and complex fields
+    # round alike only on that route
+    u_minus, u_mid, u_plus = (u.astype(complex, copy=False) for u in levels)
+    pT = np.sqrt(rho0) * (u_plus - u_minus) / (2.0 * grid.dt)
+    qT = np.empty_like(u_mid)
+    qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
+    g_T = g[grid.half_index]
+    qT[:, 0] = -g_T[:, 0]  # ghost-consistent: the outward normal at a is -d/dx
+    qT[:, -1] = g_T[:, 1]
+    return [
+        SolveOutput(BoundaryTrace(traces[:, j, 0], traces[:, j, 1], grid.dt),
+                    pT[j], qT[j], u_mid[j])
+        for j in range(len(neumanns))
+    ]
 
 
 def linearized_nd_map_many(
     grid: GridSpec, medium: MediumSpec, fs: Sequence[BoundaryTrace]
-) -> list[LinearizedOutput]:
+) -> list[BoundaryTrace]:
     """Linearized ND map for several Neumann traces in one coupled pass.
 
     For each trace the background field (constant-damping equation, data f)
     and the perturbation field (source -sigma_dot * d/dt background, zero
-    data) advance together; the perturbation's endpoint restriction is the
-    linearized measurement.
+    data) advance together.  Returns the perturbation's endpoint traces, the
+    linearized measurements, one per trace.
     """
     _check_cfl(grid, medium.rho0)
     _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
@@ -398,17 +387,12 @@ def linearized_nd_map_many(
     stencil = _stencil(grid, medium.rho0, sig0)
     inj = _injection(grid, medium.rho0, sig0, g, medium.sigma_dot)
     # rows (fields, traces)
-    traces, levels = _time_loop(
+    traces, _ = _time_loop(
         grid, stencil, np.moveaxis(inj, 2, 1),
         coupling=_coupling(grid, stencil[-1], medium.sigma_dot),
     )
-    backgrounds = _outputs(grid, medium.rho0, traces[:, 0],
-                           [u[0] for u in levels], g[grid.half_index])
-    return [
-        LinearizedOutput(
-            BoundaryTrace(traces[:, 1, j, 0], traces[:, 1, j, 1], grid.dt), bg)
-        for j, bg in enumerate(backgrounds)
-    ]
+    return [BoundaryTrace(traces[:, 1, j, 0], traces[:, 1, j, 1], grid.dt)
+            for j in range(len(fs))]
 
 
 # ---------------------------------------------------------------------------

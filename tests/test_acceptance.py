@@ -24,7 +24,7 @@ from bcm1d import (
     nonlinear_identity_residual,
     projection_truth,
     reconstruct_from_data,
-    solve,
+    solve_many,
     stability_bound_check,
     verify_control,
     weighted_volume_pairing,
@@ -293,7 +293,8 @@ def test_criterion_10_solver_order():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out = solve(g, 1.0, sigma, BoundaryTrace.zeros(g), source=source)
+            (out,) = solve_many(g, 1.0, sigma, [BoundaryTrace.zeros(g)],
+                                source=source)
         exact = g.T**2 * cos_px
         return float(np.linalg.norm(out.uT_snapshot - exact)
                      / np.linalg.norm(exact))

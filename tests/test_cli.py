@@ -89,8 +89,11 @@ class TestConfigFile:
         assert str(exc.value).startswith(f"{cfg}:2: N: invalid literal")
 
 
-def _fake_result(nx=11, N=2):
-    xs = np.linspace(-1, 1, nx)
+_XS = np.linspace(-1, 1, 11)
+
+
+def _fake_result(xs=_XS, N=2):
+    nx = len(xs)
     coeffs = FourierCoeffs(N=N, a0=8.0 + 0.25j,
                            a=np.array([1.0, 0.5j]), b=np.array([0.25, 0.0]))
     return ReconResult(coeffs=coeffs, sigma_recon=np.zeros(nx, dtype=complex),
@@ -99,7 +102,8 @@ def _fake_result(nx=11, N=2):
 
 class TestEmission:
     def test_headers_and_zero_rows(self, tmp_path):
-        rec, coeff, summary = emit_results(_fake_result(), tmp_path, {"seed": 0})
+        rec, coeff, summary = emit_results(_fake_result(), _XS, tmp_path,
+                                           {"seed": 0})
         rec_lines = Path(rec).read_text().splitlines()
         assert rec_lines[0] == "x,sigma_true,sigma_recon_re,sigma_recon_im"
         assert all(line.split(",")[2] == "0" for line in rec_lines[1:])
@@ -113,13 +117,13 @@ class TestEmission:
     def test_reemission_byte_identical(self, tmp_path):
         result = _fake_result()
         first = [Path(p).read_bytes()
-                 for p in emit_results(result, tmp_path, {"seed": 1})]
+                 for p in emit_results(result, _XS, tmp_path, {"seed": 1})]
         second = [Path(p).read_bytes()
-                  for p in emit_results(result, tmp_path, {"seed": 1})]
+                  for p in emit_results(result, _XS, tmp_path, {"seed": 1})]
         assert first == second
 
     def test_summary_contents(self, tmp_path):
-        _, _, summary = emit_results(_fake_result(), tmp_path,
+        _, _, summary = emit_results(_fake_result(), _XS, tmp_path,
                                      {"seed": 3, "noise": 0.05})
         data = json.loads(Path(summary).read_text())
         assert data["rel_l2"] == 0.01 and data["linf"] == 0.02

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,6 +21,7 @@ from bcm1d import (
     reconstruct_from_data,
     synthesize,
 )
+from bcm1d import recon
 from conftest import smooth_sigma_dot
 
 
@@ -303,3 +306,20 @@ class TestReconstructPipeline:
         via_data = reconstruct_from_data(data, settings, sig)
         assert np.array_equal(direct.coeffs.a, via_data.coeffs.a)
         assert direct.rel_l2 == via_data.rel_l2
+
+    def test_each_mode_dropped_before_the_next_is_acquired(self, coarse_grid,
+                                                            monkeypatch):
+        sig = smooth_sigma_dot(coarse_grid.xs)
+        settings = ReconSettings(grid=coarse_grid, N=3)
+        acquire = recon.acquire_clean_pair_data
+        records, alive = [], []
+
+        def spy(k, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in records))
+            data = acquire(k, *args, **kwargs)
+            records.extend((weakref.ref(data.f), weakref.ref(data.h)))
+            return data
+
+        monkeypatch.setattr(recon, "acquire_clean_pair_data", spy)
+        reconstruct(settings, MediumSpec(1.0, 0.0, sig), sig)
+        assert alive == [0, 0, 0]

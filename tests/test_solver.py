@@ -7,7 +7,6 @@ from bcm1d import (
     GridSpec,
     MediumSpec,
     linearized_nd_map_many,
-    solve,
     solve_many,
     transfer_linearized_nd_map_many,
     transfer_nd_map_many,
@@ -37,7 +36,8 @@ def mms_error(grid, rho0=1.0, sigma_fn=lambda x: 0.3 * (1 + x**2)):
     sigma = sigma_fn(xs)
     source = mms_source(grid, rho0, sigma)
     with pytest.warns(UserWarning, match="source nonzero"):
-        out = solve(grid, rho0, sigma, BoundaryTrace.zeros(grid), source=source)
+        (out,) = solve_many(grid, rho0, sigma, [BoundaryTrace.zeros(grid)],
+                            source=source)
     exact = grid.T**2 * np.cos(np.pi * xs)
     return np.linalg.norm(out.uT_snapshot - exact) / np.linalg.norm(exact)
 
@@ -48,7 +48,7 @@ def _fields(out):
 
 
 def test_zero_data_zero_solution(coarse_grid):
-    out = solve(coarse_grid, 1.0, 0.3, BoundaryTrace.zeros(coarse_grid))
+    (out,) = solve_many(coarse_grid, 1.0, 0.3, [BoundaryTrace.zeros(coarse_grid)])
     assert np.all(out.dirichlet.values_a == 0)
     assert np.all(out.dirichlet.values_b == 0)
     assert np.all(out.pT_snapshot == 0)
@@ -62,7 +62,7 @@ def test_manufactured_solution_second_order():
 
 def test_real_data_real_field(coarse_grid):
     f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.5)
-    out = solve(coarse_grid, 1.0, 0.2, f)
+    (out,) = solve_many(coarse_grid, 1.0, 0.2, [f])
     assert np.all(out.dirichlet.values_a.imag == 0)
     assert np.all(out.dirichlet.values_b.imag == 0)
     assert np.all(out.pT_snapshot.imag == 0)
@@ -74,8 +74,9 @@ def test_complex_solve_equals_pair_of_real_solves(coarse_grid):
     fr, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.4)
     fi, _ = smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
-    out_c, out_r, out_i = (solve(coarse_grid, 1.0, sigma, f)
-                           for f in (fr + 1j * fi, fr, fi))
+    # one call each: a batch holding a complex trace advances complex rows
+    (out_c,), (out_r,), (out_i,) = (solve_many(coarse_grid, 1.0, sigma, [f])
+                                    for f in (fr + 1j * fi, fr, fi))
     for c, r, i in zip(_fields(out_c), _fields(out_r), _fields(out_i)):
         assert np.iscomplexobj(c)
         assert np.array_equal(c, r + 1j * i)
@@ -88,9 +89,8 @@ def test_complex_linearized_equals_pair_of_real_passes(coarse_grid):
     (out_c,), (out_r,), (out_i,) = (
         linearized_nd_map_many(coarse_grid, med, [f])
         for f in (fr + 1j * fi, fr, fi))
-    for c, r, i in zip(*((out.trace.values_a, out.trace.values_b,
-                          *_fields(out.background))
-                         for out in (out_c, out_r, out_i))):
+    for side in ("values_a", "values_b"):
+        c, r, i = (getattr(out, side) for out in (out_c, out_r, out_i))
         assert np.array_equal(c, r + 1j * i)
 
 
@@ -131,9 +131,9 @@ def test_nd_map_linearity(coarse_grid):
     f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
     f2, _ = smooth_pulse_trace(coarse_grid, 1.4, 0.3, 3.0, 0.0, 1.0)
     al, be = 2.0 - 1.0j, 0.7
-    combo = solve(coarse_grid, 1.0, 0.25, al * f1 + be * f2).dirichlet
-    separate = (al * solve(coarse_grid, 1.0, 0.25, f1).dirichlet
-                + be * solve(coarse_grid, 1.0, 0.25, f2).dirichlet)
+    combo, m1, m2 = (solve_many(coarse_grid, 1.0, 0.25, [f])[0].dirichlet
+                     for f in (al * f1 + be * f2, f1, f2))
+    separate = al * m1 + be * m2
     assert np.allclose(combo.values_a, separate.values_a, rtol=1e-12, atol=1e-14)
     assert np.allclose(combo.values_b, separate.values_b, rtol=1e-12, atol=1e-14)
 
@@ -143,8 +143,8 @@ def test_nd_map_commutes_with_time_derivative(coarse_grid):
     # measurement, up to the O(dt^2) differentiation error
     f, f_t = smooth_pulse_trace(coarse_grid, 1.2, 0.25, 4.0, 1.0, 0.6)
     sigma = 0.2
-    meas_dot = solve(coarse_grid, 1.0, sigma, f_t).dirichlet
-    meas = solve(coarse_grid, 1.0, sigma, f).dirichlet
+    meas_dot, meas = (out.dirichlet for out in
+                      solve_many(coarse_grid, 1.0, sigma, [f_t, f]))
     for side in ("values_a", "values_b"):
         fd = np.gradient(getattr(meas, side), coarse_grid.dt, edge_order=2)
         err = np.max(np.abs(fd - getattr(meas_dot, side)))
@@ -159,7 +159,7 @@ def test_energy_non_increasing_after_data_stops(coarse_grid):
     def monitor(n, u):
         levels[n] = u[:, 0].copy()
 
-    solve(coarse_grid, 1.0, sigma, f, monitor=monitor)
+    solve_many(coarse_grid, 1.0, sigma, [f], monitor=monitor)
     dt, dx = coarse_grid.dt, coarse_grid.dx
     off_index = round(2.0 / dt)  # pulse is gone well before t = 2
     energies = []
@@ -177,9 +177,9 @@ def test_energy_non_increasing_after_data_stops(coarse_grid):
 class TestLinearized:
     def test_zero_perturbation_zero_response(self, coarse_grid, zero_medium):
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
-        out = linearized_nd_map_many(coarse_grid, zero_medium, [f])[0]
-        assert np.all(out.trace.values_a == 0)
-        assert np.all(out.trace.values_b == 0)
+        (out,) = linearized_nd_map_many(coarse_grid, zero_medium, [f])
+        assert np.all(out.values_a == 0)
+        assert np.all(out.values_b == 0)
 
     def test_linearity_in_perturbation(self, coarse_grid):
         xs = coarse_grid.xs
@@ -188,7 +188,7 @@ class TestLinearized:
         s2 = np.sin(2 * np.pi * xs)
         al, be = 1.7, -0.4
         med = lambda s: MediumSpec(1.0, 0.0, s)
-        lin = lambda s: linearized_nd_map_many(coarse_grid, med(s), [f])[0].trace
+        lin = lambda s: linearized_nd_map_many(coarse_grid, med(s), [f])[0]
         combo = lin(al * s1 + be * s2)
         separate = al * lin(s1) + be * lin(s2)
         assert np.allclose(combo.values_a, separate.values_a, rtol=1e-12, atol=1e-15)
@@ -200,29 +200,19 @@ class TestLinearized:
         sigma_dot = smooth_sigma_dot(xs)
         sigma0 = 0.1
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
-        lin = linearized_nd_map_many(
+        (lin,) = linearized_nd_map_many(
             coarse_grid, MediumSpec(1.0, sigma0, sigma_dot), [f]
-        )[0].trace
-        base = solve(coarse_grid, 1.0, sigma0, f).dirichlet
+        )
+        (base,) = solve_many(coarse_grid, 1.0, sigma0, [f])
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
-            diff = solve(coarse_grid, 1.0, sigma0 + eps * sigma_dot,
-                         f).dirichlet - base
+            (pert,) = solve_many(coarse_grid, 1.0, sigma0 + eps * sigma_dot, [f])
+            diff = pert.dirichlet - base.dirichlet
             resid = diff - eps * lin
             errs.append(max(np.max(np.abs(resid.values_a)),
                             np.max(np.abs(resid.values_b))))
         assert errs[0] / errs[1] > 50
         assert errs[1] / errs[2] > 50
-
-    def test_background_dirichlet_matches_plain_solve(self, coarse_grid):
-        xs = coarse_grid.xs
-        med = MediumSpec(1.0, 0.2, np.sin(np.pi * xs))
-        f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
-        out = linearized_nd_map_many(coarse_grid, med, [f])[0]
-        plain = solve(coarse_grid, 1.0, 0.2, f)
-        assert np.array_equal(out.background.dirichlet.values_a,
-                              plain.dirichlet.values_a)
-        assert np.array_equal(out.background.pT_snapshot, plain.pT_snapshot)
 
 
 def _one_bad_sample(grid, bad):
@@ -241,11 +231,12 @@ class TestValidation:
     def test_cfl_violation(self):
         g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 25, 3.0)  # dt > dx
         with pytest.raises(ConfigurationError, match="CFL"):
-            solve(g, 1.0, 0.0, BoundaryTrace.zeros(g))
+            solve_many(g, 1.0, 0.0, [BoundaryTrace.zeros(g)])
 
     def test_sigma_length_mismatch(self, coarse_grid):
         with pytest.raises(ConfigurationError):
-            solve(coarse_grid, 1.0, np.zeros(7), BoundaryTrace.zeros(coarse_grid))
+            solve_many(coarse_grid, 1.0, np.zeros(7),
+                       [BoundaryTrace.zeros(coarse_grid)])
 
     @pytest.mark.parametrize("nonlinear_map", [solve_many, transfer_nd_map_many])
     def test_sigma_bad_shape_named(self, coarse_grid, nonlinear_map):
@@ -272,12 +263,12 @@ class TestValidation:
     def test_trace_length_mismatch(self, coarse_grid):
         bad = BoundaryTrace(np.zeros(11), np.zeros(11), coarse_grid.dt)
         with pytest.raises(ConfigurationError):
-            solve(coarse_grid, 1.0, 0.0, bad)
+            solve_many(coarse_grid, 1.0, 0.0, [bad])
 
     def test_nonzero_initial_data_warns(self, coarse_grid):
         f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
         with pytest.warns(UserWarning, match="Neumann data nonzero"):
-            solve(coarse_grid, 1.0, 0.0, f)
+            solve_many(coarse_grid, 1.0, 0.0, [f])
 
     @pytest.mark.parametrize("bad", _NON_FINITE.values(), ids=_NON_FINITE)
     def test_non_finite_sample_rejected(self, coarse_grid, bad):
@@ -285,12 +276,20 @@ class TestValidation:
                            match="Neumann trace 1 has a non-finite sample"):
             solve_many(coarse_grid, 1.0, 0.0, _one_bad_sample(coarse_grid, bad))
 
+    def test_source_complex_after_real_start_rejected(self, coarse_grid):
+        # a real S(0) makes the field real, which cannot take a complex S(t_n)
+        nx = coarse_grid.nx
+        with pytest.raises(ConfigurationError,
+                           match="source is complex at step 1 but real at step 0"):
+            solve_many(coarse_grid, 1.0, 0.0, [BoundaryTrace.zeros(coarse_grid)],
+                       lambda n: np.zeros(nx) if n == 0 else 1j * np.ones(nx))
+
     def test_batched_matches_single(self, coarse_grid):
         f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
         f2, _ = smooth_pulse_trace(coarse_grid, 1.5, 0.3, 2.0, 0.3, 1.0)
         outs = solve_many(coarse_grid, 1.0, 0.15, [f1, f2])
         for f, out in zip((f1, f2), outs):
-            single = solve(coarse_grid, 1.0, 0.15, f)
+            (single,) = solve_many(coarse_grid, 1.0, 0.15, [f])
             assert np.array_equal(out.dirichlet.values_a, single.dirichlet.values_a)
             assert np.array_equal(out.qT_snapshot, single.qT_snapshot)
 
@@ -319,10 +318,6 @@ def _stepper(grid, sigma, fs):
     return [out.dirichlet for out in solve_many(grid, 1.0, sigma, fs)]
 
 
-def _stepper_linearized(grid, medium, fs):
-    return [out.trace for out in linearized_nd_map_many(grid, medium, fs)]
-
-
 def _sigma(grid):
     return 0.1 + 0.3 * smooth_sigma_dot(grid.xs) + 0.2 * grid.xs
 
@@ -336,7 +331,7 @@ class TestTransfer:
         fs = _window_traces(coarse_grid)
         dev = _max_rel_deviation(
             transfer_linearized_nd_map_many(coarse_grid, med, fs),
-            _stepper_linearized(coarse_grid, med, fs),
+            linearized_nd_map_many(coarse_grid, med, fs),
         )
         assert dev <= 1e-9
 
@@ -359,7 +354,7 @@ class TestTransfer:
         sigma[::3] += 0.5
         lin = transfer_linearized_nd_map_many(coarse_grid, med, fs)
         assert _max_rel_deviation(
-            lin, _stepper_linearized(coarse_grid, med, fs)) <= 1e-9
+            lin, linearized_nd_map_many(coarse_grid, med, fs)) <= 1e-9
         plain = transfer_nd_map_many(coarse_grid, 1.0, sigma, fs)
         assert _max_rel_deviation(
             plain, _stepper(coarse_grid, sigma, fs)) <= 1e-9

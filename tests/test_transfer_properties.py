@@ -42,8 +42,7 @@ MAPS = {
     "nonlinear-transfer":
         lambda grid, fs: transfer_nd_map_many(grid, 1.0, _sigma(grid), fs),
     "linearized-stepper":
-        lambda grid, fs: [out.trace for out in
-                          linearized_nd_map_many(grid, _medium(grid), fs)],
+        lambda grid, fs: linearized_nd_map_many(grid, _medium(grid), fs),
     "linearized-transfer":
         lambda grid, fs: transfer_linearized_nd_map_many(grid, _medium(grid), fs),
 }
