@@ -33,6 +33,7 @@ responses and target snapshot.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -41,6 +42,7 @@ import numpy as np
 from .control import build_control
 from .core import (
     BoundaryTrace,
+    ConfigurationError,
     FourierCoeffs,
     GridSpec,
     MediumSpec,
@@ -302,17 +304,28 @@ def reconstruct_from_data(
     mode_data: Iterable[ModeData], settings: ReconSettings, truth: np.ndarray
 ) -> ReconResult:
     """Identity evaluation, coefficient assembly and synthesis for the data
-    of modes 1 .. N, taken one mode at a time."""
+    of modes 1 .. N, taken one mode at a time.
+
+    Raises ``ConfigurationError`` naming the mode whose identity values are
+    not finite, so that overflowing data never become NaN results.
+    """
     grid = settings.grid
 
-    def values(data: ModeData) -> tuple[complex, complex, complex]:
+    def values(k: int, data: ModeData) -> tuple[complex, complex, complex]:
         lam, f, h = data
-        return (linearized_rhs(f, f, lam, grid), linearized_rhs(h, h, lam, grid),
-                linearized_rhs(f, h, lam, grid))
+        S = (linearized_rhs(f, f, lam, grid), linearized_rhs(h, h, lam, grid),
+             linearized_rhs(f, h, lam, grid))
+        if not np.all(np.isfinite(S)):
+            raise ConfigurationError(
+                f"mode k = {k} has a non-finite identity value (S_ff, S_hh, "
+                f"S_fh = {S[0]}, {S[1]}, {S[2]}); its data are too large or "
+                "not finite"
+            )
+        return S
 
     # map, not a comprehension, whose loop variable would keep each mode's
     # data alive while ``mode_data`` produces the next one
-    S_ff, S_hh, S_fh = zip(*map(values, mode_data))
+    S_ff, S_hh, S_fh = zip(*map(values, itertools.count(1), mode_data))
     scale = (settings.eps_linearization
              if settings.data_mode == NONLINEAR_DIFFERENCE else 1.0)
     coeffs = assemble_coefficients(S_ff, S_hh, S_fh, settings.N, scale)

@@ -66,18 +66,23 @@ linearized map returns the perturbation's endpoint traces only.
 With a time-independent medium and zero initial data the loop is a linear
 time-invariant map from injection signals to endpoint traces.  The transfer
 backend (``transfer_nd_map_many``, ``transfer_linearized_nd_map_many``)
-drives it once per medium with a unit impulse in each signal, memoizes the
-response spectra of the two most recent media, and measures a trace by FFT
-convolution of its signals, derived as the stepper derives them: 2 for the
+drives it once per medium with a unit impulse in each signal (2 for the
 nonlinear map, 4 for the linearized one, whose perturbation injection reuses
-the background response (same operator).  The signals are computed in place
-straight into the (steps, traces, signals) layout the convolution reads, and
-the spectra are stored C-contiguous as (signals, ends, frequencies), so each
-trace's contraction over the signals runs along contiguous frequencies.  It
-agrees with the stepper to about 1e-13 relative; the stepper stays the
-reference it is tested against, and alone serves sources, monitors and
-snapshots at T.  Every map rejects Neumann data with a non-finite sample:
-one such sample would silently spread NaN over both endpoint outputs.
+the background response: same operator).  Away from the window ends each
+signal is the endpoint data through a fixed centered-difference filter, so
+the kernel folds the filters into the response spectra: a 2 x 2 transfer
+matrix per frequency from input end to output end, stored C-contiguous with
+frequencies last and memoized for the two most recent media.  A trace then
+costs one forward FFT of its four real endpoint series, the 2 x 2
+contraction and the inverse FFT; no injection signals are built.  Where the
+stepper's signals depart from the filtered data (the four steps nearest each
+window end, from the data's three samples nearest it) the kernel's
+time-domain responses add the exact difference, skipped when those samples
+are zero, as they are for the reconstruction controls.  The backend agrees
+with the stepper to about 1e-13 relative; the stepper stays the reference it
+is tested against, and alone serves sources, monitors and snapshots at T.
+Every map rejects Neumann data with a non-finite sample: one such sample
+would silently spread NaN over both endpoint outputs.
 """
 
 from __future__ import annotations
@@ -132,28 +137,33 @@ def _check_cfl(grid: GridSpec, rho0: float) -> None:
 
 def _stack_neumann(grid: GridSpec,
                    neumanns: Sequence[BoundaryTrace]) -> np.ndarray:
-    """Checked endpoint data as one (nt, traces, 2) array, a side then b."""
-    g = np.empty((grid.nt, len(neumanns), 2), dtype=complex)
+    """Checked endpoint data as one (traces, 2, nt) array, a side then b."""
+    g = np.empty((len(neumanns), 2, grid.nt), dtype=complex)
     for j, tr in enumerate(neumanns):
         if len(tr) != grid.nt or tr.dt != grid.dt:
             raise ConfigurationError(
                 f"Neumann trace {j} has {len(tr)} samples (dt={tr.dt}); "
                 f"the grid needs {grid.nt} (dt={grid.dt})"
             )
-        g[:, j, 0] = tr.values_a
-        g[:, j, 1] = tr.values_b
-    scale = np.maximum(np.max(np.abs(g), axis=(0, 2)), 1.0)
-    bad = np.flatnonzero(~np.isfinite(scale))
+        g[j, 0] = tr.values_a
+        g[j, 1] = tr.values_b
+    bad = np.flatnonzero(~np.isfinite(g.view(float)).all(axis=(1, 2)))
     if bad.size:
         raise ConfigurationError(
             f"Neumann trace {bad[0]} has a non-finite sample"
         )
-    if np.any(np.max(np.abs(g[0]), axis=1) > _INITIAL_DATA_TOL * scale):
-        warnings.warn(
-            "Neumann data nonzero at t = 0; zero initial layers are "
-            "inconsistent with it",
-            stacklevel=3,
-        )
+    first = np.max(np.abs(g[:, :, 0]), axis=1)
+    # the scale is at least 1, so only traces with a t = 0 sample above the
+    # tolerance can warn
+    suspect = np.flatnonzero(first > _INITIAL_DATA_TOL)
+    if suspect.size:
+        scale = np.maximum(np.max(np.abs(g[suspect]), axis=(1, 2)), 1.0)
+        if np.any(first[suspect] > _INITIAL_DATA_TOL * scale):
+            warnings.warn(
+                "Neumann data nonzero at t = 0; zero initial layers are "
+                "inconsistent with it",
+                stacklevel=3,
+            )
     return g
 
 
@@ -350,8 +360,8 @@ def solve_many(
         # sources with S(0) != 0 would otherwise leave an O(dt) velocity
         # defect whose mean grows linearly under Neumann conditions
         u1 = (grid.dt**2 / (2.0 * rho0)) * s0
-    traces, levels = _time_loop(grid, _stencil(grid, rho0, sig),
-                                _injection(grid, rho0, sig, g), u1=u1,
+    inj = _injection(grid, rho0, sig, np.moveaxis(g, -1, 0))
+    traces, levels = _time_loop(grid, _stencil(grid, rho0, sig), inj, u1=u1,
                                 source=source, monitor=monitor)
     # complex arithmetic for real fields too: numpy divides a complex array
     # by a real through a rounded reciprocal, so real and complex fields
@@ -360,7 +370,7 @@ def solve_many(
     pT = np.sqrt(rho0) * (u_plus - u_minus) / (2.0 * grid.dt)
     qT = np.empty_like(u_mid)
     qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
-    g_T = g[grid.half_index]
+    g_T = g[..., grid.half_index]
     qT[:, 0] = -g_T[:, 0]  # ghost-consistent: the outward normal at a is -d/dx
     qT[:, -1] = g_T[:, 1]
     return [
@@ -385,7 +395,8 @@ def linearized_nd_map_many(
     g = _stack_neumann(grid, fs)
     sig0 = np.full(grid.nx, medium.sigma0)
     stencil = _stencil(grid, medium.rho0, sig0)
-    inj = _injection(grid, medium.rho0, sig0, g, medium.sigma_dot)
+    inj = _injection(grid, medium.rho0, sig0, np.moveaxis(g, -1, 0),
+                     medium.sigma_dot)
     # rows (fields, traces)
     traces, _ = _time_loop(
         grid, stencil, np.moveaxis(inj, 2, 1),
@@ -406,47 +417,135 @@ def _fft_length(n: int) -> int:
                if m >= n)
 
 
+class _Kernel(NamedTuple):
+    """A medium's transfer kernel; the arrays are read-only."""
+
+    n_fft: int
+    transfer: np.ndarray   # (input end, output end, frequencies)
+    responses: np.ndarray  # (signals, output end, steps 2 .. nt-1)
+    weights: np.ndarray    # (signals, 3), see _weights
+
+
+def _weights(grid: GridSpec, rho0: float, sigma_ends, sigma_dot_ends=None):
+    """Each injection signal as weights (signals, 3) of the data g of its
+    end, of its centered difference g[n+1] - g[n-1] and of that difference
+    taken twice: the background's signals at a and b, then, given
+    ``sigma_dot_ends``, the perturbation's.  Signal s reads end s % 2.
+    """
+    dx, dt = grid.dx, grid.dt
+    rows = [(2.0 / dx, dx * s / (6.0 * dt), dx * rho0 / (12.0 * dt**2))
+            for s in sigma_ends]
+    if sigma_dot_ends is not None:
+        rows += [(0.0, dx * s / (6.0 * dt), 0.0) for s in sigma_dot_ends]
+    return np.array(rows)
+
+
+# The stepper's injection signal minus the weights' filter applied to the
+# zero-extended data, at the four steps nearest a window end from the
+# outside in (-2, -1, 0, 1 at t = 0), per sample g[0], g[1], g[2] nearest
+# that end: one matrix per weight.  They differ there because the stepper
+# never reads steps 0 and nt-1 and np.gradient is one-sided at the ends;
+# at every other step the two agree.
+_EDGE = np.array([
+    [[0, 0, 0], [0, 0, 0], [-1, 0, 0], [0, 0, 0]],
+    [[0, 0, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 0]],
+    [[-1, 0, 0], [0, -1, 0], [2, 0, -1], [2, -1, 0]],
+], dtype=float)
+
+
 @functools.lru_cache(maxsize=2)
 def _kernel(grid: GridSpec, rho0: float, sigma: bytes,
-            sigma_dot: bytes | None = None):
-    """FFT length and spectrum (signals, 2 ends, frequencies) of the
-    responses to a unit impulse at step 1, shifted to start at that step.
+            sigma_dot: bytes | None = None) -> _Kernel:
+    """The transfer kernel from endpoint data to endpoint traces.
 
+    The loop's responses to a unit impulse at step 1 in each injection
+    signal are transformed and each multiplied by its signal's filter
+    w0 + w1 z + w2 z^2, z = 2i sin(omega), the spectrum of the weights of
+    :func:`_weights`; the signals of one input end then add up.
     ``sigma`` holds the bytes of the damping node array; ``sigma_dot``, if
     given, those of the perturbation the linearized map is taken along.
     """
-    stencil = _stencil(grid, rho0, np.frombuffer(sigma))
+    sig = np.frombuffer(sigma)
+    stencil = _stencil(grid, rho0, sig)
     impulses = np.zeros((grid.nt, 2, 2))  # (steps, impulse end, output end)
     impulses[1] = np.eye(2)
     if sigma_dot is None:
         responses, _ = _time_loop(grid, stencil, impulses)
+        weights = _weights(grid, rho0, sig[_ENDS])
     else:
         # drive the background rows only: the perturbation's own injection
         # meets the same operator, so its response is the background's
-        coupling = _coupling(grid, stencil[-1], np.frombuffer(sigma_dot))
+        sd = np.frombuffer(sigma_dot)
+        coupling = _coupling(grid, stencil[-1], sd)
         traces, _ = _time_loop(grid, stencil,
                                np.stack((impulses, 0.0 * impulses), axis=1),
                                coupling=coupling)
         responses = np.concatenate((traces[:, 1], traces[:, 0]), axis=1)
-    # no wrap-around: inputs and responses both span fewer than nt - 1 steps
+        weights = _weights(grid, rho0, sig[_ENDS], sd[_ENDS])
+    # (signals, output end, steps 1 .. nt-1)
+    responses = np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1))
+    # no wrap-around: exact signals and responses both span fewer than
+    # nt - 1 steps (the edge terms cancel the filtered data's longer reach)
     n_fft = _fft_length(2 * grid.nt - 3)
-    # C-contiguous, frequencies last: the convolution's einsum runs along f
-    spectrum = np.fft.rfft(
-        np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1)), n_fft)
-    spectrum.flags.writeable = False
-    return n_fft, spectrum
+    z = 2j * np.sin(2.0 * np.pi * np.arange(n_fft // 2 + 1) / n_fft)
+    w0, w1, w2 = weights.T[..., None]
+    spectrum = np.fft.rfft(responses, n_fft)
+    spectrum *= ((w2 * z + w1) * z + w0)[:, None]
+    # C-contiguous, frequencies last: the contraction runs along them
+    transfer = spectrum.reshape(-1, 2, 2, spectrum.shape[-1]).sum(axis=0)
+    # the field at step 1 is zero: the edge terms need steps 2 .. nt-1 only
+    edge_responses = responses[..., 1:].copy()
+    for arr in (transfer, edge_responses, weights):
+        arr.flags.writeable = False
+    return _Kernel(n_fft, transfer, edge_responses, weights)
 
 
-def _convolve(grid: GridSpec, kernel, signals) -> list[BoundaryTrace]:
-    """Endpoint traces from injection signals (nt, traces, signals)."""
-    n_fft, spectrum = kernel
-    signals[[0, -1]] = 0.0  # steps the time loop never reads
+def _add_edge_terms(out: np.ndarray, g: np.ndarray, kernel: _Kernel) -> None:
+    """Add to the traces ``out`` (2, nt) of the data ``g`` (2, nt) the
+    response to the stepper's injection signals minus the filtered data.
+
+    The difference lives at steps -2 .. 1 and nt-2 .. nt+1 and depends on
+    the three samples nearest each window end only; it is skipped where
+    those are zero.  It is taken in the circular frame of the FFT, so that
+    it also removes the filtered data's wrap-around.
+    """
+    n_fft, _, responses, weights = kernel
+    nt = out.shape[1]
+    ends = np.arange(len(weights)) % 2
+    steps = np.arange(nt)
+    # time reversal flips the sign of the centered difference
+    for start, samples, flip in ((-2, g[:, :3], 1.0),
+                                 (nt - 2, g[:, :-4:-1], -1.0)):
+        if not np.any(samples):
+            continue
+        delta = np.einsum("so,okq,sq->sk", weights * [1.0, flip, 1.0],
+                          _EDGE, samples[ends])
+        if flip < 0:
+            delta = delta[:, ::-1]  # steps nt-2 .. nt+1
+        # the responses start at step 2 of an impulse at step 1
+        p = (steps - start - 1) % n_fft
+        keep = p < nt + 1
+        for d, r in zip(delta, responses):
+            for o in range(2):
+                out[o, keep] += np.convolve(d, r[o])[p[keep]]
+
+
+def _convolve(grid: GridSpec, kernel: _Kernel, g) -> list[BoundaryTrace]:
+    """Endpoint traces of the endpoint data ``g`` (traces, 2, nt)."""
+    n_fft, transfer = kernel.n_fft, kernel.transfer
+    nt = grid.nt
     traces = []
-    for x in np.moveaxis(signals, 0, -1):  # one trace: (signals, nt)
-        spec = np.fft.rfft(np.stack((x.real, x.imag)), n_fft)
-        y = np.fft.irfft(np.einsum("psf,sef->pef", spec, spectrum), n_fft)
-        a, b = y[0, :, : grid.nt] + 1j * y[1, :, : grid.nt]
-        traces.append(BoundaryTrace(a, b, grid.dt))
+    for gj in g:
+        # the real and the imaginary series of each end: (parts, ends, steps)
+        x = np.moveaxis(gj.view(float).reshape(2, nt, 2), -1, 0)
+        spec = np.fft.rfft(x, n_fft)
+        # a 2 x 2 contraction over the input ends per frequency
+        y = np.fft.irfft(spec[:, :1] * transfer[0] + spec[:, 1:] * transfer[1],
+                         n_fft)
+        out = np.empty((2, nt), dtype=complex)
+        out.real, out.imag = y[..., :nt]
+        _add_edge_terms(out, gj, kernel)
+        traces.append(BoundaryTrace(out[0], out[1], grid.dt))
     return traces
 
 
@@ -463,8 +562,7 @@ def transfer_nd_map_many(
     _check_cfl(grid, rho0)
     sig = _as_sigma_array(sigma, grid.nx)
     g = _stack_neumann(grid, fs)
-    kernel = _kernel(grid, rho0, sig.tobytes())
-    return _convolve(grid, kernel, _injection(grid, rho0, sig, g))
+    return _convolve(grid, _kernel(grid, rho0, sig.tobytes()), g)
 
 
 def transfer_linearized_nd_map_many(
@@ -480,6 +578,4 @@ def transfer_linearized_nd_map_many(
     sig0 = np.full(grid.nx, medium.sigma0)
     kernel = _kernel(grid, medium.rho0, sig0.tobytes(),
                      medium.sigma_dot.tobytes())
-    inj = _injection(grid, medium.rho0, sig0, g, medium.sigma_dot)
-    # (steps, traces, fields, ends) -> (steps, traces, fields x ends), a view
-    return _convolve(grid, kernel, inj.reshape(grid.nt, len(fs), 4))
+    return _convolve(grid, kernel, g)

@@ -190,6 +190,19 @@ class TestMain:
         assert "error: seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_noise_rejected(self, tmp_path, capsys):
+        # noise at 1e306 times the trace RMS overflows the identity values
+        out = tmp_path / "out"
+        code = main([
+            "experiment", "--id", "1", "--N", "2", "--noise", "1e306",
+            "--dx", "0.02", "--dt", "0.002", "--T", "3", "--out", str(out),
+        ])
+        assert code == 2
+        assert "error: mode k = 1 has a non-finite identity value" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_invalid_id_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--id", "9", "--out", str(tmp_path)])

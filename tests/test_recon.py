@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from bcm1d import (
     BoundaryTrace,
+    ConfigurationError,
     FourierCoeffs,
     GridSpec,
     MediumSpec,
@@ -251,6 +252,14 @@ class TestReconstructPipeline:
         assert np.array_equal(r1.coeffs.a, r2.coeffs.a)
         assert np.array_equal(r1.coeffs.b, r2.coeffs.b)
         assert r1.coeffs.a0 == r2.coeffs.a0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_medium_rejected(self, coarse_grid):
+        medium = MediumSpec(1.0, 0.0, np.full(coarse_grid.nx, 1e305))
+        with pytest.raises(ConfigurationError,
+                           match="mode k = 1 has a non-finite identity value"):
+            reconstruct(ReconSettings(grid=coarse_grid, N=2), medium,
+                        np.zeros(coarse_grid.nx))
 
     def test_damped_background_rejected(self, coarse_grid):
         medium = MediumSpec(1.0, 0.3, np.zeros(coarse_grid.nx))

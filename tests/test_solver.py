@@ -11,6 +11,7 @@ from bcm1d import (
     transfer_linearized_nd_map_many,
     transfer_nd_map_many,
 )
+from bcm1d import solver
 from bcm1d.cli import smooth_pulse_trace
 
 from conftest import smooth_sigma_dot
@@ -304,6 +305,18 @@ def _window_traces(grid):
     return [f + 1j * h + ramp, (0.5 - 2j) * h + 1j * ramp]
 
 
+def _edge_traces(grid, window):
+    """Complex traces that are nonzero only at the samples ``window``."""
+    rng = np.random.default_rng(7)
+    traces = []
+    for _ in range(2):
+        va, vb = np.zeros((2, grid.nt), dtype=complex)
+        va[window], vb[window] = (rng.standard_normal((2, 3))
+                                  + 1j * rng.standard_normal((2, 3)))
+        traces.append(BoundaryTrace(va, vb, grid.dt))
+    return traces
+
+
 def _max_rel_deviation(traces, refs):
     worst = 0.0
     for tr, ref in zip(traces, refs, strict=True):
@@ -344,6 +357,42 @@ class TestTransfer:
         )
         assert dev <= 1e-9
 
+    @pytest.mark.parametrize("window", [slice(0, 3), slice(-3, None)],
+                             ids=["first-three", "last-three"])
+    def test_window_end_samples_match_stepper(self, coarse_grid, window):
+        # only there do the stepper's signals depart from the filtered data
+        med = MediumSpec(1.0, 0.1, smooth_sigma_dot(coarse_grid.xs) + coarse_grid.xs)
+        sigma = _sigma(coarse_grid)
+        fs = _edge_traces(coarse_grid, window)
+        assert _max_rel_deviation(
+            transfer_linearized_nd_map_many(coarse_grid, med, fs),
+            linearized_nd_map_many(coarse_grid, med, fs),
+        ) <= 1e-9
+        assert _max_rel_deviation(
+            transfer_nd_map_many(coarse_grid, 1.0, sigma, fs),
+            _stepper(coarse_grid, sigma, fs),
+        ) <= 1e-9
+
+    def test_kernels_are_two_by_two_transfer_matrices(self, coarse_grid):
+        sigma_dot = smooth_sigma_dot(coarse_grid.xs)
+        for kernel in (
+            solver._kernel(coarse_grid, 1.0, _sigma(coarse_grid).tobytes()),
+            solver._kernel(coarse_grid, 1.0, np.zeros(coarse_grid.nx).tobytes(),
+                           sigma_dot.tobytes()),
+        ):
+            assert kernel.transfer.shape == (2, 2, kernel.n_fft // 2 + 1)
+
+    def test_transfer_maps_build_no_injection_signals(self, coarse_grid,
+                                                      monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the transfer backend built injection signals")
+
+        monkeypatch.setattr(solver, "_injection", refuse)
+        med = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
+        fs = _window_traces(coarse_grid)
+        transfer_linearized_nd_map_many(coarse_grid, med, fs)
+        transfer_nd_map_many(coarse_grid, 1.0, _sigma(coarse_grid), fs)
+
     def test_medium_mutated_in_place_gets_new_kernel(self, coarse_grid):
         med = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
         sigma = _sigma(coarse_grid)
@@ -383,6 +432,17 @@ class TestTransferValidation:
         f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
         with pytest.warns(UserWarning, match="Neumann data nonzero"):
             _TRANSFER_MAPS[kind](coarse_grid, [f])
+
+    def test_initial_data_warning_scale_is_per_trace(self, kind, coarse_grid):
+        # a small t = 0 sample warns next to a trace a million times larger
+        nt = coarse_grid.nt
+        small = np.zeros(nt)
+        small[0] = 1e-6
+        large = 1e6 * np.sin(np.pi * coarse_grid.ts)
+        fs = [BoundaryTrace(np.zeros(nt), large, coarse_grid.dt),
+              BoundaryTrace(small, np.zeros(nt), coarse_grid.dt)]
+        with pytest.warns(UserWarning, match="Neumann data nonzero"):
+            _TRANSFER_MAPS[kind](coarse_grid, fs)
 
     @pytest.mark.parametrize("bad", _NON_FINITE.values(), ids=_NON_FINITE)
     def test_non_finite_sample_rejected(self, kind, coarse_grid, bad):
