@@ -54,8 +54,8 @@ from .solver import (
     SolveOutput,
     linearized_nd_map_many,
     solve_many,
+    transfer_difference_nd_map_many,
     transfer_linearized_nd_map_many,
-    transfer_nd_map_many,
 )
 
 __version__ = "0.1.0"

@@ -146,7 +146,7 @@ def run_experiment(config: RunConfig) -> int:
         settings = ReconSettings(
             grid=grid, N=config.N, noise_eps=config.noise, seed=config.seed,
             data_mode=mode,
-            eps_linearization=eps_lin if mode == NONLINEAR_DIFFERENCE else 1e-3,
+            eps_linearization=eps_lin,
         )
         t0 = time.perf_counter()
         result = reconstruct(settings, medium, truth)

@@ -54,10 +54,8 @@ class ControlData:
 
     ``g``, ``g_t`` and ``g_tt`` are the control and its analytic time
     derivatives; ``meas_t`` and ``meas_tt`` are the measured linearized
-    responses to ``g_t`` and ``g_tt``.  ``snap`` is the analytic target
-    snapshot p0(T) on the spatial nodes, kept for oracle comparisons only.
-    ``meas``, the measured response to ``g`` itself, is needed by the
-    stability check only.
+    responses to ``g_t`` and ``g_tt``.  ``meas``, the measured response to
+    ``g`` itself, is needed by the stability check only.
     """
 
     g: BoundaryTrace
@@ -65,7 +63,6 @@ class ControlData:
     g_tt: BoundaryTrace
     meas_t: BoundaryTrace
     meas_tt: BoundaryTrace
-    snap: np.ndarray
     meas: BoundaryTrace | None = None
 
 

@@ -14,10 +14,8 @@ moments of the perturbation at spatial frequency 2 kappa:
 
 The synthesized perturbation is the truncated series with these moments.
 Measurements may come from the linearized solver or, to exercise the full
-nonlinear route, from differences of nonlinear measurements at perturbed and
-background damping; in the latter case the moments are divided by the
-linearization scale eps, since the differences approximate the linearized
-response to eps * sigma_dot.
+nonlinear route, from the difference quotients of nonlinear measurements at
+perturbed and background damping, which approximate the linearized ones.
 
 Gaussian measurement noise is relative: each measured trace receives i.i.d.
 zero-mean samples with standard deviation eps_noise times the trace's RMS
@@ -27,8 +25,8 @@ are reproducible and independent of evaluation order.
 
 Each mode's data are one :class:`ModeData`: the free parameter and one
 :class:`~bcm1d.identity.ControlData` record per control (f the sine, h the
-cosine control), each carrying its control, analytic derivatives, measured
-responses and target snapshot.
+cosine control), each carrying its control, analytic derivatives and
+measured responses.
 """
 
 from __future__ import annotations
@@ -50,7 +48,8 @@ from .core import (
 )
 from .extension import AnalyticProfile, cosine_profile, sine_profile
 from .identity import ControlData, linearized_rhs
-from .solver import transfer_linearized_nd_map_many, transfer_nd_map_many
+from .solver import (transfer_difference_nd_map_many,
+                     transfer_linearized_nd_map_many)
 
 _REL_L2_FLOOR = 1e-12
 
@@ -169,27 +168,20 @@ def apply_measurement_noise(
                          h=noisy_control(data.h, 2, 3, 5))
 
 
-def _full_sigma(medium: MediumSpec, eps: float) -> np.ndarray:
-    sigma = medium.sigma0 + eps * medium.sigma_dot
-    if medium.sigma_ddot is not None:
-        sigma = sigma + eps**2 * medium.sigma_ddot
-    return sigma
-
-
 def acquire_clean_pair_data(
     k: int,
     settings: ReconSettings,
     medium: MediumSpec,
     with_operator_traces: bool = False,
 ) -> ModeData:
-    """Controls, measurements and target snapshots for mode ``k``, no noise.
+    """Controls and measurements for mode ``k``, no noise.
 
     In linearized mode the measured traces are linearized responses to the
     analytic derivative controls.  In nonlinear-difference mode they are
-    differences of nonlinear measurements at damping sigma0 + eps sigma_dot
-    (+ eps^2 sigma_ddot) and at sigma0.  ``with_operator_traces`` also
-    measures the responses to the controls themselves, needed by the
-    stability check.
+    difference quotients (nonlinear measurements at damping sigma0 +
+    eps sigma_dot (+ eps^2 sigma_ddot) minus those at sigma0, over eps).
+    ``with_operator_traces`` also measures the responses to the controls
+    themselves, needed by the stability check.
     """
     grid = settings.grid
     pT_f, pT_h, lam = fourier_targets(k, grid)
@@ -203,20 +195,13 @@ def acquire_clean_pair_data(
     if settings.data_mode == LINEARIZED:
         meas = transfer_linearized_nd_map_many(grid, medium, driven)
     else:
-        eps = settings.eps_linearization
-        full = transfer_nd_map_many(grid, medium.rho0, _full_sigma(medium, eps),
-                                    driven)
-        base = transfer_nd_map_many(grid, medium.rho0, medium.sigma0, driven)
-        meas = [m_full - m_base for m_full, m_base in zip(full, base)]
+        meas = transfer_difference_nd_map_many(
+            grid, medium, settings.eps_linearization, driven)
     meas_f, meas_h = meas[4:] if with_operator_traces else (None, None)
-
-    xs = grid.xs
     return ModeData(
         lam,
-        ControlData(bf.f, bf.f_t, bf.f_tt, meas[0], meas[1],
-                    np.asarray(pT_f.value(xs), dtype=complex), meas_f),
-        ControlData(bh.f, bh.f_t, bh.f_tt, meas[2], meas[3],
-                    np.asarray(pT_h.value(xs), dtype=complex), meas_h),
+        ControlData(bf.f, bf.f_t, bf.f_tt, meas[0], meas[1], meas_f),
+        ControlData(bh.f, bh.f_t, bh.f_tt, meas[2], meas[3], meas_h),
     )
 
 
@@ -225,14 +210,11 @@ def assemble_coefficients(
     S_hh: Sequence[complex],
     S_fh: Sequence[complex],
     N: int,
-    data_scale: float = 1.0,
 ) -> FourierCoeffs:
     """Turn per-mode identity values into cosine/sine moments.
 
     ``S_ff[k-1]``, ``S_hh[k-1]``, ``S_fh[k-1]`` are the identity values of
-    the pairs (f_k, f_k), (h_k, h_k), (f_k, h_k).  ``data_scale`` divides
-    every moment; it is the linearization scale when the data came from
-    nonlinear differences, else 1.
+    the pairs (f_k, f_k), (h_k, h_k), (f_k, h_k).
     """
     if not (len(S_ff) == len(S_hh) == len(S_fh) == N):
         raise ValueError(f"need {N} identity values per pair kind")
@@ -241,9 +223,9 @@ def assemble_coefficients(
     S_fh = np.asarray(S_fh, dtype=complex)
     return FourierCoeffs(
         N=N,
-        a0=complex((S_hh[0] + S_ff[0]) / data_scale),
-        a=(S_hh - S_ff) / data_scale,
-        b=2.0 * S_fh / data_scale,
+        a0=complex(S_hh[0] + S_ff[0]),
+        a=S_hh - S_ff,
+        b=2.0 * S_fh,
     )
 
 
@@ -326,9 +308,7 @@ def reconstruct_from_data(
     # map, not a comprehension, whose loop variable would keep each mode's
     # data alive while ``mode_data`` produces the next one
     S_ff, S_hh, S_fh = zip(*map(values, itertools.count(1), mode_data))
-    scale = (settings.eps_linearization
-             if settings.data_mode == NONLINEAR_DIFFERENCE else 1.0)
-    coeffs = assemble_coefficients(S_ff, S_hh, S_fh, settings.N, scale)
+    coeffs = assemble_coefficients(S_ff, S_hh, S_fh, settings.N)
     sigma_recon = synthesize(coeffs, grid)
     truth = np.asarray(truth, dtype=float)
     rel_l2, linf = _error_metrics(sigma_recon, truth, grid)

@@ -173,16 +173,20 @@ def test_criterion_06_linearized_identity_oracle(exp1, grid):
     sig = exp1["truth"]
     ok_all = True
     worst = 0.0
-    for lam, f, h in exp1["data"][:5]:
-        for a, b in ((f, h), (f, f), (h, h)):
+    for k, (lam, f, h) in enumerate(exp1["data"][:5], start=1):
+        # each control with its target snapshot p0(T) on the nodes
+        pf, ph, _ = fourier_targets(k, grid)
+        F = (f, np.asarray(pf.value(grid.xs), dtype=complex))
+        H = (h, np.asarray(ph.value(grid.xs), dtype=complex))
+        for (a, snap_a), (b, snap_b) in ((F, H), (F, F), (H, H)):
             value = linearized_rhs(a, b, lam, grid)
-            vol = weighted_volume_pairing(a.snap, b.snap, sig, grid)
+            vol = weighted_volume_pairing(snap_a, snap_b, sig, grid)
             err = abs(value - vol) / max(abs(vol), 1.0)
             worst = max(worst, err)
             ok_all &= err <= 1e-2
         sym = abs(linearized_rhs(f, h, lam, grid)
                   - linearized_rhs(h, f, lam, grid))
-        vol_fh = weighted_volume_pairing(f.snap, h.snap, sig, grid)
+        vol_fh = weighted_volume_pairing(F[1], H[1], sig, grid)
         ok_all &= sym / max(abs(vol_fh), 1.0) <= 1e-2
     _report(6, "linearized identity vs volume oracle (k <= 5, all pairs)",
             f"worst relative deviation = {worst:.2e}, tol 1e-2", ok_all)

@@ -14,6 +14,7 @@ from bcm1d import (
 )
 from bcm1d.cli import smooth_pulse_trace
 from bcm1d.identity import ControlData
+from bcm1d.recon import fourier_targets
 
 from conftest import smooth_sigma_dot
 
@@ -32,10 +33,17 @@ def mode4_data(half_grid):
     return acquire_clean_pair_data(4, settings, medium, with_operator_traces=True)
 
 
+@pytest.fixture(scope="module")
+def mode4_snaps(half_grid):
+    """Target snapshots p0(T) of the mode-4 sine and cosine controls."""
+    pT_f, pT_h, _ = fourier_targets(4, half_grid)
+    return tuple(np.asarray(p.value(half_grid.xs), dtype=complex)
+                 for p in (pT_f, pT_h))
+
+
 def _zero_control(grid):
     z = BoundaryTrace.zeros(grid)
-    zx = np.zeros(grid.nx, dtype=complex)
-    return ControlData(g=z, g_t=z, g_tt=z, meas_t=z, meas_tt=z, snap=zx, meas=z)
+    return ControlData(g=z, g_t=z, g_tt=z, meas_t=z, meas_tt=z, meas=z)
 
 
 class TestLinearizedRhs:
@@ -43,24 +51,26 @@ class TestLinearizedRhs:
         z = _zero_control(coarse_grid)
         assert linearized_rhs(z, z, 2j, coarse_grid) == 0
 
-    def test_mode4_pair_recovers_sine_moment(self, mode4_data, half_grid):
+    def test_mode4_pair_recovers_sine_moment(self, mode4_data, mode4_snaps,
+                                             half_grid):
         # the perturbation contains the fourth sine mode with unit weight, so
         # the (f, h) product integrates to exactly 1/2 by orthogonality
         lam, f, h = mode4_data
         value = linearized_rhs(f, h, lam, half_grid)
         assert abs(value - 0.5) <= 1e-2
         vol = weighted_volume_pairing(
-            f.snap, h.snap,
+            *mode4_snaps,
             smooth_sigma_dot(half_grid.xs), half_grid,
         )
         assert abs(vol - 0.5) <= 1e-4
         assert abs(value - vol) <= 1e-2
 
-    def test_symmetric_pairs_match_volume_oracle(self, mode4_data, half_grid):
+    def test_symmetric_pairs_match_volume_oracle(self, mode4_data, mode4_snaps,
+                                                 half_grid):
         sig = smooth_sigma_dot(half_grid.xs)
-        for c in (mode4_data.f, mode4_data.h):
+        for c, snap in zip((mode4_data.f, mode4_data.h), mode4_snaps):
             value = linearized_rhs(c, c, mode4_data.lam, half_grid)
-            vol = weighted_volume_pairing(c.snap, c.snap, sig, half_grid)
+            vol = weighted_volume_pairing(snap, snap, sig, half_grid)
             assert abs(value - vol) / abs(vol) <= 1e-2
 
     def test_swap_symmetry(self, mode4_data, half_grid):

@@ -170,12 +170,6 @@ class TestAssembleAndSynthesize:
         assert np.allclose(synthesize(summed, coarse_grid),
                            synthesize(c1, coarse_grid) + synthesize(c2, coarse_grid))
 
-    def test_data_scale_divides(self):
-        S = [2.0], [4.0], [1.0]
-        scaled = assemble_coefficients(*S, 1, data_scale=2.0)
-        plain = assemble_coefficients(*S, 1)
-        assert scaled.a0 == plain.a0 / 2 and scaled.b[0] == plain.b[0] / 2
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             assemble_coefficients([1.0], [1.0], [1.0, 2.0], 2)

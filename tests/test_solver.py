@@ -8,8 +8,8 @@ from bcm1d import (
     MediumSpec,
     linearized_nd_map_many,
     solve_many,
+    transfer_difference_nd_map_many,
     transfer_linearized_nd_map_many,
-    transfer_nd_map_many,
 )
 from bcm1d import solver
 from bcm1d.cli import smooth_pulse_trace
@@ -239,7 +239,7 @@ class TestValidation:
             solve_many(coarse_grid, 1.0, np.zeros(7),
                        [BoundaryTrace.zeros(coarse_grid)])
 
-    @pytest.mark.parametrize("nonlinear_map", [solve_many, transfer_nd_map_many])
+    @pytest.mark.parametrize("nonlinear_map", [solve_many])
     def test_sigma_bad_shape_named(self, coarse_grid, nonlinear_map):
         nx = coarse_grid.nx
         with pytest.raises(ConfigurationError,
@@ -247,7 +247,7 @@ class TestValidation:
             nonlinear_map(coarse_grid, 1.0, np.zeros((nx, 1)),
                           [BoundaryTrace.zeros(coarse_grid)])
 
-    @pytest.mark.parametrize("nonlinear_map", [solve_many, transfer_nd_map_many])
+    @pytest.mark.parametrize("nonlinear_map", [solve_many])
     @pytest.mark.parametrize("where", ["node", "scalar"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sigma_rejected(self, coarse_grid, nonlinear_map,
@@ -331,8 +331,22 @@ def _stepper(grid, sigma, fs):
     return [out.dirichlet for out in solve_many(grid, 1.0, sigma, fs)]
 
 
-def _sigma(grid):
-    return 0.1 + 0.3 * smooth_sigma_dot(grid.xs) + 0.2 * grid.xs
+def _stepper_quotient(grid, medium, eps, fs):
+    """(Lambda(sigma0 + eps sigma_dot + eps^2 sigma_ddot) - Lambda(sigma0)) / eps
+    from two stepper solves."""
+    full = medium.sigma0 + eps * medium.sigma_dot + eps**2 * medium.sigma_ddot
+    return [(f - b) * (1.0 / eps) for f, b in
+            zip(_stepper(grid, full, fs), _stepper(grid, medium.sigma0, fs))]
+
+
+def _medium(grid):
+    xs = grid.xs
+    return MediumSpec(1.0, 0.1, smooth_sigma_dot(xs) + xs,
+                      0.3 * np.cos(2.0 * np.pi * xs))
+
+
+# at eps = 1e-3 the stepper quotient's own cancellation reaches 4e-9
+_EPS = 0.5
 
 
 @pytest.mark.filterwarnings("ignore:Neumann data nonzero at t = 0")
@@ -340,7 +354,7 @@ class TestTransfer:
     """The transfer-kernel backend against the stepper, its oracle."""
 
     def test_linearized_matches_stepper(self, coarse_grid):
-        med = MediumSpec(1.0, 0.1, smooth_sigma_dot(coarse_grid.xs) + coarse_grid.xs)
+        med = _medium(coarse_grid)
         fs = _window_traces(coarse_grid)
         dev = _max_rel_deviation(
             transfer_linearized_nd_map_many(coarse_grid, med, fs),
@@ -349,11 +363,11 @@ class TestTransfer:
         assert dev <= 1e-9
 
     def test_nonlinear_matches_stepper(self, coarse_grid):
-        sigma = _sigma(coarse_grid)
+        med = _medium(coarse_grid)
         fs = _window_traces(coarse_grid)
         dev = _max_rel_deviation(
-            transfer_nd_map_many(coarse_grid, 1.0, sigma, fs),
-            _stepper(coarse_grid, sigma, fs),
+            transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs),
+            _stepper_quotient(coarse_grid, med, _EPS, fs),
         )
         assert dev <= 1e-9
 
@@ -361,23 +375,24 @@ class TestTransfer:
                              ids=["first-three", "last-three"])
     def test_window_end_samples_match_stepper(self, coarse_grid, window):
         # only there do the stepper's signals depart from the filtered data
-        med = MediumSpec(1.0, 0.1, smooth_sigma_dot(coarse_grid.xs) + coarse_grid.xs)
-        sigma = _sigma(coarse_grid)
+        med = _medium(coarse_grid)
         fs = _edge_traces(coarse_grid, window)
         assert _max_rel_deviation(
             transfer_linearized_nd_map_many(coarse_grid, med, fs),
             linearized_nd_map_many(coarse_grid, med, fs),
         ) <= 1e-9
         assert _max_rel_deviation(
-            transfer_nd_map_many(coarse_grid, 1.0, sigma, fs),
-            _stepper(coarse_grid, sigma, fs),
+            transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs),
+            _stepper_quotient(coarse_grid, med, _EPS, fs),
         ) <= 1e-9
 
     def test_kernels_are_two_by_two_transfer_matrices(self, coarse_grid):
+        nx = coarse_grid.nx
         sigma_dot = smooth_sigma_dot(coarse_grid.xs)
+        media = np.stack((0.2 + 0.1 * sigma_dot, np.full(nx, 0.2)))
         for kernel in (
-            solver._kernel(coarse_grid, 1.0, _sigma(coarse_grid).tobytes()),
-            solver._kernel(coarse_grid, 1.0, np.zeros(coarse_grid.nx).tobytes(),
+            solver._kernel(coarse_grid, 1.0, media.tobytes(), eps=0.1),
+            solver._kernel(coarse_grid, 1.0, np.zeros(nx).tobytes(),
                            sigma_dot.tobytes()),
         ):
             assert kernel.transfer.shape == (2, 2, kernel.n_fft // 2 + 1)
@@ -388,31 +403,75 @@ class TestTransfer:
             raise AssertionError("the transfer backend built injection signals")
 
         monkeypatch.setattr(solver, "_injection", refuse)
-        med = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
+        med = _medium(coarse_grid)
         fs = _window_traces(coarse_grid)
         transfer_linearized_nd_map_many(coarse_grid, med, fs)
-        transfer_nd_map_many(coarse_grid, 1.0, _sigma(coarse_grid), fs)
+        transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs)
 
     def test_medium_mutated_in_place_gets_new_kernel(self, coarse_grid):
-        med = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
-        sigma = _sigma(coarse_grid)
+        med = _medium(coarse_grid)
         fs = _window_traces(coarse_grid)[:1]
         transfer_linearized_nd_map_many(coarse_grid, med, fs)
-        transfer_nd_map_many(coarse_grid, 1.0, sigma, fs)
+        transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs)
         med.sigma_dot[: coarse_grid.nx // 2] *= -2.0
-        sigma[::3] += 0.5
+        med.sigma_ddot[::3] += 0.5
         lin = transfer_linearized_nd_map_many(coarse_grid, med, fs)
         assert _max_rel_deviation(
             lin, linearized_nd_map_many(coarse_grid, med, fs)) <= 1e-9
-        plain = transfer_nd_map_many(coarse_grid, 1.0, sigma, fs)
+        quotient = transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs)
         assert _max_rel_deviation(
-            plain, _stepper(coarse_grid, sigma, fs)) <= 1e-9
+            quotient, _stepper_quotient(coarse_grid, med, _EPS, fs)) <= 1e-9
+
+
+class TestDifferenceMap:
+    def test_kernel_costs_one_time_loop(self, coarse_grid, monkeypatch):
+        calls, time_loop = [], solver._time_loop
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].shape)
+            return time_loop(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_time_loop", counted)
+        solver._kernel.cache_clear()
+        med = _medium(coarse_grid)
+        fs = [smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5, 0.7)[0]]
+        transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs)
+        # one pass over rows (media, impulse end)
+        assert calls == [(coarse_grid.nt, 2, 2, 2)]
+        transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs)
+        assert len(calls) == 1
+        transfer_difference_nd_map_many(coarse_grid, med, 0.25, fs)
+        assert len(calls) == 2
+
+    def test_sigma_dot_wrong_length_rejected(self, coarse_grid):
+        med = MediumSpec(1.0, 0.1, np.ones(7))
+        with pytest.raises(ConfigurationError,
+                           match=r"sigma_dot has shape \(7,\) but the grid"):
+            transfer_difference_nd_map_many(coarse_grid, med, _EPS,
+                                            [BoundaryTrace.zeros(coarse_grid)])
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_eps_rejected(self, coarse_grid, eps):
+        with pytest.raises(ConfigurationError,
+                           match="eps must be positive and finite"):
+            transfer_difference_nd_map_many(coarse_grid, _medium(coarse_grid),
+                                            eps,
+                                            [BoundaryTrace.zeros(coarse_grid)])
+
+    def test_overflowing_sigma_ddot_rejected(self, coarse_grid):
+        nx = coarse_grid.nx
+        med = MediumSpec(1.0, 0.1, np.ones(nx), np.full(nx, 1e306))
+        with pytest.raises(ConfigurationError,
+                           match="eps\\^2 sigma_ddot has a non-finite value"):
+            transfer_difference_nd_map_many(coarse_grid, med, 1e3,
+                                            [BoundaryTrace.zeros(coarse_grid)])
 
 
 _TRANSFER_MAPS = {
     "linearized": lambda grid, fs: transfer_linearized_nd_map_many(
         grid, MediumSpec(1.0, 0.0, smooth_sigma_dot(grid.xs)), fs),
-    "nonlinear": lambda grid, fs: transfer_nd_map_many(grid, 1.0, 0.2, fs),
+    "nonlinear": lambda grid, fs: transfer_difference_nd_map_many(
+        grid, MediumSpec(1.0, 0.2, smooth_sigma_dot(grid.xs)), 1e-3, fs),
 }
 
 

@@ -19,8 +19,8 @@ from bcm1d import (
     MediumSpec,
     linearized_nd_map_many,
     solve_many,
+    transfer_difference_nd_map_many,
     transfer_linearized_nd_map_many,
-    transfer_nd_map_many,
 )
 from bcm1d.cli import smooth_pulse_trace
 
@@ -31,16 +31,27 @@ def _medium(grid):
     return MediumSpec(1.0, 0.1, smooth_sigma_dot(grid.xs) + grid.xs)
 
 
-def _sigma(grid):
-    return 0.2 + 0.1 * np.cos(np.pi * grid.xs)
+# the nonlinear maps are difference quotients (Lambda(sigma0 + eps sigma_dot)
+# - Lambda(sigma0)) / eps
+_EPS = 0.5
+
+
+def _difference_medium(grid):
+    return MediumSpec(1.0, 0.2, 0.2 * np.cos(np.pi * grid.xs))
+
+
+def _stepper_quotient(grid, fs):
+    med = _difference_medium(grid)
+    full, base = ([out.dirichlet for out in solve_many(grid, 1.0, sigma, fs)]
+                  for sigma in (med.sigma0 + _EPS * med.sigma_dot, med.sigma0))
+    return [(f - b) * (1.0 / _EPS) for f, b in zip(full, base)]
 
 
 MAPS = {
-    "nonlinear-stepper":
-        lambda grid, fs: [out.dirichlet for out in
-                          solve_many(grid, 1.0, _sigma(grid), fs)],
+    "nonlinear-stepper": _stepper_quotient,
     "nonlinear-transfer":
-        lambda grid, fs: transfer_nd_map_many(grid, 1.0, _sigma(grid), fs),
+        lambda grid, fs: transfer_difference_nd_map_many(
+            grid, _difference_medium(grid), _EPS, fs),
     "linearized-stepper":
         lambda grid, fs: linearized_nd_map_many(grid, _medium(grid), fs),
     "linearized-transfer":
