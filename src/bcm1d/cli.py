@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -305,14 +306,14 @@ def run_check(kind: str) -> int:
 # ---------------------------------------------------------------------------
 # configuration parsing
 
+# RunConfig fields that are both `experiment` flags and config-file keys;
+# each takes its type and default from its field
+_RUN_OPTIONS = ("noise", "seed", "N", "dx", "dt", "T")
+_OPTION_TYPES = typing.get_type_hints(RunConfig)
+
 _CONFIG_KEYS = {
     "experiment": ("experiment_id", int),
-    "noise": ("noise", float),
-    "seed": ("seed", int),
-    "N": ("N", int),
-    "dx": ("dx", float),
-    "dt": ("dt", float),
-    "T": ("T", float),
+    **{name: (name, _OPTION_TYPES[name]) for name in _RUN_OPTIONS},
     "out": ("out_dir", str),
 }
 
@@ -346,12 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a preset experiment")
     exp.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
-    exp.add_argument("--noise", type=float, default=0.0)
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--N", type=int, default=PAPER["N"])
-    exp.add_argument("--dx", type=float, default=PAPER["dx"])
-    exp.add_argument("--dt", type=float, default=PAPER["dt"])
-    exp.add_argument("--T", type=float, default=PAPER["T"])
+    for name in _RUN_OPTIONS:
+        exp.add_argument(f"--{name}", type=_OPTION_TYPES[name],
+                         default=getattr(RunConfig, name))
     exp.add_argument("--out", required=True)
 
     rec = sub.add_parser("reconstruct", help="run from a config file")
@@ -379,8 +377,8 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "experiment":
         config = RunConfig(
-            experiment_id=args.id, noise=args.noise, seed=args.seed, N=args.N,
-            dx=args.dx, dt=args.dt, T=args.T, out_dir=args.out,
+            experiment_id=args.id, out_dir=args.out,
+            **{name: getattr(args, name) for name in _RUN_OPTIONS},
         )
         return run_experiment(config)
     if args.command == "reconstruct":

@@ -43,25 +43,30 @@ the outer differences there take one injection signal per end,
 
     (2/dx) g + (dx/3) (rho0 d2g/dt2 + sigma_end dg/dt),
 
-computed before the loop (a source adds gain S, and -+ (dx/3) S_x to the
-injection).  Differencing before scaling keeps a constant field exact, so
-rounding does not feed the undamped mean mode's double root at z = 1: on
-the default grid the loop agrees with the scheme run in extended precision
-to about 1e-12.  Fields are rows of nodes, so every update runs along x.
-A row is real when the data and S(0) are, and complex otherwise (a source
-that turns complex later is rejected at that step); the loop only adds,
-subtracts, multiplies by real coefficients and divides a source's edge term
-as reals, which numpy does on the two parts of a complex row exactly as on
-two real rows.  The outputs are complex either way.
+computed before the loop from one tap table, ``_weights`` (a source adds
+gain S, and -+ (dx/3) S_x to the injection).  Differencing before scaling
+keeps a constant field exact, so rounding does not feed the undamped mean
+mode's double root at z = 1: on the default grid the loop agrees with the
+scheme run in extended precision to about 1e-12.  Fields are rows of
+nodes, so every update runs along x.  A row is real when the data and S(0)
+are, and complex otherwise (a source that turns complex later is rejected
+at that step); the loop only adds, subtracts, multiplies by real
+coefficients and divides a source's edge term as reals, which numpy does on
+the two parts of a complex row exactly as on two real rows.  The outputs
+are complex either way.
 
 The nonlinear ND (Neumann-to-Dirichlet) map restricts the solution to the
 endpoints.  The linearized map stacks background and perturbation rows in
 one pass: the perturbation (source -sigma_dot du0/dt, zero data) shares the
 background's coefficients, its injection is (dx/3) sigma_dot_end dg/dt, and
 its increment gains K (u0^{n+1} - u0^{n-1}), K folding the centered source
-with the sigma_dot_x edge term.  This pass is the exact parameter
-derivative of the discrete nonlinear solve.  Like its transfer twin, the
-linearized map returns the perturbation's endpoint traces only.
+with the sigma_dot_x edge term.  It is the exact parameter derivative of
+the discrete nonlinear solve except at the end nodes, where that edge term
+takes the centered (u0^{n+1} - u0^{n-1})/(2 dt) and the solve's sigma_x u_t
+the backward v^n/dt: where sigma_dot has a slope at an end, difference
+quotients of the solve meet the linearized traces only to a plateau (2.5e-7
+relative for 0.3 sin(pi x) + 2x at dx = 1/50, dt = 1/500).  Like its
+transfer twin, the linearized map returns the perturbation's traces only.
 
 With a time-independent medium and zero initial data the loop is a linear
 time-invariant map from injection signals to endpoint traces.  The transfer
@@ -76,15 +81,16 @@ into the response spectra: a 2 x 2 transfer matrix per frequency from input
 end to output end, stored C-contiguous with frequencies last and memoized
 for the two most recent kernels.  A trace then costs one forward FFT of its
 four real endpoint series, the 2 x 2 contraction and the inverse FFT; no
-injection signals are built.  Where the
-stepper's signals depart from the filtered data (the four steps nearest each
-window end, from the data's three samples nearest it) the kernel's
-time-domain responses add the exact difference, skipped when those samples
-are zero, as they are for the reconstruction controls.  The backend agrees
-with the stepper to about 1e-13 relative; the stepper stays the reference it
-is tested against, and alone serves sources, monitors and snapshots at T.
-Every map rejects Neumann data with a non-finite sample: one such sample
-would silently spread NaN over both endpoint outputs.
+injection signals are built.  Where the stepper's signals depart from the
+filtered data (the four steps nearest each window end, from the data's
+three samples nearest it) the kernel's time-domain responses add the exact
+difference, taken from the same tap table: the stepper's signals of those
+samples minus the filter's, skipped when the samples are zero, as they are
+for the reconstruction controls.  The backend agrees with the stepper to
+about 1e-13 relative; the stepper stays the reference it is tested against,
+and alone serves sources, monitors and snapshots at T.  Every map rejects
+Neumann data with a non-finite sample: one such sample would silently
+spread NaN over both endpoint outputs.
 """
 
 from __future__ import annotations
@@ -214,28 +220,46 @@ def _coupling(grid: GridSpec, gain: np.ndarray, sigma_dot: np.ndarray):
     return k * gain / (2.0 * grid.dt)
 
 
-def _injection(grid: GridSpec, rho0: float, sigma, g, sigma_dot=None):
-    """Injection signals (nt, traces, 2) of the endpoint data ``g``; with
-    ``sigma_dot``, (nt, traces, 2, 2): the background's, then the
-    perturbation's.  Computed in place, rounded as
+def _weights(grid: GridSpec, rho0: float, sigma_ends, sigma_dot_ends=None):
+    """Each injection signal as weights (signals, 3) of the data g of its
+    end, of its centered difference g[n+1] - g[n-1] and of that difference
+    taken twice: the background's signals at a and b, then, given
+    ``sigma_dot_ends``, the perturbation's.  Signal s reads end s % 2 and
+    is, with g_t and g_tt the centered derivatives,
 
-        (2/dx) g + (dx/3) (rho0 g_tt + sigma_end g_t),  (dx/3) sigma_dot_end g_t.
+        background:    (2/dx) g + (dx/3) (rho0 g_tt + sigma_end g_t),
+        perturbation:  (dx/3) sigma_dot_end g_t.
     """
     dx, dt = grid.dx, grid.dt
-    g_t = np.gradient(g, dt, axis=0)
-    g_tt = np.gradient(g_t, dt, axis=0)
-    if sigma_dot is None:
-        inj = out = np.empty(g.shape, dtype=complex)
-    else:
-        out = np.empty(g.shape[:2] + (2, 2), dtype=complex)
-        inj = out[:, :, 0]
-        np.multiply((dx / 3.0) * sigma_dot[_ENDS], g_t, out=out[:, :, 1])
-    g_tt *= rho0
-    g_t *= sigma[_ENDS]
-    g_tt += g_t
-    g_tt *= dx / 3.0
-    np.multiply(2.0 / dx, g, out=inj)
-    inj += g_tt
+    rows = [(2.0 / dx, dx * s / (6.0 * dt), dx * rho0 / (12.0 * dt**2))
+            for s in sigma_ends]
+    if sigma_dot_ends is not None:
+        rows += [(0.0, dx * s / (6.0 * dt), 0.0) for s in sigma_dot_ends]
+    return np.array(rows)
+
+
+def _injection(weights, g):
+    """The injection signals (fields, *rows, 2, steps) of the endpoint data
+    ``g`` (*rows, 2, steps) under ``weights`` (see :func:`_weights`), signal
+    s as field s // 2 at end s % 2.  The differences are one-sided at the
+    first and the last step, as :func:`numpy.gradient` takes them.
+    """
+    # np.gradient halves the differences, so doubling them is exact
+    d = np.gradient(g, axis=-1)
+    d *= 2.0
+    dd = np.gradient(d, axis=-1)
+    dd *= 2.0
+    # (tap, field, end, 1); with steps last, as the data are stored, and
+    # complex taps, no ufunc below buffers an operand
+    taps = np.moveaxis(weights.reshape(-1, 2, 1, 3), -1, 0).astype(complex)
+    out = np.empty((len(taps[0]),) + g.shape, dtype=complex)
+    for o, w in zip(out, taps[2]):
+        np.multiply(w, dd, out=o)
+    # accumulate in place, dd serving as scratch once it is applied
+    for w_tap, series in ((taps[1], d), (taps[0], g)):
+        for o, w in zip(out, w_tap):
+            np.multiply(w, series, out=dd)
+            o += dd
     return out
 
 
@@ -364,7 +388,8 @@ def solve_many(
         # sources with S(0) != 0 would otherwise leave an O(dt) velocity
         # defect whose mean grows linearly under Neumann conditions
         u1 = (grid.dt**2 / (2.0 * rho0)) * s0
-    inj = _injection(grid, rho0, sig, np.moveaxis(g, -1, 0))
+    inj = _injection(_weights(grid, rho0, sig[_ENDS]), g)[0]
+    inj = np.moveaxis(inj, -1, 0)  # (steps, traces, end)
     traces, levels = _time_loop(grid, _stencil(grid, rho0, sig), inj, u1=u1,
                                 source=source, monitor=monitor)
     # complex arithmetic for real fields too: numpy divides a complex array
@@ -399,11 +424,10 @@ def linearized_nd_map_many(
     g = _stack_neumann(grid, fs)
     sig0 = np.full(grid.nx, medium.sigma0)
     stencil = _stencil(grid, medium.rho0, sig0)
-    inj = _injection(grid, medium.rho0, sig0, np.moveaxis(g, -1, 0),
-                     medium.sigma_dot)
+    weights = _weights(grid, medium.rho0, sig0[_ENDS], medium.sigma_dot[_ENDS])
     # rows (fields, traces)
     traces, _ = _time_loop(
-        grid, stencil, np.moveaxis(inj, 2, 1),
+        grid, stencil, np.moveaxis(_injection(weights, g), -1, 0),
         coupling=_coupling(grid, stencil[-1], medium.sigma_dot),
     )
     return [BoundaryTrace(traces[:, 1, j, 0], traces[:, 1, j, 1], grid.dt)
@@ -428,33 +452,6 @@ class _Kernel(NamedTuple):
     transfer: np.ndarray   # (input end, output end, frequencies)
     responses: np.ndarray  # (signals, output end, steps 2 .. nt-1)
     weights: np.ndarray    # (signals, 3), see _weights
-
-
-def _weights(grid: GridSpec, rho0: float, sigma_ends, sigma_dot_ends=None):
-    """Each injection signal as weights (signals, 3) of the data g of its
-    end, of its centered difference g[n+1] - g[n-1] and of that difference
-    taken twice: the background's signals at a and b, then, given
-    ``sigma_dot_ends``, the perturbation's.  Signal s reads end s % 2.
-    """
-    dx, dt = grid.dx, grid.dt
-    rows = [(2.0 / dx, dx * s / (6.0 * dt), dx * rho0 / (12.0 * dt**2))
-            for s in sigma_ends]
-    if sigma_dot_ends is not None:
-        rows += [(0.0, dx * s / (6.0 * dt), 0.0) for s in sigma_dot_ends]
-    return np.array(rows)
-
-
-# The stepper's injection signal minus the weights' filter applied to the
-# zero-extended data, at the four steps nearest a window end from the
-# outside in (-2, -1, 0, 1 at t = 0), per sample g[0], g[1], g[2] nearest
-# that end: one matrix per weight.  They differ there because the stepper
-# never reads steps 0 and nt-1 and np.gradient is one-sided at the ends;
-# at every other step the two agree.
-_EDGE = np.array([
-    [[0, 0, 0], [0, 0, 0], [-1, 0, 0], [0, 0, 0]],
-    [[0, 0, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 0]],
-    [[-1, 0, 0], [0, -1, 0], [2, 0, -1], [2, -1, 0]],
-], dtype=float)
 
 
 @functools.lru_cache(maxsize=2)
@@ -513,30 +510,34 @@ def _add_edge_terms(out: np.ndarray, g: np.ndarray, kernel: _Kernel) -> None:
     """Add to the traces ``out`` (2, nt) of the data ``g`` (2, nt) the
     response to the stepper's injection signals minus the filtered data.
 
-    The difference lives at steps -2 .. 1 and nt-2 .. nt+1 and depends on
-    the three samples nearest each window end only; it is skipped where
-    those are zero.  It is taken in the circular frame of the FFT, so that
-    it also removes the filtered data's wrap-around.
+    They differ at the four steps nearest each window end only, through the
+    data's three samples nearest it, and the difference is skipped where
+    those are zero.  Both sides come from :func:`_injection` on a 12-step
+    frame of those samples, the filter's zero-extended so that every
+    difference is centered; the difference is convolved in the FFT's
+    circular frame, which also removes the filtered data's wrap-around.
     """
     n_fft, _, responses, weights = kernel
     nt = out.shape[1]
-    ends = np.arange(len(weights)) % 2
-    steps = np.arange(nt)
-    # time reversal flips the sign of the centered difference
-    for start, samples, flip in ((-2, g[:, :3], 1.0),
-                                 (nt - 2, g[:, :-4:-1], -1.0)):
-        if not np.any(samples):
+    # frames of steps -4 .. 7 and nt-8 .. nt+3
+    for origin, first in ((-4, 0), (nt - 8, nt - 3)):
+        if not np.any(g[:, first:first + 3]):
             continue
-        delta = np.einsum("so,okq,sq->sk", weights * [1.0, flip, 1.0],
-                          _EDGE, samples[ends])
-        if flip < 0:
-            delta = delta[:, ::-1]  # steps nt-2 .. nt+1
+        steps = origin + np.arange(12)
+        x = np.zeros((2, 12), dtype=g.dtype)
+        x[:, first - origin:first - origin + 3] = g[:, first:first + 3]
+        inside = (steps >= 0) & (steps < nt)
+        signals = np.zeros((len(weights) // 2, 2, 12), dtype=complex)
+        signals[..., inside] = _injection(weights, x[:, inside])
+        # the loop reads the signals at steps 1 .. nt-2 only
+        signals[..., (steps < 1) | (steps > nt - 2)] = 0.0
+        signals -= _injection(weights, x)
         # the responses start at step 2 of an impulse at step 1
-        p = (steps - start - 1) % n_fft
-        keep = p < nt + 1
-        for d, r in zip(delta, responses):
+        at = (origin + 1 + np.arange(12 + responses.shape[-1] - 1)) % n_fft
+        keep = at < nt
+        for d, r in zip(signals.reshape(-1, 12), responses):
             for o in range(2):
-                out[o, keep] += np.convolve(d, r[o])[p[keep]]
+                np.add.at(out[o], at[keep], np.convolve(d, r[o])[keep])
 
 
 def _convolve(grid: GridSpec, kernel: _Kernel, g) -> list[BoundaryTrace]:

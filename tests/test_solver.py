@@ -6,6 +6,8 @@ from bcm1d import (
     ConfigurationError,
     GridSpec,
     MediumSpec,
+    build_control,
+    fourier_targets,
     linearized_nd_map_many,
     solve_many,
     transfer_difference_nd_map_many,
@@ -195,8 +197,11 @@ class TestLinearized:
         assert np.allclose(combo.values_a, separate.values_a, rtol=1e-12, atol=1e-15)
 
     def test_matches_nonlinear_differences(self, coarse_grid):
-        # the coupled pass is the exact parameter derivative of the discrete
-        # solver, so difference quotients converge at O(eps^2)
+        # the coupled pass is the parameter derivative of the discrete
+        # solver except at the end nodes, where its sigma_dot_x edge term
+        # takes a centered du0/dt and the solver's sigma_x u_t a backward
+        # one; with this sigma_dot that gap stays near 1e-7 relative, below
+        # the O(eps) error of these one-sided quotients
         xs = coarse_grid.xs
         sigma_dot = smooth_sigma_dot(xs)
         sigma0 = 0.1
@@ -214,6 +219,28 @@ class TestLinearized:
                             np.max(np.abs(resid.values_b))))
         assert errs[0] / errs[1] > 50
         assert errs[1] / errs[2] > 50
+
+
+def test_injection_applies_the_documented_formula(coarse_grid):
+    # the formula lives in code only as the tap table of _weights
+    grid, rho0 = coarse_grid, 1.3
+    sigma_ends, sigma_dot_ends = np.array([0.2, 0.7]), np.array([-1.1, 2.5])
+    rng = np.random.default_rng(11)
+    g = (rng.standard_normal((3, 2, grid.nt))
+         + 1j * rng.standard_normal((3, 2, grid.nt)))  # (traces, end, steps)
+    inj = solver._injection(
+        solver._weights(grid, rho0, sigma_ends, sigma_dot_ends), g)
+    g_t = np.gradient(g, grid.dt, axis=-1)
+    g_tt = np.gradient(g_t, grid.dt, axis=-1)
+    dx = grid.dx
+    sigma_ends, sigma_dot_ends = sigma_ends[:, None], sigma_dot_ends[:, None]
+    expected = np.stack(
+        ((2.0 / dx) * g + (dx / 3.0) * (rho0 * g_tt + sigma_ends * g_t),
+         (dx / 3.0) * sigma_dot_ends * g_t))
+    assert inj.shape == expected.shape
+    per_field = (1, 2, 3)
+    assert np.all(np.max(np.abs(inj - expected), axis=per_field)
+                  <= 1e-13 * np.max(np.abs(expected), axis=per_field))
 
 
 def _one_bad_sample(grid, bad):
@@ -398,15 +425,34 @@ class TestTransfer:
             assert kernel.transfer.shape == (2, 2, kernel.n_fft // 2 + 1)
 
     def test_transfer_maps_build_no_injection_signals(self, coarse_grid,
+                                                      coarse_grid_t5,
                                                       monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the transfer backend built injection signals")
+        # only the edge terms call _injection, on a few steps, and only for
+        # data nonzero among the three samples nearest a window end
+        calls, injection = [], solver._injection
 
-        monkeypatch.setattr(solver, "_injection", refuse)
+        def few_steps(weights, g):
+            if g.shape[-1] >= coarse_grid.nt:
+                raise AssertionError(
+                    "the transfer backend built injection signals")
+            calls.append(g.shape[-1])
+            return injection(weights, g)
+
+        monkeypatch.setattr(solver, "_injection", few_steps)
         med = _medium(coarse_grid)
         fs = _window_traces(coarse_grid)
         transfer_linearized_nd_map_many(coarse_grid, med, fs)
         transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs)
+        assert calls  # these data are nonzero at both window ends
+        calls.clear()
+        # the reconstruction controls vanish there
+        pT_f, pT_h, lam = fourier_targets(1, coarse_grid_t5)
+        controls = [build_control(pT, lam, coarse_grid_t5).f
+                    for pT in (pT_f, pT_h)]
+        med = _medium(coarse_grid_t5)
+        transfer_linearized_nd_map_many(coarse_grid_t5, med, controls)
+        transfer_difference_nd_map_many(coarse_grid_t5, med, _EPS, controls)
+        assert calls == []
 
     def test_medium_mutated_in_place_gets_new_kernel(self, coarse_grid):
         med = _medium(coarse_grid)
