@@ -16,9 +16,7 @@ from .core import (
     GridSpec,
     MediumSpec,
     UnsupportedRegimeError,
-    bilinear_time_boundary_pairing,
     discrete_sobolev_norm,
-    reflect_trace,
 )
 from .extension import (
     AnalyticProfile,

@@ -20,10 +20,11 @@ and the field reduces to (1/2)[phi(x + T) + phi(x - T)]: the extension's
 values at the shifted nodes, which vanish.
 
 The arguments s -+ = x0 -+ (T - t) of the traces at x0 = a, b depend on the
-grid only.  Which of their samples fall on the domain or a flank, and the
-flank bump factors there, form a per-grid extension plan, computed once and
-cached for the two most recent (grid, d) pairs; each control then evaluates
-only its own profile and that profile's derivatives.
+grid only, and s+ at time t is s- at 2T - t, a grid time: the samples at s+
+are those at s- reversed.  Which samples of s- fall on the domain or a
+flank, and the flank bump factors there, form one plan per end, cached for
+the two most recent (grid, d) pairs; each control evaluates only its own
+profile and its derivatives, once per end.
 
 Control traces are evaluated on all of [0, 2T]: the boundary identities
 sample their reflected arguments in (T, 2T), where the normal trace is
@@ -68,13 +69,11 @@ class ControlBundle:
 
 @functools.lru_cache(maxsize=2)
 def _geometry(grid: GridSpec, d: int) -> tuple:
-    """Extension plans at s+ = x0 + T - t and s- = x0 - T + t, for x0 = a
-    then b.  They depend on the grid and d only, so every control on a grid
-    shares them; on the paper grid they hold 0.92 MiB."""
+    """Extension plans at s- = x0 - T + t, for x0 = a then b.  They depend
+    on the grid and d only, so every control on a grid shares them; on the
+    paper grid they hold 0.46 MiB."""
     a, b, T = grid.a, grid.b, grid.T
-    ts = grid.ts
-    return tuple((_plan(a, b, x0 + T - ts, d), _plan(a, b, x0 - T + ts, d))
-                 for x0 in (a, b))
+    return tuple(_plan(a, b, x0 - T + grid.ts, d) for x0 in (a, b))
 
 
 def build_control(
@@ -91,7 +90,7 @@ def build_control(
 
     with + at x = b and - at x = a, where phi, psi denote the extended
     position and velocity targets.  Since phi = -(1/lam) psi, every term
-    comes from one evaluation of psi and its derivatives per argument array.
+    comes from one evaluation of psi and its derivatives at s-, reversed at s+.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero (zero-frequency pairs are not used)")
@@ -99,9 +98,9 @@ def build_control(
         raise ValueError(f"extension order d must be >= 2, got {d}")
     c = -1.0 / lam
     traces = []
-    for sign, (plan_p, plan_m) in zip((-1.0, +1.0), _geometry(grid, d)):
-        p = _derivatives(pT, plan_p)  # at s+
-        m = _derivatives(pT, plan_m)  # at s-
+    for sign, plan in zip((-1.0, +1.0), _geometry(grid, d)):
+        m = _derivatives(pT, plan)  # at s-
+        p = [v[::-1] for v in m]  # at s+
         traces.append((
             sign * 0.5 * (c * (p[1] + m[1]) + m[0] - p[0]),
             sign * 0.5 * (c * (m[2] - p[2]) + m[1] + p[1]),

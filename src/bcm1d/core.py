@@ -7,9 +7,9 @@ and interior states are probed at the half time T.  Everything downstream
 described by :class:`GridSpec` and exchanges endpoint time series as
 :class:`BoundaryTrace` values.
 
-All time-boundary pairings are *bilinear* (no complex conjugation): the
-identities they feed equate bilinear volume pairings with bilinear boundary
-pairings, and complex-valued data enter through complexification.
+Sample j of a trace is time j*dt, and 2T/dt is an integer, so time
+reversal about T is index reversal: the sample at 2T - t is sample
+2T/dt - j, read from the same array.
 """
 
 from __future__ import annotations
@@ -241,54 +241,20 @@ class FourierCoeffs:
         object.__setattr__(self, "b", b)
 
 
-def _window_end(g: BoundaryTrace, upto: float) -> int:
-    """Sample index of time ``upto``; raises unless it is a grid time of ``g``."""
-    r = upto / g.dt
-    if not _is_close_to_integer(r):
-        raise ValueError(f"upto = {upto} is not a multiple of dt = {g.dt}")
-    j = round(r)
-    if not 0 <= j <= len(g) - 1:
-        raise ValueError(f"upto = {upto} outside the trace window")
-    return j
+def discrete_sobolev_norm(g: BoundaryTrace, s: int) -> float:
+    """Discrete H^s norm of a trace over (0, T) x {a, b} for s in {0, 1, 2}.
 
-
-def bilinear_time_boundary_pairing(
-    g1: BoundaryTrace, g2: BoundaryTrace, upto: float
-) -> complex:
-    """Bilinear pairing of two boundary traces over (0, upto) x {a, b}.
-
-    Returns the composite-trapezoid approximation of
-
-        int_0^upto [ g1(t, a) g2(t, a) + g1(t, b) g2(t, b) ] dt
-
-    with no complex conjugation.  ``upto`` must be a grid time.
-    """
-    g1._check_compatible(g2)
-    sl = slice(0, _window_end(g1, upto) + 1)
-    integrand = (g1.values_a[sl] * g2.values_a[sl]
-                 + g1.values_b[sl] * g2.values_b[sl])
-    return complex(np.trapezoid(integrand, dx=g1.dt))
-
-
-def reflect_trace(g: BoundaryTrace) -> BoundaryTrace:
-    """Time reversal about T: output sample at time t is the input at 2T - t.
-
-    Exact index reversal; no interpolation is needed because 2T/dt is an
-    integer by construction.
-    """
-    return BoundaryTrace(g.values_a[::-1].copy(), g.values_b[::-1].copy(), g.dt)
-
-
-def discrete_sobolev_norm(g: BoundaryTrace, s: int, upto: float) -> float:
-    """Discrete H^s norm of a trace over (0, upto) x {a, b} for s in {0, 1, 2}.
-
-    Time derivatives of the restricted series are taken with second-order
+    A trace holds 2T/dt + 1 samples, so the window ends at its middle
+    sample; a trace of even length has no middle and is rejected.  Time
+    derivatives of the restricted series are taken with second-order
     centered differences (one-sided at the ends); each derivative's squared
     L2 norm is accumulated by composite trapezoid.
     """
     if s not in (0, 1, 2):
         raise ValueError(f"s must be in {{0, 1, 2}}, got {s}")
-    j = _window_end(g, upto)
+    if len(g) % 2 == 0:
+        raise GridMismatchError(f"a trace has 2T/dt + 1 samples, got {len(g)}")
+    j = len(g) // 2
     if j + 1 < 3:
         raise ValueError("too few samples for second-order differences")
     total = 0.0

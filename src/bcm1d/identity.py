@@ -18,15 +18,16 @@ from linearized measurements alone.  Both are checked here against
 independent volume quadrature.
 
 Each control enters as one :class:`ControlData` record: the control, its
-analytic derivatives and its measured responses.  The linearized form takes
-the two records of a pair as arguments, so the pairs (f, h), (f, f) and
-(h, h) of a mode are three calls on the same two records.
+analytic time derivative and its measured responses.  The linearized form
+takes the two records of a pair as arguments, so the pairs (f, h), (f, f)
+and (h, h) of a mode are three calls on the same two records.
 
-All pairings are bilinear; reflected factors are sampled at 2T - t, which
-stays on the grid by construction.  The measured derivative traces entering
-the linearized form come from separate linearized solves driven by the
-analytic derivative controls (time differentiation commutes with the
-measurement map), never from differencing measured data.
+All pairings are bilinear; reflected factors are read at 2T - t, which
+stays on the grid by construction: a reversed view, never a copy.  The
+measured derivative traces entering the linearized form come from separate
+linearized solves driven by the analytic derivative controls (time
+differentiation commutes with the measurement map), never from differencing
+measured data.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ import numpy as np
 
 from .core import (
     BoundaryTrace,
+    GridMismatchError,
     GridSpec,
-    bilinear_time_boundary_pairing,
     discrete_sobolev_norm,
-    reflect_trace,
 )
 from .solver import solve_many
 
@@ -52,18 +52,33 @@ _STABILITY_SLACK = 0.05
 class ControlData:
     """One boundary control with its measured linearized responses.
 
-    ``g``, ``g_t`` and ``g_tt`` are the control and its analytic time
-    derivatives; ``meas_t`` and ``meas_tt`` are the measured linearized
-    responses to ``g_t`` and ``g_tt``.  ``meas``, the measured response to
-    ``g`` itself, is needed by the stability check only.
+    ``g`` and ``g_t`` are the control and its analytic time derivative;
+    ``meas_t`` and ``meas_tt`` are the measured linearized responses to its
+    first and second analytic time derivatives.  ``meas``, the measured
+    response to ``g`` itself, is needed by the stability check only.
     """
 
     g: BoundaryTrace
     g_t: BoundaryTrace
-    g_tt: BoundaryTrace
     meas_t: BoundaryTrace
     meas_tt: BoundaryTrace
     meas: BoundaryTrace | None = None
+
+
+def _pair(x: BoundaryTrace, y: BoundaryTrace, grid: GridSpec) -> complex:
+    """Reflected bilinear pairing < x(t), y(2T - t) > over (0, T) x {a, b}.
+
+    Composite trapezoid of x(t, a) y(2T - t, a) + x(t, b) y(2T - t, b), with
+    no complex conjugation; ``y`` is read through a reversed view.
+    """
+    for tr in (x, y):
+        if (len(tr), tr.dt) != (grid.nt, grid.dt):
+            raise GridMismatchError(f"trace of {len(tr)} samples (dt={tr.dt}) "
+                                    f"is off the grid ({grid.nt}, dt={grid.dt})")
+    n = grid.half_index + 1
+    integrand = (x.values_a[:n] * y.values_a[::-1][:n]
+                 + x.values_b[:n] * y.values_b[::-1][:n])
+    return complex(np.trapezoid(integrand, dx=grid.dt))
 
 
 def linearized_rhs(
@@ -81,8 +96,9 @@ def linearized_rhs(
 
     where L denotes the measured linearized map, [.] sums the two endpoint
     products at t = T and <.,.> is the bilinear pairing over (0, T) x {a, b}.
+    By bilinearity the four pairings are taken as two, of f with
+    Lh_tt + lam Lh_t and of Lf_t with h_t + lam h.
     """
-    T = grid.T
     nT = grid.half_index
     boundary_at_T = (
         f.g.values_a[nT] * h.meas_t.values_a[nT]
@@ -90,10 +106,8 @@ def linearized_rhs(
     )
     return (
         -boundary_at_T
-        - bilinear_time_boundary_pairing(f.g, reflect_trace(h.meas_tt), T)
-        + bilinear_time_boundary_pairing(f.meas_t, reflect_trace(h.g_t), T)
-        - lam * bilinear_time_boundary_pairing(f.g, reflect_trace(h.meas_t), T)
-        + lam * bilinear_time_boundary_pairing(f.meas_t, reflect_trace(h.g), T)
+        - _pair(f.g, h.meas_tt + lam * h.meas_t, grid)
+        + _pair(f.meas_t, h.g_t + lam * h.g, grid)
     )
 
 
@@ -141,11 +155,8 @@ def nonlinear_identity_residual(f, h, sigma, grid: GridSpec) -> IdentityReport:
             dx=grid.dx,
         )
     )
-    rhs = bilinear_time_boundary_pairing(
-        f_trace, reflect_trace(out_ht.dirichlet), grid.T
-    ) - bilinear_time_boundary_pairing(
-        out_ft.dirichlet, reflect_trace(h_trace), grid.T
-    )
+    rhs = (_pair(f_trace, out_ht.dirichlet, grid)
+           - _pair(out_ft.dirichlet, h_trace, grid))
     denom = max(abs(lhs), abs(rhs), _RESIDUAL_FLOOR)
     rel = abs(lhs - rhs) / denom
     if abs(lhs) <= _RESIDUAL_FLOOR and abs(rhs) <= _RESIDUAL_FLOOR:
@@ -173,16 +184,15 @@ def stability_bound_check(
     """
     if f.meas is None or h.meas is None:
         raise ValueError("stability check needs the measured f and h traces")
-    T = grid.T
     lhs_abs = abs(linearized_rhs(f, h, lam, grid))
     lam_abs = abs(lam)
     bound = (
         (2.0 + lam_abs)
-        * discrete_sobolev_norm(f.g, 1, T)
-        * discrete_sobolev_norm(h.meas, 2, T)
+        * discrete_sobolev_norm(f.g, 1)
+        * discrete_sobolev_norm(h.meas, 2)
         + (1.0 + lam_abs)
-        * discrete_sobolev_norm(f.meas, 2, T)
-        * discrete_sobolev_norm(h.g, 1, T)
+        * discrete_sobolev_norm(f.meas, 2)
+        * discrete_sobolev_norm(h.g, 1)
     )
     return StabilityReport(
         lhs_abs=lhs_abs,

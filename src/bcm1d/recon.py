@@ -25,8 +25,8 @@ are reproducible and independent of evaluation order.
 
 Each mode's data are one :class:`ModeData`: the free parameter and one
 :class:`~bcm1d.identity.ControlData` record per control (f the sine, h the
-cosine control), each carrying its control, analytic derivatives and
-measured responses.
+cosine control), each carrying its control, the control's analytic time
+derivative and measured responses.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ def acquire_clean_pair_data(
     meas_f, meas_h = meas[4:] if with_operator_traces else (None, None)
     return ModeData(
         lam,
-        ControlData(bf.f, bf.f_t, bf.f_tt, meas[0], meas[1], meas_f),
-        ControlData(bh.f, bh.f_t, bh.f_tt, meas[2], meas[3], meas_h),
+        ControlData(bf.f, bf.f_t, meas[0], meas[1], meas_f),
+        ControlData(bh.f, bh.f_t, meas[2], meas[3], meas_h),
     )
 
 

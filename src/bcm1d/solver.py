@@ -141,6 +141,8 @@ def _check_cfl(grid: GridSpec, rho0: float) -> None:
         )
     if grid.half_index < 3:
         raise ConfigurationError("grid too coarse: fewer than 3 steps to t = T")
+    if grid.nx < 3:
+        raise ConfigurationError(f"grid too coarse: {grid.nx} nodes, fewer than 3")
 
 
 def _stack_neumann(grid: GridSpec,

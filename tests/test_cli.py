@@ -203,6 +203,17 @@ class TestMain:
             capsys.readouterr().err)
         assert not out.exists()
 
+    def test_two_node_grid_rejected(self, tmp_path, capsys):
+        # dx = b - a leaves two nodes, too few for the one-sided edge terms
+        code = main([
+            "experiment", "--id", "1", "--dx", "2", "--dt", "1", "--T", "3",
+            "--N", "2", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: grid too coarse: 2 nodes, fewer than 3\n"
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_id_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--id", "9", "--out", str(tmp_path)])

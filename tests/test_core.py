@@ -9,10 +9,9 @@ from bcm1d import (
     GridMismatchError,
     GridSpec,
     MediumSpec,
-    bilinear_time_boundary_pairing,
     discrete_sobolev_norm,
-    reflect_trace,
 )
+from bcm1d.identity import _pair
 
 
 class TestGridSpec:
@@ -49,46 +48,50 @@ def _trace_from(grid, fa, fb):
 
 
 class TestPairing:
+    """The reflected pairing < x(t), y(2T - t) > over (0, T) x {a, b}."""
+
     def test_zero(self, coarse_grid):
         z = BoundaryTrace.zeros(coarse_grid)
-        assert bilinear_time_boundary_pairing(z, z, coarse_grid.T) == 0
+        assert _pair(z, z, coarse_grid) == 0
 
     def test_constant_ones(self):
         g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, 5.0)
         ones = _trace_from(g, np.ones_like, np.ones_like)
         # two endpoints, unit integrand: 2 * T
-        val = bilinear_time_boundary_pairing(ones, ones, g.T)
+        val = _pair(ones, ones, g)
         assert np.isclose(val, 2 * g.T, rtol=0, atol=1e-12)
 
     def test_linear_times_one_endpoint_a(self, coarse_grid):
         # integrand t on endpoint a only; trapezoid is exact on linear functions
         g1 = _trace_from(coarse_grid, lambda t: t, np.zeros_like)
         g2 = _trace_from(coarse_grid, np.ones_like, np.zeros_like)
-        val = bilinear_time_boundary_pairing(g1, g2, coarse_grid.T)
+        val = _pair(g1, g2, coarse_grid)
         assert np.isclose(val, coarse_grid.T**2 / 2, rtol=0, atol=1e-10)
 
     def test_quadratic_trapezoid_convergence(self):
-        # t * t integrand has trapezoid error T dt^2 / 6; halving dt divides it by 4
+        # t (2T - t) integrates to 2T^3/3 with trapezoid error T dt^2 / 6;
+        # halving dt divides it by 4
         errs = []
         for dt in (1.0 / 500, 1.0 / 1000):
             g = GridSpec(-1.0, 1.0, 1.0 / 50, dt, 3.0)
             lin = _trace_from(g, lambda t: t, np.zeros_like)
-            val = bilinear_time_boundary_pairing(lin, lin, g.T)
-            errs.append(abs(val - g.T**3 / 3))
+            val = _pair(lin, lin, g)
+            errs.append(abs(val - 2 * g.T**3 / 3))
         assert errs[1] > 0
         assert 3.9 <= errs[0] / errs[1] <= 4.1
 
-    def test_symmetry_and_bilinearity_concrete(self, coarse_grid):
+    def test_bilinearity_concrete(self, coarse_grid):
         g1 = _trace_from(coarse_grid, np.sin, np.cos)
         g2 = _trace_from(coarse_grid, lambda t: t, lambda t: t**2)
         g3 = _trace_from(coarse_grid, np.cos, np.sin)
-        p12 = bilinear_time_boundary_pairing(g1, g2, coarse_grid.T)
-        p21 = bilinear_time_boundary_pairing(g2, g1, coarse_grid.T)
-        assert p12 == p21
         a, b = 2.0 - 1.0j, 0.5 + 3.0j
-        left = bilinear_time_boundary_pairing(a * g1 + b * g2, g3, coarse_grid.T)
-        right = (a * bilinear_time_boundary_pairing(g1, g3, coarse_grid.T)
-                 + b * bilinear_time_boundary_pairing(g2, g3, coarse_grid.T))
+        left = _pair(a * g1 + b * g2, g3, coarse_grid)
+        right = (a * _pair(g1, g3, coarse_grid)
+                 + b * _pair(g2, g3, coarse_grid))
+        assert np.isclose(left, right, rtol=1e-13)
+        left = _pair(g3, a * g1 + b * g2, coarse_grid)
+        right = (a * _pair(g3, g1, coarse_grid)
+                 + b * _pair(g3, g2, coarse_grid))
         assert np.isclose(left, right, rtol=1e-13)
 
     @given(
@@ -97,93 +100,61 @@ class TestPairing:
                 st.floats(-5, 5), st.floats(-5, 5),
                 st.floats(-5, 5), st.floats(-5, 5),
             ),
-            min_size=9, max_size=9,
+            min_size=13, max_size=13,
         ),
         alpha=st.complex_numbers(max_magnitude=5),
     )
     @settings(max_examples=30, deadline=None)
     def test_pairing_scaling_property(self, data, alpha):
         arr = np.asarray(data, dtype=float)
-        dt = 0.25
-        g1 = BoundaryTrace(arr[:, 0], arr[:, 1], dt)
-        g2 = BoundaryTrace(arr[:, 2], arr[:, 3], dt)
-        upto = dt * 8
-        base = bilinear_time_boundary_pairing(g1, g2, upto)
-        scaled = bilinear_time_boundary_pairing(alpha * g1, g2, upto)
-        assert np.isclose(scaled, alpha * base, rtol=1e-12, atol=1e-12)
-
-    def test_off_grid_upto_rejected(self, coarse_grid):
-        z = BoundaryTrace.zeros(coarse_grid)
-        for upto in (coarse_grid.dt * 0.5, coarse_grid.dt * 1.5):
-            with pytest.raises(ValueError, match="not a multiple of dt"):
-                bilinear_time_boundary_pairing(z, z, upto)
-
-    def test_upto_window_edges(self, coarse_grid):
-        g = coarse_grid
-        ones = _trace_from(g, np.ones_like, np.ones_like)
-        # t = 2T is the last sample; one step further leaves the window
-        val = bilinear_time_boundary_pairing(ones, ones, 2 * g.T)
-        assert np.isclose(val, 4 * g.T, rtol=0, atol=1e-12)
-        with pytest.raises(ValueError, match="outside the trace window"):
-            bilinear_time_boundary_pairing(ones, ones, 2 * g.T + g.dt)
-        with pytest.raises(ValueError, match="outside the trace window"):
-            discrete_sobolev_norm(ones, 0, 2 * g.T + g.dt)
+        g = GridSpec(-1.0, 1.0, 0.5, 0.5, 3.0)  # 13 samples
+        g1 = BoundaryTrace(arr[:, 0], arr[:, 1], g.dt)
+        g2 = BoundaryTrace(arr[:, 2], arr[:, 3], g.dt)
+        base = _pair(g1, g2, g)
+        for scaled in (_pair(alpha * g1, g2, g), _pair(g1, alpha * g2, g)):
+            assert np.isclose(scaled, alpha * base, rtol=1e-12, atol=1e-12)
 
     def test_mismatched_traces_rejected(self, coarse_grid):
         z = BoundaryTrace.zeros(coarse_grid)
-        other = BoundaryTrace(np.zeros(10), np.zeros(10), coarse_grid.dt)
-        with pytest.raises(GridMismatchError):
-            bilinear_time_boundary_pairing(z, other, coarse_grid.T)
-
-
-class TestReflect:
-    def test_constant_invariant(self, coarse_grid):
-        c = _trace_from(coarse_grid, lambda t: 3.0 + 0 * t, lambda t: 3.0 + 0 * t)
-        r = reflect_trace(c)
-        assert np.array_equal(r.values_a, c.values_a)
-
-    def test_linear_reflects_to_2T_minus_t(self, coarse_grid):
-        lin = _trace_from(coarse_grid, lambda t: t, lambda t: t)
-        r = reflect_trace(lin)
-        assert np.isclose(r.values_a[0], 2 * coarse_grid.T)
-        ts = coarse_grid.ts
-        assert np.allclose(r.values_a, 2 * coarse_grid.T - ts, atol=1e-12)
-
-    def test_involution(self, coarse_grid):
-        rng = np.random.default_rng(7)
-        g = BoundaryTrace(
-            rng.standard_normal(coarse_grid.nt) + 1j * rng.standard_normal(coarse_grid.nt),
-            rng.standard_normal(coarse_grid.nt),
-            coarse_grid.dt,
-        )
-        rr = reflect_trace(reflect_trace(g))
-        assert np.array_equal(rr.values_a, g.values_a)
-        assert np.array_equal(rr.values_b, g.values_b)
+        short = BoundaryTrace(np.zeros(10), np.zeros(10), coarse_grid.dt)
+        coarse = BoundaryTrace(z.values_a, z.values_b, 2 * coarse_grid.dt)
+        for other in (short, coarse):
+            with pytest.raises(GridMismatchError):
+                _pair(z, other, coarse_grid)
+            with pytest.raises(GridMismatchError):
+                _pair(other, z, coarse_grid)
 
 
 class TestSobolevNorm:
     def test_zero(self, coarse_grid):
         z = BoundaryTrace.zeros(coarse_grid)
-        assert discrete_sobolev_norm(z, 2, coarse_grid.T) == 0.0
+        assert discrete_sobolev_norm(z, 2) == 0.0
 
     def test_constant_l2(self):
         g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, 5.0)
         c = 2.5
         tr = _trace_from(g, lambda t: c + 0 * t, lambda t: c + 0 * t)
-        val = discrete_sobolev_norm(tr, 0, g.T)
+        val = discrete_sobolev_norm(tr, 0)
         assert np.isclose(val, c * np.sqrt(2 * g.T), rtol=1e-12)
 
     def test_sine_h1_matches_closed_form(self):
         # ||sin||_{H^1(0,T)}^2 = int sin^2 + cos^2 = T
         g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, 5.0)
         tr = _trace_from(g, np.sin, np.zeros_like)
-        val = discrete_sobolev_norm(tr, 1, g.T)
+        val = discrete_sobolev_norm(tr, 1)
         assert np.isclose(val, np.sqrt(g.T), atol=5e-5)
 
     def test_invalid_order(self, coarse_grid):
         z = BoundaryTrace.zeros(coarse_grid)
         with pytest.raises(ValueError):
-            discrete_sobolev_norm(z, 3, coarse_grid.T)
+            discrete_sobolev_norm(z, 3)
+
+    def test_even_length_rejected(self, coarse_grid):
+        # a trace over (0, 2T) has 2T/dt + 1 samples; one sample short, it
+        # has no middle sample at t = T to end the window
+        ones = np.ones(coarse_grid.nt - 1)
+        with pytest.raises(GridMismatchError, match="2T/dt \\+ 1 samples"):
+            discrete_sobolev_norm(BoundaryTrace(ones, ones, coarse_grid.dt), 0)
 
 
 class TestTraceAlgebra:

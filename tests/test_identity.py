@@ -43,7 +43,7 @@ def mode4_snaps(half_grid):
 
 def _zero_control(grid):
     z = BoundaryTrace.zeros(grid)
-    return ControlData(g=z, g_t=z, g_tt=z, meas_t=z, meas_tt=z, meas=z)
+    return ControlData(g=z, g_t=z, meas_t=z, meas_tt=z, meas=z)
 
 
 class TestLinearizedRhs:
@@ -93,6 +93,34 @@ class TestLinearizedRhs:
         # both orderings converge to the symmetric volume value at second
         # order; their gap decays at least that fast
         assert diffs[1] <= 0.35 * diffs[0]
+
+    def test_matches_five_term_oracle(self, coarse_grid):
+        # the docstring's formula written out term by term, each reflected
+        # factor an explicit reversed copy, each pairing np.trapezoid over
+        # the samples of (0, T)
+        g = coarse_grid
+        medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(g.xs))
+        lam, f, h = acquire_clean_pair_data(4, ReconSettings(grid=g, N=4),
+                                            medium)
+        n = g.half_index + 1
+
+        def pairing(x, y):
+            ya, yb = y.values_a[::-1].copy(), y.values_b[::-1].copy()
+            return (np.trapezoid(x.values_a[:n] * ya[:n], dx=g.dt)
+                    + np.trapezoid(x.values_b[:n] * yb[:n], dx=g.dt))
+
+        nT = g.half_index
+        want = (
+            -(f.g.values_a[nT] * h.meas_t.values_a[nT]
+              + f.g.values_b[nT] * h.meas_t.values_b[nT])
+            - pairing(f.g, h.meas_tt)
+            + pairing(f.meas_t, h.g_t)
+            - lam * pairing(f.g, h.meas_t)
+            + lam * pairing(f.meas_t, h.g)
+        )
+        got = linearized_rhs(f, h, lam, g)
+        assert abs(want) > 1e-3  # a non-degenerate pair
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_f_side_scaling(self, mode4_data, half_grid):
         # scaling every f-side trace scales the identity value linearly
