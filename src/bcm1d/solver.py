@@ -56,31 +56,29 @@ the two parts of a complex row exactly as on two real rows.  The outputs
 are complex either way.
 
 The nonlinear ND (Neumann-to-Dirichlet) map restricts the solution to the
-endpoints.  The linearized map stacks background and perturbation rows in
-one pass: the perturbation (source -sigma_dot du0/dt, zero data) shares the
-background's coefficients, its injection is (dx/3) sigma_dot_end dg/dt, and
-its increment gains K (u0^{n+1} - u0^{n-1}), K folding the centered source
-with the sigma_dot_x edge term.  It is the exact parameter derivative of
-the discrete nonlinear solve except at the end nodes, where that edge term
-takes the centered (u0^{n+1} - u0^{n-1})/(2 dt) and the solve's sigma_x u_t
-the backward v^n/dt: where sigma_dot has a slope at an end, difference
-quotients of the solve meet the linearized traces only to a plateau (2.5e-7
-relative for 0.3 sin(pi x) + 2x at dx = 1/50, dt = 1/500).  Like its
-transfer twin, the linearized map returns the perturbation's traces only.
+endpoints.  The linearized map is its derivative along sigma_dot at sigma0,
+taken by a complex step through the same loop: real data in the damping
+sigma0 + i h sigma_dot / s, s = max |sigma_dot| (1 if sigma_dot = 0), give
+traces whose imaginary part over h, times s, is the derivative to a
+relative O(h^2), with no cancellation.  The data's real and imaginary parts
+advance as two real rows, each scaled to O(1).  With h = 1e-30, the step
+h sigma_dot / s cannot underflow, and dividing by h before multiplying by
+s keeps the derivative from overflowing.
 
 With a time-independent medium and zero initial data the loop is a linear
 time-invariant map from injection signals to endpoint traces.  The transfer
-backend drives it once per kernel with a unit impulse in each signal: 4
-for ``transfer_linearized_nd_map_many``, whose perturbation injection
-reuses the background response (same operator), and 2 per medium for
-``transfer_difference_nd_map_many``, whose full and background media
-advance as rows of one pass, the background's responses negated and all
-divided by eps.  Away from the window ends each signal is the endpoint data
-through a fixed centered-difference filter, so the kernel folds the filters
-into the response spectra: a 2 x 2 transfer matrix per frequency from input
-end to output end, stored C-contiguous with frequencies last and memoized
-for the two most recent kernels.  A trace then costs one forward FFT of its
-four real endpoint series, the 2 x 2 contraction and the inverse FFT; no
+backend drives it once per kernel with a unit impulse at each end.  For
+``transfer_linearized_nd_map_many`` the impulses run in the complex medium
+and, as d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R) for a signal's weights w
+and response R, give 4 signals; for ``transfer_difference_nd_map_many`` the
+full and background media advance as rows of one pass, 2 signals per
+medium, the background's responses negated and all divided by eps.  Away
+from the window ends each signal is the endpoint data through a fixed
+centered-difference filter, so the kernel folds the filters into the
+response spectra: a 2 x 2 transfer matrix per frequency from input end to
+output end, stored C-contiguous with frequencies last and memoized for the
+two most recent kernels.  A trace then costs one forward FFT of its four
+real endpoint series, the 2 x 2 contraction and the inverse FFT; no
 injection signals are built.  Where the stepper's signals depart from the
 filtered data (the four steps nearest each window end, from the data's
 three samples nearest it) the kernel's time-domain responses add the exact
@@ -88,9 +86,9 @@ difference, taken from the same tap table: the stepper's signals of those
 samples minus the filter's, skipped when the samples are zero, as they are
 for the reconstruction controls.  The backend agrees with the stepper to
 about 1e-13 relative; the stepper stays the reference it is tested against,
-and alone serves sources, monitors and snapshots at T.  Every map rejects
-Neumann data with a non-finite sample: one such sample would silently
-spread NaN over both endpoint outputs.
+and alone serves sources and snapshots at T.  Every map rejects Neumann
+data with a non-finite sample, which would silently spread NaN over both
+endpoint outputs, and the backend rejects a non-finite output.
 """
 
 from __future__ import annotations
@@ -106,6 +104,8 @@ from .core import BoundaryTrace, ConfigurationError, GridSpec, MediumSpec
 
 _INITIAL_DATA_TOL = 1e-9
 _ENDS = [0, -1]
+# the complex step: small enough that h^2 is lost to rounding next to 1
+_STEP = 1e-30
 
 
 @dataclass(frozen=True)
@@ -211,33 +211,23 @@ def _stencil(grid: GridSpec, rho0: float, sigma: np.ndarray):
     return carry, left, right, gain
 
 
-def _coupling(grid: GridSpec, gain: np.ndarray, sigma_dot: np.ndarray):
-    """K of the perturbation update v^{n+1} += K (u0^{n+1} - u0^{n-1}).
-
-    It holds the centered source -sigma_dot w, w = (u0^{n+1} - u0^{n-1})/(2 dt),
-    and the edge term -S_x by the product rule (w_x = -+ dg/dt at the ends
-    goes into the perturbation's injection signal)."""
-    k = -sigma_dot
-    k[_ENDS] += _edge_term(sigma_dot)
-    return k * gain / (2.0 * grid.dt)
+def _complex_step(sigma0, sigma_dot: np.ndarray):
+    """The damping sigma0 + i h sigma_dot / s on the nodes, and s."""
+    s = np.max(np.abs(sigma_dot)) or 1.0
+    return sigma0 + 1j * (_STEP * (sigma_dot / s)), s
 
 
-def _weights(grid: GridSpec, rho0: float, sigma_ends, sigma_dot_ends=None):
+def _weights(grid: GridSpec, rho0: float, sigma_ends):
     """Each injection signal as weights (signals, 3) of the data g of its
     end, of its centered difference g[n+1] - g[n-1] and of that difference
-    taken twice: the background's signals at a and b, then, given
-    ``sigma_dot_ends``, the perturbation's.  Signal s reads end s % 2 and
-    is, with g_t and g_tt the centered derivatives,
+    taken twice, one signal per entry of ``sigma_ends``.  Signal s reads end
+    s % 2 and is, with g_t and g_tt the centered derivatives,
 
-        background:    (2/dx) g + (dx/3) (rho0 g_tt + sigma_end g_t),
-        perturbation:  (dx/3) sigma_dot_end g_t.
+        (2/dx) g + (dx/3) (rho0 g_tt + sigma_end g_t).
     """
     dx, dt = grid.dx, grid.dt
-    rows = [(2.0 / dx, dx * s / (6.0 * dt), dx * rho0 / (12.0 * dt**2))
-            for s in sigma_ends]
-    if sigma_dot_ends is not None:
-        rows += [(0.0, dx * s / (6.0 * dt), 0.0) for s in sigma_dot_ends]
-    return np.array(rows)
+    return np.array([(2.0 / dx, dx * s / (6.0 * dt), dx * rho0 / (12.0 * dt**2))
+                     for s in sigma_ends])
 
 
 def _injection(weights, g):
@@ -249,7 +239,8 @@ def _injection(weights, g):
     # np.gradient halves the differences, so doubling them is exact
     d = np.gradient(g, axis=-1)
     d *= 2.0
-    dd = np.gradient(d, axis=-1)
+    # complex, as it serves as scratch for complex products below
+    dd = np.gradient(d, axis=-1).astype(complex, copy=False)
     dd *= 2.0
     # (tap, field, end, 1); with steps last, as the data are stored, and
     # complex taps, no ufunc below buffers an operand
@@ -275,55 +266,43 @@ class _Level(NamedTuple):
     """
 
     flat: np.ndarray
-    head: np.ndarray          # flat[:-1]
-    tail: np.ndarray          # flat[1:]
-    background: np.ndarray    # first half: background rows of a coupled pass
-    perturbation: np.ndarray  # second half: their perturbation rows
-    slots: np.ndarray         # (*rows, 2) outer differences at a and b
-    ends: np.ndarray          # (*rows, 2) nodes 0 and nx-1
-    nodes: np.ndarray         # (*rows, nx)
+    head: np.ndarray   # flat[:-1]
+    tail: np.ndarray   # flat[1:]
+    slots: np.ndarray  # (*rows, 2) outer differences at a and b
+    ends: np.ndarray   # (*rows, 2) nodes 0 and nx-1
+    nodes: np.ndarray  # (*rows, nx)
 
     @classmethod
     def of(cls, rows: tuple, nx: int, nodes=0.0, dtype=float) -> "_Level":
-        grid2d = np.zeros(rows + (nx + 2,), dtype)
+        grid2d = np.zeros(rows + (nx + 2,), np.result_type(nodes, dtype))
         grid2d[..., 1:-1] = nodes
-        flat, half = grid2d.reshape(-1), grid2d.size // 2
-        return cls(flat, flat[:-1], flat[1:], flat[:half], flat[half:],
-                   grid2d[..., ::nx], grid2d[..., 1:nx + 1:nx - 1],
-                   grid2d[..., 1:-1])
+        flat = grid2d.reshape(-1)
+        return cls(flat, flat[:-1], flat[1:], grid2d[..., ::nx],
+                   grid2d[..., 1:nx + 1:nx - 1], grid2d[..., 1:-1])
 
 
-def _time_loop(grid, stencil, inj, coupling=None, u1=0.0, source=None,
-               monitor=None):
+def _time_loop(grid, stencil, inj, u1=0.0, source=None):
     """Advance rows of nodes from u^0 = 0 and u^1 = ``u1``.
 
     ``inj`` (nt, *rows, 2) holds each row's injection signals at a and b for
-    steps 1 .. nt-2; the field has shape (*rows, nx).  The field is real
-    when ``inj`` has no nonzero imaginary part, and takes the dtype of
-    ``u1`` when that is wider.  With ``coupling`` the first row axis is
-    [background, perturbation], and the perturbation gains
-    ``coupling * (u0^{n+1} - u0^{n-1})`` in each update.  ``source(n)``
-    gives S(t_n, .) broadcastable against the field, and ``monitor(n, u^n)``
-    sees every level as an (nx, *rows) view of the live field.  Returns the
-    endpoint traces (nt, *rows, 2) and the levels at steps T/dt - 1, T/dt
-    and T/dt + 1, in the field's dtype.
+    steps 1 .. nt-2; the field has shape (*rows, nx) and the widest dtype of
+    ``inj`` (real if its imaginary part is zero), ``u1`` and the stencil.
+    ``source(n)`` gives S(t_n, .) broadcastable against the field.  Returns
+    the endpoint traces (nt, *rows, 2) and the levels at steps T/dt - 1,
+    T/dt and T/dt + 1, in the field's dtype.
     """
     if not np.any(inj.imag):
         inj = inj.real
-    rows, nx, dtype = inj.shape[1:-1], grid.nx, np.result_type(inj, u1)
+    rows, nx = inj.shape[1:-1], grid.nx
+    dtype = np.result_type(inj, u1, *stencil)
     carry, left, right, gain = (_Level.of(rows, nx, c) for c in stencil)
-    if coupling is not None:
-        coupling = _Level.of(rows, nx, coupling).background
     u, v = (_Level.of(rows, nx, u1, dtype) for _ in range(2))
-    diff, tmp, acc = (_Level.of(rows, nx, dtype=dtype) for _ in range(3))
+    diff, tmp = (_Level.of(rows, nx, dtype=dtype) for _ in range(2))
     # slot values for which -left * slot at a and right * slot at b inject
     outer = inj * np.array([-1.0, 1.0])
     traces = np.zeros(inj.shape, dtype)
     traces[1] = u.ends
     snap_steps, levels = range(grid.half_index - 1, grid.half_index + 2), []
-    if monitor is not None:
-        monitor(0, np.zeros_like(u.nodes.T))
-        monitor(1, u.nodes.T)
     for n in range(1, grid.nt - 1):
         np.subtract(u.tail, u.head, out=diff.head)
         if source is None:
@@ -335,8 +314,6 @@ def _time_loop(grid, stencil, inj, coupling=None, u1=0.0, source=None,
                     f"source is complex at step {n} but real at step 0, "
                     "whose dtype the field takes")
             np.add(outer[n], _edge_term(s) * [1.0, -1.0], out=diff.slots)
-        if coupling is not None:
-            np.multiply(v.background, coupling, out=acc.background)
         np.multiply(v.flat, carry.flat, out=v.flat)
         np.multiply(diff.head, right.head, out=tmp.head)
         np.add(v.head, tmp.head, out=v.head)
@@ -344,16 +321,10 @@ def _time_loop(grid, stencil, inj, coupling=None, u1=0.0, source=None,
         np.subtract(v.tail, tmp.tail, out=v.tail)
         if source is not None:
             v.nodes[...] += s * gain.nodes
-        if coupling is not None:
-            np.add(v.perturbation, acc.background, out=v.perturbation)
-            np.multiply(v.background, coupling, out=acc.background)
-            np.add(v.perturbation, acc.background, out=v.perturbation)
         np.add(u.flat, v.flat, out=u.flat)
         traces[n + 1] = u.ends
         if n + 1 in snap_steps:
             levels.append(u.nodes.copy())
-        if monitor is not None:
-            monitor(n + 1, u.nodes.T)
     return traces, levels
 
 
@@ -363,16 +334,12 @@ def solve_many(
     sigma,
     neumanns: Sequence[BoundaryTrace],
     source: Callable[[int], np.ndarray] | None = None,
-    monitor: Callable[[int, np.ndarray], None] | None = None,
 ) -> list[SolveOutput]:
     """Advance one field per Neumann trace through a single time loop.
 
     ``source``, if given, maps a time index n to the S(t_n, .) samples and is
     applied to every column; the dtype of S(0) stands for all its values,
     and a complex value after a real S(0) raises ``ConfigurationError``.
-    ``monitor`` receives (n, u^n) for each level, u^n an (nx, traces) view
-    of the live field, real when the data and the source are and complex
-    otherwise; copy it to keep it.
     """
     _check_cfl(grid, rho0)
     sig = _as_sigma_array(sigma, grid.nx)
@@ -393,7 +360,7 @@ def solve_many(
     inj = _injection(_weights(grid, rho0, sig[_ENDS]), g)[0]
     inj = np.moveaxis(inj, -1, 0)  # (steps, traces, end)
     traces, levels = _time_loop(grid, _stencil(grid, rho0, sig), inj, u1=u1,
-                                source=source, monitor=monitor)
+                                source=source)
     # complex arithmetic for real fields too: numpy divides a complex array
     # by a real through a rounded reciprocal, so real and complex fields
     # round alike only on that route
@@ -414,25 +381,26 @@ def solve_many(
 def linearized_nd_map_many(
     grid: GridSpec, medium: MediumSpec, fs: Sequence[BoundaryTrace]
 ) -> list[BoundaryTrace]:
-    """Linearized ND map for several Neumann traces in one coupled pass.
+    """Linearized ND map for several Neumann traces in one pass.
 
-    For each trace the background field (constant-damping equation, data f)
-    and the perturbation field (source -sigma_dot * d/dt background, zero
-    data) advance together.  Returns the perturbation's endpoint traces, the
-    linearized measurements, one per trace.
+    Returns, per trace, the derivative of the endpoint traces of
+    :func:`solve_many` along sigma_dot at the damping sigma0: the linearized
+    measurements, taken by a complex step (see the module docstring).
     """
     _check_cfl(grid, medium.rho0)
-    _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
+    sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     g = _stack_neumann(grid, fs)
-    sig0 = np.full(grid.nx, medium.sigma0)
-    stencil = _stencil(grid, medium.rho0, sig0)
-    weights = _weights(grid, medium.rho0, sig0[_ENDS], medium.sigma_dot[_ENDS])
-    # rows (fields, traces)
-    traces, _ = _time_loop(
-        grid, stencil, np.moveaxis(_injection(weights, g), -1, 0),
-        coupling=_coupling(grid, stencil[-1], medium.sigma_dot),
-    )
-    return [BoundaryTrace(traces[:, 1, j, 0], traces[:, 1, j, 1], grid.dt)
+    sigma, s = _complex_step(medium.sigma0, sd)
+    weights = _weights(grid, medium.rho0, sigma[_ENDS])
+    # rows (parts, traces): each data part times an exact power of two 1 / r
+    parts = np.stack((g.real, g.imag))
+    r = np.ldexp(1.0, np.frexp(np.max(np.abs(parts), axis=(2, 3)))[1])
+    inj = _injection(weights, parts / r[..., None, None])[0]
+    traces, _ = _time_loop(grid, _stencil(grid, medium.rho0, sigma),
+                           np.moveaxis(inj, -1, 0))
+    d = traces.imag / _STEP * s * r[..., None]
+    d = d[:, 0] + 1j * d[:, 1]
+    return [BoundaryTrace(d[:, j, 0], d[:, j, 1], grid.dt)
             for j in range(len(fs))]
 
 
@@ -466,9 +434,9 @@ def _kernel(grid: GridSpec, rho0: float, sigma: bytes,
     w0 + w1 z + w2 z^2, z = 2i sin(omega), the spectrum of the weights of
     :func:`_weights`; the signals of one input end then add up.  ``sigma``
     holds the bytes of the damping node array and ``sigma_dot`` those of the
-    perturbation the linearized map is taken along.  Without ``sigma_dot``,
-    ``sigma`` stacks a full and a background damping, and the kernel is the
-    difference of their maps over ``eps``.
+    perturbation the linearized map is taken along, by a complex step.
+    Without ``sigma_dot``, ``sigma`` stacks a full and a background damping,
+    and the kernel is the difference of their maps over ``eps``.
     """
     impulses = np.zeros((grid.nt, 2, 2))  # (steps, impulse end, output end)
     impulses[1] = np.eye(2)
@@ -481,15 +449,14 @@ def _kernel(grid: GridSpec, rho0: float, sigma: bytes,
         responses = np.concatenate((traces[:, 0], -traces[:, 1]), axis=1) / eps
         weights = _weights(grid, rho0, sig[..., _ENDS].ravel())
     else:
-        # drive the background rows only: the perturbation's own injection
-        # meets the same operator, so its response is the background's
-        sig, sd = np.frombuffer(sigma), np.frombuffer(sigma_dot)
-        stencil = _stencil(grid, rho0, sig)
-        traces, _ = _time_loop(grid, stencil,
-                               np.stack((impulses, 0.0 * impulses), axis=1),
-                               coupling=_coupling(grid, stencil[-1], sd))
-        responses = np.concatenate((traces[:, 1], traces[:, 0]), axis=1)
-        weights = _weights(grid, rho0, sig[_ENDS], sd[_ENDS])
+        # d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R); / h first, then * s
+        sig, s = _complex_step(np.frombuffer(sigma),
+                               np.frombuffer(sigma_dot))
+        traces, _ = _time_loop(grid, _stencil(grid, rho0, sig), impulses)
+        responses = np.concatenate((traces.imag / _STEP * s, traces.real),
+                                   axis=1)
+        w = _weights(grid, rho0, sig[_ENDS])
+        weights = np.concatenate((w.real, w.imag / _STEP * s))
     # (signals, output end, steps 1 .. nt-1)
     responses = np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1))
     # no wrap-around: exact signals and responses both span fewer than
@@ -543,11 +510,12 @@ def _add_edge_terms(out: np.ndarray, g: np.ndarray, kernel: _Kernel) -> None:
 
 
 def _convolve(grid: GridSpec, kernel: _Kernel, g) -> list[BoundaryTrace]:
-    """Endpoint traces of the endpoint data ``g`` (traces, 2, nt)."""
+    """Endpoint traces of the endpoint data ``g`` (traces, 2, nt); a
+    non-finite one, from a kernel that overflowed, raises an error."""
     n_fft, transfer = kernel.n_fft, kernel.transfer
     nt = grid.nt
     traces = []
-    for gj in g:
+    for j, gj in enumerate(g):
         # the real and the imaginary series of each end: (parts, ends, steps)
         x = np.moveaxis(gj.view(float).reshape(2, nt, 2), -1, 0)
         spec = np.fft.rfft(x, n_fft)
@@ -558,6 +526,10 @@ def _convolve(grid: GridSpec, kernel: _Kernel, g) -> list[BoundaryTrace]:
         out = np.empty((2, nt), dtype=complex)
         out.real, out.imag = y[..., :nt]
         _add_edge_terms(out, gj, kernel)
+        if not np.all(np.isfinite(out.view(float))):
+            raise ConfigurationError(
+                f"measured trace {j} has a non-finite sample: the medium "
+                "overflows the transfer kernel")
         traces.append(BoundaryTrace(out[0], out[1], grid.dt))
     return traces
 
@@ -593,14 +565,12 @@ def transfer_linearized_nd_map_many(
 ) -> list[BoundaryTrace]:
     """Linearized measurements of :func:`linearized_nd_map_many` by convolution.
 
-    Returns the perturbation traces only.  Agrees with the stepper, its
-    oracle, to about 1e-13 relative.  The kernel costs one time loop per
-    medium and is memoized for the two most recent media.
+    Agrees with the stepper, its oracle, to about 1e-13 relative.  The kernel
+    costs one time loop per medium and is memoized for the two most recent.
     """
     _check_cfl(grid, medium.rho0)
-    _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
+    sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     g = _stack_neumann(grid, fs)
     sig0 = np.full(grid.nx, medium.sigma0)
-    kernel = _kernel(grid, medium.rho0, sig0.tobytes(),
-                     medium.sigma_dot.tobytes())
-    return _convolve(grid, kernel, g)
+    return _convolve(grid, _kernel(grid, medium.rho0, sig0.tobytes(),
+                                   sd.tobytes()), g)

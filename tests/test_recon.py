@@ -251,7 +251,7 @@ class TestReconstructPipeline:
     def test_overflowing_medium_rejected(self, coarse_grid):
         medium = MediumSpec(1.0, 0.0, np.full(coarse_grid.nx, 1e305))
         with pytest.raises(ConfigurationError,
-                           match="mode k = 1 has a non-finite identity value"):
+                           match="measured trace 0 has a non-finite sample"):
             reconstruct(ReconSettings(grid=coarse_grid, N=2), medium,
                         np.zeros(coarse_grid.nx))
 

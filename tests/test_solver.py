@@ -155,23 +155,16 @@ def test_nd_map_commutes_with_time_derivative(coarse_grid):
 
 
 def test_energy_non_increasing_after_data_stops(coarse_grid):
-    f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.15, 6.0, 1.0, 0.0)
-    sigma = 0.3
-    levels = {}
-
-    def monitor(n, u):
-        levels[n] = u[:, 0].copy()
-
-    solve_many(coarse_grid, 1.0, sigma, [f], monitor=monitor)
+    # the pulse is gone well before t = 2; each window's snapshots at T give
+    # the energy 1/2 int |p|^2 + 1/2 int |q|^2 at t = T
     dt, dx = coarse_grid.dt, coarse_grid.dx
-    off_index = round(2.0 / dt)  # pulse is gone well before t = 2
     energies = []
-    for n in range(off_index, coarse_grid.nt - 1, 25):
-        u0, u1 = levels[n], levels[n + 1]
-        ut = (u1 - u0) / dt
-        ux = np.gradient((u0 + u1) / 2, dx)
-        energies.append(0.5 * np.trapezoid(np.abs(ut) ** 2, dx=dx)
-                        + 0.5 * np.trapezoid(np.abs(ux) ** 2, dx=dx))
+    for T in np.arange(3.0, 5.001, 0.25):
+        grid = GridSpec(coarse_grid.a, coarse_grid.b, dx, dt, T)
+        f, _ = smooth_pulse_trace(grid, 1.0, 0.15, 6.0, 1.0, 0.0)
+        (out,) = solve_many(grid, 1.0, 0.3, [f])
+        energies.append(0.5 * np.trapezoid(np.abs(out.pT_snapshot) ** 2, dx=dx)
+                        + 0.5 * np.trapezoid(np.abs(out.qT_snapshot) ** 2, dx=dx))
     energies = np.asarray(energies)
     tol = 10 * dt * energies[0]
     assert np.all(np.diff(energies) <= tol)
@@ -196,12 +189,31 @@ class TestLinearized:
         separate = al * lin(s1) + be * lin(s2)
         assert np.allclose(combo.values_a, separate.values_a, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    @pytest.mark.parametrize("scaled", ["sigma_dot", "data"])
+    @pytest.mark.parametrize("linearized_map", [linearized_nd_map_many,
+                                                transfer_linearized_nd_map_many])
+    def test_scale_of_perturbation(self, coarse_grid, linearized_map, scaled,
+                                   scale):
+        # the complex step scales sigma_dot by s = max |sigma_dot| and the
+        # data to O(1), so that small ones do not underflow, and divides by h
+        # before multiplying by s, so that a large sigma_dot does not overflow
+        xs = coarse_grid.xs
+        f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
+        f = f + 0.5j * smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)[0]
+        sigma_dot = np.cos(np.pi * xs) + 2.0 + xs
+
+        def measure(c):
+            sd, data = ((c * sigma_dot, f) if scaled == "sigma_dot"
+                        else (sigma_dot, c * f))
+            return linearized_map(coarse_grid, MediumSpec(1.0, 0.1, sd), [data])
+
+        (ref,), (got,) = measure(1.0), measure(scale)
+        assert _max_rel_deviation([got * (1.0 / scale)], [ref]) <= 1e-12
+
     def test_matches_nonlinear_differences(self, coarse_grid):
-        # the coupled pass is the parameter derivative of the discrete
-        # solver except at the end nodes, where its sigma_dot_x edge term
-        # takes a centered du0/dt and the solver's sigma_x u_t a backward
-        # one; with this sigma_dot that gap stays near 1e-7 relative, below
-        # the O(eps) error of these one-sided quotients
+        # the linearized map is the parameter derivative of the discrete
+        # solver, so these one-sided quotients meet it at their own O(eps)
         xs = coarse_grid.xs
         sigma_dot = smooth_sigma_dot(xs)
         sigma0 = 0.1
@@ -220,23 +232,40 @@ class TestLinearized:
         assert errs[0] / errs[1] > 50
         assert errs[1] / errs[2] > 50
 
+    def test_is_the_derivative_of_the_solve_at_the_end_nodes(self,
+                                                               coarse_grid):
+        # sigma_dot has a slope at both ends, where the solver's edge term
+        # sigma_x u_t takes the backward difference of u; central quotients
+        # meet the derivative at O(eps^2), with no plateau
+        xs = coarse_grid.xs
+        sigma0, sigma_dot = 0.1, 0.3 * np.sin(np.pi * xs) + 2.0 * xs
+        f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
+        (lin,) = linearized_nd_map_many(
+            coarse_grid, MediumSpec(1.0, sigma0, sigma_dot), [f])
+        gaps = []
+        for eps in (1e-2, 1e-3, 1e-4):
+            plus, minus = (solve_many(coarse_grid, 1.0, sigma0 + e * sigma_dot,
+                                      [f])[0].dirichlet for e in (eps, -eps))
+            quotient = (plus - minus) * (1.0 / (2.0 * eps))
+            gaps.append(_max_rel_deviation([quotient], [lin]))
+        assert gaps[0] / gaps[1] > 50
+        assert gaps[1] / gaps[2] > 50
+
 
 def test_injection_applies_the_documented_formula(coarse_grid):
-    # the formula lives in code only as the tap table of _weights
+    # the formula lives in code only as the tap table of _weights; a complex
+    # sigma_end is a complex-step medium's
     grid, rho0 = coarse_grid, 1.3
-    sigma_ends, sigma_dot_ends = np.array([0.2, 0.7]), np.array([-1.1, 2.5])
+    sigma_ends = np.array([[0.2, 0.7], [0.2 - 1.1j, 0.7 + 2.5j]])  # (field, end)
     rng = np.random.default_rng(11)
     g = (rng.standard_normal((3, 2, grid.nt))
          + 1j * rng.standard_normal((3, 2, grid.nt)))  # (traces, end, steps)
-    inj = solver._injection(
-        solver._weights(grid, rho0, sigma_ends, sigma_dot_ends), g)
+    inj = solver._injection(solver._weights(grid, rho0, sigma_ends.ravel()), g)
     g_t = np.gradient(g, grid.dt, axis=-1)
     g_tt = np.gradient(g_t, grid.dt, axis=-1)
     dx = grid.dx
-    sigma_ends, sigma_dot_ends = sigma_ends[:, None], sigma_dot_ends[:, None]
-    expected = np.stack(
-        ((2.0 / dx) * g + (dx / 3.0) * (rho0 * g_tt + sigma_ends * g_t),
-         (dx / 3.0) * sigma_dot_ends * g_t))
+    expected = (2.0 / dx) * g + (dx / 3.0) * (
+        rho0 * g_tt + sigma_ends[:, None, :, None] * g_t)
     assert inj.shape == expected.shape
     per_field = (1, 2, 3)
     assert np.all(np.max(np.abs(inj - expected), axis=per_field)
