@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import build_control, verify_control
+from .control import verify_control
 from .core import BoundaryTrace, GridSpec, MediumSpec
 from .identity import nonlinear_identity_residual
 from .recon import (
@@ -42,8 +42,6 @@ from .recon import (
 from .solver import linearized_nd_map_many, solve_many
 
 PAPER = dict(a=-1.0, b=1.0, dx=1.0 / 250, dt=1.0 / 2500, T=5.0, N=10)
-
-_FLOAT_FMT = "{:.12g}"
 
 
 @dataclass
@@ -94,10 +92,6 @@ def experiment_setup(exp_id: int, grid: GridSpec, N: int):
 # result emission
 
 
-def _csv_row(values) -> str:
-    return ",".join(_FLOAT_FMT.format(v) for v in values) + "\n"
-
-
 def emit_results(result: ReconResult, xs: np.ndarray, out_dir,
                  summary_extra: dict | None = None):
     """Write reconstruction.csv, coefficients.csv and summary.json.
@@ -109,20 +103,21 @@ def emit_results(result: ReconResult, xs: np.ndarray, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    def write_csv(path, header, columns):
+        np.savetxt(path, np.column_stack(columns), fmt="%.12g", delimiter=",",
+                   header=header, comments="")
+
     rec_path = out / "reconstruction.csv"
-    with open(rec_path, "w") as fh:
-        fh.write("x,sigma_true,sigma_recon_re,sigma_recon_im\n")
-        for x, t, s in zip(xs, result.truth, result.sigma_recon):
-            fh.write(_csv_row((x, t, s.real, s.imag)))
+    sigma = result.sigma_recon
+    write_csv(rec_path, "x,sigma_true,sigma_recon_re,sigma_recon_im",
+              (xs, result.truth, sigma.real, sigma.imag))
 
     coeff_path = out / "coefficients.csv"
-    with open(coeff_path, "w") as fh:
-        fh.write("k,a_re,a_im,b_re,b_im\n")
-        fh.write(_csv_row((0, result.coeffs.a0.real, result.coeffs.a0.imag, 0.0, 0.0)))
-        for k in range(1, result.coeffs.N + 1):
-            a = result.coeffs.a[k - 1]
-            b = result.coeffs.b[k - 1]
-            fh.write(_csv_row((k, a.real, a.imag, b.real, b.imag)))
+    coeffs = result.coeffs
+    a = np.concatenate(([coeffs.a0], coeffs.a))
+    b = np.concatenate(([0.0], coeffs.b))
+    write_csv(coeff_path, "k,a_re,a_im,b_re,b_im",
+              (np.arange(coeffs.N + 1), a.real, a.imag, b.real, b.imag))
 
     summary = {"rel_l2": result.rel_l2, "linf": result.linf}
     if summary_extra:
@@ -221,8 +216,7 @@ def _check_control(table: _CheckTable) -> None:
     # the instrument's dispersion (see README, notes on numerics)
     grid = GridSpec(PAPER["a"], PAPER["b"], PAPER["dx"], PAPER["dx"], PAPER["T"])
     pT_f, pT_h, lam = fourier_targets(1, grid)
-    reps = verify_control([build_control(pT_f, lam, grid),
-                           build_control(pT_h, lam, grid)])
+    reps = verify_control([(pT_f, lam), (pT_h, lam)], grid)
     for name, rep in zip(("sin", "cos"), reps):
         table.row(f"control fidelity err_p ({name}, k=1)", rep.err_p, 1e-2)
         table.row(f"control fidelity err_init ({name}, k=1)", rep.err_init, 1e-10)
@@ -289,17 +283,16 @@ def _check_convergence(table: _CheckTable) -> None:
               ok=3.4 <= factor <= 4.6)
 
 
+_CHECKS = {
+    "identity": _check_identity,
+    "control": _check_control,
+    "convergence": _check_convergence,
+}
+
+
 def run_check(kind: str) -> int:
     table = _CheckTable()
-    if kind == "control":
-        _check_control(table)
-    elif kind == "identity":
-        _check_identity(table)
-    elif kind == "convergence":
-        _check_convergence(table)
-    else:
-        print(f"error: unknown check kind {kind!r}", file=sys.stderr)
-        return 2
+    _CHECKS[kind](table)
     return table.exit_code()
 
 
@@ -357,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--out", default=None)
 
     chk = sub.add_parser("check", help="run a verification suite")
-    chk.add_argument("kind", choices=("identity", "control", "convergence"))
+    chk.add_argument("kind", choices=_CHECKS)
     return parser
 
 

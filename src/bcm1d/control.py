@@ -38,33 +38,26 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BoundaryTrace, GridMismatchError, GridSpec
+from .core import BoundaryTrace, GridSpec
 from .extension import (AnalyticProfile, _derivatives, _plan,
                         extended_derivatives)
 from .solver import solve_many
 
 
-@dataclass(frozen=True)
-class ControlBundle:
-    """A synthesized control: target, extension order and analytic traces.
+class ControlBundle(NamedTuple):
+    """The analytic traces of a synthesized control.
 
     ``f`` realizes the snapshots p(T) = pT and q(T) = -(1/lam) pT' for the
     free background; ``f_t`` and ``f_tt`` are its exact time derivatives.
-    ``d`` is the order of the bump extension of ``pT`` the traces were
-    built from, kept so that verification evaluates the same extension.
     """
 
-    lam: complex
-    pT: AnalyticProfile
-    d: int
     f: BoundaryTrace
     f_t: BoundaryTrace
     f_tt: BoundaryTrace
-    grid: GridSpec
 
 
 @functools.lru_cache(maxsize=2)
@@ -106,10 +99,9 @@ def build_control(
             sign * 0.5 * (c * (m[2] - p[2]) + m[1] + p[1]),
             sign * 0.5 * (c * (p[3] + m[3]) + m[2] - p[2]),
         ))
-    f, f_t, f_tt = (
+    return ControlBundle(*(
         BoundaryTrace(at_a, at_b, grid.dt) for at_a, at_b in zip(*traces)
-    )
-    return ControlBundle(lam=lam, pT=pT, d=d, f=f, f_t=f_t, f_tt=f_tt, grid=grid)
+    ))
 
 
 @dataclass(frozen=True)
@@ -119,13 +111,14 @@ class ControlReport:
     err_init: float
 
 
-def verify_control(bundles: Sequence[ControlBundle]) -> list[ControlReport]:
-    """Check controls against one forward solve of the free background.
+def verify_control(targets: Sequence[tuple[AnalyticProfile, complex]],
+                   grid: GridSpec) -> list[ControlReport]:
+    """Check the controls of ``targets``, (pT, lam) pairs, on ``grid``.
 
-    All bundles must share one grid; their traces f and f_t run as two
-    columns each of a single pass over rho0 = 1, sigma = 0, the regime in
-    which the construction is exact.  Returns one report per bundle, in
-    order.
+    Each control is built by :func:`build_control` with its default
+    extension order; the traces f and f_t of all of them run as two columns
+    each of a single pass over rho0 = 1, sigma = 0, the regime in which the
+    construction is exact.  Returns one report per target, in order.
 
     ``err_p`` and ``err_q`` are relative L2 errors of the computed t = T
     velocity and gradient snapshots against the analytic targets.
@@ -149,21 +142,16 @@ def verify_control(bundles: Sequence[ControlBundle]) -> list[ControlReport]:
     far cleaner instrument than differencing the displacement in time (which
     amplifies the dispersive tail of the scheme by a frequency factor).
     """
-    grids = {bundle.grid for bundle in bundles}
-    if len(grids) != 1:
-        raise GridMismatchError(
-            f"verify_control needs bundles on one grid, got {len(grids)} grids"
-        )
-    (grid,) = grids
     xs = grid.xs
     shifted = np.concatenate((xs - grid.T, xs + grid.T))
+    controls = [build_control(pT, lam, grid) for pT, lam in targets]
     outs = solve_many(grid, 1.0, 0.0,
-                      [tr for bundle in bundles for tr in (bundle.f, bundle.f_t)])
+                      [tr for c in controls for tr in (c.f, c.f_t)])
     reports = []
-    for bundle, out, out_t in zip(bundles, outs[0::2], outs[1::2]):
+    for (pT, lam), out, out_t in zip(targets, outs[0::2], outs[1::2]):
         p_got = out_t.uT_snapshot
-        p_want = np.asarray(bundle.pT.value(xs), dtype=complex)
-        q_want = -np.asarray(bundle.pT.deriv1(xs), dtype=complex) / bundle.lam
+        p_want = np.asarray(pT.value(xs), dtype=complex)
+        q_want = -np.asarray(pT.deriv1(xs), dtype=complex) / lam
         p_norm = np.linalg.norm(p_want)
         q_norm = np.linalg.norm(q_want)
         if p_norm == 0.0 and q_norm == 0.0:
@@ -173,9 +161,9 @@ def verify_control(bundles: Sequence[ControlBundle]) -> list[ControlReport]:
             err_p = float(np.linalg.norm(p_got - p_want) / p_norm)
             err_q = float(np.linalg.norm(out.qT_snapshot - q_want) / q_norm)
         (psi_m, psi_p), (dpsi_m, dpsi_p) = (
-            np.split(v, 2) for v in extended_derivatives(
-                bundle.pT, grid.a, grid.b, shifted, bundle.d, top=1))
-        c = -1.0 / bundle.lam
+            np.split(v, 2)
+            for v in extended_derivatives(pT, grid.a, grid.b, shifted)[:2])
+        c = -1.0 / lam
         w0 = 0.5 * c * (psi_p + psi_m)
         w0_t = 0.5 * (c * (dpsi_m - dpsi_p) + psi_p + psi_m)
         err_init = float(max(np.max(np.abs(w0)), np.max(np.abs(w0_t))))

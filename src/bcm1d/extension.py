@@ -140,12 +140,10 @@ def _plan(a: float, b: float, x, d: int) -> _Plan:
                  tuple(flanks))
 
 
-def _derivatives(phi: AnalyticProfile, plan: _Plan,
-                 top: int = 3) -> list[np.ndarray]:
+def _derivatives(phi: AnalyticProfile, plan: _Plan) -> list[np.ndarray]:
     """:func:`extended_derivatives` at the points of ``plan``."""
-    res = [np.zeros(plan.shape, dtype=complex).reshape(-1)
-           for _ in range(top + 1)]
-    derivs = (phi.value, phi.deriv1, phi.deriv2, phi.deriv3)[: top + 1]
+    derivs = (phi.value, phi.deriv1, phi.deriv2, phi.deriv3)
+    res = [np.zeros(plan.shape, dtype=complex).reshape(-1) for _ in derivs]
     index, points = plan.mid
     for r, deriv in zip(res, derivs):
         r[index] = deriv(points)
@@ -157,16 +155,16 @@ def _derivatives(phi: AnalyticProfile, plan: _Plan,
 
 
 def extended_derivatives(phi: AnalyticProfile, a: float, b: float, x,
-                         d: int = 2, top: int = 3) -> list[np.ndarray]:
-    """Derivatives 0 .. ``top`` of the extension of ``phi`` at the points ``x``.
+                         d: int = 2) -> list[np.ndarray]:
+    """Derivatives 0 .. 3 of the extension of ``phi`` at the points ``x``.
 
     The extension equals ``phi`` on [a, b], equals ``phi`` times the flank
     bump factor on (a-1, a) and (b, b+1), and is identically zero outside.
     Its derivatives are assembled by the product rule with the analytic
-    bump-factor derivatives, so ``phi`` must supply ``top`` derivatives on
+    bump-factor derivatives, so ``phi`` must supply three derivatives on
     [a-1, b+1].  Each flank's bump factors and each derivative of ``phi``
     are evaluated once and shared by all orders.  The geometry, which
     regions the points fall in and the bump factors there, is built afresh
     on each call; ``build_control`` keeps it per grid instead.
     """
-    return _derivatives(phi, _plan(a, b, x, d), top)
+    return _derivatives(phi, _plan(a, b, x, d))

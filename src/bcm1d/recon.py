@@ -130,8 +130,8 @@ def add_noise(
     parts are perturbed independently with std eps * RMS / sqrt(2).  A zero
     trace (RMS = 0) and eps = 0 are returned unchanged.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     n = len(trace)
     rms = np.sqrt(
         (np.sum(np.abs(trace.values_a) ** 2) + np.sum(np.abs(trace.values_b) ** 2))

@@ -132,8 +132,8 @@ def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
 
 
 def _check_cfl(grid: GridSpec, rho0: float) -> None:
-    if rho0 <= 0:
-        raise ConfigurationError(f"rho0 must be positive, got {rho0}")
+    if not (np.isfinite(rho0) and rho0 > 0):
+        raise ConfigurationError(f"rho0 must be positive and finite, got {rho0}")
     c = grid.cfl_number(rho0)
     if c > 1.0 + 1e-12:
         raise ConfigurationError(

@@ -19,7 +19,6 @@ from bcm1d import (
     ReconSettings,
     acquire_clean_pair_data,
     apply_measurement_noise,
-    build_control,
     linearized_rhs,
     nonlinear_identity_residual,
     projection_truth,
@@ -208,13 +207,11 @@ def test_criterion_07_control_fidelity(grid):
     for k in range(1, 11):
         pT_f, pT_h, lam = fourier_targets(k, grid)
         targets += [(pT_f, lam), (pT_h, lam)]
-    for rep in verify_control([build_control(target, lam, exact_grid)
-                               for target, lam in targets]):
+    for rep in verify_control(targets, exact_grid):
         worst_p = max(worst_p, rep.err_p)
         worst_init = max(worst_init, rep.err_init)
         ok_all &= rep.err_p <= 1e-2 and rep.err_init <= 1e-10
-    worst_ref = max(rep.err_p for rep in verify_control(
-        [build_control(target, lam, grid) for target, lam in targets]))
+    worst_ref = max(rep.err_p for rep in verify_control(targets, grid))
     _report(7, "control fidelity k <= 10 (exact-propagation instrument)",
             f"worst err_p = {worst_p:.2e} (tol 1e-2), worst err_init = "
             f"{worst_init:.1e} (tol 1e-10); reference-dt instrument worst "

@@ -3,7 +3,6 @@ import pytest
 
 from bcm1d import (
     AnalyticProfile,
-    GridMismatchError,
     GridSpec,
     build_control,
     cosine_profile,
@@ -26,8 +25,7 @@ def test_zero_lambda_rejected(coarse_grid):
 
 def test_control_achieves_target_snapshots(coarse_grid):
     kappa = np.pi / 2
-    bundle = build_control(sine_profile(kappa), 1j * kappa, coarse_grid)
-    (rep,) = verify_control([bundle])
+    (rep,) = verify_control([(sine_profile(kappa), 1j * kappa)], coarse_grid)
     assert rep.err_p <= 3e-2
     assert rep.err_q <= 3e-2
     assert rep.err_init <= 1e-12
@@ -40,8 +38,7 @@ def test_control_error_decays_under_refinement():
     errs = []
     for n in (100, 200):
         g = GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 3.0)
-        bundle = build_control(sine_profile(kappa), 1j * kappa, g)
-        errs.append(verify_control([bundle])[0].err_p)
+        errs.append(verify_control([(sine_profile(kappa), 1j * kappa)], g)[0].err_p)
     assert 2.5 <= errs[0] / errs[1] <= 5.0
 
 
@@ -52,17 +49,17 @@ def test_control_is_exact_at_unit_cfl():
     g = GridSpec(-1.0, 1.0, 1.0 / 250, 1.0 / 250, 3.0)
     kappa = np.pi / 2
     for prof in (sine_profile(kappa), cosine_profile(kappa)):
-        (rep,) = verify_control([build_control(prof, 1j * kappa, g)])
+        (rep,) = verify_control([(prof, 1j * kappa)], g)
         assert rep.err_p <= 1e-4
         assert rep.err_init == 0.0
 
 
 def test_batched_verification_matches_single(coarse_grid):
     kappa = np.pi / 2
-    b1 = build_control(sine_profile(kappa), 1j * kappa, coarse_grid)
-    b2 = build_control(cosine_profile(np.pi), 1j * np.pi, coarse_grid)
-    assert verify_control([b1, b2]) == [verify_control([b1])[0],
-                                        verify_control([b2])[0]]
+    t1 = (sine_profile(kappa), 1j * kappa)
+    t2 = (cosine_profile(np.pi), 1j * np.pi)
+    assert verify_control([t1, t2], coarse_grid) == [
+        verify_control([t1], coarse_grid)[0], verify_control([t2], coarse_grid)[0]]
 
 
 def test_traces_match_direct_extension(coarse_grid):
@@ -96,13 +93,6 @@ def test_traces_match_direct_extension(coarse_grid):
                     assert np.array_equal(got, w)
                     assert (np.max(np.abs(got - w_direct))
                             <= 1e-12 * np.max(np.abs(w_direct)))
-
-
-def test_verify_control_rejects_mixed_grids(coarse_grid, coarse_grid_t5):
-    b1 = build_control(sine_profile(1.0), 1j, coarse_grid)
-    b2 = build_control(sine_profile(1.0), 1j, coarse_grid_t5)
-    with pytest.raises(GridMismatchError):
-        verify_control([b1, b2])
 
 
 def test_control_map_is_linear(coarse_grid):
@@ -177,5 +167,5 @@ def test_derivative_traces_match_numerical_differentiation(d, pairs):
 
 
 def test_verify_control_zero_target(coarse_grid):
-    (rep,) = verify_control([build_control(sine_profile(0.0), 1j, coarse_grid)])
+    (rep,) = verify_control([(sine_profile(0.0), 1j)], coarse_grid)
     assert rep.err_p == 0 and rep.err_q == 0 and rep.err_init == 0

@@ -89,6 +89,11 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(self._trace(n=100), -0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match=rf"eps must be finite.*, got {eps}$"):
+            add_noise(self._trace(n=100), eps, np.random.default_rng(0))
+
 
 @pytest.fixture(scope="module")
 def pair_data(coarse_grid):

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from bcm1d import (
+    LINEARIZED,
+    NONLINEAR_DIFFERENCE,
     BoundaryTrace,
     ConfigurationError,
     GridSpec,
     MediumSpec,
+    ReconSettings,
+    acquire_clean_pair_data,
     build_control,
     fourier_targets,
     linearized_nd_map_many,
@@ -290,6 +294,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="CFL"):
             solve_many(g, 1.0, 0.0, [BoundaryTrace.zeros(g)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rho0_rejected(self, coarse_grid, bad):
+        f, _ = smooth_pulse_trace(coarse_grid, 1.2, 0.25, 6.0, 1.0, 0.3)
+        with pytest.raises(ConfigurationError,
+                           match=rf"rho0 must be positive.*, got {bad}$"):
+            solve_many(coarse_grid, bad, 0.0, [f])
+
     def test_sigma_length_mismatch(self, coarse_grid):
         with pytest.raises(ConfigurationError):
             solve_many(coarse_grid, 1.0, np.zeros(7),
@@ -482,6 +493,31 @@ class TestTransfer:
         transfer_linearized_nd_map_many(coarse_grid_t5, med, controls)
         transfer_difference_nd_map_many(coarse_grid_t5, med, _EPS, controls)
         assert calls == []
+
+    @pytest.mark.parametrize("data_mode", [LINEARIZED, NONLINEAR_DIFFERENCE])
+    def test_acquired_data_at_minimal_window_match_stepper(self, data_mode):
+        # with T at its minimum (b - a) + 1 the reconstruction controls are
+        # nonzero among the three samples nearest each window end, so the
+        # edge terms of the transfer maps do real work
+        grid = GridSpec(-1.0, 1.0, 0.04, 0.04, 3.0)
+        med = _medium(grid)
+        settings = ReconSettings(grid=grid, N=5, data_mode=data_mode,
+                                 eps_linearization=1e-3)
+        for k in (1, 3, 5):
+            pT_f, pT_h, lam = fourier_targets(k, grid)
+            bf, bh = (build_control(pT, lam, grid) for pT in (pT_f, pT_h))
+            driven = [bf.f_t, bf.f_tt, bh.f_t, bh.f_tt, bf.f, bh.f]
+            for tr in driven:
+                g = np.stack((tr.values_a, tr.values_b))
+                assert np.any(g[:, :3]) and np.any(g[:, -3:])
+            f, h = acquire_clean_pair_data(k, settings, med,
+                                           with_operator_traces=True)[1:]
+            got = [f.meas_t, f.meas_tt, h.meas_t, h.meas_tt, f.meas, h.meas]
+            if data_mode == LINEARIZED:
+                want = linearized_nd_map_many(grid, med, driven)
+            else:
+                want = _stepper_quotient(grid, med, 1e-3, driven)
+            assert _max_rel_deviation(got, want) <= 1e-9
 
     def test_medium_mutated_in_place_gets_new_kernel(self, coarse_grid):
         med = _medium(coarse_grid)
