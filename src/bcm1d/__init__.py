@@ -42,7 +42,6 @@ from .recon import (
     apply_measurement_noise,
     assemble_coefficients,
     fourier_targets,
-    mode_wavenumber,
     projection_truth,
     reconstruct,
     reconstruct_from_data,

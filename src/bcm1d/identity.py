@@ -54,15 +54,13 @@ class ControlData:
 
     ``g`` and ``g_t`` are the control and its analytic time derivative;
     ``meas_t`` and ``meas_tt`` are the measured linearized responses to its
-    first and second analytic time derivatives.  ``meas``, the measured
-    response to ``g`` itself, is needed by the stability check only.
+    first and second analytic time derivatives.
     """
 
     g: BoundaryTrace
     g_t: BoundaryTrace
     meas_t: BoundaryTrace
     meas_tt: BoundaryTrace
-    meas: BoundaryTrace | None = None
 
 
 def _pair(x: BoundaryTrace, y: BoundaryTrace, grid: GridSpec) -> complex:
@@ -172,26 +170,25 @@ class StabilityReport:
 
 
 def stability_bound_check(
-    f: ControlData, h: ControlData, lam: complex, grid: GridSpec
+    f: ControlData, h: ControlData, lam: complex, grid: GridSpec,
+    meas_f: BoundaryTrace, meas_h: BoundaryTrace,
 ) -> StabilityReport:
     """Cauchy-Schwarz chain bounding the identity value by trace norms.
 
     Checks |linearized_rhs| <= (2 + |lam|) ||f||_H1 ||Lh||_H2
                                + (1 + |lam|) ||Lf||_H2 ||h||_H1
     with discrete Sobolev norms over (0, T) x {a, b}; a 5% slack absorbs
-    the discretization of the norms.  Requires the measured traces of the
-    controls themselves (``f.meas``, ``h.meas``).
+    the discretization of the norms.  ``meas_f`` and ``meas_h`` are the
+    measured responses Lf and Lh to the controls themselves.
     """
-    if f.meas is None or h.meas is None:
-        raise ValueError("stability check needs the measured f and h traces")
     lhs_abs = abs(linearized_rhs(f, h, lam, grid))
     lam_abs = abs(lam)
     bound = (
         (2.0 + lam_abs)
         * discrete_sobolev_norm(f.g, 1)
-        * discrete_sobolev_norm(h.meas, 2)
+        * discrete_sobolev_norm(meas_h, 2)
         + (1.0 + lam_abs)
-        * discrete_sobolev_norm(f.meas, 2)
+        * discrete_sobolev_norm(meas_f, 2)
         * discrete_sobolev_norm(h.g, 1)
     )
     return StabilityReport(

@@ -26,14 +26,15 @@ are reproducible and independent of evaluation order.
 Each mode's data are one :class:`ModeData`: the free parameter and one
 :class:`~bcm1d.identity.ControlData` record per control (f the sine, h the
 cosine control), each carrying its control, the control's analytic time
-derivative and measured responses.
+derivative and measured responses, taken by :meth:`ReconSettings.measurement`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,6 +70,8 @@ class ReconSettings:
     eps_linearization: float = 1e-3
 
     def __post_init__(self) -> None:
+        if not isinstance(self.N, (int, np.integer)):
+            raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if self.seed < 0:
@@ -84,6 +87,17 @@ class ReconSettings:
         if self.data_mode == NONLINEAR_DIFFERENCE and self.eps_linearization <= 0:
             raise ValueError("eps_linearization must be positive for "
                              "nonlinear-difference data")
+
+    def measurement(self, medium: MediumSpec) -> Callable:
+        """The map from driven traces to measured traces in ``medium``: the
+        linearized ND map, or its difference quotient (nonlinear data at
+        damping sigma0 + eps sigma_dot (+ eps^2 sigma_ddot) minus those at
+        sigma0, over eps)."""
+        if self.data_mode == LINEARIZED:
+            return functools.partial(transfer_linearized_nd_map_many,
+                                     self.grid, medium)
+        return functools.partial(transfer_difference_nd_map_many, self.grid,
+                                 medium, self.eps_linearization)
 
 
 @dataclass(frozen=True)
@@ -154,55 +168,26 @@ def apply_measurement_noise(
         return data
 
     def noisy(trace, label):
-        if trace is None:
-            return None
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(k, label))
         return add_noise(trace, eps, np.random.default_rng(ss))
 
-    def noisy_control(c: ControlData, t: int, tt: int, op: int) -> ControlData:
-        return replace(c, meas_t=noisy(c.meas_t, t),
-                       meas_tt=noisy(c.meas_tt, tt), meas=noisy(c.meas, op))
-
-    # substream labels of (meas_t, meas_tt, meas): 0, 1, 4 for f; 2, 3, 5 for h
-    return data._replace(f=noisy_control(data.f, 0, 1, 4),
-                         h=noisy_control(data.h, 2, 3, 5))
+    # substream labels of (meas_t, meas_tt): 0, 1 for f; 2, 3 for h
+    f, h = data.f, data.h
+    return data._replace(
+        f=replace(f, meas_t=noisy(f.meas_t, 0), meas_tt=noisy(f.meas_tt, 1)),
+        h=replace(h, meas_t=noisy(h.meas_t, 2), meas_tt=noisy(h.meas_tt, 3)))
 
 
-def acquire_clean_pair_data(
-    k: int,
-    settings: ReconSettings,
-    medium: MediumSpec,
-    with_operator_traces: bool = False,
-) -> ModeData:
-    """Controls and measurements for mode ``k``, no noise.
-
-    In linearized mode the measured traces are linearized responses to the
-    analytic derivative controls.  In nonlinear-difference mode they are
-    difference quotients (nonlinear measurements at damping sigma0 +
-    eps sigma_dot (+ eps^2 sigma_ddot) minus those at sigma0, over eps).
-    ``with_operator_traces`` also measures the responses to the controls
-    themselves, needed by the stability check.
-    """
-    grid = settings.grid
+def acquire_clean_pair_data(k: int, grid: GridSpec, measure: Callable) -> ModeData:
+    """Controls and measurements for mode ``k``, no noise: ``measure`` (see
+    :meth:`ReconSettings.measurement`) takes the first and second analytic
+    time derivatives of the sine and cosine controls."""
     pT_f, pT_h, lam = fourier_targets(k, grid)
     bf = build_control(pT_f, lam, grid)
     bh = build_control(pT_h, lam, grid)
-
-    driven = [bf.f_t, bf.f_tt, bh.f_t, bh.f_tt]
-    if with_operator_traces:
-        driven += [bf.f, bh.f]
-
-    if settings.data_mode == LINEARIZED:
-        meas = transfer_linearized_nd_map_many(grid, medium, driven)
-    else:
-        meas = transfer_difference_nd_map_many(
-            grid, medium, settings.eps_linearization, driven)
-    meas_f, meas_h = meas[4:] if with_operator_traces else (None, None)
-    return ModeData(
-        lam,
-        ControlData(bf.f, bf.f_t, meas[0], meas[1], meas_f),
-        ControlData(bh.f, bh.f_t, meas[2], meas[3], meas_h),
-    )
+    f_t, f_tt, h_t, h_tt = measure([bf.f_t, bf.f_tt, bh.f_t, bh.f_tt])
+    return ModeData(lam, ControlData(bf.f, bf.f_t, f_t, f_tt),
+                    ControlData(bh.f, bh.f_t, h_t, h_tt))
 
 
 def assemble_coefficients(
@@ -289,9 +274,14 @@ def reconstruct_from_data(
     of modes 1 .. N, taken one mode at a time.
 
     Raises ``ConfigurationError`` naming the mode whose identity values are
-    not finite, so that overflowing data never become NaN results.
+    not finite, so that overflowing data never become NaN results.  A
+    ``truth`` off the spatial grid is rejected before any mode is taken.
     """
     grid = settings.grid
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != (grid.nx,):
+        raise ValueError(f"truth must have shape ({grid.nx},) to match the "
+                         f"grid, got {truth.shape}")
 
     def values(k: int, data: ModeData) -> tuple[complex, complex, complex]:
         lam, f, h = data
@@ -310,7 +300,6 @@ def reconstruct_from_data(
     S_ff, S_hh, S_fh = zip(*map(values, itertools.count(1), mode_data))
     coeffs = assemble_coefficients(S_ff, S_hh, S_fh, settings.N)
     sigma_recon = synthesize(coeffs, grid)
-    truth = np.asarray(truth, dtype=float)
     rel_l2, linf = _error_metrics(sigma_recon, truth, grid)
     return ReconResult(coeffs=coeffs, sigma_recon=sigma_recon, truth=truth,
                        rel_l2=rel_l2, linf=linf)
@@ -331,9 +320,11 @@ def reconstruct(
             "reconstruction requires rho0 = 1 and sigma0 = 0; got "
             f"rho0 = {medium.rho0}, sigma0 = {medium.sigma0}"
         )
+    measure = settings.measurement(medium)
     modes = (
-        apply_measurement_noise(acquire_clean_pair_data(k, settings, medium),
-                                k, settings.noise_eps, settings.seed)
+        apply_measurement_noise(
+            acquire_clean_pair_data(k, settings.grid, measure),
+            k, settings.noise_eps, settings.seed)
         for k in range(1, settings.N + 1)
     )
     return reconstruct_from_data(modes, settings, truth)

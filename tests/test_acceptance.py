@@ -43,12 +43,10 @@ def _report(num: int, desc: str, detail: str, ok: bool) -> None:
     print(f"ACCEPTANCE {num:>2} {'PASS' if ok else 'FAIL'}: {desc} ({detail})")
 
 
-def _acquire(medium, settings, operator_upto=0):
-    return [
-        acquire_clean_pair_data(k, settings, medium,
-                                with_operator_traces=(k <= operator_upto))
-        for k in range(1, settings.N + 1)
-    ]
+def _acquire(medium, settings):
+    measure = settings.measurement(medium)
+    return [acquire_clean_pair_data(k, settings.grid, measure)
+            for k in range(1, settings.N + 1)]
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +59,7 @@ def exp1(grid):
     sig = smooth_perturbation(grid.xs)
     medium = MediumSpec(1.0, 0.0, sig)
     settings = ReconSettings(grid=grid, N=N_MODES)
-    data = _acquire(medium, settings, operator_upto=5)
+    data = _acquire(medium, settings)
     return dict(data=data, settings=settings, truth=sig, medium=medium)
 
 
@@ -257,7 +255,8 @@ def test_invariant_imaginary_leakage_is_pure_dispersion(exp1, grid):
     magic = GridSpec(grid.a, grid.b, grid.dx, grid.dx, grid.T)
     medium = MediumSpec(1.0, 0.0, smooth_perturbation(magic.xs))
     settings = ReconSettings(grid=magic, N=N_MODES)
-    lam, f, h = acquire_clean_pair_data(N_MODES, settings, medium)
+    lam, f, h = acquire_clean_pair_data(N_MODES, magic,
+                                        settings.measurement(medium))
     a_N = linearized_rhs(h, h, lam, magic) - linearized_rhs(f, f, lam, magic)
     print(f"imaginary leakage: reference dt {leak_ref:.2e}, unit-CFL "
           f"|Im a_N| = {abs(a_N.imag):.2e}")
@@ -267,9 +266,11 @@ def test_invariant_imaginary_leakage_is_pure_dispersion(exp1, grid):
 def test_criterion_09_stability_chain(exp1, grid):
     ok_all = True
     min_slack = np.inf
+    measure = exp1["settings"].measurement(exp1["medium"])
     for lam, f, h in exp1["data"][:5]:
-        for a, b in ((f, h), (f, f), (h, h)):
-            rep = stability_bound_check(a, b, lam, grid)
+        Lf, Lh = measure([f.g, h.g])
+        for a, b, La, Lb in ((f, h, Lf, Lh), (f, f, Lf, Lf), (h, h, Lh, Lh)):
+            rep = stability_bound_check(a, b, lam, grid, La, Lb)
             ok_all &= rep.ok
             if rep.lhs_abs > 0:
                 min_slack = min(min_slack, rep.bound / rep.lhs_abs)

@@ -20,30 +20,35 @@ from conftest import smooth_sigma_dot
 
 
 @pytest.fixture(scope="module")
-def half_grid():
-    """Half the reference resolution, full window; identity-grade accuracy."""
-    return GridSpec(-1.0, 1.0, 1.0 / 100, 1.0 / 1000, 5.0)
+def mode4_measure(mid_grid):
+    """Linearized measurement of the smooth reference perturbation."""
+    medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(mid_grid.xs))
+    return ReconSettings(grid=mid_grid, N=4).measurement(medium)
 
 
 @pytest.fixture(scope="module")
-def mode4_data(half_grid):
+def mode4_data(mid_grid, mode4_measure):
     """Mode-4 control data for the smooth reference perturbation."""
-    medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(half_grid.xs))
-    settings = ReconSettings(grid=half_grid, N=4)
-    return acquire_clean_pair_data(4, settings, medium, with_operator_traces=True)
+    return acquire_clean_pair_data(4, mid_grid, mode4_measure)
 
 
 @pytest.fixture(scope="module")
-def mode4_snaps(half_grid):
+def mode4_operator_traces(mode4_data, mode4_measure):
+    """Measured responses Lf, Lh to the mode-4 controls themselves."""
+    return mode4_measure([mode4_data.f.g, mode4_data.h.g])
+
+
+@pytest.fixture(scope="module")
+def mode4_snaps(mid_grid):
     """Target snapshots p0(T) of the mode-4 sine and cosine controls."""
-    pT_f, pT_h, _ = fourier_targets(4, half_grid)
-    return tuple(np.asarray(p.value(half_grid.xs), dtype=complex)
+    pT_f, pT_h, _ = fourier_targets(4, mid_grid)
+    return tuple(np.asarray(p.value(mid_grid.xs), dtype=complex)
                  for p in (pT_f, pT_h))
 
 
 def _zero_control(grid):
     z = BoundaryTrace.zeros(grid)
-    return ControlData(g=z, g_t=z, meas_t=z, meas_tt=z, meas=z)
+    return ControlData(g=z, g_t=z, meas_t=z, meas_tt=z)
 
 
 class TestLinearizedRhs:
@@ -52,33 +57,33 @@ class TestLinearizedRhs:
         assert linearized_rhs(z, z, 2j, coarse_grid) == 0
 
     def test_mode4_pair_recovers_sine_moment(self, mode4_data, mode4_snaps,
-                                             half_grid):
+                                             mid_grid):
         # the perturbation contains the fourth sine mode with unit weight, so
         # the (f, h) product integrates to exactly 1/2 by orthogonality
         lam, f, h = mode4_data
-        value = linearized_rhs(f, h, lam, half_grid)
+        value = linearized_rhs(f, h, lam, mid_grid)
         assert abs(value - 0.5) <= 1e-2
         vol = weighted_volume_pairing(
             *mode4_snaps,
-            smooth_sigma_dot(half_grid.xs), half_grid,
+            smooth_sigma_dot(mid_grid.xs), mid_grid,
         )
         assert abs(vol - 0.5) <= 1e-4
         assert abs(value - vol) <= 1e-2
 
     def test_symmetric_pairs_match_volume_oracle(self, mode4_data, mode4_snaps,
-                                                 half_grid):
-        sig = smooth_sigma_dot(half_grid.xs)
+                                                 mid_grid):
+        sig = smooth_sigma_dot(mid_grid.xs)
         for c, snap in zip((mode4_data.f, mode4_data.h), mode4_snaps):
-            value = linearized_rhs(c, c, mode4_data.lam, half_grid)
-            vol = weighted_volume_pairing(snap, snap, sig, half_grid)
+            value = linearized_rhs(c, c, mode4_data.lam, mid_grid)
+            vol = weighted_volume_pairing(snap, snap, sig, mid_grid)
             assert abs(value - vol) / abs(vol) <= 1e-2
 
-    def test_swap_symmetry(self, mode4_data, half_grid):
+    def test_swap_symmetry(self, mode4_data, mid_grid):
         # the volume side is symmetric in the pair, so both orderings of the
         # boundary evaluation must agree to discretization tolerance
         lam, f, h = mode4_data
-        forward = linearized_rhs(f, h, lam, half_grid)
-        backward = linearized_rhs(h, f, lam, half_grid)
+        forward = linearized_rhs(f, h, lam, mid_grid)
+        backward = linearized_rhs(h, f, lam, mid_grid)
         assert abs(forward - backward) <= 1e-2
 
     def test_swap_asymmetry_shrinks_under_refinement(self):
@@ -86,8 +91,8 @@ class TestLinearizedRhs:
         for n in (50, 100):
             g = GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 5.0)
             medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(g.xs))
-            settings = ReconSettings(grid=g, N=4)
-            lam, f, h = acquire_clean_pair_data(4, settings, medium)
+            measure = ReconSettings(grid=g, N=4).measurement(medium)
+            lam, f, h = acquire_clean_pair_data(4, g, measure)
             diffs.append(abs(linearized_rhs(f, h, lam, g)
                              - linearized_rhs(h, f, lam, g)))
         # both orderings converge to the symmetric volume value at second
@@ -100,8 +105,8 @@ class TestLinearizedRhs:
         # the samples of (0, T)
         g = coarse_grid
         medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(g.xs))
-        lam, f, h = acquire_clean_pair_data(4, ReconSettings(grid=g, N=4),
-                                            medium)
+        lam, f, h = acquire_clean_pair_data(
+            4, g, ReconSettings(grid=g, N=4).measurement(medium))
         n = g.half_index + 1
 
         def pairing(x, y):
@@ -122,15 +127,15 @@ class TestLinearizedRhs:
         assert abs(want) > 1e-3  # a non-degenerate pair
         assert abs(got - want) <= 1e-13 * abs(want)
 
-    def test_f_side_scaling(self, mode4_data, half_grid):
+    def test_f_side_scaling(self, mode4_data, mid_grid):
         # scaling every f-side trace scales the identity value linearly
         from dataclasses import replace
 
         lam, f, h = mode4_data
         al = 1.5 - 0.5j
         scaled = replace(f, g=al * f.g, g_t=al * f.g_t, meas_t=al * f.meas_t)
-        assert np.isclose(linearized_rhs(scaled, h, lam, half_grid),
-                          al * linearized_rhs(f, h, lam, half_grid), rtol=1e-12)
+        assert np.isclose(linearized_rhs(scaled, h, lam, mid_grid),
+                          al * linearized_rhs(f, h, lam, mid_grid), rtol=1e-12)
 
 
 class TestVolumePairing:
@@ -196,28 +201,24 @@ class TestNonlinearIdentity:
 class TestStabilityBound:
     def test_zero_data_ok(self, coarse_grid):
         z = _zero_control(coarse_grid)
-        rep = stability_bound_check(z, z, 2j, coarse_grid)
+        rep = stability_bound_check(z, z, 2j, coarse_grid, z.g, z.g)
         assert rep.lhs_abs == 0 and rep.bound == 0 and rep.ok
 
-    def test_mode_data_passes_with_wide_margin(self, mode4_data, half_grid):
+    def test_mode_data_passes_with_wide_margin(self, mode4_data,
+                                               mode4_operator_traces, mid_grid):
         lam, f, h = mode4_data
-        for a, b in ((f, h), (f, f), (h, h)):
-            rep = stability_bound_check(a, b, lam, half_grid)
+        Lf, Lh = mode4_operator_traces
+        for a, b, La, Lb in ((f, h, Lf, Lh), (f, f, Lf, Lf), (h, h, Lh, Lh)):
+            rep = stability_bound_check(a, b, lam, mid_grid, La, Lb)
             assert rep.ok
             assert rep.bound > 10 * rep.lhs_abs
 
-    def test_bound_monotone_in_lambda(self, mode4_data, half_grid):
+    def test_bound_monotone_in_lambda(self, mode4_data, mode4_operator_traces,
+                                      mid_grid):
         _, f, h = mode4_data
         bounds = [
-            stability_bound_check(f, h, lam, half_grid).bound
+            stability_bound_check(f, h, lam, mid_grid,
+                                  *mode4_operator_traces).bound
             for lam in (0.5j, 2.0j, 8.0j)
         ]
         assert bounds[0] <= bounds[1] <= bounds[2]
-
-    def test_missing_operator_traces_rejected(self, mode4_data, half_grid):
-        from dataclasses import replace
-
-        lam, f, h = mode4_data
-        incomplete = replace(f, meas=None)
-        with pytest.raises(ValueError):
-            stability_bound_check(incomplete, h, lam, half_grid)

@@ -98,8 +98,8 @@ class TestAddNoise:
 @pytest.fixture(scope="module")
 def pair_data(coarse_grid):
     medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
-    settings = ReconSettings(grid=coarse_grid, N=1)
-    return acquire_clean_pair_data(1, settings, medium)
+    measure = ReconSettings(grid=coarse_grid, N=1).measurement(medium)
+    return acquire_clean_pair_data(1, coarse_grid, measure)
 
 
 class TestNoiseDeterminism:
@@ -135,11 +135,11 @@ class TestNoiseDeterminism:
         medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
         settings = ReconSettings(grid=coarse_grid, N=2)
         k, eps, seed = 2, 0.03, 11
-        clean = acquire_clean_pair_data(k, settings, medium,
-                                        with_operator_traces=True)
+        clean = acquire_clean_pair_data(k, coarse_grid,
+                                        settings.measurement(medium))
         noisy = apply_measurement_noise(clean, k, eps, seed)
         labels = {("f", "meas_t"): 0, ("f", "meas_tt"): 1, ("h", "meas_t"): 2,
-                  ("h", "meas_tt"): 3, ("f", "meas"): 4, ("h", "meas"): 5}
+                  ("h", "meas_tt"): 3}
         for (control, field), label in labels.items():
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(k, label)))
@@ -289,6 +289,10 @@ class TestReconstructPipeline:
     def test_settings_validation(self, coarse_grid):
         with pytest.raises(ValueError):
             ReconSettings(grid=coarse_grid, N=0)
+        for bad in (2.5, 3.0):
+            with pytest.raises(ValueError, match=f"N must be an integer, got {bad}"):
+                ReconSettings(grid=coarse_grid, N=bad)
+        assert ReconSettings(grid=coarse_grid, N=np.int64(2)).N == 2
         with pytest.raises(ValueError):
             ReconSettings(grid=coarse_grid, noise_eps=-0.1)
         with pytest.raises(ValueError, match="seed"):
@@ -310,7 +314,8 @@ class TestReconstructPipeline:
         medium = MediumSpec(1.0, 0.0, sig)
         settings = ReconSettings(grid=coarse_grid, N=2)
         direct = reconstruct(settings, medium, sig)
-        data = [acquire_clean_pair_data(k, settings, medium) for k in (1, 2)]
+        measure = settings.measurement(medium)
+        data = [acquire_clean_pair_data(k, coarse_grid, measure) for k in (1, 2)]
         via_data = reconstruct_from_data(data, settings, sig)
         assert np.array_equal(direct.coeffs.a, via_data.coeffs.a)
         assert direct.rel_l2 == via_data.rel_l2
@@ -331,3 +336,15 @@ class TestReconstructPipeline:
         monkeypatch.setattr(recon, "acquire_clean_pair_data", spy)
         reconstruct(settings, MediumSpec(1.0, 0.0, sig), sig)
         assert alive == [0, 0, 0]
+
+    def test_truth_off_grid_rejected_before_any_mode(self, coarse_grid,
+                                                     monkeypatch):
+        def acquire(*args):
+            raise AssertionError("a mode was measured")
+
+        monkeypatch.setattr(recon, "acquire_clean_pair_data", acquire)
+        settings = ReconSettings(grid=coarse_grid, N=3)
+        medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
+        with pytest.raises(ValueError, match=rf"truth must have shape "
+                           rf"\({coarse_grid.nx},\).*got \(7,\)"):
+            reconstruct(settings, medium, np.ones(7))

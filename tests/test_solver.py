@@ -503,6 +503,7 @@ class TestTransfer:
         med = _medium(grid)
         settings = ReconSettings(grid=grid, N=5, data_mode=data_mode,
                                  eps_linearization=1e-3)
+        measure = settings.measurement(med)
         for k in (1, 3, 5):
             pT_f, pT_h, lam = fourier_targets(k, grid)
             bf, bh = (build_control(pT, lam, grid) for pT in (pT_f, pT_h))
@@ -510,9 +511,9 @@ class TestTransfer:
             for tr in driven:
                 g = np.stack((tr.values_a, tr.values_b))
                 assert np.any(g[:, :3]) and np.any(g[:, -3:])
-            f, h = acquire_clean_pair_data(k, settings, med,
-                                           with_operator_traces=True)[1:]
-            got = [f.meas_t, f.meas_tt, h.meas_t, h.meas_tt, f.meas, h.meas]
+            f, h = acquire_clean_pair_data(k, grid, measure)[1:]
+            got = [f.meas_t, f.meas_tt, h.meas_t, h.meas_tt,
+                   *measure([f.g, h.g])]
             if data_mode == LINEARIZED:
                 want = linearized_nd_map_many(grid, med, driven)
             else:
