@@ -31,7 +31,6 @@ derivative and measured responses, taken by :meth:`ReconSettings.measurement`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -49,8 +48,7 @@ from .core import (
 )
 from .extension import AnalyticProfile, cosine_profile, sine_profile
 from .identity import ControlData, linearized_rhs
-from .solver import (transfer_difference_nd_map_many,
-                     transfer_linearized_nd_map_many)
+from .solver import transfer_difference_nd_map, transfer_linearized_nd_map
 
 _REL_L2_FLOOR = 1e-12
 
@@ -74,6 +72,8 @@ class ReconSettings:
             raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("noise_eps", "eps_linearization"):
@@ -92,12 +92,11 @@ class ReconSettings:
         """The map from driven traces to measured traces in ``medium``: the
         linearized ND map, or its difference quotient (nonlinear data at
         damping sigma0 + eps sigma_dot (+ eps^2 sigma_ddot) minus those at
-        sigma0, over eps)."""
+        sigma0, over eps).  The map's kernel is built here, once."""
         if self.data_mode == LINEARIZED:
-            return functools.partial(transfer_linearized_nd_map_many,
-                                     self.grid, medium)
-        return functools.partial(transfer_difference_nd_map_many, self.grid,
-                                 medium, self.eps_linearization)
+            return transfer_linearized_nd_map(self.grid, medium)
+        return transfer_difference_nd_map(self.grid, medium,
+                                          self.eps_linearization)
 
 
 @dataclass(frozen=True)
@@ -297,8 +296,9 @@ def reconstruct_from_data(
 
     # map, not a comprehension, whose loop variable would keep each mode's
     # data alive while ``mode_data`` produces the next one
-    S_ff, S_hh, S_fh = zip(*map(values, itertools.count(1), mode_data))
-    coeffs = assemble_coefficients(S_ff, S_hh, S_fh, settings.N)
+    S = np.array(list(map(values, itertools.count(1), mode_data)),
+                 dtype=complex).reshape(-1, 3)
+    coeffs = assemble_coefficients(*S.T, settings.N)
     sigma_recon = synthesize(coeffs, grid)
     rel_l2, linf = _error_metrics(sigma_recon, truth, grid)
     return ReconResult(coeffs=coeffs, sigma_recon=sigma_recon, truth=truth,

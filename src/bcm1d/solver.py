@@ -67,28 +67,29 @@ s keeps the derivative from overflowing.
 
 With a time-independent medium and zero initial data the loop is a linear
 time-invariant map from injection signals to endpoint traces.  The transfer
-backend drives it once per kernel with a unit impulse at each end.  For
-``transfer_linearized_nd_map_many`` the impulses run in the complex medium
-and, as d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R) for a signal's weights w
-and response R, give 4 signals; for ``transfer_difference_nd_map_many`` the
-full and background media advance as rows of one pass, 2 signals per
+backend drives it with a unit impulse at each end, once per map, when
+``transfer_linearized_nd_map`` or ``transfer_difference_nd_map`` builds the
+map's kernel from the medium.  For the linearized map the impulses run in
+the complex medium and, as d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R) for a
+signal's weights w and response R, give 4 signals; for the difference map
+the full and background media advance as rows of one pass, 2 signals per
 medium, the background's responses negated and all divided by eps.  Away
 from the window ends each signal is the endpoint data through a fixed
 centered-difference filter, so the kernel folds the filters into the
 response spectra: a 2 x 2 transfer matrix per frequency from input end to
-output end, stored C-contiguous with frequencies last and memoized for the
-two most recent kernels.  A trace then costs one forward FFT of its four
-real endpoint series, the 2 x 2 contraction and the inverse FFT; no
-injection signals are built.  Where the stepper's signals depart from the
-filtered data (the four steps nearest each window end, from the data's
-three samples nearest it) the kernel's time-domain responses add the exact
-difference, taken from the same tap table: the stepper's signals of those
-samples minus the filter's, skipped when the samples are zero, as they are
-for the reconstruction controls.  The backend agrees with the stepper to
-about 1e-13 relative; the stepper stays the reference it is tested against,
-and alone serves sources and snapshots at T.  Every map rejects Neumann
-data with a non-finite sample, which would silently spread NaN over both
-endpoint outputs, and the backend rejects a non-finite output.
+output end, stored C-contiguous with frequencies last.  A trace then costs
+one forward FFT of its four real endpoint series, the 2 x 2 contraction and
+the inverse FFT; no injection signals are built.  Where the stepper's
+signals depart from the filtered data (the four steps nearest each window
+end, from the data's three samples nearest it) the kernel's time-domain
+responses add the exact difference, taken from the same tap table: the
+stepper's signals of those samples minus the filter's, skipped when the
+samples are zero, as they are for the reconstruction controls.  The backend
+agrees with the stepper to about 1e-13 relative; the stepper stays the
+reference it is tested against, and alone serves sources and snapshots at
+T.  Every map rejects Neumann data with a non-finite sample, which would
+silently spread NaN over both endpoint outputs, and the backend rejects a
+non-finite output.
 """
 
 from __future__ import annotations
@@ -424,39 +425,17 @@ class _Kernel(NamedTuple):
     weights: np.ndarray    # (signals, 3), see _weights
 
 
-@functools.lru_cache(maxsize=2)
-def _kernel(grid: GridSpec, rho0: float, sigma: bytes,
-            sigma_dot: bytes | None = None, eps: float = 1.0) -> _Kernel:
+def _kernel(grid: GridSpec, responses: np.ndarray,
+            weights: np.ndarray) -> _Kernel:
     """The transfer kernel from endpoint data to endpoint traces.
 
-    The loop's responses to a unit impulse at step 1 in each injection
-    signal are transformed and each multiplied by its signal's filter
-    w0 + w1 z + w2 z^2, z = 2i sin(omega), the spectrum of the weights of
-    :func:`_weights`; the signals of one input end then add up.  ``sigma``
-    holds the bytes of the damping node array and ``sigma_dot`` those of the
-    perturbation the linearized map is taken along, by a complex step.
-    Without ``sigma_dot``, ``sigma`` stacks a full and a background damping,
-    and the kernel is the difference of their maps over ``eps``.
+    ``responses`` (nt, signals, output end) are the loop's traces of a unit
+    impulse at step 1 in each injection signal, signal s at end s % 2, and
+    ``weights`` (signals, 3) those signals' taps (see :func:`_weights`).  The
+    responses are transformed and each multiplied by its signal's filter
+    w0 + w1 z + w2 z^2, z = 2i sin(omega), the spectrum of its weights; the
+    signals of one input end then add up.
     """
-    impulses = np.zeros((grid.nt, 2, 2))  # (steps, impulse end, output end)
-    impulses[1] = np.eye(2)
-    if sigma_dot is None:
-        # both media in one pass, rows (media, impulse end); the background's
-        # signals enter negated, each medium with its own weights
-        sig = np.frombuffer(sigma).reshape(2, 1, grid.nx)
-        traces, _ = _time_loop(grid, _stencil(grid, rho0, sig),
-                               np.stack((impulses, impulses), axis=1))
-        responses = np.concatenate((traces[:, 0], -traces[:, 1]), axis=1) / eps
-        weights = _weights(grid, rho0, sig[..., _ENDS].ravel())
-    else:
-        # d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R); / h first, then * s
-        sig, s = _complex_step(np.frombuffer(sigma),
-                               np.frombuffer(sigma_dot))
-        traces, _ = _time_loop(grid, _stencil(grid, rho0, sig), impulses)
-        responses = np.concatenate((traces.imag / _STEP * s, traces.real),
-                                   axis=1)
-        w = _weights(grid, rho0, sig[_ENDS])
-        weights = np.concatenate((w.real, w.imag / _STEP * s))
     # (signals, output end, steps 1 .. nt-1)
     responses = np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1))
     # no wrap-around: exact signals and responses both span fewer than
@@ -509,9 +488,11 @@ def _add_edge_terms(out: np.ndarray, g: np.ndarray, kernel: _Kernel) -> None:
                 np.add.at(out[o], at[keep], np.convolve(d, r[o])[keep])
 
 
-def _convolve(grid: GridSpec, kernel: _Kernel, g) -> list[BoundaryTrace]:
-    """Endpoint traces of the endpoint data ``g`` (traces, 2, nt); a
-    non-finite one, from a kernel that overflowed, raises an error."""
+def _convolve(grid: GridSpec, kernel: _Kernel,
+              fs: Sequence[BoundaryTrace]) -> list[BoundaryTrace]:
+    """Endpoint traces of the Neumann traces ``fs``; a non-finite one, from
+    a kernel that overflowed, raises an error."""
+    g = _stack_neumann(grid, fs)
     n_fft, transfer = kernel.n_fft, kernel.transfer
     nt = grid.nt
     traces = []
@@ -534,15 +515,17 @@ def _convolve(grid: GridSpec, kernel: _Kernel, g) -> list[BoundaryTrace]:
     return traces
 
 
-def transfer_difference_nd_map_many(
-    grid: GridSpec, medium: MediumSpec, eps: float, fs: Sequence[BoundaryTrace]
-) -> list[BoundaryTrace]:
-    """(Lambda(sigma0 + eps sigma_dot + eps^2 sigma_ddot) - Lambda(sigma0)) / eps
+def transfer_difference_nd_map(
+    grid: GridSpec, medium: MediumSpec, eps: float
+) -> Callable[[Sequence[BoundaryTrace]], list[BoundaryTrace]]:
+    """The map from Neumann traces to
+    (Lambda(sigma0 + eps sigma_dot + eps^2 sigma_ddot) - Lambda(sigma0)) / eps
     per trace, Lambda the endpoint traces of :func:`solve_many`, by one
-    convolution; it stands in for linearized measurements.
+    convolution each; it stands in for linearized measurements.
 
-    Agrees with the stepper's quotient to about 1e-13 of either medium's
-    traces over ``eps``.  One time loop per (medium, eps) builds the kernel.
+    Making the map checks its arguments and runs the one time loop of its
+    kernel, so the map measures the medium as it was then.  It agrees with
+    the stepper's quotient to about 1e-13 of either medium's traces / eps.
     """
     _check_cfl(grid, medium.rho0)
     if not (np.isfinite(eps) and eps > 0):
@@ -554,23 +537,35 @@ def transfer_difference_nd_map_many(
             full = full + np.square(eps) * medium.sigma_ddot
     full = _as_sigma_array(full, grid.nx,
                            "sigma0 + eps sigma_dot + eps^2 sigma_ddot")
-    g = _stack_neumann(grid, fs)
-    media = np.stack((full, np.full(grid.nx, medium.sigma0)))
-    kernel = _kernel(grid, medium.rho0, media.tobytes(), eps=eps)
-    return _convolve(grid, kernel, g)
+    # unit impulses at step 1 in both media as rows (media, impulse end);
+    # the background's signals enter negated, each medium with its weights
+    media = np.stack((full, np.full(grid.nx, medium.sigma0)))[:, None]
+    impulses = np.zeros((grid.nt, 2, 2, 2))  # (steps, *rows, output end)
+    impulses[1] = np.eye(2)
+    traces, _ = _time_loop(grid, _stencil(grid, medium.rho0, media), impulses)
+    responses = np.concatenate((traces[:, 0], -traces[:, 1]), axis=1) / eps
+    weights = _weights(grid, medium.rho0, media[..., _ENDS].ravel())
+    return functools.partial(_convolve, grid, _kernel(grid, responses, weights))
 
 
-def transfer_linearized_nd_map_many(
-    grid: GridSpec, medium: MediumSpec, fs: Sequence[BoundaryTrace]
-) -> list[BoundaryTrace]:
-    """Linearized measurements of :func:`linearized_nd_map_many` by convolution.
+def transfer_linearized_nd_map(
+    grid: GridSpec, medium: MediumSpec
+) -> Callable[[Sequence[BoundaryTrace]], list[BoundaryTrace]]:
+    """The map from Neumann traces to the linearized measurements of
+    :func:`linearized_nd_map_many`, by one convolution each.
 
-    Agrees with the stepper, its oracle, to about 1e-13 relative.  The kernel
-    costs one time loop per medium and is memoized for the two most recent.
+    Making the map checks its arguments and runs the one time loop of its
+    kernel, so the map measures the medium as it was then.  It agrees with
+    the stepper, its oracle, to about 1e-13 relative.
     """
     _check_cfl(grid, medium.rho0)
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
-    g = _stack_neumann(grid, fs)
-    sig0 = np.full(grid.nx, medium.sigma0)
-    return _convolve(grid, _kernel(grid, medium.rho0, sig0.tobytes(),
-                                   sd.tobytes()), g)
+    sigma, s = _complex_step(medium.sigma0, sd)
+    impulses = np.zeros((grid.nt, 2, 2))  # (steps, impulse end, output end)
+    impulses[1] = np.eye(2)
+    traces, _ = _time_loop(grid, _stencil(grid, medium.rho0, sigma), impulses)
+    # d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R); / h first, then * s
+    responses = np.concatenate((traces.imag / _STEP * s, traces.real), axis=1)
+    w = _weights(grid, medium.rho0, sigma[_ENDS])
+    weights = np.concatenate((w.real, w.imag / _STEP * s))
+    return functools.partial(_convolve, grid, _kernel(grid, responses, weights))

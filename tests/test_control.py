@@ -7,6 +7,7 @@ from bcm1d import (
     build_control,
     cosine_profile,
     sine_profile,
+    solve_many,
     verify_control,
 )
 from bcm1d.extension import extended_derivatives
@@ -169,3 +170,16 @@ def test_derivative_traces_match_numerical_differentiation(d, pairs):
 def test_verify_control_zero_target(coarse_grid):
     (rep,) = verify_control([(sine_profile(0.0), 1j)], coarse_grid)
     assert rep.err_p == 0 and rep.err_q == 0 and rep.err_init == 0
+
+
+def test_verify_control_zero_gradient_target(coarse_grid):
+    # a constant velocity target: the gradient target is zero, so err_q is
+    # the absolute error while err_p stays relative
+    pT, lam = cosine_profile(0.0), 1j
+    (rep,) = verify_control([(pT, lam)], coarse_grid)
+    control = build_control(pT, lam, coarse_grid)
+    out, out_t = solve_many(coarse_grid, 1.0, 0.0, [control.f, control.f_t])
+    assert rep.err_q == np.linalg.norm(out.qT_snapshot)
+    p_want = np.ones(coarse_grid.nx)
+    assert rep.err_p == (np.linalg.norm(out_t.uT_snapshot - p_want)
+                         / np.linalg.norm(p_want))

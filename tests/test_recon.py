@@ -297,6 +297,9 @@ class TestReconstructPipeline:
             ReconSettings(grid=coarse_grid, noise_eps=-0.1)
         with pytest.raises(ValueError, match="seed"):
             ReconSettings(grid=coarse_grid, seed=-1)
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            ReconSettings(grid=coarse_grid, seed=1.5, noise_eps=0.01)
+        assert ReconSettings(grid=coarse_grid, seed=np.int64(3)).seed == 3
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="noise_eps must be finite"):
                 ReconSettings(grid=coarse_grid, noise_eps=bad)
@@ -336,6 +339,16 @@ class TestReconstructPipeline:
         monkeypatch.setattr(recon, "acquire_clean_pair_data", spy)
         reconstruct(settings, MediumSpec(1.0, 0.0, sig), sig)
         assert alive == [0, 0, 0]
+
+    @pytest.mark.parametrize("modes", [0, 2])
+    def test_too_few_modes_rejected(self, coarse_grid, modes):
+        sig = smooth_sigma_dot(coarse_grid.xs)
+        settings = ReconSettings(grid=coarse_grid, N=3)
+        measure = settings.measurement(MediumSpec(1.0, 0.0, sig))
+        data = [acquire_clean_pair_data(k, coarse_grid, measure)
+                for k in range(1, modes + 1)]
+        with pytest.raises(ValueError, match="need 3 identity values"):
+            reconstruct_from_data(data, settings, sig)
 
     def test_truth_off_grid_rejected_before_any_mode(self, coarse_grid,
                                                      monkeypatch):

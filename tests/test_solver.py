@@ -14,8 +14,8 @@ from bcm1d import (
     fourier_targets,
     linearized_nd_map_many,
     solve_many,
-    transfer_difference_nd_map_many,
-    transfer_linearized_nd_map_many,
+    transfer_difference_nd_map,
+    transfer_linearized_nd_map,
 )
 from bcm1d import solver
 from bcm1d.cli import smooth_pulse_trace
@@ -195,8 +195,10 @@ class TestLinearized:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
     @pytest.mark.parametrize("scaled", ["sigma_dot", "data"])
-    @pytest.mark.parametrize("linearized_map", [linearized_nd_map_many,
-                                                transfer_linearized_nd_map_many])
+    @pytest.mark.parametrize("linearized_map", [
+        linearized_nd_map_many,
+        lambda grid, medium, fs: transfer_linearized_nd_map(grid, medium)(fs),
+    ])
     def test_scale_of_perturbation(self, coarse_grid, linearized_map, scaled,
                                    scale):
         # the complex step scales sigma_dot by s = max |sigma_dot| and the
@@ -424,16 +426,24 @@ class TestTransfer:
         med = _medium(coarse_grid)
         fs = _window_traces(coarse_grid)
         dev = _max_rel_deviation(
-            transfer_linearized_nd_map_many(coarse_grid, med, fs),
+            transfer_linearized_nd_map(coarse_grid, med)(fs),
             linearized_nd_map_many(coarse_grid, med, fs),
         )
         assert dev <= 1e-9
+
+    def test_integer_background_damping(self, coarse_grid):
+        med = MediumSpec(1, 1, smooth_sigma_dot(coarse_grid.xs))
+        fs = _window_traces(coarse_grid)
+        assert _max_rel_deviation(
+            transfer_linearized_nd_map(coarse_grid, med)(fs),
+            linearized_nd_map_many(coarse_grid, med, fs),
+        ) <= 1e-9
 
     def test_nonlinear_matches_stepper(self, coarse_grid):
         med = _medium(coarse_grid)
         fs = _window_traces(coarse_grid)
         dev = _max_rel_deviation(
-            transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs),
+            transfer_difference_nd_map(coarse_grid, med, _EPS)(fs),
             _stepper_quotient(coarse_grid, med, _EPS, fs),
         )
         assert dev <= 1e-9
@@ -445,24 +455,25 @@ class TestTransfer:
         med = _medium(coarse_grid)
         fs = _edge_traces(coarse_grid, window)
         assert _max_rel_deviation(
-            transfer_linearized_nd_map_many(coarse_grid, med, fs),
+            transfer_linearized_nd_map(coarse_grid, med)(fs),
             linearized_nd_map_many(coarse_grid, med, fs),
         ) <= 1e-9
         assert _max_rel_deviation(
-            transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs),
+            transfer_difference_nd_map(coarse_grid, med, _EPS)(fs),
             _stepper_quotient(coarse_grid, med, _EPS, fs),
         ) <= 1e-9
 
     def test_kernels_are_two_by_two_transfer_matrices(self, coarse_grid):
-        nx = coarse_grid.nx
-        sigma_dot = smooth_sigma_dot(coarse_grid.xs)
-        media = np.stack((0.2 + 0.1 * sigma_dot, np.full(nx, 0.2)))
-        for kernel in (
-            solver._kernel(coarse_grid, 1.0, media.tobytes(), eps=0.1),
-            solver._kernel(coarse_grid, 1.0, np.zeros(nx).tobytes(),
-                           sigma_dot.tobytes()),
-        ):
-            assert kernel.transfer.shape == (2, 2, kernel.n_fft // 2 + 1)
+        # both maps drive 4 signals, signal s at end s % 2; the signals of
+        # one input end add up into its row of the matrix
+        rng = np.random.default_rng(0)
+        responses = rng.standard_normal((coarse_grid.nt, 4, 2))
+        weights = rng.standard_normal((4, 3))
+        kernel = solver._kernel(coarse_grid, responses, weights)
+        assert kernel.transfer.shape == (2, 2, kernel.n_fft // 2 + 1)
+        assert kernel.responses.shape == (4, 2, coarse_grid.nt - 2)
+        for arr in (kernel.transfer, kernel.responses, kernel.weights):
+            assert not arr.flags.writeable
 
     def test_transfer_maps_build_no_injection_signals(self, coarse_grid,
                                                       coarse_grid_t5,
@@ -481,8 +492,8 @@ class TestTransfer:
         monkeypatch.setattr(solver, "_injection", few_steps)
         med = _medium(coarse_grid)
         fs = _window_traces(coarse_grid)
-        transfer_linearized_nd_map_many(coarse_grid, med, fs)
-        transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs)
+        transfer_linearized_nd_map(coarse_grid, med)(fs)
+        transfer_difference_nd_map(coarse_grid, med, _EPS)(fs)
         assert calls  # these data are nonzero at both window ends
         calls.clear()
         # the reconstruction controls vanish there
@@ -490,8 +501,8 @@ class TestTransfer:
         controls = [build_control(pT, lam, coarse_grid_t5).f
                     for pT in (pT_f, pT_h)]
         med = _medium(coarse_grid_t5)
-        transfer_linearized_nd_map_many(coarse_grid_t5, med, controls)
-        transfer_difference_nd_map_many(coarse_grid_t5, med, _EPS, controls)
+        transfer_linearized_nd_map(coarse_grid_t5, med)(controls)
+        transfer_difference_nd_map(coarse_grid_t5, med, _EPS)(controls)
         assert calls == []
 
     @pytest.mark.parametrize("data_mode", [LINEARIZED, NONLINEAR_DIFFERENCE])
@@ -520,19 +531,25 @@ class TestTransfer:
                 want = _stepper_quotient(grid, med, 1e-3, driven)
             assert _max_rel_deviation(got, want) <= 1e-9
 
-    def test_medium_mutated_in_place_gets_new_kernel(self, coarse_grid):
+    def test_map_made_after_mutation_matches_stepper(self, coarse_grid):
+        # a map measures the medium as it was when the map was made
         med = _medium(coarse_grid)
         fs = _window_traces(coarse_grid)[:1]
-        transfer_linearized_nd_map_many(coarse_grid, med, fs)
-        transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs)
+        maps = (transfer_linearized_nd_map(coarse_grid, med),
+                transfer_difference_nd_map(coarse_grid, med, _EPS))
+        before = [measure(fs)[0] for measure in maps]
         med.sigma_dot[: coarse_grid.nx // 2] *= -2.0
         med.sigma_ddot[::3] += 0.5
-        lin = transfer_linearized_nd_map_many(coarse_grid, med, fs)
+        lin = transfer_linearized_nd_map(coarse_grid, med)(fs)
         assert _max_rel_deviation(
             lin, linearized_nd_map_many(coarse_grid, med, fs)) <= 1e-9
-        quotient = transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs)
+        quotient = transfer_difference_nd_map(coarse_grid, med, _EPS)(fs)
         assert _max_rel_deviation(
             quotient, _stepper_quotient(coarse_grid, med, _EPS, fs)) <= 1e-9
+        for measure, old in zip(maps, before):
+            (again,) = measure(fs)
+            assert np.array_equal(again.values_a, old.values_a)
+            assert np.array_equal(again.values_b, old.values_b)
 
 
 class TestDifferenceMap:
@@ -544,46 +561,42 @@ class TestDifferenceMap:
             return time_loop(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_time_loop", counted)
-        solver._kernel.cache_clear()
         med = _medium(coarse_grid)
         fs = [smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5, 0.7)[0]]
-        transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs)
+        measure = transfer_difference_nd_map(coarse_grid, med, _EPS)
         # one pass over rows (media, impulse end)
         assert calls == [(coarse_grid.nt, 2, 2, 2)]
-        transfer_difference_nd_map_many(coarse_grid, med, _EPS, fs)
+        measure(fs)
+        measure(fs)
         assert len(calls) == 1
-        transfer_difference_nd_map_many(coarse_grid, med, 0.25, fs)
+        transfer_difference_nd_map(coarse_grid, med, 0.25)(fs)
         assert len(calls) == 2
 
     def test_sigma_dot_wrong_length_rejected(self, coarse_grid):
         med = MediumSpec(1.0, 0.1, np.ones(7))
         with pytest.raises(ConfigurationError,
                            match=r"sigma_dot has shape \(7,\) but the grid"):
-            transfer_difference_nd_map_many(coarse_grid, med, _EPS,
-                                            [BoundaryTrace.zeros(coarse_grid)])
+            transfer_difference_nd_map(coarse_grid, med, _EPS)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
     def test_bad_eps_rejected(self, coarse_grid, eps):
         with pytest.raises(ConfigurationError,
                            match="eps must be positive and finite"):
-            transfer_difference_nd_map_many(coarse_grid, _medium(coarse_grid),
-                                            eps,
-                                            [BoundaryTrace.zeros(coarse_grid)])
+            transfer_difference_nd_map(coarse_grid, _medium(coarse_grid), eps)
 
     def test_overflowing_sigma_ddot_rejected(self, coarse_grid):
         nx = coarse_grid.nx
         med = MediumSpec(1.0, 0.1, np.ones(nx), np.full(nx, 1e306))
         with pytest.raises(ConfigurationError,
                            match="eps\\^2 sigma_ddot has a non-finite value"):
-            transfer_difference_nd_map_many(coarse_grid, med, 1e3,
-                                            [BoundaryTrace.zeros(coarse_grid)])
+            transfer_difference_nd_map(coarse_grid, med, 1e3)
 
 
 _TRANSFER_MAPS = {
-    "linearized": lambda grid, fs: transfer_linearized_nd_map_many(
-        grid, MediumSpec(1.0, 0.0, smooth_sigma_dot(grid.xs)), fs),
-    "nonlinear": lambda grid, fs: transfer_difference_nd_map_many(
-        grid, MediumSpec(1.0, 0.2, smooth_sigma_dot(grid.xs)), 1e-3, fs),
+    "linearized": lambda grid: transfer_linearized_nd_map(
+        grid, MediumSpec(1.0, 0.0, smooth_sigma_dot(grid.xs))),
+    "nonlinear": lambda grid: transfer_difference_nd_map(
+        grid, MediumSpec(1.0, 0.2, smooth_sigma_dot(grid.xs)), 1e-3),
 }
 
 
@@ -592,17 +605,17 @@ class TestTransferValidation:
     def test_cfl_violation(self, kind):
         g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 25, 3.0)  # dt > dx
         with pytest.raises(ConfigurationError, match="CFL"):
-            _TRANSFER_MAPS[kind](g, [BoundaryTrace.zeros(g)])
+            _TRANSFER_MAPS[kind](g)
 
     def test_trace_length_mismatch(self, kind, coarse_grid):
         bad = BoundaryTrace(np.zeros(11), np.zeros(11), coarse_grid.dt)
         with pytest.raises(ConfigurationError, match="Neumann trace 0"):
-            _TRANSFER_MAPS[kind](coarse_grid, [bad])
+            _TRANSFER_MAPS[kind](coarse_grid)([bad])
 
     def test_nonzero_initial_data_warns(self, kind, coarse_grid):
         f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
         with pytest.warns(UserWarning, match="Neumann data nonzero"):
-            _TRANSFER_MAPS[kind](coarse_grid, [f])
+            _TRANSFER_MAPS[kind](coarse_grid)([f])
 
     def test_initial_data_warning_scale_is_per_trace(self, kind, coarse_grid):
         # a small t = 0 sample warns next to a trace a million times larger
@@ -613,21 +626,22 @@ class TestTransferValidation:
         fs = [BoundaryTrace(np.zeros(nt), large, coarse_grid.dt),
               BoundaryTrace(small, np.zeros(nt), coarse_grid.dt)]
         with pytest.warns(UserWarning, match="Neumann data nonzero"):
-            _TRANSFER_MAPS[kind](coarse_grid, fs)
+            _TRANSFER_MAPS[kind](coarse_grid)(fs)
 
     @pytest.mark.parametrize("bad", _NON_FINITE.values(), ids=_NON_FINITE)
     def test_non_finite_sample_rejected(self, kind, coarse_grid, bad):
         with pytest.raises(ConfigurationError,
                            match="Neumann trace 1 has a non-finite sample"):
-            _TRANSFER_MAPS[kind](coarse_grid, _one_bad_sample(coarse_grid, bad))
+            _TRANSFER_MAPS[kind](coarse_grid)(_one_bad_sample(coarse_grid, bad))
 
     @pytest.mark.filterwarnings("ignore:Neumann data nonzero at t = 0")
     def test_batched_matches_single(self, kind, coarse_grid):
         # a batch must not mix up traces, fields or ends
         pulse, _ = smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5, 0.7)
         fs = _window_traces(coarse_grid) + [(1.0 - 0.5j) * pulse]
-        batched = _TRANSFER_MAPS[kind](coarse_grid, fs)
+        measure = _TRANSFER_MAPS[kind](coarse_grid)
+        batched = measure(fs)
         for f, got in zip(fs, batched, strict=True):
-            (single,) = _TRANSFER_MAPS[kind](coarse_grid, [f])
+            (single,) = measure([f])
             assert np.array_equal(got.values_a, single.values_a)
             assert np.array_equal(got.values_b, single.values_b)

@@ -19,8 +19,8 @@ from bcm1d import (
     MediumSpec,
     linearized_nd_map_many,
     solve_many,
-    transfer_difference_nd_map_many,
-    transfer_linearized_nd_map_many,
+    transfer_difference_nd_map,
+    transfer_linearized_nd_map,
 )
 from bcm1d.cli import smooth_pulse_trace
 
@@ -50,12 +50,12 @@ def _stepper_quotient(grid, fs):
 MAPS = {
     "nonlinear-stepper": _stepper_quotient,
     "nonlinear-transfer":
-        lambda grid, fs: transfer_difference_nd_map_many(
-            grid, _difference_medium(grid), _EPS, fs),
+        lambda grid, fs: transfer_difference_nd_map(
+            grid, _difference_medium(grid), _EPS)(fs),
     "linearized-stepper":
         lambda grid, fs: linearized_nd_map_many(grid, _medium(grid), fs),
     "linearized-transfer":
-        lambda grid, fs: transfer_linearized_nd_map_many(grid, _medium(grid), fs),
+        lambda grid, fs: transfer_linearized_nd_map(grid, _medium(grid))(fs),
 }
 
 # tone bursts with t0 >= 6 width vanish to rounding at both window ends
