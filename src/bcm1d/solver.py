@@ -48,12 +48,14 @@ gain S, and -+ (dx/3) S_x to the injection).  Differencing before scaling
 keeps a constant field exact, so rounding does not feed the undamped mean
 mode's double root at z = 1: on the default grid the loop agrees with the
 scheme run in extended precision to about 1e-12.  Fields are rows of
-nodes, so every update runs along x.  A row is real when the data and S(0)
-are, and complex otherwise (a source that turns complex later is rejected
-at that step); the loop only adds, subtracts, multiplies by real
-coefficients and divides a source's edge term as reals, which numpy does on
-the two parts of a complex row exactly as on two real rows.  The outputs
-are complex either way.
+nodes, so every update runs along x.  A source is evaluated in blocks of
+steps ahead of the state: each block's gain S and injection terms are
+formed at once, and each step adds its row of them.  A row is real when
+the data and S(0) are, and complex otherwise (a source that turns complex
+later is rejected with its step named); the loop only adds, subtracts,
+multiplies by real coefficients and divides a source's edge term as reals,
+which numpy does on the two parts of a complex row exactly as on two real
+rows.  The outputs are complex either way.
 
 The nonlinear ND (Neumann-to-Dirichlet) map restricts the solution to the
 endpoints.  The linearized map is its derivative along sigma_dot at sigma0,
@@ -107,6 +109,8 @@ _INITIAL_DATA_TOL = 1e-9
 _ENDS = [0, -1]
 # the complex step: small enough that h^2 is lost to rounding next to 1
 _STEP = 1e-30
+# steps of a source evaluated at once, ahead of the state
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -282,15 +286,36 @@ class _Level(NamedTuple):
                    grid2d[..., 1:nx + 1:nx - 1], grid2d[..., 1:-1])
 
 
+def _source_block(source, first, stop, outer, gain, field):
+    """Evaluate S at steps ``first`` .. ``stop`` - 1, in order, in the
+    shape and dtype of the ``field`` (*rows, nx).  Returns those steps' slot
+    values (steps, *rows, 2), ``outer``'s plus the S_x edge terms, and their
+    forcing ``gain`` S (steps, *rows, nx).
+    """
+    s = np.empty((stop - first,) + field.shape, field.dtype)
+    for k, n in enumerate(range(first, stop)):
+        row = source(n)
+        if np.iscomplexobj(row) and not np.iscomplexobj(s):
+            raise ConfigurationError(
+                f"source is complex at step {n} but real at step 0, "
+                "whose dtype the field takes")
+        s[k] = row
+    slots = outer[first:stop] + _edge_term(s) * [1.0, -1.0]
+    return slots, s * gain
+
+
 def _time_loop(grid, stencil, inj, u1=0.0, source=None):
     """Advance rows of nodes from u^0 = 0 and u^1 = ``u1``.
 
     ``inj`` (nt, *rows, 2) holds each row's injection signals at a and b for
     steps 1 .. nt-2; the field has shape (*rows, nx) and the widest dtype of
     ``inj`` (real if its imaginary part is zero), ``u1`` and the stencil.
-    ``source(n)`` gives S(t_n, .) broadcastable against the field.  Returns
-    the endpoint traces (nt, *rows, 2) and the levels at steps T/dt - 1,
-    T/dt and T/dt + 1, in the field's dtype.
+    ``source(n)`` gives S(t_n, .) broadcastable against the field; it is
+    called once per step n = 1 .. nt-2, in ascending order, in blocks of
+    ``_BLOCK`` steps ahead of the state, and a complex value in a real field
+    raises ``ConfigurationError`` naming its step.  Returns the endpoint
+    traces (nt, *rows, 2) and the levels at steps T/dt - 1, T/dt and
+    T/dt + 1, in the field's dtype.
     """
     if not np.any(inj.imag):
         inj = inj.real
@@ -309,19 +334,19 @@ def _time_loop(grid, stencil, inj, u1=0.0, source=None):
         if source is None:
             diff.slots[...] = outer[n]
         else:
-            s = source(n)
-            if np.iscomplexobj(s) and not np.iscomplexobj(u.flat):
-                raise ConfigurationError(
-                    f"source is complex at step {n} but real at step 0, "
-                    "whose dtype the field takes")
-            np.add(outer[n], _edge_term(s) * [1.0, -1.0], out=diff.slots)
+            i = (n - 1) % _BLOCK
+            if i == 0:
+                slots, forcing = _source_block(
+                    source, n, min(n + _BLOCK, grid.nt - 1), outer,
+                    gain.nodes, u.nodes)
+            diff.slots[...] = slots[i]
         np.multiply(v.flat, carry.flat, out=v.flat)
         np.multiply(diff.head, right.head, out=tmp.head)
         np.add(v.head, tmp.head, out=v.head)
         np.multiply(diff.head, left.tail, out=tmp.tail)
         np.subtract(v.tail, tmp.tail, out=v.tail)
         if source is not None:
-            v.nodes[...] += s * gain.nodes
+            np.add(v.nodes, forcing[i], out=v.nodes)
         np.add(u.flat, v.flat, out=u.flat)
         traces[n + 1] = u.ends
         if n + 1 in snap_steps:
@@ -338,9 +363,12 @@ def solve_many(
 ) -> list[SolveOutput]:
     """Advance one field per Neumann trace through a single time loop.
 
-    ``source``, if given, maps a time index n to the S(t_n, .) samples and is
-    applied to every column; the dtype of S(0) stands for all its values,
-    and a complex value after a real S(0) raises ``ConfigurationError``.
+    ``source``, if given, maps a time index n to the S(t_n, .) samples, of
+    shape (nx,) for every column or (traces, nx) for one row each.  It is
+    called once per n = 0 .. nt-2 in ascending order, in blocks of steps
+    ahead of the state, so it must not depend on the solve's progress.  The
+    dtype of S(0) stands for all its values, and a complex value after a
+    real S(0) raises ``ConfigurationError`` naming its step.
     """
     _check_cfl(grid, rho0)
     sig = _as_sigma_array(sigma, grid.nx)

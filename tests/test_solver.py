@@ -134,6 +134,48 @@ def test_complex_source_equals_pair_of_real_sources(coarse_grid):
         assert np.array_equal(c, r + 1j * i)
 
 
+def test_source_called_once_per_step_in_order(coarse_grid):
+    # nt - 2 = 2999 is prime, so the last block of source steps is partial
+    nt = coarse_grid.nt
+    assert nt - 2 == 2999
+    calls = []
+
+    def source(n):
+        calls.append(n)
+        return np.zeros(coarse_grid.nx)
+
+    solve_many(coarse_grid, 1.0, 0.2, [BoundaryTrace.zeros(coarse_grid)], source)
+    assert calls == list(range(nt - 1))
+
+
+def _trace_sources(grid):
+    """Two sources that vanish at t = 0 and have a slope at both ends."""
+    xs, dt = grid.xs, grid.dt
+    profiles = ((xs - grid.a) * (1.0 + 0.5 * xs), np.cos(2.0 * xs) + xs**3)
+    return [lambda n, p=p: (n * dt) ** 2 * (1.0 + n * dt) * p for p in profiles]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per_trace", "shared"])
+def test_source_rows_across_blocks_match_single_solves(coarse_grid, shared):
+    # a (traces, nx) source gives each trace its own row, an (nx,) one is
+    # applied to every trace; the run spans many blocks of source steps
+    assert coarse_grid.nt - 2 > 2 * solver._BLOCK
+    fs = [smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.4)[0],
+          smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)[0]]
+    sigma = 0.1 + 0.2 * coarse_grid.xs**2
+    sources = _trace_sources(coarse_grid)
+    if shared:
+        sources[1] = sources[0]
+        batch = solve_many(coarse_grid, 1.0, sigma, fs, sources[0])
+    else:
+        batch = solve_many(coarse_grid, 1.0, sigma, fs,
+                           lambda n: np.stack([s(n) for s in sources]))
+    for f, source, out in zip(fs, sources, batch):
+        (single,) = solve_many(coarse_grid, 1.0, sigma, [f], source)
+        for b, o in zip(_fields(out), _fields(single)):
+            assert np.array_equal(b, o)
+
+
 def test_nd_map_linearity(coarse_grid):
     f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
     f2, _ = smooth_pulse_trace(coarse_grid, 1.4, 0.3, 3.0, 0.0, 1.0)
@@ -353,6 +395,16 @@ class TestValidation:
                            match="source is complex at step 1 but real at step 0"):
             solve_many(coarse_grid, 1.0, 0.0, [BoundaryTrace.zeros(coarse_grid)],
                        lambda n: np.zeros(nx) if n == 0 else 1j * np.ones(nx))
+
+    @pytest.mark.parametrize("last", [False, True],
+                             ids=["second_block", "last_step"])
+    def test_source_complex_mid_run_rejected(self, coarse_grid, last):
+        nx, nt = coarse_grid.nx, coarse_grid.nt
+        step = nt - 2 if last else solver._BLOCK + 5
+        with pytest.raises(ConfigurationError,
+                           match=f"source is complex at step {step} but real"):
+            solve_many(coarse_grid, 1.0, 0.0, [BoundaryTrace.zeros(coarse_grid)],
+                       lambda n: np.zeros(nx) + (1j if n >= step else 0.0))
 
     def test_batched_matches_single(self, coarse_grid):
         f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
