@@ -1,9 +1,9 @@
 """Exact Neumann boundary controls by time reversal for the free background.
 
-For the undamped, unit-density background, a control steering the interior
-state to prescribed snapshots at t = T is available in closed form: extend
-the targets beyond [a, b], run the free-space d'Alembert solution backwards
-from its t = T data, and read off the outward normal derivative at the two
+For the undamped background, a control steering the interior state to
+prescribed snapshots at t = T is available in closed form: extend the
+targets beyond [a, b], run the free-space d'Alembert solution backwards from
+its t = T data, and read off the outward normal derivative at the two
 endpoints.  With measurement half-time T >= (b - a) + 1, the extended data
 leave the domain of dependence of t = 0 and the field vanishes identically
 there, so the trace is an admissible control for zero initial data.
@@ -23,8 +23,8 @@ The arguments s -+ = x0 -+ (T - t) of the traces at x0 = a, b depend on the
 grid only, and s+ at time t is s- at 2T - t, a grid time: the samples at s+
 are those at s- reversed.  Which samples of s- fall on the domain or a
 flank, and the flank bump factors there, form one plan per end, cached for
-the two most recent (grid, d) pairs; each control evaluates only its own
-profile and its derivatives, once per end.
+the two most recent grids; each control evaluates only its own profile and
+its derivatives, once per end.
 
 Control traces are evaluated on all of [0, 2T]: the boundary identities
 sample their reflected arguments in (T, 2T), where the normal trace is
@@ -61,17 +61,16 @@ class ControlBundle(NamedTuple):
 
 
 @functools.lru_cache(maxsize=2)
-def _geometry(grid: GridSpec, d: int) -> tuple:
+def _geometry(grid: GridSpec) -> tuple:
     """Extension plans at s- = x0 - T + t, for x0 = a then b.  They depend
-    on the grid and d only, so every control on a grid shares them; on the
-    paper grid they hold 0.46 MiB."""
+    on the grid only, so every control on a grid shares them; on the paper
+    grid they hold 0.46 MiB."""
     a, b, T = grid.a, grid.b, grid.T
-    return tuple(_plan(a, b, x0 - T + grid.ts, d) for x0 in (a, b))
+    return tuple(_plan(a, b, x0 - T + grid.ts) for x0 in (a, b))
 
 
-def build_control(
-    pT: AnalyticProfile, lam: complex, grid: GridSpec, d: int = 2
-) -> ControlBundle:
+def build_control(pT: AnalyticProfile, lam: complex,
+                  grid: GridSpec) -> ControlBundle:
     """Construct the Neumann control with velocity target ``pT`` at t = T.
 
     Writing s+ = x + T - t and s- = x - T + t, the normal trace and its
@@ -87,11 +86,9 @@ def build_control(
     """
     if lam == 0:
         raise ValueError("lam must be nonzero (zero-frequency pairs are not used)")
-    if d < 2:
-        raise ValueError(f"extension order d must be >= 2, got {d}")
     c = -1.0 / lam
     traces = []
-    for sign, plan in zip((-1.0, +1.0), _geometry(grid, d)):
+    for sign, plan in zip((-1.0, +1.0), _geometry(grid)):
         m = _derivatives(pT, plan)  # at s-
         p = [v[::-1] for v in m]  # at s+
         traces.append((
@@ -115,10 +112,10 @@ def verify_control(targets: Sequence[tuple[AnalyticProfile, complex]],
                    grid: GridSpec) -> list[ControlReport]:
     """Check the controls of ``targets``, (pT, lam) pairs, on ``grid``.
 
-    Each control is built by :func:`build_control` with its default
-    extension order; the traces f and f_t of all of them run as two columns
-    each of a single pass over rho0 = 1, sigma = 0, the regime in which the
-    construction is exact.  Returns one report per target, in order.
+    Each control is built by :func:`build_control`; the traces f and f_t
+    of all of them run as two columns each of a single pass over sigma = 0,
+    the regime in which the construction is exact.  Returns one report per
+    target, in order.
 
     ``err_p`` and ``err_q`` are relative L2 errors of the computed t = T
     velocity and gradient snapshots against the analytic targets, each
@@ -146,8 +143,7 @@ def verify_control(targets: Sequence[tuple[AnalyticProfile, complex]],
     xs = grid.xs
     shifted = np.concatenate((xs - grid.T, xs + grid.T))
     controls = [build_control(pT, lam, grid) for pT, lam in targets]
-    outs = solve_many(grid, 1.0, 0.0,
-                      [tr for c in controls for tr in (c.f, c.f_t)])
+    outs = solve_many(grid, 0.0, [tr for c in controls for tr in (c.f, c.f_t)])
     reports = []
     for (pT, lam), out, out_t in zip(targets, outs[0::2], outs[1::2]):
         p_got = out_t.uT_snapshot

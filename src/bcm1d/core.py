@@ -106,31 +106,23 @@ class GridSpec:
     def ts(self) -> np.ndarray:
         return np.linspace(0.0, 2.0 * self.T, self.nt)
 
-    def cfl_number(self, rho0: float) -> float:
-        """dt * max(rho0^(-1/2)) / dx for a constant background density."""
-        return self.dt / (self.dx * np.sqrt(rho0))
-
 
 @dataclass(frozen=True)
 class MediumSpec:
     """Background medium plus damping perturbation samples on the grid.
 
-    ``rho0`` is the constant background density, ``sigma0`` the constant
-    background damping.  ``sigma_dot`` holds the first-order damping
-    perturbation sampled on the spatial nodes; ``sigma_ddot`` optionally
-    carries a second-order term used when data are produced by nonlinear
-    differences.
+    ``sigma0`` is the constant background damping.  ``sigma_dot`` holds
+    the first-order damping perturbation sampled on the spatial nodes;
+    ``sigma_ddot`` optionally carries a second-order term used when data are
+    produced by nonlinear differences.
     """
 
-    rho0: float
     sigma0: float
     sigma_dot: np.ndarray
     sigma_ddot: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("rho0", "sigma0"))
-        if self.rho0 <= 0:
-            raise ConfigurationError(f"rho0 must be positive, got {self.rho0}")
+        _check_finite(self, ("sigma0",))
         if self.sigma0 < 0:
             raise ConfigurationError(f"sigma0 must be non-negative, got {self.sigma0}")
         for name in ("sigma_dot", "sigma_ddot"):

@@ -7,8 +7,8 @@ each flank with the bump factor
 
 which equals 1 at the domain edge and vanishes (with all derivatives) at
 distance 1.  The extension is C^(2d-1) across x = a, b and smooth elsewhere;
-d >= 2 keeps the second time derivative of the resulting Neumann control
-well defined.
+the order d = 2 is the least that keeps the second time derivative of the
+resulting Neumann control well defined.
 
 Profiles are analytic objects (value plus first three derivatives), not grid
 samples: the targets used downstream all have closed-form derivatives, and
@@ -29,6 +29,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 ArrayFunc = Callable[[np.ndarray], np.ndarray]
+
+# the extension order d of the bump factor
+_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,7 @@ class _Plan(NamedTuple):
     points (a slice when the region's points are contiguous, as for
     monotone points, else a mask) with the points it selects; a flank adds
     the bump factors B .. B''' at those points.  A plan depends on the
-    points, the domain and d only, so one serves every profile evaluated
+    points and the domain only, so one serves every profile evaluated
     at those points; its arrays are read-only.
     """
 
@@ -125,14 +128,14 @@ def _region(x: np.ndarray, inside: np.ndarray) -> tuple:
     return index, points
 
 
-def _plan(a: float, b: float, x, d: int) -> _Plan:
+def _plan(a: float, b: float, x) -> _Plan:
     """The :class:`_Plan` of the extension of a profile on [a, b] at ``x``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     flat = x.reshape(-1)
     flanks = []
     for edge, lo, hi in ((a, a - 1.0, a), (b, b, b + 1.0)):
         index, points = _region(flat, (flat > lo) & (flat < hi))
-        B = _bump_factors(points - edge, d)
+        B = _bump_factors(points - edge, _ORDER)
         for factor in B:
             factor.flags.writeable = False
         flanks.append((index, points, B))
@@ -154,8 +157,8 @@ def _derivatives(phi: AnalyticProfile, plan: _Plan) -> list[np.ndarray]:
     return [r.reshape(plan.shape) for r in res]
 
 
-def extended_derivatives(phi: AnalyticProfile, a: float, b: float, x,
-                         d: int = 2) -> list[np.ndarray]:
+def extended_derivatives(phi: AnalyticProfile, a: float, b: float,
+                         x) -> list[np.ndarray]:
     """Derivatives 0 .. 3 of the extension of ``phi`` at the points ``x``.
 
     The extension equals ``phi`` on [a, b], equals ``phi`` times the flank
@@ -167,4 +170,4 @@ def extended_derivatives(phi: AnalyticProfile, a: float, b: float, x,
     regions the points fall in and the bump factors there, is built afresh
     on each call; ``build_control`` keeps it per grid instead.
     """
-    return _derivatives(phi, _plan(a, b, x, d))
+    return _derivatives(phi, _plan(a, b, x))

@@ -132,7 +132,7 @@ class IdentityReport:
 
 
 def nonlinear_identity_residual(f, h, sigma, grid: GridSpec) -> IdentityReport:
-    """Check the nonlinear identity for full damping ``sigma`` and rho0 = 1.
+    """Check the nonlinear identity for full damping ``sigma``.
 
     ``f`` and ``h`` are pairs (trace, analytic time-derivative trace).  The
     interior side is computed from t = T snapshots of the two forward
@@ -144,7 +144,7 @@ def nonlinear_identity_residual(f, h, sigma, grid: GridSpec) -> IdentityReport:
     f_trace, f_t_trace = f
     h_trace, h_t_trace = h
     out_f, out_h, out_ft, out_ht = solve_many(
-        grid, 1.0, sigma, [f_trace, h_trace, f_t_trace, h_t_trace]
+        grid, sigma, [f_trace, h_trace, f_t_trace, h_t_trace]
     )
     lhs = complex(
         np.trapezoid(

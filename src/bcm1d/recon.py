@@ -48,7 +48,8 @@ from .core import (
 )
 from .extension import AnalyticProfile, cosine_profile, sine_profile
 from .identity import ControlData, linearized_rhs
-from .solver import transfer_difference_nd_map, transfer_linearized_nd_map
+from .solver import (_check_cfl, transfer_difference_nd_map,
+                     transfer_linearized_nd_map)
 
 _REL_L2_FLOOR = 1e-12
 
@@ -72,6 +73,14 @@ class ReconSettings:
             raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
+        # the solver's checks first: a grid too coarse to run has no modes
+        _check_cfl(self.grid)
+        # mode N's frequency 2 N pi / (b - a) must stay below the nodes'
+        # Nyquist limit pi / dx = (nx - 1) pi / (b - a)
+        n_max = (self.grid.nx - 2) // 2
+        if self.N > n_max:
+            raise ValueError(f"N = {self.N} exceeds the grid's resolution: "
+                             f"this grid allows N <= {n_max}")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
@@ -311,14 +320,13 @@ def reconstruct(
     """Full pipeline: controls -> data -> identity values -> series.
 
     Deterministic for a fixed seed.  The medium must be the free background
-    (rho0 = 1, sigma0 = 0), the regime with exact closed-form controls.
+    (sigma0 = 0), the regime with exact closed-form controls.
     Each mode's data are dropped as soon as its identity values are taken,
     before the next mode is acquired.
     """
-    if medium.rho0 != 1.0 or medium.sigma0 != 0.0:
+    if medium.sigma0 != 0.0:
         raise UnsupportedRegimeError(
-            "reconstruction requires rho0 = 1 and sigma0 = 0; got "
-            f"rho0 = {medium.rho0}, sigma0 = {medium.sigma0}"
+            f"reconstruction requires sigma0 = 0; got sigma0 = {medium.sigma0}"
         )
     measure = settings.measurement(medium)
     modes = (

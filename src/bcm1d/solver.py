@@ -1,9 +1,9 @@
 """Second-order finite-difference solver for the 1D damped wave equation.
 
-Advances  rho0 u_tt + sigma u_t - u_xx = S  on (0, 2T) x (a, b) with Neumann
+Advances  u_tt + sigma u_t - u_xx = S  on (0, 2T) x (a, b) with Neumann
 endpoint data and zero initial data, using the explicit central scheme
 
-    rho0 (u^{n+1} - 2u^n + u^{n-1})/dt^2
+    (u^{n+1} - 2u^n + u^{n-1})/dt^2
         + sigma (u^{n+1} - u^{n-1})/(2 dt)  =  D2 u^n + S^n,
 
 where D2 is the 3-point Laplacian.  The damping term is implicit-symmetric,
@@ -19,7 +19,7 @@ Laplacian, which otherwise radiates a first-order error into the domain
 whenever the flux is nonzero.  u_xxx at an endpoint follows from the
 equation and the time-differentiated boundary condition,
 
-    u_xxx = -+ rho0 d2g/dt2 + sigma_x u_t -+ sigma dg/dt - S_x
+    u_xxx = -+ d2g/dt2 + sigma_x u_t -+ sigma dg/dt - S_x
             (upper signs at a, lower at b),
 
 with dg/dt, d2g/dt2 taken by centered differences of the supplied data,
@@ -28,9 +28,9 @@ ingredient multiplies dx^3, so those low-order estimates cost no accuracy.
 
 Initial layers are u^0 = u^1 = 0, valid because all admitted data and
 sources vanish near t = 0 (the solver warns otherwise).  When a source is
-supplied, the first layer gets the Taylor term dt^2 S(0) / (2 rho0): with
-zero initial data, rho0 u_tt(0) = S(0), and omitting the term leaves an
-O(dt) velocity defect whose mean grows linearly under Neumann conditions.
+supplied, the first layer gets the Taylor term dt^2 S(0) / 2: with zero
+initial data, u_tt(0) = S(0), and omitting the term leaves an O(dt)
+velocity defect whose mean grows linearly under Neumann conditions.
 
 One time loop serves every map.  It advances the increment v^n = u^n -
 u^{n-1} by per-node coefficients computed once per medium,
@@ -41,7 +41,7 @@ then u^{n+1} = u^n + v^{n+1}; the ghost node's doubled inward difference
 and the sigma_x u_t edge term fold into the rows of nodes 0 and nx-1, and
 the outer differences there take one injection signal per end,
 
-    (2/dx) g + (dx/3) (rho0 d2g/dt2 + sigma_end dg/dt),
+    (2/dx) g + (dx/3) (d2g/dt2 + sigma_end dg/dt),
 
 computed before the loop from one tap table, ``_weights`` (a source adds
 gain S, and -+ (dx/3) S_x to the injection).  Differencing before scaling
@@ -118,7 +118,7 @@ class SolveOutput:
     """Endpoint trace plus interior snapshots at the half time T."""
 
     dirichlet: BoundaryTrace
-    pT_snapshot: np.ndarray  # sqrt(rho0) * u_t(T, .) on the spatial nodes
+    pT_snapshot: np.ndarray  # u_t(T, .) on the spatial nodes
     qT_snapshot: np.ndarray  # u_x(T, .) on the spatial nodes
     uT_snapshot: np.ndarray  # u(T, .), kept for verification work
 
@@ -136,14 +136,10 @@ def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
     return arr
 
 
-def _check_cfl(grid: GridSpec, rho0: float) -> None:
-    if not (np.isfinite(rho0) and rho0 > 0):
-        raise ConfigurationError(f"rho0 must be positive and finite, got {rho0}")
-    c = grid.cfl_number(rho0)
+def _check_cfl(grid: GridSpec) -> None:
+    c = grid.dt / grid.dx
     if c > 1.0 + 1e-12:
-        raise ConfigurationError(
-            f"CFL violated: dt * rho0^(-1/2) / dx = {c:.4f} > 1"
-        )
+        raise ConfigurationError(f"CFL violated: dt / dx = {c:.4f} > 1")
     if grid.half_index < 3:
         raise ConfigurationError("grid too coarse: fewer than 3 steps to t = T")
     if grid.nx < 3:
@@ -192,19 +188,19 @@ def _edge_term(arr):
     return (ends.view(float) / 6.0).view(ends.dtype)
 
 
-def _stencil(grid: GridSpec, rho0: float, sigma: np.ndarray):
+def _stencil(grid: GridSpec, sigma: np.ndarray):
     """Per-node coefficients (carry, left, right, gain) of the update
 
         v^{n+1} = carry v^n + right (u_{i+1} - u_i) - left (u_i - u_{i-1})
                   + gain S,    u^{n+1} = u^n + v^{n+1},
 
-    with v^n = u^n - u^{n-1} and gain = 1/(rho0/dt^2 + sigma/(2 dt)); at
+    with v^n = u^n - u^{n-1} and gain = 1/(1/dt^2 + sigma/(2 dt)); at
     the end nodes the injection signals stand for the outer differences.
     Nodes run along the last axis of ``sigma``, which may hold several media.
     """
     dt, dx = grid.dt, grid.dx
-    gain = 1.0 / (rho0 / dt**2 + sigma / (2.0 * dt))
-    carry = (rho0 / dt**2 - sigma / (2.0 * dt)) * gain
+    gain = 1.0 / (1.0 / dt**2 + sigma / (2.0 * dt))
+    carry = (1.0 / dt**2 - sigma / (2.0 * dt)) * gain
     # sigma_x v^n / dt
     carry[..., _ENDS] += gain[..., _ENDS] * _edge_term(sigma) / dt
     # the ghost node doubles the inward difference
@@ -222,16 +218,16 @@ def _complex_step(sigma0, sigma_dot: np.ndarray):
     return sigma0 + 1j * (_STEP * (sigma_dot / s)), s
 
 
-def _weights(grid: GridSpec, rho0: float, sigma_ends):
+def _weights(grid: GridSpec, sigma_ends):
     """Each injection signal as weights (signals, 3) of the data g of its
     end, of its centered difference g[n+1] - g[n-1] and of that difference
     taken twice, one signal per entry of ``sigma_ends``.  Signal s reads end
     s % 2 and is, with g_t and g_tt the centered derivatives,
 
-        (2/dx) g + (dx/3) (rho0 g_tt + sigma_end g_t).
+        (2/dx) g + (dx/3) (g_tt + sigma_end g_t).
     """
     dx, dt = grid.dx, grid.dt
-    return np.array([(2.0 / dx, dx * s / (6.0 * dt), dx * rho0 / (12.0 * dt**2))
+    return np.array([(2.0 / dx, dx * s / (6.0 * dt), dx / (12.0 * dt**2))
                      for s in sigma_ends])
 
 
@@ -356,7 +352,6 @@ def _time_loop(grid, stencil, inj, u1=0.0, source=None):
 
 def solve_many(
     grid: GridSpec,
-    rho0: float,
     sigma,
     neumanns: Sequence[BoundaryTrace],
     source: Callable[[int], np.ndarray] | None = None,
@@ -370,7 +365,7 @@ def solve_many(
     dtype of S(0) stands for all its values, and a complex value after a
     real S(0) raises ``ConfigurationError`` naming its step.
     """
-    _check_cfl(grid, rho0)
+    _check_cfl(grid)
     sig = _as_sigma_array(sigma, grid.nx)
     g = _stack_neumann(grid, neumanns)
     u1 = 0.0
@@ -382,19 +377,19 @@ def solve_many(
                 "one-step O(dt^2) error",
                 stacklevel=2,
             )
-        # Taylor first step: with zero initial data, rho0 u_tt(0) = S(0);
+        # Taylor first step: with zero initial data, u_tt(0) = S(0);
         # sources with S(0) != 0 would otherwise leave an O(dt) velocity
         # defect whose mean grows linearly under Neumann conditions
-        u1 = (grid.dt**2 / (2.0 * rho0)) * s0
-    inj = _injection(_weights(grid, rho0, sig[_ENDS]), g)[0]
+        u1 = (grid.dt**2 / 2.0) * s0
+    inj = _injection(_weights(grid, sig[_ENDS]), g)[0]
     inj = np.moveaxis(inj, -1, 0)  # (steps, traces, end)
-    traces, levels = _time_loop(grid, _stencil(grid, rho0, sig), inj, u1=u1,
+    traces, levels = _time_loop(grid, _stencil(grid, sig), inj, u1=u1,
                                 source=source)
     # complex arithmetic for real fields too: numpy divides a complex array
     # by a real through a rounded reciprocal, so real and complex fields
     # round alike only on that route
     u_minus, u_mid, u_plus = (u.astype(complex, copy=False) for u in levels)
-    pT = np.sqrt(rho0) * (u_plus - u_minus) / (2.0 * grid.dt)
+    pT = (u_plus - u_minus) / (2.0 * grid.dt)
     qT = np.empty_like(u_mid)
     qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
     g_T = g[..., grid.half_index]
@@ -416,17 +411,16 @@ def linearized_nd_map_many(
     :func:`solve_many` along sigma_dot at the damping sigma0: the linearized
     measurements, taken by a complex step (see the module docstring).
     """
-    _check_cfl(grid, medium.rho0)
+    _check_cfl(grid)
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     g = _stack_neumann(grid, fs)
     sigma, s = _complex_step(medium.sigma0, sd)
-    weights = _weights(grid, medium.rho0, sigma[_ENDS])
+    weights = _weights(grid, sigma[_ENDS])
     # rows (parts, traces): each data part times an exact power of two 1 / r
     parts = np.stack((g.real, g.imag))
     r = np.ldexp(1.0, np.frexp(np.max(np.abs(parts), axis=(2, 3)))[1])
     inj = _injection(weights, parts / r[..., None, None])[0]
-    traces, _ = _time_loop(grid, _stencil(grid, medium.rho0, sigma),
-                           np.moveaxis(inj, -1, 0))
+    traces, _ = _time_loop(grid, _stencil(grid, sigma), np.moveaxis(inj, -1, 0))
     d = traces.imag / _STEP * s * r[..., None]
     d = d[:, 0] + 1j * d[:, 1]
     return [BoundaryTrace(d[:, j, 0], d[:, j, 1], grid.dt)
@@ -555,7 +549,7 @@ def transfer_difference_nd_map(
     kernel, so the map measures the medium as it was then.  It agrees with
     the stepper's quotient to about 1e-13 of either medium's traces / eps.
     """
-    _check_cfl(grid, medium.rho0)
+    _check_cfl(grid)
     if not (np.isfinite(eps) and eps > 0):
         raise ConfigurationError(f"eps must be positive and finite, got {eps}")
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
@@ -570,9 +564,9 @@ def transfer_difference_nd_map(
     media = np.stack((full, np.full(grid.nx, medium.sigma0)))[:, None]
     impulses = np.zeros((grid.nt, 2, 2, 2))  # (steps, *rows, output end)
     impulses[1] = np.eye(2)
-    traces, _ = _time_loop(grid, _stencil(grid, medium.rho0, media), impulses)
+    traces, _ = _time_loop(grid, _stencil(grid, media), impulses)
     responses = np.concatenate((traces[:, 0], -traces[:, 1]), axis=1) / eps
-    weights = _weights(grid, medium.rho0, media[..., _ENDS].ravel())
+    weights = _weights(grid, media[..., _ENDS].ravel())
     return functools.partial(_convolve, grid, _kernel(grid, responses, weights))
 
 
@@ -586,14 +580,14 @@ def transfer_linearized_nd_map(
     kernel, so the map measures the medium as it was then.  It agrees with
     the stepper, its oracle, to about 1e-13 relative.
     """
-    _check_cfl(grid, medium.rho0)
+    _check_cfl(grid)
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     sigma, s = _complex_step(medium.sigma0, sd)
     impulses = np.zeros((grid.nt, 2, 2))  # (steps, impulse end, output end)
     impulses[1] = np.eye(2)
-    traces, _ = _time_loop(grid, _stencil(grid, medium.rho0, sigma), impulses)
+    traces, _ = _time_loop(grid, _stencil(grid, sigma), impulses)
     # d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R); / h first, then * s
     responses = np.concatenate((traces.imag / _STEP * s, traces.real), axis=1)
-    w = _weights(grid, medium.rho0, sigma[_ENDS])
+    w = _weights(grid, sigma[_ENDS])
     weights = np.concatenate((w.real, w.imag / _STEP * s))
     return functools.partial(_convolve, grid, _kernel(grid, responses, weights))

@@ -24,7 +24,7 @@ def mid_grid():
 
 @pytest.fixture(scope="session")
 def zero_medium(coarse_grid):
-    return MediumSpec(1.0, 0.0, np.zeros(coarse_grid.nx))
+    return MediumSpec(0.0, np.zeros(coarse_grid.nx))
 
 
 def smooth_sigma_dot(xs: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from bcm1d import (
-    BoundaryTrace,
     GridSpec,
     MediumSpec,
     ReconSettings,
@@ -23,12 +22,12 @@ from bcm1d import (
     nonlinear_identity_residual,
     projection_truth,
     reconstruct_from_data,
-    solve_many,
     stability_bound_check,
     verify_control,
     weighted_volume_pairing,
 )
-from bcm1d.cli import main, piecewise_perturbation, smooth_perturbation, smooth_pulse_trace
+from bcm1d.cli import (_mms_error, main, piecewise_perturbation,
+                       smooth_perturbation, smooth_pulse_trace)
 from bcm1d.recon import NONLINEAR_DIFFERENCE, fourier_targets
 
 N_MODES = 10
@@ -57,7 +56,7 @@ def grid():
 @pytest.fixture(scope="module")
 def exp1(grid):
     sig = smooth_perturbation(grid.xs)
-    medium = MediumSpec(1.0, 0.0, sig)
+    medium = MediumSpec(0.0, sig)
     settings = ReconSettings(grid=grid, N=N_MODES)
     data = _acquire(medium, settings)
     return dict(data=data, settings=settings, truth=sig, medium=medium)
@@ -65,7 +64,7 @@ def exp1(grid):
 
 @pytest.fixture(scope="module")
 def exp2(grid):
-    medium = MediumSpec(1.0, 0.0, piecewise_perturbation(grid.xs))
+    medium = MediumSpec(0.0, piecewise_perturbation(grid.xs))
     settings = ReconSettings(grid=grid, N=N_MODES)
     data = _acquire(medium, settings)
     return dict(data=data, settings=settings,
@@ -75,7 +74,7 @@ def exp2(grid):
 @pytest.fixture(scope="module")
 def exp3(grid):
     sig = smooth_perturbation(grid.xs)
-    medium = MediumSpec(1.0, 0.0, sig, 200.0 * np.sin(20 * np.pi * grid.xs))
+    medium = MediumSpec(0.0, sig, 200.0 * np.sin(20 * np.pi * grid.xs))
     settings = ReconSettings(grid=grid, N=N_MODES,
                              data_mode=NONLINEAR_DIFFERENCE,
                              eps_linearization=1e-3)
@@ -253,7 +252,7 @@ def test_invariant_imaginary_leakage_is_pure_dispersion(exp1, grid):
     assert leak_ref <= 0.1
 
     magic = GridSpec(grid.a, grid.b, grid.dx, grid.dx, grid.T)
-    medium = MediumSpec(1.0, 0.0, smooth_perturbation(magic.xs))
+    medium = MediumSpec(0.0, smooth_perturbation(magic.xs))
     settings = ReconSettings(grid=magic, N=N_MODES)
     lam, f, h = acquire_clean_pair_data(N_MODES, magic,
                                         settings.measurement(medium))
@@ -280,29 +279,10 @@ def test_criterion_09_stability_chain(exp1, grid):
     assert ok_all
 
 
+@pytest.mark.filterwarnings("ignore:source nonzero at t = 0:UserWarning")
 def test_criterion_10_solver_order():
-    import warnings
-
-    def mms_error(n):
-        g = GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 3.0)
-        xs = g.xs
-        sigma = 0.3 * (1.0 + xs**2)
-        cos_px = np.cos(np.pi * xs)
-
-        def source(step):
-            t = step * g.dt
-            return (2.0 + 2.0 * t * sigma + np.pi**2 * t**2) * cos_px
-
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "source nonzero at t = 0",
-                                    UserWarning)
-            (out,) = solve_many(g, 1.0, sigma, [BoundaryTrace.zeros(g)],
-                                source=source)
-        exact = g.T**2 * cos_px
-        return float(np.linalg.norm(out.uT_snapshot - exact)
-                     / np.linalg.norm(exact))
-
-    errs = [mms_error(n) for n in (25, 50, 100)]
+    errs = [_mms_error(GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 3.0))
+            for n in (25, 50, 100)]
     factors = [errs[i] / errs[i + 1] for i in range(2)]
     ok = all(3.4 <= f <= 4.6 for f in factors)
     _report(10, "manufactured-solution refinement factors",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bcm1d
-from bcm1d import FourierCoeffs, ReconResult
+from bcm1d import FourierCoeffs, ReconResult, cli
 from bcm1d.cli import (
     RunConfig,
     emit_results,
@@ -213,6 +213,32 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "error: grid too coarse: 2 nodes, fewer than 3\n"
         assert not (tmp_path / "out").exists()
+
+    def test_N_above_grid_resolution_rejected(self, tmp_path, capsys,
+                                              monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a mode was measured")
+
+        monkeypatch.setattr(cli, "reconstruct", unreachable)
+        out = tmp_path / "out"
+        code = main(["experiment", "--id", "1", "--N", "250", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: N = 250 exceeds") and "N <= 249" in err
+        assert not out.exists()
+
+    def test_out_of_memory_reported(self, tmp_path, capsys, monkeypatch):
+        def oversized(*args):
+            raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+        monkeypatch.setattr(cli, "reconstruct", oversized)
+        out = tmp_path / "out"
+        code = main(["experiment", "--id", "1", "--dx", "0.02", "--dt", "0.002",
+                     "--T", "3", "--N", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 14.9 GiB for an array\n"
+        assert not out.exists()
 
     def test_invalid_id_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

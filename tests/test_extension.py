@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from bcm1d import AnalyticProfile, build_control, cosine_profile, sine_profile
+from bcm1d import AnalyticProfile, cosine_profile, sine_profile
 from bcm1d.extension import _bump_factors, extended_derivatives
 
 A, B = -1.0, 1.0
@@ -38,7 +38,7 @@ def test_extension_vanishes_outside_support():
 
 def test_flank_value_closed_form():
     # at x - a = -1/2 with d = 2 the bump exponent is 1 - 16/15 = -1/15
-    got = extended_derivatives(cosine_profile(0.0), A, B, -1.5, d=2)[0][0]
+    got = extended_derivatives(cosine_profile(0.0), A, B, -1.5)[0][0]
     want = np.exp(-1.0 / 15.0)
     assert np.isclose(got, want, rtol=1e-14)
     assert np.isclose(want, 0.935507, atol=5e-7)
@@ -47,15 +47,14 @@ def test_flank_value_closed_form():
 def test_extension_matches_profile_and_derivatives_inside():
     p = sine_profile(1.7)
     xs = np.linspace(-0.9, 0.9, 7)
-    ext = extended_derivatives(p, A, B, xs, d=2)
+    ext = extended_derivatives(p, A, B, xs)
     for order, deriv in enumerate((p.value, p.deriv1, p.deriv2, p.deriv3)):
         assert np.allclose(ext[order], deriv(xs), rtol=1e-14)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_extension_derivatives_consistent_with_finite_differences(d):
+def test_extension_derivatives_consistent_with_finite_differences():
     def ext(x):
-        return extended_derivatives(cosine_profile(2.1), A, B, x, d)
+        return extended_derivatives(cosine_profile(2.1), A, B, x)
 
     # interior of the left flank, interior of the domain, right flank
     pts = np.array([-1.6, -1.2, 0.4, 1.3, 1.8])
@@ -106,7 +105,7 @@ def test_one_sided_continuity_at_domain_edges():
     # Linear extrapolation 2 f(e -+ h) - f(e -+ 2h) estimates each one-sided
     # limit with O(h^2) error, so the left/right gap must shrink like h^2.
     def ext(x):
-        return extended_derivatives(cosine_profile(1.3), A, B, np.array([x]), d=2)
+        return extended_derivatives(cosine_profile(1.3), A, B, np.array([x]))
 
     for edge in (A, B):
         for order in range(4):
@@ -123,12 +122,3 @@ def test_one_sided_continuity_at_domain_edges():
             assert g1 <= 1e-4 * scale
             assert g2 <= 0.35 * g1 + 1e-13
 
-
-def test_order_below_two_rejected(coarse_grid):
-    # rejected where d enters, before the target is evaluated at all
-    def unused(x):
-        raise AssertionError("target evaluated before the order check")
-
-    target = AnalyticProfile(unused, unused, unused, unused)
-    with pytest.raises(ValueError, match="order d must be >= 2"):
-        build_control(target, 1j, coarse_grid, d=1)

@@ -22,7 +22,7 @@ from conftest import smooth_sigma_dot
 @pytest.fixture(scope="module")
 def mode4_measure(mid_grid):
     """Linearized measurement of the smooth reference perturbation."""
-    medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(mid_grid.xs))
+    medium = MediumSpec(0.0, smooth_sigma_dot(mid_grid.xs))
     return ReconSettings(grid=mid_grid, N=4).measurement(medium)
 
 
@@ -90,7 +90,7 @@ class TestLinearizedRhs:
         diffs = []
         for n in (50, 100):
             g = GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 5.0)
-            medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(g.xs))
+            medium = MediumSpec(0.0, smooth_sigma_dot(g.xs))
             measure = ReconSettings(grid=g, N=4).measurement(medium)
             lam, f, h = acquire_clean_pair_data(4, g, measure)
             diffs.append(abs(linearized_rhs(f, h, lam, g)
@@ -104,7 +104,7 @@ class TestLinearizedRhs:
         # factor an explicit reversed copy, each pairing np.trapezoid over
         # the samples of (0, T)
         g = coarse_grid
-        medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(g.xs))
+        medium = MediumSpec(0.0, smooth_sigma_dot(g.xs))
         lam, f, h = acquire_clean_pair_data(
             4, g, ReconSettings(grid=g, N=4).measurement(medium))
         n = g.half_index + 1

@@ -97,7 +97,7 @@ class TestAddNoise:
 
 @pytest.fixture(scope="module")
 def pair_data(coarse_grid):
-    medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
+    medium = MediumSpec(0.0, smooth_sigma_dot(coarse_grid.xs))
     measure = ReconSettings(grid=coarse_grid, N=1).measurement(medium)
     return acquire_clean_pair_data(1, coarse_grid, measure)
 
@@ -132,7 +132,7 @@ class TestNoiseDeterminism:
     def test_substream_labels_pinned(self, coarse_grid):
         # the (mode, label) spawn keys fix every noisy output; moving a label
         # changes the noisy results of every earlier run
-        medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
+        medium = MediumSpec(0.0, smooth_sigma_dot(coarse_grid.xs))
         settings = ReconSettings(grid=coarse_grid, N=2)
         k, eps, seed = 2, 0.03, 11
         clean = acquire_clean_pair_data(k, coarse_grid,
@@ -220,7 +220,7 @@ class TestProjectionTruth:
 
 class TestReconstructPipeline:
     def test_zero_perturbation(self, coarse_grid):
-        medium = MediumSpec(1.0, 0.0, np.zeros(coarse_grid.nx))
+        medium = MediumSpec(0.0, np.zeros(coarse_grid.nx))
         settings = ReconSettings(grid=coarse_grid, N=2)
         res = reconstruct(settings, medium, np.zeros(coarse_grid.nx))
         biggest = max(abs(res.coeffs.a0), np.max(np.abs(res.coeffs.a)),
@@ -235,7 +235,7 @@ class TestReconstructPipeline:
         settings = ReconSettings(grid=coarse_grid, N=1)
 
         def coeffs_for(sig):
-            res = reconstruct(settings, MediumSpec(1.0, 0.0, sig), sig)
+            res = reconstruct(settings, MediumSpec(0.0, sig), sig)
             return np.array([res.coeffs.a0, res.coeffs.a[0], res.coeffs.b[0]])
 
         combo = coeffs_for(al * s1 + be * s2)
@@ -243,7 +243,7 @@ class TestReconstructPipeline:
         assert np.allclose(combo, separate, rtol=1e-10, atol=1e-12)
 
     def test_deterministic_with_noise(self, coarse_grid):
-        medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
+        medium = MediumSpec(0.0, smooth_sigma_dot(coarse_grid.xs))
         settings = ReconSettings(grid=coarse_grid, N=2, noise_eps=0.02, seed=9)
         truth = smooth_sigma_dot(coarse_grid.xs)
         r1 = reconstruct(settings, medium, truth)
@@ -254,14 +254,14 @@ class TestReconstructPipeline:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_medium_rejected(self, coarse_grid):
-        medium = MediumSpec(1.0, 0.0, np.full(coarse_grid.nx, 1e305))
+        medium = MediumSpec(0.0, np.full(coarse_grid.nx, 1e305))
         with pytest.raises(ConfigurationError,
                            match="measured trace 0 has a non-finite sample"):
             reconstruct(ReconSettings(grid=coarse_grid, N=2), medium,
                         np.zeros(coarse_grid.nx))
 
     def test_damped_background_rejected(self, coarse_grid):
-        medium = MediumSpec(1.0, 0.3, np.zeros(coarse_grid.nx))
+        medium = MediumSpec(0.3, np.zeros(coarse_grid.nx))
         settings = ReconSettings(grid=coarse_grid, N=1)
         with pytest.raises(UnsupportedRegimeError):
             reconstruct(settings, medium, np.zeros(coarse_grid.nx))
@@ -271,7 +271,7 @@ class TestReconstructPipeline:
         # quadratic response (the same bias that dominates the noiseless
         # nonlinear experiment), so agreement is first order in eps
         sig = smooth_sigma_dot(coarse_grid.xs)
-        medium = MediumSpec(1.0, 0.0, sig)
+        medium = MediumSpec(0.0, sig)
         lin = reconstruct(ReconSettings(grid=coarse_grid, N=1), medium, sig)
         gaps = []
         for eps in (1e-3, 1e-4):
@@ -312,9 +312,16 @@ class TestReconstructPipeline:
             ReconSettings(grid=coarse_grid, data_mode="nonlinear_difference",
                           eps_linearization=0.0)
 
+    def test_N_limited_by_grid_resolution(self, coarse_grid):
+        # on 101 nodes mode 50's frequency 2 kappa_50 = 50 pi reaches the
+        # nodes' Nyquist limit pi / dx
+        assert ReconSettings(grid=coarse_grid, N=49).N == 49
+        with pytest.raises(ValueError, match=r"^N = 50 exceeds.*N <= 49$"):
+            ReconSettings(grid=coarse_grid, N=50)
+
     def test_reconstruct_from_data_matches_reconstruct(self, coarse_grid):
         sig = smooth_sigma_dot(coarse_grid.xs)
-        medium = MediumSpec(1.0, 0.0, sig)
+        medium = MediumSpec(0.0, sig)
         settings = ReconSettings(grid=coarse_grid, N=2)
         direct = reconstruct(settings, medium, sig)
         measure = settings.measurement(medium)
@@ -337,14 +344,14 @@ class TestReconstructPipeline:
             return data
 
         monkeypatch.setattr(recon, "acquire_clean_pair_data", spy)
-        reconstruct(settings, MediumSpec(1.0, 0.0, sig), sig)
+        reconstruct(settings, MediumSpec(0.0, sig), sig)
         assert alive == [0, 0, 0]
 
     @pytest.mark.parametrize("modes", [0, 2])
     def test_too_few_modes_rejected(self, coarse_grid, modes):
         sig = smooth_sigma_dot(coarse_grid.xs)
         settings = ReconSettings(grid=coarse_grid, N=3)
-        measure = settings.measurement(MediumSpec(1.0, 0.0, sig))
+        measure = settings.measurement(MediumSpec(0.0, sig))
         data = [acquire_clean_pair_data(k, coarse_grid, measure)
                 for k in range(1, modes + 1)]
         with pytest.raises(ValueError, match="need 3 identity values"):
@@ -357,7 +364,7 @@ class TestReconstructPipeline:
 
         monkeypatch.setattr(recon, "acquire_clean_pair_data", acquire)
         settings = ReconSettings(grid=coarse_grid, N=3)
-        medium = MediumSpec(1.0, 0.0, smooth_sigma_dot(coarse_grid.xs))
+        medium = MediumSpec(0.0, smooth_sigma_dot(coarse_grid.xs))
         with pytest.raises(ValueError, match=rf"truth must have shape "
                            rf"\({coarse_grid.nx},\).*got \(7,\)"):
             reconstruct(settings, medium, np.ones(7))

@@ -18,35 +18,9 @@ from bcm1d import (
     transfer_linearized_nd_map,
 )
 from bcm1d import solver
-from bcm1d.cli import smooth_pulse_trace
+from bcm1d.cli import _mms_error, smooth_pulse_trace
 
 from conftest import smooth_sigma_dot
-
-
-def mms_grid(n):
-    return GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 3.0)
-
-
-def mms_source(grid, rho0, sigma):
-    """Source of u* = t^2 cos(pi x): zero Neumann flux, zero initial data."""
-    cos_px = np.cos(np.pi * grid.xs)
-
-    def source(n):
-        t = n * grid.dt
-        return (2 * rho0 + 2 * t * sigma + np.pi**2 * t**2) * cos_px
-
-    return source
-
-
-def mms_error(grid, rho0=1.0, sigma_fn=lambda x: 0.3 * (1 + x**2)):
-    xs = grid.xs
-    sigma = sigma_fn(xs)
-    source = mms_source(grid, rho0, sigma)
-    with pytest.warns(UserWarning, match="source nonzero"):
-        (out,) = solve_many(grid, rho0, sigma, [BoundaryTrace.zeros(grid)],
-                            source=source)
-    exact = grid.T**2 * np.cos(np.pi * xs)
-    return np.linalg.norm(out.uT_snapshot - exact) / np.linalg.norm(exact)
 
 
 def _fields(out):
@@ -55,7 +29,7 @@ def _fields(out):
 
 
 def test_zero_data_zero_solution(coarse_grid):
-    (out,) = solve_many(coarse_grid, 1.0, 0.3, [BoundaryTrace.zeros(coarse_grid)])
+    (out,) = solve_many(coarse_grid, 0.3, [BoundaryTrace.zeros(coarse_grid)])
     assert np.all(out.dirichlet.values_a == 0)
     assert np.all(out.dirichlet.values_b == 0)
     assert np.all(out.pT_snapshot == 0)
@@ -63,13 +37,17 @@ def test_zero_data_zero_solution(coarse_grid):
 
 
 def test_manufactured_solution_second_order():
-    errs = [mms_error(mms_grid(n)) for n in (25, 50)]
+    errs = []
+    for n in (25, 50):
+        with pytest.warns(UserWarning, match="source nonzero"):
+            errs.append(_mms_error(GridSpec(-1.0, 1.0, 1.0 / n,
+                                            1.0 / (10 * n), 3.0)))
     assert 3.4 <= errs[0] / errs[1] <= 4.6
 
 
 def test_real_data_real_field(coarse_grid):
     f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.5)
-    (out,) = solve_many(coarse_grid, 1.0, 0.2, [f])
+    (out,) = solve_many(coarse_grid, 0.2, [f])
     assert np.all(out.dirichlet.values_a.imag == 0)
     assert np.all(out.dirichlet.values_b.imag == 0)
     assert np.all(out.pT_snapshot.imag == 0)
@@ -82,7 +60,7 @@ def test_complex_solve_equals_pair_of_real_solves(coarse_grid):
     fi, _ = smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
     # one call each: a batch holding a complex trace advances complex rows
-    (out_c,), (out_r,), (out_i,) = (solve_many(coarse_grid, 1.0, sigma, [f])
+    (out_c,), (out_r,), (out_i,) = (solve_many(coarse_grid, sigma, [f])
                                     for f in (fr + 1j * fi, fr, fi))
     for c, r, i in zip(_fields(out_c), _fields(out_r), _fields(out_i)):
         assert np.iscomplexobj(c)
@@ -92,7 +70,7 @@ def test_complex_solve_equals_pair_of_real_solves(coarse_grid):
 def test_complex_linearized_equals_pair_of_real_passes(coarse_grid):
     fr, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.4)
     fi, _ = smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)
-    med = MediumSpec(1.0, 0.1, smooth_sigma_dot(coarse_grid.xs))
+    med = MediumSpec(0.1, smooth_sigma_dot(coarse_grid.xs))
     (out_c,), (out_r,), (out_i,) = (
         linearized_nd_map_many(coarse_grid, med, [f])
         for f in (fr + 1j * fi, fr, fi))
@@ -104,11 +82,16 @@ def test_complex_linearized_equals_pair_of_real_passes(coarse_grid):
 @pytest.mark.filterwarnings("ignore:source nonzero at t = 0")
 def test_complex_source_matches_real_source(coarse_grid):
     # the same source as float64 runs a real field, as complex a complex one
-    sigma = 0.3 * (1 + coarse_grid.xs**2)
-    source = mms_source(coarse_grid, 1.0, sigma)
+    xs, dt = coarse_grid.xs, coarse_grid.dt
+    sigma = 0.3 * (1 + xs**2)
+
+    def source(n):
+        t = n * dt
+        return (2 + 2 * t * sigma + np.pi**2 * t**2) * np.cos(np.pi * xs)
+
     zero = [BoundaryTrace.zeros(coarse_grid)]
-    (real,) = solve_many(coarse_grid, 1.0, sigma, zero, source)
-    (cplx,) = solve_many(coarse_grid, 1.0, sigma, zero,
+    (real,) = solve_many(coarse_grid, sigma, zero, source)
+    (cplx,) = solve_many(coarse_grid, sigma, zero,
                          lambda n: source(n).astype(complex))
     for r, c in zip(_fields(real), _fields(cplx)):
         assert np.array_equal(r, c)
@@ -127,7 +110,7 @@ def test_complex_source_equals_pair_of_real_sources(coarse_grid):
 
     zero = [BoundaryTrace.zeros(coarse_grid)]
     (out_c,), (out_r,), (out_i,) = (
-        solve_many(coarse_grid, 1.0, sigma, zero, part)
+        solve_many(coarse_grid, sigma, zero, part)
         for part in (source, lambda n: source(n).real,
                      lambda n: source(n).imag))
     for c, r, i in zip(_fields(out_c), _fields(out_r), _fields(out_i)):
@@ -144,7 +127,7 @@ def test_source_called_once_per_step_in_order(coarse_grid):
         calls.append(n)
         return np.zeros(coarse_grid.nx)
 
-    solve_many(coarse_grid, 1.0, 0.2, [BoundaryTrace.zeros(coarse_grid)], source)
+    solve_many(coarse_grid, 0.2, [BoundaryTrace.zeros(coarse_grid)], source)
     assert calls == list(range(nt - 1))
 
 
@@ -166,12 +149,12 @@ def test_source_rows_across_blocks_match_single_solves(coarse_grid, shared):
     sources = _trace_sources(coarse_grid)
     if shared:
         sources[1] = sources[0]
-        batch = solve_many(coarse_grid, 1.0, sigma, fs, sources[0])
+        batch = solve_many(coarse_grid, sigma, fs, sources[0])
     else:
-        batch = solve_many(coarse_grid, 1.0, sigma, fs,
+        batch = solve_many(coarse_grid, sigma, fs,
                            lambda n: np.stack([s(n) for s in sources]))
     for f, source, out in zip(fs, sources, batch):
-        (single,) = solve_many(coarse_grid, 1.0, sigma, [f], source)
+        (single,) = solve_many(coarse_grid, sigma, [f], source)
         for b, o in zip(_fields(out), _fields(single)):
             assert np.array_equal(b, o)
 
@@ -180,7 +163,7 @@ def test_nd_map_linearity(coarse_grid):
     f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
     f2, _ = smooth_pulse_trace(coarse_grid, 1.4, 0.3, 3.0, 0.0, 1.0)
     al, be = 2.0 - 1.0j, 0.7
-    combo, m1, m2 = (solve_many(coarse_grid, 1.0, 0.25, [f])[0].dirichlet
+    combo, m1, m2 = (solve_many(coarse_grid, 0.25, [f])[0].dirichlet
                      for f in (al * f1 + be * f2, f1, f2))
     separate = al * m1 + be * m2
     assert np.allclose(combo.values_a, separate.values_a, rtol=1e-12, atol=1e-14)
@@ -193,7 +176,7 @@ def test_nd_map_commutes_with_time_derivative(coarse_grid):
     f, f_t = smooth_pulse_trace(coarse_grid, 1.2, 0.25, 4.0, 1.0, 0.6)
     sigma = 0.2
     meas_dot, meas = (out.dirichlet for out in
-                      solve_many(coarse_grid, 1.0, sigma, [f_t, f]))
+                      solve_many(coarse_grid, sigma, [f_t, f]))
     for side in ("values_a", "values_b"):
         fd = np.gradient(getattr(meas, side), coarse_grid.dt, edge_order=2)
         err = np.max(np.abs(fd - getattr(meas_dot, side)))
@@ -208,7 +191,7 @@ def test_energy_non_increasing_after_data_stops(coarse_grid):
     for T in np.arange(3.0, 5.001, 0.25):
         grid = GridSpec(coarse_grid.a, coarse_grid.b, dx, dt, T)
         f, _ = smooth_pulse_trace(grid, 1.0, 0.15, 6.0, 1.0, 0.0)
-        (out,) = solve_many(grid, 1.0, 0.3, [f])
+        (out,) = solve_many(grid, 0.3, [f])
         energies.append(0.5 * np.trapezoid(np.abs(out.pT_snapshot) ** 2, dx=dx)
                         + 0.5 * np.trapezoid(np.abs(out.qT_snapshot) ** 2, dx=dx))
     energies = np.asarray(energies)
@@ -229,7 +212,7 @@ class TestLinearized:
         s1 = np.cos(np.pi * xs) + 2.0
         s2 = np.sin(2 * np.pi * xs)
         al, be = 1.7, -0.4
-        med = lambda s: MediumSpec(1.0, 0.0, s)
+        med = lambda s: MediumSpec(0.0, s)
         lin = lambda s: linearized_nd_map_many(coarse_grid, med(s), [f])[0]
         combo = lin(al * s1 + be * s2)
         separate = al * lin(s1) + be * lin(s2)
@@ -254,7 +237,7 @@ class TestLinearized:
         def measure(c):
             sd, data = ((c * sigma_dot, f) if scaled == "sigma_dot"
                         else (sigma_dot, c * f))
-            return linearized_map(coarse_grid, MediumSpec(1.0, 0.1, sd), [data])
+            return linearized_map(coarse_grid, MediumSpec(0.1, sd), [data])
 
         (ref,), (got,) = measure(1.0), measure(scale)
         assert _max_rel_deviation([got * (1.0 / scale)], [ref]) <= 1e-12
@@ -267,12 +250,12 @@ class TestLinearized:
         sigma0 = 0.1
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
         (lin,) = linearized_nd_map_many(
-            coarse_grid, MediumSpec(1.0, sigma0, sigma_dot), [f]
+            coarse_grid, MediumSpec(sigma0, sigma_dot), [f]
         )
-        (base,) = solve_many(coarse_grid, 1.0, sigma0, [f])
+        (base,) = solve_many(coarse_grid, sigma0, [f])
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
-            (pert,) = solve_many(coarse_grid, 1.0, sigma0 + eps * sigma_dot, [f])
+            (pert,) = solve_many(coarse_grid, sigma0 + eps * sigma_dot, [f])
             diff = pert.dirichlet - base.dirichlet
             resid = diff - eps * lin
             errs.append(max(np.max(np.abs(resid.values_a)),
@@ -289,10 +272,10 @@ class TestLinearized:
         sigma0, sigma_dot = 0.1, 0.3 * np.sin(np.pi * xs) + 2.0 * xs
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
         (lin,) = linearized_nd_map_many(
-            coarse_grid, MediumSpec(1.0, sigma0, sigma_dot), [f])
+            coarse_grid, MediumSpec(sigma0, sigma_dot), [f])
         gaps = []
         for eps in (1e-2, 1e-3, 1e-4):
-            plus, minus = (solve_many(coarse_grid, 1.0, sigma0 + e * sigma_dot,
+            plus, minus = (solve_many(coarse_grid, sigma0 + e * sigma_dot,
                                       [f])[0].dirichlet for e in (eps, -eps))
             quotient = (plus - minus) * (1.0 / (2.0 * eps))
             gaps.append(_max_rel_deviation([quotient], [lin]))
@@ -303,17 +286,17 @@ class TestLinearized:
 def test_injection_applies_the_documented_formula(coarse_grid):
     # the formula lives in code only as the tap table of _weights; a complex
     # sigma_end is a complex-step medium's
-    grid, rho0 = coarse_grid, 1.3
+    grid = coarse_grid
     sigma_ends = np.array([[0.2, 0.7], [0.2 - 1.1j, 0.7 + 2.5j]])  # (field, end)
     rng = np.random.default_rng(11)
     g = (rng.standard_normal((3, 2, grid.nt))
          + 1j * rng.standard_normal((3, 2, grid.nt)))  # (traces, end, steps)
-    inj = solver._injection(solver._weights(grid, rho0, sigma_ends.ravel()), g)
+    inj = solver._injection(solver._weights(grid, sigma_ends.ravel()), g)
     g_t = np.gradient(g, grid.dt, axis=-1)
     g_tt = np.gradient(g_t, grid.dt, axis=-1)
     dx = grid.dx
     expected = (2.0 / dx) * g + (dx / 3.0) * (
-        rho0 * g_tt + sigma_ends[:, None, :, None] * g_t)
+        g_tt + sigma_ends[:, None, :, None] * g_t)
     assert inj.shape == expected.shape
     per_field = (1, 2, 3)
     assert np.all(np.max(np.abs(inj - expected), axis=per_field)
@@ -336,18 +319,11 @@ class TestValidation:
     def test_cfl_violation(self):
         g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 25, 3.0)  # dt > dx
         with pytest.raises(ConfigurationError, match="CFL"):
-            solve_many(g, 1.0, 0.0, [BoundaryTrace.zeros(g)])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_rho0_rejected(self, coarse_grid, bad):
-        f, _ = smooth_pulse_trace(coarse_grid, 1.2, 0.25, 6.0, 1.0, 0.3)
-        with pytest.raises(ConfigurationError,
-                           match=rf"rho0 must be positive.*, got {bad}$"):
-            solve_many(coarse_grid, bad, 0.0, [f])
+            solve_many(g, 0.0, [BoundaryTrace.zeros(g)])
 
     def test_sigma_length_mismatch(self, coarse_grid):
         with pytest.raises(ConfigurationError):
-            solve_many(coarse_grid, 1.0, np.zeros(7),
+            solve_many(coarse_grid, np.zeros(7),
                        [BoundaryTrace.zeros(coarse_grid)])
 
     @pytest.mark.parametrize("nonlinear_map", [solve_many])
@@ -355,7 +331,7 @@ class TestValidation:
         nx = coarse_grid.nx
         with pytest.raises(ConfigurationError,
                            match=rf"sigma has shape \({nx}, 1\) but the grid"):
-            nonlinear_map(coarse_grid, 1.0, np.zeros((nx, 1)),
+            nonlinear_map(coarse_grid, np.zeros((nx, 1)),
                           [BoundaryTrace.zeros(coarse_grid)])
 
     @pytest.mark.parametrize("nonlinear_map", [solve_many])
@@ -369,31 +345,31 @@ class TestValidation:
             sigma[3] = bad
         with pytest.raises(ConfigurationError,
                            match="sigma has a non-finite value"):
-            nonlinear_map(coarse_grid, 1.0, sigma,
+            nonlinear_map(coarse_grid, sigma,
                           [BoundaryTrace.zeros(coarse_grid)])
 
     def test_trace_length_mismatch(self, coarse_grid):
         bad = BoundaryTrace(np.zeros(11), np.zeros(11), coarse_grid.dt)
         with pytest.raises(ConfigurationError):
-            solve_many(coarse_grid, 1.0, 0.0, [bad])
+            solve_many(coarse_grid, 0.0, [bad])
 
     def test_nonzero_initial_data_warns(self, coarse_grid):
         f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
         with pytest.warns(UserWarning, match="Neumann data nonzero"):
-            solve_many(coarse_grid, 1.0, 0.0, [f])
+            solve_many(coarse_grid, 0.0, [f])
 
     @pytest.mark.parametrize("bad", _NON_FINITE.values(), ids=_NON_FINITE)
     def test_non_finite_sample_rejected(self, coarse_grid, bad):
         with pytest.raises(ConfigurationError,
                            match="Neumann trace 1 has a non-finite sample"):
-            solve_many(coarse_grid, 1.0, 0.0, _one_bad_sample(coarse_grid, bad))
+            solve_many(coarse_grid, 0.0, _one_bad_sample(coarse_grid, bad))
 
     def test_source_complex_after_real_start_rejected(self, coarse_grid):
         # a real S(0) makes the field real, which cannot take a complex S(t_n)
         nx = coarse_grid.nx
         with pytest.raises(ConfigurationError,
                            match="source is complex at step 1 but real at step 0"):
-            solve_many(coarse_grid, 1.0, 0.0, [BoundaryTrace.zeros(coarse_grid)],
+            solve_many(coarse_grid, 0.0, [BoundaryTrace.zeros(coarse_grid)],
                        lambda n: np.zeros(nx) if n == 0 else 1j * np.ones(nx))
 
     @pytest.mark.parametrize("last", [False, True],
@@ -403,15 +379,15 @@ class TestValidation:
         step = nt - 2 if last else solver._BLOCK + 5
         with pytest.raises(ConfigurationError,
                            match=f"source is complex at step {step} but real"):
-            solve_many(coarse_grid, 1.0, 0.0, [BoundaryTrace.zeros(coarse_grid)],
+            solve_many(coarse_grid, 0.0, [BoundaryTrace.zeros(coarse_grid)],
                        lambda n: np.zeros(nx) + (1j if n >= step else 0.0))
 
     def test_batched_matches_single(self, coarse_grid):
         f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
         f2, _ = smooth_pulse_trace(coarse_grid, 1.5, 0.3, 2.0, 0.3, 1.0)
-        outs = solve_many(coarse_grid, 1.0, 0.15, [f1, f2])
+        outs = solve_many(coarse_grid, 0.15, [f1, f2])
         for f, out in zip((f1, f2), outs):
-            (single,) = solve_many(coarse_grid, 1.0, 0.15, [f])
+            (single,) = solve_many(coarse_grid, 0.15, [f])
             assert np.array_equal(out.dirichlet.values_a, single.dirichlet.values_a)
             assert np.array_equal(out.qT_snapshot, single.qT_snapshot)
 
@@ -449,7 +425,7 @@ def _max_rel_deviation(traces, refs):
 
 
 def _stepper(grid, sigma, fs):
-    return [out.dirichlet for out in solve_many(grid, 1.0, sigma, fs)]
+    return [out.dirichlet for out in solve_many(grid, sigma, fs)]
 
 
 def _stepper_quotient(grid, medium, eps, fs):
@@ -462,7 +438,7 @@ def _stepper_quotient(grid, medium, eps, fs):
 
 def _medium(grid):
     xs = grid.xs
-    return MediumSpec(1.0, 0.1, smooth_sigma_dot(xs) + xs,
+    return MediumSpec(0.1, smooth_sigma_dot(xs) + xs,
                       0.3 * np.cos(2.0 * np.pi * xs))
 
 
@@ -484,7 +460,7 @@ class TestTransfer:
         assert dev <= 1e-9
 
     def test_integer_background_damping(self, coarse_grid):
-        med = MediumSpec(1, 1, smooth_sigma_dot(coarse_grid.xs))
+        med = MediumSpec(1, smooth_sigma_dot(coarse_grid.xs))
         fs = _window_traces(coarse_grid)
         assert _max_rel_deviation(
             transfer_linearized_nd_map(coarse_grid, med)(fs),
@@ -625,7 +601,7 @@ class TestDifferenceMap:
         assert len(calls) == 2
 
     def test_sigma_dot_wrong_length_rejected(self, coarse_grid):
-        med = MediumSpec(1.0, 0.1, np.ones(7))
+        med = MediumSpec(0.1, np.ones(7))
         with pytest.raises(ConfigurationError,
                            match=r"sigma_dot has shape \(7,\) but the grid"):
             transfer_difference_nd_map(coarse_grid, med, _EPS)
@@ -638,7 +614,7 @@ class TestDifferenceMap:
 
     def test_overflowing_sigma_ddot_rejected(self, coarse_grid):
         nx = coarse_grid.nx
-        med = MediumSpec(1.0, 0.1, np.ones(nx), np.full(nx, 1e306))
+        med = MediumSpec(0.1, np.ones(nx), np.full(nx, 1e306))
         with pytest.raises(ConfigurationError,
                            match="eps\\^2 sigma_ddot has a non-finite value"):
             transfer_difference_nd_map(coarse_grid, med, 1e3)
@@ -646,9 +622,9 @@ class TestDifferenceMap:
 
 _TRANSFER_MAPS = {
     "linearized": lambda grid: transfer_linearized_nd_map(
-        grid, MediumSpec(1.0, 0.0, smooth_sigma_dot(grid.xs))),
+        grid, MediumSpec(0.0, smooth_sigma_dot(grid.xs))),
     "nonlinear": lambda grid: transfer_difference_nd_map(
-        grid, MediumSpec(1.0, 0.2, smooth_sigma_dot(grid.xs)), 1e-3),
+        grid, MediumSpec(0.2, smooth_sigma_dot(grid.xs)), 1e-3),
 }
 
 

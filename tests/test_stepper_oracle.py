@@ -24,14 +24,14 @@ def _edge_slopes(arr, dx):
             (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * dx))
 
 
-def _step(u, u_prev, rho0, sigma, dt, dx, flux_a, flux_b, uxxx_a, uxxx_b, s):
+def _step(u, u_prev, sigma, dt, dx, flux_a, flux_b, uxxx_a, uxxx_b, s):
     """u^{n+1} from u^n, u^{n-1}, the Neumann data and u_xxx at the ends."""
     ghost_a = u[1] + 2.0 * dx * flux_a - dx**3 / 3.0 * uxxx_a
     ghost_b = u[-2] + 2.0 * dx * flux_b + dx**3 / 3.0 * uxxx_b
     padded = np.concatenate(([ghost_a], u, [ghost_b]))
     lap = (padded[2:] - 2.0 * u + padded[:-2]) / dx**2
-    rhs = rho0 * (2.0 * u - u_prev) / dt**2 + sigma * u_prev / (2.0 * dt) + lap + s
-    return rhs / (rho0 / dt**2 + sigma / (2.0 * dt))
+    rhs = (2.0 * u - u_prev) / dt**2 + sigma * u_prev / (2.0 * dt) + lap + s
+    return rhs / (1.0 / dt**2 + sigma / (2.0 * dt))
 
 
 def _derivs(g, dt):
@@ -39,7 +39,7 @@ def _derivs(g, dt):
     return g_t, np.gradient(g_t, dt)
 
 
-def reference_solve(grid, rho0, sigma, f, source=None):
+def reference_solve(grid, sigma, f, source=None):
     """Endpoint trace (nt, 2) and u(T) of one field, scheme as documented."""
     dt, dx = grid.dt, grid.dx
     ga_t, ga_tt = _derivs(f.values_a, dt)
@@ -48,7 +48,7 @@ def reference_solve(grid, rho0, sigma, f, source=None):
     u_prev = np.zeros(grid.nx, dtype=complex)
     u = np.zeros_like(u_prev)
     if source is not None:
-        u = u + dt**2 / (2.0 * rho0) * source(0)
+        u = u + dt**2 / 2.0 * source(0)
     trace = np.zeros((grid.nt, 2), dtype=complex)
     trace[1] = u[[0, -1]]
     u_mid = None
@@ -56,9 +56,9 @@ def reference_solve(grid, rho0, sigma, f, source=None):
         s = np.zeros(grid.nx) if source is None else source(n)
         s_xa, s_xb = _edge_slopes(s, dx)
         u_t = (u - u_prev) / dt
-        uxxx_a = (-rho0 * ga_tt[n] + sx_a * u_t[0] - sigma[0] * ga_t[n] - s_xa)
-        uxxx_b = (rho0 * gb_tt[n] + sx_b * u_t[-1] + sigma[-1] * gb_t[n] - s_xb)
-        u_prev, u = u, _step(u, u_prev, rho0, sigma, dt, dx, f.values_a[n],
+        uxxx_a = (-ga_tt[n] + sx_a * u_t[0] - sigma[0] * ga_t[n] - s_xa)
+        uxxx_b = (gb_tt[n] + sx_b * u_t[-1] + sigma[-1] * gb_t[n] - s_xb)
+        u_prev, u = u, _step(u, u_prev, sigma, dt, dx, f.values_a[n],
                              f.values_b[n], uxxx_a, uxxx_b, s)
         trace[n + 1] = u[[0, -1]]
         if n + 1 == grid.half_index:
@@ -77,7 +77,7 @@ def reference_linearized(grid, medium, f):
     h = 1e-30
     sigma = medium.sigma0 + 1j * h * medium.sigma_dot
     part_re, part_im = (
-        reference_solve(grid, medium.rho0, sigma,
+        reference_solve(grid, sigma,
                         BoundaryTrace(part(f.values_a), part(f.values_b), f.dt)
                         )[0].imag / h
         for part in (np.real, np.imag))
@@ -105,8 +105,8 @@ def _varying_sigma(grid):
 
 def test_nonlinear_map_matches_reference(coarse_grid, complex_trace):
     sigma = _varying_sigma(coarse_grid)
-    (out,) = solve_many(coarse_grid, 1.0, sigma, [complex_trace])
-    trace, u_mid = reference_solve(coarse_grid, 1.0, sigma, complex_trace)
+    (out,) = solve_many(coarse_grid, sigma, [complex_trace])
+    trace, u_mid = reference_solve(coarse_grid, sigma, complex_trace)
     assert _rel(_as_array(out.dirichlet), trace) <= _TOL
     assert _rel(out.uT_snapshot, u_mid) <= _TOL
 
@@ -120,15 +120,15 @@ def test_source_path_matches_reference(coarse_grid, complex_trace):
         t = n * grid.dt
         return (1.0 + t) * t**2 * np.exp(-t) * shape
 
-    (out,) = solve_many(grid, 1.3, sigma, [complex_trace], source=source)
-    trace, u_mid = reference_solve(grid, 1.3, sigma, complex_trace, source)
+    (out,) = solve_many(grid, sigma, [complex_trace], source=source)
+    trace, u_mid = reference_solve(grid, sigma, complex_trace, source)
     assert _rel(_as_array(out.dirichlet), trace) <= _TOL
     assert _rel(out.uT_snapshot, u_mid) <= _TOL
 
 
 def test_linearized_map_matches_reference(coarse_grid, complex_trace):
     xs = coarse_grid.xs
-    medium = MediumSpec(1.0, 0.15, smooth_sigma_dot(xs) + 2.0 * xs)
+    medium = MediumSpec(0.15, smooth_sigma_dot(xs) + 2.0 * xs)
     (out,) = linearized_nd_map_many(coarse_grid, medium, [complex_trace])
     trace = reference_linearized(coarse_grid, medium, complex_trace)
     assert _rel(_as_array(out), trace) <= _TOL

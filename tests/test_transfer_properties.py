@@ -28,7 +28,7 @@ from conftest import smooth_sigma_dot
 
 
 def _medium(grid):
-    return MediumSpec(1.0, 0.1, smooth_sigma_dot(grid.xs) + grid.xs)
+    return MediumSpec(0.1, smooth_sigma_dot(grid.xs) + grid.xs)
 
 
 # the nonlinear maps are difference quotients (Lambda(sigma0 + eps sigma_dot)
@@ -37,12 +37,12 @@ _EPS = 0.5
 
 
 def _difference_medium(grid):
-    return MediumSpec(1.0, 0.2, 0.2 * np.cos(np.pi * grid.xs))
+    return MediumSpec(0.2, 0.2 * np.cos(np.pi * grid.xs))
 
 
 def _stepper_quotient(grid, fs):
     med = _difference_medium(grid)
-    full, base = ([out.dirichlet for out in solve_many(grid, 1.0, sigma, fs)]
+    full, base = ([out.dirichlet for out in solve_many(grid, sigma, fs)]
                   for sigma in (med.sigma0 + _EPS * med.sigma_dot, med.sigma0))
     return [(f - b) * (1.0 / _EPS) for f, b in zip(full, base)]
 
