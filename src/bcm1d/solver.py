@@ -26,11 +26,11 @@ with dg/dt, d2g/dt2 taken by centered differences of the supplied data,
 u_t = (u^n - u^{n-1})/dt, and S_x, sigma_x by one-sided differences; every
 ingredient multiplies dx^3, so those low-order estimates cost no accuracy.
 
-Initial layers are u^0 = u^1 = 0, valid because all admitted data and
-sources vanish near t = 0 (the solver warns otherwise).  When a source is
-supplied, the first layer gets the Taylor term dt^2 S(0) / 2: with zero
-initial data, u_tt(0) = S(0), and omitting the term leaves an O(dt)
-velocity defect whose mean grows linearly under Neumann conditions.
+The initial data are zero: u^0 = 0, and the first layer u^1 = dt^2 S(0) / 2
+is the Taylor term of u_tt(0) = S(0); omitting it would leave an O(dt)
+velocity defect whose mean grows linearly under Neumann conditions.  Zero
+initial data need Neumann data that vanish near t = 0, and the solver warns
+otherwise.
 
 One time loop serves every map.  It advances the increment v^n = u^n -
 u^{n-1} by per-node coefficients computed once per medium,
@@ -48,14 +48,13 @@ gain S, and -+ (dx/3) S_x to the injection).  Differencing before scaling
 keeps a constant field exact, so rounding does not feed the undamped mean
 mode's double root at z = 1: on the default grid the loop agrees with the
 scheme run in extended precision to about 1e-12.  Fields are rows of
-nodes, so every update runs along x.  A source is evaluated in blocks of
-steps ahead of the state: each block's gain S and injection terms are
-formed at once, and each step adds its row of them.  A row is real when
-the data and S(0) are, and complex otherwise (a source that turns complex
-later is rejected with its step named); the loop only adds, subtracts,
-multiplies by real coefficients and divides a source's edge term as reals,
-which numpy does on the two parts of a complex row exactly as on two real
-rows.  The outputs are complex either way.
+nodes, so every update runs along x.  A source comes as its samples at
+every step: their edge terms join the injection signals before the loop,
+and each step adds gain S.  A row is real when the data and the source
+are, and complex otherwise; the loop only adds, subtracts, multiplies by
+real coefficients and divides a source's edge term as reals, which numpy
+does on the two parts of a complex row exactly as on two real rows.  The
+outputs are complex either way.
 
 The nonlinear ND (Neumann-to-Dirichlet) map restricts the solution to the
 endpoints.  The linearized map is its derivative along sigma_dot at sigma0,
@@ -90,8 +89,8 @@ samples are zero, as they are for the reconstruction controls.  The backend
 agrees with the stepper to about 1e-13 relative; the stepper stays the
 reference it is tested against, and alone serves sources and snapshots at
 T.  Every map rejects Neumann data with a non-finite sample, which would
-silently spread NaN over both endpoint outputs, and the backend rejects a
-non-finite output.
+silently spread NaN over both endpoint outputs, the stepper rejects such a
+source sample likewise, and the backend rejects a non-finite output.
 """
 
 from __future__ import annotations
@@ -109,8 +108,6 @@ _INITIAL_DATA_TOL = 1e-9
 _ENDS = [0, -1]
 # the complex step: small enough that h^2 is lost to rounding next to 1
 _STEP = 1e-30
-# steps of a source evaluated at once, ahead of the state
-_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -176,6 +173,24 @@ def _stack_neumann(grid: GridSpec,
                 stacklevel=3,
             )
     return g
+
+
+def _check_source(grid: GridSpec, traces: int, source) -> np.ndarray:
+    """Checked source samples as one (nt-1, 1 or traces, nx) array."""
+    source = np.asarray(source)
+    steps, nx = grid.nt - 1, grid.nx
+    if source.shape == (steps, nx):
+        source = source[:, None]
+    elif source.shape != (steps, traces, nx):
+        raise ConfigurationError(
+            f"source has shape {source.shape}; the grid needs "
+            f"(nt-1, nx) = {(steps, nx)} or (nt-1, traces, nx) = "
+            f"{(steps, traces, nx)}")
+    bad = np.flatnonzero(~np.isfinite(source).all(axis=(1, 2)))
+    if bad.size:
+        raise ConfigurationError(
+            f"source has a non-finite sample at step {bad[0]}")
+    return source
 
 
 def _edge_term(arr):
@@ -282,67 +297,46 @@ class _Level(NamedTuple):
                    grid2d[..., 1:nx + 1:nx - 1], grid2d[..., 1:-1])
 
 
-def _source_block(source, first, stop, outer, gain, field):
-    """Evaluate S at steps ``first`` .. ``stop`` - 1, in order, in the
-    shape and dtype of the ``field`` (*rows, nx).  Returns those steps' slot
-    values (steps, *rows, 2), ``outer``'s plus the S_x edge terms, and their
-    forcing ``gain`` S (steps, *rows, nx).
-    """
-    s = np.empty((stop - first,) + field.shape, field.dtype)
-    for k, n in enumerate(range(first, stop)):
-        row = source(n)
-        if np.iscomplexobj(row) and not np.iscomplexobj(s):
-            raise ConfigurationError(
-                f"source is complex at step {n} but real at step 0, "
-                "whose dtype the field takes")
-        s[k] = row
-    slots = outer[first:stop] + _edge_term(s) * [1.0, -1.0]
-    return slots, s * gain
-
-
-def _time_loop(grid, stencil, inj, u1=0.0, source=None):
-    """Advance rows of nodes from u^0 = 0 and u^1 = ``u1``.
+def _time_loop(grid, stencil, inj, source=None):
+    """Advance rows of nodes from u^0 = 0 and u^1 = dt^2 S(0) / 2.
 
     ``inj`` (nt, *rows, 2) holds each row's injection signals at a and b for
-    steps 1 .. nt-2; the field has shape (*rows, nx) and the widest dtype of
-    ``inj`` (real if its imaginary part is zero), ``u1`` and the stencil.
-    ``source(n)`` gives S(t_n, .) broadcastable against the field; it is
-    called once per step n = 1 .. nt-2, in ascending order, in blocks of
-    ``_BLOCK`` steps ahead of the state, and a complex value in a real field
-    raises ``ConfigurationError`` naming its step.  Returns the endpoint
-    traces (nt, *rows, 2) and the levels at steps T/dt - 1, T/dt and
-    T/dt + 1, in the field's dtype.
+    steps 1 .. nt-2, and ``source``, if given, the samples S(t_n, .) for
+    n = 0 .. nt-2, (nt-1, *rows, nx) or broadcastable to it.  The field has
+    shape (*rows, nx) and the widest dtype of ``inj`` (real if its imaginary
+    part is zero), ``source`` and the stencil.  Returns the endpoint traces
+    (nt, *rows, 2) and the levels at steps T/dt - 1, T/dt and T/dt + 1, in
+    the field's dtype.
     """
     if not np.any(inj.imag):
         inj = inj.real
     rows, nx = inj.shape[1:-1], grid.nx
+    # Taylor first layer: with zero initial data, u_tt(0) = S(0)
+    u1 = 0.0 if source is None else (grid.dt**2 / 2.0) * source[0]
     dtype = np.result_type(inj, u1, *stencil)
     carry, left, right, gain = (_Level.of(rows, nx, c) for c in stencil)
     u, v = (_Level.of(rows, nx, u1, dtype) for _ in range(2))
     diff, tmp = (_Level.of(rows, nx, dtype=dtype) for _ in range(2))
     # slot values for which -left * slot at a and right * slot at b inject
     outer = inj * np.array([-1.0, 1.0])
+    if source is not None:
+        # the field's dtype: a complex source widens real data's slots
+        outer = outer.astype(dtype, copy=False)
+        outer[1:-1] += _edge_term(source[1:]) * [1.0, -1.0]
     traces = np.zeros(inj.shape, dtype)
     traces[1] = u.ends
     snap_steps, levels = range(grid.half_index - 1, grid.half_index + 2), []
     for n in range(1, grid.nt - 1):
         np.subtract(u.tail, u.head, out=diff.head)
-        if source is None:
-            diff.slots[...] = outer[n]
-        else:
-            i = (n - 1) % _BLOCK
-            if i == 0:
-                slots, forcing = _source_block(
-                    source, n, min(n + _BLOCK, grid.nt - 1), outer,
-                    gain.nodes, u.nodes)
-            diff.slots[...] = slots[i]
+        diff.slots[...] = outer[n]
         np.multiply(v.flat, carry.flat, out=v.flat)
         np.multiply(diff.head, right.head, out=tmp.head)
         np.add(v.head, tmp.head, out=v.head)
         np.multiply(diff.head, left.tail, out=tmp.tail)
         np.subtract(v.tail, tmp.tail, out=v.tail)
         if source is not None:
-            np.add(v.nodes, forcing[i], out=v.nodes)
+            np.multiply(gain.nodes, source[n], out=tmp.nodes)
+            np.add(v.nodes, tmp.nodes, out=v.nodes)
         np.add(u.flat, v.flat, out=u.flat)
         traces[n + 1] = u.ends
         if n + 1 in snap_steps:
@@ -354,37 +348,22 @@ def solve_many(
     grid: GridSpec,
     sigma,
     neumanns: Sequence[BoundaryTrace],
-    source: Callable[[int], np.ndarray] | None = None,
+    source: np.ndarray | None = None,
 ) -> list[SolveOutput]:
     """Advance one field per Neumann trace through a single time loop.
 
-    ``source``, if given, maps a time index n to the S(t_n, .) samples, of
-    shape (nx,) for every column or (traces, nx) for one row each.  It is
-    called once per n = 0 .. nt-2 in ascending order, in blocks of steps
-    ahead of the state, so it must not depend on the solve's progress.  The
-    dtype of S(0) stands for all its values, and a complex value after a
-    real S(0) raises ``ConfigurationError`` naming its step.
+    ``source``, if given, holds the samples S(t_n, .) for n = 0 .. nt-2,
+    of shape (nt-1, nx) for every trace or (nt-1, traces, nx) for one row
+    each.  The field is complex if the data or the source are.
     """
     _check_cfl(grid)
     sig = _as_sigma_array(sigma, grid.nx)
     g = _stack_neumann(grid, neumanns)
-    u1 = 0.0
     if source is not None:
-        s0 = np.asarray(source(0))
-        if np.max(np.abs(s0)) > _INITIAL_DATA_TOL:
-            warnings.warn(
-                "source nonzero at t = 0; zero initial layers introduce a "
-                "one-step O(dt^2) error",
-                stacklevel=2,
-            )
-        # Taylor first step: with zero initial data, u_tt(0) = S(0);
-        # sources with S(0) != 0 would otherwise leave an O(dt) velocity
-        # defect whose mean grows linearly under Neumann conditions
-        u1 = (grid.dt**2 / 2.0) * s0
+        source = _check_source(grid, len(neumanns), source)
     inj = _injection(_weights(grid, sig[_ENDS]), g)[0]
     inj = np.moveaxis(inj, -1, 0)  # (steps, traces, end)
-    traces, levels = _time_loop(grid, _stencil(grid, sig), inj, u1=u1,
-                                source=source)
+    traces, levels = _time_loop(grid, _stencil(grid, sig), inj, source)
     # complex arithmetic for real fields too: numpy divides a complex array
     # by a real through a rounded reciprocal, so real and complex fields
     # round alike only on that route

@@ -279,7 +279,6 @@ def test_criterion_09_stability_chain(exp1, grid):
     assert ok_all
 
 
-@pytest.mark.filterwarnings("ignore:source nonzero at t = 0:UserWarning")
 def test_criterion_10_solver_order():
     errs = [_mms_error(GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 3.0))
             for n in (25, 50, 100)]

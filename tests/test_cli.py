@@ -227,6 +227,21 @@ class TestMain:
         assert err.startswith("error: N = 250 exceeds") and "N <= 249" in err
         assert not out.exists()
 
+    def test_N_checked_before_projection_truth(self, tmp_path, capsys,
+                                               monkeypatch):
+        # experiment 2's truth sums N terms, so a huge N must fail first
+        def unreachable(*args):
+            raise AssertionError("the N-term truth was built")
+
+        monkeypatch.setattr(cli, "projection_truth", unreachable)
+        out = tmp_path / "out"
+        code = main(["experiment", "--id", "2", "--N", "100000",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: N = 100000 exceeds") and "N <= 249" in err
+        assert not out.exists()
+
     def test_out_of_memory_reported(self, tmp_path, capsys, monkeypatch):
         def oversized(*args):
             raise MemoryError("Unable to allocate 14.9 GiB for an array")

@@ -37,12 +37,33 @@ def test_zero_data_zero_solution(coarse_grid):
 
 
 def test_manufactured_solution_second_order():
-    errs = []
-    for n in (25, 50):
-        with pytest.warns(UserWarning, match="source nonzero"):
-            errs.append(_mms_error(GridSpec(-1.0, 1.0, 1.0 / n,
-                                            1.0 / (10 * n), 3.0)))
+    errs = [_mms_error(GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 3.0))
+            for n in (25, 50)]
     assert 3.4 <= errs[0] / errs[1] <= 4.6
+
+
+def _steps(grid):
+    """The times t_n of the source samples, n = 0 .. nt-2, as a column."""
+    return np.arange(grid.nt - 1)[:, None] * grid.dt
+
+
+def test_manufactured_solution_with_cubic_start_second_order():
+    # u = (t^2 + t^3) cos(pi x) has u_ttt(0) != 0, which the Taylor first
+    # layer dt^2 S(0) / 2 leaves out; the scheme stays second order
+    errs = []
+    for n in (25, 50, 100):
+        grid = GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 3.0)
+        xs, t = grid.xs, _steps(grid)
+        sigma = 0.3 * (1.0 + xs**2)
+        cos_px = np.cos(np.pi * xs)
+        source = (2.0 + 6.0 * t + sigma * (2.0 * t + 3.0 * t**2)
+                  + np.pi**2 * (t**2 + t**3)) * cos_px
+        (out,) = solve_many(grid, sigma, [BoundaryTrace.zeros(grid)], source)
+        exact = (grid.T**2 + grid.T**3) * cos_px
+        errs.append(np.linalg.norm(out.uT_snapshot - exact)
+                    / np.linalg.norm(exact))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.9 <= coarse / fine <= 4.1
 
 
 def test_real_data_real_field(coarse_grid):
@@ -79,70 +100,43 @@ def test_complex_linearized_equals_pair_of_real_passes(coarse_grid):
         assert np.array_equal(c, r + 1j * i)
 
 
-@pytest.mark.filterwarnings("ignore:source nonzero at t = 0")
 def test_complex_source_matches_real_source(coarse_grid):
     # the same source as float64 runs a real field, as complex a complex one
-    xs, dt = coarse_grid.xs, coarse_grid.dt
+    xs, t = coarse_grid.xs, _steps(coarse_grid)
     sigma = 0.3 * (1 + xs**2)
-
-    def source(n):
-        t = n * dt
-        return (2 + 2 * t * sigma + np.pi**2 * t**2) * np.cos(np.pi * xs)
-
+    source = (2 + 2 * t * sigma + np.pi**2 * t**2) * np.cos(np.pi * xs)
     zero = [BoundaryTrace.zeros(coarse_grid)]
     (real,) = solve_many(coarse_grid, sigma, zero, source)
-    (cplx,) = solve_many(coarse_grid, sigma, zero,
-                         lambda n: source(n).astype(complex))
+    (cplx,) = solve_many(coarse_grid, sigma, zero, source.astype(complex))
     for r, c in zip(_fields(real), _fields(cplx)):
         assert np.array_equal(r, c)
 
 
-@pytest.mark.filterwarnings("ignore:source nonzero at t = 0")
 def test_complex_source_equals_pair_of_real_sources(coarse_grid):
     # S vanishes at x = a but its slope does not, so the update of node 0
     # sees the source only through its edge term, divided by 6 per part
-    xs, dt = coarse_grid.xs, coarse_grid.dt
+    xs, t = coarse_grid.xs, _steps(coarse_grid)
     sigma = 0.1 + 0.3 * np.cos(np.pi * xs) ** 2 + 0.2 * xs
-
-    def source(n):
-        t = n * dt
-        return (1.0 + 2.0j * t + t**2) * (xs - coarse_grid.a) * (1.0 - 0.7j * xs)
-
+    source = (1.0 + 2.0j * t + t**2) * (xs - coarse_grid.a) * (1.0 - 0.7j * xs)
     zero = [BoundaryTrace.zeros(coarse_grid)]
     (out_c,), (out_r,), (out_i,) = (
         solve_many(coarse_grid, sigma, zero, part)
-        for part in (source, lambda n: source(n).real,
-                     lambda n: source(n).imag))
+        for part in (source, source.real, source.imag))
     for c, r, i in zip(_fields(out_c), _fields(out_r), _fields(out_i)):
         assert np.array_equal(c, r + 1j * i)
 
 
-def test_source_called_once_per_step_in_order(coarse_grid):
-    # nt - 2 = 2999 is prime, so the last block of source steps is partial
-    nt = coarse_grid.nt
-    assert nt - 2 == 2999
-    calls = []
-
-    def source(n):
-        calls.append(n)
-        return np.zeros(coarse_grid.nx)
-
-    solve_many(coarse_grid, 0.2, [BoundaryTrace.zeros(coarse_grid)], source)
-    assert calls == list(range(nt - 1))
-
-
 def _trace_sources(grid):
     """Two sources that vanish at t = 0 and have a slope at both ends."""
-    xs, dt = grid.xs, grid.dt
+    xs, t = grid.xs, _steps(grid)
     profiles = ((xs - grid.a) * (1.0 + 0.5 * xs), np.cos(2.0 * xs) + xs**3)
-    return [lambda n, p=p: (n * dt) ** 2 * (1.0 + n * dt) * p for p in profiles]
+    return [t**2 * (1.0 + t) * p for p in profiles]
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["per_trace", "shared"])
-def test_source_rows_across_blocks_match_single_solves(coarse_grid, shared):
-    # a (traces, nx) source gives each trace its own row, an (nx,) one is
-    # applied to every trace; the run spans many blocks of source steps
-    assert coarse_grid.nt - 2 > 2 * solver._BLOCK
+def test_source_rows_match_single_solves(coarse_grid, shared):
+    # a (nt-1, traces, nx) source gives each trace its own row, an
+    # (nt-1, nx) one is applied to every trace
     fs = [smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.4)[0],
           smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)[0]]
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
@@ -151,8 +145,7 @@ def test_source_rows_across_blocks_match_single_solves(coarse_grid, shared):
         sources[1] = sources[0]
         batch = solve_many(coarse_grid, sigma, fs, sources[0])
     else:
-        batch = solve_many(coarse_grid, sigma, fs,
-                           lambda n: np.stack([s(n) for s in sources]))
+        batch = solve_many(coarse_grid, sigma, fs, np.stack(sources, axis=1))
     for f, source, out in zip(fs, sources, batch):
         (single,) = solve_many(coarse_grid, sigma, [f], source)
         for b, o in zip(_fields(out), _fields(single)):
@@ -364,23 +357,27 @@ class TestValidation:
                            match="Neumann trace 1 has a non-finite sample"):
             solve_many(coarse_grid, 0.0, _one_bad_sample(coarse_grid, bad))
 
-    def test_source_complex_after_real_start_rejected(self, coarse_grid):
-        # a real S(0) makes the field real, which cannot take a complex S(t_n)
-        nx = coarse_grid.nx
+    @pytest.mark.parametrize("bad", _NON_FINITE.values(), ids=_NON_FINITE)
+    def test_non_finite_source_rejected(self, coarse_grid, bad):
+        source = np.zeros((coarse_grid.nt - 1, coarse_grid.nx), dtype=complex)
+        source[700, 3] = bad
         with pytest.raises(ConfigurationError,
-                           match="source is complex at step 1 but real at step 0"):
+                           match="source has a non-finite sample at step 700"):
             solve_many(coarse_grid, 0.0, [BoundaryTrace.zeros(coarse_grid)],
-                       lambda n: np.zeros(nx) if n == 0 else 1j * np.ones(nx))
+                       source)
 
-    @pytest.mark.parametrize("last", [False, True],
-                             ids=["second_block", "last_step"])
-    def test_source_complex_mid_run_rejected(self, coarse_grid, last):
-        nx, nt = coarse_grid.nx, coarse_grid.nt
-        step = nt - 2 if last else solver._BLOCK + 5
+    @pytest.mark.parametrize("case", ["row_too_long", "step_missing",
+                                      "two_rows_one_trace"])
+    def test_misshaped_source_rejected(self, coarse_grid, case):
+        steps, nx = coarse_grid.nt - 1, coarse_grid.nx
+        shape = {"row_too_long": (steps, nx + 1),
+                 "step_missing": (steps - 1, nx),
+                 "two_rows_one_trace": (steps, 2, nx)}[case]
         with pytest.raises(ConfigurationError,
-                           match=f"source is complex at step {step} but real"):
+                           match=rf"\(nt-1, nx\) = \({steps}, {nx}\) or "
+                                 rf"\(nt-1, traces, nx\) = \({steps}, 1, {nx}\)"):
             solve_many(coarse_grid, 0.0, [BoundaryTrace.zeros(coarse_grid)],
-                       lambda n: np.zeros(nx) + (1j if n >= step else 0.0))
+                       np.zeros(shape))
 
     def test_batched_matches_single(self, coarse_grid):
         f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)

@@ -40,7 +40,8 @@ def _derivs(g, dt):
 
 
 def reference_solve(grid, sigma, f, source=None):
-    """Endpoint trace (nt, 2) and u(T) of one field, scheme as documented."""
+    """Endpoint trace (nt, 2) and u(T) of one field, scheme as documented;
+    ``source`` holds S(t_n, .) for n = 0 .. nt-2."""
     dt, dx = grid.dt, grid.dx
     ga_t, ga_tt = _derivs(f.values_a, dt)
     gb_t, gb_tt = _derivs(f.values_b, dt)
@@ -48,12 +49,12 @@ def reference_solve(grid, sigma, f, source=None):
     u_prev = np.zeros(grid.nx, dtype=complex)
     u = np.zeros_like(u_prev)
     if source is not None:
-        u = u + dt**2 / 2.0 * source(0)
+        u = u + dt**2 / 2.0 * source[0]
     trace = np.zeros((grid.nt, 2), dtype=complex)
     trace[1] = u[[0, -1]]
     u_mid = None
     for n in range(1, grid.nt - 1):
-        s = np.zeros(grid.nx) if source is None else source(n)
+        s = np.zeros(grid.nx) if source is None else source[n]
         s_xa, s_xb = _edge_slopes(s, dx)
         u_t = (u - u_prev) / dt
         uxxx_a = (-ga_tt[n] + sx_a * u_t[0] - sigma[0] * ga_t[n] - s_xa)
@@ -115,11 +116,8 @@ def test_source_path_matches_reference(coarse_grid, complex_trace):
     grid = coarse_grid
     sigma = _varying_sigma(grid)
     shape = (1.0 - 0.5j) * np.cos(np.pi * grid.xs) + 0.3j * grid.xs**2
-
-    def source(n):
-        t = n * grid.dt
-        return (1.0 + t) * t**2 * np.exp(-t) * shape
-
+    t = np.arange(grid.nt - 1)[:, None] * grid.dt
+    source = (1.0 + t) * t**2 * np.exp(-t) * shape
     (out,) = solve_many(grid, sigma, [complex_trace], source=source)
     trace, u_mid = reference_solve(grid, sigma, complex_trace, source)
     assert _rel(_as_array(out.dirichlet), trace) <= _TOL
