@@ -17,6 +17,7 @@ residuals, refinement studies) and exits nonzero if any tolerance fails.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -125,7 +126,7 @@ def emit_results(result: ReconResult, xs: np.ndarray, out_dir,
         summary.update(summary_extra)
     summary_path = out / "summary.json"
     with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return rec_path, coeff_path, summary_path
 
@@ -151,6 +152,11 @@ def run_experiment(config: RunConfig) -> int:
     # ConfigurationError is a ValueError; an oversized grid raises MemoryError
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not np.isfinite([result.rel_l2, result.linf]).all():
+        print(f"error: the reconstruction error is not finite (rel_l2 = "
+              f"{result.rel_l2}, linf = {result.linf}); its data are too "
+              "large or not finite", file=sys.stderr)
         return 2
     extra = {
         "experiment": config.experiment_id,
@@ -357,8 +363,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's allocator thresholds, so that a freed array of a few MB
+    stays in the heap for the next one, not unmapped and faulted in anew.
+
+    glibc otherwise raises its mmap threshold to the size of the last block
+    it unmapped, so blocks of a size just freed alternate between the heap
+    and fresh mappings.  Fixed values override the ``MALLOC_*_`` variables.
+    Without glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, 32 MiB
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, 64 MiB
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _fix_malloc_thresholds()
     try:
         return _dispatch(args)
     except BrokenPipeError:

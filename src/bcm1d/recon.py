@@ -268,10 +268,12 @@ def projection_truth(N: int, grid: GridSpec) -> np.ndarray:
 
 
 def _error_metrics(sigma_recon, truth, grid):
+    """(rel_l2, linf), inf where the squares overflow: the caller judges."""
     diff = sigma_recon.real - truth
-    num = np.sqrt(np.trapezoid(diff**2, dx=grid.dx))
-    den = np.sqrt(np.trapezoid(truth**2, dx=grid.dx))
-    rel_l2 = float(num / max(den, _REL_L2_FLOOR))
+    with np.errstate(over="ignore"):
+        num = np.sqrt(np.trapezoid(diff**2, dx=grid.dx))
+        den = np.sqrt(np.trapezoid(truth**2, dx=grid.dx))
+        rel_l2 = float(num / max(den, _REL_L2_FLOOR))
     return rel_l2, float(np.max(np.abs(diff)))
 
 

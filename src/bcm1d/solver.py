@@ -85,10 +85,12 @@ signals depart from the filtered data (the four steps nearest each window
 end, from the data's three samples nearest it) the kernel's time-domain
 responses add the exact difference, taken from the same tap table: the
 stepper's signals of those samples minus the filter's, skipped when the
-samples are zero, as they are for the reconstruction controls.  The backend
-agrees with the stepper to about 1e-13 relative; the stepper stays the
-reference it is tested against, and alone serves sources and snapshots at
-T.  Every map rejects Neumann data with a non-finite sample, which would
+samples are zero, as they are for the reconstruction controls.  The map
+owns its FFT work arrays and writes them on every call, so one map must not
+be called from two threads at once; the traces of one call are views of
+one new block, never of the work arrays.  The backend agrees with the
+stepper to about 1e-13 relative; the stepper stays the reference it is
+tested against, and alone serves sources and snapshots at T.  Every map rejects Neumann data with a non-finite sample, which would
 silently spread NaN over both endpoint outputs, the stepper rejects such a
 source sample likewise, and the backend rejects a non-finite output.
 """
@@ -162,16 +164,15 @@ def _stack_neumann(grid: GridSpec,
         )
     first = np.max(np.abs(g[:, :, 0]), axis=1)
     # the scale is at least 1, so only traces with a t = 0 sample above the
-    # tolerance can warn
-    suspect = np.flatnonzero(first > _INITIAL_DATA_TOL)
-    if suspect.size:
-        scale = np.maximum(np.max(np.abs(g[suspect]), axis=(1, 2)), 1.0)
-        if np.any(first[suspect] > _INITIAL_DATA_TOL * scale):
+    # tolerance can warn; they are scaled one at a time, without a copy
+    for j in np.flatnonzero(first > _INITIAL_DATA_TOL):
+        if first[j] > _INITIAL_DATA_TOL * max(np.max(np.abs(g[j])), 1.0):
             warnings.warn(
                 "Neumann data nonzero at t = 0; zero initial layers are "
                 "inconsistent with it",
                 stacklevel=3,
             )
+            break
     return g
 
 
@@ -326,21 +327,29 @@ def _time_loop(grid, stencil, inj, source=None):
     traces = np.zeros(inj.shape, dtype)
     traces[1] = u.ends
     snap_steps, levels = range(grid.half_index - 1, grid.half_index + 2), []
+    # views and ufuncs bound once: a step reads no attribute
+    sub, mul, add = np.subtract, np.multiply, np.add
+    u_flat, u_head, u_tail, _, u_ends, u_nodes = u
+    v_flat, v_head, v_tail, _, _, v_nodes = v
+    diff_head, diff_slots = diff.head, diff.slots
+    tmp_head, tmp_tail, tmp_nodes = tmp.head, tmp.tail, tmp.nodes
+    carry_flat, right_head, left_tail = carry.flat, right.head, left.tail
+    gain_nodes = gain.nodes
     for n in range(1, grid.nt - 1):
-        np.subtract(u.tail, u.head, out=diff.head)
-        diff.slots[...] = outer[n]
-        np.multiply(v.flat, carry.flat, out=v.flat)
-        np.multiply(diff.head, right.head, out=tmp.head)
-        np.add(v.head, tmp.head, out=v.head)
-        np.multiply(diff.head, left.tail, out=tmp.tail)
-        np.subtract(v.tail, tmp.tail, out=v.tail)
+        sub(u_tail, u_head, diff_head)
+        diff_slots[...] = outer[n]
+        mul(v_flat, carry_flat, v_flat)
+        mul(diff_head, right_head, tmp_head)
+        add(v_head, tmp_head, v_head)
+        mul(diff_head, left_tail, tmp_tail)
+        sub(v_tail, tmp_tail, v_tail)
         if source is not None:
-            np.multiply(gain.nodes, source[n], out=tmp.nodes)
-            np.add(v.nodes, tmp.nodes, out=v.nodes)
-        np.add(u.flat, v.flat, out=u.flat)
-        traces[n + 1] = u.ends
+            mul(gain_nodes, source[n], tmp_nodes)
+            add(v_nodes, tmp_nodes, v_nodes)
+        add(u_flat, v_flat, u_flat)
+        traces[n + 1] = u_ends
         if n + 1 in snap_steps:
-            levels.append(u.nodes.copy())
+            levels.append(u_nodes.copy())
     return traces, levels
 
 
@@ -489,31 +498,44 @@ def _add_edge_terms(out: np.ndarray, g: np.ndarray, kernel: _Kernel) -> None:
                 np.add.at(out[o], at[keep], np.convolve(d, r[o])[keep])
 
 
-def _convolve(grid: GridSpec, kernel: _Kernel,
+def _convolve(grid: GridSpec, kernel: _Kernel, work: tuple,
               fs: Sequence[BoundaryTrace]) -> list[BoundaryTrace]:
-    """Endpoint traces of the Neumann traces ``fs``; a non-finite one, from
-    a kernel that overflowed, raises an error."""
+    """Endpoint traces of the Neumann traces ``fs``, as views of one new
+    block; a non-finite one, from a kernel that overflowed, raises an
+    error.  Every call overwrites the map's FFT arrays ``work``."""
     g = _stack_neumann(grid, fs)
     n_fft, transfer = kernel.n_fft, kernel.transfer
+    series, spectrum, product, term, inverse = work
     nt = grid.nt
-    traces = []
-    for j, gj in enumerate(g):
-        # the real and the imaginary series of each end: (parts, ends, steps)
-        x = np.moveaxis(gj.view(float).reshape(2, nt, 2), -1, 0)
-        spec = np.fft.rfft(x, n_fft)
-        # a 2 x 2 contraction over the input ends per frequency, in place
-        y = spec[:, :1] * transfer[0]
-        y += spec[:, 1:] * transfer[1]
-        y = np.fft.irfft(y, n_fft)
-        out = np.empty((2, nt), dtype=complex)
-        out.real, out.imag = y[..., :nt]
-        _add_edge_terms(out, gj, kernel)
-        if not np.all(np.isfinite(out.view(float))):
+    out = np.empty(g.shape, dtype=complex)
+    for j, (gj, oj) in enumerate(zip(g, out)):
+        # the tail past nt stays zero from the map's making
+        series[0, :, :nt] = gj.real
+        series[1, :, :nt] = gj.imag
+        np.fft.rfft(series, n_fft, out=spectrum)
+        # a 2 x 2 contraction over the input ends per frequency
+        np.multiply(spectrum[:, :1], transfer[0], out=product)
+        np.multiply(spectrum[:, 1:], transfer[1], out=term)
+        np.add(product, term, out=product)
+        np.fft.irfft(product, n_fft, out=inverse)
+        oj.real, oj.imag = inverse[..., :nt]
+        _add_edge_terms(oj, gj, kernel)
+        if not np.all(np.isfinite(oj.view(float))):
             raise ConfigurationError(
                 f"measured trace {j} has a non-finite sample: the medium "
                 "overflows the transfer kernel")
-        traces.append(BoundaryTrace(out[0], out[1], grid.dt))
-    return traces
+    return [BoundaryTrace(oj[0], oj[1], grid.dt) for oj in out]
+
+
+def _map(grid: GridSpec, kernel: _Kernel):
+    """The map of Neumann traces through ``kernel``.  It owns its FFT work
+    arrays, each (parts, ends, samples) with the real and the imaginary
+    part: the zero-padded input, its spectrum, the contraction's product
+    and term, and the inverse series."""
+    n_fft = kernel.n_fft
+    spectra = (np.empty((2, 2, n_fft // 2 + 1), complex) for _ in range(3))
+    work = (np.zeros((2, 2, n_fft)), *spectra, np.empty((2, 2, n_fft)))
+    return functools.partial(_convolve, grid, kernel, work)
 
 
 def transfer_difference_nd_map(
@@ -527,6 +549,8 @@ def transfer_difference_nd_map(
     Making the map checks its arguments and runs the one time loop of its
     kernel, so the map measures the medium as it was then.  It agrees with
     the stepper's quotient to about 1e-13 of either medium's traces / eps.
+    The map writes work arrays of its own: do not call it from two threads
+    at once.
     """
     _check_cfl(grid)
     if not (np.isfinite(eps) and eps > 0):
@@ -546,7 +570,7 @@ def transfer_difference_nd_map(
     traces, _ = _time_loop(grid, _stencil(grid, media), impulses)
     responses = np.concatenate((traces[:, 0], -traces[:, 1]), axis=1) / eps
     weights = _weights(grid, media[..., _ENDS].ravel())
-    return functools.partial(_convolve, grid, _kernel(grid, responses, weights))
+    return _map(grid, _kernel(grid, responses, weights))
 
 
 def transfer_linearized_nd_map(
@@ -557,7 +581,8 @@ def transfer_linearized_nd_map(
 
     Making the map checks its arguments and runs the one time loop of its
     kernel, so the map measures the medium as it was then.  It agrees with
-    the stepper, its oracle, to about 1e-13 relative.
+    the stepper, its oracle, to about 1e-13 relative.  The map writes
+    work arrays of its own: do not call it from two threads at once.
     """
     _check_cfl(grid)
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
@@ -569,4 +594,4 @@ def transfer_linearized_nd_map(
     responses = np.concatenate((traces.imag / _STEP * s, traces.real), axis=1)
     w = _weights(grid, sigma[_ENDS])
     weights = np.concatenate((w.real, w.imag / _STEP * s))
-    return functools.partial(_convolve, grid, _kernel(grid, responses, weights))
+    return _map(grid, _kernel(grid, responses, weights))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,40 @@ class TestEmission:
         assert data["rel_l2"] == 0.01 and data["linf"] == 0.02
         assert data["seed"] == 3 and data["noise"] == 0.05
 
+    def test_summary_rejects_non_finite_values(self, tmp_path):
+        result = _fake_result()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_results(result, _XS, tmp_path, {"runtime_seconds": np.inf})
+
+
+class TestMallocThresholds:
+    def test_main_fixes_both_thresholds_before_dispatch(self, monkeypatch):
+        events = []
+
+        def mallopt(param, value):
+            events.append((param, value))
+            return 1
+
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        monkeypatch.setattr(cli, "_dispatch",
+                            lambda args: events.append("dispatch") or 0)
+        assert main(["check", "control"]) == 0
+        # M_MMAP_THRESHOLD = -3 at 32 MiB, M_TRIM_THRESHOLD = -1 at 64 MiB
+        assert sorted(events[:2]) == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert events[2:] == ["dispatch"]
+
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        cli._fix_malloc_thresholds()
+
+    def test_no_libc_is_a_no_op(self, monkeypatch):
+        def missing(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", missing)
+        cli._fix_malloc_thresholds()
+
 
 class TestMain:
     def test_tiny_experiment_run(self, tmp_path):
@@ -202,6 +237,22 @@ class TestMain:
         assert "error: mode k = 1 has a non-finite identity value" in (
             capsys.readouterr().err)
         assert not out.exists()
+
+    def test_overflowing_error_metrics_rejected(self, tmp_path, capsys,
+                                                recwarn):
+        # finite identity values whose reconstruction error squares to inf
+        out = tmp_path / "out"
+        code = main([
+            "experiment", "--id", "1", "--dx", "0.04", "--dt", "0.004",
+            "--T", "3", "--N", "3", "--noise", "1e200", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the reconstruction error is not finite "
+                              "(rel_l2 = inf, linf = ")
+        assert err.endswith("its data are too large or not finite\n")
+        assert not out.exists()
+        assert not recwarn.list
 
     def test_two_node_grid_rejected(self, tmp_path, capsys):
         # dx = b - a leaves two nodes, too few for the one-sided edge terms

@@ -1,3 +1,7 @@
+import functools
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -576,6 +580,49 @@ class TestTransfer:
             assert np.array_equal(again.values_a, old.values_a)
             assert np.array_equal(again.values_b, old.values_b)
 
+    def test_earlier_results_survive_later_calls(self, coarse_grid):
+        # a map's outputs must not alias its work buffers, and a call must
+        # not leave data behind in them for the next
+        def unchanged(traces, copies):
+            for tr, (want_a, want_b) in zip(traces, copies, strict=True):
+                assert np.array_equal(tr.values_a, want_a)
+                assert np.array_equal(tr.values_b, want_b)
+
+        med = _medium(coarse_grid)
+        makers = (lambda: transfer_linearized_nd_map(coarse_grid, med),
+                  lambda: transfer_difference_nd_map(coarse_grid, med, _EPS))
+        fs = _window_traces(coarse_grid)  # the edge terms run for these
+        pT_f, pT_h, lam = fourier_targets(1, coarse_grid)
+        controls = [build_control(pT, lam, coarse_grid).f
+                    for pT in (pT_f, pT_h)]
+        for make in makers:
+            measure = make()
+            kept = measure(fs)
+            copies = [(tr.values_a.copy(), tr.values_b.copy()) for tr in kept]
+            measure(controls)
+            unchanged(kept, copies)
+            unchanged(measure(fs), copies)
+            unchanged(make()(fs), copies)
+
+    def test_second_call_allocates_little_beyond_its_result(self,
+                                                            coarse_grid):
+        # the FFT work arrays belong to the map: a call allocates its
+        # checked input and its result, and little else
+        med = _medium(coarse_grid)
+        fs = 2 * _window_traces(coarse_grid)
+        for measure in (transfer_linearized_nd_map(coarse_grid, med),
+                        transfer_difference_nd_map(coarse_grid, med, _EPS)):
+            measure(fs)
+            tracemalloc.start()
+            try:
+                out = measure(fs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            returned = sum(tr.values_a.nbytes + tr.values_b.nbytes
+                           for tr in out)
+            assert peak <= 2.5 * returned
+
 
 class TestDifferenceMap:
     def test_kernel_costs_one_time_loop(self, coarse_grid, monkeypatch):
@@ -670,3 +717,16 @@ class TestTransferValidation:
             (single,) = measure([f])
             assert np.array_equal(got.values_a, single.values_a)
             assert np.array_equal(got.values_b, single.values_b)
+
+
+@pytest.mark.parametrize("kind", ["stepper", *sorted(_TRANSFER_MAPS)])
+def test_initial_data_warning_names_the_caller(kind, coarse_grid):
+    f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
+    if kind == "stepper":
+        measure = functools.partial(solve_many, coarse_grid, 0.0)
+    else:
+        measure = _TRANSFER_MAPS[kind](coarse_grid)
+    with pytest.warns(UserWarning, match="Neumann data nonzero") as record:
+        line = inspect.currentframe().f_lineno + 1
+        measure([f])
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
