@@ -3,12 +3,12 @@
 A profile known on [a, b] is extended to (a - 1, b + 1) by multiplying it on
 each flank with the bump factor
 
-    B(u) = exp(1 - 1/(1 - u^(2d))),    u = x - a  or  x - b,
+    B(u) = (1 - u^4)^8,    u = x - a  or  x - b,
 
-which equals 1 at the domain edge and vanishes (with all derivatives) at
-distance 1.  The extension is C^(2d-1) across x = a, b and smooth elsewhere;
-the order d = 2 is the least that keeps the second time derivative of the
-resulting Neumann control well defined.
+which equals 1 at the domain edge, where its first three derivatives vanish,
+and meets zero at distance 1.  The extension is C^3 across x = a, b, which
+keeps the second time derivative of the resulting Neumann control well
+defined, and C^7 at distance 1.
 
 Profiles are analytic objects (value plus first three derivatives), not grid
 samples: the targets used downstream all have closed-form derivatives, and
@@ -29,9 +29,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 ArrayFunc = Callable[[np.ndarray], np.ndarray]
-
-# the extension order d of the bump factor
-_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -62,40 +59,20 @@ def cosine_profile(kappa: float) -> AnalyticProfile:
     )
 
 
-def _bump_factors(u: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
-    """B, B', B'', B''' of the flank factor at signed distance u from the edge.
+def _bump_factors(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """B, B', B'', B''' of the flank factor at signed distances |u| < 1.
 
-    Writing v = u^(2d), w = 1/(1 - v) and g = 1 - w (so B = e^g):
+    B = (1 - u^4)^8 is C^3 against the constant 1 at the edge u = 0 and C^7
+    against the zero beyond |u| = 1.  With v = 1 - u^4, v' = -4u^3,
+    v'' = -12u^2 and v''' = -24u, in factored form, which does not cancel
+    near |u| = 1:
 
-        g'   = -2d u^(2d-1) w^2
-        g''  = -2d(2d-1) u^(2d-2) w^2 - 8 d^2 u^(4d-2) w^3
-        g''' = -2d(2d-1)(2d-2) u^(2d-3) w^2 - 24 d^2 (2d-1) u^(4d-3) w^3
-               - 48 d^3 u^(6d-3) w^4
-
-    and B' = g' B, B'' = (g'' + g'^2) B, B''' = (g''' + 3 g' g'' + g'^3) B.
-    Values with |u| >= 1, or where e^g underflows, are exactly 0.
+        B = v^8,  B' = 8 v^7 v',  B'' = 56 v^6 v'^2 + 8 v^7 v'',
+        B''' = 336 v^5 v'^3 + 168 v^6 v' v'' + 8 v^7 v'''
     """
-    u = np.asarray(u, dtype=float)
-    out = tuple(np.zeros(u.shape, dtype=float) for _ in range(4))
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    w = 1.0 / (1.0 - ui ** (2 * d))
-    g = 1.0 - w
-    live = g > -700.0  # exp underflow guard; beyond this B and its derivatives are 0
-    ui, w, g = ui[live], w[live], g[live]
-    B = np.exp(g)
-    g1 = -2 * d * ui ** (2 * d - 1) * w**2
-    g2 = (-2 * d * (2 * d - 1) * ui ** (2 * d - 2) * w**2
-          - 8 * d**2 * ui ** (4 * d - 2) * w**3)
-    g3 = (-2 * d * (2 * d - 1) * (2 * d - 2) * ui ** (2 * d - 3) * w**2
-          - 24 * d**2 * (2 * d - 1) * ui ** (4 * d - 3) * w**3
-          - 48 * d**3 * ui ** (6 * d - 3) * w**4)
-    idx = np.flatnonzero(inside)[live]
-    out[0][idx] = B
-    out[1][idx] = g1 * B
-    out[2][idx] = (g2 + g1**2) * B
-    out[3][idx] = (g3 + 3 * g1 * g2 + g1**3) * B
-    return out
+    v, v1, v2, v3 = 1.0 - u**4, -4.0 * u**3, -12.0 * u**2, -24.0 * u
+    return (v**8, 8 * v**7 * v1, 56 * v**6 * v1**2 + 8 * v**7 * v2,
+            336 * v**5 * v1**3 + 168 * v**6 * v1 * v2 + 8 * v**7 * v3)
 
 
 class _Plan(NamedTuple):
@@ -135,7 +112,7 @@ def _plan(a: float, b: float, x) -> _Plan:
     flanks = []
     for edge, lo, hi in ((a, a - 1.0, a), (b, b, b + 1.0)):
         index, points = _region(flat, (flat > lo) & (flat < hi))
-        B = _bump_factors(points - edge, _ORDER)
+        B = _bump_factors(points - edge)
         for factor in B:
             factor.flags.writeable = False
         flanks.append((index, points, B))

@@ -150,7 +150,9 @@ def add_noise(
 
     The RMS is taken over both endpoint series jointly; real and imaginary
     parts are perturbed independently with std eps * RMS / sqrt(2).  A zero
-    trace (RMS = 0) and eps = 0 are returned unchanged.
+    trace (RMS = 0) and eps = 0 are returned unchanged.  Noise too large for
+    floats gives infinite samples, which :func:`reconstruct_from_data`
+    rejects, naming the mode.
     """
     if not (np.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
@@ -161,11 +163,12 @@ def add_noise(
     )
     if eps == 0.0 or rms == 0.0:
         return trace
-    std = eps * rms / np.sqrt(2.0)
-    noise_a = std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    noise_b = std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return BoundaryTrace(trace.values_a + noise_a, trace.values_b + noise_b,
-                         trace.dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = eps * rms / np.sqrt(2.0)
+        noise_a = std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        noise_b = std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        return BoundaryTrace(trace.values_a + noise_a,
+                             trace.values_b + noise_b, trace.dt)
 
 
 def apply_measurement_noise(
@@ -295,8 +298,10 @@ def reconstruct_from_data(
 
     def values(k: int, data: ModeData) -> tuple[complex, complex, complex]:
         lam, f, h = data
-        S = (linearized_rhs(f, f, lam, grid), linearized_rhs(h, h, lam, grid),
-             linearized_rhs(f, h, lam, grid))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            S = (linearized_rhs(f, f, lam, grid),
+                 linearized_rhs(h, h, lam, grid),
+                 linearized_rhs(f, h, lam, grid))
         if not np.all(np.isfinite(S)):
             raise ConfigurationError(
                 f"mode k = {k} has a non-finite identity value (S_ff, S_hh, "

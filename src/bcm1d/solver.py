@@ -508,22 +508,24 @@ def _convolve(grid: GridSpec, kernel: _Kernel, work: tuple,
     series, spectrum, product, term, inverse = work
     nt = grid.nt
     out = np.empty(g.shape, dtype=complex)
-    for j, (gj, oj) in enumerate(zip(g, out)):
-        # the tail past nt stays zero from the map's making
-        series[0, :, :nt] = gj.real
-        series[1, :, :nt] = gj.imag
-        np.fft.rfft(series, n_fft, out=spectrum)
-        # a 2 x 2 contraction over the input ends per frequency
-        np.multiply(spectrum[:, :1], transfer[0], out=product)
-        np.multiply(spectrum[:, 1:], transfer[1], out=term)
-        np.add(product, term, out=product)
-        np.fft.irfft(product, n_fft, out=inverse)
-        oj.real, oj.imag = inverse[..., :nt]
-        _add_edge_terms(oj, gj, kernel)
-        if not np.all(np.isfinite(oj.view(float))):
-            raise ConfigurationError(
-                f"measured trace {j} has a non-finite sample: the medium "
-                "overflows the transfer kernel")
+    # an overflow gives a non-finite trace, which is rejected by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (gj, oj) in enumerate(zip(g, out)):
+            # the tail past nt stays zero from the map's making
+            series[0, :, :nt] = gj.real
+            series[1, :, :nt] = gj.imag
+            np.fft.rfft(series, n_fft, out=spectrum)
+            # a 2 x 2 contraction over the input ends per frequency
+            np.multiply(spectrum[:, :1], transfer[0], out=product)
+            np.multiply(spectrum[:, 1:], transfer[1], out=term)
+            np.add(product, term, out=product)
+            np.fft.irfft(product, n_fft, out=inverse)
+            oj.real, oj.imag = inverse[..., :nt]
+            _add_edge_terms(oj, gj, kernel)
+            if not np.all(np.isfinite(oj.view(float))):
+                raise ConfigurationError(
+                    f"measured trace {j} has a non-finite sample: the "
+                    "medium overflows the transfer kernel")
     return [BoundaryTrace(oj[0], oj[1], grid.dt) for oj in out]
 
 

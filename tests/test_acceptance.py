@@ -192,8 +192,8 @@ def test_criterion_06_linearized_identity_oracle(exp1, grid):
 def test_criterion_07_control_fidelity(grid):
     # The criterion pins the targets and lam but not the verification
     # discretization.  At the reference time step the (2,2) scheme's own
-    # dispersion of the sharp flank waveform contributes up to ~2e-2 for
-    # the lowest cosine mode, so the controls are verified with the exact
+    # dispersion of the flank waveform contributes up to ~4.4e-3 over
+    # k <= 10, so the controls are verified with the exact
     # unit-CFL propagation (dt = dx, same spatial grid), which isolates the
     # controls from the instrument; the reference-dt instrument values are
     # reported alongside.

@@ -179,6 +179,18 @@ class TestMain:
         assert (tmp_path / "reconstruction.csv").exists()
         assert (tmp_path / "coefficients.csv").exists()
 
+    @pytest.mark.parametrize("exp_id,tol", [(1, 1e-3), (2, 1e-2)])
+    def test_coarse_unit_cfl_run_is_accurate(self, exp_id, tol, tmp_path):
+        # 100 cells at dt = dx: the controls' flank bump must have no layer
+        # thinner than the grid resolves
+        code = main([
+            "experiment", "--id", str(exp_id), "--T", "5", "--N", "5",
+            "--dx", "0.02", "--dt", "0.02", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["rel_l2"] <= tol
+
     def test_reconstruct_from_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -225,12 +237,11 @@ class TestMain:
         assert "error: seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_noise_rejected(self, tmp_path, capsys):
-        # noise at 1e306 times the trace RMS overflows the identity values
+        # noise at 1e307 times the trace RMS overflows the identity values
         out = tmp_path / "out"
         code = main([
-            "experiment", "--id", "1", "--N", "2", "--noise", "1e306",
+            "experiment", "--id", "1", "--N", "2", "--noise", "1e307",
             "--dx", "0.02", "--dt", "0.002", "--T", "3", "--out", str(out),
         ])
         assert code == 2

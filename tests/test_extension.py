@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 import sympy as sp
 
 from bcm1d import AnalyticProfile, cosine_profile, sine_profile
@@ -8,13 +7,12 @@ from bcm1d.extension import _bump_factors, extended_derivatives
 A, B = -1.0, 1.0
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_bump_factor_derivatives_match_symbolic(d):
-    # independent oracle: differentiate exp(1 - 1/(1 - u^(2d))) symbolically
+def test_bump_factor_derivatives_match_symbolic():
+    # independent oracle: differentiate (1 - u^4)^8 symbolically
     u = sp.symbols("u")
-    expr = sp.exp(1 - 1 / (1 - u ** (2 * d)))
-    pts = np.linspace(-0.97, 0.97, 53)
-    got = _bump_factors(pts, d)
+    expr = (1 - u**4) ** 8
+    pts = np.linspace(-0.999, 0.999, 53)
+    got = _bump_factors(pts)
     for order in range(4):
         fn = sp.lambdify(u, sp.diff(expr, u, order), "numpy")
         assert np.allclose(got[order], fn(pts), rtol=1e-10, atol=1e-9)
@@ -37,11 +35,11 @@ def test_extension_vanishes_outside_support():
 
 
 def test_flank_value_closed_form():
-    # at x - a = -1/2 with d = 2 the bump exponent is 1 - 16/15 = -1/15
+    # at x - a = -1/2 the bump is (1 - 1/16)^8 = (15/16)^8
     got = extended_derivatives(cosine_profile(0.0), A, B, -1.5)[0][0]
-    want = np.exp(-1.0 / 15.0)
+    want = (15.0 / 16.0) ** 8
     assert np.isclose(got, want, rtol=1e-14)
-    assert np.isclose(want, 0.935507, atol=5e-7)
+    assert np.isclose(want, 0.5967195, atol=5e-8)
 
 
 def test_extension_matches_profile_and_derivatives_inside():
@@ -101,9 +99,10 @@ def test_extension_at_unsorted_points_of_any_shape():
 
 
 def test_one_sided_continuity_at_domain_edges():
-    # C^(2d-1) = C^3 for d = 2: one-sided limits of derivatives 0..3 agree.
-    # Linear extrapolation 2 f(e -+ h) - f(e -+ 2h) estimates each one-sided
-    # limit with O(h^2) error, so the left/right gap must shrink like h^2.
+    # C^3: one-sided limits of derivatives 0..3 agree.  Linear extrapolation
+    # 2 f(e -+ h) - f(e -+ 2h) estimates each one-sided limit with O(h^2)
+    # error, so the left/right gap must shrink like h^2; its size is set by
+    # the bump's fourth derivative at the edge, B''''(0) = -192.
     def ext(x):
         return extended_derivatives(cosine_profile(1.3), A, B, np.array([x]))
 
@@ -119,6 +118,6 @@ def test_one_sided_continuity_at_domain_edges():
 
             g1, g2 = gap(1e-3), gap(5e-4)
             scale = max(1.0, abs(f(edge)))
-            assert g1 <= 1e-4 * scale
+            assert g1 <= 8e-4 * scale
             assert g2 <= 0.35 * g1 + 1e-13
 

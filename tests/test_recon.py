@@ -252,7 +252,6 @@ class TestReconstructPipeline:
         assert np.array_equal(r1.coeffs.b, r2.coeffs.b)
         assert r1.coeffs.a0 == r2.coeffs.a0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_medium_rejected(self, coarse_grid):
         medium = MediumSpec(0.0, np.full(coarse_grid.nx, 1e305))
         with pytest.raises(ConfigurationError,
