@@ -51,10 +51,11 @@ scheme run in extended precision to about 1e-12.  Fields are rows of
 nodes, so every update runs along x.  A source comes as its samples at
 every step: their edge terms join the injection signals before the loop,
 and each step adds gain S.  A row is real when the data and the source
-are, and complex otherwise; the loop only adds, subtracts, multiplies by
-real coefficients and divides a source's edge term as reals, which numpy
-does on the two parts of a complex row exactly as on two real rows.  The
-outputs are complex either way.
+are, and complex otherwise; real data in a real medium stay real from the
+stacked data through the injection signals.  The loop only adds,
+subtracts, multiplies by real coefficients and divides a source's edge term
+as reals, which numpy does on the two parts of a complex row exactly as on
+two real rows.  The outputs are complex either way.
 
 The nonlinear ND (Neumann-to-Dirichlet) map restricts the solution to the
 endpoints.  The linearized map is its derivative along sigma_dot at sigma0,
@@ -86,13 +87,16 @@ end, from the data's three samples nearest it) the kernel's time-domain
 responses add the exact difference, taken from the same tap table: the
 stepper's signals of those samples minus the filter's, skipped when the
 samples are zero, as they are for the reconstruction controls.  The map
-owns its FFT work arrays and writes them on every call, so one map must not
-be called from two threads at once; the traces of one call are views of
-one new block, never of the work arrays.  The backend agrees with the
-stepper to about 1e-13 relative; the stepper stays the reference it is
-tested against, and alone serves sources and snapshots at T.  Every map rejects Neumann data with a non-finite sample, which would
-silently spread NaN over both endpoint outputs, the stepper rejects such a
-source sample likewise, and the backend rejects a non-finite output.
+owns its FFT work arrays, 14 real series of the FFT length, and writes them
+on every call, so one map must not be called from two threads at once.  A
+call copies each trace straight into the zero-padded input and allocates
+only its result: the traces of one call are views of one new block, never
+of the work arrays.  The backend agrees with the stepper to about 1e-13
+relative; the stepper stays the reference it is tested against, and alone
+serves sources and snapshots at T.  Every map rejects Neumann data with a
+non-finite sample, which would silently spread NaN over both endpoint
+outputs, the stepper rejects such a source sample likewise, and the
+backend rejects a non-finite output.
 """
 
 from __future__ import annotations
@@ -145,34 +149,48 @@ def _check_cfl(grid: GridSpec) -> None:
         raise ConfigurationError(f"grid too coarse: {grid.nx} nodes, fewer than 3")
 
 
-def _stack_neumann(grid: GridSpec,
-                   neumanns: Sequence[BoundaryTrace]) -> np.ndarray:
-    """Checked endpoint data as one (traces, 2, nt) array, a side then b."""
-    g = np.empty((len(neumanns), 2, grid.nt), dtype=complex)
+def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
+             stacklevel: int):
+    """Yield each Neumann trace once it is checked: its length and step,
+    its samples finite, and at most one warning, ``stacklevel`` frames up
+    from the generator, for data that do not vanish at t = 0."""
+    warned = False
     for j, tr in enumerate(neumanns):
         if len(tr) != grid.nt or tr.dt != grid.dt:
             raise ConfigurationError(
                 f"Neumann trace {j} has {len(tr)} samples (dt={tr.dt}); "
                 f"the grid needs {grid.nt} (dt={grid.dt})"
             )
-        g[j, 0] = tr.values_a
-        g[j, 1] = tr.values_b
-    bad = np.flatnonzero(~np.isfinite(g.view(float)).all(axis=(1, 2)))
-    if bad.size:
-        raise ConfigurationError(
-            f"Neumann trace {bad[0]} has a non-finite sample"
-        )
-    first = np.max(np.abs(g[:, :, 0]), axis=1)
-    # the scale is at least 1, so only traces with a t = 0 sample above the
-    # tolerance can warn; they are scaled one at a time, without a copy
-    for j in np.flatnonzero(first > _INITIAL_DATA_TOL):
-        if first[j] > _INITIAL_DATA_TOL * max(np.max(np.abs(g[j])), 1.0):
+        ends = (tr.values_a, tr.values_b)
+        if not all(np.isfinite(v).all() for v in ends):
+            raise ConfigurationError(
+                f"Neumann trace {j} has a non-finite sample"
+            )
+        first = max(abs(v[0]) for v in ends)
+        # the scale is at least 1, so only a t = 0 sample above the
+        # tolerance can warn
+        if (not warned and first > _INITIAL_DATA_TOL
+                and first > _INITIAL_DATA_TOL * max(
+                    max(np.max(np.abs(v)) for v in ends), 1.0)):
             warnings.warn(
                 "Neumann data nonzero at t = 0; zero initial layers are "
                 "inconsistent with it",
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
-            break
+            warned = True
+        yield tr
+
+
+def _stack_neumann(grid: GridSpec,
+                   neumanns: Sequence[BoundaryTrace]) -> np.ndarray:
+    """Checked endpoint data as one (traces, 2, nt) array, a side then b,
+    real when every imaginary part is zero."""
+    real = not any(np.any(v.imag) for tr in neumanns
+                   for v in (tr.values_a, tr.values_b))
+    g = np.empty((len(neumanns), 2, grid.nt), float if real else complex)
+    for gj, tr in zip(g, _checked(grid, neumanns, stacklevel=4)):
+        for row, v in zip(gj, (tr.values_a, tr.values_b)):
+            row[...] = v.real if real else v
     return g
 
 
@@ -253,16 +271,18 @@ def _injection(weights, g):
     s as field s // 2 at end s % 2.  The differences are one-sided at the
     first and the last step, as :func:`numpy.gradient` takes them.
     """
+    # real for real data and weights, complex otherwise
+    dtype = np.result_type(weights, g)
     # np.gradient halves the differences, so doubling them is exact
     d = np.gradient(g, axis=-1)
     d *= 2.0
-    # complex, as it serves as scratch for complex products below
-    dd = np.gradient(d, axis=-1).astype(complex, copy=False)
+    # of the signals' dtype, as it serves as scratch for the products below
+    dd = np.gradient(d, axis=-1).astype(dtype, copy=False)
     dd *= 2.0
     # (tap, field, end, 1); with steps last, as the data are stored, and
-    # complex taps, no ufunc below buffers an operand
-    taps = np.moveaxis(weights.reshape(-1, 2, 1, 3), -1, 0).astype(complex)
-    out = np.empty((len(taps[0]),) + g.shape, dtype=complex)
+    # taps of the signals' dtype, no ufunc below buffers a tap
+    taps = np.moveaxis(weights.reshape(-1, 2, 1, 3), -1, 0).astype(dtype)
+    out = np.empty((len(taps[0]),) + g.shape, dtype)
     for o, w in zip(out, taps[2]):
         np.multiply(w, dd, out=o)
     # accumulate in place, dd serving as scratch once it is applied
@@ -309,7 +329,7 @@ def _time_loop(grid, stencil, inj, source=None):
     (nt, *rows, 2) and the levels at steps T/dt - 1, T/dt and T/dt + 1, in
     the field's dtype.
     """
-    if not np.any(inj.imag):
+    if np.iscomplexobj(inj) and not np.any(inj.imag):
         inj = inj.real
     rows, nx = inj.shape[1:-1], grid.nx
     # Taylor first layer: with zero initial data, u_tt(0) = S(0)
@@ -380,7 +400,10 @@ def solve_many(
     pT = (u_plus - u_minus) / (2.0 * grid.dt)
     qT = np.empty_like(u_mid)
     qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
-    g_T = g[..., grid.half_index]
+    # the complex samples of the traces, whose zero imaginary parts keep
+    # their signs, as real data in g do not
+    h = grid.half_index
+    g_T = np.array([(tr.values_a[h], tr.values_b[h]) for tr in neumanns])
     qT[:, 0] = -g_T[:, 0]  # ghost-consistent: the outward normal at a is -d/dx
     qT[:, -1] = g_T[:, 1]
     return [
@@ -421,9 +444,15 @@ def linearized_nd_map_many(
 
 def _fft_length(n: int) -> int:
     """Smallest 2^i 3^j 5^k >= n; numpy's FFT is fastest on such lengths."""
-    r = range(n.bit_length() + 1)
-    return min(m for m in (2**i * 3**j * 5**k for i in r for j in r for k in r)
-               if m >= n)
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 class _Kernel(NamedTuple):
@@ -464,8 +493,9 @@ def _kernel(grid: GridSpec, responses: np.ndarray,
     return _Kernel(n_fft, transfer, edge_responses, weights)
 
 
-def _add_edge_terms(out: np.ndarray, g: np.ndarray, kernel: _Kernel) -> None:
-    """Add to the traces ``out`` (2, nt) of the data ``g`` (2, nt) the
+def _add_edge_terms(out: np.ndarray, tr: BoundaryTrace,
+                    kernel: _Kernel) -> None:
+    """Add to the traces ``out`` (2, nt) of the Neumann trace ``tr`` the
     response to the stepper's injection signals minus the filtered data.
 
     They differ at the four steps nearest each window end only, through the
@@ -479,11 +509,12 @@ def _add_edge_terms(out: np.ndarray, g: np.ndarray, kernel: _Kernel) -> None:
     nt = out.shape[1]
     # frames of steps -4 .. 7 and nt-8 .. nt+3
     for origin, first in ((-4, 0), (nt - 8, nt - 3)):
-        if not np.any(g[:, first:first + 3]):
+        x = np.zeros((2, 12), dtype=complex)
+        x[:, first - origin:first - origin + 3] = (
+            tr.values_a[first:first + 3], tr.values_b[first:first + 3])
+        if not np.any(x):
             continue
         steps = origin + np.arange(12)
-        x = np.zeros((2, 12), dtype=g.dtype)
-        x[:, first - origin:first - origin + 3] = g[:, first:first + 3]
         inside = (steps >= 0) & (steps < nt)
         signals = np.zeros((len(weights) // 2, 2, 12), dtype=complex)
         signals[..., inside] = _injection(weights, x[:, inside])
@@ -503,25 +534,29 @@ def _convolve(grid: GridSpec, kernel: _Kernel, work: tuple,
     """Endpoint traces of the Neumann traces ``fs``, as views of one new
     block; a non-finite one, from a kernel that overflowed, raises an
     error.  Every call overwrites the map's FFT arrays ``work``."""
-    g = _stack_neumann(grid, fs)
     n_fft, transfer = kernel.n_fft, kernel.transfer
-    series, spectrum, product, term, inverse = work
+    series, spectrum, product, term = work
     nt = grid.nt
-    out = np.empty(g.shape, dtype=complex)
+    out = np.empty((len(fs), 2, nt), dtype=complex)
     # an overflow gives a non-finite trace, which is rejected by name
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (gj, oj) in enumerate(zip(g, out)):
-            # the tail past nt stays zero from the map's making
-            series[0, :, :nt] = gj.real
-            series[1, :, :nt] = gj.imag
+        checked = _checked(grid, fs, stacklevel=3)
+        for j, (tr, oj) in enumerate(zip(checked, out)):
+            for end, v in enumerate((tr.values_a, tr.values_b)):
+                series[0, end, :nt] = v.real
+                series[1, end, :nt] = v.imag
             np.fft.rfft(series, n_fft, out=spectrum)
-            # a 2 x 2 contraction over the input ends per frequency
-            np.multiply(spectrum[:, :1], transfer[0], out=product)
-            np.multiply(spectrum[:, 1:], transfer[1], out=term)
-            np.add(product, term, out=product)
-            np.fft.irfft(product, n_fft, out=inverse)
-            oj.real, oj.imag = inverse[..., :nt]
-            _add_edge_terms(oj, gj, kernel)
+            # a 2 x 2 contraction over the input ends per frequency, one
+            # output end at a time
+            for o, po in enumerate(np.moveaxis(product, 1, 0)):
+                np.multiply(spectrum[:, 0], transfer[0, o], out=po)
+                np.multiply(spectrum[:, 1], transfer[1, o], out=term)
+                np.add(po, term, out=po)
+            # the inverse overwrites the input, whose tail is zeroed again
+            np.fft.irfft(product, n_fft, out=series)
+            oj.real, oj.imag = series[..., :nt]
+            series[..., nt:] = 0.0
+            _add_edge_terms(oj, tr, kernel)
             if not np.all(np.isfinite(oj.view(float))):
                 raise ConfigurationError(
                     f"measured trace {j} has a non-finite sample: the "
@@ -531,12 +566,15 @@ def _convolve(grid: GridSpec, kernel: _Kernel, work: tuple,
 
 def _map(grid: GridSpec, kernel: _Kernel):
     """The map of Neumann traces through ``kernel``.  It owns its FFT work
-    arrays, each (parts, ends, samples) with the real and the imaginary
-    part: the zero-padded input, its spectrum, the contraction's product
-    and term, and the inverse series."""
+    arrays: the zero-padded input (parts, ends, samples), the real and the
+    imaginary part, which the inverse FFT overwrites; its spectrum and the
+    contraction's product, (parts, ends, frequencies); and one output end's
+    term, (parts, frequencies).  They hold 14 real series of n_fft, a
+    spectrum of n_fft // 2 + 1 complex samples counting as one."""
     n_fft = kernel.n_fft
-    spectra = (np.empty((2, 2, n_fft // 2 + 1), complex) for _ in range(3))
-    work = (np.zeros((2, 2, n_fft)), *spectra, np.empty((2, 2, n_fft)))
+    n_freq = n_fft // 2 + 1
+    work = (np.zeros((2, 2, n_fft)), np.empty((2, 2, n_freq), complex),
+            np.empty((2, 2, n_freq), complex), np.empty((2, n_freq), complex))
     return functools.partial(_convolve, grid, kernel, work)
 
 

@@ -78,6 +78,23 @@ def test_real_data_real_field(coarse_grid):
     assert np.all(out.pT_snapshot.imag == 0)
 
 
+def test_real_pulses_stay_real_in_the_stepper(coarse_grid):
+    # real data in a real medium need no complex copy, difference or
+    # signal: a call peaks at about five real copies of the data (the data,
+    # their two differences and np.gradient's temporaries); complex ones
+    # would take over eight
+    fs = [smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, w, 0.7)[0]
+          for w in (0.5, -1.0, 2.0)]
+    solve_many(coarse_grid, 0.3, fs)
+    tracemalloc.start()
+    try:
+        solve_many(coarse_grid, 0.3, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * len(fs) * 2 * coarse_grid.nt * 8
+
+
 def test_complex_solve_equals_pair_of_real_solves(coarse_grid):
     # a complex field must round exactly as its real and imaginary parts
     # advanced as two real fields
@@ -492,6 +509,17 @@ class TestTransfer:
             _stepper_quotient(coarse_grid, med, _EPS, fs),
         ) <= 1e-9
 
+    def test_fft_length_is_the_next_five_smooth_number(self):
+        def definition(n):
+            r = range(n.bit_length() + 1)
+            return min(m for m in (2**i * 3**j * 5**k
+                                   for i in r for j in r for k in r)
+                       if m >= n)
+
+        for n in range(1, 5001):
+            assert solver._fft_length(n) == definition(n)
+        assert solver._fft_length(49999) == 50000
+
     def test_kernels_are_two_by_two_transfer_matrices(self, coarse_grid):
         # both maps drive 4 signals, signal s at end s % 2; the signals of
         # one input end add up into its row of the matrix
@@ -606,8 +634,8 @@ class TestTransfer:
 
     def test_second_call_allocates_little_beyond_its_result(self,
                                                             coarse_grid):
-        # the FFT work arrays belong to the map: a call allocates its
-        # checked input and its result, and little else
+        # the FFT work arrays belong to the map, and a trace goes straight
+        # into them: a call allocates its result and little else
         med = _medium(coarse_grid)
         fs = 2 * _window_traces(coarse_grid)
         for measure in (transfer_linearized_nd_map(coarse_grid, med),
@@ -621,7 +649,19 @@ class TestTransfer:
                 tracemalloc.stop()
             returned = sum(tr.values_a.nbytes + tr.values_b.nbytes
                            for tr in out)
-            assert peak <= 2.5 * returned
+            assert peak <= 1.5 * returned
+
+    def test_work_arrays_hold_fourteen_real_series(self, coarse_grid):
+        # the zero-padded input, which the inverse FFT overwrites (4), its
+        # spectrum and the contraction's product (4 each), and one output
+        # end's term (2); a spectrum of n_fft // 2 + 1 complex samples
+        # counts as one real series
+        med = _medium(coarse_grid)
+        for measure in (transfer_linearized_nd_map(coarse_grid, med),
+                        transfer_difference_nd_map(coarse_grid, med, _EPS)):
+            _, kernel, work = measure.args
+            assert (sum(arr.nbytes for arr in work)
+                    <= 14 * 8 * 2 * (kernel.n_fft // 2 + 1))
 
 
 class TestDifferenceMap:
