@@ -1,21 +1,21 @@
 """Smooth compactly supported extension of profiles beyond the domain.
 
-A profile known on [a, b] is extended to (a - 1, b + 1) by multiplying it on
-each flank with the bump factor
+A profile phi known on [a, b] is extended to (a - 1, b + 1) as
 
-    B(u) = (1 - u^4)^8,    u = x - a  or  x - b,
+    phi(x) B(u),    B(u) = (1 - u^4)^8,    u = x - clip(x, a, b),
 
-which equals 1 at the domain edge, where its first three derivatives vanish,
-and meets zero at distance 1.  The extension is C^3 across x = a, b, which
-keeps the second time derivative of the resulting Neumann control well
+u the signed distance from [a, b], and by zero where |u| >= 1.  B equals 1
+at u = 0, where its first three derivatives vanish, so the extension is phi
+on [a, b]; B meets zero at distance 1.  The extension is C^3 across x = a, b,
+which keeps the second time derivative of the resulting Neumann control well
 defined, and C^7 at distance 1.
 
 Profiles are analytic objects (value plus first three derivatives), not grid
 samples: the targets used downstream all have closed-form derivatives, and
 the time-reversal traces need derivative values at arbitrary real arguments.
 
-The geometry of an evaluation, which points fall on the domain or a flank and
-the bump factors there, does not depend on the profile.  It is a plan of its
+The geometry of an evaluation, which points fall in (a - 1, b + 1) and the
+bump factors there, does not depend on the profile.  It is a plan of its
 own, so that the controls, which evaluate many profiles at the same
 grid-determined points, build it once per grid.
 """
@@ -76,23 +76,28 @@ def _bump_factors(u: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class _Plan(NamedTuple):
-    """Where points fall on the extension, and the bump factors there.
+    """The points where the extension is nonzero, and the bump factors there.
 
-    ``mid`` and each of the two flanks pair an index into the flattened
-    points (a slice when the region's points are contiguous, as for
-    monotone points, else a mask) with the points it selects; a flank adds
-    the bump factors B .. B''' at those points.  A plan depends on the
-    points and the domain only, so one serves every profile evaluated
-    at those points; its arrays are read-only.
+    ``index`` selects from the flattened points those in (a - 1, b + 1), a
+    slice when they are contiguous, as for monotone points, else a mask;
+    ``points`` are the points it selects and ``B`` the bump factors
+    B .. B''' at their signed distances from [a, b], (1, 0, 0, 0) on [a, b]
+    itself.  A plan depends on the points and the domain only, so one
+    serves every profile evaluated at those points; its arrays are
+    read-only.
     """
 
     shape: tuple[int, ...]
-    mid: tuple
-    flanks: tuple
+    index: slice | np.ndarray
+    points: np.ndarray
+    B: tuple
 
 
-def _region(x: np.ndarray, inside: np.ndarray) -> tuple:
-    """(index, points) of the points of ``x`` where ``inside`` holds."""
+def _plan(a: float, b: float, x) -> _Plan:
+    """The :class:`_Plan` of the extension of a profile on [a, b] at ``x``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    flat = x.reshape(-1)
+    inside = (flat > a - 1.0) & (flat < b + 1.0)
     idx = np.flatnonzero(inside)
     if idx.size == 0:
         index = slice(0)
@@ -100,51 +105,35 @@ def _region(x: np.ndarray, inside: np.ndarray) -> tuple:
         index = slice(idx[0], idx[-1] + 1)
     else:
         index = inside
-    points = x[index].copy()  # not a view: a plan keeps only its regions
-    points.flags.writeable = False
-    return index, points
-
-
-def _plan(a: float, b: float, x) -> _Plan:
-    """The :class:`_Plan` of the extension of a profile on [a, b] at ``x``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    flat = x.reshape(-1)
-    flanks = []
-    for edge, lo, hi in ((a, a - 1.0, a), (b, b, b + 1.0)):
-        index, points = _region(flat, (flat > lo) & (flat < hi))
-        B = _bump_factors(points - edge)
-        for factor in B:
-            factor.flags.writeable = False
-        flanks.append((index, points, B))
-    return _Plan(x.shape, _region(flat, (flat >= a) & (flat <= b)),
-                 tuple(flanks))
+    points = flat[index].copy()  # not a view: a plan keeps only its region
+    B = _bump_factors(points - np.clip(points, a, b))
+    for arr in (points, *B):
+        arr.flags.writeable = False
+    return _Plan(x.shape, index, points, B)
 
 
 def _derivatives(phi: AnalyticProfile, plan: _Plan) -> list[np.ndarray]:
     """:func:`extended_derivatives` at the points of ``plan``."""
     derivs = (phi.value, phi.deriv1, phi.deriv2, phi.deriv3)
-    res = [np.zeros(plan.shape, dtype=complex).reshape(-1) for _ in derivs]
-    index, points = plan.mid
-    for r, deriv in zip(res, derivs):
-        r[index] = deriv(points)
-    for index, points, B in plan.flanks:
-        p = [deriv(points) for deriv in derivs]
-        for k, r in enumerate(res):  # product rule
-            r[index] = sum(comb(k, j) * p[k - j] * B[j] for j in range(k + 1))
-    return [r.reshape(plan.shape) for r in res]
+    p = [deriv(plan.points) for deriv in derivs]
+    res = [np.zeros(plan.shape, dtype=complex) for _ in derivs]
+    for k, r in enumerate(res):  # product rule
+        r.reshape(-1)[plan.index] = sum(comb(k, j) * p[k - j] * plan.B[j]
+                                        for j in range(k + 1))
+    return res
 
 
 def extended_derivatives(phi: AnalyticProfile, a: float, b: float,
                          x) -> list[np.ndarray]:
     """Derivatives 0 .. 3 of the extension of ``phi`` at the points ``x``.
 
-    The extension equals ``phi`` on [a, b], equals ``phi`` times the flank
-    bump factor on (a-1, a) and (b, b+1), and is identically zero outside.
-    Its derivatives are assembled by the product rule with the analytic
-    bump-factor derivatives, so ``phi`` must supply three derivatives on
-    [a-1, b+1].  Each flank's bump factors and each derivative of ``phi``
-    are evaluated once and shared by all orders.  The geometry, which
-    regions the points fall in and the bump factors there, is built afresh
-    on each call; ``build_control`` keeps it per grid instead.
+    The extension is ``phi`` times the bump factor of the signed distance
+    from [a, b] on (a-1, b+1), which is ``phi`` itself on [a, b], and is
+    identically zero outside.  Its derivatives are assembled by the product
+    rule with the analytic bump-factor derivatives, so ``phi`` must supply
+    three derivatives on [a-1, b+1].  The bump factors and each derivative
+    of ``phi`` are evaluated once and shared by all orders.  The geometry,
+    which points fall in (a-1, b+1) and the bump factors there, is built
+    afresh on each call; ``build_control`` keeps it per grid instead.
     """
     return _derivatives(phi, _plan(a, b, x))

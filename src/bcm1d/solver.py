@@ -71,7 +71,8 @@ With a time-independent medium and zero initial data the loop is a linear
 time-invariant map from injection signals to endpoint traces.  The transfer
 backend drives it with a unit impulse at each end, once per map, when
 ``transfer_linearized_nd_map`` or ``transfer_difference_nd_map`` builds the
-map's kernel from the medium.  For the linearized map the impulses run in
+map from the medium, one object that holds its kernel and its FFT work
+arrays.  For the linearized map the impulses run in
 the complex medium and, as d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R) for a
 signal's weights w and response R, give 4 signals; for the difference map
 the full and background media advance as rows of one pass, 2 signals per
@@ -101,7 +102,6 @@ backend rejects a non-finite output.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -455,127 +455,116 @@ def _fft_length(n: int) -> int:
         m += 1
 
 
-class _Kernel(NamedTuple):
-    """A medium's transfer kernel; the arrays are read-only."""
-
-    n_fft: int
-    transfer: np.ndarray   # (input end, output end, frequencies)
-    responses: np.ndarray  # (signals, output end, steps 2 .. nt-1)
-    weights: np.ndarray    # (signals, 3), see _weights
-
-
-def _kernel(grid: GridSpec, responses: np.ndarray,
-            weights: np.ndarray) -> _Kernel:
-    """The transfer kernel from endpoint data to endpoint traces.
+class _TransferMap:
+    """Neumann traces to endpoint traces through a medium's transfer kernel.
 
     ``responses`` (nt, signals, output end) are the loop's traces of a unit
     impulse at step 1 in each injection signal, signal s at end s % 2, and
     ``weights`` (signals, 3) those signals' taps (see :func:`_weights`).  The
     responses are transformed and each multiplied by its signal's filter
     w0 + w1 z + w2 z^2, z = 2i sin(omega), the spectrum of its weights; the
-    signals of one input end then add up.
+    signals of one input end then add up into ``transfer``.  The kernel's
+    arrays are read-only.  The FFT work arrays are the zero-padded input
+    (parts, ends, samples), which the inverse FFT overwrites; its spectrum
+    and the contraction's product, (parts, ends, frequencies); and one
+    output end's term, (parts, frequencies): 14 real series of n_fft, a
+    spectrum of n_fft // 2 + 1 complex samples counting as one.
     """
-    # (signals, output end, steps 1 .. nt-1)
-    responses = np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1))
-    # no wrap-around: exact signals and responses both span fewer than
-    # nt - 1 steps (the edge terms cancel the filtered data's longer reach)
-    n_fft = _fft_length(2 * grid.nt - 3)
-    z = 2j * np.sin(2.0 * np.pi * np.arange(n_fft // 2 + 1) / n_fft)
-    w0, w1, w2 = weights.T[..., None]
-    spectrum = np.fft.rfft(responses, n_fft)
-    spectrum *= ((w2 * z + w1) * z + w0)[:, None]
-    # C-contiguous, frequencies last: the contraction runs along them
-    transfer = spectrum.reshape(-1, 2, 2, spectrum.shape[-1]).sum(axis=0)
-    # the field at step 1 is zero: the edge terms need steps 2 .. nt-1 only
-    edge_responses = responses[..., 1:].copy()
-    for arr in (transfer, edge_responses, weights):
-        arr.flags.writeable = False
-    return _Kernel(n_fft, transfer, edge_responses, weights)
 
+    def __init__(self, grid: GridSpec, responses: np.ndarray,
+                 weights: np.ndarray):
+        self.grid = grid
+        # (signals, output end, steps 1 .. nt-1)
+        responses = np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1))
+        # no wrap-around: exact signals and responses both span fewer than
+        # nt - 1 steps (the edge terms cancel the filtered data's longer reach)
+        self.n_fft = n_fft = _fft_length(2 * grid.nt - 3)
+        n_freq = n_fft // 2 + 1
+        z = 2j * np.sin(2.0 * np.pi * np.arange(n_freq) / n_fft)
+        w0, w1, w2 = weights.T[..., None]
+        spectrum = np.fft.rfft(responses, n_fft)
+        spectrum *= ((w2 * z + w1) * z + w0)[:, None]
+        # (input end, output end, frequencies), C-contiguous with
+        # frequencies last: the contraction runs along them
+        self.transfer = spectrum.reshape(-1, 2, 2, n_freq).sum(axis=0)
+        # (signals, output end, steps 2 .. nt-1): the field at step 1 is zero
+        self.responses = responses[..., 1:].copy()
+        self.weights = weights
+        for arr in (self.transfer, self.responses, weights):
+            arr.flags.writeable = False
+        del spectrum, responses  # the work arrays below may reuse their memory
+        self.work = (np.zeros((2, 2, n_fft)),
+                     np.empty((2, 2, n_freq), complex),
+                     np.empty((2, 2, n_freq), complex),
+                     np.empty((2, n_freq), complex))
 
-def _add_edge_terms(out: np.ndarray, tr: BoundaryTrace,
-                    kernel: _Kernel) -> None:
-    """Add to the traces ``out`` (2, nt) of the Neumann trace ``tr`` the
-    response to the stepper's injection signals minus the filtered data.
+    def _add_edge_terms(self, out: np.ndarray, tr: BoundaryTrace) -> None:
+        """Add to the traces ``out`` (2, nt) of the Neumann trace ``tr`` the
+        response to the stepper's injection signals minus the filtered data.
 
-    They differ at the four steps nearest each window end only, through the
-    data's three samples nearest it, and the difference is skipped where
-    those are zero.  Both sides come from :func:`_injection` on a 12-step
-    frame of those samples, the filter's zero-extended so that every
-    difference is centered; the difference is convolved in the FFT's
-    circular frame, which also removes the filtered data's wrap-around.
-    """
-    n_fft, _, responses, weights = kernel
-    nt = out.shape[1]
-    # frames of steps -4 .. 7 and nt-8 .. nt+3
-    for origin, first in ((-4, 0), (nt - 8, nt - 3)):
-        x = np.zeros((2, 12), dtype=complex)
-        x[:, first - origin:first - origin + 3] = (
-            tr.values_a[first:first + 3], tr.values_b[first:first + 3])
-        if not np.any(x):
-            continue
-        steps = origin + np.arange(12)
-        inside = (steps >= 0) & (steps < nt)
-        signals = np.zeros((len(weights) // 2, 2, 12), dtype=complex)
-        signals[..., inside] = _injection(weights, x[:, inside])
-        # the loop reads the signals at steps 1 .. nt-2 only
-        signals[..., (steps < 1) | (steps > nt - 2)] = 0.0
-        signals -= _injection(weights, x)
-        # the responses start at step 2 of an impulse at step 1
-        at = (origin + 1 + np.arange(12 + responses.shape[-1] - 1)) % n_fft
-        keep = at < nt
-        for d, r in zip(signals.reshape(-1, 12), responses):
-            for o in range(2):
-                np.add.at(out[o], at[keep], np.convolve(d, r[o])[keep])
+        They differ at the four steps nearest each window end only, through
+        the data's three samples nearest it, and the difference is skipped
+        where those are zero.  Both sides come from :func:`_injection` on a
+        12-step frame of those samples, the filter's zero-extended so that
+        every difference is centered; the difference is convolved in the
+        FFT's circular frame, which also removes the filtered data's
+        wrap-around.
+        """
+        n_fft, weights, responses = self.n_fft, self.weights, self.responses
+        nt = out.shape[1]
+        # frames of steps -4 .. 7 and nt-8 .. nt+3
+        for origin, first in ((-4, 0), (nt - 8, nt - 3)):
+            x = np.zeros((2, 12), dtype=complex)
+            x[:, first - origin:first - origin + 3] = (
+                tr.values_a[first:first + 3], tr.values_b[first:first + 3])
+            if not np.any(x):
+                continue
+            steps = origin + np.arange(12)
+            inside = (steps >= 0) & (steps < nt)
+            signals = np.zeros((len(weights) // 2, 2, 12), dtype=complex)
+            signals[..., inside] = _injection(weights, x[:, inside])
+            # the loop reads the signals at steps 1 .. nt-2 only
+            signals[..., (steps < 1) | (steps > nt - 2)] = 0.0
+            signals -= _injection(weights, x)
+            # the responses start at step 2 of an impulse at step 1
+            at = (origin + 1 + np.arange(12 + responses.shape[-1] - 1)) % n_fft
+            keep = at < nt
+            for d, r in zip(signals.reshape(-1, 12), responses):
+                for o in range(2):
+                    np.add.at(out[o], at[keep], np.convolve(d, r[o])[keep])
 
-
-def _convolve(grid: GridSpec, kernel: _Kernel, work: tuple,
-              fs: Sequence[BoundaryTrace]) -> list[BoundaryTrace]:
-    """Endpoint traces of the Neumann traces ``fs``, as views of one new
-    block; a non-finite one, from a kernel that overflowed, raises an
-    error.  Every call overwrites the map's FFT arrays ``work``."""
-    n_fft, transfer = kernel.n_fft, kernel.transfer
-    series, spectrum, product, term = work
-    nt = grid.nt
-    out = np.empty((len(fs), 2, nt), dtype=complex)
-    # an overflow gives a non-finite trace, which is rejected by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        checked = _checked(grid, fs, stacklevel=3)
-        for j, (tr, oj) in enumerate(zip(checked, out)):
-            for end, v in enumerate((tr.values_a, tr.values_b)):
-                series[0, end, :nt] = v.real
-                series[1, end, :nt] = v.imag
-            np.fft.rfft(series, n_fft, out=spectrum)
-            # a 2 x 2 contraction over the input ends per frequency, one
-            # output end at a time
-            for o, po in enumerate(np.moveaxis(product, 1, 0)):
-                np.multiply(spectrum[:, 0], transfer[0, o], out=po)
-                np.multiply(spectrum[:, 1], transfer[1, o], out=term)
-                np.add(po, term, out=po)
-            # the inverse overwrites the input, whose tail is zeroed again
-            np.fft.irfft(product, n_fft, out=series)
-            oj.real, oj.imag = series[..., :nt]
-            series[..., nt:] = 0.0
-            _add_edge_terms(oj, tr, kernel)
-            if not np.all(np.isfinite(oj.view(float))):
-                raise ConfigurationError(
-                    f"measured trace {j} has a non-finite sample: the "
-                    "medium overflows the transfer kernel")
-    return [BoundaryTrace(oj[0], oj[1], grid.dt) for oj in out]
-
-
-def _map(grid: GridSpec, kernel: _Kernel):
-    """The map of Neumann traces through ``kernel``.  It owns its FFT work
-    arrays: the zero-padded input (parts, ends, samples), the real and the
-    imaginary part, which the inverse FFT overwrites; its spectrum and the
-    contraction's product, (parts, ends, frequencies); and one output end's
-    term, (parts, frequencies).  They hold 14 real series of n_fft, a
-    spectrum of n_fft // 2 + 1 complex samples counting as one."""
-    n_fft = kernel.n_fft
-    n_freq = n_fft // 2 + 1
-    work = (np.zeros((2, 2, n_fft)), np.empty((2, 2, n_freq), complex),
-            np.empty((2, 2, n_freq), complex), np.empty((2, n_freq), complex))
-    return functools.partial(_convolve, grid, kernel, work)
+    def __call__(self, fs: Sequence[BoundaryTrace]) -> list[BoundaryTrace]:
+        """Endpoint traces of the Neumann traces ``fs``, as views of one new
+        block; a non-finite one, from a kernel that overflowed, raises an
+        error.  Every call overwrites the map's FFT work arrays."""
+        n_fft, transfer, grid = self.n_fft, self.transfer, self.grid
+        series, spectrum, product, term = self.work
+        nt = grid.nt
+        out = np.empty((len(fs), 2, nt), dtype=complex)
+        # an overflow gives a non-finite trace, which is rejected by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            checked = _checked(grid, fs, stacklevel=3)
+            for j, (tr, oj) in enumerate(zip(checked, out)):
+                for end, v in enumerate((tr.values_a, tr.values_b)):
+                    series[0, end, :nt] = v.real
+                    series[1, end, :nt] = v.imag
+                np.fft.rfft(series, n_fft, out=spectrum)
+                # a 2 x 2 contraction over the input ends per frequency, one
+                # output end at a time
+                for o, po in enumerate(np.moveaxis(product, 1, 0)):
+                    np.multiply(spectrum[:, 0], transfer[0, o], out=po)
+                    np.multiply(spectrum[:, 1], transfer[1, o], out=term)
+                    np.add(po, term, out=po)
+                # the inverse overwrites the input, whose tail is zeroed again
+                np.fft.irfft(product, n_fft, out=series)
+                oj.real, oj.imag = series[..., :nt]
+                series[..., nt:] = 0.0
+                self._add_edge_terms(oj, tr)
+                if not np.all(np.isfinite(oj.view(float))):
+                    raise ConfigurationError(
+                        f"measured trace {j} has a non-finite sample: the "
+                        "medium overflows the transfer kernel")
+        return [BoundaryTrace(oj[0], oj[1], grid.dt) for oj in out]
 
 
 def transfer_difference_nd_map(
@@ -610,7 +599,7 @@ def transfer_difference_nd_map(
     traces, _ = _time_loop(grid, _stencil(grid, media), impulses)
     responses = np.concatenate((traces[:, 0], -traces[:, 1]), axis=1) / eps
     weights = _weights(grid, media[..., _ENDS].ravel())
-    return _map(grid, _kernel(grid, responses, weights))
+    return _TransferMap(grid, responses, weights)
 
 
 def transfer_linearized_nd_map(
@@ -634,4 +623,4 @@ def transfer_linearized_nd_map(
     responses = np.concatenate((traces.imag / _STEP * s, traces.real), axis=1)
     w = _weights(grid, sigma[_ENDS])
     weights = np.concatenate((w.real, w.imag / _STEP * s))
-    return _map(grid, _kernel(grid, responses, weights))
+    return _TransferMap(grid, responses, weights)

@@ -526,10 +526,10 @@ class TestTransfer:
         rng = np.random.default_rng(0)
         responses = rng.standard_normal((coarse_grid.nt, 4, 2))
         weights = rng.standard_normal((4, 3))
-        kernel = solver._kernel(coarse_grid, responses, weights)
-        assert kernel.transfer.shape == (2, 2, kernel.n_fft // 2 + 1)
-        assert kernel.responses.shape == (4, 2, coarse_grid.nt - 2)
-        for arr in (kernel.transfer, kernel.responses, kernel.weights):
+        measure = solver._TransferMap(coarse_grid, responses, weights)
+        assert measure.transfer.shape == (2, 2, measure.n_fft // 2 + 1)
+        assert measure.responses.shape == (4, 2, coarse_grid.nt - 2)
+        for arr in (measure.transfer, measure.responses, measure.weights):
             assert not arr.flags.writeable
 
     def test_transfer_maps_build_no_injection_signals(self, coarse_grid,
@@ -659,9 +659,8 @@ class TestTransfer:
         med = _medium(coarse_grid)
         for measure in (transfer_linearized_nd_map(coarse_grid, med),
                         transfer_difference_nd_map(coarse_grid, med, _EPS)):
-            _, kernel, work = measure.args
-            assert (sum(arr.nbytes for arr in work)
-                    <= 14 * 8 * 2 * (kernel.n_fft // 2 + 1))
+            assert (sum(arr.nbytes for arr in measure.work)
+                    <= 14 * 8 * 2 * (measure.n_fft // 2 + 1))
 
 
 class TestDifferenceMap:
