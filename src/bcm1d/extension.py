@@ -10,9 +10,10 @@ on [a, b]; B meets zero at distance 1.  The extension is C^3 across x = a, b,
 which keeps the second time derivative of the resulting Neumann control well
 defined, and C^7 at distance 1.
 
-Profiles are analytic objects (value plus first three derivatives), not grid
-samples: the targets used downstream all have closed-form derivatives, and
-the time-reversal traces need derivative values at arbitrary real arguments.
+A profile is one function, phi(x) -> (phi, phi', phi'', phi'''), not grid
+samples: the targets used downstream all have closed-form derivatives, the
+time-reversal traces need all four at the same arbitrary real arguments, and
+one call shares the trigonometric evaluations among them.
 
 The geometry of an evaluation, which points fall in (a - 1, b + 1) and the
 bump factors there, does not depend on the profile.  It is a plan of its
@@ -22,41 +23,29 @@ grid-determined points, build it once per grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-ArrayFunc = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class AnalyticProfile:
-    """A scalar function of one variable with three analytic derivatives."""
-
-    value: ArrayFunc
-    deriv1: ArrayFunc
-    deriv2: ArrayFunc
-    deriv3: ArrayFunc
+# phi(x) -> (phi, phi', phi'', phi''') at the points x
+AnalyticProfile = Callable[[np.ndarray], tuple]
 
 
 def sine_profile(kappa: float) -> AnalyticProfile:
-    return AnalyticProfile(
-        lambda x: np.sin(kappa * np.asarray(x)),
-        lambda x: kappa * np.cos(kappa * np.asarray(x)),
-        lambda x: -(kappa**2) * np.sin(kappa * np.asarray(x)),
-        lambda x: -(kappa**3) * np.cos(kappa * np.asarray(x)),
-    )
+    def phi(x):
+        kx = kappa * np.asarray(x)
+        s, c = np.sin(kx), np.cos(kx)
+        return s, kappa * c, -(kappa**2) * s, -(kappa**3) * c
+    return phi
 
 
 def cosine_profile(kappa: float) -> AnalyticProfile:
-    return AnalyticProfile(
-        lambda x: np.cos(kappa * np.asarray(x)),
-        lambda x: -kappa * np.sin(kappa * np.asarray(x)),
-        lambda x: -(kappa**2) * np.cos(kappa * np.asarray(x)),
-        lambda x: kappa**3 * np.sin(kappa * np.asarray(x)),
-    )
+    def phi(x):
+        kx = kappa * np.asarray(x)
+        s, c = np.sin(kx), np.cos(kx)
+        return c, -kappa * s, -(kappa**2) * c, kappa**3 * s
+    return phi
 
 
 def _bump_factors(u: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -78,9 +67,8 @@ def _bump_factors(u: np.ndarray) -> tuple[np.ndarray, ...]:
 class _Plan(NamedTuple):
     """The points where the extension is nonzero, and the bump factors there.
 
-    ``index`` selects from the flattened points those in (a - 1, b + 1), a
-    slice when they are contiguous, as for monotone points, else a mask;
-    ``points`` are the points it selects and ``B`` the bump factors
+    ``index`` is the boolean mask of the flattened points in (a - 1, b + 1);
+    ``points`` are the points it selects, a copy, and ``B`` the bump factors
     B .. B''' at their signed distances from [a, b], (1, 0, 0, 0) on [a, b]
     itself.  A plan depends on the points and the domain only, so one
     serves every profile evaluated at those points; its arrays are
@@ -88,35 +76,28 @@ class _Plan(NamedTuple):
     """
 
     shape: tuple[int, ...]
-    index: slice | np.ndarray
+    index: np.ndarray
     points: np.ndarray
     B: tuple
 
 
 def _plan(a: float, b: float, x) -> _Plan:
-    """The :class:`_Plan` of the extension of a profile on [a, b] at ``x``."""
+    """The :class:`_Plan` of the extension of a profile on [a, b] at ``x``:
+    the mask of the points in (a - 1, b + 1) and the bump factors there."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     flat = x.reshape(-1)
-    inside = (flat > a - 1.0) & (flat < b + 1.0)
-    idx = np.flatnonzero(inside)
-    if idx.size == 0:
-        index = slice(0)
-    elif idx[-1] - idx[0] + 1 == idx.size:
-        index = slice(idx[0], idx[-1] + 1)
-    else:
-        index = inside
-    points = flat[index].copy()  # not a view: a plan keeps only its region
+    index = (flat > a - 1.0) & (flat < b + 1.0)
+    points = flat[index]
     B = _bump_factors(points - np.clip(points, a, b))
-    for arr in (points, *B):
+    for arr in (index, points, *B):
         arr.flags.writeable = False
     return _Plan(x.shape, index, points, B)
 
 
 def _derivatives(phi: AnalyticProfile, plan: _Plan) -> list[np.ndarray]:
     """:func:`extended_derivatives` at the points of ``plan``."""
-    derivs = (phi.value, phi.deriv1, phi.deriv2, phi.deriv3)
-    p = [deriv(plan.points) for deriv in derivs]
-    res = [np.zeros(plan.shape, dtype=complex) for _ in derivs]
+    p = phi(plan.points)
+    res = [np.zeros(plan.shape, dtype=complex) for _ in p]
     for k, r in enumerate(res):  # product rule
         r.reshape(-1)[plan.index] = sum(comb(k, j) * p[k - j] * plan.B[j]
                                         for j in range(k + 1))
@@ -130,9 +111,9 @@ def extended_derivatives(phi: AnalyticProfile, a: float, b: float,
     The extension is ``phi`` times the bump factor of the signed distance
     from [a, b] on (a-1, b+1), which is ``phi`` itself on [a, b], and is
     identically zero outside.  Its derivatives are assembled by the product
-    rule with the analytic bump-factor derivatives, so ``phi`` must supply
-    three derivatives on [a-1, b+1].  The bump factors and each derivative
-    of ``phi`` are evaluated once and shared by all orders.  The geometry,
+    rule with the analytic bump-factor derivatives, so ``phi(x)`` must
+    return its value and three derivatives on [a-1, b+1].  The bump factors
+    and ``phi`` are evaluated once and shared by all orders.  The geometry,
     which points fall in (a-1, b+1) and the bump factors there, is built
     afresh on each call; ``build_control`` keeps it per grid instead.
     """

@@ -117,12 +117,6 @@ class ReconResult:
     linf: float
 
 
-class TargetSet(NamedTuple):
-    pT_f: AnalyticProfile
-    pT_h: AnalyticProfile
-    lam: complex
-
-
 class ModeData(NamedTuple):
     """Free parameter and the sine (f) and cosine (h) control data of a mode."""
 
@@ -135,12 +129,14 @@ def mode_wavenumber(k: int, grid: GridSpec) -> float:
     return k * np.pi / (grid.b - grid.a)
 
 
-def fourier_targets(k: int, grid: GridSpec) -> TargetSet:
-    """Sine/cosine velocity targets and free parameter for mode ``k``."""
+def fourier_targets(k: int, grid: GridSpec
+                    ) -> tuple[AnalyticProfile, AnalyticProfile, complex]:
+    """Sine/cosine velocity targets and free parameter for mode ``k``:
+    ``(pT_f, pT_h, lam)``."""
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
     kappa = mode_wavenumber(k, grid)
-    return TargetSet(sine_profile(kappa), cosine_profile(kappa), 1j * kappa)
+    return sine_profile(kappa), cosine_profile(kappa), 1j * kappa
 
 
 def add_noise(

@@ -324,13 +324,10 @@ def _time_loop(grid, stencil, inj, source=None):
     ``inj`` (nt, *rows, 2) holds each row's injection signals at a and b for
     steps 1 .. nt-2, and ``source``, if given, the samples S(t_n, .) for
     n = 0 .. nt-2, (nt-1, *rows, nx) or broadcastable to it.  The field has
-    shape (*rows, nx) and the widest dtype of ``inj`` (real if its imaginary
-    part is zero), ``source`` and the stencil.  Returns the endpoint traces
-    (nt, *rows, 2) and the levels at steps T/dt - 1, T/dt and T/dt + 1, in
-    the field's dtype.
+    shape (*rows, nx) and the widest dtype of ``inj``, ``source`` and the
+    stencil.  Returns the endpoint traces (nt, *rows, 2) and the levels at
+    steps T/dt - 1, T/dt and T/dt + 1, in the field's dtype.
     """
-    if np.iscomplexobj(inj) and not np.any(inj.imag):
-        inj = inj.real
     rows, nx = inj.shape[1:-1], grid.nx
     # Taylor first layer: with zero initial data, u_tt(0) = S(0)
     u1 = 0.0 if source is None else (grid.dt**2 / 2.0) * source[0]

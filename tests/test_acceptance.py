@@ -172,8 +172,8 @@ def test_criterion_06_linearized_identity_oracle(exp1, grid):
     for k, (lam, f, h) in enumerate(exp1["data"][:5], start=1):
         # each control with its target snapshot p0(T) on the nodes
         pf, ph, _ = fourier_targets(k, grid)
-        F = (f, np.asarray(pf.value(grid.xs), dtype=complex))
-        H = (h, np.asarray(ph.value(grid.xs), dtype=complex))
+        F = (f, np.asarray(pf(grid.xs)[0], dtype=complex))
+        H = (h, np.asarray(ph(grid.xs)[0], dtype=complex))
         for (a, snap_a), (b, snap_b) in ((F, H), (F, F), (H, H)):
             value = linearized_rhs(a, b, lam, grid)
             vol = weighted_volume_pairing(snap_a, snap_b, sig, grid)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bcm1d import (
-    AnalyticProfile,
     GridSpec,
     build_control,
     cosine_profile,
@@ -98,12 +97,7 @@ def test_control_map_is_linear(coarse_grid):
     lam = 1j * np.pi
     p1, p2 = sine_profile(np.pi), cosine_profile(np.pi)
     al, be = 1.5, -2.0 + 0.5j
-    combo = AnalyticProfile(
-        lambda x: al * p1.value(x) + be * p2.value(x),
-        lambda x: al * p1.deriv1(x) + be * p2.deriv1(x),
-        lambda x: al * p1.deriv2(x) + be * p2.deriv2(x),
-        lambda x: al * p1.deriv3(x) + be * p2.deriv3(x),
-    )
+    combo = lambda x: tuple(al * u + be * v for u, v in zip(p1(x), p2(x)))
     b1 = build_control(p1, lam, coarse_grid)
     b2 = build_control(p2, lam, coarse_grid)
     bc = build_control(combo, lam, coarse_grid)

@@ -1,7 +1,7 @@
 import numpy as np
 import sympy as sp
 
-from bcm1d import AnalyticProfile, cosine_profile, sine_profile
+from bcm1d import cosine_profile, sine_profile
 from bcm1d.extension import _bump_factors, extended_derivatives
 
 A, B = -1.0, 1.0
@@ -16,6 +16,21 @@ def test_bump_factor_derivatives_match_symbolic():
     for order in range(4):
         fn = sp.lambdify(u, sp.diff(expr, u, order), "numpy")
         assert np.allclose(got[order], fn(pts), rtol=1e-10, atol=1e-9)
+
+
+def test_profiles_match_symbolic_derivatives():
+    # independent oracle: differentiate sin(kx) and cos(kx) symbolically
+    x, k = sp.symbols("x kappa")
+    pts = np.linspace(-2.3, 2.3, 41)
+    for kappa in (0.0, 0.7, np.pi, 5 * np.pi / 2):
+        for make, expr in ((sine_profile, sp.sin(k * x)),
+                           (cosine_profile, sp.cos(k * x))):
+            got = make(kappa)(pts)
+            assert len(got) == 4
+            for order in range(4):
+                fn = sp.lambdify((x, k), sp.diff(expr, x, order), "numpy")
+                want = np.broadcast_to(fn(pts, kappa), pts.shape)
+                assert np.allclose(got[order], want, rtol=1e-13, atol=1e-13)
 
 
 def test_extension_is_identity_on_the_domain():
@@ -47,8 +62,8 @@ def test_extension_matches_profile_and_derivatives_inside():
     p = sine_profile(1.7)
     xs = np.concatenate(([A], np.linspace(-0.9, 0.9, 7), [B]))
     ext = extended_derivatives(p, A, B, xs)
-    for order, deriv in enumerate((p.value, p.deriv1, p.deriv2, p.deriv3)):
-        assert np.array_equal(ext[order], deriv(xs))
+    for order, deriv in enumerate(p(xs)):
+        assert np.array_equal(ext[order], deriv)
 
 
 def test_extension_derivatives_consistent_with_finite_differences():
@@ -71,12 +86,7 @@ def test_extension_derivatives_consistent_with_finite_differences():
 def test_extension_linearity():
     p1, p2 = sine_profile(1.0), cosine_profile(2.0)
     al, be = 2.0, -0.5 + 1.0j
-    combo = AnalyticProfile(
-        lambda x: al * p1.value(x) + be * p2.value(x),
-        lambda x: al * p1.deriv1(x) + be * p2.deriv1(x),
-        lambda x: al * p1.deriv2(x) + be * p2.deriv2(x),
-        lambda x: al * p1.deriv3(x) + be * p2.deriv3(x),
-    )
+    combo = lambda x: tuple(al * u + be * v for u, v in zip(p1(x), p2(x)))
     xs = np.linspace(-2.2, 2.2, 97)
     e1 = extended_derivatives(p1, A, B, xs)
     e2 = extended_derivatives(p2, A, B, xs)

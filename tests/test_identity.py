@@ -42,7 +42,7 @@ def mode4_operator_traces(mode4_data, mode4_measure):
 def mode4_snaps(mid_grid):
     """Target snapshots p0(T) of the mode-4 sine and cosine controls."""
     pT_f, pT_h, _ = fourier_targets(4, mid_grid)
-    return tuple(np.asarray(p.value(mid_grid.xs), dtype=complex)
+    return tuple(np.asarray(p(mid_grid.xs)[0], dtype=complex)
                  for p in (pT_f, pT_h))
 
 

@@ -34,13 +34,13 @@ class TestFourierTargets:
     def test_values_at_origin(self, coarse_grid):
         for k in (1, 3, 7):
             pT_f, pT_h, _ = fourier_targets(k, coarse_grid)
-            assert pT_f.value(0.0) == 0.0
-            assert pT_h.value(0.0) == 1.0
+            assert pT_f(0.0)[0] == 0.0
+            assert pT_h(0.0)[0] == 1.0
 
     def test_pythagorean_identity(self, coarse_grid):
         xs = coarse_grid.xs
         pT_f, pT_h, _ = fourier_targets(5, coarse_grid)
-        assert np.allclose(pT_f.value(xs) ** 2 + pT_h.value(xs) ** 2, 1.0)
+        assert np.allclose(pT_f(xs)[0] ** 2 + pT_h(xs)[0] ** 2, 1.0)
 
     def test_invalid_mode(self, coarse_grid):
         with pytest.raises(ValueError):
