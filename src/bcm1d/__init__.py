@@ -16,7 +16,6 @@ from .core import (
     GridSpec,
     MediumSpec,
     UnsupportedRegimeError,
-    discrete_sobolev_norm,
 )
 from .extension import (
     AnalyticProfile,
@@ -26,11 +25,8 @@ from .extension import (
 from .identity import (
     ControlData,
     IdentityReport,
-    StabilityReport,
     linearized_rhs,
     nonlinear_identity_residual,
-    stability_bound_check,
-    weighted_volume_pairing,
 )
 from .recon import (
     LINEARIZED,

@@ -149,7 +149,8 @@ def run_experiment(config: RunConfig) -> int:
         t0 = time.perf_counter()
         result = reconstruct(settings, medium, truth)
         runtime = time.perf_counter() - t0
-    # ConfigurationError is a ValueError; an oversized grid raises MemoryError
+    # ConfigurationError is a ValueError; a failed allocation raises
+    # MemoryError, though a host memory limit may kill the process first
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,12 +37,13 @@ second-derivative data.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BoundaryTrace, GridSpec
+from .core import BoundaryTrace, GridSpec, _is_close_to_integer
 from .extension import (AnalyticProfile, _derivatives, _plan,
                         extended_derivatives)
 from .solver import solve_many
@@ -100,6 +101,22 @@ def build_control(pT: AnalyticProfile, lam: complex,
     return ControlBundle(*(
         BoundaryTrace(at_a, at_b, grid.dt) for at_a, at_b in zip(*traces)
     ))
+
+
+def quiet_steps(grid: GridSpec) -> int:
+    """The number of leading steps at which every trace of
+    :func:`build_control` on ``grid`` vanishes, at both ends.
+
+    The arguments s-+ of a trace reach the extension's support
+    (a - 1, b + 1) only after t = T - (b - a) - 1, so the traces vanish at
+    every step before (T - (b - a) - 1) / dt, rounded down, or to the
+    nearest integer when it is one to rounding.  The step at that time
+    itself can hold a bump factor near 1e-120, when rounding in ``ts`` puts
+    its argument just inside the support.
+    """
+    steps = (grid.T - (grid.b - grid.a) - 1.0) / grid.dt
+    return max(round(steps) if _is_close_to_integer(steps)
+               else math.floor(steps), 0)
 
 
 @dataclass(frozen=True)

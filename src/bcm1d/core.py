@@ -232,27 +232,3 @@ class FourierCoeffs:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-
-def discrete_sobolev_norm(g: BoundaryTrace, s: int) -> float:
-    """Discrete H^s norm of a trace over (0, T) x {a, b} for s in {0, 1, 2}.
-
-    A trace holds 2T/dt + 1 samples, so the window ends at its middle
-    sample; a trace of even length has no middle and is rejected.  Time
-    derivatives of the restricted series are taken with second-order
-    centered differences (one-sided at the ends); each derivative's squared
-    L2 norm is accumulated by composite trapezoid.
-    """
-    if s not in (0, 1, 2):
-        raise ValueError(f"s must be in {{0, 1, 2}}, got {s}")
-    if len(g) % 2 == 0:
-        raise GridMismatchError(f"a trace has 2T/dt + 1 samples, got {len(g)}")
-    j = len(g) // 2
-    if j + 1 < 3:
-        raise ValueError("too few samples for second-order differences")
-    total = 0.0
-    for series in (g.values_a[: j + 1], g.values_b[: j + 1]):
-        deriv = series
-        for _ in range(s + 1):
-            total += float(np.trapezoid(np.abs(deriv) ** 2, dx=g.dt))
-            deriv = np.gradient(deriv, g.dt, edge_order=2)
-    return float(np.sqrt(total))

@@ -14,7 +14,7 @@ interior product
 
     int_a^b sigma_dot p0^f(T) p0^h(T) dx
 
-from linearized measurements alone.  Both are checked here against
+from linearized measurements alone.  The tests check both against
 independent volume quadrature.
 
 Each control enters as one :class:`ControlData` record: the control, its
@@ -36,16 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BoundaryTrace,
-    GridMismatchError,
-    GridSpec,
-    discrete_sobolev_norm,
-)
+from .core import BoundaryTrace, GridMismatchError, GridSpec
 from .solver import solve_many
 
 _RESIDUAL_FLOOR = 1e-12
-_STABILITY_SLACK = 0.05
 
 
 @dataclass(frozen=True)
@@ -109,21 +103,6 @@ def linearized_rhs(
     )
 
 
-def weighted_volume_pairing(
-    pf: np.ndarray, ph: np.ndarray, sigma_dot: np.ndarray, grid: GridSpec
-) -> complex:
-    """int_a^b sigma_dot(x) p^f(x) p^h(x) dx by composite trapezoid (bilinear)."""
-    pf = np.asarray(pf)
-    ph = np.asarray(ph)
-    sigma_dot = np.asarray(sigma_dot)
-    if not pf.shape == ph.shape == sigma_dot.shape == (grid.nx,):
-        raise ValueError(
-            f"sample arrays must all have length {grid.nx}, got "
-            f"{pf.shape}, {ph.shape}, {sigma_dot.shape}"
-        )
-    return complex(np.trapezoid(sigma_dot * pf * ph, dx=grid.dx))
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     lhs: complex
@@ -161,38 +140,3 @@ def nonlinear_identity_residual(f, h, sigma, grid: GridSpec) -> IdentityReport:
         rel = 0.0
     return IdentityReport(lhs=lhs, rhs=rhs, rel_residual=rel)
 
-
-@dataclass(frozen=True)
-class StabilityReport:
-    lhs_abs: float
-    bound: float
-    ok: bool
-
-
-def stability_bound_check(
-    f: ControlData, h: ControlData, lam: complex, grid: GridSpec,
-    meas_f: BoundaryTrace, meas_h: BoundaryTrace,
-) -> StabilityReport:
-    """Cauchy-Schwarz chain bounding the identity value by trace norms.
-
-    Checks |linearized_rhs| <= (2 + |lam|) ||f||_H1 ||Lh||_H2
-                               + (1 + |lam|) ||Lf||_H2 ||h||_H1
-    with discrete Sobolev norms over (0, T) x {a, b}; a 5% slack absorbs
-    the discretization of the norms.  ``meas_f`` and ``meas_h`` are the
-    measured responses Lf and Lh to the controls themselves.
-    """
-    lhs_abs = abs(linearized_rhs(f, h, lam, grid))
-    lam_abs = abs(lam)
-    bound = (
-        (2.0 + lam_abs)
-        * discrete_sobolev_norm(f.g, 1)
-        * discrete_sobolev_norm(meas_h, 2)
-        + (1.0 + lam_abs)
-        * discrete_sobolev_norm(meas_f, 2)
-        * discrete_sobolev_norm(h.g, 1)
-    )
-    return StabilityReport(
-        lhs_abs=lhs_abs,
-        bound=bound,
-        ok=lhs_abs <= bound * (1.0 + _STABILITY_SLACK),
-    )

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .control import build_control
+from .control import build_control, quiet_steps
 from .core import (
     BoundaryTrace,
     ConfigurationError,
@@ -101,11 +101,15 @@ class ReconSettings:
         """The map from driven traces to measured traces in ``medium``: the
         linearized ND map, or its difference quotient (nonlinear data at
         damping sigma0 + eps sigma_dot (+ eps^2 sigma_ddot) minus those at
-        sigma0, over eps).  The map's kernel is built here, once."""
+        sigma0, over eps).  The map's kernel is built here, once.  The map
+        takes the reconstruction controls only: it skips the steps before
+        :func:`~bcm1d.control.quiet_steps`, where they vanish, and refuses
+        data that do not."""
+        quiet = quiet_steps(self.grid)
         if self.data_mode == LINEARIZED:
-            return transfer_linearized_nd_map(self.grid, medium)
+            return transfer_linearized_nd_map(self.grid, medium, quiet=quiet)
         return transfer_difference_nd_map(self.grid, medium,
-                                          self.eps_linearization)
+                                          self.eps_linearization, quiet=quiet)
 
 
 @dataclass(frozen=True)

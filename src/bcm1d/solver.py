@@ -87,17 +87,29 @@ signals depart from the filtered data (the four steps nearest each window
 end, from the data's three samples nearest it) the kernel's time-domain
 responses add the exact difference, taken from the same tap table: the
 stepper's signals of those samples minus the filter's, skipped when the
-samples are zero, as they are for the reconstruction controls.  The map
-owns its FFT work arrays, 14 real series of the FFT length, and writes them
-on every call, so one map must not be called from two threads at once.  A
-call copies each trace straight into the zero-padded input and allocates
-only its result: the traces of one call are views of one new block, never
-of the work arrays.  The backend agrees with the stepper to about 1e-13
-relative; the stepper stays the reference it is tested against, and alone
-serves sources and snapshots at T.  Every map rejects Neumann data with a
-non-finite sample, which would silently spread NaN over both endpoint
-outputs, the stepper rejects such a source sample likewise, and the
-backend rejects a non-finite output.
+samples are zero, as they are for the reconstruction controls.
+
+A map built with ``quiet`` takes only data that vanish before that step,
+as the reconstruction controls do before T - (b - a) - 1.  The filter
+reads two steps either side, so the fields are at rest through step
+quiet - 2, and the map runs the scheme on the window from step
+start = max(quiet - 3, 0) to nt - 1: its kernel's loop pass, FFT length
+and work arrays are sized for the window, its outputs before it are exact
+zeros, and the window's start frame sits on zeros.  A trace nonzero before
+``quiet`` is refused by name, never cut short.  On the paper grid the
+controls' 5000 quiet steps of 25001 leave 20004: the loop takes 20002
+steps instead of 24999, and the FFT length is 40500 instead of 50000.  The
+map owns its FFT work arrays, 14 real series of the FFT length (4.5 MB on
+the paper grid for the controls' window, 5.6 MB for the whole), and writes
+them on every call, so one map must not be called from two threads at
+once.  A call copies each trace's window straight into the zero-padded
+input and allocates only its result: the traces of one call are views of
+one new block, never of the work arrays.  The backend agrees with the
+stepper to about 1e-13 relative; the stepper stays the reference it is
+tested against, and alone serves sources and snapshots at T.  Every map
+rejects Neumann data with a non-finite sample, which would silently spread
+NaN over both endpoint outputs, the stepper rejects such a source sample
+likewise, and the backend rejects a non-finite output.
 """
 
 from __future__ import annotations
@@ -150,10 +162,11 @@ def _check_cfl(grid: GridSpec) -> None:
 
 
 def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
-             stacklevel: int):
+             stacklevel: int, quiet: int = 0):
     """Yield each Neumann trace once it is checked: its length and step,
-    its samples finite, and at most one warning, ``stacklevel`` frames up
-    from the generator, for data that do not vanish at t = 0."""
+    its samples finite and zero before step ``quiet``, and at most one
+    warning, ``stacklevel`` frames up from the generator, for data that do
+    not vanish at t = 0."""
     warned = False
     for j, tr in enumerate(neumanns):
         if len(tr) != grid.nt or tr.dt != grid.dt:
@@ -166,6 +179,13 @@ def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
             raise ConfigurationError(
                 f"Neumann trace {j} has a non-finite sample"
             )
+        for name, v in zip("ab", ends):
+            early = np.flatnonzero(v[:quiet])
+            if early.size:
+                raise ConfigurationError(
+                    f"Neumann trace {j} is nonzero at step {early[0]} at "
+                    f"{name}; this map takes data that vanish before step "
+                    f"{quiet}")
         first = max(abs(v[0]) for v in ends)
         # the scale is at least 1, so only a t = 0 sample above the
         # tolerance can warn
@@ -321,12 +341,13 @@ class _Level(NamedTuple):
 def _time_loop(grid, stencil, inj, source=None):
     """Advance rows of nodes from u^0 = 0 and u^1 = dt^2 S(0) / 2.
 
-    ``inj`` (nt, *rows, 2) holds each row's injection signals at a and b for
-    steps 1 .. nt-2, and ``source``, if given, the samples S(t_n, .) for
-    n = 0 .. nt-2, (nt-1, *rows, nx) or broadcastable to it.  The field has
-    shape (*rows, nx) and the widest dtype of ``inj``, ``source`` and the
-    stencil.  Returns the endpoint traces (nt, *rows, 2) and the levels at
-    steps T/dt - 1, T/dt and T/dt + 1, in the field's dtype.
+    ``inj`` (steps, *rows, 2), steps = nt for a solve, holds each row's
+    injection signals at a and b for steps 1 .. steps-2, and ``source``, if
+    given, the samples S(t_n, .) for n = 0 .. steps-2, (steps-1, *rows, nx)
+    or broadcastable to it.  The field has shape (*rows, nx) and the widest
+    dtype of ``inj``, ``source`` and the stencil.  Returns the endpoint
+    traces (steps, *rows, 2) and the levels reached at steps T/dt - 1, T/dt
+    and T/dt + 1, in the field's dtype.
     """
     rows, nx = inj.shape[1:-1], grid.nx
     # Taylor first layer: with zero initial data, u_tt(0) = S(0)
@@ -352,7 +373,7 @@ def _time_loop(grid, stencil, inj, source=None):
     tmp_head, tmp_tail, tmp_nodes = tmp.head, tmp.tail, tmp.nodes
     carry_flat, right_head, left_tail = carry.flat, right.head, left.tail
     gain_nodes = gain.nodes
-    for n in range(1, grid.nt - 1):
+    for n in range(1, len(inj) - 1):
         sub(u_tail, u_head, diff_head)
         diff_slots[...] = outer[n]
         mul(v_flat, carry_flat, v_flat)
@@ -452,30 +473,52 @@ def _fft_length(n: int) -> int:
         m += 1
 
 
+def _window_start(grid: GridSpec, weights: np.ndarray, quiet: int) -> int:
+    """The first step of the window of a transfer map for data that vanish
+    before step ``quiet``: a signal reads r = weights.shape[-1] - 1 steps
+    either side, so the window opens at rest, r + 1 steps before ``quiet``.
+    It must keep the 7 steps of the coarsest grid :func:`_check_cfl`
+    admits, on which the samples the two edge frames read stay apart."""
+    start = max(quiet - weights.shape[-1], 0)
+    if quiet < 0 or grid.nt - start < 7:
+        raise ConfigurationError(
+            f"quiet = {quiet} is out of range: it must be non-negative and "
+            f"leave a transfer map's window at least 7 of the grid's "
+            f"{grid.nt} steps")
+    return start
+
+
 class _TransferMap:
     """Neumann traces to endpoint traces through a medium's transfer kernel.
 
-    ``responses`` (nt, signals, output end) are the loop's traces of a unit
-    impulse at step 1 in each injection signal, signal s at end s % 2, and
-    ``weights`` (signals, 3) those signals' taps (see :func:`_weights`).  The
-    responses are transformed and each multiplied by its signal's filter
-    w0 + w1 z + w2 z^2, z = 2i sin(omega), the spectrum of its weights; the
-    signals of one input end then add up into ``transfer``.  The kernel's
-    arrays are read-only.  The FFT work arrays are the zero-padded input
-    (parts, ends, samples), which the inverse FFT overwrites; its spectrum
-    and the contraction's product, (parts, ends, frequencies); and one
-    output end's term, (parts, frequencies): 14 real series of n_fft, a
-    spectrum of n_fft // 2 + 1 complex samples counting as one.
+    The map runs on a window, steps start .. nt-1, for data that vanish
+    before step ``quiet`` (see :func:`_window_start`), and refuses data that
+    do not: before it the fields are at rest and the outputs zero.
+    ``responses`` (window steps, signals, output end) are the loop's traces
+    of a unit impulse at step 1 in each injection signal, signal s at end
+    s % 2, and ``weights`` (signals, 3) those signals' taps (see
+    :func:`_weights`).  The responses are transformed and each multiplied by
+    its signal's filter w0 + w1 z + w2 z^2, z = 2i sin(omega), the spectrum
+    of its weights; the signals of one input end then add up into
+    ``transfer``.  The kernel's arrays are read-only.  The FFT work arrays
+    are the zero-padded input (parts, ends, samples), which the inverse FFT
+    overwrites; its spectrum and the contraction's product, (parts, ends,
+    frequencies); and one output end's term, (parts, frequencies): 14 real
+    series of n_fft, a spectrum of n_fft // 2 + 1 complex samples counting
+    as one; 4.5 MB on the paper grid for the controls' window, 5.6 MB for
+    the whole.
     """
 
     def __init__(self, grid: GridSpec, responses: np.ndarray,
-                 weights: np.ndarray):
-        self.grid = grid
-        # (signals, output end, steps 1 .. nt-1)
+                 weights: np.ndarray, quiet: int = 0):
+        self.grid, self.quiet = grid, quiet
+        steps = len(responses)
+        self.start = grid.nt - steps
+        # (signals, output end, steps 1 .. steps-1 of the window)
         responses = np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1))
         # no wrap-around: exact signals and responses both span fewer than
-        # nt - 1 steps (the edge terms cancel the filtered data's longer reach)
-        self.n_fft = n_fft = _fft_length(2 * grid.nt - 3)
+        # steps - 1 (the edge terms cancel the filtered data's longer reach)
+        self.n_fft = n_fft = _fft_length(2 * steps - 3)
         n_freq = n_fft // 2 + 1
         z = 2j * np.sin(2.0 * np.pi * np.arange(n_freq) / n_fft)
         w0, w1, w2 = weights.T[..., None]
@@ -484,7 +527,7 @@ class _TransferMap:
         # (input end, output end, frequencies), C-contiguous with
         # frequencies last: the contraction runs along them
         self.transfer = spectrum.reshape(-1, 2, 2, n_freq).sum(axis=0)
-        # (signals, output end, steps 2 .. nt-1): the field at step 1 is zero
+        # (signals, output end, steps 2 ..): the field at step 1 is zero
         self.responses = responses[..., 1:].copy()
         self.weights = weights
         for arr in (self.transfer, self.responses, weights):
@@ -495,25 +538,26 @@ class _TransferMap:
                      np.empty((2, 2, n_freq), complex),
                      np.empty((2, n_freq), complex))
 
-    def _add_edge_terms(self, out: np.ndarray, tr: BoundaryTrace) -> None:
-        """Add to the traces ``out`` (2, nt) of the Neumann trace ``tr`` the
-        response to the stepper's injection signals minus the filtered data.
+    def _add_edge_terms(self, out: np.ndarray, g) -> None:
+        """Add to the traces ``out`` (2, steps) of the window's data ``g``,
+        a series per end, the response to the stepper's injection signals
+        minus the filtered data.
 
         They differ at the four steps nearest each window end only, through
         the data's three samples nearest it, and the difference is skipped
-        where those are zero.  Both sides come from :func:`_injection` on a
-        12-step frame of those samples, the filter's zero-extended so that
-        every difference is centered; the difference is convolved in the
-        FFT's circular frame, which also removes the filtered data's
-        wrap-around.
+        where those are zero, as at the start of a window that opens before
+        its data.  Both sides come from :func:`_injection` on a 12-step
+        frame of those samples, the filter's zero-extended so that every
+        difference is centered; the difference is convolved in the FFT's
+        circular frame, which also removes the filtered data's wrap-around.
         """
         n_fft, weights, responses = self.n_fft, self.weights, self.responses
         nt = out.shape[1]
         # frames of steps -4 .. 7 and nt-8 .. nt+3
         for origin, first in ((-4, 0), (nt - 8, nt - 3)):
             x = np.zeros((2, 12), dtype=complex)
-            x[:, first - origin:first - origin + 3] = (
-                tr.values_a[first:first + 3], tr.values_b[first:first + 3])
+            x[:, first - origin:first - origin + 3] = [
+                v[first:first + 3] for v in g]
             if not np.any(x):
                 continue
             steps = origin + np.arange(12)
@@ -532,19 +576,23 @@ class _TransferMap:
 
     def __call__(self, fs: Sequence[BoundaryTrace]) -> list[BoundaryTrace]:
         """Endpoint traces of the Neumann traces ``fs``, as views of one new
-        block; a non-finite one, from a kernel that overflowed, raises an
-        error.  Every call overwrites the map's FFT work arrays."""
+        block; a trace nonzero before step ``quiet`` raises an error, and so
+        does a non-finite result, from a kernel that overflowed.  Every call
+        overwrites the map's FFT work arrays."""
         n_fft, transfer, grid = self.n_fft, self.transfer, self.grid
         series, spectrum, product, term = self.work
-        nt = grid.nt
-        out = np.empty((len(fs), 2, nt), dtype=complex)
+        start, steps = self.start, grid.nt - self.start
+        out = np.empty((len(fs), 2, grid.nt), dtype=complex)
+        # at rest before the window
+        out[..., :start] = 0.0
         # an overflow gives a non-finite trace, which is rejected by name
         with np.errstate(over="ignore", invalid="ignore"):
-            checked = _checked(grid, fs, stacklevel=3)
+            checked = _checked(grid, fs, stacklevel=3, quiet=self.quiet)
             for j, (tr, oj) in enumerate(zip(checked, out)):
-                for end, v in enumerate((tr.values_a, tr.values_b)):
-                    series[0, end, :nt] = v.real
-                    series[1, end, :nt] = v.imag
+                g = [v[start:] for v in (tr.values_a, tr.values_b)]
+                for end, v in enumerate(g):
+                    series[0, end, :steps] = v.real
+                    series[1, end, :steps] = v.imag
                 np.fft.rfft(series, n_fft, out=spectrum)
                 # a 2 x 2 contraction over the input ends per frequency, one
                 # output end at a time
@@ -554,9 +602,10 @@ class _TransferMap:
                     np.add(po, term, out=po)
                 # the inverse overwrites the input, whose tail is zeroed again
                 np.fft.irfft(product, n_fft, out=series)
-                oj.real, oj.imag = series[..., :nt]
-                series[..., nt:] = 0.0
-                self._add_edge_terms(oj, tr)
+                window = oj[:, start:]
+                window.real, window.imag = series[..., :steps]
+                series[..., steps:] = 0.0
+                self._add_edge_terms(window, g)
                 if not np.all(np.isfinite(oj.view(float))):
                     raise ConfigurationError(
                         f"measured trace {j} has a non-finite sample: the "
@@ -565,7 +614,7 @@ class _TransferMap:
 
 
 def transfer_difference_nd_map(
-    grid: GridSpec, medium: MediumSpec, eps: float
+    grid: GridSpec, medium: MediumSpec, eps: float, quiet: int = 0
 ) -> Callable[[Sequence[BoundaryTrace]], list[BoundaryTrace]]:
     """The map from Neumann traces to
     (Lambda(sigma0 + eps sigma_dot + eps^2 sigma_ddot) - Lambda(sigma0)) / eps
@@ -575,8 +624,9 @@ def transfer_difference_nd_map(
     Making the map checks its arguments and runs the one time loop of its
     kernel, so the map measures the medium as it was then.  It agrees with
     the stepper's quotient to about 1e-13 of either medium's traces / eps.
-    The map writes work arrays of its own: do not call it from two threads
-    at once.
+    The map takes only data that vanish before step ``quiet`` and skips
+    those steps (see the module docstring).  The map writes work arrays of
+    its own: do not call it from two threads at once.
     """
     _check_cfl(grid)
     if not (np.isfinite(eps) and eps > 0):
@@ -591,33 +641,39 @@ def transfer_difference_nd_map(
     # unit impulses at step 1 in both media as rows (media, impulse end);
     # the background's signals enter negated, each medium with its weights
     media = np.stack((full, np.full(grid.nx, medium.sigma0)))[:, None]
-    impulses = np.zeros((grid.nt, 2, 2, 2))  # (steps, *rows, output end)
+    weights = _weights(grid, media[..., _ENDS].ravel())
+    start = _window_start(grid, weights, quiet)
+    # (steps of the window, *rows, output end)
+    impulses = np.zeros((grid.nt - start, 2, 2, 2))
     impulses[1] = np.eye(2)
     traces, _ = _time_loop(grid, _stencil(grid, media), impulses)
     responses = np.concatenate((traces[:, 0], -traces[:, 1]), axis=1) / eps
-    weights = _weights(grid, media[..., _ENDS].ravel())
-    return _TransferMap(grid, responses, weights)
+    return _TransferMap(grid, responses, weights, quiet)
 
 
 def transfer_linearized_nd_map(
-    grid: GridSpec, medium: MediumSpec
+    grid: GridSpec, medium: MediumSpec, quiet: int = 0
 ) -> Callable[[Sequence[BoundaryTrace]], list[BoundaryTrace]]:
     """The map from Neumann traces to the linearized measurements of
     :func:`linearized_nd_map_many`, by one convolution each.
 
     Making the map checks its arguments and runs the one time loop of its
     kernel, so the map measures the medium as it was then.  It agrees with
-    the stepper, its oracle, to about 1e-13 relative.  The map writes
-    work arrays of its own: do not call it from two threads at once.
+    the stepper, its oracle, to about 1e-13 relative.  The map takes only
+    data that vanish before step ``quiet`` and skips those steps (see the
+    module docstring).  The map writes work arrays of its own: do not call
+    it from two threads at once.
     """
     _check_cfl(grid)
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     sigma, s = _complex_step(medium.sigma0, sd)
-    impulses = np.zeros((grid.nt, 2, 2))  # (steps, impulse end, output end)
+    w = _weights(grid, sigma[_ENDS])
+    start = _window_start(grid, w, quiet)
+    # (steps of the window, impulse end, output end)
+    impulses = np.zeros((grid.nt - start, 2, 2))
     impulses[1] = np.eye(2)
     traces, _ = _time_loop(grid, _stencil(grid, sigma), impulses)
     # d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R); / h first, then * s
     responses = np.concatenate((traces.imag / _STEP * s, traces.real), axis=1)
-    w = _weights(grid, sigma[_ENDS])
     weights = np.concatenate((w.real, w.imag / _STEP * s))
-    return _TransferMap(grid, responses, weights)
+    return _TransferMap(grid, responses, weights, quiet)

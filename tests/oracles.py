@@ -1,0 +1,94 @@
+"""Norms, quadratures and bounds that the tests check the pipeline against.
+
+None of these is part of a reconstruction: the volume pairing is the
+interior side the linearized identity is checked against, and the
+stability chain bounds an identity value by discrete Sobolev norms of
+its traces.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from bcm1d import BoundaryTrace, GridMismatchError, GridSpec, linearized_rhs
+from bcm1d.identity import ControlData
+
+_STABILITY_SLACK = 0.05
+
+
+def discrete_sobolev_norm(g: BoundaryTrace, s: int) -> float:
+    """Discrete H^s norm of a trace over (0, T) x {a, b} for s in {0, 1, 2}.
+
+    A trace holds 2T/dt + 1 samples, so the window ends at its middle
+    sample; a trace of even length has no middle and is rejected.  Time
+    derivatives of the restricted series are taken with second-order
+    centered differences (one-sided at the ends); each derivative's squared
+    L2 norm is accumulated by composite trapezoid.
+    """
+    if s not in (0, 1, 2):
+        raise ValueError(f"s must be in {{0, 1, 2}}, got {s}")
+    if len(g) % 2 == 0:
+        raise GridMismatchError(f"a trace has 2T/dt + 1 samples, got {len(g)}")
+    j = len(g) // 2
+    if j + 1 < 3:
+        raise ValueError("too few samples for second-order differences")
+    total = 0.0
+    for series in (g.values_a[: j + 1], g.values_b[: j + 1]):
+        deriv = series
+        for _ in range(s + 1):
+            total += float(np.trapezoid(np.abs(deriv) ** 2, dx=g.dt))
+            deriv = np.gradient(deriv, g.dt, edge_order=2)
+    return float(np.sqrt(total))
+
+
+def weighted_volume_pairing(
+    pf: np.ndarray, ph: np.ndarray, sigma_dot: np.ndarray, grid: GridSpec
+) -> complex:
+    """int_a^b sigma_dot(x) p^f(x) p^h(x) dx by composite trapezoid (bilinear)."""
+    pf = np.asarray(pf)
+    ph = np.asarray(ph)
+    sigma_dot = np.asarray(sigma_dot)
+    if not pf.shape == ph.shape == sigma_dot.shape == (grid.nx,):
+        raise ValueError(
+            f"sample arrays must all have length {grid.nx}, got "
+            f"{pf.shape}, {ph.shape}, {sigma_dot.shape}"
+        )
+    return complex(np.trapezoid(sigma_dot * pf * ph, dx=grid.dx))
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    lhs_abs: float
+    bound: float
+    ok: bool
+
+
+def stability_bound_check(
+    f: ControlData, h: ControlData, lam: complex, grid: GridSpec,
+    meas_f: BoundaryTrace, meas_h: BoundaryTrace,
+) -> StabilityReport:
+    """Cauchy-Schwarz chain bounding the identity value by trace norms.
+
+    Checks |linearized_rhs| <= (2 + |lam|) ||f||_H1 ||Lh||_H2
+                               + (1 + |lam|) ||Lf||_H2 ||h||_H1
+    with discrete Sobolev norms over (0, T) x {a, b}; a 5% slack absorbs
+    the discretization of the norms.  ``meas_f`` and ``meas_h`` are the
+    measured responses Lf and Lh to the controls themselves.
+    """
+    lhs_abs = abs(linearized_rhs(f, h, lam, grid))
+    lam_abs = abs(lam)
+    bound = (
+        (2.0 + lam_abs)
+        * discrete_sobolev_norm(f.g, 1)
+        * discrete_sobolev_norm(meas_h, 2)
+        + (1.0 + lam_abs)
+        * discrete_sobolev_norm(meas_f, 2)
+        * discrete_sobolev_norm(h.g, 1)
+    )
+    return StabilityReport(
+        lhs_abs=lhs_abs,
+        bound=bound,
+        ok=lhs_abs <= bound * (1.0 + _STABILITY_SLACK),
+    )

@@ -22,13 +22,13 @@ from bcm1d import (
     nonlinear_identity_residual,
     projection_truth,
     reconstruct_from_data,
-    stability_bound_check,
     verify_control,
-    weighted_volume_pairing,
 )
 from bcm1d.cli import (_mms_error, main, piecewise_perturbation,
                        smooth_perturbation, smooth_pulse_trace)
 from bcm1d.recon import NONLINEAR_DIFFERENCE, fourier_targets
+
+from oracles import stability_bound_check, weighted_volume_pairing
 
 N_MODES = 10
 SEEDS = range(11)

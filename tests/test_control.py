@@ -5,10 +5,12 @@ from bcm1d import (
     GridSpec,
     build_control,
     cosine_profile,
+    fourier_targets,
     sine_profile,
     solve_many,
     verify_control,
 )
+from bcm1d.control import quiet_steps
 from bcm1d.extension import extended_derivatives
 
 
@@ -168,3 +170,51 @@ def test_verify_control_zero_gradient_target(coarse_grid):
     p_want = np.ones(coarse_grid.nx)
     assert rep.err_p == (np.linalg.norm(out_t.uT_snapshot - p_want)
                          / np.linalg.norm(p_want))
+
+
+def _lead_in(bundle, quiet):
+    """Each series of ``bundle``'s traces is zero before step ``quiet`` and
+    nonzero among the three steps from it on."""
+    for tr in bundle:
+        for v in (tr.values_a, tr.values_b):
+            assert not np.any(v[:quiet])
+            assert np.any(v[quiet:quiet + 3])
+
+
+@pytest.mark.parametrize("T", [3.0, 4.0, 5.0, 7.0])
+def test_quiet_steps_is_the_controls_lead_in(T):
+    # the bound is safe (zero before it) and tight (nonzero right after it)
+    grid = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, T)
+    quiet = quiet_steps(grid)
+    assert quiet == round((T - 3.0) * 500)
+    for k in range(1, 6):
+        pT_f, pT_h, lam = fourier_targets(k, grid)
+        for pT in (pT_f, pT_h):
+            _lead_in(build_control(pT, lam, grid), quiet)
+
+
+def test_quiet_steps_on_the_paper_grid():
+    grid = GridSpec(-1.0, 1.0, 1.0 / 250, 1.0 / 2500, 5.0)
+    assert quiet_steps(grid) == 5000
+    pT_f, pT_h, lam = fourier_targets(3, grid)
+    for pT in (pT_f, pT_h):
+        _lead_in(build_control(pT, lam, grid), 5000)
+
+
+def test_quiet_steps_bounds_the_steps_before_it_only():
+    # the step at T - (b - a) - 1 itself can hold a bump factor near 1e-120,
+    # when rounding in ts puts its argument just inside (a - 1, b + 1)
+    grid = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 196, 3.5)
+    quiet = quiet_steps(grid)
+    assert quiet == 98
+    pT_f, _, lam = fourier_targets(1, grid)
+    bundle = build_control(pT_f, lam, grid)
+    _lead_in(bundle, quiet)
+    at = np.abs(np.stack((bundle.f.values_a[quiet], bundle.f.values_b[quiet])))
+    assert 0.0 < np.max(at) < 1e-100
+
+
+def test_quiet_steps_at_the_minimal_window():
+    # T = (b - a) + 1, also where (T - (b - a) - 1) / dt rounds to -1e-15
+    assert quiet_steps(GridSpec(-1.0, 1.0, 0.04, 0.04, 3.0)) == 0
+    assert quiet_steps(GridSpec(0.0, 0.9, 0.1, 0.1, 1.9)) == 0

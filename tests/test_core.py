@@ -9,9 +9,10 @@ from bcm1d import (
     GridMismatchError,
     GridSpec,
     MediumSpec,
-    discrete_sobolev_norm,
 )
 from bcm1d.identity import _pair
+
+from oracles import discrete_sobolev_norm
 
 
 class TestGridSpec:

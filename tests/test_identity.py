@@ -9,14 +9,13 @@ from bcm1d import (
     acquire_clean_pair_data,
     linearized_rhs,
     nonlinear_identity_residual,
-    stability_bound_check,
-    weighted_volume_pairing,
 )
 from bcm1d.cli import smooth_pulse_trace
 from bcm1d.identity import ControlData
 from bcm1d.recon import fourier_targets
 
 from conftest import smooth_sigma_dot
+from oracles import stability_bound_check, weighted_volume_pairing
 
 
 @pytest.fixture(scope="module")

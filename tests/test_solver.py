@@ -23,6 +23,7 @@ from bcm1d import (
 )
 from bcm1d import solver
 from bcm1d.cli import _mms_error, smooth_pulse_trace
+from bcm1d.control import quiet_steps
 
 from conftest import smooth_sigma_dot
 
@@ -701,6 +702,130 @@ class TestDifferenceMap:
         with pytest.raises(ConfigurationError,
                            match="eps\\^2 sigma_ddot has a non-finite value"):
             transfer_difference_nd_map(coarse_grid, med, 1e3)
+
+
+def _controls(grid, ks=(1, 3)):
+    """Every trace of the reconstruction controls of the modes ``ks``."""
+    traces = []
+    for k in ks:
+        pT_f, pT_h, lam = fourier_targets(k, grid)
+        for pT in (pT_f, pT_h):
+            traces.extend(build_control(pT, lam, grid))
+    return traces
+
+
+# (the map for data that vanish before step quiet, its stepper oracle)
+_WINDOWED = {
+    "linearized": (
+        lambda grid, med, quiet: transfer_linearized_nd_map(grid, med,
+                                                            quiet=quiet),
+        linearized_nd_map_many),
+    "nonlinear": (
+        lambda grid, med, quiet: transfer_difference_nd_map(grid, med, _EPS,
+                                                            quiet=quiet),
+        lambda grid, med, fs: _stepper_quotient(grid, med, _EPS, fs)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WINDOWED))
+class TestWindow:
+    """A map for data that vanish before step quiet runs its kernel and its
+    convolutions on the steps from quiet - 3 on."""
+
+    @pytest.mark.parametrize("grid_name", ["coarse_grid_t5", "mid_grid"])
+    def test_controls_match_the_stepper_and_the_whole_window(
+            self, kind, grid_name, request):
+        grid = request.getfixturevalue(grid_name)
+        make, oracle = _WINDOWED[kind]
+        med = _medium(grid)
+        quiet = quiet_steps(grid)
+        measure = make(grid, med, quiet)
+        assert measure.start == quiet - 3 > 0
+        fs = _controls(grid)
+        got = measure(fs)
+        assert _max_rel_deviation(got, oracle(grid, med, fs)) <= 1e-9
+        assert _max_rel_deviation(got, make(grid, med, 0)(fs)) <= 1e-12
+        for tr in got:  # at rest before the window
+            assert not np.any(tr.values_a[:measure.start])
+            assert not np.any(tr.values_b[:measure.start])
+
+    def test_window_sizes_the_loop_and_the_transforms(self, kind,
+                                                      coarse_grid_t5,
+                                                      monkeypatch):
+        grid = coarse_grid_t5
+        steps, time_loop = [], solver._time_loop
+
+        def counted(*args, **kwargs):
+            steps.append(len(args[2]))
+            return time_loop(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_time_loop", counted)
+        make = _WINDOWED[kind][0]
+        whole, windowed = (make(grid, _medium(grid), q)
+                           for q in (0, quiet_steps(grid)))
+        assert steps == [grid.nt, grid.nt - 997]
+        assert windowed.n_fft == solver._fft_length(2 * (grid.nt - 997) - 3)
+        assert windowed.responses.shape[-1] == grid.nt - 997 - 2
+        assert (sum(arr.nbytes for arr in windowed.work)
+                < 0.85 * sum(arr.nbytes for arr in whole.work))
+
+    def test_a_window_from_step_zero_is_the_whole_map(self, kind,
+                                                      coarse_grid_t5):
+        # quiet up to 3 leaves the window at step 0: the same arithmetic
+        make = _WINDOWED[kind][0]
+        med = _medium(coarse_grid_t5)
+        fs = _controls(coarse_grid_t5, (2,))
+        narrow = make(coarse_grid_t5, med, 3)
+        assert narrow.start == 0
+        for got, want in zip(narrow(fs), make(coarse_grid_t5, med, 0)(fs),
+                             strict=True):
+            assert np.array_equal(got.values_a, want.values_a)
+            assert np.array_equal(got.values_b, want.values_b)
+
+    @pytest.mark.parametrize("before_end", [2500, 4], ids=["mid", "last"])
+    def test_data_from_step_quiet_match_the_stepper(self, kind, coarse_grid,
+                                                    before_end):
+        # O(1) samples at steps quiet .. quiet+2, where the controls' are
+        # tiny; quiet = nt - 4 leaves 7 steps, the fewest a grid has, and
+        # makes the end frame do real work
+        make, oracle = _WINDOWED[kind]
+        med = _medium(coarse_grid)
+        quiet = coarse_grid.nt - before_end
+        fs = _edge_traces(coarse_grid, slice(quiet, quiet + 3))
+        measure = make(coarse_grid, med, quiet)
+        assert coarse_grid.nt - measure.start == before_end + 3
+        assert _max_rel_deviation(measure(fs),
+                                  oracle(coarse_grid, med, fs)) <= 1e-9
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["a", "b"])
+    def test_data_before_quiet_are_refused(self, kind, coarse_grid_t5, end):
+        grid = coarse_grid_t5
+        quiet = quiet_steps(grid)
+        measure = _WINDOWED[kind][0](grid, _medium(grid), quiet)
+        fs = _controls(grid, (1,))[:2]
+        ends = [fs[1].values_a.copy(), fs[1].values_b.copy()]
+        ends[end][quiet - 1] = 1e-300
+        fs[1] = BoundaryTrace(*ends, grid.dt)
+        with pytest.raises(ConfigurationError,
+                           match=f"Neumann trace 1 is nonzero at step "
+                                 f"{quiet - 1} at {'ab'[end]}"):
+            measure(fs)
+
+    @pytest.mark.parametrize("quiet", [-1, -100, "nt-3", "nt"])
+    def test_quiet_out_of_range_refused_at_build(self, kind, coarse_grid,
+                                                 quiet):
+        if isinstance(quiet, str):
+            quiet = coarse_grid.nt + int(quiet[2:] or 0)
+        with pytest.raises(ConfigurationError, match="quiet = .* out of range"):
+            _WINDOWED[kind][0](coarse_grid, _medium(coarse_grid), quiet)
+
+
+@pytest.mark.parametrize("data_mode", [LINEARIZED, NONLINEAR_DIFFERENCE])
+def test_measurement_skips_the_controls_lead_in(coarse_grid_t5, data_mode):
+    settings = ReconSettings(grid=coarse_grid_t5, N=2, data_mode=data_mode)
+    measure = settings.measurement(_medium(coarse_grid_t5))
+    assert measure.quiet == quiet_steps(coarse_grid_t5) == 1000
+    assert measure.start == 997
 
 
 _TRANSFER_MAPS = {
