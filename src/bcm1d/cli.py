@@ -135,12 +135,73 @@ def emit_results(result: ReconResult, xs: np.ndarray, out_dir,
 # commands
 
 
+# the host's memory, then a cgroup's memory limit: version 2, then 1
+_MEMINFO = "/proc/meminfo"
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max",
+                  "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def _available_bytes() -> int | None:
+    """The most memory this process can take, None when nothing is known:
+    the smallest of the host's available memory, its cgroup's memory limit
+    and the room left under its address-space limit.  The host's is
+    MemAvailable, which counts the page cache the kernel can reclaim, or
+    where that is not reported the physical memory; the cgroup's usage is
+    not subtracted, since it also counts reclaimable page cache.  The
+    values are read, never set."""
+    room = []
+    try:
+        with open(_MEMINFO) as fh:
+            room.extend(1024 * int(line.split()[1]) for line in fh
+                        if line.startswith("MemAvailable:"))
+    except (OSError, ValueError, IndexError):
+        pass
+    if not room:
+        try:
+            room.append(os.sysconf("SC_PHYS_PAGES")
+                        * os.sysconf("SC_PAGE_SIZE"))
+        except (AttributeError, ValueError, OSError):  # not on every platform
+            pass
+    for limit_file in _CGROUP_LIMITS:
+        try:
+            limit = Path(limit_file).read_text().strip()
+        except OSError:
+            continue
+        if limit.isdigit():
+            room.append(int(limit))
+        break
+    try:
+        import resource  # imported here: start-up does not pay for it
+    except ImportError:  # not on every platform
+        return min(room, default=None)
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        try:  # the address space already taken, where Linux reports it
+            pages = int(Path("/proc/self/statm").read_text().split()[0])
+        except (OSError, ValueError, IndexError):
+            pages = 0
+        room.append(soft - pages * resource.getpagesize())
+    return min(room, default=None)
+
+
+def _check_memory(settings: ReconSettings) -> None:
+    """Refuse a run whose estimated peak exceeds the memory the process can
+    take, before it allocates anything of the grid's size."""
+    need, room = settings.peak_bytes(), _available_bytes()
+    if room is not None and need > room:
+        raise MemoryError(
+            f"the run needs about {need / 2**20:.0f} MiB (nt = "
+            f"{settings.grid.nt}, nx = {settings.grid.nx}) but only "
+            f"{max(room, 0) / 2**20:.0f} MiB are available to the process")
+
+
 def run_experiment(config: RunConfig) -> int:
     try:
         grid = config.grid()
         # checks N before experiment 2 sums its N-term truth
         settings = ReconSettings(grid=grid, N=config.N,
                                  noise_eps=config.noise, seed=config.seed)
+        _check_memory(settings)
         medium, truth, mode, eps_lin = experiment_setup(
             config.experiment_id, grid, config.N
         )
@@ -149,8 +210,8 @@ def run_experiment(config: RunConfig) -> int:
         t0 = time.perf_counter()
         result = reconstruct(settings, medium, truth)
         runtime = time.perf_counter() - t0
-    # ConfigurationError is a ValueError; a failed allocation raises
-    # MemoryError, though a host memory limit may kill the process first
+    # ConfigurationError is a ValueError; a run too large for the memory
+    # left, or a failed allocation, raises MemoryError
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

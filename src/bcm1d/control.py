@@ -104,15 +104,17 @@ def build_control(pT: AnalyticProfile, lam: complex,
 
 
 def quiet_steps(grid: GridSpec) -> int:
-    """The number of leading steps at which every trace of
-    :func:`build_control` on ``grid`` vanishes, at both ends.
+    """The number of leading steps, and of trailing steps, at which every
+    trace of :func:`build_control` on ``grid`` vanishes, at both ends.
 
     The arguments s-+ of a trace reach the extension's support
     (a - 1, b + 1) only after t = T - (b - a) - 1, so the traces vanish at
     every step before (T - (b - a) - 1) / dt, rounded down, or to the
     nearest integer when it is one to rounding.  The step at that time
     itself can hold a bump factor near 1e-120, when rounding in ``ts`` puts
-    its argument just inside the support.
+    its argument just inside the support.  Time reversal about T mirrors
+    the support: the arguments leave it at t = T + (b - a) + 1, and the
+    traces vanish in the last as many steps.
     """
     steps = (grid.T - (grid.b - grid.a) - 1.0) / grid.dt
     return max(round(steps) if _is_close_to_integer(steps)

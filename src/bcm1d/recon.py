@@ -53,6 +53,16 @@ from .solver import (_check_cfl, transfer_difference_nd_map,
 
 _REL_L2_FLOOR = 1e-12
 
+# the memory a reconstruction adds, fitted to within 10% of the growth of
+# the peak RSS in 12 runs of `bcm experiment` (nt 2501 to 100001, nx 101
+# and 501, each experiment, with and without noise): bytes per step of the
+# measurement map's window and of the time axis, per node, and for
+# numpy.random
+_BYTES_PER_WINDOW_STEP = 600
+_BYTES_PER_STEP = 330
+_BYTES_PER_NODE = 700
+_NUMPY_RANDOM_BYTES = 6 << 20
+
 LINEARIZED = "linearized"
 NONLINEAR_DIFFERENCE = "nonlinear_difference"
 
@@ -97,19 +107,45 @@ class ReconSettings:
             raise ValueError("eps_linearization must be positive for "
                              "nonlinear-difference data")
 
-    def measurement(self, medium: MediumSpec) -> Callable:
+    def measurement(self, medium: MediumSpec,
+                    skip_tail: bool = False) -> Callable:
         """The map from driven traces to measured traces in ``medium``: the
         linearized ND map, or its difference quotient (nonlinear data at
         damping sigma0 + eps sigma_dot (+ eps^2 sigma_ddot) minus those at
         sigma0, over eps).  The map's kernel is built here, once.  The map
-        takes the reconstruction controls only: it skips the steps before
-        :func:`~bcm1d.control.quiet_steps`, where they vanish, and refuses
-        data that do not."""
+        takes the reconstruction controls only: it skips the
+        :func:`~bcm1d.control.quiet_steps` steps at the start, where they
+        vanish, and refuses data that do not.  With ``skip_tail`` it also
+        skips as many steps at the end, where its outputs are zeros, not
+        measurements: only for data read through the identities alone,
+        which pair a measured sample at step i with the control sample at
+        step nt - 1 - i, zero there.  Noise, scaled by the RMS of every
+        sample, reads the tail, so :func:`reconstruct` skips it only
+        without noise."""
         quiet = quiet_steps(self.grid)
+        tail = quiet if skip_tail else 0
         if self.data_mode == LINEARIZED:
-            return transfer_linearized_nd_map(self.grid, medium, quiet=quiet)
+            return transfer_linearized_nd_map(self.grid, medium, quiet=quiet,
+                                              tail=tail)
         return transfer_difference_nd_map(self.grid, medium,
-                                          self.eps_linearization, quiet=quiet)
+                                          self.eps_linearization, quiet=quiet,
+                                          tail=tail)
+
+    def peak_bytes(self) -> int:
+        """An estimate of the memory :func:`reconstruct` adds to the process
+        at its peak, computed without allocating: bytes per step of the
+        measurement map's window (its kernel, FFT buffers and plans), per
+        step of the time axis (a mode's controls, their extension and its
+        measured traces), per node, and for noise numpy.random, which numpy
+        loads on first use.  The coefficients are measured peaks of
+        ``bcm experiment``, not derived from the arrays' layouts."""
+        grid = self.grid
+        noisy = self.noise_eps > 0
+        # reconstruct's map skips the controls' quiet steps at the start,
+        # and without noise as many at the end
+        window = grid.nt - quiet_steps(grid) * (1 if noisy else 2)
+        return (_BYTES_PER_WINDOW_STEP * window + _BYTES_PER_STEP * grid.nt
+                + _BYTES_PER_NODE * grid.nx + noisy * _NUMPY_RANDOM_BYTES)
 
 
 @dataclass(frozen=True)
@@ -335,7 +371,8 @@ def reconstruct(
         raise UnsupportedRegimeError(
             f"reconstruction requires sigma0 = 0; got sigma0 = {medium.sigma0}"
         )
-    measure = settings.measurement(medium)
+    # without noise, only the identities read the data
+    measure = settings.measurement(medium, skip_tail=not settings.noise_eps)
     modes = (
         apply_measurement_noise(
             acquire_clean_pair_data(k, settings.grid, measure),

@@ -89,22 +89,26 @@ responses add the exact difference, taken from the same tap table: the
 stepper's signals of those samples minus the filter's, skipped when the
 samples are zero, as they are for the reconstruction controls.
 
-A map built with ``quiet`` takes only data that vanish before that step,
-as the reconstruction controls do before T - (b - a) - 1.  The filter
-reads two steps either side, so the fields are at rest through step
-quiet - 2, and the map runs the scheme on the window from step
-start = max(quiet - 3, 0) to nt - 1: its kernel's loop pass, FFT length
-and work arrays are sized for the window, its outputs before it are exact
-zeros, and the window's start frame sits on zeros.  A trace nonzero before
-``quiet`` is refused by name, never cut short.  On the paper grid the
-controls' 5000 quiet steps of 25001 leave 20004: the loop takes 20002
-steps instead of 24999, and the FFT length is 40500 instead of 50000.  The
-map owns its FFT work arrays, 14 real series of the FFT length (4.5 MB on
-the paper grid for the controls' window, 5.6 MB for the whole), and writes
-them on every call, so one map must not be called from two threads at
-once.  A call copies each trace's window straight into the zero-padded
-input and allocates only its result: the traces of one call are views of
-one new block, never of the work arrays.  The backend agrees with the
+A map built with ``quiet`` and ``tail`` takes only data that vanish before
+step ``quiet`` and in the last ``tail`` steps, as the reconstruction
+controls do outside (T - (b - a) - 1, T + (b - a) + 1).  The filter reads
+two steps either side, so the fields are at rest through step quiet - 2,
+and the map runs the scheme on the window from step
+start = max(quiet - 3, 0) to stop - 1, stop = min(nt - tail + 3, nt): its
+kernel's loop pass, FFT length and work arrays are sized for the window,
+and a window end inside the grid sits on zeros.  The outputs before the
+window are exact zeros; those after it are zeros too, but not
+measurements: a caller that reads them, as noise scaled by a trace's RMS
+does, builds its map with tail = 0.  A trace nonzero outside its steps is
+refused by name, never cut short.  On the paper grid the controls' 5000
+quiet steps at either end of 25001 leave 15007: the loop takes 15005 steps
+instead of 24999, and the FFT length is 30375 instead of 50000.  The map
+owns its FFT work arrays, 14 real series of the FFT length (3.4 MB on the
+paper grid for the controls' window, 5.6 MB for the whole), and writes them
+on every call, so one map must not be called from two threads at once.  A
+call copies each trace's window straight into the zero-padded input and
+allocates only its result: the traces of one call are views of one new
+block, never of the work arrays.  The backend agrees with the
 stepper to about 1e-13 relative; the stepper stays the reference it is
 tested against, and alone serves sources and snapshots at T.  Every map
 rejects Neumann data with a non-finite sample, which would silently spread
@@ -162,12 +166,13 @@ def _check_cfl(grid: GridSpec) -> None:
 
 
 def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
-             stacklevel: int, quiet: int = 0):
+             stacklevel: int, quiet: int = 0, tail: int = 0):
     """Yield each Neumann trace once it is checked: its length and step,
-    its samples finite and zero before step ``quiet``, and at most one
-    warning, ``stacklevel`` frames up from the generator, for data that do
-    not vanish at t = 0."""
+    its samples finite and zero before step ``quiet`` and in the last
+    ``tail`` steps, and at most one warning, ``stacklevel`` frames up from
+    the generator, for data that do not vanish at t = 0."""
     warned = False
+    last = grid.nt - tail
     for j, tr in enumerate(neumanns):
         if len(tr) != grid.nt or tr.dt != grid.dt:
             raise ConfigurationError(
@@ -186,6 +191,12 @@ def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
                     f"Neumann trace {j} is nonzero at step {early[0]} at "
                     f"{name}; this map takes data that vanish before step "
                     f"{quiet}")
+            late = np.flatnonzero(v[last:])
+            if late.size:
+                raise ConfigurationError(
+                    f"Neumann trace {j} is nonzero at step {last + late[0]} "
+                    f"at {name}; this map takes data that vanish from step "
+                    f"{last} on")
         first = max(abs(v[0]) for v in ends)
         # the scale is at least 1, so only a t = 0 sample above the
         # tolerance can warn
@@ -473,27 +484,34 @@ def _fft_length(n: int) -> int:
         m += 1
 
 
-def _window_start(grid: GridSpec, weights: np.ndarray, quiet: int) -> int:
-    """The first step of the window of a transfer map for data that vanish
-    before step ``quiet``: a signal reads r = weights.shape[-1] - 1 steps
-    either side, so the window opens at rest, r + 1 steps before ``quiet``.
-    It must keep the 7 steps of the coarsest grid :func:`_check_cfl`
-    admits, on which the samples the two edge frames read stay apart."""
-    start = max(quiet - weights.shape[-1], 0)
-    if quiet < 0 or grid.nt - start < 7:
+def _window(grid: GridSpec, weights: np.ndarray, quiet: int,
+            tail: int) -> tuple[int, int]:
+    """The steps start .. stop-1 of the window of a transfer map for data
+    that vanish before step ``quiet`` and in the last ``tail`` steps: a
+    signal reads r = weights.shape[-1] - 1 steps either side, so the window
+    opens at rest, r + 1 steps before ``quiet``, and closes r + 1 steps after
+    the data end, where its last samples are zeros.  It must keep the 7
+    steps of the coarsest grid :func:`_check_cfl` admits, on which the
+    samples the two edge frames read stay apart."""
+    reach = weights.shape[-1]
+    start = max(quiet - reach, 0)
+    stop = min(grid.nt - tail + reach, grid.nt)
+    if quiet < 0 or tail < 0 or stop - start < 7:
         raise ConfigurationError(
-            f"quiet = {quiet} is out of range: it must be non-negative and "
-            f"leave a transfer map's window at least 7 of the grid's "
-            f"{grid.nt} steps")
-    return start
+            f"quiet = {quiet}, tail = {tail} is out of range: both must be "
+            f"non-negative and leave a transfer map's window at least 7 of "
+            f"the grid's {grid.nt} steps")
+    return start, stop
 
 
 class _TransferMap:
     """Neumann traces to endpoint traces through a medium's transfer kernel.
 
-    The map runs on a window, steps start .. nt-1, for data that vanish
-    before step ``quiet`` (see :func:`_window_start`), and refuses data that
-    do not: before it the fields are at rest and the outputs zero.
+    The map runs on a window, steps start .. stop-1, for data that vanish
+    before step ``quiet`` and in the last ``tail`` steps (see
+    :func:`_window`), and refuses data that do not.  Before the window the
+    fields are at rest and the outputs zero; after it the outputs are zeros
+    too, but not measured: steps from stop on are not computed.
     ``responses`` (window steps, signals, output end) are the loop's traces
     of a unit impulse at step 1 in each injection signal, signal s at end
     s % 2, and ``weights`` (signals, 3) those signals' taps (see
@@ -505,15 +523,16 @@ class _TransferMap:
     overwrites; its spectrum and the contraction's product, (parts, ends,
     frequencies); and one output end's term, (parts, frequencies): 14 real
     series of n_fft, a spectrum of n_fft // 2 + 1 complex samples counting
-    as one; 4.5 MB on the paper grid for the controls' window, 5.6 MB for
-    the whole.
+    as one; 3.4 MB on the paper grid for the controls' window, 4.5 MB for
+    the window without the controls' trailing zeros and 5.6 MB for the
+    whole.
     """
 
     def __init__(self, grid: GridSpec, responses: np.ndarray,
-                 weights: np.ndarray, quiet: int = 0):
-        self.grid, self.quiet = grid, quiet
+                 weights: np.ndarray, quiet: int = 0, tail: int = 0):
+        self.grid, self.quiet, self.tail = grid, quiet, tail
+        self.start, self.stop = _window(grid, weights, quiet, tail)
         steps = len(responses)
-        self.start = grid.nt - steps
         # (signals, output end, steps 1 .. steps-1 of the window)
         responses = np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1))
         # no wrap-around: exact signals and responses both span fewer than
@@ -545,8 +564,8 @@ class _TransferMap:
 
         They differ at the four steps nearest each window end only, through
         the data's three samples nearest it, and the difference is skipped
-        where those are zero, as at the start of a window that opens before
-        its data.  Both sides come from :func:`_injection` on a 12-step
+        where those are zero, as at either end of a window that opens
+        before its data and closes after them.  Both sides come from :func:`_injection` on a 12-step
         frame of those samples, the filter's zero-extended so that every
         difference is centered; the difference is convolved in the FFT's
         circular frame, which also removes the filtered data's wrap-around.
@@ -576,20 +595,24 @@ class _TransferMap:
 
     def __call__(self, fs: Sequence[BoundaryTrace]) -> list[BoundaryTrace]:
         """Endpoint traces of the Neumann traces ``fs``, as views of one new
-        block; a trace nonzero before step ``quiet`` raises an error, and so
-        does a non-finite result, from a kernel that overflowed.  Every call
-        overwrites the map's FFT work arrays."""
+        block; a trace nonzero before step ``quiet`` or in the last ``tail``
+        steps raises an error, and so does a non-finite result, from a
+        kernel that overflowed.  The samples after the window are zeros, not
+        measurements.  Every call overwrites the map's FFT work arrays."""
         n_fft, transfer, grid = self.n_fft, self.transfer, self.grid
         series, spectrum, product, term = self.work
-        start, steps = self.start, grid.nt - self.start
+        start, stop = self.start, self.stop
+        steps = stop - start
         out = np.empty((len(fs), 2, grid.nt), dtype=complex)
-        # at rest before the window
+        # at rest before the window; not measured after it
         out[..., :start] = 0.0
+        out[..., stop:] = 0.0
         # an overflow gives a non-finite trace, which is rejected by name
         with np.errstate(over="ignore", invalid="ignore"):
-            checked = _checked(grid, fs, stacklevel=3, quiet=self.quiet)
+            checked = _checked(grid, fs, stacklevel=3, quiet=self.quiet,
+                               tail=self.tail)
             for j, (tr, oj) in enumerate(zip(checked, out)):
-                g = [v[start:] for v in (tr.values_a, tr.values_b)]
+                g = [v[start:stop] for v in (tr.values_a, tr.values_b)]
                 for end, v in enumerate(g):
                     series[0, end, :steps] = v.real
                     series[1, end, :steps] = v.imag
@@ -602,7 +625,7 @@ class _TransferMap:
                     np.add(po, term, out=po)
                 # the inverse overwrites the input, whose tail is zeroed again
                 np.fft.irfft(product, n_fft, out=series)
-                window = oj[:, start:]
+                window = oj[:, start:stop]
                 window.real, window.imag = series[..., :steps]
                 series[..., steps:] = 0.0
                 self._add_edge_terms(window, g)
@@ -614,7 +637,8 @@ class _TransferMap:
 
 
 def transfer_difference_nd_map(
-    grid: GridSpec, medium: MediumSpec, eps: float, quiet: int = 0
+    grid: GridSpec, medium: MediumSpec, eps: float, quiet: int = 0,
+    tail: int = 0
 ) -> Callable[[Sequence[BoundaryTrace]], list[BoundaryTrace]]:
     """The map from Neumann traces to
     (Lambda(sigma0 + eps sigma_dot + eps^2 sigma_ddot) - Lambda(sigma0)) / eps
@@ -624,9 +648,10 @@ def transfer_difference_nd_map(
     Making the map checks its arguments and runs the one time loop of its
     kernel, so the map measures the medium as it was then.  It agrees with
     the stepper's quotient to about 1e-13 of either medium's traces / eps.
-    The map takes only data that vanish before step ``quiet`` and skips
-    those steps (see the module docstring).  The map writes work arrays of
-    its own: do not call it from two threads at once.
+    The map takes only data that vanish before step ``quiet`` and in the
+    last ``tail`` steps, and skips those steps (see the module docstring).
+    The map writes work arrays of its own: do not call it from two threads
+    at once.
     """
     _check_cfl(grid)
     if not (np.isfinite(eps) and eps > 0):
@@ -642,17 +667,17 @@ def transfer_difference_nd_map(
     # the background's signals enter negated, each medium with its weights
     media = np.stack((full, np.full(grid.nx, medium.sigma0)))[:, None]
     weights = _weights(grid, media[..., _ENDS].ravel())
-    start = _window_start(grid, weights, quiet)
+    start, stop = _window(grid, weights, quiet, tail)
     # (steps of the window, *rows, output end)
-    impulses = np.zeros((grid.nt - start, 2, 2, 2))
+    impulses = np.zeros((stop - start, 2, 2, 2))
     impulses[1] = np.eye(2)
     traces, _ = _time_loop(grid, _stencil(grid, media), impulses)
     responses = np.concatenate((traces[:, 0], -traces[:, 1]), axis=1) / eps
-    return _TransferMap(grid, responses, weights, quiet)
+    return _TransferMap(grid, responses, weights, quiet, tail)
 
 
 def transfer_linearized_nd_map(
-    grid: GridSpec, medium: MediumSpec, quiet: int = 0
+    grid: GridSpec, medium: MediumSpec, quiet: int = 0, tail: int = 0
 ) -> Callable[[Sequence[BoundaryTrace]], list[BoundaryTrace]]:
     """The map from Neumann traces to the linearized measurements of
     :func:`linearized_nd_map_many`, by one convolution each.
@@ -660,20 +685,20 @@ def transfer_linearized_nd_map(
     Making the map checks its arguments and runs the one time loop of its
     kernel, so the map measures the medium as it was then.  It agrees with
     the stepper, its oracle, to about 1e-13 relative.  The map takes only
-    data that vanish before step ``quiet`` and skips those steps (see the
-    module docstring).  The map writes work arrays of its own: do not call
-    it from two threads at once.
+    data that vanish before step ``quiet`` and in the last ``tail`` steps,
+    and skips those steps (see the module docstring).  The map writes work
+    arrays of its own: do not call it from two threads at once.
     """
     _check_cfl(grid)
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     sigma, s = _complex_step(medium.sigma0, sd)
     w = _weights(grid, sigma[_ENDS])
-    start = _window_start(grid, w, quiet)
+    start, stop = _window(grid, w, quiet, tail)
     # (steps of the window, impulse end, output end)
-    impulses = np.zeros((grid.nt - start, 2, 2))
+    impulses = np.zeros((stop - start, 2, 2))
     impulses[1] = np.eye(2)
     traces, _ = _time_loop(grid, _stencil(grid, sigma), impulses)
     # d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R); / h first, then * s
     responses = np.concatenate((traces.imag / _STEP * s, traces.real), axis=1)
     weights = np.concatenate((w.real, w.imag / _STEP * s))
-    return _TransferMap(grid, responses, weights, quiet)
+    return _TransferMap(grid, responses, weights, quiet, tail)

@@ -1,7 +1,9 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import bcm1d
-from bcm1d import FourierCoeffs, ReconResult, cli
+from bcm1d import FourierCoeffs, GridSpec, ReconResult, ReconSettings, cli
 from bcm1d.cli import (
     RunConfig,
     emit_results,
@@ -317,6 +319,42 @@ class TestMain:
         assert err == "error: Unable to allocate 14.9 GiB for an array\n"
         assert not out.exists()
 
+    def test_oversized_grid_refused_before_allocating(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # nt = 2e10 + 1: terabytes of traces, more than any host has; a run
+        # that got past the check would stop at the stand-in below
+        def unguarded(*args):
+            raise AssertionError("the oversized run was not refused")
+
+        monkeypatch.setattr(cli, "reconstruct", unguarded)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["experiment", "--id", "1", "--N", "3", "--dx", "0.1",
+                         "--dt", "0.1", "--T", "1e9", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        err = capsys.readouterr().err
+        assert err.startswith("error: the run needs about ")
+        assert "(nt = 20000000001, nx = 21)" in err and "available" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spare", [-1, 0, None])
+    def test_memory_check_compares_with_the_room_left(self, tmp_path, capsys,
+                                                      monkeypatch, spare):
+        argv = ["experiment", "--id", "1", "--N", "1", "--dx", "0.02",
+                "--dt", "0.002", "--T", "3", "--out", str(tmp_path)]
+        need = ReconSettings(grid=GridSpec(-1.0, 1.0, 0.02, 0.002, 3.0),
+                             N=1).peak_bytes()
+        room = None if spare is None else need + spare
+        monkeypatch.setattr(cli, "_available_bytes", lambda: room)
+        assert main(argv) == (2 if spare == -1 else 0)
+        if spare == -1:
+            assert f"{need / 2**20:.0f} MiB" in capsys.readouterr().err
+
     def test_invalid_id_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--id", "9", "--out", str(tmp_path)])
@@ -362,6 +400,95 @@ def test_cli_import_loads_no_scipy_or_sympy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+class TestAvailableBytes:
+    @pytest.fixture
+    def host(self, tmp_path, monkeypatch):
+        """Stand-ins for the host's meminfo and a version 2 cgroup's limit,
+        behind a missing version 1 file; the address space is unlimited."""
+        meminfo, limit = tmp_path / "meminfo", tmp_path / "memory.max"
+        meminfo.write_text("MemTotal:  8000 kB\nMemFree:  1000 kB\n"
+                           "MemAvailable:  5000 kB\n")
+        limit.write_text("max\n")
+        monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
+        monkeypatch.setattr(cli, "_CGROUP_LIMITS",
+                            (str(tmp_path / "missing"), str(limit)))
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (resource.RLIM_INFINITY,) * 2)
+        return meminfo, limit
+
+    def test_available_memory_counts_the_page_cache(self, host):
+        # MemAvailable, not MemFree: page cache the kernel can reclaim
+        assert cli._available_bytes() == 5000 * 1024
+
+    def test_cgroup_limit_is_the_smallest(self, host):
+        host[1].write_text("1000000\n")
+        assert cli._available_bytes() == 1000000
+
+    def test_cgroup_usage_is_not_subtracted(self, host, tmp_path, monkeypatch):
+        # a cgroup doing I/O sits near its limit in reclaimable page cache:
+        # a small run still fits
+        host[0].write_text("MemAvailable:  8388608 kB\n")
+        host[1].write_text(f"{1 << 30}\n")
+        (tmp_path / "memory.current").write_text(f"{(1 << 30) - 4096}\n")
+        assert cli._available_bytes() == 1 << 30
+        assert main(["experiment", "--id", "1", "--N", "1", "--dx", "0.02",
+                     "--dt", "0.002", "--T", "3",
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_without_meminfo_the_physical_memory(self, host):
+        host[0].unlink()
+        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert cli._available_bytes() == total
+
+    def test_address_space_limit_counts_what_is_mapped(self, host,
+                                                       monkeypatch):
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (1 << 20, resource.RLIM_INFINITY))
+        # the interpreter alone maps more than 1 MiB
+        assert cli._available_bytes() < 0
+
+
+# the estimate next to the peak it estimates, in a child process: the peak
+# RSS when the run is checked, the estimate, and the peak RSS after.
+# VmHWM, the peak of this process image: ru_maxrss also keeps the RSS of
+# the process that forked it, a test runner larger than the run
+_PEAK_CODE = """
+import sys
+from bcm1d import cli
+
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return 1024 * next(int(line.split()[1]) for line in fh
+                           if line.startswith("VmHWM:"))
+
+estimates, check = [], cli._check_memory
+
+def record(settings):
+    estimates.append((peak_rss(), settings.peak_bytes()))
+    check(settings)
+
+cli._check_memory = record
+assert cli.main(sys.argv[1:]) == 0
+print(*estimates[0], peak_rss())
+"""
+
+
+@pytest.mark.parametrize("flags", [["--id", "1"],
+                                   ["--id", "3", "--dt", "0.004"],
+                                   ["--id", "1", "--dt", "0.0001"]],
+                         ids=["exp1", "exp3_cfl1", "exp1_4x_nt"])
+def test_memory_estimate_is_within_30_percent_of_the_peak(flags, tmp_path):
+    argv = ["experiment", *flags, "--out", str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(bcm1d.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _PEAK_CODE, *argv], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=300)
+    before, estimate, peak = map(int, out.stdout.split()[-3:])
+    assert 0.7 <= (before + estimate) / peak <= 1.3
+    # and what the run adds, the part the estimate models
+    assert 0.7 <= estimate / (peak - before) <= 1.3
 
 
 def test_run_config_grid_roundtrip():

@@ -174,11 +174,15 @@ def test_verify_control_zero_gradient_target(coarse_grid):
 
 def _lead_in(bundle, quiet):
     """Each series of ``bundle``'s traces is zero before step ``quiet`` and
-    nonzero among the three steps from it on."""
+    nonzero among the three steps from it on, and mirrored in time: zero in
+    the last ``quiet`` steps and nonzero among the three steps before them."""
     for tr in bundle:
         for v in (tr.values_a, tr.values_b):
+            last = len(v) - quiet
             assert not np.any(v[:quiet])
             assert np.any(v[quiet:quiet + 3])
+            assert not np.any(v[last:])
+            assert np.any(v[last - 3:last])
 
 
 @pytest.mark.parametrize("T", [3.0, 4.0, 5.0, 7.0])
@@ -212,6 +216,15 @@ def test_quiet_steps_bounds_the_steps_before_it_only():
     _lead_in(bundle, quiet)
     at = np.abs(np.stack((bundle.f.values_a[quiet], bundle.f.values_b[quiet])))
     assert 0.0 < np.max(at) < 1e-100
+
+
+def test_quiet_steps_at_unit_cfl():
+    grid = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 50, 5.0)
+    assert quiet_steps(grid) == 100
+    for k in (1, 4):
+        pT_f, pT_h, lam = fourier_targets(k, grid)
+        for pT in (pT_f, pT_h):
+            _lead_in(build_control(pT, lam, grid), 100)
 
 
 def test_quiet_steps_at_the_minimal_window():

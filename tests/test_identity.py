@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from bcm1d import (
     nonlinear_identity_residual,
 )
 from bcm1d.cli import smooth_pulse_trace
+from bcm1d.control import quiet_steps
 from bcm1d.identity import ControlData
 from bcm1d.recon import fourier_targets
 
@@ -43,6 +46,27 @@ def mode4_snaps(mid_grid):
     pT_f, pT_h, _ = fourier_targets(4, mid_grid)
     return tuple(np.asarray(p(mid_grid.xs)[0], dtype=complex)
                  for p in (pT_f, pT_h))
+
+
+def test_identities_never_read_the_trailing_tail(mode4_data, mid_grid):
+    # a measured sample at step i meets only the control sample at step
+    # nt - 1 - i, which is zero for i > nt - 1 - quiet, so the map may leave
+    # the tail unmeasured
+    lam, f, h = mode4_data
+    tail = slice(mid_grid.nt - quiet_steps(mid_grid), None)
+    assert quiet_steps(mid_grid) == 2000
+
+    def loud(tr):
+        va, vb = tr.values_a.copy(), tr.values_b.copy()
+        va[tail] = vb[tail] = 1e6
+        return BoundaryTrace(va, vb, tr.dt)
+
+    lf, lh = (replace(c, meas_t=loud(c.meas_t), meas_tt=loud(c.meas_tt))
+              for c in (f, h))
+    for (x, y), (lx, ly) in zip(((f, f), (h, h), (f, h)),
+                                ((lf, lf), (lh, lh), (lf, lh))):
+        assert linearized_rhs(lx, ly, lam, mid_grid) == linearized_rhs(
+            x, y, lam, mid_grid)
 
 
 def _zero_control(grid):

@@ -23,6 +23,7 @@ from bcm1d import (
     synthesize,
 )
 from bcm1d import recon
+from bcm1d.control import quiet_steps
 from conftest import smooth_sigma_dot
 
 
@@ -251,6 +252,38 @@ class TestReconstructPipeline:
         assert np.array_equal(r1.coeffs.a, r2.coeffs.a)
         assert np.array_equal(r1.coeffs.b, r2.coeffs.b)
         assert r1.coeffs.a0 == r2.coeffs.a0
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_tail_is_skipped_only_without_noise(self, coarse_grid_t5, noise,
+                                                monkeypatch):
+        # noise is scaled by the RMS of every sample, the tail's included: a
+        # noisy run adds it to the data of ``measurement``, as acceptance
+        # criterion 4 does; a noise-free run skips the tail no identity reads
+        grid = coarse_grid_t5
+        sig = smooth_sigma_dot(grid.xs)
+        medium = MediumSpec(0.0, sig)
+        settings = ReconSettings(grid=grid, N=2, noise_eps=noise, seed=3)
+        tails, measurement = [], ReconSettings.measurement
+
+        def spy(self, medium, skip_tail=False):
+            measure = measurement(self, medium, skip_tail)
+            tails.append(measure.tail)
+            return measure
+
+        monkeypatch.setattr(ReconSettings, "measurement", spy)
+        got = reconstruct(settings, medium, sig)
+        assert tails == [0 if noise else quiet_steps(grid)]
+        measure = measurement(settings, medium)
+        want = reconstruct_from_data(
+            (apply_measurement_noise(
+                acquire_clean_pair_data(k, grid, measure), k, noise, 3)
+             for k in (1, 2)), settings, sig)
+        if noise:
+            assert got.rel_l2 == want.rel_l2
+            assert np.array_equal(got.coeffs.a, want.coeffs.a)
+        else:
+            assert got.rel_l2 == pytest.approx(want.rel_l2, rel=1e-9)
+        assert np.allclose(got.coeffs.b, want.coeffs.b, rtol=1e-9, atol=0)
 
     def test_overflowing_medium_rejected(self, coarse_grid):
         medium = MediumSpec(0.0, np.full(coarse_grid.nx, 1e305))

@@ -714,15 +714,16 @@ def _controls(grid, ks=(1, 3)):
     return traces
 
 
-# (the map for data that vanish before step quiet, its stepper oracle)
+# (the map for data that vanish before step quiet and in the last tail
+# steps, its stepper oracle)
 _WINDOWED = {
     "linearized": (
-        lambda grid, med, quiet: transfer_linearized_nd_map(grid, med,
-                                                            quiet=quiet),
+        lambda grid, med, quiet, tail=0: transfer_linearized_nd_map(
+            grid, med, quiet=quiet, tail=tail),
         linearized_nd_map_many),
     "nonlinear": (
-        lambda grid, med, quiet: transfer_difference_nd_map(grid, med, _EPS,
-                                                            quiet=quiet),
+        lambda grid, med, quiet, tail=0: transfer_difference_nd_map(
+            grid, med, _EPS, quiet=quiet, tail=tail),
         lambda grid, med, fs: _stepper_quotient(grid, med, _EPS, fs)),
 }
 
@@ -820,12 +821,130 @@ class TestWindow:
             _WINDOWED[kind][0](coarse_grid, _medium(coarse_grid), quiet)
 
 
+def _head(traces, stop):
+    """The samples before step ``stop`` of ``traces``."""
+    return [BoundaryTrace(tr.values_a[:stop], tr.values_b[:stop], tr.dt)
+            for tr in traces]
+
+
+@pytest.mark.parametrize("kind", sorted(_WINDOWED))
+class TestTwoSidedWindow:
+    """A map for data that also vanish in the last tail steps stops its
+    kernel and its convolutions three steps after the data end."""
+
+    @pytest.mark.parametrize("grid_name", ["coarse_grid_t5", "mid_grid"])
+    def test_controls_match_the_stepper_through_the_window(
+            self, kind, grid_name, request):
+        grid = request.getfixturevalue(grid_name)
+        make, oracle = _WINDOWED[kind]
+        med = _medium(grid)
+        quiet = quiet_steps(grid)
+        measure = make(grid, med, quiet, quiet)
+        stop = grid.nt - quiet + 3
+        assert (measure.start, measure.stop) == (quiet - 3, stop)
+        fs = _controls(grid)
+        got = measure(fs)
+        assert _max_rel_deviation(_head(got, stop),
+                                  _head(oracle(grid, med, fs), stop)) <= 1e-9
+        assert _max_rel_deviation(_head(got, stop),
+                                  _head(make(grid, med, quiet)(fs),
+                                        stop)) <= 1e-12
+        for tr in got:  # zeros, not measured, after the window
+            assert not np.any(tr.values_a[stop:])
+            assert not np.any(tr.values_b[stop:])
+
+    @pytest.mark.parametrize("tail", [1, 2, 3])
+    def test_a_window_to_the_last_step_is_the_one_sided_map(self, kind,
+                                                            coarse_grid_t5,
+                                                            tail):
+        # tail = 0 is the map without a tail, and a tail up to 3 leaves the
+        # window at the last step: the same arithmetic
+        make = _WINDOWED[kind][0]
+        grid, med = coarse_grid_t5, _medium(coarse_grid_t5)
+        quiet = quiet_steps(grid)
+        fs = _controls(grid, (2,))
+        want = make(grid, med, quiet)(fs)
+        for measure in (make(grid, med, quiet, 0), make(grid, med, quiet, tail)):
+            assert measure.stop == grid.nt
+            for got, ref in zip(measure(fs), want, strict=True):
+                assert np.array_equal(got.values_a, ref.values_a)
+                assert np.array_equal(got.values_b, ref.values_b)
+
+    @pytest.mark.parametrize("before_tail", [2500, 4], ids=["mid", "first"])
+    def test_data_up_to_the_tail_match_the_stepper(self, kind, coarse_grid,
+                                                   before_tail):
+        # O(1) samples at the three steps before the tail, where the
+        # controls' are tiny; a tail of nt - 4 leaves 7 steps, the fewest a
+        # grid has, and makes the start frame do real work too
+        make, oracle = _WINDOWED[kind]
+        med = _medium(coarse_grid)
+        tail = coarse_grid.nt - before_tail
+        fs = _edge_traces(coarse_grid, slice(before_tail - 3, before_tail))
+        measure = make(coarse_grid, med, 0, tail)
+        assert measure.stop == before_tail + 3
+        assert _max_rel_deviation(
+            _head(measure(fs), measure.stop),
+            _head(oracle(coarse_grid, med, fs), measure.stop)) <= 1e-9
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["a", "b"])
+    def test_data_in_the_tail_are_refused(self, kind, coarse_grid_t5, end):
+        grid = coarse_grid_t5
+        quiet = quiet_steps(grid)
+        measure = _WINDOWED[kind][0](grid, _medium(grid), quiet, quiet)
+        fs = _controls(grid, (1,))[:2]
+        ends = [fs[1].values_a.copy(), fs[1].values_b.copy()]
+        ends[end][grid.nt - quiet] = 1e-300
+        fs[1] = BoundaryTrace(*ends, grid.dt)
+        with pytest.raises(ConfigurationError,
+                           match=f"Neumann trace 1 is nonzero at step "
+                                 f"{grid.nt - quiet} at {'ab'[end]}; this "
+                                 f"map takes data that vanish from step "
+                                 f"{grid.nt - quiet} on"):
+            measure(fs)
+
+    @pytest.mark.parametrize("quiet, tail", [(0, -1), (0, "nt-3"),
+                                             ("nt-3", 3), (1501, 1500)])
+    def test_tail_out_of_range_refused_at_build(self, kind, coarse_grid,
+                                                quiet, tail):
+        quiet, tail = (coarse_grid.nt - 3 if q == "nt-3" else q
+                       for q in (quiet, tail))
+        with pytest.raises(ConfigurationError,
+                           match="quiet = .*, tail = .* is out of range"):
+            _WINDOWED[kind][0](coarse_grid, _medium(coarse_grid), quiet, tail)
+
+    def test_paper_grid_window_sizes(self, kind, monkeypatch):
+        # the loop is replaced by zeros of its traces' shape: only the
+        # sizes are under test
+        grid = GridSpec(-1.0, 1.0, 1.0 / 250, 1.0 / 2500, 5.0)
+        steps = []
+
+        def zeros(grid, stencil, inj):
+            steps.append(len(inj))
+            return np.zeros(inj.shape, np.result_type(inj, *stencil)), []
+
+        monkeypatch.setattr(solver, "_time_loop", zeros)
+        measure = _WINDOWED[kind][0](grid, _medium(grid), 5000, 5000)
+        assert (measure.start, measure.stop) == (4997, 20004)
+        assert steps == [15007]
+        assert measure.n_fft == 30375
+        # 3.40 MB of work arrays (4.54 MB without the tail), 0.97 MB of
+        # transfer matrices (1.30 MB)
+        assert (sum(arr.nbytes for arr in measure.work)
+                == 4 * 8 * 30375 + 10 * 16 * (30375 // 2 + 1) == 3402080)
+        assert measure.transfer.nbytes == 4 * 16 * (30375 // 2 + 1) == 972032
+
+
 @pytest.mark.parametrize("data_mode", [LINEARIZED, NONLINEAR_DIFFERENCE])
 def test_measurement_skips_the_controls_lead_in(coarse_grid_t5, data_mode):
-    settings = ReconSettings(grid=coarse_grid_t5, N=2, data_mode=data_mode)
-    measure = settings.measurement(_medium(coarse_grid_t5))
-    assert measure.quiet == quiet_steps(coarse_grid_t5) == 1000
-    assert measure.start == 997
+    grid, med = coarse_grid_t5, _medium(coarse_grid_t5)
+    settings = ReconSettings(grid=grid, N=2, data_mode=data_mode)
+    measure = settings.measurement(med)
+    assert measure.quiet == quiet_steps(grid) == 1000
+    assert (measure.tail, measure.start, measure.stop) == (0, 997, grid.nt)
+    # the tail only on request: its outputs are zeros, not measurements
+    skipping = settings.measurement(med, skip_tail=True)
+    assert (skipping.quiet, skipping.tail) == (1000, 1000)
+    assert (skipping.start, skipping.stop) == (997, grid.nt - 997)
 
 
 _TRANSFER_MAPS = {
