@@ -129,6 +129,9 @@ class MediumSpec:
             value = getattr(self, name)
             if value is None:
                 continue
+            if np.iscomplexobj(value):
+                raise ConfigurationError(
+                    f"{name} is complex; the damping is real")
             arr = np.asarray(value, dtype=float)
             if arr.ndim != 1:
                 raise ConfigurationError(

@@ -67,15 +67,14 @@ def _bump_factors(u: np.ndarray) -> tuple[np.ndarray, ...]:
 class _Plan(NamedTuple):
     """The points where the extension is nonzero, and the bump factors there.
 
-    ``index`` is the boolean mask of the flattened points in (a - 1, b + 1);
-    ``points`` are the points it selects, a copy, and ``B`` the bump factors
-    B .. B''' at their signed distances from [a, b], (1, 0, 0, 0) on [a, b]
-    itself.  A plan depends on the points and the domain only, so one
+    ``index`` is the boolean mask, of the points' shape, of the points in
+    (a - 1, b + 1); ``points`` are the points it selects, a copy, and ``B``
+    the bump factors B .. B''' at their signed distances from [a, b],
+    (1, 0, 0, 0) on [a, b] itself.  A plan depends on the points and the domain only, so one
     serves every profile evaluated at those points; its arrays are
     read-only.
     """
 
-    shape: tuple[int, ...]
     index: np.ndarray
     points: np.ndarray
     B: tuple
@@ -85,21 +84,20 @@ def _plan(a: float, b: float, x) -> _Plan:
     """The :class:`_Plan` of the extension of a profile on [a, b] at ``x``:
     the mask of the points in (a - 1, b + 1) and the bump factors there."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    flat = x.reshape(-1)
-    index = (flat > a - 1.0) & (flat < b + 1.0)
-    points = flat[index]
+    index = (x > a - 1.0) & (x < b + 1.0)
+    points = x[index]
     B = _bump_factors(points - np.clip(points, a, b))
     for arr in (index, points, *B):
         arr.flags.writeable = False
-    return _Plan(x.shape, index, points, B)
+    return _Plan(index, points, B)
 
 
 def _derivatives(phi: AnalyticProfile, plan: _Plan) -> list[np.ndarray]:
     """:func:`extended_derivatives` at the points of ``plan``."""
     p = phi(plan.points)
-    res = [np.zeros(plan.shape, dtype=complex) for _ in p]
+    res = [np.zeros(plan.index.shape, dtype=complex) for _ in p]
     for k, r in enumerate(res):  # product rule
-        r.reshape(-1)[plan.index] = sum(comb(k, j) * p[k - j] * plan.B[j]
+        r[plan.index] = sum(comb(k, j) * p[k - j] * plan.B[j]
                                         for j in range(k + 1))
     return res
 

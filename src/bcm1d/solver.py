@@ -48,14 +48,14 @@ gain S, and -+ (dx/3) S_x to the injection).  Differencing before scaling
 keeps a constant field exact, so rounding does not feed the undamped mean
 mode's double root at z = 1: on the default grid the loop agrees with the
 scheme run in extended precision to about 1e-12.  Fields are rows of
-nodes, so every update runs along x.  A source comes as its samples at
-every step: their edge terms join the injection signals before the loop,
-and each step adds gain S.  A row is real when the data and the source
-are, and complex otherwise; real data in a real medium stay real from the
-stacked data through the injection signals.  The loop only adds,
-subtracts, multiplies by real coefficients and divides a source's edge term
-as reals, which numpy does on the two parts of a complex row exactly as on
-two real rows.  The outputs are complex either way.
+nodes, so every update runs along x.  A source comes as its real samples
+at every step, the same for every trace: their edge terms join the
+injection signals before the loop, and each step adds gain S.  In a real
+medium a row is real when the data are, and complex otherwise; real data
+stay real from the stacked data through the injection signals.  The loop
+only adds, subtracts and multiplies by real coefficients, which numpy does
+on the two parts of a complex row exactly as on two real rows.  The
+outputs are complex either way.
 
 The nonlinear ND (Neumann-to-Dirichlet) map restricts the solution to the
 endpoints.  The linearized map is its derivative along sigma_dot at sigma0,
@@ -102,18 +102,17 @@ measurements: a caller that reads them, as noise scaled by a trace's RMS
 does, builds its map with tail = 0.  A trace nonzero outside its steps is
 refused by name, never cut short.  On the paper grid the controls' 5000
 quiet steps at either end of 25001 leave 15007: the loop takes 15005 steps
-instead of 24999, and the FFT length is 30375 instead of 50000.  The map
-owns its FFT work arrays, 14 real series of the FFT length (3.4 MB on the
-paper grid for the controls' window, 5.6 MB for the whole), and writes them
-on every call, so one map must not be called from two threads at once.  A
-call copies each trace's window straight into the zero-padded input and
-allocates only its result: the traces of one call are views of one new
-block, never of the work arrays.  The backend agrees with the
-stepper to about 1e-13 relative; the stepper stays the reference it is
-tested against, and alone serves sources and snapshots at T.  Every map
-rejects Neumann data with a non-finite sample, which would silently spread
-NaN over both endpoint outputs, the stepper rejects such a source sample
-likewise, and the backend rejects a non-finite output.
+and the FFT length is 30375.  The map owns its FFT work arrays (see
+:class:`_TransferMap`) and writes them on every call, so one map must not
+be called from two threads at once.  A call copies each trace's window
+straight into the zero-padded input and allocates only its result: the
+traces of one call are views of one new block, never of the work arrays.
+The backend agrees with the stepper to about 1e-13 relative; the stepper
+stays the reference it is tested against, and alone serves sources and
+snapshots at T.  Every map rejects Neumann data with a non-finite sample,
+which would silently spread NaN over both endpoint outputs, the stepper
+rejects such a source sample likewise, and the backend rejects a
+non-finite output.
 """
 
 from __future__ import annotations
@@ -143,6 +142,8 @@ class SolveOutput:
 
 
 def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
+    if np.iscomplexobj(sigma):
+        raise ConfigurationError(f"{name} is complex; the damping is real")
     arr = np.asarray(sigma, dtype=float)
     if arr.ndim == 0:
         arr = np.full(nx, float(arr))
@@ -173,6 +174,8 @@ def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
     the generator, for data that do not vanish at t = 0."""
     warned = False
     last = grid.nt - tail
+    refused = ((0, quiet, f"before step {quiet}"),
+               (last, grid.nt, f"from step {last} on"))
     for j, tr in enumerate(neumanns):
         if len(tr) != grid.nt or tr.dt != grid.dt:
             raise ConfigurationError(
@@ -185,18 +188,13 @@ def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
                 f"Neumann trace {j} has a non-finite sample"
             )
         for name, v in zip("ab", ends):
-            early = np.flatnonzero(v[:quiet])
-            if early.size:
-                raise ConfigurationError(
-                    f"Neumann trace {j} is nonzero at step {early[0]} at "
-                    f"{name}; this map takes data that vanish before step "
-                    f"{quiet}")
-            late = np.flatnonzero(v[last:])
-            if late.size:
-                raise ConfigurationError(
-                    f"Neumann trace {j} is nonzero at step {last + late[0]} "
-                    f"at {name}; this map takes data that vanish from step "
-                    f"{last} on")
+            for lo, hi, rule in refused:
+                nonzero = np.flatnonzero(v[lo:hi])
+                if nonzero.size:
+                    raise ConfigurationError(
+                        f"Neumann trace {j} is nonzero at step "
+                        f"{lo + nonzero[0]} at {name}; this map takes data "
+                        f"that vanish {rule}")
         first = max(abs(v[0]) for v in ends)
         # the scale is at least 1, so only a t = 0 sample above the
         # tolerance can warn
@@ -225,32 +223,12 @@ def _stack_neumann(grid: GridSpec,
     return g
 
 
-def _check_source(grid: GridSpec, traces: int, source) -> np.ndarray:
-    """Checked source samples as one (nt-1, 1 or traces, nx) array."""
-    source = np.asarray(source)
-    steps, nx = grid.nt - 1, grid.nx
-    if source.shape == (steps, nx):
-        source = source[:, None]
-    elif source.shape != (steps, traces, nx):
-        raise ConfigurationError(
-            f"source has shape {source.shape}; the grid needs "
-            f"(nt-1, nx) = {(steps, nx)} or (nt-1, traces, nx) = "
-            f"{(steps, traces, nx)}")
-    bad = np.flatnonzero(~np.isfinite(source).all(axis=(1, 2)))
-    if bad.size:
-        raise ConfigurationError(
-            f"source has a non-finite sample at step {bad[0]}")
-    return source
-
-
 def _edge_term(arr):
     """(dx/3) (-d/dx at a, +d/dx at b) along the last axis, one-sided."""
     ends = np.stack((3.0 * arr[..., 0] - 4.0 * arr[..., 1] + arr[..., 2],
                      3.0 * arr[..., -1] - 4.0 * arr[..., -2] + arr[..., -3]),
                     axis=-1)
-    # divide as reals: numpy divides a complex array by a real through a
-    # rounded reciprocal, which would round each part unlike a real row
-    return (ends.view(float) / 6.0).view(ends.dtype)
+    return ends / 6.0
 
 
 def _stencil(grid: GridSpec, sigma: np.ndarray):
@@ -354,25 +332,24 @@ def _time_loop(grid, stencil, inj, source=None):
 
     ``inj`` (steps, *rows, 2), steps = nt for a solve, holds each row's
     injection signals at a and b for steps 1 .. steps-2, and ``source``, if
-    given, the samples S(t_n, .) for n = 0 .. steps-2, (steps-1, *rows, nx)
-    or broadcastable to it.  The field has shape (*rows, nx) and the widest
-    dtype of ``inj``, ``source`` and the stencil.  Returns the endpoint
-    traces (steps, *rows, 2) and the levels reached at steps T/dt - 1, T/dt
-    and T/dt + 1, in the field's dtype.
+    given, the real samples S(t_n, .) for n = 0 .. steps-2, (steps-1, nx),
+    which drive every row of rows = (traces,).  The field has shape
+    (*rows, nx) and the wider dtype of ``inj`` and the stencil: a row is
+    real when its data and medium are.  Returns the endpoint traces
+    (steps, *rows, 2) and the levels reached at steps T/dt - 1, T/dt and
+    T/dt + 1, in the field's dtype.
     """
     rows, nx = inj.shape[1:-1], grid.nx
     # Taylor first layer: with zero initial data, u_tt(0) = S(0)
     u1 = 0.0 if source is None else (grid.dt**2 / 2.0) * source[0]
-    dtype = np.result_type(inj, u1, *stencil)
+    dtype = np.result_type(inj, *stencil)
     carry, left, right, gain = (_Level.of(rows, nx, c) for c in stencil)
     u, v = (_Level.of(rows, nx, u1, dtype) for _ in range(2))
     diff, tmp = (_Level.of(rows, nx, dtype=dtype) for _ in range(2))
     # slot values for which -left * slot at a and right * slot at b inject
     outer = inj * np.array([-1.0, 1.0])
     if source is not None:
-        # the field's dtype: a complex source widens real data's slots
-        outer = outer.astype(dtype, copy=False)
-        outer[1:-1] += _edge_term(source[1:]) * [1.0, -1.0]
+        outer[1:-1] += _edge_term(source[1:, None]) * [1.0, -1.0]
     traces = np.zeros(inj.shape, dtype)
     traces[1] = u.ends
     snap_steps, levels = range(grid.half_index - 1, grid.half_index + 2), []
@@ -410,15 +387,24 @@ def solve_many(
 ) -> list[SolveOutput]:
     """Advance one field per Neumann trace through a single time loop.
 
-    ``source``, if given, holds the samples S(t_n, .) for n = 0 .. nt-2,
-    of shape (nt-1, nx) for every trace or (nt-1, traces, nx) for one row
-    each.  The field is complex if the data or the source are.
+    ``source``, if given, holds the real samples S(t_n, .) for
+    n = 0 .. nt-2, of shape (nt-1, nx), and drives every trace.  The loop
+    advances real rows when the data are real; the outputs are complex.
     """
     _check_cfl(grid)
     sig = _as_sigma_array(sigma, grid.nx)
     g = _stack_neumann(grid, neumanns)
     if source is not None:
-        source = _check_source(grid, len(neumanns), source)
+        source = np.asarray(source)
+        shape = (grid.nt - 1, grid.nx)
+        if source.shape != shape or np.iscomplexobj(source):
+            raise ConfigurationError(
+                f"source is {source.dtype} of shape {source.shape}; the grid "
+                f"needs real samples of shape (nt-1, nx) = {shape}")
+        bad = np.flatnonzero(~np.isfinite(source).all(axis=1))
+        if bad.size:
+            raise ConfigurationError(
+                f"source has a non-finite sample at step {bad[0]}")
     inj = _injection(_weights(grid, sig[_ENDS]), g)[0]
     inj = np.moveaxis(inj, -1, 0)  # (steps, traces, end)
     traces, levels = _time_loop(grid, _stencil(grid, sig), inj, source)
@@ -523,9 +509,7 @@ class _TransferMap:
     overwrites; its spectrum and the contraction's product, (parts, ends,
     frequencies); and one output end's term, (parts, frequencies): 14 real
     series of n_fft, a spectrum of n_fft // 2 + 1 complex samples counting
-    as one; 3.4 MB on the paper grid for the controls' window, 4.5 MB for
-    the window without the controls' trailing zeros and 5.6 MB for the
-    whole.
+    as one; 3.4 MB on the paper grid for the controls' window.
     """
 
     def __init__(self, grid: GridSpec, responses: np.ndarray,

@@ -91,6 +91,15 @@ class TestConfigFile:
             parse_config_file(cfg)
         assert str(exc.value).startswith(f"{cfg}:2: N: invalid literal")
 
+    def test_repeated_key(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("N = 3\n# the second wins nothing\nN = 4\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(cfg)
+        assert str(exc.value) == f"{cfg}:3: N: repeated (first set on line 1)"
+        assert main(["reconstruct", "--config", str(cfg)]) == 2
+        assert "repeated" in capsys.readouterr().err
+
 
 _XS = np.linspace(-1, 1, 11)
 
@@ -503,6 +512,33 @@ def test_check_commands_pass(kind, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_check_identity_fails_on_one_measured_sample_off(monkeypatch,
+                                                         capsys):
+    # the row compares the experiments' measurement map with the stepper:
+    # one of its samples off by 1e-6 relative must fail the 1e-9 tolerance
+    measurement = cli.ReconSettings.measurement
+
+    def off_by_one_sample(settings, medium, skip_tail=False):
+        measure = measurement(settings, medium, skip_tail)
+
+        def measure_off(fs):
+            traces = measure(fs)
+            a = traces[0].values_a
+            a[np.argmax(np.abs(a))] *= 1.0 + 1e-6
+            return traces
+        return measure_off
+
+    monkeypatch.setattr(cli.ReconSettings, "measurement", off_by_one_sample)
+    assert main(["check", "identity"]) == 1
+    label = "linearized map: transfer vs stepper (rel)"
+    (row,) = [r for r in capsys.readouterr().out.splitlines()
+              if r.startswith(label)]
+    measured, tol, verdict = row[len(label):].split()
+    # relative to the largest sample of either end
+    assert 1e-7 < float(measured.split("=")[1]) <= 1e-6
+    assert (tol, verdict) == ("tol=1e-09", "FAIL")
 
 
 def test_check_control_keeps_err_init_rows(capsys):

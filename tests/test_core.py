@@ -184,6 +184,14 @@ class TestMediumSpec:
         with pytest.raises(ConfigurationError, match=f"{field} has non-finite"):
             MediumSpec(0.0, **fields)
 
+    @pytest.mark.parametrize("field", ["sigma_dot", "sigma_ddot"])
+    def test_complex_samples_rejected(self, field):
+        # never cast to their real part
+        fields = {"sigma_dot": np.ones(11), field: np.full(11, 1.0 + 0.5j)}
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} is complex; the damping is real"):
+            MediumSpec(0.0, **fields)
+
     @pytest.mark.parametrize("sigma0", [np.nan, np.inf])
     def test_non_finite_background_rejected(self, sigma0):
         with pytest.raises(ConfigurationError, match="^sigma0 must be finite"):
