@@ -303,14 +303,14 @@ def _check_identity(table: _CheckTable) -> None:
     rep = nonlinear_identity_residual(f, h, 0.3, grid)
     table.row("nonlinear identity rel residual (sigma=0.3)",
               rep.rel_residual, 1e-2)
-    # the map the noise-free experiments measure with against the stepper,
-    # its reference, on the unit-CFL grid of the control check, where the
+    # the map the experiments measure with against the stepper, its
+    # reference, on the unit-CFL grid of the control check, where the
     # stepper is cheap, driven by mode 1's sine control
     grid = GridSpec(PAPER["a"], PAPER["b"], PAPER["dx"], PAPER["dx"], PAPER["T"])
     medium = MediumSpec(0.0, smooth_perturbation(grid.xs))
     pT_f, _, lam = fourier_targets(1, grid)
     f_t = build_control(pT_f, lam, grid).f_t
-    measure = ReconSettings(grid).measurement(medium, skip_tail=True)
+    measure = ReconSettings(grid).measurement(medium)
     (got,) = measure([f_t])
     (want,) = linearized_nd_map_many(grid, medium, [f_t])
     # the steps the identities pair with nonzero control samples

@@ -52,10 +52,10 @@ class GridSpec:
     a, b : float
         Spatial interval endpoints, b > a.
     dx : float
-        Spatial node spacing; (b - a)/dx must be an integer.
+        Spatial node spacing; (b - a)/dx must be an integer, at least 2.
     dt : float
-        Time step; T/dt must be an integer so that t = T and the
-        reflection t -> 2T - t land exactly on grid nodes.
+        Time step, at most dx (CFL); T/dt must be an integer, at least 3,
+        so that t = T and the reflection t -> 2T - t land on grid nodes.
     T : float
         Half measurement time.  T >= (b - a) + 1 is required so that the
         time-reversal control construction cancels exactly at t = 0.
@@ -84,6 +84,13 @@ class GridSpec:
                 f"T = {self.T} < (b - a) + 1 = {(self.b - self.a) + 1}; "
                 "the control construction needs the longer window"
             )
+        if self.dt / self.dx > 1.0 + 1e-12:
+            raise ConfigurationError(
+                f"CFL violated: dt / dx = {self.dt / self.dx:.4f} > 1")
+        if self.half_index < 3:
+            raise ConfigurationError("grid too coarse: fewer than 3 steps to t = T")
+        if self.nx < 3:
+            raise ConfigurationError(f"grid too coarse: {self.nx} nodes, fewer than 3")
 
     @property
     def nx(self) -> int:
@@ -123,6 +130,8 @@ class MediumSpec:
 
     def __post_init__(self) -> None:
         _check_finite(self, ("sigma0",))
+        if np.iscomplexobj(self.sigma0):
+            raise ConfigurationError("sigma0 is complex; the damping is real")
         if self.sigma0 < 0:
             raise ConfigurationError(f"sigma0 must be non-negative, got {self.sigma0}")
         for name in ("sigma_dot", "sigma_ddot"):

@@ -19,9 +19,10 @@ perturbed and background damping, which approximate the linearized ones.
 
 Gaussian measurement noise is relative: each measured trace receives i.i.d.
 zero-mean samples with standard deviation eps_noise times the trace's RMS
-(real and imaginary parts independently, each with 1/sqrt(2) of the
-variance).  Noise streams are derived per (mode, trace role), so results
-are reproducible and independent of evaluation order.
+over the steps the controls drive (real and imaginary parts independently,
+each with 1/sqrt(2) of the variance).  Noise streams are derived per (mode,
+trace role), so results are reproducible and independent of evaluation
+order.
 
 Each mode's data are one :class:`ModeData`: the free parameter and one
 :class:`~bcm1d.identity.ControlData` record per control (f the sine, h the
@@ -48,8 +49,7 @@ from .core import (
 )
 from .extension import AnalyticProfile, cosine_profile, sine_profile
 from .identity import ControlData, linearized_rhs
-from .solver import (_check_cfl, transfer_difference_nd_map,
-                     transfer_linearized_nd_map)
+from .solver import transfer_difference_nd_map, transfer_linearized_nd_map
 
 _REL_L2_FLOOR = 1e-12
 
@@ -83,8 +83,6 @@ class ReconSettings:
             raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        # the solver's checks first: a grid too coarse to run has no modes
-        _check_cfl(self.grid)
         # mode N's frequency 2 N pi / (b - a) must stay below the nodes'
         # Nyquist limit pi / dx = (nx - 1) pi / (b - a)
         n_max = (self.grid.nx - 2) // 2
@@ -107,29 +105,21 @@ class ReconSettings:
             raise ValueError("eps_linearization must be positive for "
                              "nonlinear-difference data")
 
-    def measurement(self, medium: MediumSpec,
-                    skip_tail: bool = False) -> Callable:
+    def measurement(self, medium: MediumSpec) -> Callable:
         """The map from driven traces to measured traces in ``medium``: the
         linearized ND map, or its difference quotient (nonlinear data at
         damping sigma0 + eps sigma_dot (+ eps^2 sigma_ddot) minus those at
         sigma0, over eps).  The map's kernel is built here, once.  The map
         takes the reconstruction controls only: it skips the
-        :func:`~bcm1d.control.quiet_steps` steps at the start, where they
-        vanish, and refuses data that do not.  With ``skip_tail`` it also
-        skips as many steps at the end, where its outputs are zeros, not
-        measurements: only for data read through the identities alone,
-        which pair a measured sample at step i with the control sample at
-        step nt - 1 - i, zero there.  Noise, scaled by the RMS of every
-        sample, reads the tail, so :func:`reconstruct` skips it only
-        without noise."""
+        :func:`~bcm1d.control.quiet_steps` steps at either end, where they
+        vanish, and refuses data that do not.  Its outputs there are zeros;
+        the identities pair a measured sample at step i with the control
+        sample at step nt - 1 - i, zero there too."""
         quiet = quiet_steps(self.grid)
-        tail = quiet if skip_tail else 0
         if self.data_mode == LINEARIZED:
-            return transfer_linearized_nd_map(self.grid, medium, quiet=quiet,
-                                              tail=tail)
+            return transfer_linearized_nd_map(self.grid, medium, quiet=quiet)
         return transfer_difference_nd_map(self.grid, medium,
-                                          self.eps_linearization, quiet=quiet,
-                                          tail=tail)
+                                          self.eps_linearization, quiet=quiet)
 
     def peak_bytes(self) -> int:
         """An estimate of the memory :func:`reconstruct` adds to the process
@@ -140,12 +130,11 @@ class ReconSettings:
         loads on first use.  The coefficients are measured peaks of
         ``bcm experiment``, not derived from the arrays' layouts."""
         grid = self.grid
-        noisy = self.noise_eps > 0
-        # reconstruct's map skips the controls' quiet steps at the start,
-        # and without noise as many at the end
-        window = grid.nt - quiet_steps(grid) * (1 if noisy else 2)
+        # reconstruct's map skips the controls' quiet steps at either end
+        window = grid.nt - 2 * quiet_steps(grid)
         return (_BYTES_PER_WINDOW_STEP * window + _BYTES_PER_STEP * grid.nt
-                + _BYTES_PER_NODE * grid.nx + noisy * _NUMPY_RANDOM_BYTES)
+                + _BYTES_PER_NODE * grid.nx
+                + (self.noise_eps > 0) * _NUMPY_RANDOM_BYTES)
 
 
 @dataclass(frozen=True)
@@ -180,22 +169,27 @@ def fourier_targets(k: int, grid: GridSpec
 
 
 def add_noise(
-    trace: BoundaryTrace, eps: float, rng: np.random.Generator
+    trace: BoundaryTrace, eps: float, rng: np.random.Generator, quiet: int
 ) -> BoundaryTrace:
-    """Relative Gaussian noise: per-sample std is eps * RMS(trace).
+    """Relative Gaussian noise: per-sample std is eps * RMS(trace) over the
+    steps the controls drive, ``quiet`` .. n - 1 - ``quiet``, so that one
+    eps gives one noise-to-signal ratio at every T.
 
-    The RMS is taken over both endpoint series jointly; real and imaginary
-    parts are perturbed independently with std eps * RMS / sqrt(2).  A zero
-    trace (RMS = 0) and eps = 0 are returned unchanged.  Noise too large for
-    floats gives infinite samples, which :func:`reconstruct_from_data`
-    rejects, naming the mode.
+    The RMS is taken over both endpoint series jointly; every sample is
+    perturbed, real and imaginary parts independently with std
+    eps * RMS / sqrt(2).  A zero trace (RMS = 0) and eps = 0 are returned
+    unchanged.  Noise too large for floats gives infinite samples, which
+    :func:`reconstruct_from_data` rejects, naming the mode.
     """
     if not (np.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     n = len(trace)
+    if not 0 <= quiet < n / 2:
+        raise ValueError(f"quiet = {quiet} leaves no step of {n} to scale by")
+    driven = slice(quiet, n - quiet)
     rms = np.sqrt(
-        (np.sum(np.abs(trace.values_a) ** 2) + np.sum(np.abs(trace.values_b) ** 2))
-        / (2 * n)
+        (np.sum(np.abs(trace.values_a[driven]) ** 2)
+         + np.sum(np.abs(trace.values_b[driven]) ** 2)) / (2 * (n - 2 * quiet))
     )
     if eps == 0.0 or rms == 0.0:
         return trace
@@ -208,15 +202,16 @@ def add_noise(
 
 
 def apply_measurement_noise(
-    data: ModeData, k: int, eps: float, seed: int
+    data: ModeData, k: int, eps: float, seed: int, quiet: int
 ) -> ModeData:
-    """Noisy copy of ``data``; each measured trace gets its (k, label) stream."""
+    """Noisy copy of ``data``; each measured trace gets its (k, label) stream,
+    scaled over the steps the controls drive (see :func:`add_noise`)."""
     if eps == 0.0:
         return data
 
     def noisy(trace, label):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(k, label))
-        return add_noise(trace, eps, np.random.default_rng(ss))
+        return add_noise(trace, eps, np.random.default_rng(ss), quiet)
 
     # substream labels of (meas_t, meas_tt): 0, 1 for f; 2, 3 for h
     f, h = data.f, data.h
@@ -371,12 +366,11 @@ def reconstruct(
         raise UnsupportedRegimeError(
             f"reconstruction requires sigma0 = 0; got sigma0 = {medium.sigma0}"
         )
-    # without noise, only the identities read the data
-    measure = settings.measurement(medium, skip_tail=not settings.noise_eps)
+    grid, measure = settings.grid, settings.measurement(medium)
     modes = (
         apply_measurement_noise(
-            acquire_clean_pair_data(k, settings.grid, measure),
-            k, settings.noise_eps, settings.seed)
+            acquire_clean_pair_data(k, grid, measure),
+            k, settings.noise_eps, settings.seed, quiet_steps(grid))
         for k in range(1, settings.N + 1)
     )
     return reconstruct_from_data(modes, settings, truth)

@@ -89,17 +89,14 @@ responses add the exact difference, taken from the same tap table: the
 stepper's signals of those samples minus the filter's, skipped when the
 samples are zero, as they are for the reconstruction controls.
 
-A map built with ``quiet`` and ``tail`` takes only data that vanish before
-step ``quiet`` and in the last ``tail`` steps, as the reconstruction
-controls do outside (T - (b - a) - 1, T + (b - a) + 1).  The filter reads
-two steps either side, so the fields are at rest through step quiet - 2,
-and the map runs the scheme on the window from step
-start = max(quiet - 3, 0) to stop - 1, stop = min(nt - tail + 3, nt): its
-kernel's loop pass, FFT length and work arrays are sized for the window,
-and a window end inside the grid sits on zeros.  The outputs before the
-window are exact zeros; those after it are zeros too, but not
-measurements: a caller that reads them, as noise scaled by a trace's RMS
-does, builds its map with tail = 0.  A trace nonzero outside its steps is
+A map built with ``quiet`` takes only data that vanish in the first and the
+last ``quiet`` steps, as the reconstruction controls do outside
+(T - (b - a) - 1, T + (b - a) + 1).  The filter reads two steps either
+side, so the fields are at rest through step quiet - 2, and the map runs
+the scheme on the window from step start = max(quiet - 3, 0) to stop - 1,
+stop = min(nt - quiet + 3, nt): its kernel's loop pass, FFT length and
+work arrays are sized for the window, and a window end inside the grid
+sits on zeros.  The outputs outside the window are zeros.  A trace nonzero outside its steps is
 refused by name, never cut short.  On the paper grid the controls' 5000
 quiet steps at either end of 25001 leave 15007: the loop takes 15005 steps
 and the FFT length is 30375.  The map owns its FFT work arrays (see
@@ -111,8 +108,8 @@ The backend agrees with the stepper to about 1e-13 relative; the stepper
 stays the reference it is tested against, and alone serves sources and
 snapshots at T.  Every map rejects Neumann data with a non-finite sample,
 which would silently spread NaN over both endpoint outputs, the stepper
-rejects such a source sample likewise, and the backend rejects a
-non-finite output.
+rejects such a source sample likewise, and the backend rejects a non-finite
+output.
 """
 
 from __future__ import annotations
@@ -156,24 +153,14 @@ def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
     return arr
 
 
-def _check_cfl(grid: GridSpec) -> None:
-    c = grid.dt / grid.dx
-    if c > 1.0 + 1e-12:
-        raise ConfigurationError(f"CFL violated: dt / dx = {c:.4f} > 1")
-    if grid.half_index < 3:
-        raise ConfigurationError("grid too coarse: fewer than 3 steps to t = T")
-    if grid.nx < 3:
-        raise ConfigurationError(f"grid too coarse: {grid.nx} nodes, fewer than 3")
-
-
 def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
-             stacklevel: int, quiet: int = 0, tail: int = 0):
+             stacklevel: int, quiet: int = 0):
     """Yield each Neumann trace once it is checked: its length and step,
-    its samples finite and zero before step ``quiet`` and in the last
-    ``tail`` steps, and at most one warning, ``stacklevel`` frames up from
-    the generator, for data that do not vanish at t = 0."""
+    its samples finite and zero in the first and the last ``quiet`` steps,
+    and at most one warning, ``stacklevel`` frames up from the generator,
+    for data that do not vanish at t = 0."""
     warned = False
-    last = grid.nt - tail
+    last = grid.nt - quiet
     refused = ((0, quiet, f"before step {quiet}"),
                (last, grid.nt, f"from step {last} on"))
     for j, tr in enumerate(neumanns):
@@ -391,7 +378,6 @@ def solve_many(
     n = 0 .. nt-2, of shape (nt-1, nx), and drives every trace.  The loop
     advances real rows when the data are real; the outputs are complex.
     """
-    _check_cfl(grid)
     sig = _as_sigma_array(sigma, grid.nx)
     g = _stack_neumann(grid, neumanns)
     if source is not None:
@@ -437,7 +423,6 @@ def linearized_nd_map_many(
     :func:`solve_many` along sigma_dot at the damping sigma0: the linearized
     measurements, taken by a complex step (see the module docstring).
     """
-    _check_cfl(grid)
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     g = _stack_neumann(grid, fs)
     sigma, s = _complex_step(medium.sigma0, sd)
@@ -470,23 +455,23 @@ def _fft_length(n: int) -> int:
         m += 1
 
 
-def _window(grid: GridSpec, weights: np.ndarray, quiet: int,
-            tail: int) -> tuple[int, int]:
+def _window(grid: GridSpec, weights: np.ndarray,
+            quiet: int) -> tuple[int, int]:
     """The steps start .. stop-1 of the window of a transfer map for data
-    that vanish before step ``quiet`` and in the last ``tail`` steps: a
-    signal reads r = weights.shape[-1] - 1 steps either side, so the window
-    opens at rest, r + 1 steps before ``quiet``, and closes r + 1 steps after
-    the data end, where its last samples are zeros.  It must keep the 7
-    steps of the coarsest grid :func:`_check_cfl` admits, on which the
+    that vanish in the first and the last ``quiet`` steps: a signal reads
+    r = weights.shape[-1] - 1 steps either side, so the window opens at
+    rest, r + 1 steps before ``quiet``, and closes r + 1 steps after the
+    data end, where its last samples are zeros.  It must keep the 7 steps
+    of the coarsest grid :class:`~bcm1d.core.GridSpec` admits, on which the
     samples the two edge frames read stay apart."""
     reach = weights.shape[-1]
     start = max(quiet - reach, 0)
-    stop = min(grid.nt - tail + reach, grid.nt)
-    if quiet < 0 or tail < 0 or stop - start < 7:
+    stop = min(grid.nt - quiet + reach, grid.nt)
+    if quiet < 0 or stop - start < 7:
         raise ConfigurationError(
-            f"quiet = {quiet}, tail = {tail} is out of range: both must be "
-            f"non-negative and leave a transfer map's window at least 7 of "
-            f"the grid's {grid.nt} steps")
+            f"quiet = {quiet} is out of range: it must be non-negative and "
+            f"leave a transfer map's window at least 7 of the grid's "
+            f"{grid.nt} steps")
     return start, stop
 
 
@@ -494,10 +479,9 @@ class _TransferMap:
     """Neumann traces to endpoint traces through a medium's transfer kernel.
 
     The map runs on a window, steps start .. stop-1, for data that vanish
-    before step ``quiet`` and in the last ``tail`` steps (see
-    :func:`_window`), and refuses data that do not.  Before the window the
-    fields are at rest and the outputs zero; after it the outputs are zeros
-    too, but not measured: steps from stop on are not computed.
+    in the first and the last ``quiet`` steps (see :func:`_window`), and
+    refuses data that do not.  Before the window the fields are at rest;
+    the outputs outside it are zeros.
     ``responses`` (window steps, signals, output end) are the loop's traces
     of a unit impulse at step 1 in each injection signal, signal s at end
     s % 2, and ``weights`` (signals, 3) those signals' taps (see
@@ -513,9 +497,9 @@ class _TransferMap:
     """
 
     def __init__(self, grid: GridSpec, responses: np.ndarray,
-                 weights: np.ndarray, quiet: int = 0, tail: int = 0):
-        self.grid, self.quiet, self.tail = grid, quiet, tail
-        self.start, self.stop = _window(grid, weights, quiet, tail)
+                 weights: np.ndarray, quiet: int = 0):
+        self.grid, self.quiet = grid, quiet
+        self.start, self.stop = _window(grid, weights, quiet)
         steps = len(responses)
         # (signals, output end, steps 1 .. steps-1 of the window)
         responses = np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1))
@@ -579,22 +563,20 @@ class _TransferMap:
 
     def __call__(self, fs: Sequence[BoundaryTrace]) -> list[BoundaryTrace]:
         """Endpoint traces of the Neumann traces ``fs``, as views of one new
-        block; a trace nonzero before step ``quiet`` or in the last ``tail``
-        steps raises an error, and so does a non-finite result, from a
-        kernel that overflowed.  The samples after the window are zeros, not
-        measurements.  Every call overwrites the map's FFT work arrays."""
+        block; a trace nonzero in the first or the last ``quiet`` steps
+        raises an error, and so does a non-finite result, from a kernel that
+        overflowed.  Every call overwrites the map's FFT work arrays."""
         n_fft, transfer, grid = self.n_fft, self.transfer, self.grid
         series, spectrum, product, term = self.work
         start, stop = self.start, self.stop
         steps = stop - start
         out = np.empty((len(fs), 2, grid.nt), dtype=complex)
-        # at rest before the window; not measured after it
+        # zeros outside the window
         out[..., :start] = 0.0
         out[..., stop:] = 0.0
         # an overflow gives a non-finite trace, which is rejected by name
         with np.errstate(over="ignore", invalid="ignore"):
-            checked = _checked(grid, fs, stacklevel=3, quiet=self.quiet,
-                               tail=self.tail)
+            checked = _checked(grid, fs, stacklevel=3, quiet=self.quiet)
             for j, (tr, oj) in enumerate(zip(checked, out)):
                 g = [v[start:stop] for v in (tr.values_a, tr.values_b)]
                 for end, v in enumerate(g):
@@ -621,8 +603,7 @@ class _TransferMap:
 
 
 def transfer_difference_nd_map(
-    grid: GridSpec, medium: MediumSpec, eps: float, quiet: int = 0,
-    tail: int = 0
+    grid: GridSpec, medium: MediumSpec, eps: float, quiet: int = 0
 ) -> Callable[[Sequence[BoundaryTrace]], list[BoundaryTrace]]:
     """The map from Neumann traces to
     (Lambda(sigma0 + eps sigma_dot + eps^2 sigma_ddot) - Lambda(sigma0)) / eps
@@ -632,12 +613,11 @@ def transfer_difference_nd_map(
     Making the map checks its arguments and runs the one time loop of its
     kernel, so the map measures the medium as it was then.  It agrees with
     the stepper's quotient to about 1e-13 of either medium's traces / eps.
-    The map takes only data that vanish before step ``quiet`` and in the
-    last ``tail`` steps, and skips those steps (see the module docstring).
+    The map takes only data that vanish in the first and the last ``quiet``
+    steps, and skips those steps (see the module docstring).
     The map writes work arrays of its own: do not call it from two threads
     at once.
     """
-    _check_cfl(grid)
     if not (np.isfinite(eps) and eps > 0):
         raise ConfigurationError(f"eps must be positive and finite, got {eps}")
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
@@ -651,17 +631,17 @@ def transfer_difference_nd_map(
     # the background's signals enter negated, each medium with its weights
     media = np.stack((full, np.full(grid.nx, medium.sigma0)))[:, None]
     weights = _weights(grid, media[..., _ENDS].ravel())
-    start, stop = _window(grid, weights, quiet, tail)
+    start, stop = _window(grid, weights, quiet)
     # (steps of the window, *rows, output end)
     impulses = np.zeros((stop - start, 2, 2, 2))
     impulses[1] = np.eye(2)
     traces, _ = _time_loop(grid, _stencil(grid, media), impulses)
     responses = np.concatenate((traces[:, 0], -traces[:, 1]), axis=1) / eps
-    return _TransferMap(grid, responses, weights, quiet, tail)
+    return _TransferMap(grid, responses, weights, quiet)
 
 
 def transfer_linearized_nd_map(
-    grid: GridSpec, medium: MediumSpec, quiet: int = 0, tail: int = 0
+    grid: GridSpec, medium: MediumSpec, quiet: int = 0
 ) -> Callable[[Sequence[BoundaryTrace]], list[BoundaryTrace]]:
     """The map from Neumann traces to the linearized measurements of
     :func:`linearized_nd_map_many`, by one convolution each.
@@ -669,15 +649,14 @@ def transfer_linearized_nd_map(
     Making the map checks its arguments and runs the one time loop of its
     kernel, so the map measures the medium as it was then.  It agrees with
     the stepper, its oracle, to about 1e-13 relative.  The map takes only
-    data that vanish before step ``quiet`` and in the last ``tail`` steps,
-    and skips those steps (see the module docstring).  The map writes work
-    arrays of its own: do not call it from two threads at once.
+    data that vanish in the first and the last ``quiet`` steps, and skips
+    those steps (see the module docstring).  The map writes work arrays of
+    its own: do not call it from two threads at once.
     """
-    _check_cfl(grid)
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     sigma, s = _complex_step(medium.sigma0, sd)
     w = _weights(grid, sigma[_ENDS])
-    start, stop = _window(grid, w, quiet, tail)
+    start, stop = _window(grid, w, quiet)
     # (steps of the window, impulse end, output end)
     impulses = np.zeros((stop - start, 2, 2))
     impulses[1] = np.eye(2)
@@ -685,4 +664,4 @@ def transfer_linearized_nd_map(
     # d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R); / h first, then * s
     responses = np.concatenate((traces.imag / _STEP * s, traces.real), axis=1)
     weights = np.concatenate((w.real, w.imag / _STEP * s))
-    return _TransferMap(grid, responses, weights, quiet, tail)
+    return _TransferMap(grid, responses, weights, quiet)

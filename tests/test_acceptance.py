@@ -26,6 +26,7 @@ from bcm1d import (
 )
 from bcm1d.cli import (_mms_error, main, piecewise_perturbation,
                        smooth_perturbation, smooth_pulse_trace)
+from bcm1d.control import quiet_steps
 from bcm1d.recon import NONLINEAR_DIFFERENCE, fourier_targets
 
 from oracles import stability_bound_check, weighted_volume_pairing
@@ -84,7 +85,8 @@ def exp3(grid):
 
 def _noisy_rel_l2(bundle, eps, seed):
     noisy = [
-        apply_measurement_noise(data, k, eps, seed)
+        apply_measurement_noise(data, k, eps, seed,
+                                quiet_steps(bundle["settings"].grid))
         for k, data in enumerate(bundle["data"], start=1)
     ]
     return reconstruct_from_data(noisy, bundle["settings"], bundle["truth"]).rel_l2

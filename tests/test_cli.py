@@ -520,8 +520,8 @@ def test_check_identity_fails_on_one_measured_sample_off(monkeypatch,
     # one of its samples off by 1e-6 relative must fail the 1e-9 tolerance
     measurement = cli.ReconSettings.measurement
 
-    def off_by_one_sample(settings, medium, skip_tail=False):
-        measure = measurement(settings, medium, skip_tail)
+    def off_by_one_sample(settings, medium):
+        measure = measurement(settings, medium)
 
         def measure_off(fs):
             traces = measure(fs)

@@ -34,6 +34,15 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(-1.0, 1.0, 0.01, 0.001, 2.5)
 
+    @pytest.mark.parametrize("dx, dt, message", [
+        (0.02, 0.04, r"^CFL violated: dt / dx = 2.0000 > 1$"),
+        (2.0, 1.5, "^grid too coarse: fewer than 3 steps to t = T$"),
+        (2.0, 1.0, "^grid too coarse: 2 nodes, fewer than 3$"),
+    ], ids=["cfl", "steps", "nodes"])
+    def test_scheme_limits_rejected(self, dx, dt, message):
+        with pytest.raises(ConfigurationError, match=message):
+            GridSpec(-1.0, 1.0, dx, dt, 3.0)
+
     @pytest.mark.parametrize("field", ["a", "b", "dx", "dt", "T"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_fields_rejected(self, field, bad):
@@ -191,6 +200,13 @@ class TestMediumSpec:
         with pytest.raises(ConfigurationError,
                            match=f"{field} is complex; the damping is real"):
             MediumSpec(0.0, **fields)
+
+    @pytest.mark.parametrize("sigma0", [0.1 + 0.2j, np.complex128(0.5)])
+    def test_complex_background_rejected(self, sigma0):
+        # never compared with 0 as a complex number
+        with pytest.raises(ConfigurationError,
+                           match="^sigma0 is complex; the damping is real$"):
+            MediumSpec(sigma0, np.ones(3))
 
     @pytest.mark.parametrize("sigma0", [np.nan, np.inf])
     def test_non_finite_background_rejected(self, sigma0):

@@ -300,8 +300,8 @@ _NON_FINITE = {"nan": np.nan, "inf": np.inf,
 
 class TestValidation:
     def test_cfl_violation(self):
-        g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 25, 3.0)  # dt > dx
         with pytest.raises(ConfigurationError, match="CFL"):
+            g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 25, 3.0)  # dt > dx
             solve_many(g, 0.0, [BoundaryTrace.zeros(g)])
 
     def test_sigma_length_mismatch(self, coarse_grid):
@@ -413,10 +413,11 @@ def _edge_traces(grid, window):
     """Complex traces that are nonzero only at the samples ``window``."""
     rng = np.random.default_rng(7)
     traces = []
+    shape = (2, len(range(grid.nt)[window]))
     for _ in range(2):
         va, vb = np.zeros((2, grid.nt), dtype=complex)
-        va[window], vb[window] = (rng.standard_normal((2, 3))
-                                  + 1j * rng.standard_normal((2, 3)))
+        va[window], vb[window] = (rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape))
         traces.append(BoundaryTrace(va, vb, grid.dt))
     return traces
 
@@ -702,24 +703,30 @@ def _controls(grid, ks=(1, 3)):
     return traces
 
 
-# (the map for data that vanish before step quiet and in the last tail
-# steps, its stepper oracle)
+# (the map for data that vanish in the first and the last quiet steps, its
+# stepper oracle)
 _WINDOWED = {
     "linearized": (
-        lambda grid, med, quiet, tail=0: transfer_linearized_nd_map(
-            grid, med, quiet=quiet, tail=tail),
+        lambda grid, med, quiet: transfer_linearized_nd_map(
+            grid, med, quiet=quiet),
         linearized_nd_map_many),
     "nonlinear": (
-        lambda grid, med, quiet, tail=0: transfer_difference_nd_map(
-            grid, med, _EPS, quiet=quiet, tail=tail),
+        lambda grid, med, quiet: transfer_difference_nd_map(
+            grid, med, _EPS, quiet=quiet),
         lambda grid, med, fs: _stepper_quotient(grid, med, _EPS, fs)),
 }
 
 
+def _head(traces, stop):
+    """The samples before step ``stop`` of ``traces``."""
+    return [BoundaryTrace(tr.values_a[:stop], tr.values_b[:stop], tr.dt)
+            for tr in traces]
+
+
 @pytest.mark.parametrize("kind", sorted(_WINDOWED))
 class TestWindow:
-    """A map for data that vanish before step quiet runs its kernel and its
-    convolutions on the steps from quiet - 3 on."""
+    """A map for data that vanish in the first and the last quiet steps runs
+    its kernel and its convolutions on the steps from quiet - 3 on."""
 
     @pytest.mark.parametrize("grid_name", ["coarse_grid_t5", "mid_grid"])
     def test_controls_match_the_stepper_and_the_whole_window(
@@ -731,9 +738,11 @@ class TestWindow:
         measure = make(grid, med, quiet)
         assert measure.start == quiet - 3 > 0
         fs = _controls(grid)
-        got = measure(fs)
-        assert _max_rel_deviation(got, oracle(grid, med, fs)) <= 1e-9
-        assert _max_rel_deviation(got, make(grid, med, 0)(fs)) <= 1e-12
+        got = _head(measure(fs), measure.stop)
+        assert _max_rel_deviation(
+            got, _head(oracle(grid, med, fs), measure.stop)) <= 1e-9
+        assert _max_rel_deviation(
+            got, _head(make(grid, med, 0)(fs), measure.stop)) <= 1e-12
         for tr in got:  # at rest before the window
             assert not np.any(tr.values_a[:measure.start])
             assert not np.any(tr.values_b[:measure.start])
@@ -752,11 +761,12 @@ class TestWindow:
         make = _WINDOWED[kind][0]
         whole, windowed = (make(grid, _medium(grid), q)
                            for q in (0, quiet_steps(grid)))
-        assert steps == [grid.nt, grid.nt - 997]
-        assert windowed.n_fft == solver._fft_length(2 * (grid.nt - 997) - 3)
-        assert windowed.responses.shape[-1] == grid.nt - 997 - 2
+        window = grid.nt - 2 * 997
+        assert steps == [grid.nt, window]
+        assert windowed.n_fft == solver._fft_length(2 * window - 3)
+        assert windowed.responses.shape[-1] == window - 2
         assert (sum(arr.nbytes for arr in windowed.work)
-                < 0.85 * sum(arr.nbytes for arr in whole.work))
+                < 0.65 * sum(arr.nbytes for arr in whole.work))
 
     def test_a_window_from_step_zero_is_the_whole_map(self, kind,
                                                       coarse_grid_t5):
@@ -771,20 +781,21 @@ class TestWindow:
             assert np.array_equal(got.values_a, want.values_a)
             assert np.array_equal(got.values_b, want.values_b)
 
-    @pytest.mark.parametrize("before_end", [2500, 4], ids=["mid", "last"])
+    @pytest.mark.parametrize("quiet", [501, 1500], ids=["mid", "last"])
     def test_data_from_step_quiet_match_the_stepper(self, kind, coarse_grid,
-                                                    before_end):
-        # O(1) samples at steps quiet .. quiet+2, where the controls' are
-        # tiny; quiet = nt - 4 leaves 7 steps, the fewest a grid has, and
-        # makes the end frame do real work
+                                                    quiet):
+        # O(1) samples from step quiet on, where the controls' are tiny;
+        # quiet = (nt - 1) / 2 leaves 7 steps, the fewest a window has
         make, oracle = _WINDOWED[kind]
         med = _medium(coarse_grid)
-        quiet = coarse_grid.nt - before_end
-        fs = _edge_traces(coarse_grid, slice(quiet, quiet + 3))
+        fs = _edge_traces(coarse_grid,
+                          slice(quiet, min(quiet + 3, coarse_grid.nt - quiet)))
         measure = make(coarse_grid, med, quiet)
-        assert coarse_grid.nt - measure.start == before_end + 3
-        assert _max_rel_deviation(measure(fs),
-                                  oracle(coarse_grid, med, fs)) <= 1e-9
+        assert (measure.start, measure.stop) == (quiet - 3,
+                                                 coarse_grid.nt - quiet + 3)
+        assert _max_rel_deviation(
+            _head(measure(fs), measure.stop),
+            _head(oracle(coarse_grid, med, fs), measure.stop)) <= 1e-9
 
     @pytest.mark.parametrize("end", [0, 1], ids=["a", "b"])
     def test_data_before_quiet_are_refused(self, kind, coarse_grid_t5, end):
@@ -800,7 +811,8 @@ class TestWindow:
                                  f"{quiet - 1} at {'ab'[end]}"):
             measure(fs)
 
-    @pytest.mark.parametrize("quiet", [-1, -100, "nt-3", "nt"])
+    # 1501 of 3001 steps: the window's ends cross, leaving 5 steps
+    @pytest.mark.parametrize("quiet", [-1, -100, 1501, "nt-3", "nt"])
     def test_quiet_out_of_range_refused_at_build(self, kind, coarse_grid,
                                                  quiet):
         if isinstance(quiet, str):
@@ -809,16 +821,11 @@ class TestWindow:
             _WINDOWED[kind][0](coarse_grid, _medium(coarse_grid), quiet)
 
 
-def _head(traces, stop):
-    """The samples before step ``stop`` of ``traces``."""
-    return [BoundaryTrace(tr.values_a[:stop], tr.values_b[:stop], tr.dt)
-            for tr in traces]
-
-
 @pytest.mark.parametrize("kind", sorted(_WINDOWED))
 class TestTwoSidedWindow:
-    """A map for data that also vanish in the last tail steps stops its
-    kernel and its convolutions three steps after the data end."""
+    """The same map stops its kernel and its convolutions three steps after
+    the data end, at step nt - quiet + 3, and refuses data in the last quiet
+    steps."""
 
     @pytest.mark.parametrize("grid_name", ["coarse_grid_t5", "mid_grid"])
     def test_controls_match_the_stepper_through_the_window(
@@ -827,48 +834,46 @@ class TestTwoSidedWindow:
         make, oracle = _WINDOWED[kind]
         med = _medium(grid)
         quiet = quiet_steps(grid)
-        measure = make(grid, med, quiet, quiet)
+        measure = make(grid, med, quiet)
         stop = grid.nt - quiet + 3
         assert (measure.start, measure.stop) == (quiet - 3, stop)
         fs = _controls(grid)
         got = measure(fs)
         assert _max_rel_deviation(_head(got, stop),
                                   _head(oracle(grid, med, fs), stop)) <= 1e-9
-        assert _max_rel_deviation(_head(got, stop),
-                                  _head(make(grid, med, quiet)(fs),
-                                        stop)) <= 1e-12
-        for tr in got:  # zeros, not measured, after the window
+        for tr in got:  # zeros after the window
             assert not np.any(tr.values_a[stop:])
             assert not np.any(tr.values_b[stop:])
 
-    @pytest.mark.parametrize("tail", [1, 2, 3])
+    @pytest.mark.parametrize("quiet", [1, 2, 3])
     def test_a_window_to_the_last_step_is_the_one_sided_map(self, kind,
                                                             coarse_grid_t5,
-                                                            tail):
-        # tail = 0 is the map without a tail, and a tail up to 3 leaves the
-        # window at the last step: the same arithmetic
+                                                            quiet):
+        # quiet up to 3 leaves the window at the last step: the arithmetic
+        # of the map that skips nothing
         make = _WINDOWED[kind][0]
-        grid, med = coarse_grid_t5, _medium(coarse_grid_t5)
-        quiet = quiet_steps(grid)
-        fs = _controls(grid, (2,))
-        want = make(grid, med, quiet)(fs)
-        for measure in (make(grid, med, quiet, 0), make(grid, med, quiet, tail)):
-            assert measure.stop == grid.nt
-            for got, ref in zip(measure(fs), want, strict=True):
-                assert np.array_equal(got.values_a, ref.values_a)
-                assert np.array_equal(got.values_b, ref.values_b)
+        med = _medium(coarse_grid_t5)
+        fs = _controls(coarse_grid_t5, (2,))
+        narrow = make(coarse_grid_t5, med, quiet)
+        assert narrow.stop == coarse_grid_t5.nt
+        for got, want in zip(narrow(fs), make(coarse_grid_t5, med, 0)(fs),
+                             strict=True):
+            assert np.array_equal(got.values_a, want.values_a)
+            assert np.array_equal(got.values_b, want.values_b)
 
-    @pytest.mark.parametrize("before_tail", [2500, 4], ids=["mid", "first"])
+    @pytest.mark.parametrize("before_tail", [2500, 1501],
+                             ids=["mid", "first"])
     def test_data_up_to_the_tail_match_the_stepper(self, kind, coarse_grid,
                                                    before_tail):
-        # O(1) samples at the three steps before the tail, where the
-        # controls' are tiny; a tail of nt - 4 leaves 7 steps, the fewest a
-        # grid has, and makes the start frame do real work too
+        # O(1) samples at step nt - quiet - 1 and up to two before it, where
+        # the controls' are tiny; quiet = (nt - 1) / 2 leaves 7 steps, the
+        # fewest a window has
         make, oracle = _WINDOWED[kind]
         med = _medium(coarse_grid)
-        tail = coarse_grid.nt - before_tail
-        fs = _edge_traces(coarse_grid, slice(before_tail - 3, before_tail))
-        measure = make(coarse_grid, med, 0, tail)
+        quiet = coarse_grid.nt - before_tail
+        fs = _edge_traces(coarse_grid,
+                          slice(max(before_tail - 3, quiet), before_tail))
+        measure = make(coarse_grid, med, quiet)
         assert measure.stop == before_tail + 3
         assert _max_rel_deviation(
             _head(measure(fs), measure.stop),
@@ -878,7 +883,7 @@ class TestTwoSidedWindow:
     def test_data_in_the_tail_are_refused(self, kind, coarse_grid_t5, end):
         grid = coarse_grid_t5
         quiet = quiet_steps(grid)
-        measure = _WINDOWED[kind][0](grid, _medium(grid), quiet, quiet)
+        measure = _WINDOWED[kind][0](grid, _medium(grid), quiet)
         fs = _controls(grid, (1,))[:2]
         ends = [fs[1].values_a.copy(), fs[1].values_b.copy()]
         ends[end][grid.nt - quiet] = 1e-300
@@ -889,16 +894,6 @@ class TestTwoSidedWindow:
                                  f"map takes data that vanish from step "
                                  f"{grid.nt - quiet} on"):
             measure(fs)
-
-    @pytest.mark.parametrize("quiet, tail", [(0, -1), (0, "nt-3"),
-                                             ("nt-3", 3), (1501, 1500)])
-    def test_tail_out_of_range_refused_at_build(self, kind, coarse_grid,
-                                                quiet, tail):
-        quiet, tail = (coarse_grid.nt - 3 if q == "nt-3" else q
-                       for q in (quiet, tail))
-        with pytest.raises(ConfigurationError,
-                           match="quiet = .*, tail = .* is out of range"):
-            _WINDOWED[kind][0](coarse_grid, _medium(coarse_grid), quiet, tail)
 
     def test_paper_grid_window_sizes(self, kind, monkeypatch):
         # the loop is replaced by zeros of its traces' shape: only the
@@ -911,12 +906,11 @@ class TestTwoSidedWindow:
             return np.zeros(inj.shape, np.result_type(inj, *stencil)), []
 
         monkeypatch.setattr(solver, "_time_loop", zeros)
-        measure = _WINDOWED[kind][0](grid, _medium(grid), 5000, 5000)
+        measure = _WINDOWED[kind][0](grid, _medium(grid), 5000)
         assert (measure.start, measure.stop) == (4997, 20004)
         assert steps == [15007]
         assert measure.n_fft == 30375
-        # 3.40 MB of work arrays (4.54 MB without the tail), 0.97 MB of
-        # transfer matrices (1.30 MB)
+        # 3.40 MB of work arrays, 0.97 MB of transfer matrices
         assert (sum(arr.nbytes for arr in measure.work)
                 == 4 * 8 * 30375 + 10 * 16 * (30375 // 2 + 1) == 3402080)
         assert measure.transfer.nbytes == 4 * 16 * (30375 // 2 + 1) == 972032
@@ -924,15 +918,12 @@ class TestTwoSidedWindow:
 
 @pytest.mark.parametrize("data_mode", [LINEARIZED, NONLINEAR_DIFFERENCE])
 def test_measurement_skips_the_controls_lead_in(coarse_grid_t5, data_mode):
+    # and as many steps at the end: noisy and noise-free runs take one map
     grid, med = coarse_grid_t5, _medium(coarse_grid_t5)
-    settings = ReconSettings(grid=grid, N=2, data_mode=data_mode)
-    measure = settings.measurement(med)
+    measure = ReconSettings(grid=grid, N=2, data_mode=data_mode,
+                            noise_eps=0.05).measurement(med)
     assert measure.quiet == quiet_steps(grid) == 1000
-    assert (measure.tail, measure.start, measure.stop) == (0, 997, grid.nt)
-    # the tail only on request: its outputs are zeros, not measurements
-    skipping = settings.measurement(med, skip_tail=True)
-    assert (skipping.quiet, skipping.tail) == (1000, 1000)
-    assert (skipping.start, skipping.stop) == (997, grid.nt - 997)
+    assert (measure.start, measure.stop) == (997, grid.nt - 997)
 
 
 _TRANSFER_MAPS = {
@@ -946,8 +937,8 @@ _TRANSFER_MAPS = {
 @pytest.mark.parametrize("kind", sorted(_TRANSFER_MAPS))
 class TestTransferValidation:
     def test_cfl_violation(self, kind):
-        g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 25, 3.0)  # dt > dx
         with pytest.raises(ConfigurationError, match="CFL"):
+            g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 25, 3.0)  # dt > dx
             _TRANSFER_MAPS[kind](g)
 
     def test_trace_length_mismatch(self, kind, coarse_grid):
