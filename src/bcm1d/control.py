@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ import numpy as np
 from .core import BoundaryTrace, GridSpec, _is_close_to_integer
 from .extension import (AnalyticProfile, _derivatives, _plan,
                         extended_derivatives)
-from .solver import solve_many
+from .solver import _REACH, solve_many
 
 
 class ControlBundle(NamedTuple):
@@ -119,6 +119,21 @@ def quiet_steps(grid: GridSpec) -> int:
     steps = (grid.T - (grid.b - grid.a) - 1.0) / grid.dt
     return max(round(steps) if _is_close_to_integer(steps)
                else math.floor(steps), 0)
+
+
+def support_grid(grid: GridSpec) -> GridSpec:
+    """The grid on which the controls of ``grid`` are measured: ``grid``
+    with T shortened by s = max(quiet_steps(grid) - 3, 0) steps.
+
+    A control depends on t - T only, so on this grid its traces are those
+    on ``grid`` at steps s .. nt - 1 - s, moved s steps earlier (to
+    rounding in ``ts``), and they vanish in the first and the last three
+    steps, the injection filter's reach, so the measurement maps skip their
+    edge terms.  Grids that differ in T alone share this grid once T leaves
+    three quiet steps; on the paper grid it has 15007 of 25001 steps.
+    """
+    s = max(quiet_steps(grid) - _REACH, 0)
+    return replace(grid, T=(grid.half_index - s) * grid.dt)
 
 
 @dataclass(frozen=True)

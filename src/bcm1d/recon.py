@@ -19,10 +19,12 @@ perturbed and background damping, which approximate the linearized ones.
 
 Gaussian measurement noise is relative: each measured trace receives i.i.d.
 zero-mean samples with standard deviation eps_noise times the trace's RMS
-over the steps the controls drive (real and imaginary parts independently,
-each with 1/sqrt(2) of the variance).  Noise streams are derived per (mode,
-trace role), so results are reproducible and independent of evaluation
-order.
+(real and imaginary parts independently, each with 1/sqrt(2) of the
+variance).  :func:`reconstruct` measures on the controls' support grid
+(:func:`~bcm1d.control.support_grid`), whose steps are the ones the
+controls drive, so one eps_noise gives one noise-to-signal ratio at every
+T.  Noise streams are derived per (mode, trace role), so results are
+reproducible and independent of evaluation order.
 
 Each mode's data are one :class:`ModeData`: the free parameter and one
 :class:`~bcm1d.identity.ControlData` record per control (f the sine, h the
@@ -38,7 +40,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .control import build_control, quiet_steps
+from .control import build_control, support_grid
 from .core import (
     BoundaryTrace,
     ConfigurationError,
@@ -53,14 +55,15 @@ from .solver import transfer_difference_nd_map, transfer_linearized_nd_map
 
 _REL_L2_FLOOR = 1e-12
 
-# the memory a reconstruction adds, fitted to within 10% of the growth of
-# the peak RSS in 12 runs of `bcm experiment` (nt 2501 to 100001, nx 101
-# and 501, each experiment, with and without noise): bytes per step of the
-# measurement map's window and of the time axis, per node, and for
-# numpy.random
-_BYTES_PER_WINDOW_STEP = 600
-_BYTES_PER_STEP = 330
+# the memory a reconstruction adds, fitted to within 22% of the growth of
+# the peak RSS in 12 runs of `bcm experiment` (support grids of 1507 to
+# 60007 steps, nx 101 and 501, each experiment, with and without noise),
+# with and without cached bytecode: bytes per step of the support grid and
+# per node, a fixed part (about 1 MiB with a cache, less without, where the
+# compiler's freed memory absorbs it), and numpy.random
+_BYTES_PER_STEP = 930
 _BYTES_PER_NODE = 700
+_FIXED_BYTES = 1 << 19
 _NUMPY_RANDOM_BYTES = 6 << 20
 
 LINEARIZED = "linearized"
@@ -109,32 +112,23 @@ class ReconSettings:
         """The map from driven traces to measured traces in ``medium``: the
         linearized ND map, or its difference quotient (nonlinear data at
         damping sigma0 + eps sigma_dot (+ eps^2 sigma_ddot) minus those at
-        sigma0, over eps).  The map's kernel is built here, once.  The map
-        takes the reconstruction controls only: it skips the
-        :func:`~bcm1d.control.quiet_steps` steps at either end, where they
-        vanish, and refuses data that do not.  Its outputs there are zeros;
-        the identities pair a measured sample at step i with the control
-        sample at step nt - 1 - i, zero there too."""
-        quiet = quiet_steps(self.grid)
+        sigma0, over eps).  The map's kernel is built here, once."""
         if self.data_mode == LINEARIZED:
-            return transfer_linearized_nd_map(self.grid, medium, quiet=quiet)
+            return transfer_linearized_nd_map(self.grid, medium)
         return transfer_difference_nd_map(self.grid, medium,
-                                          self.eps_linearization, quiet=quiet)
+                                          self.eps_linearization)
 
     def peak_bytes(self) -> int:
         """An estimate of the memory :func:`reconstruct` adds to the process
         at its peak, computed without allocating: bytes per step of the
-        measurement map's window (its kernel, FFT buffers and plans), per
-        step of the time axis (a mode's controls, their extension and its
-        measured traces), per node, and for noise numpy.random, which numpy
-        loads on first use.  The coefficients are measured peaks of
-        ``bcm experiment``, not derived from the arrays' layouts."""
-        grid = self.grid
-        # reconstruct's map skips the controls' quiet steps at either end
-        window = grid.nt - 2 * quiet_steps(grid)
-        return (_BYTES_PER_WINDOW_STEP * window + _BYTES_PER_STEP * grid.nt
-                + _BYTES_PER_NODE * grid.nx
-                + (self.noise_eps > 0) * _NUMPY_RANDOM_BYTES)
+        support grid (the measurement map's kernel, FFT buffers and plans,
+        a mode's controls, their extension and its measured traces), per
+        node, a fixed part, and for noise numpy.random, which numpy loads
+        on first use.  The coefficients are measured peaks of ``bcm
+        experiment``, not derived from the arrays' layouts."""
+        grid = support_grid(self.grid)
+        return (_BYTES_PER_STEP * grid.nt + _BYTES_PER_NODE * grid.nx
+                + _FIXED_BYTES + (self.noise_eps > 0) * _NUMPY_RANDOM_BYTES)
 
 
 @dataclass(frozen=True)
@@ -169,11 +163,9 @@ def fourier_targets(k: int, grid: GridSpec
 
 
 def add_noise(
-    trace: BoundaryTrace, eps: float, rng: np.random.Generator, quiet: int
+    trace: BoundaryTrace, eps: float, rng: np.random.Generator
 ) -> BoundaryTrace:
-    """Relative Gaussian noise: per-sample std is eps * RMS(trace) over the
-    steps the controls drive, ``quiet`` .. n - 1 - ``quiet``, so that one
-    eps gives one noise-to-signal ratio at every T.
+    """Relative Gaussian noise: per-sample std is eps * RMS(trace).
 
     The RMS is taken over both endpoint series jointly; every sample is
     perturbed, real and imaginary parts independently with std
@@ -184,13 +176,8 @@ def add_noise(
     if not (np.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     n = len(trace)
-    if not 0 <= quiet < n / 2:
-        raise ValueError(f"quiet = {quiet} leaves no step of {n} to scale by")
-    driven = slice(quiet, n - quiet)
-    rms = np.sqrt(
-        (np.sum(np.abs(trace.values_a[driven]) ** 2)
-         + np.sum(np.abs(trace.values_b[driven]) ** 2)) / (2 * (n - 2 * quiet))
-    )
+    rms = np.sqrt((np.sum(np.abs(trace.values_a) ** 2)
+                   + np.sum(np.abs(trace.values_b) ** 2)) / (2 * n))
     if eps == 0.0 or rms == 0.0:
         return trace
     with np.errstate(over="ignore", invalid="ignore"):
@@ -202,16 +189,16 @@ def add_noise(
 
 
 def apply_measurement_noise(
-    data: ModeData, k: int, eps: float, seed: int, quiet: int
+    data: ModeData, k: int, eps: float, seed: int
 ) -> ModeData:
-    """Noisy copy of ``data``; each measured trace gets its (k, label) stream,
-    scaled over the steps the controls drive (see :func:`add_noise`)."""
+    """Noisy copy of ``data``; each measured trace gets its (k, label) stream
+    (see :func:`add_noise`)."""
     if eps == 0.0:
         return data
 
     def noisy(trace, label):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(k, label))
-        return add_noise(trace, eps, np.random.default_rng(ss), quiet)
+        return add_noise(trace, eps, np.random.default_rng(ss))
 
     # substream labels of (meas_t, meas_tt): 0, 1 for f; 2, 3 for h
     f, h = data.f, data.h
@@ -358,7 +345,8 @@ def reconstruct(
     """Full pipeline: controls -> data -> identity values -> series.
 
     Deterministic for a fixed seed.  The medium must be the free background
-    (sigma0 = 0), the regime with exact closed-form controls.
+    (sigma0 = 0), the regime with exact closed-form controls.  The controls
+    are measured on their support grid, which replaces ``settings.grid``.
     Each mode's data are dropped as soon as its identity values are taken,
     before the next mode is acquired.
     """
@@ -366,11 +354,11 @@ def reconstruct(
         raise UnsupportedRegimeError(
             f"reconstruction requires sigma0 = 0; got sigma0 = {medium.sigma0}"
         )
+    settings = replace(settings, grid=support_grid(settings.grid))
     grid, measure = settings.grid, settings.measurement(medium)
     modes = (
-        apply_measurement_noise(
-            acquire_clean_pair_data(k, grid, measure),
-            k, settings.noise_eps, settings.seed, quiet_steps(grid))
+        apply_measurement_noise(acquire_clean_pair_data(k, grid, measure),
+                                k, settings.noise_eps, settings.seed)
         for k in range(1, settings.N + 1)
     )
     return reconstruct_from_data(modes, settings, truth)

@@ -77,39 +77,29 @@ the complex medium and, as d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R) for a
 signal's weights w and response R, give 4 signals; for the difference map
 the full and background media advance as rows of one pass, 2 signals per
 medium, the background's responses negated and all divided by eps.  Away
-from the window ends each signal is the endpoint data through a fixed
+from the grid's ends each signal is the endpoint data through a fixed
 centered-difference filter, so the kernel folds the filters into the
 response spectra: a 2 x 2 transfer matrix per frequency from input end to
 output end, stored C-contiguous with frequencies last.  A trace then costs
 one forward FFT of its four real endpoint series, the 2 x 2 contraction and
 the inverse FFT; no injection signals are built.  Where the stepper's
-signals depart from the filtered data (the four steps nearest each window
-end, from the data's three samples nearest it) the kernel's time-domain
-responses add the exact difference, taken from the same tap table: the
-stepper's signals of those samples minus the filter's, skipped when the
-samples are zero, as they are for the reconstruction controls.
-
-A map built with ``quiet`` takes only data that vanish in the first and the
-last ``quiet`` steps, as the reconstruction controls do outside
-(T - (b - a) - 1, T + (b - a) + 1).  The filter reads two steps either
-side, so the fields are at rest through step quiet - 2, and the map runs
-the scheme on the window from step start = max(quiet - 3, 0) to stop - 1,
-stop = min(nt - quiet + 3, nt): its kernel's loop pass, FFT length and
-work arrays are sized for the window, and a window end inside the grid
-sits on zeros.  The outputs outside the window are zeros.  A trace nonzero outside its steps is
-refused by name, never cut short.  On the paper grid the controls' 5000
-quiet steps at either end of 25001 leave 15007: the loop takes 15005 steps
-and the FFT length is 30375.  The map owns its FFT work arrays (see
-:class:`_TransferMap`) and writes them on every call, so one map must not
-be called from two threads at once.  A call copies each trace's window
-straight into the zero-padded input and allocates only its result: the
-traces of one call are views of one new block, never of the work arrays.
-The backend agrees with the stepper to about 1e-13 relative; the stepper
-stays the reference it is tested against, and alone serves sources and
-snapshots at T.  Every map rejects Neumann data with a non-finite sample,
-which would silently spread NaN over both endpoint outputs, the stepper
-rejects such a source sample likewise, and the backend rejects a non-finite
-output.
+signals depart from the filtered data (the four steps nearest each end of
+the grid, from the data's ``_REACH`` samples nearest it) the kernel's
+time-domain responses add the exact difference, taken from the same tap
+table: the stepper's signals of those samples minus the filter's, skipped
+when the samples are zero, as they are for the reconstruction controls on
+their support grid (see :func:`~bcm1d.control.support_grid`).  On the paper
+grid's support grid the kernel's loop takes 15005 steps and the FFT length
+is 30375.  The map owns its FFT work arrays (see :class:`_TransferMap`) and
+writes them on every call, so one map must not be called from two threads
+at once.  A call copies each trace straight into the zero-padded input and
+allocates only its result: the traces of one call are views of one new
+block, never of the work arrays.  The backend agrees with the stepper to
+about 1e-13 relative; the stepper stays the reference it is tested against,
+and alone serves sources and snapshots at T.  Every map rejects Neumann
+data with a non-finite sample, which would silently spread NaN over both
+endpoint outputs, the stepper rejects such a source sample likewise, and
+the backend rejects a non-finite output.
 """
 
 from __future__ import annotations
@@ -126,6 +116,9 @@ _INITIAL_DATA_TOL = 1e-9
 _ENDS = [0, -1]
 # the complex step: small enough that h^2 is lost to rounding next to 1
 _STEP = 1e-30
+# the injection filter's reach: the data samples nearest either end of the
+# grid whose stepper signals differ from the filtered data
+_REACH = 3
 
 
 @dataclass(frozen=True)
@@ -154,15 +147,11 @@ def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
 
 
 def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
-             stacklevel: int, quiet: int = 0):
+             stacklevel: int):
     """Yield each Neumann trace once it is checked: its length and step,
-    its samples finite and zero in the first and the last ``quiet`` steps,
-    and at most one warning, ``stacklevel`` frames up from the generator,
-    for data that do not vanish at t = 0."""
+    its samples finite, and at most one warning, ``stacklevel`` frames up
+    from the generator, for data that do not vanish at t = 0."""
     warned = False
-    last = grid.nt - quiet
-    refused = ((0, quiet, f"before step {quiet}"),
-               (last, grid.nt, f"from step {last} on"))
     for j, tr in enumerate(neumanns):
         if len(tr) != grid.nt or tr.dt != grid.dt:
             raise ConfigurationError(
@@ -174,14 +163,6 @@ def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
             raise ConfigurationError(
                 f"Neumann trace {j} has a non-finite sample"
             )
-        for name, v in zip("ab", ends):
-            for lo, hi, rule in refused:
-                nonzero = np.flatnonzero(v[lo:hi])
-                if nonzero.size:
-                    raise ConfigurationError(
-                        f"Neumann trace {j} is nonzero at step "
-                        f"{lo + nonzero[0]} at {name}; this map takes data "
-                        f"that vanish {rule}")
         first = max(abs(v[0]) for v in ends)
         # the scale is at least 1, so only a t = 0 sample above the
         # tolerance can warn
@@ -455,34 +436,10 @@ def _fft_length(n: int) -> int:
         m += 1
 
 
-def _window(grid: GridSpec, weights: np.ndarray,
-            quiet: int) -> tuple[int, int]:
-    """The steps start .. stop-1 of the window of a transfer map for data
-    that vanish in the first and the last ``quiet`` steps: a signal reads
-    r = weights.shape[-1] - 1 steps either side, so the window opens at
-    rest, r + 1 steps before ``quiet``, and closes r + 1 steps after the
-    data end, where its last samples are zeros.  It must keep the 7 steps
-    of the coarsest grid :class:`~bcm1d.core.GridSpec` admits, on which the
-    samples the two edge frames read stay apart."""
-    reach = weights.shape[-1]
-    start = max(quiet - reach, 0)
-    stop = min(grid.nt - quiet + reach, grid.nt)
-    if quiet < 0 or stop - start < 7:
-        raise ConfigurationError(
-            f"quiet = {quiet} is out of range: it must be non-negative and "
-            f"leave a transfer map's window at least 7 of the grid's "
-            f"{grid.nt} steps")
-    return start, stop
-
-
 class _TransferMap:
     """Neumann traces to endpoint traces through a medium's transfer kernel.
 
-    The map runs on a window, steps start .. stop-1, for data that vanish
-    in the first and the last ``quiet`` steps (see :func:`_window`), and
-    refuses data that do not.  Before the window the fields are at rest;
-    the outputs outside it are zeros.
-    ``responses`` (window steps, signals, output end) are the loop's traces
+    ``responses`` (steps, signals, output end) are the loop's traces
     of a unit impulse at step 1 in each injection signal, signal s at end
     s % 2, and ``weights`` (signals, 3) those signals' taps (see
     :func:`_weights`).  The responses are transformed and each multiplied by
@@ -493,15 +450,14 @@ class _TransferMap:
     overwrites; its spectrum and the contraction's product, (parts, ends,
     frequencies); and one output end's term, (parts, frequencies): 14 real
     series of n_fft, a spectrum of n_fft // 2 + 1 complex samples counting
-    as one; 3.4 MB on the paper grid for the controls' window.
+    as one; 3.4 MB on the paper grid's support grid.
     """
 
     def __init__(self, grid: GridSpec, responses: np.ndarray,
-                 weights: np.ndarray, quiet: int = 0):
-        self.grid, self.quiet = grid, quiet
-        self.start, self.stop = _window(grid, weights, quiet)
+                 weights: np.ndarray):
+        self.grid = grid
         steps = len(responses)
-        # (signals, output end, steps 1 .. steps-1 of the window)
+        # (signals, output end, steps 1 .. steps-1)
         responses = np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1))
         # no wrap-around: exact signals and responses both span fewer than
         # steps - 1 (the edge terms cancel the filtered data's longer reach)
@@ -526,25 +482,26 @@ class _TransferMap:
                      np.empty((2, n_freq), complex))
 
     def _add_edge_terms(self, out: np.ndarray, g) -> None:
-        """Add to the traces ``out`` (2, steps) of the window's data ``g``,
-        a series per end, the response to the stepper's injection signals
-        minus the filtered data.
+        """Add to the traces ``out`` (2, steps) of the data ``g``, a series
+        per end, the response to the stepper's injection signals minus the
+        filtered data.
 
-        They differ at the four steps nearest each window end only, through
-        the data's three samples nearest it, and the difference is skipped
-        where those are zero, as at either end of a window that opens
-        before its data and closes after them.  Both sides come from :func:`_injection` on a 12-step
-        frame of those samples, the filter's zero-extended so that every
-        difference is centered; the difference is convolved in the FFT's
-        circular frame, which also removes the filtered data's wrap-around.
+        They differ at the four steps nearest each end of the grid only,
+        through the data's ``_REACH`` samples nearest it, and the difference
+        is skipped where those are zero, as for the reconstruction controls
+        on their support grid.  Both sides come from :func:`_injection` on a
+        12-step frame of those samples, the filter's zero-extended so that
+        every difference is centered; the difference is convolved in the
+        FFT's circular frame, which also removes the filtered data's
+        wrap-around.
         """
         n_fft, weights, responses = self.n_fft, self.weights, self.responses
         nt = out.shape[1]
         # frames of steps -4 .. 7 and nt-8 .. nt+3
-        for origin, first in ((-4, 0), (nt - 8, nt - 3)):
+        for origin, first in ((-4, 0), (nt - 8, nt - _REACH)):
             x = np.zeros((2, 12), dtype=complex)
-            x[:, first - origin:first - origin + 3] = [
-                v[first:first + 3] for v in g]
+            x[:, first - origin:first - origin + _REACH] = [
+                v[first:first + _REACH] for v in g]
             if not np.any(x):
                 continue
             steps = origin + np.arange(12)
@@ -563,25 +520,20 @@ class _TransferMap:
 
     def __call__(self, fs: Sequence[BoundaryTrace]) -> list[BoundaryTrace]:
         """Endpoint traces of the Neumann traces ``fs``, as views of one new
-        block; a trace nonzero in the first or the last ``quiet`` steps
-        raises an error, and so does a non-finite result, from a kernel that
-        overflowed.  Every call overwrites the map's FFT work arrays."""
+        block; a non-finite result, from a kernel that overflowed, raises an
+        error.  Every call overwrites the map's FFT work arrays."""
         n_fft, transfer, grid = self.n_fft, self.transfer, self.grid
         series, spectrum, product, term = self.work
-        start, stop = self.start, self.stop
-        steps = stop - start
-        out = np.empty((len(fs), 2, grid.nt), dtype=complex)
-        # zeros outside the window
-        out[..., :start] = 0.0
-        out[..., stop:] = 0.0
+        nt = grid.nt
+        out = np.empty((len(fs), 2, nt), dtype=complex)
         # an overflow gives a non-finite trace, which is rejected by name
         with np.errstate(over="ignore", invalid="ignore"):
-            checked = _checked(grid, fs, stacklevel=3, quiet=self.quiet)
+            checked = _checked(grid, fs, stacklevel=3)
             for j, (tr, oj) in enumerate(zip(checked, out)):
-                g = [v[start:stop] for v in (tr.values_a, tr.values_b)]
+                g = (tr.values_a, tr.values_b)
                 for end, v in enumerate(g):
-                    series[0, end, :steps] = v.real
-                    series[1, end, :steps] = v.imag
+                    series[0, end, :nt] = v.real
+                    series[1, end, :nt] = v.imag
                 np.fft.rfft(series, n_fft, out=spectrum)
                 # a 2 x 2 contraction over the input ends per frequency, one
                 # output end at a time
@@ -591,10 +543,9 @@ class _TransferMap:
                     np.add(po, term, out=po)
                 # the inverse overwrites the input, whose tail is zeroed again
                 np.fft.irfft(product, n_fft, out=series)
-                window = oj[:, start:stop]
-                window.real, window.imag = series[..., :steps]
-                series[..., steps:] = 0.0
-                self._add_edge_terms(window, g)
+                oj.real, oj.imag = series[..., :nt]
+                series[..., nt:] = 0.0
+                self._add_edge_terms(oj, g)
                 if not np.all(np.isfinite(oj.view(float))):
                     raise ConfigurationError(
                         f"measured trace {j} has a non-finite sample: the "
@@ -603,7 +554,7 @@ class _TransferMap:
 
 
 def transfer_difference_nd_map(
-    grid: GridSpec, medium: MediumSpec, eps: float, quiet: int = 0
+    grid: GridSpec, medium: MediumSpec, eps: float
 ) -> Callable[[Sequence[BoundaryTrace]], list[BoundaryTrace]]:
     """The map from Neumann traces to
     (Lambda(sigma0 + eps sigma_dot + eps^2 sigma_ddot) - Lambda(sigma0)) / eps
@@ -613,8 +564,6 @@ def transfer_difference_nd_map(
     Making the map checks its arguments and runs the one time loop of its
     kernel, so the map measures the medium as it was then.  It agrees with
     the stepper's quotient to about 1e-13 of either medium's traces / eps.
-    The map takes only data that vanish in the first and the last ``quiet``
-    steps, and skips those steps (see the module docstring).
     The map writes work arrays of its own: do not call it from two threads
     at once.
     """
@@ -631,37 +580,33 @@ def transfer_difference_nd_map(
     # the background's signals enter negated, each medium with its weights
     media = np.stack((full, np.full(grid.nx, medium.sigma0)))[:, None]
     weights = _weights(grid, media[..., _ENDS].ravel())
-    start, stop = _window(grid, weights, quiet)
-    # (steps of the window, *rows, output end)
-    impulses = np.zeros((stop - start, 2, 2, 2))
+    # (steps, *rows, output end)
+    impulses = np.zeros((grid.nt, 2, 2, 2))
     impulses[1] = np.eye(2)
     traces, _ = _time_loop(grid, _stencil(grid, media), impulses)
     responses = np.concatenate((traces[:, 0], -traces[:, 1]), axis=1) / eps
-    return _TransferMap(grid, responses, weights, quiet)
+    return _TransferMap(grid, responses, weights)
 
 
 def transfer_linearized_nd_map(
-    grid: GridSpec, medium: MediumSpec, quiet: int = 0
+    grid: GridSpec, medium: MediumSpec
 ) -> Callable[[Sequence[BoundaryTrace]], list[BoundaryTrace]]:
     """The map from Neumann traces to the linearized measurements of
     :func:`linearized_nd_map_many`, by one convolution each.
 
     Making the map checks its arguments and runs the one time loop of its
     kernel, so the map measures the medium as it was then.  It agrees with
-    the stepper, its oracle, to about 1e-13 relative.  The map takes only
-    data that vanish in the first and the last ``quiet`` steps, and skips
-    those steps (see the module docstring).  The map writes work arrays of
-    its own: do not call it from two threads at once.
+    the stepper, its oracle, to about 1e-13 relative.  The map writes work
+    arrays of its own: do not call it from two threads at once.
     """
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     sigma, s = _complex_step(medium.sigma0, sd)
     w = _weights(grid, sigma[_ENDS])
-    start, stop = _window(grid, w, quiet)
-    # (steps of the window, impulse end, output end)
-    impulses = np.zeros((stop - start, 2, 2))
+    # (steps, impulse end, output end)
+    impulses = np.zeros((grid.nt, 2, 2))
     impulses[1] = np.eye(2)
     traces, _ = _time_loop(grid, _stencil(grid, sigma), impulses)
     # d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R); / h first, then * s
     responses = np.concatenate((traces.imag / _STEP * s, traces.real), axis=1)
     weights = np.concatenate((w.real, w.imag / _STEP * s))
-    return _TransferMap(grid, responses, weights, quiet)
+    return _TransferMap(grid, responses, weights)

@@ -3,7 +3,8 @@
 Each test prints one PASS/FAIL line (run with ``pytest -v -s`` to see them
 on success).  The reference configuration is the [-1, 1] domain with
 dx = 1/250, dt = 1/2500, T = 5 and truncation N = 10; module fixtures
-acquire the measurement data once and share them across criteria.
+acquire the measurement data once, on the paper grid's support grid as
+``reconstruct`` does, and share them across criteria.
 """
 
 import json
@@ -26,7 +27,7 @@ from bcm1d import (
 )
 from bcm1d.cli import (_mms_error, main, piecewise_perturbation,
                        smooth_perturbation, smooth_pulse_trace)
-from bcm1d.control import quiet_steps
+from bcm1d.control import support_grid
 from bcm1d.recon import NONLINEAR_DIFFERENCE, fourier_targets
 
 from oracles import stability_bound_check, weighted_volume_pairing
@@ -55,28 +56,34 @@ def grid():
 
 
 @pytest.fixture(scope="module")
-def exp1(grid):
-    sig = smooth_perturbation(grid.xs)
+def support():
+    """The paper grid's support grid, which ``reconstruct`` measures on."""
+    return support_grid(paper_grid())
+
+
+@pytest.fixture(scope="module")
+def exp1(support):
+    sig = smooth_perturbation(support.xs)
     medium = MediumSpec(0.0, sig)
-    settings = ReconSettings(grid=grid, N=N_MODES)
+    settings = ReconSettings(grid=support, N=N_MODES)
     data = _acquire(medium, settings)
     return dict(data=data, settings=settings, truth=sig, medium=medium)
 
 
 @pytest.fixture(scope="module")
-def exp2(grid):
-    medium = MediumSpec(0.0, piecewise_perturbation(grid.xs))
-    settings = ReconSettings(grid=grid, N=N_MODES)
+def exp2(support):
+    medium = MediumSpec(0.0, piecewise_perturbation(support.xs))
+    settings = ReconSettings(grid=support, N=N_MODES)
     data = _acquire(medium, settings)
     return dict(data=data, settings=settings,
-                truth=projection_truth(N_MODES, grid), medium=medium)
+                truth=projection_truth(N_MODES, support), medium=medium)
 
 
 @pytest.fixture(scope="module")
-def exp3(grid):
-    sig = smooth_perturbation(grid.xs)
-    medium = MediumSpec(0.0, sig, 200.0 * np.sin(20 * np.pi * grid.xs))
-    settings = ReconSettings(grid=grid, N=N_MODES,
+def exp3(support):
+    sig = smooth_perturbation(support.xs)
+    medium = MediumSpec(0.0, sig, 200.0 * np.sin(20 * np.pi * support.xs))
+    settings = ReconSettings(grid=support, N=N_MODES,
                              data_mode=NONLINEAR_DIFFERENCE,
                              eps_linearization=1e-3)
     data = _acquire(medium, settings)
@@ -85,8 +92,7 @@ def exp3(grid):
 
 def _noisy_rel_l2(bundle, eps, seed):
     noisy = [
-        apply_measurement_noise(data, k, eps, seed,
-                                quiet_steps(bundle["settings"].grid))
+        apply_measurement_noise(data, k, eps, seed)
         for k, data in enumerate(bundle["data"], start=1)
     ]
     return reconstruct_from_data(noisy, bundle["settings"], bundle["truth"]).rel_l2
@@ -167,24 +173,24 @@ def test_criterion_05_nonlinear_identity(grid):
     assert ok
 
 
-def test_criterion_06_linearized_identity_oracle(exp1, grid):
+def test_criterion_06_linearized_identity_oracle(exp1, support):
     sig = exp1["truth"]
     ok_all = True
     worst = 0.0
     for k, (lam, f, h) in enumerate(exp1["data"][:5], start=1):
         # each control with its target snapshot p0(T) on the nodes
-        pf, ph, _ = fourier_targets(k, grid)
-        F = (f, np.asarray(pf(grid.xs)[0], dtype=complex))
-        H = (h, np.asarray(ph(grid.xs)[0], dtype=complex))
+        pf, ph, _ = fourier_targets(k, support)
+        F = (f, np.asarray(pf(support.xs)[0], dtype=complex))
+        H = (h, np.asarray(ph(support.xs)[0], dtype=complex))
         for (a, snap_a), (b, snap_b) in ((F, H), (F, F), (H, H)):
-            value = linearized_rhs(a, b, lam, grid)
-            vol = weighted_volume_pairing(snap_a, snap_b, sig, grid)
+            value = linearized_rhs(a, b, lam, support)
+            vol = weighted_volume_pairing(snap_a, snap_b, sig, support)
             err = abs(value - vol) / max(abs(vol), 1.0)
             worst = max(worst, err)
             ok_all &= err <= 1e-2
-        sym = abs(linearized_rhs(f, h, lam, grid)
-                  - linearized_rhs(h, f, lam, grid))
-        vol_fh = weighted_volume_pairing(F[1], H[1], sig, grid)
+        sym = abs(linearized_rhs(f, h, lam, support)
+                  - linearized_rhs(h, f, lam, support))
+        vol_fh = weighted_volume_pairing(F[1], H[1], sig, support)
         ok_all &= sym / max(abs(vol_fh), 1.0) <= 1e-2
     _report(6, "linearized identity vs volume oracle (k <= 5, all pairs)",
             f"worst relative deviation = {worst:.2e}, tol 1e-2", ok_all)
@@ -264,14 +270,14 @@ def test_invariant_imaginary_leakage_is_pure_dispersion(exp1, grid):
     assert abs(a_N.imag) <= 1e-5
 
 
-def test_criterion_09_stability_chain(exp1, grid):
+def test_criterion_09_stability_chain(exp1, support):
     ok_all = True
     min_slack = np.inf
     measure = exp1["settings"].measurement(exp1["medium"])
     for lam, f, h in exp1["data"][:5]:
         Lf, Lh = measure([f.g, h.g])
         for a, b, La, Lb in ((f, h, Lf, Lh), (f, f, Lf, Lf), (h, h, Lh, Lh)):
-            rep = stability_bound_check(a, b, lam, grid, La, Lb)
+            rep = stability_bound_check(a, b, lam, support, La, Lb)
             ok_all &= rep.ok
             if rep.lhs_abs > 0:
                 min_slack = min(min_slack, rep.bound / rep.lhs_abs)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import bcm1d
-from bcm1d import FourierCoeffs, GridSpec, ReconResult, ReconSettings, cli
+from bcm1d import (FourierCoeffs, GridSpec, ReconResult, ReconSettings, cli,
+                   solver)
 from bcm1d.cli import (
     RunConfig,
     emit_results,
@@ -330,8 +331,9 @@ class TestMain:
 
     def test_oversized_grid_refused_before_allocating(self, tmp_path, capsys,
                                                       monkeypatch):
-        # nt = 2e10 + 1: terabytes of traces, more than any host has; a run
-        # that got past the check would stop at the stand-in below
+        # T = 3 leaves no quiet steps, so the run allocates nt = 6e10 + 1:
+        # terabytes of traces, more than any host has; a run that got past
+        # the check would stop at the stand-in below
         def unguarded(*args):
             raise AssertionError("the oversized run was not refused")
 
@@ -340,7 +342,7 @@ class TestMain:
         tracemalloc.start()
         try:
             code = main(["experiment", "--id", "1", "--N", "3", "--dx", "0.1",
-                         "--dt", "0.1", "--T", "1e9", "--out", str(out)])
+                         "--dt", "1e-10", "--T", "3", "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -348,8 +350,17 @@ class TestMain:
         assert peak < 1 << 20
         err = capsys.readouterr().err
         assert err.startswith("error: the run needs about ")
-        assert "(nt = 20000000001, nx = 21)" in err and "available" in err
+        assert "(nt = 60000000001, nx = 21)" in err and "available" in err
         assert not out.exists()
+
+    def test_a_long_T_runs_on_the_support_grid(self, tmp_path):
+        # T = 1e9 measures on the support grid of T = 3.3
+        for T in ("1e9", "3.3"):
+            assert main(["experiment", "--id", "1", "--N", "3", "--dx", "0.1",
+                         "--dt", "0.1", "--T", T,
+                         "--out", str(tmp_path / T)]) == 0
+        assert ((tmp_path / "1e9" / "coefficients.csv").read_bytes()
+                == (tmp_path / "3.3" / "coefficients.csv").read_bytes())
 
     @pytest.mark.parametrize("spare", [-1, 0, None])
     def test_memory_check_compares_with_the_room_left(self, tmp_path, capsys,
@@ -498,6 +509,15 @@ def test_memory_estimate_is_within_30_percent_of_the_peak(flags, tmp_path):
     assert 0.7 <= (before + estimate) / peak <= 1.3
     # and what the run adds, the part the estimate models
     assert 0.7 <= estimate / (peak - before) <= 1.3
+
+
+def test_experiment_builds_no_injection_signals(tmp_path, monkeypatch):
+    # on the support grid the controls vanish where the edge terms read
+    def unused(*args):
+        raise AssertionError("solver._injection was called")
+
+    monkeypatch.setattr(solver, "_injection", unused)
+    assert main(["experiment", "--id", "1", "--out", str(tmp_path)]) == 0
 
 
 def test_run_config_grid_roundtrip():

@@ -10,7 +10,7 @@ from bcm1d import (
     solve_many,
     verify_control,
 )
-from bcm1d.control import quiet_steps
+from bcm1d.control import quiet_steps, support_grid
 from bcm1d.extension import extended_derivatives
 
 
@@ -231,3 +231,28 @@ def test_quiet_steps_at_the_minimal_window():
     # T = (b - a) + 1, also where (T - (b - a) - 1) / dt rounds to -1e-15
     assert quiet_steps(GridSpec(-1.0, 1.0, 0.04, 0.04, 3.0)) == 0
     assert quiet_steps(GridSpec(0.0, 0.9, 0.1, 0.1, 1.9)) == 0
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, 5.0),
+    GridSpec(-1.0, 1.0, 1.0 / 100, 1.0 / 1000, 5.0),
+    GridSpec(-1.0, 1.0, 1.0 / 250, 1.0 / 2500, 5.0),
+    # (T - (b - a) - 1) / dt = 26.25
+    GridSpec(0.0, 0.95, 0.05, 0.04, 3.0),
+], ids=["coarse_grid_t5", "mid_grid", "paper", "fractional"])
+def test_controls_on_the_support_grid_are_the_grid_s_moved(grid):
+    # samples s .. nt - 1 - s of the controls on ``grid``, zero in the
+    # first and the last three steps
+    short = support_grid(grid)
+    s = quiet_steps(grid) - 3
+    assert s > 0 and short.nt == grid.nt - 2 * s
+    for k in (1, 5):
+        pT_f, pT_h, lam = fourier_targets(k, grid)
+        for pT in (pT_f, pT_h):
+            for got, want in zip(build_control(pT, lam, short),
+                                 build_control(pT, lam, grid)):
+                for v, w in ((got.values_a, want.values_a),
+                             (got.values_b, want.values_b)):
+                    assert (np.max(np.abs(v - w[s:grid.nt - s]))
+                            <= 1e-13 * np.max(np.abs(w)))
+                    assert not np.any(v[:3]) and not np.any(v[-3:])

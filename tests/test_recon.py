@@ -23,7 +23,7 @@ from bcm1d import (
     synthesize,
 )
 from bcm1d import recon
-from bcm1d.control import quiet_steps
+from bcm1d.control import support_grid
 from conftest import smooth_sigma_dot
 
 
@@ -59,11 +59,11 @@ class TestAddNoise:
 
     def test_zero_eps_identity(self):
         tr = self._trace()
-        assert add_noise(tr, 0.0, np.random.default_rng(0), 0) is tr
+        assert add_noise(tr, 0.0, np.random.default_rng(0)) is tr
 
     def test_zero_trace_unchanged(self, coarse_grid):
         z = BoundaryTrace.zeros(coarse_grid)
-        out = add_noise(z, 0.05, np.random.default_rng(0), 0)
+        out = add_noise(z, 0.05, np.random.default_rng(0))
         assert np.all(out.values_a == 0) and np.all(out.values_b == 0)
 
     def test_empirical_noise_level(self):
@@ -71,7 +71,7 @@ class TestAddNoise:
         # matches the requested relative level to a few percent
         tr = self._trace()
         eps = 0.01
-        noisy = add_noise(tr, eps, np.random.default_rng(11), 0)
+        noisy = add_noise(tr, eps, np.random.default_rng(11))
         delta = np.concatenate([noisy.values_a - tr.values_a,
                                 noisy.values_b - tr.values_b])
         rms = np.sqrt(np.mean(np.abs(np.concatenate(
@@ -81,40 +81,19 @@ class TestAddNoise:
 
     def test_real_imag_parts_independent(self):
         tr = self._trace(n=50001)
-        noisy = add_noise(tr, 0.02, np.random.default_rng(5), 0)
+        noisy = add_noise(tr, 0.02, np.random.default_rng(5))
         delta = noisy.values_a - tr.values_a
         corr = np.corrcoef(delta.real, delta.imag)[0, 1]
         assert abs(corr) < 0.05
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            add_noise(self._trace(n=100), -0.1, np.random.default_rng(0), 0)
+            add_noise(self._trace(n=100), -0.1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf])
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match=rf"eps must be finite.*, got {eps}$"):
-            add_noise(self._trace(n=100), eps, np.random.default_rng(0), 0)
-
-    def test_scale_reads_the_driven_steps_only(self):
-        # every sample gets noise, scaled by the RMS of steps quiet .. n-1-quiet
-        tr, quiet = self._trace(n=1001), 100
-        va, vb = tr.values_a.copy(), tr.values_b.copy()
-        va[:quiet] = vb[-quiet:] = 1e6
-        loud = BoundaryTrace(va, vb, tr.dt)
-        driven = slice(quiet, -quiet)
-        got, want = (add_noise(x, 0.05, np.random.default_rng(4), quiet)
-                     for x in (loud, tr))
-        assert np.array_equal(got.values_a[driven], want.values_a[driven])
-        assert np.array_equal(got.values_b[driven], want.values_b[driven])
-        assert np.all(got.values_a != loud.values_a)
-        assert np.all(got.values_b != loud.values_b)
-
-    @pytest.mark.parametrize("quiet", [-1, 50, 51])
-    def test_quiet_without_driven_steps_rejected(self, quiet):
-        with pytest.raises(ValueError,
-                           match=f"quiet = {quiet} leaves no step of 100"):
-            add_noise(self._trace(n=100), 0.05, np.random.default_rng(0),
-                      quiet)
+            add_noise(self._trace(n=100), eps, np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")
@@ -126,18 +105,18 @@ def pair_data(coarse_grid):
 
 class TestNoiseDeterminism:
     def test_same_seed_bitwise_identical(self, pair_data):
-        n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42, quiet=0)
-        n2 = apply_measurement_noise(pair_data, 1, 0.01, seed=42, quiet=0)
+        n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
+        n2 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
         assert np.array_equal(n1.f.meas_t.values_a, n2.f.meas_t.values_a)
         assert np.array_equal(n1.h.meas_tt.values_b, n2.h.meas_tt.values_b)
 
     def test_different_seeds_differ(self, pair_data):
-        n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42, quiet=0)
-        n2 = apply_measurement_noise(pair_data, 1, 0.01, seed=43, quiet=0)
+        n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
+        n2 = apply_measurement_noise(pair_data, 1, 0.01, seed=43)
         assert not np.array_equal(n1.f.meas_t.values_a, n2.f.meas_t.values_a)
 
     def test_roles_get_independent_streams(self, pair_data):
-        noisy = apply_measurement_noise(pair_data, 1, 0.01, seed=42, quiet=0)
+        noisy = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
         d1 = (noisy.f.meas_t - pair_data.f.meas_t).values_a
         d2 = (noisy.h.meas_t - pair_data.h.meas_t).values_a
         # identical streams would give perfectly correlated increments
@@ -147,8 +126,8 @@ class TestNoiseDeterminism:
         assert corr < 0.05
 
     def test_mode_index_changes_stream(self, pair_data):
-        n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42, quiet=0)
-        n2 = apply_measurement_noise(pair_data, 2, 0.01, seed=42, quiet=0)
+        n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
+        n2 = apply_measurement_noise(pair_data, 2, 0.01, seed=42)
         assert not np.array_equal(n1.f.meas_t.values_a, n2.f.meas_t.values_a)
 
     def test_substream_labels_pinned(self, coarse_grid):
@@ -159,34 +138,34 @@ class TestNoiseDeterminism:
         k, eps, seed = 2, 0.03, 11
         clean = acquire_clean_pair_data(k, coarse_grid,
                                         settings.measurement(medium))
-        noisy = apply_measurement_noise(clean, k, eps, seed, 0)
+        noisy = apply_measurement_noise(clean, k, eps, seed)
         labels = {("f", "meas_t"): 0, ("f", "meas_tt"): 1, ("h", "meas_t"): 2,
                   ("h", "meas_tt"): 3}
         for (control, field), label in labels.items():
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(k, label)))
             want = add_noise(getattr(getattr(clean, control), field), eps,
-                             rng, 0)
+                             rng)
             got = getattr(getattr(noisy, control), field)
             assert np.array_equal(got.values_a, want.values_a)
             assert np.array_equal(got.values_b, want.values_b)
 
 
 def test_noise_level_is_the_same_at_every_T():
-    # one control's measured trace on two grids that differ only in T: the
-    # steps the controls drive hold the same samples, so one eps gives one
-    # noise level; unit draws make the noise std * (1 + 1j) at every sample
+    # one control's measured trace on the support grids of two grids that
+    # differ only in T: one grid, so one eps gives one noise level; unit
+    # draws make the noise std * (1 + 1j) at every sample
     class UnitDraws:
         def standard_normal(self, n):
             return np.ones(n)
 
     stds = []
     for T in (4.0, 5.0):
-        grid = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, T)
+        grid = support_grid(GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, T))
         medium = MediumSpec(0.0, smooth_sigma_dot(grid.xs))
         measure = ReconSettings(grid=grid, N=1).measurement(medium)
         trace = acquire_clean_pair_data(1, grid, measure).f.meas_t
-        noise = add_noise(trace, 0.05, UnitDraws(), quiet_steps(grid)) - trace
+        noise = add_noise(trace, 0.05, UnitDraws()) - trace
         stds.append(np.median(noise.values_a.real))
     assert stds[0] > 0
     assert stds[1] == pytest.approx(stds[0], rel=1e-9)
@@ -298,32 +277,46 @@ class TestReconstructPipeline:
     @pytest.mark.parametrize("noise", [0.05, 0.0])
     def test_noisy_and_noise_free_runs_build_one_map(self, coarse_grid_t5,
                                                       noise, monkeypatch):
-        # noise is scaled over the steps the controls drive, so a noisy run
-        # measures on the window of a noise-free one and adds noise to the
-        # data of ``measurement``, as acceptance criterion 4 does
+        # a run, noisy or not, measures on the support grid and adds noise
+        # to the data of ``measurement`` there, as acceptance criterion 4
+        # does
         grid = coarse_grid_t5
         sig = smooth_sigma_dot(grid.xs)
         medium = MediumSpec(0.0, sig)
         settings = ReconSettings(grid=grid, N=2, noise_eps=noise, seed=3)
-        windows, measurement = [], ReconSettings.measurement
+        grids, measurement = [], ReconSettings.measurement
 
         def spy(self, medium):
-            measure = measurement(self, medium)
-            windows.append((measure.quiet, measure.start, measure.stop))
-            return measure
+            grids.append(self.grid)
+            return measurement(self, medium)
 
         monkeypatch.setattr(ReconSettings, "measurement", spy)
         got = reconstruct(settings, medium, sig)
-        assert windows == [(1000, 997, grid.nt - 997)]
+        short = support_grid(grid)
+        assert grids == [short] and short.nt == grid.nt - 2 * 997
+        settings = ReconSettings(grid=short, N=2)
         measure = measurement(settings, medium)
         want = reconstruct_from_data(
             (apply_measurement_noise(
-                acquire_clean_pair_data(k, grid, measure), k, noise, 3,
-                quiet_steps(grid))
+                acquire_clean_pair_data(k, short, measure), k, noise, 3)
              for k in (1, 2)), settings, sig)
         assert got.rel_l2 == want.rel_l2
         assert np.array_equal(got.coeffs.a, want.coeffs.a)
         assert np.array_equal(got.coeffs.b, want.coeffs.b)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_T_4_and_T_5_give_the_same_coefficients(self, noise):
+        # both grids have one support grid, so the same data and noise
+        coeffs = []
+        for T in (4.0, 5.0):
+            grid = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, T)
+            sig = smooth_sigma_dot(grid.xs)
+            settings = ReconSettings(grid=grid, N=2, noise_eps=noise, seed=5)
+            coeffs.append(reconstruct(settings, MediumSpec(0.0, sig),
+                                      sig).coeffs)
+        assert coeffs[0].a0 == coeffs[1].a0
+        assert np.array_equal(coeffs[0].a, coeffs[1].a)
+        assert np.array_equal(coeffs[0].b, coeffs[1].b)
 
     def test_overflowing_medium_rejected(self, coarse_grid):
         medium = MediumSpec(0.0, np.full(coarse_grid.nx, 1e305))

@@ -17,13 +17,14 @@ from bcm1d import (
     build_control,
     fourier_targets,
     linearized_nd_map_many,
+    reconstruct,
     solve_many,
     transfer_difference_nd_map,
     transfer_linearized_nd_map,
 )
 from bcm1d import solver
 from bcm1d.cli import _mms_error, smooth_pulse_trace
-from bcm1d.control import quiet_steps
+from bcm1d.control import quiet_steps, support_grid
 
 from conftest import smooth_sigma_dot
 
@@ -703,49 +704,49 @@ def _controls(grid, ks=(1, 3)):
     return traces
 
 
-# (the map for data that vanish in the first and the last quiet steps, its
-# stepper oracle)
-_WINDOWED = {
-    "linearized": (
-        lambda grid, med, quiet: transfer_linearized_nd_map(
-            grid, med, quiet=quiet),
-        linearized_nd_map_many),
+# (the map on a grid, its stepper oracle)
+_MAPS = {
+    "linearized": (transfer_linearized_nd_map, linearized_nd_map_many),
     "nonlinear": (
-        lambda grid, med, quiet: transfer_difference_nd_map(
-            grid, med, _EPS, quiet=quiet),
+        lambda grid, med: transfer_difference_nd_map(grid, med, _EPS),
         lambda grid, med, fs: _stepper_quotient(grid, med, _EPS, fs)),
 }
 
 
-def _head(traces, stop):
-    """The samples before step ``stop`` of ``traces``."""
-    return [BoundaryTrace(tr.values_a[:stop], tr.values_b[:stop], tr.dt)
-            for tr in traces]
+def _quiet_grid(quiet):
+    """Coarse spacing, with T leaving the controls ``quiet`` quiet steps;
+    every such grid with three or more has one support grid, of 3007
+    steps."""
+    grid = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, 3.0 + quiet / 500)
+    assert quiet_steps(grid) == quiet
+    return grid
 
 
-@pytest.mark.parametrize("kind", sorted(_WINDOWED))
+def _between(traces, start, stop):
+    """The samples at steps ``start`` .. ``stop``-1 of ``traces``."""
+    return [BoundaryTrace(tr.values_a[start:stop], tr.values_b[start:stop],
+                          tr.dt) for tr in traces]
+
+
+@pytest.mark.parametrize("kind", sorted(_MAPS))
 class TestWindow:
-    """A map for data that vanish in the first and the last quiet steps runs
-    its kernel and its convolutions on the steps from quiet - 3 on."""
+    """On the controls' support grid the maps start three steps before the
+    controls do: the lead-in of the grid they were made for is gone."""
 
     @pytest.mark.parametrize("grid_name", ["coarse_grid_t5", "mid_grid"])
     def test_controls_match_the_stepper_and_the_whole_window(
             self, kind, grid_name, request):
         grid = request.getfixturevalue(grid_name)
-        make, oracle = _WINDOWED[kind]
+        short, s = support_grid(grid), quiet_steps(grid) - 3
+        make, oracle = _MAPS[kind]
         med = _medium(grid)
-        quiet = quiet_steps(grid)
-        measure = make(grid, med, quiet)
-        assert measure.start == quiet - 3 > 0
-        fs = _controls(grid)
-        got = _head(measure(fs), measure.stop)
+        fs = _controls(short)
+        got = make(short, med)(fs)
+        assert _max_rel_deviation(got, oracle(short, med, fs)) <= 1e-9
+        # the map on the whole grid, at the steps the support grid keeps
+        whole = make(grid, med)(_controls(grid))
         assert _max_rel_deviation(
-            got, _head(oracle(grid, med, fs), measure.stop)) <= 1e-9
-        assert _max_rel_deviation(
-            got, _head(make(grid, med, 0)(fs), measure.stop)) <= 1e-12
-        for tr in got:  # at rest before the window
-            assert not np.any(tr.values_a[:measure.start])
-            assert not np.any(tr.values_b[:measure.start])
+            got, _between(whole, s, grid.nt - s)) <= 1e-12
 
     def test_window_sizes_the_loop_and_the_transforms(self, kind,
                                                       coarse_grid_t5,
@@ -758,147 +759,90 @@ class TestWindow:
             return time_loop(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_time_loop", counted)
-        make = _WINDOWED[kind][0]
-        whole, windowed = (make(grid, _medium(grid), q)
-                           for q in (0, quiet_steps(grid)))
+        make = _MAPS[kind][0]
+        whole, short = (make(g, _medium(grid))
+                        for g in (grid, support_grid(grid)))
         window = grid.nt - 2 * 997
         assert steps == [grid.nt, window]
-        assert windowed.n_fft == solver._fft_length(2 * window - 3)
-        assert windowed.responses.shape[-1] == window - 2
-        assert (sum(arr.nbytes for arr in windowed.work)
+        assert short.n_fft == solver._fft_length(2 * window - 3)
+        assert short.responses.shape[-1] == window - 2
+        assert (sum(arr.nbytes for arr in short.work)
                 < 0.65 * sum(arr.nbytes for arr in whole.work))
 
     def test_a_window_from_step_zero_is_the_whole_map(self, kind,
-                                                      coarse_grid_t5):
-        # quiet up to 3 leaves the window at step 0: the same arithmetic
-        make = _WINDOWED[kind][0]
-        med = _medium(coarse_grid_t5)
-        fs = _controls(coarse_grid_t5, (2,))
-        narrow = make(coarse_grid_t5, med, 3)
-        assert narrow.start == 0
-        for got, want in zip(narrow(fs), make(coarse_grid_t5, med, 0)(fs),
-                             strict=True):
-            assert np.array_equal(got.values_a, want.values_a)
-            assert np.array_equal(got.values_b, want.values_b)
+                                                      coarse_grid):
+        # a grid without quiet steps is its own support grid: its controls
+        # reach the first and the last three steps, where the edge terms run
+        make, oracle = _MAPS[kind]
+        for grid in (coarse_grid, GridSpec(-1.0, 1.0, 0.04, 0.04, 3.0)):
+            assert support_grid(grid) == grid
+            med = _medium(grid)
+            fs = _controls(grid, (2,))
+            assert _max_rel_deviation(make(grid, med)(fs),
+                                      oracle(grid, med, fs)) <= 1e-9
 
     @pytest.mark.parametrize("quiet", [501, 1500], ids=["mid", "last"])
-    def test_data_from_step_quiet_match_the_stepper(self, kind, coarse_grid,
-                                                    quiet):
-        # O(1) samples from step quiet on, where the controls' are tiny;
-        # quiet = (nt - 1) / 2 leaves 7 steps, the fewest a window has
-        make, oracle = _WINDOWED[kind]
-        med = _medium(coarse_grid)
-        fs = _edge_traces(coarse_grid,
-                          slice(quiet, min(quiet + 3, coarse_grid.nt - quiet)))
-        measure = make(coarse_grid, med, quiet)
-        assert (measure.start, measure.stop) == (quiet - 3,
-                                                 coarse_grid.nt - quiet + 3)
-        assert _max_rel_deviation(
-            _head(measure(fs), measure.stop),
-            _head(oracle(coarse_grid, med, fs), measure.stop)) <= 1e-9
-
-    @pytest.mark.parametrize("end", [0, 1], ids=["a", "b"])
-    def test_data_before_quiet_are_refused(self, kind, coarse_grid_t5, end):
-        grid = coarse_grid_t5
-        quiet = quiet_steps(grid)
-        measure = _WINDOWED[kind][0](grid, _medium(grid), quiet)
-        fs = _controls(grid, (1,))[:2]
-        ends = [fs[1].values_a.copy(), fs[1].values_b.copy()]
-        ends[end][quiet - 1] = 1e-300
-        fs[1] = BoundaryTrace(*ends, grid.dt)
-        with pytest.raises(ConfigurationError,
-                           match=f"Neumann trace 1 is nonzero at step "
-                                 f"{quiet - 1} at {'ab'[end]}"):
-            measure(fs)
-
-    # 1501 of 3001 steps: the window's ends cross, leaving 5 steps
-    @pytest.mark.parametrize("quiet", [-1, -100, 1501, "nt-3", "nt"])
-    def test_quiet_out_of_range_refused_at_build(self, kind, coarse_grid,
-                                                 quiet):
-        if isinstance(quiet, str):
-            quiet = coarse_grid.nt + int(quiet[2:] or 0)
-        with pytest.raises(ConfigurationError, match="quiet = .* out of range"):
-            _WINDOWED[kind][0](coarse_grid, _medium(coarse_grid), quiet)
+    def test_data_from_step_quiet_match_the_stepper(self, kind, quiet):
+        # step ``quiet`` of the grid is step 3 of its support grid: O(1)
+        # samples from there on, where the controls' are tiny, skip the
+        # edge terms
+        grid = support_grid(_quiet_grid(quiet))
+        assert grid.nt == 3007
+        make, oracle = _MAPS[kind]
+        med = _medium(grid)
+        fs = _edge_traces(grid, slice(3, 6))
+        assert _max_rel_deviation(make(grid, med)(fs),
+                                  oracle(grid, med, fs)) <= 1e-9
 
 
-@pytest.mark.parametrize("kind", sorted(_WINDOWED))
+@pytest.mark.parametrize("kind", sorted(_MAPS))
 class TestTwoSidedWindow:
-    """The same map stops its kernel and its convolutions three steps after
-    the data end, at step nt - quiet + 3, and refuses data in the last quiet
-    steps."""
+    """On the support grid the maps stop three steps after the controls
+    do, and measure the field that rings on after them."""
 
     @pytest.mark.parametrize("grid_name", ["coarse_grid_t5", "mid_grid"])
     def test_controls_match_the_stepper_through_the_window(
             self, kind, grid_name, request):
-        grid = request.getfixturevalue(grid_name)
-        make, oracle = _WINDOWED[kind]
+        grid = support_grid(request.getfixturevalue(grid_name))
+        make, oracle = _MAPS[kind]
         med = _medium(grid)
-        quiet = quiet_steps(grid)
-        measure = make(grid, med, quiet)
-        stop = grid.nt - quiet + 3
-        assert (measure.start, measure.stop) == (quiet - 3, stop)
         fs = _controls(grid)
-        got = measure(fs)
-        assert _max_rel_deviation(_head(got, stop),
-                                  _head(oracle(grid, med, fs), stop)) <= 1e-9
-        for tr in got:  # zeros after the window
-            assert not np.any(tr.values_a[stop:])
-            assert not np.any(tr.values_b[stop:])
+        for tr in fs:  # zero in the last three steps
+            assert not np.any(tr.values_a[-3:]) and not np.any(tr.values_b[-3:])
+        got = make(grid, med)(fs)
+        assert _max_rel_deviation(got, oracle(grid, med, fs)) <= 1e-9
+        assert all(np.any(tr.values_a[-3:]) for tr in got)
 
     @pytest.mark.parametrize("quiet", [1, 2, 3])
     def test_a_window_to_the_last_step_is_the_one_sided_map(self, kind,
-                                                            coarse_grid_t5,
                                                             quiet):
-        # quiet up to 3 leaves the window at the last step: the arithmetic
-        # of the map that skips nothing
-        make = _WINDOWED[kind][0]
-        med = _medium(coarse_grid_t5)
-        fs = _controls(coarse_grid_t5, (2,))
-        narrow = make(coarse_grid_t5, med, quiet)
-        assert narrow.stop == coarse_grid_t5.nt
-        for got, want in zip(narrow(fs), make(coarse_grid_t5, med, 0)(fs),
-                             strict=True):
-            assert np.array_equal(got.values_a, want.values_a)
-            assert np.array_equal(got.values_b, want.values_b)
+        # a grid with at most three quiet steps is its own support grid
+        grid = GridSpec(-1.0, 1.0, 1.0 / 32, 1.0 / 64, 3.0 + quiet / 64)
+        assert quiet_steps(grid) == quiet
+        assert support_grid(grid) == grid
+        make, oracle = _MAPS[kind]
+        med = _medium(grid)
+        fs = _controls(grid, (2,))
+        assert _max_rel_deviation(make(grid, med)(fs),
+                                  oracle(grid, med, fs)) <= 1e-9
 
     @pytest.mark.parametrize("before_tail", [2500, 1501],
                              ids=["mid", "first"])
-    def test_data_up_to_the_tail_match_the_stepper(self, kind, coarse_grid,
-                                                   before_tail):
-        # O(1) samples at step nt - quiet - 1 and up to two before it, where
-        # the controls' are tiny; quiet = (nt - 1) / 2 leaves 7 steps, the
-        # fewest a window has
-        make, oracle = _WINDOWED[kind]
-        med = _medium(coarse_grid)
-        quiet = coarse_grid.nt - before_tail
-        fs = _edge_traces(coarse_grid,
-                          slice(max(before_tail - 3, quiet), before_tail))
-        measure = make(coarse_grid, med, quiet)
-        assert measure.stop == before_tail + 3
-        assert _max_rel_deviation(
-            _head(measure(fs), measure.stop),
-            _head(oracle(coarse_grid, med, fs), measure.stop)) <= 1e-9
-
-    @pytest.mark.parametrize("end", [0, 1], ids=["a", "b"])
-    def test_data_in_the_tail_are_refused(self, kind, coarse_grid_t5, end):
-        grid = coarse_grid_t5
-        quiet = quiet_steps(grid)
-        measure = _WINDOWED[kind][0](grid, _medium(grid), quiet)
-        fs = _controls(grid, (1,))[:2]
-        ends = [fs[1].values_a.copy(), fs[1].values_b.copy()]
-        ends[end][grid.nt - quiet] = 1e-300
-        fs[1] = BoundaryTrace(*ends, grid.dt)
-        with pytest.raises(ConfigurationError,
-                           match=f"Neumann trace 1 is nonzero at step "
-                                 f"{grid.nt - quiet} at {'ab'[end]}; this "
-                                 f"map takes data that vanish from step "
-                                 f"{grid.nt - quiet} on"):
-            measure(fs)
+    def test_data_up_to_the_tail_match_the_stepper(self, kind, before_tail):
+        # the last step before the grid's last nt - before_tail quiet steps
+        # is step nt - 4 of its support grid: O(1) samples there and at the
+        # two steps before it skip the edge terms
+        grid = support_grid(_quiet_grid(3001 - before_tail))
+        make, oracle = _MAPS[kind]
+        med = _medium(grid)
+        fs = _edge_traces(grid, slice(grid.nt - 6, grid.nt - 3))
+        assert _max_rel_deviation(make(grid, med)(fs),
+                                  oracle(grid, med, fs)) <= 1e-9
 
     def test_paper_grid_window_sizes(self, kind, monkeypatch):
         # the loop is replaced by zeros of its traces' shape: only the
         # sizes are under test
-        grid = GridSpec(-1.0, 1.0, 1.0 / 250, 1.0 / 2500, 5.0)
+        grid = support_grid(GridSpec(-1.0, 1.0, 1.0 / 250, 1.0 / 2500, 5.0))
         steps = []
 
         def zeros(grid, stencil, inj):
@@ -906,8 +850,9 @@ class TestTwoSidedWindow:
             return np.zeros(inj.shape, np.result_type(inj, *stencil)), []
 
         monkeypatch.setattr(solver, "_time_loop", zeros)
-        measure = _WINDOWED[kind][0](grid, _medium(grid), 5000)
-        assert (measure.start, measure.stop) == (4997, 20004)
+        measure = _MAPS[kind][0](grid, _medium(grid))
+        # 15007 steps, of which the loop takes 1 .. 15005
+        assert grid.nt == 15007
         assert steps == [15007]
         assert measure.n_fft == 30375
         # 3.40 MB of work arrays, 0.97 MB of transfer matrices
@@ -917,13 +862,25 @@ class TestTwoSidedWindow:
 
 
 @pytest.mark.parametrize("data_mode", [LINEARIZED, NONLINEAR_DIFFERENCE])
-def test_measurement_skips_the_controls_lead_in(coarse_grid_t5, data_mode):
-    # and as many steps at the end: noisy and noise-free runs take one map
-    grid, med = coarse_grid_t5, _medium(coarse_grid_t5)
-    measure = ReconSettings(grid=grid, N=2, data_mode=data_mode,
-                            noise_eps=0.05).measurement(med)
-    assert measure.quiet == quiet_steps(grid) == 1000
-    assert (measure.start, measure.stop) == (997, grid.nt - 997)
+def test_measurement_skips_the_controls_lead_in(coarse_grid_t5, data_mode,
+                                                monkeypatch):
+    # reconstruct measures on the support grid, noisy or not: of the 1000
+    # quiet steps at either end, 3 are left
+    grid = coarse_grid_t5
+    short = support_grid(grid)
+    assert quiet_steps(grid) == 1000 and quiet_steps(short) == 3
+    assert short.nt == grid.nt - 2 * 997
+    grids, measurement = [], ReconSettings.measurement
+
+    def spy(self, medium):
+        grids.append(self.grid)
+        return measurement(self, medium)
+
+    monkeypatch.setattr(ReconSettings, "measurement", spy)
+    sig = smooth_sigma_dot(grid.xs)
+    reconstruct(ReconSettings(grid=grid, N=2, data_mode=data_mode,
+                              noise_eps=0.05), MediumSpec(0.0, sig), sig)
+    assert grids == [short]
 
 
 _TRANSFER_MAPS = {
