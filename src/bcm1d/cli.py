@@ -190,9 +190,15 @@ def _check_memory(settings: ReconSettings) -> None:
     if room is not None and need > room:
         grid = support_grid(settings.grid)
         raise MemoryError(
-            f"the run needs about {need / 2**20:.0f} MiB (nt = "
-            f"{grid.nt}, nx = {grid.nx}) but only "
+            f"the run needs about {_readable(need / 2**20)} MiB (nt = "
+            f"{_readable(grid.nt)}, nx = {grid.nx}) but only "
             f"{max(room, 0) / 2**20:.0f} MiB are available to the process")
+
+
+def _readable(x) -> str:
+    """``x`` to the unit, or to three digits above 1e15."""
+    from decimal import Decimal  # an int may be too large for a float
+    return f"{Decimal(x):.3g}" if x > 1e15 else f"{x:.0f}"
 
 
 def run_experiment(config: RunConfig) -> int:

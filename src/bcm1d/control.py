@@ -114,7 +114,8 @@ def quiet_steps(grid: GridSpec) -> int:
     itself can hold a bump factor near 1e-120, when rounding in ``ts`` puts
     its argument just inside the support.  Time reversal about T mirrors
     the support: the arguments leave it at t = T + (b - a) + 1, and the
-    traces vanish in the last as many steps.
+    traces vanish in the last as many steps.  A grid with T at its least,
+    (b - a) + 1, has none; :func:`support_grid` gives it three.
     """
     steps = (grid.T - (grid.b - grid.a) - 1.0) / grid.dt
     return max(round(steps) if _is_close_to_integer(steps)
@@ -123,16 +124,17 @@ def quiet_steps(grid: GridSpec) -> int:
 
 def support_grid(grid: GridSpec) -> GridSpec:
     """The grid on which the controls of ``grid`` are measured: ``grid``
-    with T shortened by s = max(quiet_steps(grid) - 3, 0) steps.
+    with T shortened by s = quiet_steps(grid) - 3 steps, or lengthened by
+    -s steps where ``grid`` leaves fewer than three quiet steps.
 
     A control depends on t - T only, so on this grid its traces are those
     on ``grid`` at steps s .. nt - 1 - s, moved s steps earlier (to
     rounding in ``ts``), and they vanish in the first and the last three
-    steps, the injection filter's reach, so the measurement maps skip their
-    edge terms.  Grids that differ in T alone share this grid once T leaves
-    three quiet steps; on the paper grid it has 15007 of 25001 steps.
+    steps, the injection filter's reach, as the measurement maps require.
+    Grids whose T differ by whole steps share this grid; on the paper grid
+    it has 15007 of 25001 steps.
     """
-    s = max(quiet_steps(grid) - _REACH, 0)
+    s = quiet_steps(grid) - _REACH
     return replace(grid, T=(grid.half_index - s) * grid.dt)
 
 
@@ -145,7 +147,9 @@ class ControlReport:
 
 def verify_control(targets: Sequence[tuple[AnalyticProfile, complex]],
                    grid: GridSpec) -> list[ControlReport]:
-    """Check the controls of ``targets``, (pT, lam) pairs, on ``grid``.
+    """Check the controls of ``targets``, (pT, lam) pairs, on the support
+    grid of ``grid`` (see :func:`support_grid`), where they are quiet in
+    the first and the last three steps only.
 
     Each control is built by :func:`build_control`; the traces f and f_t
     of all of them run as two columns each of a single pass over sigma = 0,
@@ -175,6 +179,7 @@ def verify_control(targets: Sequence[tuple[AnalyticProfile, complex]],
     far cleaner instrument than differencing the displacement in time (which
     amplifies the dispersive tail of the scheme by a frequency factor).
     """
+    grid = support_grid(grid)
     xs = grid.xs
     shifted = np.concatenate((xs - grid.T, xs + grid.T))
     controls = [build_control(pT, lam, grid) for pT, lam in targets]

@@ -29,7 +29,7 @@ ingredient multiplies dx^3, so those low-order estimates cost no accuracy.
 The initial data are zero: u^0 = 0, and the first layer u^1 = dt^2 S(0) / 2
 is the Taylor term of u_tt(0) = S(0); omitting it would leave an O(dt)
 velocity defect whose mean grows linearly under Neumann conditions.  Zero
-initial data need Neumann data that vanish near t = 0, and the solver warns
+initial data need Neumann data that vanish near t = 0, and the stepper warns
 otherwise.
 
 One time loop serves every map.  It advances the increment v^n = u^n -
@@ -76,30 +76,27 @@ arrays.  For the linearized map the impulses run in
 the complex medium and, as d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R) for a
 signal's weights w and response R, give 4 signals; for the difference map
 the full and background media advance as rows of one pass, 2 signals per
-medium, the background's responses negated and all divided by eps.  Away
-from the grid's ends each signal is the endpoint data through a fixed
-centered-difference filter, so the kernel folds the filters into the
-response spectra: a 2 x 2 transfer matrix per frequency from input end to
-output end, stored C-contiguous with frequencies last.  A trace then costs
-one forward FFT of its four real endpoint series, the 2 x 2 contraction and
-the inverse FFT; no injection signals are built.  Where the stepper's
-signals depart from the filtered data (the four steps nearest each end of
-the grid, from the data's ``_REACH`` samples nearest it) the kernel's
-time-domain responses add the exact difference, taken from the same tap
-table: the stepper's signals of those samples minus the filter's, skipped
-when the samples are zero, as they are for the reconstruction controls on
-their support grid (see :func:`~bcm1d.control.support_grid`).  On the paper
-grid's support grid the kernel's loop takes 15005 steps and the FFT length
-is 30375.  The map owns its FFT work arrays (see :class:`_TransferMap`) and
-writes them on every call, so one map must not be called from two threads
-at once.  A call copies each trace straight into the zero-padded input and
-allocates only its result: the traces of one call are views of one new
-block, never of the work arrays.  The backend agrees with the stepper to
-about 1e-13 relative; the stepper stays the reference it is tested against,
-and alone serves sources and snapshots at T.  Every map rejects Neumann
-data with a non-finite sample, which would silently spread NaN over both
-endpoint outputs, the stepper rejects such a source sample likewise, and
-the backend rejects a non-finite output.
+medium, the background's responses negated and all divided by eps.  For data
+at rest in the ``_REACH`` samples nearest either end of the grid, each
+signal is the endpoint data through a fixed centered-difference filter, so
+the kernel folds the filters into the response spectra: a 2 x 2 transfer
+matrix per frequency from input end to output end, stored C-contiguous with
+frequencies last.  A trace then costs one forward FFT of its four real
+endpoint series, the 2 x 2 contraction and the inverse FFT; no injection
+signals are built.  Other data meet the stepper's one-sided differences at
+the grid's ends, so the maps refuse them; the reconstruction controls on
+their support grid (see :func:`~bcm1d.control.support_grid`) are at rest
+there.  On the paper grid's support grid the kernel's loop takes 15005 steps
+and the FFT length is 30375.  The map owns its FFT work arrays (see
+:class:`_TransferMap`) and writes them on every call, so one map must not be
+called from two threads at once.  A call copies each trace straight into the
+zero-padded input and allocates only its result: the traces of one call are
+views of one new block, never of the work arrays.  The backend agrees with
+the stepper to about 1e-13 relative; the stepper stays the reference it is
+tested against, takes any data, and alone serves sources and snapshots at
+T.  Every map rejects Neumann data with a non-finite sample, which would
+silently spread NaN over both endpoint outputs, the stepper rejects such a
+source sample likewise, and the backend rejects a non-finite output.
 """
 
 from __future__ import annotations
@@ -117,7 +114,7 @@ _ENDS = [0, -1]
 # the complex step: small enough that h^2 is lost to rounding next to 1
 _STEP = 1e-30
 # the injection filter's reach: the data samples nearest either end of the
-# grid whose stepper signals differ from the filtered data
+# grid that must be zero for the stepper's signals to be the filtered data
 _REACH = 3
 
 
@@ -146,48 +143,41 @@ def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
     return arr
 
 
-def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
-             stacklevel: int):
-    """Yield each Neumann trace once it is checked: its length and step,
-    its samples finite, and at most one warning, ``stacklevel`` frames up
-    from the generator, for data that do not vanish at t = 0."""
-    warned = False
+def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace]):
+    """Yield each Neumann trace once its length, its step and the finiteness
+    of its samples are checked."""
     for j, tr in enumerate(neumanns):
         if len(tr) != grid.nt or tr.dt != grid.dt:
             raise ConfigurationError(
                 f"Neumann trace {j} has {len(tr)} samples (dt={tr.dt}); "
                 f"the grid needs {grid.nt} (dt={grid.dt})"
             )
-        ends = (tr.values_a, tr.values_b)
-        if not all(np.isfinite(v).all() for v in ends):
+        if not all(np.isfinite(v).all() for v in (tr.values_a, tr.values_b)):
             raise ConfigurationError(
                 f"Neumann trace {j} has a non-finite sample"
             )
-        first = max(abs(v[0]) for v in ends)
-        # the scale is at least 1, so only a t = 0 sample above the
-        # tolerance can warn
-        if (not warned and first > _INITIAL_DATA_TOL
-                and first > _INITIAL_DATA_TOL * max(
-                    max(np.max(np.abs(v)) for v in ends), 1.0)):
-            warnings.warn(
-                "Neumann data nonzero at t = 0; zero initial layers are "
-                "inconsistent with it",
-                stacklevel=stacklevel,
-            )
-            warned = True
         yield tr
 
 
 def _stack_neumann(grid: GridSpec,
                    neumanns: Sequence[BoundaryTrace]) -> np.ndarray:
     """Checked endpoint data as one (traces, 2, nt) array, a side then b,
-    real when every imaginary part is zero."""
+    real when every imaginary part is zero; at most one warning, at the
+    stepper's caller, for data that do not vanish at t = 0."""
     real = not any(np.any(v.imag) for tr in neumanns
                    for v in (tr.values_a, tr.values_b))
     g = np.empty((len(neumanns), 2, grid.nt), float if real else complex)
-    for gj, tr in zip(g, _checked(grid, neumanns, stacklevel=4)):
+    for gj, tr in zip(g, _checked(grid, neumanns)):
         for row, v in zip(gj, (tr.values_a, tr.values_b)):
             row[...] = v.real if real else v
+    first = np.max(np.abs(g[..., 0]), axis=-1)
+    scale = np.maximum(np.max(np.abs(g), axis=(1, 2)), 1.0)
+    if np.any(first > _INITIAL_DATA_TOL * scale):
+        warnings.warn(
+            "Neumann data nonzero at t = 0; zero initial layers are "
+            "inconsistent with it",
+            stacklevel=3,
+        )
     return g
 
 
@@ -439,18 +429,20 @@ def _fft_length(n: int) -> int:
 class _TransferMap:
     """Neumann traces to endpoint traces through a medium's transfer kernel.
 
-    ``responses`` (steps, signals, output end) are the loop's traces
+    Made from ``responses`` (steps, signals, output end), the loop's traces
     of a unit impulse at step 1 in each injection signal, signal s at end
-    s % 2, and ``weights`` (signals, 3) those signals' taps (see
+    s % 2, and ``weights`` (signals, 3), those signals' taps (see
     :func:`_weights`).  The responses are transformed and each multiplied by
     its signal's filter w0 + w1 z + w2 z^2, z = 2i sin(omega), the spectrum
-    of its weights; the signals of one input end then add up into
-    ``transfer``.  The kernel's arrays are read-only.  The FFT work arrays
-    are the zero-padded input (parts, ends, samples), which the inverse FFT
-    overwrites; its spectrum and the contraction's product, (parts, ends,
-    frequencies); and one output end's term, (parts, frequencies): 14 real
-    series of n_fft, a spectrum of n_fft // 2 + 1 complex samples counting
-    as one; 3.4 MB on the paper grid's support grid.
+    of its weights; the signals of one input end then add up into the
+    read-only ``transfer``.  The filter is the stepper's injection only for
+    data at rest in the ``_REACH`` samples nearest either end of the grid,
+    and a call refuses any other.  The FFT work arrays are the zero-padded
+    input (parts, ends, samples), which the inverse FFT overwrites; its
+    spectrum and the contraction's product, (parts, ends, frequencies); and
+    one output end's term, (parts, frequencies): 14 real series of n_fft, a
+    spectrum of n_fft // 2 + 1 complex samples counting as one; 3.4 MB on
+    the paper grid's support grid.
     """
 
     def __init__(self, grid: GridSpec, responses: np.ndarray,
@@ -459,8 +451,9 @@ class _TransferMap:
         steps = len(responses)
         # (signals, output end, steps 1 .. steps-1)
         responses = np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1))
-        # no wrap-around: exact signals and responses both span fewer than
-        # steps - 1 (the edge terms cancel the filtered data's longer reach)
+        # no wrap-around: for data at rest at both ends the filtered signals
+        # (steps 1 .. steps-2) and the responses (delays 1 .. steps-2) reach
+        # step 2 steps - 4 at most
         self.n_fft = n_fft = _fft_length(2 * steps - 3)
         n_freq = n_fft // 2 + 1
         z = 2j * np.sin(2.0 * np.pi * np.arange(n_freq) / n_fft)
@@ -470,68 +463,31 @@ class _TransferMap:
         # (input end, output end, frequencies), C-contiguous with
         # frequencies last: the contraction runs along them
         self.transfer = spectrum.reshape(-1, 2, 2, n_freq).sum(axis=0)
-        # (signals, output end, steps 2 ..): the field at step 1 is zero
-        self.responses = responses[..., 1:].copy()
-        self.weights = weights
-        for arr in (self.transfer, self.responses, weights):
-            arr.flags.writeable = False
+        self.transfer.flags.writeable = False
         del spectrum, responses  # the work arrays below may reuse their memory
         self.work = (np.zeros((2, 2, n_fft)),
                      np.empty((2, 2, n_freq), complex),
                      np.empty((2, 2, n_freq), complex),
                      np.empty((2, n_freq), complex))
 
-    def _add_edge_terms(self, out: np.ndarray, g) -> None:
-        """Add to the traces ``out`` (2, steps) of the data ``g``, a series
-        per end, the response to the stepper's injection signals minus the
-        filtered data.
-
-        They differ at the four steps nearest each end of the grid only,
-        through the data's ``_REACH`` samples nearest it, and the difference
-        is skipped where those are zero, as for the reconstruction controls
-        on their support grid.  Both sides come from :func:`_injection` on a
-        12-step frame of those samples, the filter's zero-extended so that
-        every difference is centered; the difference is convolved in the
-        FFT's circular frame, which also removes the filtered data's
-        wrap-around.
-        """
-        n_fft, weights, responses = self.n_fft, self.weights, self.responses
-        nt = out.shape[1]
-        # frames of steps -4 .. 7 and nt-8 .. nt+3
-        for origin, first in ((-4, 0), (nt - 8, nt - _REACH)):
-            x = np.zeros((2, 12), dtype=complex)
-            x[:, first - origin:first - origin + _REACH] = [
-                v[first:first + _REACH] for v in g]
-            if not np.any(x):
-                continue
-            steps = origin + np.arange(12)
-            inside = (steps >= 0) & (steps < nt)
-            signals = np.zeros((len(weights) // 2, 2, 12), dtype=complex)
-            signals[..., inside] = _injection(weights, x[:, inside])
-            # the loop reads the signals at steps 1 .. nt-2 only
-            signals[..., (steps < 1) | (steps > nt - 2)] = 0.0
-            signals -= _injection(weights, x)
-            # the responses start at step 2 of an impulse at step 1
-            at = (origin + 1 + np.arange(12 + responses.shape[-1] - 1)) % n_fft
-            keep = at < nt
-            for d, r in zip(signals.reshape(-1, 12), responses):
-                for o in range(2):
-                    np.add.at(out[o], at[keep], np.convolve(d, r[o])[keep])
-
     def __call__(self, fs: Sequence[BoundaryTrace]) -> list[BoundaryTrace]:
         """Endpoint traces of the Neumann traces ``fs``, as views of one new
-        block; a non-finite result, from a kernel that overflowed, raises an
-        error.  Every call overwrites the map's FFT work arrays."""
+        block.  A trace nonzero within ``_REACH`` steps of either end of the
+        grid, or a non-finite result, from a kernel that overflowed, raises
+        an error.  Every call overwrites the map's FFT work arrays."""
         n_fft, transfer, grid = self.n_fft, self.transfer, self.grid
         series, spectrum, product, term = self.work
         nt = grid.nt
         out = np.empty((len(fs), 2, nt), dtype=complex)
         # an overflow gives a non-finite trace, which is rejected by name
         with np.errstate(over="ignore", invalid="ignore"):
-            checked = _checked(grid, fs, stacklevel=3)
-            for j, (tr, oj) in enumerate(zip(checked, out)):
-                g = (tr.values_a, tr.values_b)
-                for end, v in enumerate(g):
+            for j, (tr, oj) in enumerate(zip(_checked(grid, fs), out)):
+                for end, v in enumerate((tr.values_a, tr.values_b)):
+                    if np.any(v[:_REACH]) or np.any(v[-_REACH:]):
+                        raise ConfigurationError(
+                            f"Neumann trace {j} is nonzero within {_REACH} "
+                            "steps of an end of the grid, where the transfer "
+                            "maps take data at rest")
                     series[0, end, :nt] = v.real
                     series[1, end, :nt] = v.imag
                 np.fft.rfft(series, n_fft, out=spectrum)
@@ -545,7 +501,6 @@ class _TransferMap:
                 np.fft.irfft(product, n_fft, out=series)
                 oj.real, oj.imag = series[..., :nt]
                 series[..., nt:] = 0.0
-                self._add_edge_terms(oj, g)
                 if not np.all(np.isfinite(oj.view(float))):
                     raise ConfigurationError(
                         f"measured trace {j} has a non-finite sample: the "

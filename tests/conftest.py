@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from bcm1d import GridSpec, MediumSpec
+from bcm1d.control import support_grid
 
 
 @pytest.fixture(scope="session")
 def coarse_grid():
     """Fast grid for unit tests; same CFL ratio as the reference setup."""
     return GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, 3.0)
+
+
+@pytest.fixture(scope="session")
+def coarse_support_grid(coarse_grid):
+    """The coarse grid lengthened to the support grid of its controls, which
+    vanish in its first and last three steps, as the transfer maps need."""
+    return support_grid(coarse_grid)
 
 
 @pytest.fixture(scope="session")

@@ -331,9 +331,10 @@ class TestMain:
 
     def test_oversized_grid_refused_before_allocating(self, tmp_path, capsys,
                                                       monkeypatch):
-        # T = 3 leaves no quiet steps, so the run allocates nt = 6e10 + 1:
-        # terabytes of traces, more than any host has; a run that got past
-        # the check would stop at the stand-in below
+        # T = 3 leaves no quiet steps, so the support grid adds three at
+        # each end and the run allocates nt = 6e10 + 7: terabytes of traces,
+        # more than any host has; a run that got past the check would stop
+        # at the stand-in below
         def unguarded(*args):
             raise AssertionError("the oversized run was not refused")
 
@@ -350,8 +351,26 @@ class TestMain:
         assert peak < 1 << 20
         err = capsys.readouterr().err
         assert err.startswith("error: the run needs about ")
-        assert "(nt = 60000000001, nx = 21)" in err and "available" in err
+        assert "(nt = 60000000007, nx = 21)" in err and "available" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dt, need, nt", [
+        ("1e-300", "5.32e+297", "6.00e+300"),
+        # nt beyond the largest float
+        ("2e-308", "2.66e+305", "3.00e+308")])
+    def test_memory_message_of_a_tiny_step_is_short(self, tmp_path, capsys,
+                                                     monkeypatch, dt, need,
+                                                     nt):
+        # figures above 1e15 are printed to three digits, not to 300
+        monkeypatch.setattr(cli, "_available_bytes", lambda: 8 << 30)
+        code = main(["experiment", "--id", "1", "--dt", dt, "--T", "3",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: the run needs about {need} MiB (nt = {nt}, "
+                       "nx = 501) but only 8192 MiB are available to the "
+                       "process\n")
+        assert len(err) < 120
 
     def test_a_long_T_runs_on_the_support_grid(self, tmp_path):
         # T = 1e9 measures on the support grid of T = 3.3
@@ -512,7 +531,8 @@ def test_memory_estimate_is_within_30_percent_of_the_peak(flags, tmp_path):
 
 
 def test_experiment_builds_no_injection_signals(tmp_path, monkeypatch):
-    # on the support grid the controls vanish where the edge terms read
+    # only the stepper builds injection signals; an experiment measures
+    # through the transfer maps alone
     def unused(*args):
         raise AssertionError("solver._injection was called")
 

@@ -122,11 +122,11 @@ class TestLinearizedRhs:
         # order; their gap decays at least that fast
         assert diffs[1] <= 0.35 * diffs[0]
 
-    def test_matches_five_term_oracle(self, coarse_grid):
+    def test_matches_five_term_oracle(self, coarse_support_grid):
         # the docstring's formula written out term by term, each reflected
         # factor an explicit reversed copy, each pairing np.trapezoid over
         # the samples of (0, T)
-        g = coarse_grid
+        g = coarse_support_grid
         medium = MediumSpec(0.0, smooth_sigma_dot(g.xs))
         lam, f, h = acquire_clean_pair_data(
             4, g, ReconSettings(grid=g, N=4).measurement(medium))

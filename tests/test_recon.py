@@ -97,10 +97,11 @@ class TestAddNoise:
 
 
 @pytest.fixture(scope="module")
-def pair_data(coarse_grid):
-    medium = MediumSpec(0.0, smooth_sigma_dot(coarse_grid.xs))
-    measure = ReconSettings(grid=coarse_grid, N=1).measurement(medium)
-    return acquire_clean_pair_data(1, coarse_grid, measure)
+def pair_data(coarse_support_grid):
+    grid = coarse_support_grid
+    medium = MediumSpec(0.0, smooth_sigma_dot(grid.xs))
+    measure = ReconSettings(grid=grid, N=1).measurement(medium)
+    return acquire_clean_pair_data(1, grid, measure)
 
 
 class TestNoiseDeterminism:
@@ -130,14 +131,14 @@ class TestNoiseDeterminism:
         n2 = apply_measurement_noise(pair_data, 2, 0.01, seed=42)
         assert not np.array_equal(n1.f.meas_t.values_a, n2.f.meas_t.values_a)
 
-    def test_substream_labels_pinned(self, coarse_grid):
+    def test_substream_labels_pinned(self, coarse_support_grid):
         # the (mode, label) spawn keys fix every noisy output; moving a label
         # changes the noisy results of every earlier run
-        medium = MediumSpec(0.0, smooth_sigma_dot(coarse_grid.xs))
-        settings = ReconSettings(grid=coarse_grid, N=2)
+        grid = coarse_support_grid
+        medium = MediumSpec(0.0, smooth_sigma_dot(grid.xs))
+        settings = ReconSettings(grid=grid, N=2)
         k, eps, seed = 2, 0.03, 11
-        clean = acquire_clean_pair_data(k, coarse_grid,
-                                        settings.measurement(medium))
+        clean = acquire_clean_pair_data(k, grid, settings.measurement(medium))
         noisy = apply_measurement_noise(clean, k, eps, seed)
         labels = {("f", "meas_t"): 0, ("f", "meas_tt"): 1, ("h", "meas_t"): 2,
                   ("h", "meas_tt"): 3}
@@ -384,13 +385,15 @@ class TestReconstructPipeline:
         with pytest.raises(ValueError, match=r"^N = 50 exceeds.*N <= 49$"):
             ReconSettings(grid=coarse_grid, N=50)
 
-    def test_reconstruct_from_data_matches_reconstruct(self, coarse_grid):
-        sig = smooth_sigma_dot(coarse_grid.xs)
+    def test_reconstruct_from_data_matches_reconstruct(self,
+                                                       coarse_support_grid):
+        grid = coarse_support_grid
+        sig = smooth_sigma_dot(grid.xs)
         medium = MediumSpec(0.0, sig)
-        settings = ReconSettings(grid=coarse_grid, N=2)
+        settings = ReconSettings(grid=grid, N=2)
         direct = reconstruct(settings, medium, sig)
         measure = settings.measurement(medium)
-        data = [acquire_clean_pair_data(k, coarse_grid, measure) for k in (1, 2)]
+        data = [acquire_clean_pair_data(k, grid, measure) for k in (1, 2)]
         via_data = reconstruct_from_data(data, settings, sig)
         assert np.array_equal(direct.coeffs.a, via_data.coeffs.a)
         assert direct.rel_l2 == via_data.rel_l2
@@ -413,11 +416,12 @@ class TestReconstructPipeline:
         assert alive == [0, 0, 0]
 
     @pytest.mark.parametrize("modes", [0, 2])
-    def test_too_few_modes_rejected(self, coarse_grid, modes):
-        sig = smooth_sigma_dot(coarse_grid.xs)
-        settings = ReconSettings(grid=coarse_grid, N=3)
+    def test_too_few_modes_rejected(self, coarse_support_grid, modes):
+        grid = coarse_support_grid
+        sig = smooth_sigma_dot(grid.xs)
+        settings = ReconSettings(grid=grid, N=3)
         measure = settings.measurement(MediumSpec(0.0, sig))
-        data = [acquire_clean_pair_data(k, coarse_grid, measure)
+        data = [acquire_clean_pair_data(k, grid, measure)
                 for k in range(1, modes + 1)]
         with pytest.raises(ValueError, match="need 3 identity values"):
             reconstruct_from_data(data, settings, sig)

@@ -1,4 +1,3 @@
-import functools
 import inspect
 import tracemalloc
 
@@ -25,6 +24,7 @@ from bcm1d import (
 from bcm1d import solver
 from bcm1d.cli import _mms_error, smooth_pulse_trace
 from bcm1d.control import quiet_steps, support_grid
+from bcm1d.solver import _REACH
 
 from conftest import smooth_sigma_dot
 
@@ -215,7 +215,8 @@ class TestLinearized:
         # before multiplying by s, so that a large sigma_dot does not overflow
         xs = coarse_grid.xs
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
-        f = f + 0.5j * smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)[0]
+        h, _ = smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)
+        f = _at_rest(f + 0.5j * h)
         sigma_dot = np.cos(np.pi * xs) + 2.0 + xs
 
         def measure(c):
@@ -352,6 +353,17 @@ class TestValidation:
         with pytest.warns(UserWarning, match="Neumann data nonzero"):
             solve_many(coarse_grid, 0.0, [f])
 
+    def test_initial_data_warning_scale_is_per_trace(self, coarse_grid):
+        # a small t = 0 sample warns next to a trace a million times larger
+        nt = coarse_grid.nt
+        small = np.zeros(nt)
+        small[0] = 1e-6
+        large = 1e6 * np.sin(np.pi * coarse_grid.ts)
+        fs = [BoundaryTrace(np.zeros(nt), large, coarse_grid.dt),
+              BoundaryTrace(small, np.zeros(nt), coarse_grid.dt)]
+        with pytest.warns(UserWarning, match="Neumann data nonzero"):
+            solve_many(coarse_grid, 0.0, fs)
+
     @pytest.mark.parametrize("bad", _NON_FINITE.values(), ids=_NON_FINITE)
     def test_non_finite_sample_rejected(self, coarse_grid, bad):
         with pytest.raises(ConfigurationError,
@@ -400,18 +412,30 @@ class TestValidation:
             assert np.array_equal(out.qT_snapshot, single.qT_snapshot)
 
 
+def _at_rest(tr):
+    """``tr`` with its samples within ``_REACH`` steps of either end of the
+    grid set to zero, as the transfer maps take them."""
+    va, vb = tr.values_a.copy(), tr.values_b.copy()
+    for v in (va, vb):
+        v[:_REACH] = v[-_REACH:] = 0.0
+    return BoundaryTrace(va, vb, tr.dt)
+
+
 def _window_traces(grid):
-    """Complex traces that are nonzero at both ends of the time window."""
+    """Complex traces that are O(1) from the first step to the last that
+    the transfer maps take, and at rest beyond them."""
     f, _ = smooth_pulse_trace(grid, 1.0, 0.2, 5.0, 1.0, 0.3)
     h, _ = smooth_pulse_trace(grid, 1.3, 0.25, 3.0, 0.2, 1.0)
     ramp = BoundaryTrace.from_functions(
         grid, lambda t: 0.3 + 0.1 * t, lambda t: np.cos(2.0 * t) - 0.5j
     )
-    return [f + 1j * h + ramp, (0.5 - 2j) * h + 1j * ramp]
+    return [_at_rest(tr)
+            for tr in (f + 1j * h + ramp, (0.5 - 2j) * h + 1j * ramp)]
 
 
 def _edge_traces(grid, window):
-    """Complex traces that are nonzero only at the samples ``window``."""
+    """Complex traces that are nonzero only at the samples ``window``, which
+    the callers keep among the steps the transfer maps take."""
     rng = np.random.default_rng(7)
     traces = []
     shape = (2, len(range(grid.nt)[window]))
@@ -455,7 +479,6 @@ def _medium(grid):
 _EPS = 0.5
 
 
-@pytest.mark.filterwarnings("ignore:Neumann data nonzero at t = 0")
 class TestTransfer:
     """The transfer-kernel backend against the stepper, its oracle."""
 
@@ -485,21 +508,6 @@ class TestTransfer:
         )
         assert dev <= 1e-9
 
-    @pytest.mark.parametrize("window", [slice(0, 3), slice(-3, None)],
-                             ids=["first-three", "last-three"])
-    def test_window_end_samples_match_stepper(self, coarse_grid, window):
-        # only there do the stepper's signals depart from the filtered data
-        med = _medium(coarse_grid)
-        fs = _edge_traces(coarse_grid, window)
-        assert _max_rel_deviation(
-            transfer_linearized_nd_map(coarse_grid, med)(fs),
-            linearized_nd_map_many(coarse_grid, med, fs),
-        ) <= 1e-9
-        assert _max_rel_deviation(
-            transfer_difference_nd_map(coarse_grid, med, _EPS)(fs),
-            _stepper_quotient(coarse_grid, med, _EPS, fs),
-        ) <= 1e-9
-
     def test_fft_length_is_the_next_five_smooth_number(self):
         def definition(n):
             r = range(n.bit_length() + 1)
@@ -519,46 +527,27 @@ class TestTransfer:
         weights = rng.standard_normal((4, 3))
         measure = solver._TransferMap(coarse_grid, responses, weights)
         assert measure.transfer.shape == (2, 2, measure.n_fft // 2 + 1)
-        assert measure.responses.shape == (4, 2, coarse_grid.nt - 2)
-        for arr in (measure.transfer, measure.responses, measure.weights):
-            assert not arr.flags.writeable
+        assert not measure.transfer.flags.writeable
 
     def test_transfer_maps_build_no_injection_signals(self, coarse_grid,
-                                                      coarse_grid_t5,
                                                       monkeypatch):
-        # only the edge terms call _injection, on a few steps, and only for
-        # data nonzero among the three samples nearest a window end
-        calls, injection = [], solver._injection
+        # only the stepper calls _injection: the maps fold its filter into
+        # their kernels
+        def unused(*args):
+            raise AssertionError("the transfer backend built injection signals")
 
-        def few_steps(weights, g):
-            if g.shape[-1] >= coarse_grid.nt:
-                raise AssertionError(
-                    "the transfer backend built injection signals")
-            calls.append(g.shape[-1])
-            return injection(weights, g)
-
-        monkeypatch.setattr(solver, "_injection", few_steps)
+        monkeypatch.setattr(solver, "_injection", unused)
         med = _medium(coarse_grid)
         fs = _window_traces(coarse_grid)
         transfer_linearized_nd_map(coarse_grid, med)(fs)
         transfer_difference_nd_map(coarse_grid, med, _EPS)(fs)
-        assert calls  # these data are nonzero at both window ends
-        calls.clear()
-        # the reconstruction controls vanish there
-        pT_f, pT_h, lam = fourier_targets(1, coarse_grid_t5)
-        controls = [build_control(pT, lam, coarse_grid_t5).f
-                    for pT in (pT_f, pT_h)]
-        med = _medium(coarse_grid_t5)
-        transfer_linearized_nd_map(coarse_grid_t5, med)(controls)
-        transfer_difference_nd_map(coarse_grid_t5, med, _EPS)(controls)
-        assert calls == []
 
     @pytest.mark.parametrize("data_mode", [LINEARIZED, NONLINEAR_DIFFERENCE])
     def test_acquired_data_at_minimal_window_match_stepper(self, data_mode):
-        # with T at its minimum (b - a) + 1 the reconstruction controls are
-        # nonzero among the three samples nearest each window end, so the
-        # edge terms of the transfer maps do real work
-        grid = GridSpec(-1.0, 1.0, 0.04, 0.04, 3.0)
+        # with T at its minimum (b - a) + 1 the support grid adds three
+        # steps at each end: the reconstruction controls are nonzero from
+        # the first step the transfer maps take to the last
+        grid = support_grid(GridSpec(-1.0, 1.0, 0.04, 0.04, 3.0))
         med = _medium(grid)
         settings = ReconSettings(grid=grid, N=5, data_mode=data_mode,
                                  eps_linearization=1e-3)
@@ -569,7 +558,8 @@ class TestTransfer:
             driven = [bf.f_t, bf.f_tt, bh.f_t, bh.f_tt, bf.f, bh.f]
             for tr in driven:
                 g = np.stack((tr.values_a, tr.values_b))
-                assert np.any(g[:, :3]) and np.any(g[:, -3:])
+                assert not np.any(g[:, :3]) and not np.any(g[:, -3:])
+                assert np.any(g[:, 3:6]) and np.any(g[:, -6:-3])
             f, h = acquire_clean_pair_data(k, grid, measure)[1:]
             got = [f.meas_t, f.meas_tt, h.meas_t, h.meas_tt,
                    *measure([f.g, h.g])]
@@ -599,7 +589,7 @@ class TestTransfer:
             assert np.array_equal(again.values_a, old.values_a)
             assert np.array_equal(again.values_b, old.values_b)
 
-    def test_earlier_results_survive_later_calls(self, coarse_grid):
+    def test_earlier_results_survive_later_calls(self, coarse_support_grid):
         # a map's outputs must not alias its work buffers, and a call must
         # not leave data behind in them for the next
         def unchanged(traces, copies):
@@ -607,13 +597,13 @@ class TestTransfer:
                 assert np.array_equal(tr.values_a, want_a)
                 assert np.array_equal(tr.values_b, want_b)
 
-        med = _medium(coarse_grid)
-        makers = (lambda: transfer_linearized_nd_map(coarse_grid, med),
-                  lambda: transfer_difference_nd_map(coarse_grid, med, _EPS))
-        fs = _window_traces(coarse_grid)  # the edge terms run for these
-        pT_f, pT_h, lam = fourier_targets(1, coarse_grid)
-        controls = [build_control(pT, lam, coarse_grid).f
-                    for pT in (pT_f, pT_h)]
+        grid = coarse_support_grid
+        med = _medium(grid)
+        makers = (lambda: transfer_linearized_nd_map(grid, med),
+                  lambda: transfer_difference_nd_map(grid, med, _EPS))
+        fs = _window_traces(grid)
+        pT_f, pT_h, lam = fourier_targets(1, grid)
+        controls = [build_control(pT, lam, grid).f for pT in (pT_f, pT_h)]
         for make in makers:
             measure = make()
             kept = measure(fs)
@@ -664,7 +654,8 @@ class TestDifferenceMap:
 
         monkeypatch.setattr(solver, "_time_loop", counted)
         med = _medium(coarse_grid)
-        fs = [smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5, 0.7)[0]]
+        fs = [_at_rest(smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5,
+                                          0.7)[0])]
         measure = transfer_difference_nd_map(coarse_grid, med, _EPS)
         # one pass over rows (media, impulse end)
         assert calls == [(coarse_grid.nt, 2, 2, 2)]
@@ -765,27 +756,29 @@ class TestWindow:
         window = grid.nt - 2 * 997
         assert steps == [grid.nt, window]
         assert short.n_fft == solver._fft_length(2 * window - 3)
-        assert short.responses.shape[-1] == window - 2
         assert (sum(arr.nbytes for arr in short.work)
                 < 0.65 * sum(arr.nbytes for arr in whole.work))
 
     def test_a_window_from_step_zero_is_the_whole_map(self, kind,
                                                       coarse_grid):
-        # a grid without quiet steps is its own support grid: its controls
-        # reach the first and the last three steps, where the edge terms run
+        # a grid without quiet steps, whose controls start at step 0, is
+        # lengthened by three steps at each end: on the support grid they
+        # start at step 3, the first the maps take
         make, oracle = _MAPS[kind]
         for grid in (coarse_grid, GridSpec(-1.0, 1.0, 0.04, 0.04, 3.0)):
-            assert support_grid(grid) == grid
-            med = _medium(grid)
-            fs = _controls(grid, (2,))
-            assert _max_rel_deviation(make(grid, med)(fs),
-                                      oracle(grid, med, fs)) <= 1e-9
+            short = support_grid(grid)
+            assert quiet_steps(grid) == 0 and quiet_steps(short) == 3
+            assert short.nt == grid.nt + 6
+            med = _medium(short)
+            fs = _controls(short, (2,))
+            assert _max_rel_deviation(make(short, med)(fs),
+                                      oracle(short, med, fs)) <= 1e-9
 
     @pytest.mark.parametrize("quiet", [501, 1500], ids=["mid", "last"])
     def test_data_from_step_quiet_match_the_stepper(self, kind, quiet):
-        # step ``quiet`` of the grid is step 3 of its support grid: O(1)
-        # samples from there on, where the controls' are tiny, skip the
-        # edge terms
+        # step ``quiet`` of the grid is step 3 of its support grid, the
+        # first the maps take: O(1) samples from there on, where the
+        # controls' are tiny
         grid = support_grid(_quiet_grid(quiet))
         assert grid.nt == 3007
         make, oracle = _MAPS[kind]
@@ -816,22 +809,26 @@ class TestTwoSidedWindow:
     @pytest.mark.parametrize("quiet", [1, 2, 3])
     def test_a_window_to_the_last_step_is_the_one_sided_map(self, kind,
                                                             quiet):
-        # a grid with at most three quiet steps is its own support grid
+        # a grid with fewer than three quiet steps is lengthened to three at
+        # each end, and one with three is its own support grid: the
+        # controls stop at step nt - 4, the last the maps take
         grid = GridSpec(-1.0, 1.0, 1.0 / 32, 1.0 / 64, 3.0 + quiet / 64)
-        assert quiet_steps(grid) == quiet
-        assert support_grid(grid) == grid
+        short = support_grid(grid)
+        assert quiet_steps(grid) == quiet and quiet_steps(short) == 3
+        assert short.nt == grid.nt + 2 * (3 - quiet)
+        assert (short == grid) == (quiet == 3)
         make, oracle = _MAPS[kind]
-        med = _medium(grid)
-        fs = _controls(grid, (2,))
-        assert _max_rel_deviation(make(grid, med)(fs),
-                                  oracle(grid, med, fs)) <= 1e-9
+        med = _medium(short)
+        fs = _controls(short, (2,))
+        assert _max_rel_deviation(make(short, med)(fs),
+                                  oracle(short, med, fs)) <= 1e-9
 
     @pytest.mark.parametrize("before_tail", [2500, 1501],
                              ids=["mid", "first"])
     def test_data_up_to_the_tail_match_the_stepper(self, kind, before_tail):
         # the last step before the grid's last nt - before_tail quiet steps
-        # is step nt - 4 of its support grid: O(1) samples there and at the
-        # two steps before it skip the edge terms
+        # is step nt - 4 of its support grid, the last the maps take: O(1)
+        # samples there and at the two steps before it
         grid = support_grid(_quiet_grid(3001 - before_tail))
         make, oracle = _MAPS[kind]
         med = _medium(grid)
@@ -903,21 +900,22 @@ class TestTransferValidation:
         with pytest.raises(ConfigurationError, match="Neumann trace 0"):
             _TRANSFER_MAPS[kind](coarse_grid)([bad])
 
-    def test_nonzero_initial_data_warns(self, kind, coarse_grid):
-        f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
-        with pytest.warns(UserWarning, match="Neumann data nonzero"):
-            _TRANSFER_MAPS[kind](coarse_grid)([f])
-
-    def test_initial_data_warning_scale_is_per_trace(self, kind, coarse_grid):
-        # a small t = 0 sample warns next to a trace a million times larger
-        nt = coarse_grid.nt
-        small = np.zeros(nt)
-        small[0] = 1e-6
-        large = 1e6 * np.sin(np.pi * coarse_grid.ts)
-        fs = [BoundaryTrace(np.zeros(nt), large, coarse_grid.dt),
-              BoundaryTrace(small, np.zeros(nt), coarse_grid.dt)]
-        with pytest.warns(UserWarning, match="Neumann data nonzero"):
+    @pytest.mark.parametrize("end, step", [(0, 0), (1, 2), (0, -3), (1, -1)],
+                             ids=["a-0", "b-2", "a-nt-3", "b-nt-1"])
+    def test_data_not_at_rest_at_the_grid_ends_refused(self, kind,
+                                                       coarse_grid, end,
+                                                       step):
+        # however small, a sample within _REACH steps of either end is
+        # refused by the maps and taken by the stepper
+        values = np.zeros((2, coarse_grid.nt), dtype=complex)
+        values[end, step] = 1e-300j
+        fs = [BoundaryTrace.zeros(coarse_grid),
+              BoundaryTrace(*values, coarse_grid.dt)]
+        with pytest.raises(ConfigurationError,
+                           match="Neumann trace 1 is nonzero within 3 steps "
+                                 "of an end of the grid"):
             _TRANSFER_MAPS[kind](coarse_grid)(fs)
+        solve_many(coarse_grid, 0.2, fs)
 
     @pytest.mark.parametrize("bad", _NON_FINITE.values(), ids=_NON_FINITE)
     def test_non_finite_sample_rejected(self, kind, coarse_grid, bad):
@@ -925,11 +923,10 @@ class TestTransferValidation:
                            match="Neumann trace 1 has a non-finite sample"):
             _TRANSFER_MAPS[kind](coarse_grid)(_one_bad_sample(coarse_grid, bad))
 
-    @pytest.mark.filterwarnings("ignore:Neumann data nonzero at t = 0")
     def test_batched_matches_single(self, kind, coarse_grid):
         # a batch must not mix up traces, fields or ends
         pulse, _ = smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5, 0.7)
-        fs = _window_traces(coarse_grid) + [(1.0 - 0.5j) * pulse]
+        fs = _window_traces(coarse_grid) + [(1.0 - 0.5j) * _at_rest(pulse)]
         measure = _TRANSFER_MAPS[kind](coarse_grid)
         batched = measure(fs)
         for f, got in zip(fs, batched, strict=True):
@@ -938,14 +935,11 @@ class TestTransferValidation:
             assert np.array_equal(got.values_b, single.values_b)
 
 
-@pytest.mark.parametrize("kind", ["stepper", *sorted(_TRANSFER_MAPS)])
+@pytest.mark.parametrize("kind", ["stepper"])
 def test_initial_data_warning_names_the_caller(kind, coarse_grid):
+    # the transfer maps refuse such data instead
     f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
-    if kind == "stepper":
-        measure = functools.partial(solve_many, coarse_grid, 0.0)
-    else:
-        measure = _TRANSFER_MAPS[kind](coarse_grid)
     with pytest.warns(UserWarning, match="Neumann data nonzero") as record:
         line = inspect.currentframe().f_lineno + 1
-        measure([f])
+        solve_many(coarse_grid, 0.0, [f])
     assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
