@@ -46,6 +46,7 @@ from .recon import (
 from .solver import (
     SolveOutput,
     linearized_nd_map_many,
+    snapshots_many,
     solve_many,
     transfer_difference_nd_map,
     transfer_linearized_nd_map,

@@ -40,7 +40,7 @@ from .recon import (
     projection_truth,
     reconstruct,
 )
-from .solver import linearized_nd_map_many, solve_many
+from .solver import linearized_nd_map_many, snapshots_many
 
 PAPER = dict(a=-1.0, b=1.0, dx=1.0 / 250, dt=1.0 / 2500, T=5.0, N=10)
 
@@ -226,6 +226,8 @@ def run_experiment(config: RunConfig) -> int:
               f"{result.rel_l2}, linf = {result.linf}); its data are too "
               "large or not finite", file=sys.stderr)
         return 2
+    # the grid the run measured on, next to the requested one
+    measured = support_grid(grid)
     extra = {
         "experiment": config.experiment_id,
         "noise": config.noise,
@@ -236,6 +238,7 @@ def run_experiment(config: RunConfig) -> int:
         "runtime_seconds": round(runtime, 3),
         "grid": {"a": PAPER["a"], "b": PAPER["b"], "dx": config.dx,
                  "dt": config.dt, "T": config.T},
+        "support_grid": {"T": measured.T, "nt": measured.nt},
     }
     try:
         paths = emit_results(result, grid.xs, config.out_dir, extra)
@@ -332,14 +335,15 @@ def _mms_error(grid: GridSpec) -> float:
     xs = grid.xs
     sigma = 0.3 * (1.0 + xs**2)
     cos_px = np.cos(np.pi * xs)
-    # S = (2 + 2 t sigma + pi^2 t^2) cos(pi x) at t_n, n = 0 .. nt-2, built
+    # S = (2 + 2 t sigma + pi^2 t^2) cos(pi x) at t_n, n = 0 .. T/dt, built
     # in place in the expression's order: one array of the source's size
-    t = np.arange(grid.nt - 1)[:, None] * grid.dt
+    t = np.arange(grid.half_index + 1)[:, None] * grid.dt
     source = np.multiply(2.0 * t, sigma)
     np.add(2.0, source, out=source)
     source += np.pi**2 * t**2
     source *= cos_px
-    (out,) = solve_many(grid, sigma, [BoundaryTrace.zeros(grid)], source=source)
+    (out,) = snapshots_many(grid, sigma, [BoundaryTrace.zeros(grid)],
+                            source=source)
     exact = grid.T**2 * cos_px
     return float(np.linalg.norm(out.uT_snapshot - exact)
                  / np.linalg.norm(exact))

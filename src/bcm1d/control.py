@@ -46,7 +46,7 @@ import numpy as np
 from .core import BoundaryTrace, GridSpec, _is_close_to_integer
 from .extension import (AnalyticProfile, _derivatives, _plan,
                         extended_derivatives)
-from .solver import _REACH, solve_many
+from .solver import _REACH, snapshots_many
 
 
 class ControlBundle(NamedTuple):
@@ -153,7 +153,8 @@ def verify_control(targets: Sequence[tuple[AnalyticProfile, complex]],
 
     Each control is built by :func:`build_control`; the traces f and f_t
     of all of them run as two columns each of a single pass over sigma = 0,
-    the regime in which the construction is exact.  Returns one report per
+    the regime in which the construction is exact; the pass stops at T
+    (see :func:`~bcm1d.solver.snapshots_many`).  Returns one report per
     target, in order.
 
     ``err_p`` and ``err_q`` are relative L2 errors of the computed t = T
@@ -183,7 +184,8 @@ def verify_control(targets: Sequence[tuple[AnalyticProfile, complex]],
     xs = grid.xs
     shifted = np.concatenate((xs - grid.T, xs + grid.T))
     controls = [build_control(pT, lam, grid) for pT, lam in targets]
-    outs = solve_many(grid, 0.0, [tr for c in controls for tr in (c.f, c.f_t)])
+    outs = snapshots_many(grid, 0.0,
+                          [tr for c in controls for tr in (c.f, c.f_t)])
     reports = []
     for (pT, lam), out, out_t in zip(targets, outs[0::2], outs[1::2]):
         p_got = out_t.uT_snapshot

@@ -40,7 +40,8 @@ def _check_finite(spec, names: tuple[str, ...]) -> None:
 
 
 def _is_close_to_integer(x: float, tol: float = 1e-9) -> bool:
-    return abs(x - round(x)) <= tol * max(1.0, abs(x))
+    # round() cannot take inf, which a ratio of tiny steps overflows to
+    return bool(np.isfinite(x)) and abs(x - round(x)) <= tol * max(1.0, abs(x))
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ keeps a constant field exact, so rounding does not feed the undamped mean
 mode's double root at z = 1: on the default grid the loop agrees with the
 scheme run in extended precision to about 1e-12.  Fields are rows of
 nodes, so every update runs along x.  A source comes as its real samples
-at every step, the same for every trace: their edge terms join the
+at every step up to T, the same for every trace: their edge terms join the
 injection signals before the loop, and each step adds gain S.  In a real
 medium a row is real when the data are, and complex otherwise; real data
 stay real from the stacked data through the injection signals.  The loop
@@ -57,15 +57,19 @@ only adds, subtracts and multiplies by real coefficients, which numpy does
 on the two parts of a complex row exactly as on two real rows.  The
 outputs are complex either way.
 
-The nonlinear ND (Neumann-to-Dirichlet) map restricts the solution to the
-endpoints.  The linearized map is its derivative along sigma_dot at sigma0,
-taken by a complex step through the same loop: real data in the damping
-sigma0 + i h sigma_dot / s, s = max |sigma_dot| (1 if sigma_dot = 0), give
-traces whose imaginary part over h, times s, is the derivative to a
-relative O(h^2), with no cancellation.  The data's real and imaginary parts
-advance as two real rows, each scaled to O(1).  With h = 1e-30, the step
-h sigma_dot / s cannot underflow, and dividing by h before multiplying by
-s keeps the derivative from overflowing.
+:func:`snapshots_many` reads the field at the half time T, u_t and u_x by
+centered differences, and stops one step past T: it takes T/dt + 1 steps,
+about half of a map's 2T/dt.  It alone takes a source.
+
+The nonlinear ND (Neumann-to-Dirichlet) map, :func:`solve_many`, restricts
+the solution to the endpoints.  The linearized map is its derivative along
+sigma_dot at sigma0, taken by a complex step through the same loop: real
+data in the damping sigma0 + i h sigma_dot / s, s = max |sigma_dot| (1 if
+sigma_dot = 0), give traces whose imaginary part over h, times s, is the
+derivative to a relative O(h^2), with no cancellation.  The data's real
+and imaginary parts advance as two real rows, each scaled to O(1).  With
+h = 1e-30, the step h sigma_dot / s cannot underflow, and dividing by h
+before multiplying by s keeps the derivative from overflowing.
 
 With a time-independent medium and zero initial data the loop is a linear
 time-invariant map from injection signals to endpoint traces.  The transfer
@@ -93,10 +97,11 @@ called from two threads at once.  A call copies each trace straight into the
 zero-padded input and allocates only its result: the traces of one call are
 views of one new block, never of the work arrays.  The backend agrees with
 the stepper to about 1e-13 relative; the stepper stays the reference it is
-tested against, takes any data, and alone serves sources and snapshots at
-T.  Every map rejects Neumann data with a non-finite sample, which would
-silently spread NaN over both endpoint outputs, the stepper rejects such a
-source sample likewise, and the backend rejects a non-finite output.
+tested against and takes any data, and :func:`snapshots_many` alone serves
+sources and snapshots at T.  Every map rejects Neumann data with a
+non-finite sample, which would silently spread NaN over both endpoint
+outputs, :func:`snapshots_many` rejects such a source sample likewise, and
+the backend rejects a non-finite output.
 """
 
 from __future__ import annotations
@@ -120,9 +125,8 @@ _REACH = 3
 
 @dataclass(frozen=True)
 class SolveOutput:
-    """Endpoint trace plus interior snapshots at the half time T."""
+    """Interior snapshots of one field at the half time T."""
 
-    dirichlet: BoundaryTrace
     pT_snapshot: np.ndarray  # u_t(T, .) on the spatial nodes
     qT_snapshot: np.ndarray  # u_x(T, .) on the spatial nodes
     uT_snapshot: np.ndarray  # u(T, .), kept for verification work
@@ -288,10 +292,11 @@ class _Level(NamedTuple):
 def _time_loop(grid, stencil, inj, source=None):
     """Advance rows of nodes from u^0 = 0 and u^1 = dt^2 S(0) / 2.
 
-    ``inj`` (steps, *rows, 2), steps = nt for a solve, holds each row's
-    injection signals at a and b for steps 1 .. steps-2, and ``source``, if
-    given, the real samples S(t_n, .) for n = 0 .. steps-2, (steps-1, nx),
-    which drive every row of rows = (traces,).  The field has shape
+    ``inj`` (steps, *rows, 2), steps = nt for a map and T/dt + 2 for
+    snapshots, holds each row's injection signals at a and b for steps
+    1 .. steps-2, and ``source``, if given, the real samples S(t_n, .) for
+    n = 0 .. steps-2, (steps-1, nx), which drive every row of
+    rows = (traces,).  The field has shape
     (*rows, nx) and the wider dtype of ``inj`` and the stencil: a row is
     real when its data and medium are.  Returns the endpoint traces
     (steps, *rows, 2) and the levels reached at steps T/dt - 1, T/dt and
@@ -338,33 +343,57 @@ def _time_loop(grid, stencil, inj, source=None):
 
 
 def solve_many(
+    grid: GridSpec, sigma, neumanns: Sequence[BoundaryTrace]
+) -> list[BoundaryTrace]:
+    """Nonlinear ND map: the endpoint traces of one field per Neumann trace,
+    through a single time loop.
+
+    The loop advances real rows when the data are real; the outputs are
+    complex.
+    """
+    sig = _as_sigma_array(sigma, grid.nx)
+    g = _stack_neumann(grid, neumanns)
+    inj = _injection(_weights(grid, sig[_ENDS]), g)[0]
+    inj = np.moveaxis(inj, -1, 0)  # (steps, traces, end)
+    traces, _ = _time_loop(grid, _stencil(grid, sig), inj)
+    return [BoundaryTrace(traces[:, j, 0], traces[:, j, 1], grid.dt)
+            for j in range(len(neumanns))]
+
+
+def snapshots_many(
     grid: GridSpec,
     sigma,
     neumanns: Sequence[BoundaryTrace],
     source: np.ndarray | None = None,
 ) -> list[SolveOutput]:
-    """Advance one field per Neumann trace through a single time loop.
+    """The snapshots at the half time T of one field per Neumann trace,
+    through a single time loop that stops at step T/dt + 1.
 
     ``source``, if given, holds the real samples S(t_n, .) for
-    n = 0 .. nt-2, of shape (nt-1, nx), and drives every trace.  The loop
-    advances real rows when the data are real; the outputs are complex.
+    n = 0 .. T/dt, of shape (T/dt + 1, nx), and drives every trace.  The
+    loop advances real rows when the data are real; the outputs are complex.
     """
     sig = _as_sigma_array(sigma, grid.nx)
+    h = grid.half_index
     g = _stack_neumann(grid, neumanns)
     if source is not None:
         source = np.asarray(source)
-        shape = (grid.nt - 1, grid.nx)
+        shape = (h + 1, grid.nx)
         if source.shape != shape or np.iscomplexobj(source):
             raise ConfigurationError(
                 f"source is {source.dtype} of shape {source.shape}; the grid "
-                f"needs real samples of shape (nt-1, nx) = {shape}")
+                f"needs real samples of shape (T/dt + 1, nx) = {shape}")
         bad = np.flatnonzero(~np.isfinite(source).all(axis=1))
         if bad.size:
             raise ConfigurationError(
                 f"source has a non-finite sample at step {bad[0]}")
-    inj = _injection(_weights(grid, sig[_ENDS]), g)[0]
-    inj = np.moveaxis(inj, -1, 0)  # (steps, traces, end)
-    traces, levels = _time_loop(grid, _stencil(grid, sig), inj, source)
+    # the last step the loop takes, T/dt, injects the centered differences
+    # of the data through step T/dt + 1: they are differenced through step
+    # T/dt + 2 before the rest is dropped, so that every injection is that
+    # of the full data
+    inj = _injection(_weights(grid, sig[_ENDS]), g[..., :h + 3])[0]
+    inj = np.moveaxis(inj[..., :h + 2], -1, 0)  # (steps, traces, end)
+    _, levels = _time_loop(grid, _stencil(grid, sig), inj, source)
     # complex arithmetic for real fields too: numpy divides a complex array
     # by a real through a rounded reciprocal, so real and complex fields
     # round alike only on that route
@@ -374,15 +403,10 @@ def solve_many(
     qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
     # the complex samples of the traces, whose zero imaginary parts keep
     # their signs, as real data in g do not
-    h = grid.half_index
     g_T = np.array([(tr.values_a[h], tr.values_b[h]) for tr in neumanns])
     qT[:, 0] = -g_T[:, 0]  # ghost-consistent: the outward normal at a is -d/dx
     qT[:, -1] = g_T[:, 1]
-    return [
-        SolveOutput(BoundaryTrace(traces[:, j, 0], traces[:, j, 1], grid.dt),
-                    pT[j], qT[j], u_mid[j])
-        for j in range(len(neumanns))
-    ]
+    return [SolveOutput(pT[j], qT[j], u_mid[j]) for j in range(len(neumanns))]
 
 
 def linearized_nd_map_many(

@@ -191,6 +191,25 @@ class TestMain:
         assert (tmp_path / "reconstruction.csv").exists()
         assert (tmp_path / "coefficients.csv").exists()
 
+    def test_summary_records_the_support_grid(self, tmp_path):
+        # the paper grid, T = 5, measures on 15007 of its 25001 steps
+        assert main(["experiment", "--id", "1", "--N", "1",
+                     "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["grid"]["T"] == 5.0
+        assert summary["support_grid"]["T"] == pytest.approx(3.0012, abs=1e-12)
+        assert summary["support_grid"]["nt"] == 15007
+
+    @pytest.mark.parametrize("dt", ["5e-324", "2e-308"])
+    def test_step_count_beyond_a_float_rejected(self, dt, tmp_path, capsys):
+        # T/dt overflows to inf: a one-line message, not a traceback
+        code = main(["experiment", "--id", "1", "--dt", dt,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: T/dt = inf is not an integer\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("exp_id,tol", [(1, 1e-3), (2, 1e-2)])
     def test_coarse_unit_cfl_run_is_accurate(self, exp_id, tol, tmp_path):
         # 100 cells at dt = dx: the controls' flank bump must have no layer

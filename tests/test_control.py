@@ -7,7 +7,7 @@ from bcm1d import (
     cosine_profile,
     fourier_targets,
     sine_profile,
-    solve_many,
+    snapshots_many,
     verify_control,
 )
 from bcm1d.control import quiet_steps, support_grid
@@ -167,7 +167,7 @@ def test_verify_control_zero_gradient_target(coarse_grid):
     (rep,) = verify_control([(pT, lam)], coarse_grid)
     grid = support_grid(coarse_grid)
     control = build_control(pT, lam, grid)
-    out, out_t = solve_many(grid, 0.0, [control.f, control.f_t])
+    out, out_t = snapshots_many(grid, 0.0, [control.f, control.f_t])
     assert rep.err_q == np.linalg.norm(out.qT_snapshot)
     p_want = np.ones(grid.nx)
     assert rep.err_p == (np.linalg.norm(out_t.uT_snapshot - p_want)

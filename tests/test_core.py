@@ -29,6 +29,15 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(-1.0, 1.0, 0.01, 0.7, 3.0)
 
+    @pytest.mark.parametrize("dx, dt, ratio", [
+        (5e-324, 0.002, r"\(b - a\)/dx"), (0.02, 5e-324, "T/dt"),
+    ], ids=["dx", "dt"])
+    def test_step_count_beyond_a_float_rejected(self, dx, dt, ratio):
+        # the count overflows to inf, which round() cannot take
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{ratio} = inf is not an integer$"):
+            GridSpec(-1.0, 1.0, dx, dt, 3.0)
+
     def test_short_window_rejected(self):
         # T must cover the domain length plus the extension width
         with pytest.raises(ConfigurationError):

@@ -17,6 +17,7 @@ from bcm1d import (
     fourier_targets,
     linearized_nd_map_many,
     reconstruct,
+    snapshots_many,
     solve_many,
     transfer_difference_nd_map,
     transfer_linearized_nd_map,
@@ -30,16 +31,17 @@ from conftest import smooth_sigma_dot
 
 
 def _fields(out):
-    return (out.dirichlet.values_a, out.dirichlet.values_b,
-            out.pT_snapshot, out.qT_snapshot, out.uT_snapshot)
+    """The arrays of a trace of :func:`solve_many` or of the snapshots of
+    :func:`snapshots_many`."""
+    if isinstance(out, BoundaryTrace):
+        return out.values_a, out.values_b
+    return out.pT_snapshot, out.qT_snapshot, out.uT_snapshot
 
 
 def test_zero_data_zero_solution(coarse_grid):
-    (out,) = solve_many(coarse_grid, 0.3, [BoundaryTrace.zeros(coarse_grid)])
-    assert np.all(out.dirichlet.values_a == 0)
-    assert np.all(out.dirichlet.values_b == 0)
-    assert np.all(out.pT_snapshot == 0)
-    assert np.all(out.qT_snapshot == 0)
+    for solve in (solve_many, snapshots_many):
+        (out,) = solve(coarse_grid, 0.3, [BoundaryTrace.zeros(coarse_grid)])
+        assert all(np.all(v == 0) for v in _fields(out))
 
 
 def test_manufactured_solution_second_order():
@@ -49,8 +51,8 @@ def test_manufactured_solution_second_order():
 
 
 def _steps(grid):
-    """The times t_n of the source samples, n = 0 .. nt-2, as a column."""
-    return np.arange(grid.nt - 1)[:, None] * grid.dt
+    """The times t_n of the source samples, n = 0 .. T/dt, as a column."""
+    return np.arange(grid.half_index + 1)[:, None] * grid.dt
 
 
 def test_manufactured_solution_with_cubic_start_second_order():
@@ -64,7 +66,8 @@ def test_manufactured_solution_with_cubic_start_second_order():
         cos_px = np.cos(np.pi * xs)
         source = (2.0 + 6.0 * t + sigma * (2.0 * t + 3.0 * t**2)
                   + np.pi**2 * (t**2 + t**3)) * cos_px
-        (out,) = solve_many(grid, sigma, [BoundaryTrace.zeros(grid)], source)
+        (out,) = snapshots_many(grid, sigma, [BoundaryTrace.zeros(grid)],
+                                source)
         exact = (grid.T**2 + grid.T**3) * cos_px
         errs.append(np.linalg.norm(out.uT_snapshot - exact)
                     / np.linalg.norm(exact))
@@ -74,10 +77,9 @@ def test_manufactured_solution_with_cubic_start_second_order():
 
 def test_real_data_real_field(coarse_grid):
     f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.5)
-    (out,) = solve_many(coarse_grid, 0.2, [f])
-    assert np.all(out.dirichlet.values_a.imag == 0)
-    assert np.all(out.dirichlet.values_b.imag == 0)
-    assert np.all(out.pT_snapshot.imag == 0)
+    for solve in (solve_many, snapshots_many):
+        (out,) = solve(coarse_grid, 0.2, [f])
+        assert all(np.all(v.imag == 0) for v in _fields(out))
 
 
 def test_real_pulses_stay_real_in_the_stepper(coarse_grid):
@@ -103,12 +105,13 @@ def test_complex_solve_equals_pair_of_real_solves(coarse_grid):
     fr, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.4)
     fi, _ = smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
-    # one call each: a batch holding a complex trace advances complex rows
-    (out_c,), (out_r,), (out_i,) = (solve_many(coarse_grid, sigma, [f])
-                                    for f in (fr + 1j * fi, fr, fi))
-    for c, r, i in zip(_fields(out_c), _fields(out_r), _fields(out_i)):
-        assert np.iscomplexobj(c)
-        assert np.array_equal(c, r + 1j * i)
+    for solve in (solve_many, snapshots_many):
+        # one call each: a batch holding a complex trace advances complex rows
+        (out_c,), (out_r,), (out_i,) = (solve(coarse_grid, sigma, [f])
+                                        for f in (fr + 1j * fi, fr, fi))
+        for c, r, i in zip(_fields(out_c), _fields(out_r), _fields(out_i)):
+            assert np.iscomplexobj(c)
+            assert np.array_equal(c, r + 1j * i)
 
 
 def test_complex_linearized_equals_pair_of_real_passes(coarse_grid):
@@ -131,14 +134,14 @@ def _edge_sloped_source(grid):
 
 @pytest.mark.parametrize("shared", [True], ids=["shared"])
 def test_source_rows_match_single_solves(coarse_grid, shared):
-    # the one source form: an (nt-1, nx) source is applied to every trace
+    # the one source form: a (T/dt + 1, nx) source is applied to every trace
     fs = [smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.4)[0],
           smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)[0]]
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
     source = _edge_sloped_source(coarse_grid)
-    batch = solve_many(coarse_grid, sigma, fs, source)
+    batch = snapshots_many(coarse_grid, sigma, fs, source)
     for f, out in zip(fs, batch):
-        (single,) = solve_many(coarse_grid, sigma, [f], source)
+        (single,) = snapshots_many(coarse_grid, sigma, [f], source)
         for b, o in zip(_fields(out), _fields(single)):
             assert np.array_equal(b, o)
 
@@ -147,7 +150,7 @@ def test_nd_map_linearity(coarse_grid):
     f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
     f2, _ = smooth_pulse_trace(coarse_grid, 1.4, 0.3, 3.0, 0.0, 1.0)
     al, be = 2.0 - 1.0j, 0.7
-    combo, m1, m2 = (solve_many(coarse_grid, 0.25, [f])[0].dirichlet
+    combo, m1, m2 = (solve_many(coarse_grid, 0.25, [f])[0]
                      for f in (al * f1 + be * f2, f1, f2))
     separate = al * m1 + be * m2
     assert np.allclose(combo.values_a, separate.values_a, rtol=1e-12, atol=1e-14)
@@ -159,8 +162,7 @@ def test_nd_map_commutes_with_time_derivative(coarse_grid):
     # measurement, up to the O(dt^2) differentiation error
     f, f_t = smooth_pulse_trace(coarse_grid, 1.2, 0.25, 4.0, 1.0, 0.6)
     sigma = 0.2
-    meas_dot, meas = (out.dirichlet for out in
-                      solve_many(coarse_grid, sigma, [f_t, f]))
+    meas_dot, meas = solve_many(coarse_grid, sigma, [f_t, f])
     for side in ("values_a", "values_b"):
         fd = np.gradient(getattr(meas, side), coarse_grid.dt, edge_order=2)
         err = np.max(np.abs(fd - getattr(meas_dot, side)))
@@ -175,12 +177,64 @@ def test_energy_non_increasing_after_data_stops(coarse_grid):
     for T in np.arange(3.0, 5.001, 0.25):
         grid = GridSpec(coarse_grid.a, coarse_grid.b, dx, dt, T)
         f, _ = smooth_pulse_trace(grid, 1.0, 0.15, 6.0, 1.0, 0.0)
-        (out,) = solve_many(grid, 0.3, [f])
+        (out,) = snapshots_many(grid, 0.3, [f])
         energies.append(0.5 * np.trapezoid(np.abs(out.pT_snapshot) ** 2, dx=dx)
                         + 0.5 * np.trapezoid(np.abs(out.qT_snapshot) ** 2, dx=dx))
     energies = np.asarray(energies)
     tol = 10 * dt * energies[0]
     assert np.all(np.diff(energies) <= tol)
+
+
+class TestSnapshots:
+    def test_the_loop_stops_one_step_past_T(self, coarse_grid, monkeypatch):
+        # a loop of k injection rows reaches u^{k-1}: the snapshots take
+        # u^1 .. u^{T/dt + 1}, T/dt + 1 steps, against the map's 2T/dt
+        grid, steps, time_loop = coarse_grid, [], solver._time_loop
+
+        def counted(grid, stencil, inj, source=None):
+            steps.append(len(inj))
+            return time_loop(grid, stencil, inj, source)
+
+        monkeypatch.setattr(solver, "_time_loop", counted)
+        f, _ = smooth_pulse_trace(grid, 1.0, 0.2, 5.0, 1.0, 0.5)
+        snapshots_many(grid, 0.2, [f, f])
+        snapshots_many(grid, 0.2, [f], _edge_sloped_source(grid))
+        solve_many(grid, 0.2, [f])
+        assert (grid.half_index, grid.nt) == (1500, 3001)
+        assert steps == [1502, 1502, 3001]
+
+    def test_snapshots_are_those_of_the_full_pass(self, coarse_grid,
+                                                  monkeypatch):
+        # a support-grid control is nonzero at T: the injection at step
+        # T/dt, the last the loop takes, must be that of the full data,
+        # not of data cut at T/dt + 1.  The levels the loop reaches at
+        # steps T/dt - 1, T/dt and T/dt + 1 give p, q and u.
+        grid = support_grid(coarse_grid)
+        pT, _, lam = fourier_targets(2, grid)
+        control = build_control(pT, lam, grid)
+        fs = [control.f, control.f_tt]
+        h = grid.half_index
+        assert all(np.abs(tr.values_a[h - 2:h + 3]).min() > 1e-3 for tr in fs)
+        sigma = 0.2 + 0.1 * grid.xs
+        levels, time_loop = [], solver._time_loop
+
+        def spy(*args):
+            traces, reached = time_loop(*args)
+            levels.append(reached)
+            return traces, reached
+
+        monkeypatch.setattr(solver, "_time_loop", spy)
+        snaps = snapshots_many(grid, sigma, fs)
+        weights = solver._weights(grid, sigma[[0, -1]])
+        g = solver._stack_neumann(grid, fs)
+        full, cut = (np.moveaxis(solver._injection(weights, data)[0], -1, 0)
+                     for data in (g, g[..., :h + 2]))
+        assert not np.array_equal(full[h], cut[h])
+        _, want = time_loop(grid, solver._stencil(grid, sigma), full)
+        for got, ref in zip(levels[0], want, strict=True):
+            assert np.array_equal(got, ref)
+        for snap, u_mid in zip(snaps, want[1], strict=True):
+            assert np.array_equal(snap.uT_snapshot, u_mid)
 
 
 class TestLinearized:
@@ -241,7 +295,7 @@ class TestLinearized:
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
             (pert,) = solve_many(coarse_grid, sigma0 + eps * sigma_dot, [f])
-            diff = pert.dirichlet - base.dirichlet
+            diff = pert - base
             resid = diff - eps * lin
             errs.append(max(np.max(np.abs(resid.values_a)),
                             np.max(np.abs(resid.values_b))))
@@ -261,7 +315,7 @@ class TestLinearized:
         gaps = []
         for eps in (1e-2, 1e-3, 1e-4):
             plus, minus = (solve_many(coarse_grid, sigma0 + e * sigma_dot,
-                                      [f])[0].dirichlet for e in (eps, -eps))
+                                      [f])[0] for e in (eps, -eps))
             quotient = (plus - minus) * (1.0 / (2.0 * eps))
             gaps.append(_max_rel_deviation([quotient], [lin]))
         assert gaps[0] / gaps[1] > 50
@@ -311,7 +365,7 @@ class TestValidation:
             solve_many(coarse_grid, np.zeros(7),
                        [BoundaryTrace.zeros(coarse_grid)])
 
-    @pytest.mark.parametrize("nonlinear_map", [solve_many])
+    @pytest.mark.parametrize("nonlinear_map", [solve_many, snapshots_many])
     def test_sigma_bad_shape_named(self, coarse_grid, nonlinear_map):
         nx = coarse_grid.nx
         with pytest.raises(ConfigurationError,
@@ -319,7 +373,7 @@ class TestValidation:
             nonlinear_map(coarse_grid, np.zeros((nx, 1)),
                           [BoundaryTrace.zeros(coarse_grid)])
 
-    @pytest.mark.parametrize("nonlinear_map", [solve_many])
+    @pytest.mark.parametrize("nonlinear_map", [solve_many, snapshots_many])
     @pytest.mark.parametrize("where", ["node", "scalar"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sigma_rejected(self, coarse_grid, nonlinear_map,
@@ -372,25 +426,27 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_source_rejected(self, coarse_grid, bad):
-        source = np.zeros((coarse_grid.nt - 1, coarse_grid.nx))
+        source = np.zeros((coarse_grid.half_index + 1, coarse_grid.nx))
         source[700, 3] = bad
         with pytest.raises(ConfigurationError,
                            match="source has a non-finite sample at step 700"):
-            solve_many(coarse_grid, 0.0, [BoundaryTrace.zeros(coarse_grid)],
-                       source)
+            snapshots_many(coarse_grid, 0.0,
+                           [BoundaryTrace.zeros(coarse_grid)], source)
 
     @pytest.mark.parametrize("case", ["row_too_long", "step_missing",
                                       "one_row_per_trace",
-                                      "two_rows_one_trace", "imag_inf"])
+                                      "two_rows_one_trace", "imag_inf",
+                                      "to_2T"])
     def test_misshaped_source_rejected(self, coarse_grid, case):
-        # one real (nt-1, nx) source drives every trace; a per-trace or
-        # complex one is refused, named by its dtype and shape
-        steps, nx = coarse_grid.nt - 1, coarse_grid.nx
+        # one real (T/dt + 1, nx) source drives every trace; a per-trace,
+        # complex or full-length one is refused, named by its dtype and shape
+        steps, nx = coarse_grid.half_index + 1, coarse_grid.nx
         source = np.zeros({"row_too_long": (steps, nx + 1),
                            "step_missing": (steps - 1, nx),
                            "one_row_per_trace": (steps, 1, nx),
                            "two_rows_one_trace": (steps, 2, nx),
-                           "imag_inf": (steps, nx)}[case])
+                           "imag_inf": (steps, nx),
+                           "to_2T": (coarse_grid.nt - 1, nx)}[case])
         if case == "imag_inf":
             source = source.astype(complex)
             source[700, 3] = _NON_FINITE["imag_inf"]
@@ -398,18 +454,19 @@ class TestValidation:
                            match=rf"source is {source.dtype} of shape "
                                  rf"\({', '.join(map(str, source.shape))}\); "
                                  rf"the grid needs real samples of shape "
-                                 rf"\(nt-1, nx\) = \({steps}, {nx}\)"):
-            solve_many(coarse_grid, 0.0, [BoundaryTrace.zeros(coarse_grid)],
-                       source)
+                                 rf"\(T/dt \+ 1, nx\) = \({steps}, {nx}\)"):
+            snapshots_many(coarse_grid, 0.0,
+                           [BoundaryTrace.zeros(coarse_grid)], source)
 
     def test_batched_matches_single(self, coarse_grid):
         f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
         f2, _ = smooth_pulse_trace(coarse_grid, 1.5, 0.3, 2.0, 0.3, 1.0)
-        outs = solve_many(coarse_grid, 0.15, [f1, f2])
-        for f, out in zip((f1, f2), outs):
-            (single,) = solve_many(coarse_grid, 0.15, [f])
-            assert np.array_equal(out.dirichlet.values_a, single.dirichlet.values_a)
-            assert np.array_equal(out.qT_snapshot, single.qT_snapshot)
+        for solve in (solve_many, snapshots_many):
+            outs = solve(coarse_grid, 0.15, [f1, f2])
+            for f, out in zip((f1, f2), outs):
+                (single,) = solve(coarse_grid, 0.15, [f])
+                for b, o in zip(_fields(out), _fields(single), strict=True):
+                    assert np.array_equal(b, o)
 
 
 def _at_rest(tr):
@@ -457,16 +514,13 @@ def _max_rel_deviation(traces, refs):
     return worst
 
 
-def _stepper(grid, sigma, fs):
-    return [out.dirichlet for out in solve_many(grid, sigma, fs)]
-
-
 def _stepper_quotient(grid, medium, eps, fs):
     """(Lambda(sigma0 + eps sigma_dot + eps^2 sigma_ddot) - Lambda(sigma0)) / eps
     from two stepper solves."""
     full = medium.sigma0 + eps * medium.sigma_dot + eps**2 * medium.sigma_ddot
     return [(f - b) * (1.0 / eps) for f, b in
-            zip(_stepper(grid, full, fs), _stepper(grid, medium.sigma0, fs))]
+            zip(solve_many(grid, full, fs),
+                solve_many(grid, medium.sigma0, fs))]
 
 
 def _medium(grid):
@@ -935,11 +989,12 @@ class TestTransferValidation:
             assert np.array_equal(got.values_b, single.values_b)
 
 
-@pytest.mark.parametrize("kind", ["stepper"])
+@pytest.mark.parametrize("kind", ["stepper", "snapshots"])
 def test_initial_data_warning_names_the_caller(kind, coarse_grid):
     # the transfer maps refuse such data instead
+    solve = {"stepper": solve_many, "snapshots": snapshots_many}[kind]
     f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
     with pytest.warns(UserWarning, match="Neumann data nonzero") as record:
         line = inspect.currentframe().f_lineno + 1
-        solve_many(coarse_grid, 0.0, [f])
+        solve(coarse_grid, 0.0, [f])
     assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]

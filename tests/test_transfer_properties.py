@@ -44,7 +44,7 @@ def _difference_medium(grid):
 
 def _stepper_quotient(grid, fs):
     med = _difference_medium(grid)
-    full, base = ([out.dirichlet for out in solve_many(grid, sigma, fs)]
+    full, base = (solve_many(grid, sigma, fs)
                   for sigma in (med.sigma0 + _EPS * med.sigma_dot, med.sigma0))
     return [(f - b) * (1.0 / _EPS) for f, b in zip(full, base)]
 
