@@ -259,19 +259,13 @@ def smooth_pulse_trace(grid: GridSpec, t0: float, width: float, omega: float,
     Vanishes to machine precision near t = 0 for t0 >= 6 * width, so it is
     an admissible Neumann datum for zero initial conditions.
     """
-    def val(t):
-        return np.exp(-((t - t0) / width) ** 2) * np.sin(omega * t)
-
-    def dval(t):
-        env = np.exp(-((t - t0) / width) ** 2)
-        return env * (omega * np.cos(omega * t)
-                      - 2.0 * (t - t0) / width**2 * np.sin(omega * t))
-
-    f = BoundaryTrace.from_functions(grid, lambda t: weight_a * val(t),
-                                     lambda t: weight_b * val(t))
-    f_t = BoundaryTrace.from_functions(grid, lambda t: weight_a * dval(t),
-                                       lambda t: weight_b * dval(t))
-    return f, f_t
+    ts = grid.ts
+    env, sin = np.exp(-((ts - t0) / width) ** 2), np.sin(omega * ts)
+    val = env * sin
+    dval = env * (omega * np.cos(omega * ts)
+                  - 2.0 * (ts - t0) / width**2 * sin)
+    return (BoundaryTrace(weight_a * val, weight_b * val, grid.dt),
+            BoundaryTrace(weight_a * dval, weight_b * dval, grid.dt))
 
 
 class _CheckTable:

@@ -55,15 +55,14 @@ from .solver import transfer_difference_nd_map, transfer_linearized_nd_map
 
 _REL_L2_FLOOR = 1e-12
 
-# the memory a reconstruction adds, fitted to within 22% of the growth of
-# the peak RSS in 12 runs of `bcm experiment` (support grids of 1507 to
-# 60007 steps, nx 101 and 501, each experiment, with and without noise),
-# with and without cached bytecode: bytes per step of the support grid and
-# per node, a fixed part (about 1 MiB with a cache, less without, where the
-# compiler's freed memory absorbs it), and numpy.random
+# the memory a reconstruction adds, fitted to within 18% of the growth of
+# the peak RSS in 24 runs of `bcm experiment` (support grids of 1507 to
+# 60007 steps, nx 101 and 501, each experiment, with and without noise,
+# each with and without cached bytecode): bytes per step of the support
+# grid and per node, a fixed part, and numpy.random
 _BYTES_PER_STEP = 930
 _BYTES_PER_NODE = 700
-_FIXED_BYTES = 1 << 19
+_FIXED_BYTES = 1 << 18
 _NUMPY_RANDOM_BYTES = 6 << 20
 
 LINEARIZED = "linearized"

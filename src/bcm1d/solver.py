@@ -59,7 +59,9 @@ outputs are complex either way.
 
 :func:`snapshots_many` reads the field at the half time T, u_t and u_x by
 centered differences, and stops one step past T: it takes T/dt + 1 steps,
-about half of a map's 2T/dt.  It alone takes a source.
+about half of a map's 2T/dt.  It alone takes a source.  A pass runs each
+field to the last step its caller reads and then drops it, so the nonlinear
+identity's four fields, read to 2T, T + dt and T, share one pass.
 
 The nonlinear ND (Neumann-to-Dirichlet) map, :func:`solve_many`, restricts
 the solution to the endpoints.  The linearized map is its derivative along
@@ -97,8 +99,8 @@ called from two threads at once.  A call copies each trace straight into the
 zero-padded input and allocates only its result: the traces of one call are
 views of one new block, never of the work arrays.  The backend agrees with
 the stepper to about 1e-13 relative; the stepper stays the reference it is
-tested against and takes any data, and :func:`snapshots_many` alone serves
-sources and snapshots at T.  Every map rejects Neumann data with a
+tested against and takes any data, and only its passes that stop one step
+past T give snapshots.  Every map rejects Neumann data with a
 non-finite sample, which would silently spread NaN over both endpoint
 outputs, :func:`snapshots_many` rejects such a source sample likewise, and
 the backend rejects a non-finite output.
@@ -163,11 +165,11 @@ def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace]):
         yield tr
 
 
-def _stack_neumann(grid: GridSpec,
-                   neumanns: Sequence[BoundaryTrace]) -> np.ndarray:
+def _stack_neumann(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
+                   stacklevel: int = 3) -> np.ndarray:
     """Checked endpoint data as one (traces, 2, nt) array, a side then b,
     real when every imaginary part is zero; at most one warning, at the
-    stepper's caller, for data that do not vanish at t = 0."""
+    stepper's caller ``stacklevel`` frames up, for data nonzero at t = 0."""
     real = not any(np.any(v.imag) for tr in neumanns
                    for v in (tr.values_a, tr.values_b))
     g = np.empty((len(neumanns), 2, grid.nt), float if real else complex)
@@ -175,12 +177,13 @@ def _stack_neumann(grid: GridSpec,
         for row, v in zip(gj, (tr.values_a, tr.values_b)):
             row[...] = v.real if real else v
     first = np.max(np.abs(g[..., 0]), axis=-1)
-    scale = np.maximum(np.max(np.abs(g), axis=(1, 2)), 1.0)
+    # per trace: no temporary of the stack's size
+    scale = np.maximum([np.max(np.abs(gj)) for gj in g], 1.0)
     if np.any(first > _INITIAL_DATA_TOL * scale):
         warnings.warn(
             "Neumann data nonzero at t = 0; zero initial layers are "
             "inconsistent with it",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return g
 
@@ -200,7 +203,9 @@ def _stencil(grid: GridSpec, sigma: np.ndarray):
                   + gain S,    u^{n+1} = u^n + v^{n+1},
 
     with v^n = u^n - u^{n-1} and gain = 1/(1/dt^2 + sigma/(2 dt)); at
-    the end nodes the injection signals stand for the outer differences.
+    the end nodes the injection signals stand for the outer differences,
+    with left = -gain at node 0 and right = gain at node nx-1, so that
+    either end adds gain times its signal.
     Nodes run along the last axis of ``sigma``, which may hold several media.
     """
     dt, dx = grid.dt, grid.dx
@@ -213,7 +218,7 @@ def _stencil(grid: GridSpec, sigma: np.ndarray):
     right = left.copy()
     left[..., -1] *= 2.0
     right[..., 0] *= 2.0
-    left[..., 0], right[..., -1] = gain[..., 0], gain[..., -1]
+    left[..., 0], right[..., -1] = -gain[..., 0], gain[..., -1]
     return carry, left, right, gain
 
 
@@ -276,70 +281,127 @@ class _Level(NamedTuple):
     flat: np.ndarray
     head: np.ndarray   # flat[:-1]
     tail: np.ndarray   # flat[1:]
-    slots: np.ndarray  # (*rows, 2) outer differences at a and b
-    ends: np.ndarray   # (*rows, 2) nodes 0 and nx-1
-    nodes: np.ndarray  # (*rows, nx)
+    slots: np.ndarray  # (rows, 2) outer differences at a and b
+    ends: np.ndarray   # (rows, 2) nodes 0 and nx-1
+    nodes: np.ndarray  # (rows, nx)
 
     @classmethod
     def of(cls, rows: tuple, nx: int, nodes=0.0, dtype=float) -> "_Level":
         grid2d = np.zeros(rows + (nx + 2,), np.result_type(nodes, dtype))
         grid2d[..., 1:-1] = nodes
-        flat = grid2d.reshape(-1)
-        return cls(flat, flat[:-1], flat[1:], grid2d[..., ::nx],
-                   grid2d[..., 1:nx + 1:nx - 1], grid2d[..., 1:-1])
+        return cls.on(grid2d.reshape(-1, nx + 2))
+
+    @classmethod
+    def on(cls, grid2d: np.ndarray) -> "_Level":
+        nx, flat = grid2d.shape[1] - 2, grid2d.reshape(-1)
+        return cls(flat, flat[:-1], flat[1:], grid2d[:, ::nx],
+                   grid2d[:, 1:nx + 1:nx - 1], grid2d[:, 1:-1])
 
 
-def _time_loop(grid, stencil, inj, source=None):
+def _time_loop(grid, stencil, inj, source=None, last=None):
     """Advance rows of nodes from u^0 = 0 and u^1 = dt^2 S(0) / 2.
 
-    ``inj`` (steps, *rows, 2), steps = nt for a map and T/dt + 2 for
-    snapshots, holds each row's injection signals at a and b for steps
-    1 .. steps-2, and ``source``, if given, the real samples S(t_n, .) for
-    n = 0 .. steps-2, (steps-1, nx), which drive every row of
-    rows = (traces,).  The field has shape
-    (*rows, nx) and the wider dtype of ``inj`` and the stencil: a row is
-    real when its data and medium are.  Returns the endpoint traces
-    (steps, *rows, 2) and the levels reached at steps T/dt - 1, T/dt and
-    T/dt + 1, in the field's dtype.
+    ``inj`` (steps, *rows, 2), steps = nt for a map, holds each row's
+    injection signals at a and b for steps 1 .. steps-2.  ``last``, if
+    given, holds each row's last step, longest first, for rows = (traces,);
+    without it every row runs to step steps-1.  ``source``, if given, holds
+    the real samples S(t_n, .) for n = 0 .. steps-2, (steps-1, nx), which
+    drive every row; their edge terms join ``inj`` in place.  The field has
+    shape (*rows, nx) and the wider dtype of ``inj`` and the stencil: a row
+    is real when its data and medium are.  Returns the endpoint traces
+    (*rows, 2, steps), zero past a row's last step, and the levels reached
+    at steps T/dt - 1, T/dt and T/dt + 1 by the rows running, (rows, nx),
+    in the field's dtype.
     """
-    rows, nx = inj.shape[1:-1], grid.nx
+    shape, nx = inj.shape[1:-1], grid.nx
+    # the slots take the signals as they are (see _stencil)
+    outer = inj.reshape(len(inj), -1, 2)
+    last = last or [len(inj) - 1] * outer.shape[1]
     # Taylor first layer: with zero initial data, u_tt(0) = S(0)
     u1 = 0.0 if source is None else (grid.dt**2 / 2.0) * source[0]
     dtype = np.result_type(inj, *stencil)
-    carry, left, right, gain = (_Level.of(rows, nx, c) for c in stencil)
-    u, v = (_Level.of(rows, nx, u1, dtype) for _ in range(2))
-    diff, tmp = (_Level.of(rows, nx, dtype=dtype) for _ in range(2))
-    # slot values for which -left * slot at a and right * slot at b inject
-    outer = inj * np.array([-1.0, 1.0])
+    buffers = [_Level.of(shape, nx, c) for c in stencil] + [
+        _Level.of(shape, nx, u, dtype) for u in (u1, u1, 0.0, 0.0)]
     if source is not None:
-        outer[1:-1] += _edge_term(source[1:, None]) * [1.0, -1.0]
-    traces = np.zeros(inj.shape, dtype)
-    traces[1] = u.ends
+        outer[1:-1] -= _edge_term(source[1:, None])
+    # steps last, as the data are stored: a row that stops early leaves
+    # the rest of its memory untouched
+    traces = np.zeros((len(last), 2, len(inj)), dtype)
+    traces[..., 1] = buffers[4].ends
     snap_steps, levels = range(grid.half_index - 1, grid.half_index + 2), []
-    # views and ufuncs bound once: a step reads no attribute
     sub, mul, add = np.subtract, np.multiply, np.add
-    u_flat, u_head, u_tail, _, u_ends, u_nodes = u
-    v_flat, v_head, v_tail, _, _, v_nodes = v
-    diff_head, diff_slots = diff.head, diff.slots
-    tmp_head, tmp_tail, tmp_nodes = tmp.head, tmp.tail, tmp.nodes
-    carry_flat, right_head, left_tail = carry.flat, right.head, left.tail
-    gain_nodes = gain.nodes
-    for n in range(1, len(inj) - 1):
-        sub(u_tail, u_head, diff_head)
-        diff_slots[...] = outer[n]
-        mul(v_flat, carry_flat, v_flat)
-        mul(diff_head, right_head, tmp_head)
-        add(v_head, tmp_head, v_head)
-        mul(diff_head, left_tail, tmp_tail)
-        sub(v_tail, tmp_tail, v_tail)
-        if source is not None:
-            mul(gain_nodes, source[n], tmp_nodes)
-            add(v_nodes, tmp_nodes, v_nodes)
-        add(u_flat, v_flat, u_flat)
-        traces[n + 1] = u_ends
-        if n + 1 in snap_steps:
-            levels.append(u_nodes.copy())
-    return traces, levels
+    n0 = 1
+    for n1 in sorted(set(last)):
+        # views of the k rows that run through step n1, bound once per
+        # count of rows: a step reads no attribute
+        k = sum(m >= n1 for m in last)
+        carry, left, right, gain, u, v, diff, tmp = (
+            _Level.on(b.flat.reshape(len(last), -1)[:k]) for b in buffers)
+        u_flat, u_head, u_tail, _, u_ends, u_nodes = u
+        v_flat, v_head, v_tail, _, _, v_nodes = v
+        diff_head, diff_slots = diff.head, diff.slots
+        tmp_head, tmp_tail, tmp_nodes = tmp.head, tmp.tail, tmp.nodes
+        carry_flat, right_head, left_tail = carry.flat, right.head, left.tail
+        gain_nodes, outer_k = gain.nodes, outer[:, :k]
+        traces_k = np.moveaxis(traces[:k], -1, 0)
+        for n in range(n0, n1):
+            sub(u_tail, u_head, diff_head)
+            diff_slots[...] = outer_k[n]
+            mul(v_flat, carry_flat, v_flat)
+            mul(diff_head, right_head, tmp_head)
+            add(v_head, tmp_head, v_head)
+            mul(diff_head, left_tail, tmp_tail)
+            sub(v_tail, tmp_tail, v_tail)
+            if source is not None:
+                mul(gain_nodes, source[n], tmp_nodes)
+                add(v_nodes, tmp_nodes, v_nodes)
+            add(u_flat, v_flat, u_flat)
+            traces_k[n + 1] = u_ends
+            if n + 1 in snap_steps:
+                levels.append(u_nodes.copy())
+        n0 = n1
+    return traces.reshape(shape + traces.shape[1:]), levels
+
+
+def _pass(grid: GridSpec, sigma, neumanns: Sequence[BoundaryTrace], last,
+          source=None):
+    """One loop pass over a field per Neumann trace, field j read through
+    step ``last[j]``, the longest first (see :func:`_time_loop`).
+
+    Each field's data are differenced two steps past its last step before
+    the rest is dropped, so that every injection the loop takes, the last
+    at step last[j] - 1, is that of the full data.  ``source``, if given,
+    drives every field.  Returns the endpoint traces (traces, 2,
+    last[0] + 1), zero past a field's last step, and the snapshots at T of
+    the fields read through step T/dt + 1.
+    """
+    sig = _as_sigma_array(sigma, grid.nx)
+    if not neumanns:
+        return np.zeros((0, 2, grid.nt)), []
+    g = _stack_neumann(grid, neumanns, stacklevel=4)
+    weights = _weights(grid, sig[_ENDS])
+    # each field's injection signals overwrite its data, so that only one
+    # field's differences take memory of their own
+    for gj, m in zip(g, last):
+        gj[:, :m + 1] = _injection(weights, gj[:, :m + 2])[0, :, :m + 1]
+    inj = np.moveaxis(g[..., :last[0] + 1], -1, 0)  # (steps, traces, end)
+    traces, levels = _time_loop(grid, _stencil(grid, sig), inj, source, last)
+    h = grid.half_index
+    rows = [j for j, m in enumerate(last) if m == h + 1]
+    # complex arithmetic for real fields too: numpy divides a complex array
+    # by a real through a rounded reciprocal, so real and complex fields
+    # round alike only on that route
+    u_minus, u_mid, u_plus = (u[rows].astype(complex, copy=False)
+                              for u in levels)
+    pT = (u_plus - u_minus) / (2.0 * grid.dt)
+    qT = np.empty_like(u_mid)
+    qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
+    # the complex samples of the traces, whose zero imaginary parts keep
+    # their signs, as real data in g do not; the outward normal at a is
+    # -d/dx, consistent with the ghost node
+    for j, q in zip(rows, qT):
+        q[0], q[-1] = -neumanns[j].values_a[h], neumanns[j].values_b[h]
+    return traces, [SolveOutput(*snap) for snap in zip(pT, qT, u_mid)]
 
 
 def solve_many(
@@ -351,13 +413,8 @@ def solve_many(
     The loop advances real rows when the data are real; the outputs are
     complex.
     """
-    sig = _as_sigma_array(sigma, grid.nx)
-    g = _stack_neumann(grid, neumanns)
-    inj = _injection(_weights(grid, sig[_ENDS]), g)[0]
-    inj = np.moveaxis(inj, -1, 0)  # (steps, traces, end)
-    traces, _ = _time_loop(grid, _stencil(grid, sig), inj)
-    return [BoundaryTrace(traces[:, j, 0], traces[:, j, 1], grid.dt)
-            for j in range(len(neumanns))]
+    traces, _ = _pass(grid, sigma, neumanns, [grid.nt - 1] * len(neumanns))
+    return [BoundaryTrace(*tr, grid.dt) for tr in traces]
 
 
 def snapshots_many(
@@ -373,9 +430,7 @@ def snapshots_many(
     n = 0 .. T/dt, of shape (T/dt + 1, nx), and drives every trace.  The
     loop advances real rows when the data are real; the outputs are complex.
     """
-    sig = _as_sigma_array(sigma, grid.nx)
     h = grid.half_index
-    g = _stack_neumann(grid, neumanns)
     if source is not None:
         source = np.asarray(source)
         shape = (h + 1, grid.nx)
@@ -387,26 +442,8 @@ def snapshots_many(
         if bad.size:
             raise ConfigurationError(
                 f"source has a non-finite sample at step {bad[0]}")
-    # the last step the loop takes, T/dt, injects the centered differences
-    # of the data through step T/dt + 1: they are differenced through step
-    # T/dt + 2 before the rest is dropped, so that every injection is that
-    # of the full data
-    inj = _injection(_weights(grid, sig[_ENDS]), g[..., :h + 3])[0]
-    inj = np.moveaxis(inj[..., :h + 2], -1, 0)  # (steps, traces, end)
-    _, levels = _time_loop(grid, _stencil(grid, sig), inj, source)
-    # complex arithmetic for real fields too: numpy divides a complex array
-    # by a real through a rounded reciprocal, so real and complex fields
-    # round alike only on that route
-    u_minus, u_mid, u_plus = (u.astype(complex, copy=False) for u in levels)
-    pT = (u_plus - u_minus) / (2.0 * grid.dt)
-    qT = np.empty_like(u_mid)
-    qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
-    # the complex samples of the traces, whose zero imaginary parts keep
-    # their signs, as real data in g do not
-    g_T = np.array([(tr.values_a[h], tr.values_b[h]) for tr in neumanns])
-    qT[:, 0] = -g_T[:, 0]  # ghost-consistent: the outward normal at a is -d/dx
-    qT[:, -1] = g_T[:, 1]
-    return [SolveOutput(pT[j], qT[j], u_mid[j]) for j in range(len(neumanns))]
+    _, snaps = _pass(grid, sigma, neumanns, [h + 1] * len(neumanns), source)
+    return snaps
 
 
 def linearized_nd_map_many(
@@ -427,10 +464,8 @@ def linearized_nd_map_many(
     r = np.ldexp(1.0, np.frexp(np.max(np.abs(parts), axis=(2, 3)))[1])
     inj = _injection(weights, parts / r[..., None, None])[0]
     traces, _ = _time_loop(grid, _stencil(grid, sigma), np.moveaxis(inj, -1, 0))
-    d = traces.imag / _STEP * s * r[..., None]
-    d = d[:, 0] + 1j * d[:, 1]
-    return [BoundaryTrace(d[:, j, 0], d[:, j, 1], grid.dt)
-            for j in range(len(fs))]
+    d = traces.imag / _STEP * s * r[..., None, None]
+    return [BoundaryTrace(*dj, grid.dt) for dj in d[0] + 1j * d[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +488,7 @@ def _fft_length(n: int) -> int:
 class _TransferMap:
     """Neumann traces to endpoint traces through a medium's transfer kernel.
 
-    Made from ``responses`` (steps, signals, output end), the loop's traces
+    Made from ``responses`` (signals, output end, steps), the loop's traces
     of a unit impulse at step 1 in each injection signal, signal s at end
     s % 2, and ``weights`` (signals, 3), those signals' taps (see
     :func:`_weights`).  The responses are transformed and each multiplied by
@@ -472,9 +507,9 @@ class _TransferMap:
     def __init__(self, grid: GridSpec, responses: np.ndarray,
                  weights: np.ndarray):
         self.grid = grid
-        steps = len(responses)
+        steps = responses.shape[-1]
         # (signals, output end, steps 1 .. steps-1)
-        responses = np.ascontiguousarray(np.moveaxis(responses[1:], 0, -1))
+        responses = responses[..., 1:]
         # no wrap-around: for data at rest at both ends the filtered signals
         # (steps 1 .. steps-2) and the responses (delays 1 .. steps-2) reach
         # step 2 steps - 4 at most
@@ -563,7 +598,7 @@ def transfer_difference_nd_map(
     impulses = np.zeros((grid.nt, 2, 2, 2))
     impulses[1] = np.eye(2)
     traces, _ = _time_loop(grid, _stencil(grid, media), impulses)
-    responses = np.concatenate((traces[:, 0], -traces[:, 1]), axis=1) / eps
+    responses = np.concatenate((traces[0], -traces[1])) / eps
     return _TransferMap(grid, responses, weights)
 
 
@@ -586,6 +621,6 @@ def transfer_linearized_nd_map(
     impulses[1] = np.eye(2)
     traces, _ = _time_loop(grid, _stencil(grid, sigma), impulses)
     # d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R); / h first, then * s
-    responses = np.concatenate((traces.imag / _STEP * s, traces.real), axis=1)
+    responses = np.concatenate((traces.imag / _STEP * s, traces.real))
     weights = np.concatenate((w.real, w.imag / _STEP * s))
     return _TransferMap(grid, responses, weights)

@@ -9,12 +9,18 @@ from bcm1d import (
     MediumSpec,
     ReconSettings,
     acquire_clean_pair_data,
+    build_control,
+    cosine_profile,
     linearized_rhs,
     nonlinear_identity_residual,
+    sine_profile,
+    snapshots_many,
+    solve_many,
 )
-from bcm1d.cli import smooth_pulse_trace
+from bcm1d import solver
+from bcm1d.cli import PAPER, _identity_pulses, smooth_pulse_trace
 from bcm1d.control import quiet_steps
-from bcm1d.identity import ControlData
+from bcm1d.identity import ControlData, _pair
 from bcm1d.recon import fourier_targets
 
 from conftest import smooth_sigma_dot
@@ -209,8 +215,6 @@ class TestNonlinearIdentity:
         assert 3.4 <= diffs[0] / diffs[1] <= 4.6
 
     def test_accepts_control_bundles(self, coarse_grid):
-        from bcm1d import build_control, sine_profile, cosine_profile
-
         kappa = np.pi / 2
         bf = build_control(sine_profile(kappa), 1j * kappa, coarse_grid)
         bh = build_control(cosine_profile(kappa), 1j * kappa, coarse_grid)
@@ -219,6 +223,83 @@ class TestNonlinearIdentity:
         # the Helmholtz pair makes the interior side degenerate (p p = q q),
         # so only smallness of both sides is meaningful here
         assert abs(rep.lhs) < 5e-2 and abs(rep.rhs) < 5e-2
+
+
+def _pulses(case, coarse_grid):
+    """The grid and the pairs (trace, derivative) of an identity check."""
+    if case == "coarse":
+        return (coarse_grid, *_identity_pulses(coarse_grid))
+    if case == "paper":
+        grid = GridSpec(PAPER["a"], PAPER["b"], PAPER["dx"], PAPER["dt"],
+                        PAPER["T"])
+        return (grid, *_identity_pulses(grid))
+    kappa = np.pi / 2
+    bf, bh = (build_control(p(kappa), 1j * kappa, coarse_grid)
+              for p in (sine_profile, cosine_profile))
+    return coarse_grid, (bf.f, bf.f_t), (bh.f, bh.f_t)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("case", ["coarse", "paper", "bundles"])
+    def test_equals_the_snapshots_and_the_nd_map(self, case, coarse_grid):
+        # the fields of one pass never mix, and each reads the injection of
+        # its full data: lhs and rhs are those of two separate passes, the
+        # snapshots of f and h and the ND map of f_t and h_t, bit for bit
+        grid, (f, f_t), (h, h_t) = _pulses(case, coarse_grid)
+        out_f, out_h = snapshots_many(grid, 0.3, [f, h])
+        meas_ft, meas_ht = solve_many(grid, 0.3, [f_t, h_t])
+        lhs = complex(np.trapezoid(out_f.pT_snapshot * out_h.pT_snapshot
+                                   - out_f.qT_snapshot * out_h.qT_snapshot,
+                                   dx=grid.dx))
+        rhs = _pair(f, meas_ht, grid) - _pair(meas_ft, h, grid)
+        rep = nonlinear_identity_residual((f, f_t), (h, h_t), 0.3, grid)
+        assert abs(lhs) > 1e-4 or case == "bundles"  # a non-degenerate pair
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+    def test_each_field_stops_at_its_last_read(self, coarse_grid,
+                                               monkeypatch):
+        grid, passes, time_loop = coarse_grid, [], solver._time_loop
+
+        def spy(*args):
+            traces, levels = time_loop(*args)
+            passes.append((traces, [len(u) for u in levels]))
+            return traces, levels
+
+        monkeypatch.setattr(solver, "_time_loop", spy)
+        f, h = _identity_pulses(grid)
+        nonlinear_identity_residual(f, h, 0.3, grid)
+        ((traces, level_rows),) = passes
+        n = grid.half_index
+        # fields h_t, f, h and f_t: a field's traces end at the last step it
+        # takes, step k - 1 reaching level k
+        reached = [np.flatnonzero(np.any(tr != 0, axis=0))[-1]
+                   for tr in traces]
+        assert reached == [2 * n, n + 1, n + 1, n]
+        # the levels at T - dt and T are of all four, at T + dt of three
+        assert level_rows == [4, 4, 3]
+        # 4 fields for T/dt - 1 steps, 3 for one and 1 for T/dt - 1: 5 T/dt
+        # - 2 field-steps, against the separate passes' 2 T/dt for the
+        # snapshots and 2 (2T/dt - 1) for the ND map, 6 T/dt - 2
+        assert sum(k - 1 for k in reached) == 5 * n - 2
+
+
+def test_pair_reads_x_through_T_and_y_from_T(coarse_grid):
+    # < x(t), y(2T - t) > over (0, T): x is read through step T/dt and y
+    # from it, so the identity's shorter f_t field, paired as x, may stop
+    # at T
+    n, rng = coarse_grid.half_index, np.random.default_rng(3)
+    x, y = (BoundaryTrace(*rng.standard_normal((2, coarse_grid.nt)),
+                          coarse_grid.dt) for _ in range(2))
+
+    def nan_at(tr, steps):
+        va, vb = tr.values_a.copy(), tr.values_b.copy()
+        va[steps] = vb[steps] = np.nan
+        return BoundaryTrace(va, vb, tr.dt)
+
+    want = _pair(x, y, coarse_grid)
+    got = _pair(nan_at(x, slice(n + 1, None)), nan_at(y, slice(None, n)),
+                coarse_grid)
+    assert np.isfinite(want) and got == want
 
 
 class TestStabilityBound:
