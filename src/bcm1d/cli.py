@@ -256,8 +256,10 @@ def smooth_pulse_trace(grid: GridSpec, t0: float, width: float, omega: float,
                        weight_a: float, weight_b: float):
     """Gaussian-windowed tone burst (trace, analytic derivative trace).
 
-    Vanishes to machine precision near t = 0 for t0 >= 6 * width, so it is
-    an admissible Neumann datum for zero initial conditions.
+    Its envelope bounds either end at t = 0: |trace(0)| <= |weight| *
+    exp(-(t0 / width)^2), below the stepper's 1e-9 tolerance for
+    t0 >= 4.6 * width, so it is then an admissible Neumann datum for zero
+    initial conditions.
     """
     ts = grid.ts
     env, sin = np.exp(-((ts - t0) / width) ** 2), np.sin(omega * ts)

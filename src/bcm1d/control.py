@@ -89,18 +89,21 @@ def build_control(pT: AnalyticProfile, lam: complex,
     if lam == 0:
         raise ValueError("lam must be nonzero (zero-frequency pairs are not used)")
     c = -1.0 / lam
-    traces = []
-    for sign, plan in zip((-1.0, +1.0), _geometry(grid)):
+    # the three traces (trace, end, steps) in one block, each written in
+    # place: the real series' temporaries leave no holes between them
+    out = np.empty((3, 2, grid.nt), complex)
+    for sign, plan, o in zip((-1.0, +1.0), _geometry(grid), out.swapaxes(0, 1)):
         m = _derivatives(pT, plan)  # at s-
         p = [v[::-1] for v in m]  # at s+
-        traces.append((
-            sign * 0.5 * (c * (p[1] + m[1]) + m[0] - p[0]),
-            sign * 0.5 * (c * (m[2] - p[2]) + m[1] + p[1]),
-            sign * 0.5 * (c * (p[3] + m[3]) + m[2] - p[2]),
-        ))
-    return ControlBundle(*(
-        BoundaryTrace(at_a, at_b, grid.dt) for at_a, at_b in zip(*traces)
-    ))
+        # sign / 2 (c xy + z - w) in the formulas' order of operations
+        for t, xy, z, w in ((o[0], p[1] + m[1], m[0], p[0]),
+                            (o[1], m[2] - p[2], m[1], -p[1]),
+                            (o[2], p[3] + m[3], m[2], p[2])):
+            np.multiply(c, xy, out=t)
+            t += z
+            t -= w
+            t *= sign * 0.5
+    return ControlBundle(*(BoundaryTrace(*tr, grid.dt) for tr in out))
 
 
 def quiet_steps(grid: GridSpec) -> int:

@@ -5,7 +5,8 @@ are driven and recorded at the two endpoints over a time window of length 2T,
 and interior states are probed at the half time T.  Everything downstream
 (controls, solvers, identities, reconstruction) shares the uniform grid
 described by :class:`GridSpec` and exchanges endpoint time series as
-:class:`BoundaryTrace` values.
+:class:`BoundaryTrace` values, which keep their data's dtype: real samples
+stay real, with no imaginary half of zeros, and complex ones complex.
 
 Sample j of a trace is time j*dt, and 2T/dt is an integer, so time
 reversal about T is index reversal: the sample at 2T - t is sample
@@ -157,10 +158,13 @@ class MediumSpec:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Complex time series at the two endpoints, sampled at t = 0, dt, ..., 2T.
+    """Time series at the two endpoints, sampled at t = 0, dt, ..., 2T.
 
-    Sample j of either sequence corresponds to time j*dt.  Traces are value
-    objects: arithmetic returns new traces and never mutates.
+    Sample j of either sequence corresponds to time j*dt.  Both ends share
+    one dtype: float64 when both series are real (ints and bools become
+    floats), complex128 otherwise; arithmetic promotes as numpy does.
+    Traces are value objects: arithmetic returns new traces and never
+    mutates.
     """
 
     values_a: np.ndarray
@@ -168,8 +172,13 @@ class BoundaryTrace:
     dt: float
 
     def __post_init__(self) -> None:
-        va = np.asarray(self.values_a, dtype=complex)
-        vb = np.asarray(self.values_b, dtype=complex)
+        va, vb = np.asarray(self.values_a), np.asarray(self.values_b)
+        for name, v in (("values_a", va), ("values_b", vb)):
+            if v.dtype.kind not in "biufc":
+                raise ConfigurationError(
+                    f"{name} has dtype {v.dtype}; a trace holds numbers")
+        dtype = complex if np.iscomplexobj(va) or np.iscomplexobj(vb) else float
+        va, vb = va.astype(dtype, copy=False), vb.astype(dtype, copy=False)
         if va.ndim != 1 or vb.ndim != 1 or va.shape != vb.shape:
             raise GridMismatchError(
                 f"endpoint series must be 1-d with equal length, "
@@ -183,8 +192,7 @@ class BoundaryTrace:
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "BoundaryTrace":
-        z = np.zeros(grid.nt, dtype=complex)
-        return cls(z, z.copy(), grid.dt)
+        return cls(np.zeros(grid.nt), np.zeros(grid.nt), grid.dt)
 
     @classmethod
     def from_functions(
@@ -194,8 +202,7 @@ class BoundaryTrace:
         fb: Callable[[np.ndarray], np.ndarray],
     ) -> "BoundaryTrace":
         ts = grid.ts
-        return cls(np.asarray(fa(ts), dtype=complex),
-                   np.asarray(fb(ts), dtype=complex), grid.dt)
+        return cls(fa(ts), fb(ts), grid.dt)
 
     def _check_compatible(self, other: "BoundaryTrace") -> None:
         if len(self) != len(other) or self.dt != other.dt:

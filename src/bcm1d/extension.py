@@ -95,7 +95,7 @@ def _plan(a: float, b: float, x) -> _Plan:
 def _derivatives(phi: AnalyticProfile, plan: _Plan) -> list[np.ndarray]:
     """:func:`extended_derivatives` at the points of ``plan``."""
     p = phi(plan.points)
-    res = [np.zeros(plan.index.shape, dtype=complex) for _ in p]
+    res = [np.zeros(plan.index.shape, np.result_type(float, *p)) for _ in p]
     for k, r in enumerate(res):  # product rule
         r[plan.index] = sum(comb(k, j) * p[k - j] * plan.B[j]
                                         for j in range(k + 1))

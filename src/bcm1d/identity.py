@@ -129,7 +129,6 @@ def nonlinear_identity_residual(f, h, sigma, grid: GridSpec) -> IdentityReport:
         grid, sigma, [h_t_trace, f_trace, h_trace, f_t_trace],
         [grid.nt - 1, nT + 1, nT + 1, nT])
     meas_ht, meas_ft = (BoundaryTrace(*traces[j], grid.dt) for j in (0, 3))
-    del traces
     lhs = complex(np.trapezoid(out_f.pT_snapshot * out_h.pT_snapshot
                                - out_f.qT_snapshot * out_h.qT_snapshot,
                                dx=grid.dx))

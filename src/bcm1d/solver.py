@@ -54,8 +54,8 @@ injection signals before the loop, and each step adds gain S.  In a real
 medium a row is real when the data are, and complex otherwise; real data
 stay real from the stacked data through the injection signals.  The loop
 only adds, subtracts and multiplies by real coefficients, which numpy does
-on the two parts of a complex row exactly as on two real rows.  The
-outputs are complex either way.
+on the two parts of a complex row exactly as on two real rows.  The ND
+map's traces keep the rows' dtype; the snapshots are complex either way.
 
 :func:`snapshots_many` reads the field at the half time T, u_t and u_x by
 centered differences, and stops one step past T: it takes T/dt + 1 steps,
@@ -170,7 +170,7 @@ def _stack_neumann(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
     """Checked endpoint data as one (traces, 2, nt) array, a side then b,
     real when every imaginary part is zero; at most one warning, at the
     stepper's caller ``stacklevel`` frames up, for data nonzero at t = 0."""
-    real = not any(np.any(v.imag) for tr in neumanns
+    real = not any(np.iscomplexobj(v) and np.any(v.imag) for tr in neumanns
                    for v in (tr.values_a, tr.values_b))
     g = np.empty((len(neumanns), 2, grid.nt), float if real else complex)
     for gj, tr in zip(g, _checked(grid, neumanns)):
@@ -396,11 +396,12 @@ def _pass(grid: GridSpec, sigma, neumanns: Sequence[BoundaryTrace], last,
     pT = (u_plus - u_minus) / (2.0 * grid.dt)
     qT = np.empty_like(u_mid)
     qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
-    # the complex samples of the traces, whose zero imaginary parts keep
-    # their signs, as real data in g do not; the outward normal at a is
-    # -d/dx, consistent with the ghost node
+    # the data's samples as complex numbers, whose zero imaginary parts
+    # keep their signs (+0 for real data), as real rows in g do not; the
+    # outward normal at a is -d/dx, consistent with the ghost node
     for j, q in zip(rows, qT):
-        q[0], q[-1] = -neumanns[j].values_a[h], neumanns[j].values_b[h]
+        q[0], q[-1] = (-complex(neumanns[j].values_a[h]),
+                       complex(neumanns[j].values_b[h]))
     return traces, [SolveOutput(*snap) for snap in zip(pT, qT, u_mid)]
 
 
@@ -410,8 +411,8 @@ def solve_many(
     """Nonlinear ND map: the endpoint traces of one field per Neumann trace,
     through a single time loop.
 
-    The loop advances real rows when the data are real; the outputs are
-    complex.
+    The loop advances real rows when every imaginary part of the data is
+    zero, and the traces are those rows: real then, complex otherwise.
     """
     traces, _ = _pass(grid, sigma, neumanns, [grid.nt - 1] * len(neumanns))
     return [BoundaryTrace(*tr, grid.dt) for tr in traces]
@@ -438,7 +439,9 @@ def snapshots_many(
             raise ConfigurationError(
                 f"source is {source.dtype} of shape {source.shape}; the grid "
                 f"needs real samples of shape (T/dt + 1, nx) = {shape}")
-        bad = np.flatnonzero(~np.isfinite(source).all(axis=1))
+        # NaN and inf show in a row's extremes: no array of the source's size
+        bad = np.flatnonzero(~(np.isfinite(source.min(axis=1))
+                               & np.isfinite(source.max(axis=1))))
         if bad.size:
             raise ConfigurationError(
                 f"source has a non-finite sample at step {bad[0]}")

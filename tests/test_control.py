@@ -10,6 +10,7 @@ from bcm1d import (
     snapshots_many,
     verify_control,
 )
+from bcm1d import control
 from bcm1d.control import quiet_steps, support_grid
 from bcm1d.extension import extended_derivatives
 
@@ -93,6 +94,28 @@ def test_traces_match_direct_extension(coarse_grid):
                 assert np.array_equal(got, w)
                 assert (np.max(np.abs(got - w_direct))
                         <= 1e-12 * np.max(np.abs(w_direct)))
+
+
+def test_controls_from_real_series_keep_their_bits(coarse_grid, monkeypatch):
+    # the extension's series are real for the real targets, and the controls
+    # turn complex through c = -1/lam only: bit for bit the controls built
+    # from the same series stored as complex with zero imaginary parts
+    pT_f, pT_h, lam = fourier_targets(3, coarse_grid)
+    real = [build_control(pT, lam, coarse_grid) for pT in (pT_f, pT_h)]
+    derivatives = control._derivatives
+
+    def as_complex(phi, plan):
+        series = derivatives(phi, plan)
+        assert all(v.dtype == np.float64 for v in series)
+        return [v.astype(complex) for v in series]
+
+    monkeypatch.setattr(control, "_derivatives", as_complex)
+    typed = [build_control(pT, lam, coarse_grid) for pT in (pT_f, pT_h)]
+    for got, want in zip(real, typed, strict=True):
+        for tg, tw in zip(got, want, strict=True):
+            for v, w in ((tg.values_a, tw.values_a), (tg.values_b, tw.values_b)):
+                assert v.dtype == np.complex128
+                assert v.tobytes() == w.tobytes()
 
 
 def test_control_map_is_linear(coarse_grid):

@@ -192,6 +192,64 @@ class TestTraceAlgebra:
             g1 + g2
 
 
+class TestTraceDtype:
+    """A trace keeps its data's dtype: float64 for real samples, complex128
+    otherwise, one dtype for both ends."""
+
+    def test_real_samples_stay_real_without_a_copy(self):
+        v = np.linspace(0.0, 1.0, 7)
+        tr = BoundaryTrace(v, -v, 0.1)
+        assert tr.values_a.dtype == tr.values_b.dtype == np.float64
+        assert tr.values_a is v
+
+    def test_complex_samples_stay_complex(self):
+        v = np.linspace(0.0, 1.0, 7) * (1.0 + 2.0j)
+        tr = BoundaryTrace(v, v.conj(), 0.1)
+        assert tr.values_a.dtype == tr.values_b.dtype == np.complex128
+        assert np.array_equal(tr.values_b, v.conj())
+
+    @pytest.mark.parametrize("v", [np.arange(7), np.arange(7, dtype=np.int8),
+                                   np.arange(7) % 2 == 0,
+                                   np.arange(7, dtype=np.float32)],
+                             ids=["int64", "int8", "bool", "float32"])
+    def test_ints_bools_and_narrow_floats_become_float64(self, v):
+        tr = BoundaryTrace(v, v, 0.1)
+        assert tr.values_a.dtype == tr.values_b.dtype == np.float64
+        assert np.array_equal(tr.values_a, v.astype(float))
+
+    def test_mixed_ends_share_the_complex_dtype(self):
+        re, im = np.ones(5), np.full(5, 1j)
+        for va, vb in ((re, im), (im, re)):
+            tr = BoundaryTrace(va, vb, 0.1)
+            assert tr.values_a.dtype == tr.values_b.dtype == np.complex128
+            assert np.array_equal(tr.values_a, va)
+            assert np.array_equal(tr.values_b, vb)
+
+    def test_zeros_are_real(self, coarse_grid):
+        z = BoundaryTrace.zeros(coarse_grid)
+        assert z.values_a.dtype == z.values_b.dtype == np.float64
+        assert not np.shares_memory(z.values_a, z.values_b)
+
+    def test_arithmetic_promotes_as_numpy_does(self, coarse_grid):
+        g = _trace_from(coarse_grid, np.sin, np.cos)
+        assert g.values_a.dtype == np.float64
+        assert (g + g).values_a.dtype == (2.0 * g).values_b.dtype == np.float64
+        for tr in (1j * g, g + 1j * g, g - 1j * g):
+            assert tr.values_a.dtype == tr.values_b.dtype == np.complex128
+        assert np.array_equal((g + 1j * g).values_a, g.values_a * (1 + 1j))
+
+    @pytest.mark.parametrize("bad", [np.array(["a", "b"]),
+                                     np.array([1.0, None], dtype=object),
+                                     np.array(["2026-01-01"] * 2,
+                                              dtype="datetime64[D]")],
+                             ids=["str", "object", "datetime"])
+    @pytest.mark.parametrize("end", ["values_a", "values_b"])
+    def test_non_numeric_samples_rejected_by_name(self, bad, end):
+        ends = {"values_a": np.zeros(2), "values_b": np.zeros(2), end: bad}
+        with pytest.raises(ConfigurationError, match=f"{end} has dtype"):
+            BoundaryTrace(dt=0.1, **ends)
+
+
 class TestMediumSpec:
     @pytest.mark.parametrize("field", ["sigma_dot", "sigma_ddot"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

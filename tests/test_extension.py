@@ -132,3 +132,19 @@ def test_one_sided_continuity_at_domain_edges():
             assert g1 <= 8e-4 * scale
             assert g2 <= 0.35 * g1 + 1e-13
 
+
+
+
+def test_real_profiles_give_real_series():
+    # no imaginary half of zeros: a real profile's extension is real, and
+    # the same profile returning complex values gives the same numbers
+    xs = np.linspace(-2.2, 2.2, 97)
+    for phi in (sine_profile(1.1), cosine_profile(1.1)):
+        def as_complex(x, phi=phi):
+            return tuple(np.asarray(p, complex) for p in phi(x))
+
+        real, typed = (extended_derivatives(p, A, B, xs)
+                       for p in (phi, as_complex))
+        for v, w in zip(real, typed, strict=True):
+            assert v.dtype == np.float64 and w.dtype == np.complex128
+            assert np.array_equal(v, w)

@@ -282,6 +282,22 @@ class TestOnePass:
         # snapshots and 2 (2T/dt - 1) for the ND map, 6 T/dt - 2
         assert sum(k - 1 for k in reached) == 5 * n - 2
 
+    def test_real_and_complex_typed_pulses_agree_bit_for_bit(self):
+        # the pulses are real and stay real; the same samples typed complex,
+        # with zero imaginary parts, run as the same real rows and give lhs
+        # and rhs of the same bits, the signs of zeros included
+        grid, f, h = _pulses("paper", None)
+        assert all(v.dtype == np.float64
+                   for tr in (*f, *h) for v in (tr.values_a, tr.values_b))
+        typed = [tuple(BoundaryTrace(tr.values_a.astype(complex),
+                                     tr.values_b.astype(complex), tr.dt)
+                       for tr in pair) for pair in (f, h)]
+        real, other = (nonlinear_identity_residual(*pairs, 0.3, grid)
+                       for pairs in ((f, h), typed))
+        assert abs(real.lhs) > 1e-4  # a non-degenerate pair
+        for got, want in ((real.lhs, other.lhs), (real.rhs, other.rhs)):
+            assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
 
 def test_pair_reads_x_through_T_and_y_from_T(coarse_grid):
     # < x(t), y(2T - t) > over (0, T): x is read through step T/dt and y

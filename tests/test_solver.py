@@ -85,9 +85,10 @@ def test_real_data_real_field(coarse_grid):
 
 def test_real_pulses_stay_real_in_the_stepper(coarse_grid):
     # real data in a real medium need no complex copy, difference or
-    # signal: a call peaks at about three real copies of the data (the
-    # traces and the complex outputs; the injection signals overwrite the
-    # data, one trace's differences at a time); complex ones take over four
+    # signal: a call peaks at about two real copies of the data (the
+    # stacked data and the traces, which the outputs view; the injection
+    # signals overwrite the data, one trace's differences at a time);
+    # complex ones take over four
     fs = [smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, w, 0.7)[0]
           for w in (0.5, -1.0, 2.0)]
     solve_many(coarse_grid, 0.3, fs)
@@ -97,7 +98,22 @@ def test_real_pulses_stay_real_in_the_stepper(coarse_grid):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * len(fs) * 2 * coarse_grid.nt * 8
+    assert peak <= 3 * len(fs) * 2 * coarse_grid.nt * 8
+
+
+def test_real_pulses_give_real_traces(coarse_grid):
+    # the ND map's traces are the loop's rows: real for data whose
+    # imaginary parts are all zero, whatever the data's dtype
+    fs = [smooth_pulse_trace(coarse_grid, t0, 0.3, 4.0, w, 0.7)[0]
+          for t0, w in ((1.2, 0.5), (1.5, -1.0))]
+    as_complex = [BoundaryTrace(f.values_a.astype(complex),
+                                f.values_b.astype(complex), f.dt) for f in fs]
+    sigma = 0.1 + 0.2 * coarse_grid.xs**2
+    real, typed = (solve_many(coarse_grid, sigma, gs) for gs in (fs, as_complex))
+    for r, t in zip(real, typed, strict=True):
+        for vr, vt in zip(_fields(r), _fields(t)):
+            assert vr.dtype == vt.dtype == np.float64
+            assert np.array_equal(vr, vt)
 
 
 def test_complex_solve_equals_pair_of_real_solves(coarse_grid):
@@ -425,10 +441,14 @@ class TestValidation:
                            match="Neumann trace 1 has a non-finite sample"):
             solve_many(coarse_grid, 0.0, _one_bad_sample(coarse_grid, bad))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
     def test_non_finite_source_rejected(self, coarse_grid, bad):
+        # the first bad step is named; a row of huge finite samples is not
         source = np.zeros((coarse_grid.half_index + 1, coarse_grid.nx))
-        source[700, 3] = bad
+        source[600] = np.finfo(float).max
+        source[600, ::2] *= -1.0
+        source[700, 3] = source[900, 0] = bad
         with pytest.raises(ConfigurationError,
                            match="source has a non-finite sample at step 700"):
             snapshots_many(coarse_grid, 0.0,
