@@ -106,39 +106,24 @@ def build_control(pT: AnalyticProfile, lam: complex,
     return ControlBundle(*(BoundaryTrace(*tr, grid.dt) for tr in out))
 
 
-def quiet_steps(grid: GridSpec) -> int:
-    """The number of leading steps, and of trailing steps, at which every
-    trace of :func:`build_control` on ``grid`` vanishes, at both ends.
-
-    The arguments s-+ of a trace reach the extension's support
-    (a - 1, b + 1) only after t = T - (b - a) - 1, so the traces vanish at
-    every step before (T - (b - a) - 1) / dt, rounded down, or to the
-    nearest integer when it is one to rounding.  The step at that time
-    itself can hold a bump factor near 1e-120, when rounding in ``ts`` puts
-    its argument just inside the support.  Time reversal about T mirrors
-    the support: the arguments leave it at t = T + (b - a) + 1, and the
-    traces vanish in the last as many steps.  A grid with T at its least,
-    (b - a) + 1, has none; :func:`support_grid` gives it three.
-    """
-    steps = (grid.T - (grid.b - grid.a) - 1.0) / grid.dt
-    return max(round(steps) if _is_close_to_integer(steps)
-               else math.floor(steps), 0)
-
-
 def support_grid(grid: GridSpec) -> GridSpec:
     """The grid on which the controls of ``grid`` are measured: ``grid``
-    with T shortened by s = quiet_steps(grid) - 3 steps, or lengthened by
-    -s steps where ``grid`` leaves fewer than three quiet steps.
+    with T = (n + 3) dt, n = ((b - a) + 1) / dt rounded to the nearest
+    integer when it is one to rounding, and up otherwise.
 
-    A control depends on t - T only, so on this grid its traces are those
-    on ``grid`` at steps s .. nt - 1 - s, moved s steps earlier (to
-    rounding in ``ts``), and they vanish in the first and the last three
-    steps, the injection filter's reach, as the measurement maps require.
-    Grids whose T differ by whole steps share this grid; on the paper grid
-    it has 15007 of 25001 steps.
+    The arguments s-+ of a trace of :func:`build_control` enter the
+    extension's support (a - 1, b + 1) only after t = T - (b - a) - 1 and,
+    by time reversal about T, leave it at t = T + (b - a) + 1, so on this
+    grid every trace vanishes in the first and the last three steps, the
+    injection filter's reach, as the measurement maps require.  The step
+    after them can hold a bump factor near 1e-120, when rounding in ``ts``
+    puts its argument just inside the support.  A control depends on t - T
+    only, so the grid reads only a, b, dx and dt: every T, however large,
+    gives it.  On the paper grid it has 15007 of 25001 steps.
     """
-    s = quiet_steps(grid) - _REACH
-    return replace(grid, T=(grid.half_index - s) * grid.dt)
+    steps = ((grid.b - grid.a) + 1.0) / grid.dt
+    n = round(steps) if _is_close_to_integer(steps) else math.ceil(steps)
+    return replace(grid, T=(n + _REACH) * grid.dt)
 
 
 @dataclass(frozen=True)
@@ -152,7 +137,7 @@ def verify_control(targets: Sequence[tuple[AnalyticProfile, complex]],
                    grid: GridSpec) -> list[ControlReport]:
     """Check the controls of ``targets``, (pT, lam) pairs, on the support
     grid of ``grid`` (see :func:`support_grid`), where they are quiet in
-    the first and the last three steps only.
+    the first and the last three steps only; ``grid``'s T is not read.
 
     Each control is built by :func:`build_control`; the traces f and f_t
     of all of them run as two columns each of a single pass over sigma = 0,
@@ -173,8 +158,8 @@ def verify_control(targets: Sequence[tuple[AnalyticProfile, complex]],
     both from one evaluation of the extension and its first derivative at
     the shifted nodes x -+ T.  The cumulative-integral term of w is left out:
     it cancels exactly against the additive constant because x - T and
-    x + T lie on either side of the extension's support, which GridSpec's
-    check T >= (b - a) + 1 guarantees.  The value is an analytic
+    x + T lie on either side of the extension's support, which the support
+    grid's T >= (b - a) + 1 + 3 dt guarantees.  The value is an analytic
     cancellation, not a solver property.
 
     The velocity snapshot is measured through the derivative datum: since

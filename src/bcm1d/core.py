@@ -16,7 +16,6 @@ reversal about T is index reversal: the sample at 2T - t is sample
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -193,16 +192,6 @@ class BoundaryTrace:
     @classmethod
     def zeros(cls, grid: GridSpec) -> "BoundaryTrace":
         return cls(np.zeros(grid.nt), np.zeros(grid.nt), grid.dt)
-
-    @classmethod
-    def from_functions(
-        cls,
-        grid: GridSpec,
-        fa: Callable[[np.ndarray], np.ndarray],
-        fb: Callable[[np.ndarray], np.ndarray],
-    ) -> "BoundaryTrace":
-        ts = grid.ts
-        return cls(fa(ts), fb(ts), grid.dt)
 
     def _check_compatible(self, other: "BoundaryTrace") -> None:
         if len(self) != len(other) or self.dt != other.dt:

@@ -69,7 +69,8 @@ sigma_dot at sigma0, taken by a complex step through the same loop: real
 data in the damping sigma0 + i h sigma_dot / s, s = max |sigma_dot| (1 if
 sigma_dot = 0), give traces whose imaginary part over h, times s, is the
 derivative to a relative O(h^2), with no cancellation.  The data's real
-and imaginary parts advance as two real rows, each scaled to O(1).  With
+and imaginary parts advance as two real rows, each scaled to O(1); real
+data advance as one row, and their traces are real.  With
 h = 1e-30, the step h sigma_dot / s cannot underflow, and dividing by h
 before multiplying by s keeps the derivative from overflowing.
 
@@ -456,19 +457,23 @@ def linearized_nd_map_many(
 
     Returns, per trace, the derivative of the endpoint traces of
     :func:`solve_many` along sigma_dot at the damping sigma0: the linearized
-    measurements, taken by a complex step (see the module docstring).
+    measurements, taken by a complex step (see the module docstring):
+    real for data whose imaginary parts are all zero, complex otherwise.
     """
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     g = _stack_neumann(grid, fs)
     sigma, s = _complex_step(medium.sigma0, sd)
     weights = _weights(grid, sigma[_ENDS])
-    # rows (parts, traces): each data part times an exact power of two 1 / r
-    parts = np.stack((g.real, g.imag))
+    # rows (parts, traces): each data part, the real one alone for real
+    # data, times an exact power of two 1 / r
+    real = g.dtype == float
+    parts = g[None] if real else np.stack((g.real, g.imag))
     r = np.ldexp(1.0, np.frexp(np.max(np.abs(parts), axis=(2, 3)))[1])
     inj = _injection(weights, parts / r[..., None, None])[0]
     traces, _ = _time_loop(grid, _stencil(grid, sigma), np.moveaxis(inj, -1, 0))
     d = traces.imag / _STEP * s * r[..., None, None]
-    return [BoundaryTrace(*dj, grid.dt) for dj in d[0] + 1j * d[1]]
+    d = d[0] if real else d[0] + 1j * d[1]
+    return [BoundaryTrace(*dj, grid.dt) for dj in d]
 
 
 # ---------------------------------------------------------------------------

@@ -39,3 +39,14 @@ def smooth_sigma_dot(xs: np.ndarray) -> np.ndarray:
     """The smooth reference perturbation used across tests."""
     return (np.cos(np.pi * xs) + np.cos(2 * np.pi * xs)
             + np.cos(3 * np.pi * xs) + np.sin(4 * np.pi * xs) + 4.0)
+
+
+def assert_quiet(traces, quiet: int) -> None:
+    """Each series of ``traces`` is zero in its first and its last
+    ``quiet`` steps and nonzero among the three steps next to them: the
+    controls' quiet steps, counted to the step."""
+    for tr in traces:
+        for v in (tr.values_a, tr.values_b):
+            last = len(v) - quiet
+            assert not np.any(v[:quiet]) and not np.any(v[last:])
+            assert np.any(v[quiet:quiet + 3]) and np.any(v[last - 3:last])

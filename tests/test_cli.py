@@ -392,13 +392,15 @@ class TestMain:
         assert len(err) < 120
 
     def test_a_long_T_runs_on_the_support_grid(self, tmp_path):
-        # T = 1e9 measures on the support grid of T = 3.3
-        for T in ("1e9", "3.3"):
+        # T = 1e9 and T = 1e17, where T / dt passes 2^54, measure on the
+        # support grid of T = 3.3
+        for T in ("1e9", "1e17", "3.3"):
             assert main(["experiment", "--id", "1", "--N", "3", "--dx", "0.1",
                          "--dt", "0.1", "--T", T,
                          "--out", str(tmp_path / T)]) == 0
-        assert ((tmp_path / "1e9" / "coefficients.csv").read_bytes()
-                == (tmp_path / "3.3" / "coefficients.csv").read_bytes())
+        want = (tmp_path / "3.3" / "coefficients.csv").read_bytes()
+        for T in ("1e9", "1e17"):
+            assert (tmp_path / T / "coefficients.csv").read_bytes() == want
 
     @pytest.mark.parametrize("spare", [-1, 0, None])
     def test_memory_check_compares_with_the_room_left(self, tmp_path, capsys,

@@ -11,8 +11,10 @@ from bcm1d import (
     verify_control,
 )
 from bcm1d import control
-from bcm1d.control import quiet_steps, support_grid
+from bcm1d.control import support_grid
 from bcm1d.extension import extended_derivatives
+
+from conftest import assert_quiet
 
 
 def test_zero_target_gives_zero_control(coarse_grid):
@@ -197,65 +199,95 @@ def test_verify_control_zero_gradient_target(coarse_grid):
                          / np.linalg.norm(p_want))
 
 
-def _lead_in(bundle, quiet):
-    """Each series of ``bundle``'s traces is zero before step ``quiet`` and
-    nonzero among the three steps from it on, and mirrored in time: zero in
-    the last ``quiet`` steps and nonzero among the three steps before them."""
-    for tr in bundle:
-        for v in (tr.values_a, tr.values_b):
-            last = len(v) - quiet
-            assert not np.any(v[:quiet])
-            assert np.any(v[quiet:quiet + 3])
-            assert not np.any(v[last:])
-            assert np.any(v[last - 3:last])
+def _quiet_steps(grid):
+    """The steps at either end of ``grid`` that its support grid leaves
+    out, plus the three it keeps."""
+    return grid.half_index - support_grid(grid).half_index + 3
+
+
+@pytest.mark.parametrize("dx, dt, nt", [
+    (1.0 / 50, 1.0 / 500, 3007),
+    (1.0 / 50, 1.0 / 196, 1183),
+    (0.04, 0.04, 157),
+    (0.1, 0.1, 67),
+], ids=["dt=1/500", "dt=1/196", "dt=0.04", "dt=0.1"])
+def test_support_grid_is_one_for_every_T(dx, dt, nt):
+    # each T, taken to a whole number of steps, gives one support grid,
+    # also where T / dt passes 2^54: ((b - a) + 1) / dt steps, rounded up
+    # to a whole one, and the three the maps need, at either side of T
+    grids = {support_grid(GridSpec(-1.0, 1.0, dx, dt, round(T / dt) * dt))
+             for T in (3.0, 3.3, 5.0, 7.0, 1e9, 1e17)}
+    assert len(grids) == 1
+    (grid,) = grids
+    assert grid.nt == nt
 
 
 @pytest.mark.parametrize("T", [3.0, 4.0, 5.0, 7.0])
 def test_quiet_steps_is_the_controls_lead_in(T):
-    # the bound is safe (zero before it) and tight (nonzero right after it)
+    # the support grid leaves out all but three of the grid's quiet steps:
+    # the controls are zero before them and nonzero right after them, on
+    # the grid and on its support grid
     grid = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, T)
-    quiet = quiet_steps(grid)
+    quiet = _quiet_steps(grid)
     assert quiet == round((T - 3.0) * 500)
     for k in range(1, 6):
         pT_f, pT_h, lam = fourier_targets(k, grid)
         for pT in (pT_f, pT_h):
-            _lead_in(build_control(pT, lam, grid), quiet)
+            assert_quiet(build_control(pT, lam, grid), quiet)
+            assert_quiet(build_control(pT, lam, support_grid(grid)), 3)
 
 
 def test_quiet_steps_on_the_paper_grid():
     grid = GridSpec(-1.0, 1.0, 1.0 / 250, 1.0 / 2500, 5.0)
-    assert quiet_steps(grid) == 5000
+    short = support_grid(grid)
+    assert short.nt == 15007 and short.T == 3.0012000000000003
+    assert _quiet_steps(grid) == 5000
     pT_f, pT_h, lam = fourier_targets(3, grid)
     for pT in (pT_f, pT_h):
-        _lead_in(build_control(pT, lam, grid), 5000)
+        assert_quiet(build_control(pT, lam, grid), 5000)
+        assert_quiet(build_control(pT, lam, short), 3)
 
 
 def test_quiet_steps_bounds_the_steps_before_it_only():
-    # the step at T - (b - a) - 1 itself can hold a bump factor near 1e-120,
+    # the step after the quiet ones can hold a bump factor near 1e-120,
     # when rounding in ts puts its argument just inside (a - 1, b + 1)
     grid = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 196, 3.5)
-    quiet = quiet_steps(grid)
-    assert quiet == 98
-    pT_f, _, lam = fourier_targets(1, grid)
-    bundle = build_control(pT_f, lam, grid)
-    _lead_in(bundle, quiet)
-    at = np.abs(np.stack((bundle.f.values_a[quiet], bundle.f.values_b[quiet])))
-    assert 0.0 < np.max(at) < 1e-100
+    for g, quiet in ((grid, 98), (support_grid(grid), 3)):
+        pT_f, _, lam = fourier_targets(1, g)
+        bundle = build_control(pT_f, lam, g)
+        assert_quiet(bundle, quiet)
+        at = np.abs(np.stack((bundle.f.values_a[quiet],
+                              bundle.f.values_b[quiet])))
+        assert 0.0 < np.max(at) < 1e-100
+    assert _quiet_steps(grid) == 98
 
 
 def test_quiet_steps_at_unit_cfl():
-    grid = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 50, 5.0)
-    assert quiet_steps(grid) == 100
-    for k in (1, 4):
-        pT_f, pT_h, lam = fourier_targets(k, grid)
-        for pT in (pT_f, pT_h):
-            _lead_in(build_control(pT, lam, grid), 100)
+    # the coarse spacing and the paper's
+    for dx, nt in ((1.0 / 50, 307), (1.0 / 250, 1507)):
+        grid = GridSpec(-1.0, 1.0, dx, dx, 5.0)
+        short = support_grid(grid)
+        assert short.nt == nt
+        assert _quiet_steps(grid) == round(2.0 / dx)
+        for k in (1, 4):
+            pT_f, pT_h, lam = fourier_targets(k, grid)
+            for pT in (pT_f, pT_h):
+                assert_quiet(build_control(pT, lam, grid), _quiet_steps(grid))
+                assert_quiet(build_control(pT, lam, short), 3)
 
 
 def test_quiet_steps_at_the_minimal_window():
-    # T = (b - a) + 1, also where (T - (b - a) - 1) / dt rounds to -1e-15
-    assert quiet_steps(GridSpec(-1.0, 1.0, 0.04, 0.04, 3.0)) == 0
-    assert quiet_steps(GridSpec(0.0, 0.9, 0.1, 0.1, 1.9)) == 0
+    # T = (b - a) + 1, also where ((b - a) + 1) / dt rounds to 19 - 4e-15:
+    # the controls start at step 0, and the support grid is three steps
+    # longer at either end
+    for grid in (GridSpec(-1.0, 1.0, 0.04, 0.04, 3.0),
+                 GridSpec(0.0, 0.9, 0.1, 0.1, 1.9)):
+        short = support_grid(grid)
+        assert short.half_index == grid.half_index + 3
+        pT_f, pT_h, lam = fourier_targets(1, grid)
+        for pT in (pT_f, pT_h):
+            assert_quiet(build_control(pT, lam, grid), 0)
+            assert_quiet(build_control(pT, lam, short), 3)
 
 
 @pytest.mark.parametrize("grid", [
@@ -269,8 +301,8 @@ def test_controls_on_the_support_grid_are_the_grid_s_moved(grid):
     # samples s .. nt - 1 - s of the controls on ``grid``, zero in the
     # first and the last three steps
     short = support_grid(grid)
-    s = quiet_steps(grid) - 3
-    assert s > 0 and short.nt == grid.nt - 2 * s
+    s = grid.half_index - short.half_index
+    assert s > 0
     for k in (1, 5):
         pT_f, pT_h, lam = fourier_targets(k, grid)
         for pT in (pT_f, pT_h):

@@ -62,7 +62,7 @@ class TestGridSpec:
 
 
 def _trace_from(grid, fa, fb):
-    return BoundaryTrace.from_functions(grid, fa, fb)
+    return BoundaryTrace(fa(grid.ts), fb(grid.ts), grid.dt)
 
 
 class TestPairing:

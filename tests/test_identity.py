@@ -19,7 +19,6 @@ from bcm1d import (
 )
 from bcm1d import solver
 from bcm1d.cli import PAPER, _identity_pulses, smooth_pulse_trace
-from bcm1d.control import quiet_steps
 from bcm1d.identity import ControlData, _pair
 from bcm1d.recon import fourier_targets
 
@@ -59,8 +58,12 @@ def test_identities_never_read_the_trailing_tail(mode4_data, mid_grid):
     # nt - 1 - i, which is zero for i > nt - 1 - quiet, so the map may leave
     # the tail unmeasured
     lam, f, h = mode4_data
-    tail = slice(mid_grid.nt - quiet_steps(mid_grid), None)
-    assert quiet_steps(mid_grid) == 2000
+    # the controls' quiet steps, (T - (b - a) - 1) / dt
+    quiet = 2000
+    for c in (f, h):
+        assert not np.any(c.g.values_a[:quiet])
+        assert not np.any(c.g.values_b[:quiet])
+    tail = slice(mid_grid.nt - quiet, None)
 
     def loud(tr):
         va, vb = tr.values_a.copy(), tr.values_b.copy()

@@ -24,10 +24,10 @@ from bcm1d import (
 )
 from bcm1d import solver
 from bcm1d.cli import _mms_error, smooth_pulse_trace
-from bcm1d.control import quiet_steps, support_grid
+from bcm1d.control import support_grid
 from bcm1d.solver import _REACH
 
-from conftest import smooth_sigma_dot
+from conftest import assert_quiet, smooth_sigma_dot
 
 
 def _fields(out):
@@ -114,6 +114,28 @@ def test_real_pulses_give_real_traces(coarse_grid):
         for vr, vt in zip(_fields(r), _fields(t)):
             assert vr.dtype == vt.dtype == np.float64
             assert np.array_equal(vr, vt)
+
+
+def test_real_pulses_run_one_row_in_the_linearized_map(coarse_grid,
+                                                        monkeypatch):
+    # real data advance their real part alone, and their trace is real: the
+    # real part of the trace of the same data plus i times other data
+    f, h = (smooth_pulse_trace(coarse_grid, t0, 0.3, 4.0, w, 0.7)[0]
+            for t0, w in ((1.2, 0.5), (1.5, -1.0)))
+    rows, time_loop = [], solver._time_loop
+
+    def counted(grid, stencil, inj, *args):
+        rows.append(inj.shape[1:-1])  # (parts, traces)
+        return time_loop(grid, stencil, inj, *args)
+
+    monkeypatch.setattr(solver, "_time_loop", counted)
+    med = MediumSpec(0.1, smooth_sigma_dot(coarse_grid.xs))
+    (real,) = linearized_nd_map_many(coarse_grid, med, [f])
+    (mixed,) = linearized_nd_map_many(coarse_grid, med, [f + 1j * h])
+    assert rows == [(1, 1), (2, 1)]
+    for vr, vm in zip(_fields(real), _fields(mixed)):
+        assert vr.dtype == np.float64
+        assert np.array_equal(vr, vm.real)
 
 
 def test_complex_solve_equals_pair_of_real_solves(coarse_grid):
@@ -420,7 +442,8 @@ class TestValidation:
             solve_many(coarse_grid, 0.0, [bad])
 
     def test_nonzero_initial_data_warns(self, coarse_grid):
-        f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
+        ts = coarse_grid.ts
+        f = BoundaryTrace(np.cos(ts), np.zeros_like(ts), coarse_grid.dt)
         with pytest.warns(UserWarning, match="Neumann data nonzero"):
             solve_many(coarse_grid, 0.0, [f])
 
@@ -504,9 +527,8 @@ def _window_traces(grid):
     the transfer maps take, and at rest beyond them."""
     f, _ = smooth_pulse_trace(grid, 1.0, 0.2, 5.0, 1.0, 0.3)
     h, _ = smooth_pulse_trace(grid, 1.3, 0.25, 3.0, 0.2, 1.0)
-    ramp = BoundaryTrace.from_functions(
-        grid, lambda t: 0.3 + 0.1 * t, lambda t: np.cos(2.0 * t) - 0.5j
-    )
+    ts = grid.ts
+    ramp = BoundaryTrace(0.3 + 0.1 * ts, np.cos(2.0 * ts) - 0.5j, grid.dt)
     return [_at_rest(tr)
             for tr in (f + 1j * h + ramp, (0.5 - 2j) * h + 1j * ramp)]
 
@@ -781,10 +803,9 @@ _MAPS = {
 
 def _quiet_grid(quiet):
     """Coarse spacing, with T leaving the controls ``quiet`` quiet steps;
-    every such grid with three or more has one support grid, of 3007
-    steps."""
+    every such grid has one support grid, of 3007 steps."""
     grid = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, 3.0 + quiet / 500)
-    assert quiet_steps(grid) == quiet
+    assert_quiet(_controls(grid, (1,)), quiet)
     return grid
 
 
@@ -803,7 +824,8 @@ class TestWindow:
     def test_controls_match_the_stepper_and_the_whole_window(
             self, kind, grid_name, request):
         grid = request.getfixturevalue(grid_name)
-        short, s = support_grid(grid), quiet_steps(grid) - 3
+        short = support_grid(grid)
+        s = grid.half_index - short.half_index
         make, oracle = _MAPS[kind]
         med = _medium(grid)
         fs = _controls(short)
@@ -842,10 +864,11 @@ class TestWindow:
         make, oracle = _MAPS[kind]
         for grid in (coarse_grid, GridSpec(-1.0, 1.0, 0.04, 0.04, 3.0)):
             short = support_grid(grid)
-            assert quiet_steps(grid) == 0 and quiet_steps(short) == 3
+            fs = _controls(short, (2,))
+            assert_quiet(_controls(grid, (2,)), 0)
+            assert_quiet(fs, 3)
             assert short.nt == grid.nt + 6
             med = _medium(short)
-            fs = _controls(short, (2,))
             assert _max_rel_deviation(make(short, med)(fs),
                                       oracle(short, med, fs)) <= 1e-9
 
@@ -889,12 +912,13 @@ class TestTwoSidedWindow:
         # controls stop at step nt - 4, the last the maps take
         grid = GridSpec(-1.0, 1.0, 1.0 / 32, 1.0 / 64, 3.0 + quiet / 64)
         short = support_grid(grid)
-        assert quiet_steps(grid) == quiet and quiet_steps(short) == 3
+        fs = _controls(short, (2,))
+        assert_quiet(_controls(grid, (2,)), quiet)
+        assert_quiet(fs, 3)
         assert short.nt == grid.nt + 2 * (3 - quiet)
         assert (short == grid) == (quiet == 3)
         make, oracle = _MAPS[kind]
         med = _medium(short)
-        fs = _controls(short, (2,))
         assert _max_rel_deviation(make(short, med)(fs),
                                   oracle(short, med, fs)) <= 1e-9
 
@@ -941,7 +965,8 @@ def test_measurement_skips_the_controls_lead_in(coarse_grid_t5, data_mode,
     # quiet steps at either end, 3 are left
     grid = coarse_grid_t5
     short = support_grid(grid)
-    assert quiet_steps(grid) == 1000 and quiet_steps(short) == 3
+    assert_quiet(_controls(grid), 1000)
+    assert_quiet(_controls(short), 3)
     assert short.nt == grid.nt - 2 * 997
     grids, measurement = [], ReconSettings.measurement
 
@@ -1015,7 +1040,8 @@ class TestTransferValidation:
 def test_initial_data_warning_names_the_caller(kind, coarse_grid):
     # the transfer maps refuse such data instead
     solve = {"stepper": solve_many, "snapshots": snapshots_many}[kind]
-    f = BoundaryTrace.from_functions(coarse_grid, np.cos, np.zeros_like)
+    ts = coarse_grid.ts
+    f = BoundaryTrace(np.cos(ts), np.zeros_like(ts), coarse_grid.dt)
     with pytest.warns(UserWarning, match="Neumann data nonzero") as record:
         line = inspect.currentframe().f_lineno + 1
         solve(coarse_grid, 0.0, [f])
