@@ -331,9 +331,9 @@ def _mms_error(grid: GridSpec) -> float:
     xs = grid.xs
     sigma = 0.3 * (1.0 + xs**2)
     cos_px = np.cos(np.pi * xs)
-    # S = (2 + 2 t sigma + pi^2 t^2) cos(pi x) at t_n, n = 0 .. T/dt, built
-    # in place in the expression's order: one array of the source's size
-    t = np.arange(grid.half_index + 1)[:, None] * grid.dt
+    # S = (2 + 2 t sigma + pi^2 t^2) cos(pi x) at t_n, n = 0 .. T/dt - 1,
+    # built in place in the expression's order: one array of the source's size
+    t = np.arange(grid.half_index)[:, None] * grid.dt
     source = np.multiply(2.0 * t, sigma)
     np.add(2.0, source, out=source)
     source += np.pi**2 * t**2

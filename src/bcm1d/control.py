@@ -162,11 +162,9 @@ def verify_control(targets: Sequence[tuple[AnalyticProfile, complex]],
     grid's T >= (b - a) + 1 + 3 dt guarantees.  The value is an analytic
     cancellation, not a solver property.
 
-    The velocity snapshot is measured through the derivative datum: since
-    time differentiation commutes with the solution map, the field driven by
-    the analytic trace f_t *is* the velocity field, and its t = T state is a
-    far cleaner instrument than differencing the displacement in time (which
-    amplifies the dispersive tail of the scheme by a frequency factor).
+    The velocity snapshot is u(T) of the field driven by the analytic trace
+    f_t: time differentiation commutes with the solution map, so that field
+    is the velocity field (see :class:`~bcm1d.solver.SolveOutput`).
     """
     grid = support_grid(grid)
     xs = grid.xs

@@ -115,21 +115,22 @@ def nonlinear_identity_residual(f, h, sigma, grid: GridSpec) -> IdentityReport:
     """Check the nonlinear identity for full damping ``sigma``.
 
     ``f`` and ``h`` are pairs (trace, analytic time-derivative trace).  The
-    interior side takes the t = T snapshots of the fields of f and h; the
-    boundary side pairs each datum with the reflected ND map of the other
-    datum's derivative, so it reads h_t's over (T, 2T) and f_t's over
-    (0, T).  One loop pass serves both: h_t's field runs to 2T, f's and h's
-    one step past T and f_t's to T.  The relative residual is |lhs - rhs|
-    normalized by the larger magnitude (0 when both are below a floor).
+    interior side takes the t = T snapshots: q^f and q^h are u_x(T) of the
+    fields of f and h, p^f and p^h are u(T) of the fields of f_t and h_t.
+    The boundary side pairs each datum with the reflected ND map of the
+    other datum's derivative, so it reads h_t's over (T, 2T) and f_t's over
+    (0, T).  One loop pass serves both: h_t's field runs to 2T, the other
+    three to T.  The relative residual is |lhs - rhs| normalized by the
+    larger magnitude (0 when both are below a floor).
     """
     f_trace, f_t_trace = f
     h_trace, h_t_trace = h
     nT = grid.half_index
-    traces, (out_f, out_h) = _pass(
+    traces, (out_ht, out_f, out_h, out_ft) = _pass(
         grid, sigma, [h_t_trace, f_trace, h_trace, f_t_trace],
-        [grid.nt - 1, nT + 1, nT + 1, nT])
+        [grid.nt - 1, nT, nT, nT])
     meas_ht, meas_ft = (BoundaryTrace(*traces[j], grid.dt) for j in (0, 3))
-    lhs = complex(np.trapezoid(out_f.pT_snapshot * out_h.pT_snapshot
+    lhs = complex(np.trapezoid(out_ft.uT_snapshot * out_ht.uT_snapshot
                                - out_f.qT_snapshot * out_h.qT_snapshot,
                                dx=grid.dx))
     rhs = _pair(f_trace, meas_ht, grid) - _pair(meas_ft, h_trace, grid)

@@ -89,8 +89,10 @@ class ReconSettings:
         # Nyquist limit pi / dx = (nx - 1) pi / (b - a)
         n_max = (self.grid.nx - 2) // 2
         if self.N > n_max:
-            raise ValueError(f"N = {self.N} exceeds the grid's resolution: "
-                             f"this grid allows N <= {n_max}")
+            raise ValueError(f"N = {self.N} exceeds the grid's resolution: " + (
+                f"this grid allows N <= {n_max}" if n_max else
+                f"the grid's {self.grid.nx} nodes are too few for any mode "
+                "(N >= 1 needs nx >= 4)"))
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:

@@ -49,7 +49,7 @@ keeps a constant field exact, so rounding does not feed the undamped mean
 mode's double root at z = 1: on the default grid the loop agrees with the
 scheme run in extended precision to about 1e-12.  Fields are rows of
 nodes, so every update runs along x.  A source comes as its real samples
-at every step up to T, the same for every trace: their edge terms join the
+at every step before T, the same for every trace: their edge terms join the
 injection signals before the loop, and each step adds gain S.  In a real
 medium a row is real when the data are, and complex otherwise; real data
 stay real from the stacked data through the injection signals.  The loop
@@ -57,11 +57,12 @@ only adds, subtracts and multiplies by real coefficients, which numpy does
 on the two parts of a complex row exactly as on two real rows.  The ND
 map's traces keep the rows' dtype; the snapshots are complex either way.
 
-:func:`snapshots_many` reads the field at the half time T, u_t and u_x by
-centered differences, and stops one step past T: it takes T/dt + 1 steps,
-about half of a map's 2T/dt.  It alone takes a source.  A pass runs each
-field to the last step its caller reads and then drops it, so the nonlinear
-identity's four fields, read to 2T, T + dt and T, share one pass.
+:func:`snapshots_many` reads the field at the half time T and u_x by
+centered differences, and stops at T: it takes T/dt steps, half of a map's
+2T/dt.  It alone takes a source.  u_t(T) is u(T) of the derivative datum's
+field (see :class:`SolveOutput`).  A pass runs each field to the last step
+its caller reads and then drops it, so the nonlinear identity's four
+fields, read to 2T and T, share one pass.
 
 The nonlinear ND (Neumann-to-Dirichlet) map, :func:`solve_many`, restricts
 the solution to the endpoints.  The linearized map is its derivative along
@@ -100,10 +101,9 @@ called from two threads at once.  A call copies each trace straight into the
 zero-padded input and allocates only its result: the traces of one call are
 views of one new block, never of the work arrays.  The backend agrees with
 the stepper to about 1e-13 relative; the stepper stays the reference it is
-tested against and takes any data, and only its passes that stop one step
-past T give snapshots.  Every map rejects Neumann data with a
-non-finite sample, which would silently spread NaN over both endpoint
-outputs, :func:`snapshots_many` rejects such a source sample likewise, and
+tested against, takes any data and gives the snapshots.  Every map rejects
+Neumann data with a non-finite sample, which would silently spread NaN over
+both endpoint outputs, :func:`snapshots_many` rejects such a source sample likewise, and
 the backend rejects a non-finite output.
 """
 
@@ -128,11 +128,12 @@ _REACH = 3
 
 @dataclass(frozen=True)
 class SolveOutput:
-    """Interior snapshots of one field at the half time T."""
+    """Interior snapshots of one field at the half time T.  As d/dt commutes
+    with the solution map, u(T) of a derivative datum g_t's field is u_t(T)
+    of g's."""
 
-    pT_snapshot: np.ndarray  # u_t(T, .) on the spatial nodes
     qT_snapshot: np.ndarray  # u_x(T, .) on the spatial nodes
-    uT_snapshot: np.ndarray  # u(T, .), kept for verification work
+    uT_snapshot: np.ndarray  # u(T, .) on the spatial nodes
 
 
 def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
@@ -310,9 +311,8 @@ def _time_loop(grid, stencil, inj, source=None, last=None):
     drive every row; their edge terms join ``inj`` in place.  The field has
     shape (*rows, nx) and the wider dtype of ``inj`` and the stencil: a row
     is real when its data and medium are.  Returns the endpoint traces
-    (*rows, 2, steps), zero past a row's last step, and the levels reached
-    at steps T/dt - 1, T/dt and T/dt + 1 by the rows running, (rows, nx),
-    in the field's dtype.
+    (*rows, 2, steps), zero past a row's last step, and the field at step
+    T/dt of the rows running then, (rows, nx), in the field's dtype.
     """
     shape, nx = inj.shape[1:-1], grid.nx
     # the slots take the signals as they are (see _stencil)
@@ -329,7 +329,7 @@ def _time_loop(grid, stencil, inj, source=None, last=None):
     # the rest of its memory untouched
     traces = np.zeros((len(last), 2, len(inj)), dtype)
     traces[..., 1] = buffers[4].ends
-    snap_steps, levels = range(grid.half_index - 1, grid.half_index + 2), []
+    half, level = grid.half_index, None
     sub, mul, add = np.subtract, np.multiply, np.add
     n0 = 1
     for n1 in sorted(set(last)):
@@ -358,23 +358,23 @@ def _time_loop(grid, stencil, inj, source=None, last=None):
                 add(v_nodes, tmp_nodes, v_nodes)
             add(u_flat, v_flat, u_flat)
             traces_k[n + 1] = u_ends
-            if n + 1 in snap_steps:
-                levels.append(u_nodes.copy())
+            if n + 1 == half:
+                level = u_nodes.copy()
         n0 = n1
-    return traces.reshape(shape + traces.shape[1:]), levels
+    return traces.reshape(shape + traces.shape[1:]), level
 
 
 def _pass(grid: GridSpec, sigma, neumanns: Sequence[BoundaryTrace], last,
           source=None):
     """One loop pass over a field per Neumann trace, field j read through
-    step ``last[j]``, the longest first (see :func:`_time_loop`).
+    step ``last[j]`` >= T/dt, the longest first (see :func:`_time_loop`).
 
     Each field's data are differenced two steps past its last step before
     the rest is dropped, so that every injection the loop takes, the last
     at step last[j] - 1, is that of the full data.  ``source``, if given,
     drives every field.  Returns the endpoint traces (traces, 2,
-    last[0] + 1), zero past a field's last step, and the snapshots at T of
-    the fields read through step T/dt + 1.
+    last[0] + 1), zero past a field's last step, and every field's
+    snapshots at T.
     """
     sig = _as_sigma_array(sigma, grid.nx)
     if not neumanns:
@@ -386,24 +386,20 @@ def _pass(grid: GridSpec, sigma, neumanns: Sequence[BoundaryTrace], last,
     for gj, m in zip(g, last):
         gj[:, :m + 1] = _injection(weights, gj[:, :m + 2])[0, :, :m + 1]
     inj = np.moveaxis(g[..., :last[0] + 1], -1, 0)  # (steps, traces, end)
-    traces, levels = _time_loop(grid, _stencil(grid, sig), inj, source, last)
-    h = grid.half_index
-    rows = [j for j, m in enumerate(last) if m == h + 1]
+    traces, level = _time_loop(grid, _stencil(grid, sig), inj, source, last)
     # complex arithmetic for real fields too: numpy divides a complex array
     # by a real through a rounded reciprocal, so real and complex fields
     # round alike only on that route
-    u_minus, u_mid, u_plus = (u[rows].astype(complex, copy=False)
-                              for u in levels)
-    pT = (u_plus - u_minus) / (2.0 * grid.dt)
-    qT = np.empty_like(u_mid)
-    qT[:, 1:-1] = (u_mid[:, 2:] - u_mid[:, :-2]) / (2.0 * grid.dx)
+    uT = level.astype(complex, copy=False)
+    qT = np.empty_like(uT)
+    qT[:, 1:-1] = (uT[:, 2:] - uT[:, :-2]) / (2.0 * grid.dx)
     # the data's samples as complex numbers, whose zero imaginary parts
     # keep their signs (+0 for real data), as real rows in g do not; the
     # outward normal at a is -d/dx, consistent with the ghost node
-    for j, q in zip(rows, qT):
-        q[0], q[-1] = (-complex(neumanns[j].values_a[h]),
-                       complex(neumanns[j].values_b[h]))
-    return traces, [SolveOutput(*snap) for snap in zip(pT, qT, u_mid)]
+    h = grid.half_index
+    for tr, q in zip(neumanns, qT):
+        q[0], q[-1] = -complex(tr.values_a[h]), complex(tr.values_b[h])
+    return traces, [SolveOutput(*snap) for snap in zip(qT, uT)]
 
 
 def solve_many(
@@ -426,27 +422,28 @@ def snapshots_many(
     source: np.ndarray | None = None,
 ) -> list[SolveOutput]:
     """The snapshots at the half time T of one field per Neumann trace,
-    through a single time loop that stops at step T/dt + 1.
+    through a single time loop that stops at step T/dt.
 
-    ``source``, if given, holds the real samples S(t_n, .) for
-    n = 0 .. T/dt, of shape (T/dt + 1, nx), and drives every trace.  The
-    loop advances real rows when the data are real; the outputs are complex.
+    ``source``, if given, holds the real samples S(t_n, .) that the loop
+    reads, n = 0 .. T/dt - 1, of shape (T/dt, nx), and drives every trace.
+    The loop advances real rows when the data are real; the outputs are
+    complex.
     """
     h = grid.half_index
     if source is not None:
         source = np.asarray(source)
-        shape = (h + 1, grid.nx)
+        shape = (h, grid.nx)
         if source.shape != shape or np.iscomplexobj(source):
             raise ConfigurationError(
                 f"source is {source.dtype} of shape {source.shape}; the grid "
-                f"needs real samples of shape (T/dt + 1, nx) = {shape}")
+                f"needs real samples of shape (T/dt, nx) = {shape}")
         # NaN and inf show in a row's extremes: no array of the source's size
         bad = np.flatnonzero(~(np.isfinite(source.min(axis=1))
                                & np.isfinite(source.max(axis=1))))
         if bad.size:
             raise ConfigurationError(
                 f"source has a non-finite sample at step {bad[0]}")
-    _, snaps = _pass(grid, sigma, neumanns, [h + 1] * len(neumanns), source)
+    _, snaps = _pass(grid, sigma, neumanns, [h] * len(neumanns), source)
     return snaps
 
 

@@ -320,6 +320,18 @@ class TestMain:
         assert err.startswith("error: N = 250 exceeds") and "N <= 249" in err
         assert not out.exists()
 
+    def test_N_on_a_grid_too_coarse_for_any_mode(self, tmp_path, capsys):
+        # dx = 1 leaves 3 nodes: (nx - 2) // 2 = 0, so no N is allowed
+        out = tmp_path / "out"
+        code = main(["experiment", "--id", "1", "--dx", "1", "--N", "1",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: N = 1 exceeds the grid's resolution: the "
+                       "grid's 3 nodes are too few for any mode (N >= 1 "
+                       "needs nx >= 4)\n")
+        assert not out.exists()
+
     def test_N_checked_before_projection_truth(self, tmp_path, capsys,
                                                monkeypatch):
         # experiment 2's truth sums N terms, so a huge N must fail first

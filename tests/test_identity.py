@@ -247,11 +247,13 @@ class TestOnePass:
     def test_equals_the_snapshots_and_the_nd_map(self, case, coarse_grid):
         # the fields of one pass never mix, and each reads the injection of
         # its full data: lhs and rhs are those of two separate passes, the
-        # snapshots of f and h and the ND map of f_t and h_t, bit for bit
+        # snapshots of f, h, f_t and h_t and the ND map of f_t and h_t, bit
+        # for bit; p is u(T) of the derivative datum's field
         grid, (f, f_t), (h, h_t) = _pulses(case, coarse_grid)
-        out_f, out_h = snapshots_many(grid, 0.3, [f, h])
+        out_f, out_h, out_ft, out_ht = snapshots_many(grid, 0.3,
+                                                      [f, h, f_t, h_t])
         meas_ft, meas_ht = solve_many(grid, 0.3, [f_t, h_t])
-        lhs = complex(np.trapezoid(out_f.pT_snapshot * out_h.pT_snapshot
+        lhs = complex(np.trapezoid(out_ft.uT_snapshot * out_ht.uT_snapshot
                                    - out_f.qT_snapshot * out_h.qT_snapshot,
                                    dx=grid.dx))
         rhs = _pair(f, meas_ht, grid) - _pair(meas_ft, h, grid)
@@ -264,9 +266,9 @@ class TestOnePass:
         grid, passes, time_loop = coarse_grid, [], solver._time_loop
 
         def spy(*args):
-            traces, levels = time_loop(*args)
-            passes.append((traces, [len(u) for u in levels]))
-            return traces, levels
+            traces, level = time_loop(*args)
+            passes.append((traces, len(level)))
+            return traces, level
 
         monkeypatch.setattr(solver, "_time_loop", spy)
         f, h = _identity_pulses(grid)
@@ -277,13 +279,13 @@ class TestOnePass:
         # takes, step k - 1 reaching level k
         reached = [np.flatnonzero(np.any(tr != 0, axis=0))[-1]
                    for tr in traces]
-        assert reached == [2 * n, n + 1, n + 1, n]
-        # the levels at T - dt and T are of all four, at T + dt of three
-        assert level_rows == [4, 4, 3]
-        # 4 fields for T/dt - 1 steps, 3 for one and 1 for T/dt - 1: 5 T/dt
-        # - 2 field-steps, against the separate passes' 2 T/dt for the
-        # snapshots and 2 (2T/dt - 1) for the ND map, 6 T/dt - 2
-        assert sum(k - 1 for k in reached) == 5 * n - 2
+        assert reached == [2 * n, n, n, n]
+        # the level at T is of all four
+        assert level_rows == 4
+        # 4 fields for T/dt - 1 steps and 1 for T/dt more: 5 T/dt - 4
+        # field-steps, against the separate passes' 4 (T/dt - 1) for the
+        # snapshots and 2 (2T/dt - 1) for the ND map, 8 T/dt - 6
+        assert sum(k - 1 for k in reached) == 5 * n - 4
 
     def test_real_and_complex_typed_pulses_agree_bit_for_bit(self):
         # the pulses are real and stay real; the same samples typed complex,

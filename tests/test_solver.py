@@ -35,7 +35,7 @@ def _fields(out):
     :func:`snapshots_many`."""
     if isinstance(out, BoundaryTrace):
         return out.values_a, out.values_b
-    return out.pT_snapshot, out.qT_snapshot, out.uT_snapshot
+    return out.qT_snapshot, out.uT_snapshot
 
 
 def test_zero_data_zero_solution(coarse_grid):
@@ -52,8 +52,9 @@ def test_manufactured_solution_second_order():
 
 
 def _steps(grid):
-    """The times t_n of the source samples, n = 0 .. T/dt, as a column."""
-    return np.arange(grid.half_index + 1)[:, None] * grid.dt
+    """The times t_n of the source samples, n = 0 .. T/dt - 1, as a
+    column."""
+    return np.arange(grid.half_index)[:, None] * grid.dt
 
 
 def test_manufactured_solution_with_cubic_start_second_order():
@@ -173,7 +174,7 @@ def _edge_sloped_source(grid):
 
 @pytest.mark.parametrize("shared", [True], ids=["shared"])
 def test_source_rows_match_single_solves(coarse_grid, shared):
-    # the one source form: a (T/dt + 1, nx) source is applied to every trace
+    # the one source form: a (T/dt, nx) source is applied to every trace
     fs = [smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.4)[0],
           smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)[0]]
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
@@ -210,14 +211,15 @@ def test_nd_map_commutes_with_time_derivative(coarse_grid):
 
 def test_energy_non_increasing_after_data_stops(coarse_grid):
     # the pulse is gone well before t = 2; each window's snapshots at T give
-    # the energy 1/2 int |p|^2 + 1/2 int |q|^2 at t = T
+    # the energy 1/2 int |p|^2 + 1/2 int |q|^2 at t = T, p the derivative
+    # datum's u(T)
     dt, dx = coarse_grid.dt, coarse_grid.dx
     energies = []
     for T in np.arange(3.0, 5.001, 0.25):
         grid = GridSpec(coarse_grid.a, coarse_grid.b, dx, dt, T)
-        f, _ = smooth_pulse_trace(grid, 1.0, 0.15, 6.0, 1.0, 0.0)
-        (out,) = snapshots_many(grid, 0.3, [f])
-        energies.append(0.5 * np.trapezoid(np.abs(out.pT_snapshot) ** 2, dx=dx)
+        f, f_t = smooth_pulse_trace(grid, 1.0, 0.15, 6.0, 1.0, 0.0)
+        out, out_t = snapshots_many(grid, 0.3, [f, f_t])
+        energies.append(0.5 * np.trapezoid(np.abs(out_t.uT_snapshot) ** 2, dx=dx)
                         + 0.5 * np.trapezoid(np.abs(out.qT_snapshot) ** 2, dx=dx))
     energies = np.asarray(energies)
     tol = 10 * dt * energies[0]
@@ -225,9 +227,9 @@ def test_energy_non_increasing_after_data_stops(coarse_grid):
 
 
 class TestSnapshots:
-    def test_the_loop_stops_one_step_past_T(self, coarse_grid, monkeypatch):
+    def test_the_loop_stops_at_T(self, coarse_grid, monkeypatch):
         # a loop of k injection rows reaches u^{k-1}: the snapshots take
-        # u^1 .. u^{T/dt + 1}, T/dt + 1 steps, against the map's 2T/dt
+        # u^1 .. u^{T/dt}, T/dt steps, against the map's 2T/dt
         grid, steps, time_loop = coarse_grid, [], solver._time_loop
 
         def counted(grid, stencil, inj, *args):
@@ -240,14 +242,33 @@ class TestSnapshots:
         snapshots_many(grid, 0.2, [f], _edge_sloped_source(grid))
         solve_many(grid, 0.2, [f])
         assert (grid.half_index, grid.nt) == (1500, 3001)
-        assert steps == [1502, 1502, 3001]
+        assert steps == [1501, 1501, 3001]
+
+    def test_derivative_datum_gives_u_t(self):
+        # u(T) of f_t's field is u_t(T) of f's: it meets the centered
+        # difference of f's u(T) on the grids T -+ dt to second order
+        def u_T(dx, dt, T, j):
+            """u(T) of the field of the pulse (j = 0) or its derivative."""
+            grid = GridSpec(-1.0, 1.0, dx, dt, T)
+            datum = smooth_pulse_trace(grid, 1.2, 0.25, 6.0, 1.0, 0.3)[j]
+            return snapshots_many(grid, 0.3, [datum])[0].uT_snapshot
+
+        gaps = []
+        for n in (50, 100):
+            dx, dt = 1.0 / n, 1.0 / (10 * n)
+            before, u_t, after = (u_T(dx, dt, T, j) for T, j in
+                                  ((3.5 - dt, 0), (3.5, 1), (3.5 + dt, 0)))
+            centered = (after - before) / (2.0 * dt)
+            gaps.append(np.linalg.norm(u_t - centered) / np.linalg.norm(u_t))
+        assert gaps[0] <= 1e-4
+        assert 3.4 <= gaps[0] / gaps[1] <= 4.6
 
     def test_snapshots_are_those_of_the_full_pass(self, coarse_grid,
                                                   monkeypatch):
         # a support-grid control is nonzero at T: the injection at step
-        # T/dt, the last the loop takes, must be that of the full data,
-        # not of data cut at T/dt + 1.  The levels the loop reaches at
-        # steps T/dt - 1, T/dt and T/dt + 1 give p, q and u.
+        # T/dt - 1, the last the loop takes, must be that of the full data,
+        # not of data cut at T/dt.  The level the loop reaches at step
+        # T/dt gives q and u.
         grid = support_grid(coarse_grid)
         pT, _, lam = fourier_targets(2, grid)
         control = build_control(pT, lam, grid)
@@ -267,12 +288,11 @@ class TestSnapshots:
         weights = solver._weights(grid, sigma[[0, -1]])
         g = solver._stack_neumann(grid, fs)
         full, cut = (np.moveaxis(solver._injection(weights, data)[0], -1, 0)
-                     for data in (g, g[..., :h + 2]))
-        assert not np.array_equal(full[h], cut[h])
+                     for data in (g, g[..., :h + 1]))
+        assert not np.array_equal(full[h - 1], cut[h - 1])
         _, want = time_loop(grid, solver._stencil(grid, sigma), full)
-        for got, ref in zip(levels[0], want, strict=True):
-            assert np.array_equal(got, ref)
-        for snap, u_mid in zip(snaps, want[1], strict=True):
+        assert np.array_equal(levels[0], want)
+        for snap, u_mid in zip(snaps, want, strict=True):
             assert np.array_equal(snap.uT_snapshot, u_mid)
 
 
@@ -468,7 +488,7 @@ class TestValidation:
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_source_rejected(self, coarse_grid, bad):
         # the first bad step is named; a row of huge finite samples is not
-        source = np.zeros((coarse_grid.half_index + 1, coarse_grid.nx))
+        source = np.zeros((coarse_grid.half_index, coarse_grid.nx))
         source[600] = np.finfo(float).max
         source[600, ::2] *= -1.0
         source[700, 3] = source[900, 0] = bad
@@ -480,13 +500,14 @@ class TestValidation:
     @pytest.mark.parametrize("case", ["row_too_long", "step_missing",
                                       "one_row_per_trace",
                                       "two_rows_one_trace", "imag_inf",
-                                      "to_2T"])
+                                      "to_2T", "step_past_T"])
     def test_misshaped_source_rejected(self, coarse_grid, case):
-        # one real (T/dt + 1, nx) source drives every trace; a per-trace,
-        # complex or full-length one is refused, named by its dtype and shape
-        steps, nx = coarse_grid.half_index + 1, coarse_grid.nx
+        # one real (T/dt, nx) source drives every trace; a per-trace,
+        # complex or longer one is refused, named by its dtype and shape
+        steps, nx = coarse_grid.half_index, coarse_grid.nx
         source = np.zeros({"row_too_long": (steps, nx + 1),
                            "step_missing": (steps - 1, nx),
+                           "step_past_T": (steps + 1, nx),
                            "one_row_per_trace": (steps, 1, nx),
                            "two_rows_one_trace": (steps, 2, nx),
                            "imag_inf": (steps, nx),
@@ -498,7 +519,7 @@ class TestValidation:
                            match=rf"source is {source.dtype} of shape "
                                  rf"\({', '.join(map(str, source.shape))}\); "
                                  rf"the grid needs real samples of shape "
-                                 rf"\(T/dt \+ 1, nx\) = \({steps}, {nx}\)"):
+                                 rf"\(T/dt, nx\) = \({steps}, {nx}\)"):
             snapshots_many(coarse_grid, 0.0,
                            [BoundaryTrace.zeros(coarse_grid)], source)
 
@@ -533,10 +554,11 @@ def _window_traces(grid):
             for tr in (f + 1j * h + ramp, (0.5 - 2j) * h + 1j * ramp)]
 
 
-def _edge_traces(grid, window):
+def _edge_traces(grid, window, seed=7):
     """Complex traces that are nonzero only at the samples ``window``, which
-    the callers keep among the steps the transfer maps take."""
-    rng = np.random.default_rng(7)
+    the callers keep among the steps the transfer maps take, drawn from
+    ``seed``."""
+    rng = np.random.default_rng(seed)
     traces = []
     shape = (2, len(range(grid.nt)[window]))
     for _ in range(2):
@@ -876,12 +898,13 @@ class TestWindow:
     def test_data_from_step_quiet_match_the_stepper(self, kind, quiet):
         # step ``quiet`` of the grid is step 3 of its support grid, the
         # first the maps take: O(1) samples from there on, where the
-        # controls' are tiny
+        # controls' are tiny; every quiet gives that support grid, so each
+        # draws its own data
         grid = support_grid(_quiet_grid(quiet))
         assert grid.nt == 3007
         make, oracle = _MAPS[kind]
         med = _medium(grid)
-        fs = _edge_traces(grid, slice(3, 6))
+        fs = _edge_traces(grid, slice(3, 6), seed=quiet)
         assert _max_rel_deviation(make(grid, med)(fs),
                                   oracle(grid, med, fs)) <= 1e-9
 
@@ -927,11 +950,13 @@ class TestTwoSidedWindow:
     def test_data_up_to_the_tail_match_the_stepper(self, kind, before_tail):
         # the last step before the grid's last nt - before_tail quiet steps
         # is step nt - 4 of its support grid, the last the maps take: O(1)
-        # samples there and at the two steps before it
+        # samples there and at the two steps before it; every before_tail
+        # gives that support grid, so each draws its own data
         grid = support_grid(_quiet_grid(3001 - before_tail))
         make, oracle = _MAPS[kind]
         med = _medium(grid)
-        fs = _edge_traces(grid, slice(grid.nt - 6, grid.nt - 3))
+        fs = _edge_traces(grid, slice(grid.nt - 6, grid.nt - 3),
+                          seed=before_tail)
         assert _max_rel_deviation(make(grid, med)(fs),
                                   oracle(grid, med, fs)) <= 1e-9
 
