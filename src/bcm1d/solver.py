@@ -76,24 +76,24 @@ h = 1e-30, the step h sigma_dot / s cannot underflow, and dividing by h
 before multiplying by s keeps the derivative from overflowing.
 
 With a time-independent medium and zero initial data the loop is a linear
-time-invariant map from injection signals to endpoint traces.  The transfer
-backend drives it with a unit impulse at each end, once per map, when
-``transfer_linearized_nd_map`` or ``transfer_difference_nd_map`` builds the
-map from the medium, one object that holds its kernel and its FFT work
-arrays.  For the linearized map the impulses run in
-the complex medium and, as d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R) for a
-signal's weights w and response R, give 4 signals; for the difference map
-the full and background media advance as rows of one pass, 2 signals per
-medium, the background's responses negated and all divided by eps.  For data
-at rest in the ``_REACH`` samples nearest either end of the grid, each
-signal is the endpoint data through a fixed centered-difference filter, so
-the kernel folds the filters into the response spectra: a 2 x 2 transfer
-matrix per frequency from input end to output end, stored C-contiguous with
-frequencies last.  A trace then costs one forward FFT of its four real
-endpoint series, the 2 x 2 contraction and the inverse FFT; no injection
-signals are built.  Other data meet the stepper's one-sided differences at
-the grid's ends, so the maps refuse them; the reconstruction controls on
-their support grid (see :func:`~bcm1d.control.support_grid`) are at rest
+time-invariant map from data to endpoint traces wherever its centered
+differences are those of the data: for data at rest in the ``_REACH``
+samples nearest either end of the grid.  Such data are a sum of unit
+samples, and a unit sample at step k gives the traces of one at step
+``_REACH``, delayed by k - _REACH.  So ``transfer_linearized_nd_map`` and
+``transfer_difference_nd_map`` measure a unit data sample at step
+``_REACH`` at each end through their reference map when they build the map
+from the medium: :func:`linearized_nd_map_many`, or one loop pass of the
+full and the background medium as rows, whose traces' difference is
+divided by eps.  The responses' spectra form a 2 x 2 transfer matrix per
+frequency from input end to output end, stored C-contiguous with
+frequencies last; the map is one object that holds it and its FFT work
+arrays.  A trace then costs one forward FFT of its four real endpoint
+series, the 2 x 2 contraction and the inverse FFT.  The stepper alone
+applies the tap table, and the linearized map alone takes the complex
+step.  Other data meet the stepper's one-sided differences at the grid's
+ends, so the maps refuse them; the reconstruction controls on their
+support grid (see :func:`~bcm1d.control.support_grid`) are at rest
 there.  On the paper grid's support grid the kernel's loop takes 15005 steps
 and the FFT length is 30375.  The map owns its FFT work arrays (see
 :class:`_TransferMap`) and writes them on every call, so one map must not be
@@ -222,12 +222,6 @@ def _stencil(grid: GridSpec, sigma: np.ndarray):
     right[..., 0] *= 2.0
     left[..., 0], right[..., -1] = -gain[..., 0], gain[..., -1]
     return carry, left, right, gain
-
-
-def _complex_step(sigma0, sigma_dot: np.ndarray):
-    """The damping sigma0 + i h sigma_dot / s on the nodes, and s."""
-    s = np.max(np.abs(sigma_dot)) or 1.0
-    return sigma0 + 1j * (_STEP * (sigma_dot / s)), s
 
 
 def _weights(grid: GridSpec, sigma_ends):
@@ -459,7 +453,9 @@ def linearized_nd_map_many(
     """
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     g = _stack_neumann(grid, fs)
-    sigma, s = _complex_step(medium.sigma0, sd)
+    # the damping sigma0 + i h sigma_dot / s on the nodes
+    s = np.max(np.abs(sd)) or 1.0
+    sigma = medium.sigma0 + 1j * (_STEP * (sd / s))
     weights = _weights(grid, sigma[_ENDS])
     # rows (parts, traces): each data part, the real one alone for real
     # data, times an exact power of two 1 / r
@@ -493,42 +489,32 @@ def _fft_length(n: int) -> int:
 class _TransferMap:
     """Neumann traces to endpoint traces through a medium's transfer kernel.
 
-    Made from ``responses`` (signals, output end, steps), the loop's traces
-    of a unit impulse at step 1 in each injection signal, signal s at end
-    s % 2, and ``weights`` (signals, 3), those signals' taps (see
-    :func:`_weights`).  The responses are transformed and each multiplied by
-    its signal's filter w0 + w1 z + w2 z^2, z = 2i sin(omega), the spectrum
-    of its weights; the signals of one input end then add up into the
-    read-only ``transfer``.  The filter is the stepper's injection only for
-    data at rest in the ``_REACH`` samples nearest either end of the grid,
-    and a call refuses any other.  The FFT work arrays are the zero-padded
-    input (parts, ends, samples), which the inverse FFT overwrites; its
-    spectrum and the contraction's product, (parts, ends, frequencies); and
-    one output end's term, (parts, frequencies): 14 real series of n_fft, a
-    spectrum of n_fft // 2 + 1 complex samples counting as one; 3.4 MB on
-    the paper grid's support grid.
+    Made from ``responses`` (input end, output end, steps), a reference
+    map's traces of a unit data sample at step ``_REACH`` at each end.  The
+    centered differences reach one step ahead of the data, so the kernel is
+    the responses from step _REACH - 1 on, and a trace is the data convolved
+    with it, read one step on.  That holds only for data at rest in the
+    ``_REACH`` samples nearest either end of the grid, and a call refuses
+    any other.  The spectra of the responses are the read-only
+    ``transfer``.  The FFT work arrays are the zero-padded input (parts,
+    ends, samples), which the inverse FFT overwrites; its spectrum and the
+    contraction's product, (parts, ends, frequencies); and one output end's
+    term, (parts, frequencies): 14 real series of n_fft, a spectrum of
+    n_fft // 2 + 1 complex samples counting as one; 3.4 MB on the paper
+    grid's support grid.
     """
 
-    def __init__(self, grid: GridSpec, responses: np.ndarray,
-                 weights: np.ndarray):
+    def __init__(self, grid: GridSpec, responses: np.ndarray):
         self.grid = grid
-        steps = responses.shape[-1]
-        # (signals, output end, steps 1 .. steps-1)
-        responses = responses[..., 1:]
-        # no wrap-around: for data at rest at both ends the filtered signals
-        # (steps 1 .. steps-2) and the responses (delays 1 .. steps-2) reach
-        # step 2 steps - 4 at most
-        self.n_fft = n_fft = _fft_length(2 * steps - 3)
+        kernel = responses[..., _REACH - 1:]
+        # no wrap-around: the whole linear convolution of nt data samples
+        # with the kernel fits
+        self.n_fft = n_fft = _fft_length(grid.nt + kernel.shape[-1] - 1)
         n_freq = n_fft // 2 + 1
-        z = 2j * np.sin(2.0 * np.pi * np.arange(n_freq) / n_fft)
-        w0, w1, w2 = weights.T[..., None]
-        spectrum = np.fft.rfft(responses, n_fft)
-        spectrum *= ((w2 * z + w1) * z + w0)[:, None]
         # (input end, output end, frequencies), C-contiguous with
         # frequencies last: the contraction runs along them
-        self.transfer = spectrum.reshape(-1, 2, 2, n_freq).sum(axis=0)
+        self.transfer = np.fft.rfft(kernel, n_fft)
         self.transfer.flags.writeable = False
-        del spectrum, responses  # the work arrays below may reuse their memory
         self.work = (np.zeros((2, 2, n_fft)),
                      np.empty((2, 2, n_freq), complex),
                      np.empty((2, 2, n_freq), complex),
@@ -561,15 +547,24 @@ class _TransferMap:
                     np.multiply(spectrum[:, 0], transfer[0, o], out=po)
                     np.multiply(spectrum[:, 1], transfer[1, o], out=term)
                     np.add(po, term, out=po)
-                # the inverse overwrites the input, whose tail is zeroed again
+                # the inverse overwrites the input; the next trace fills
+                # its first nt samples, so only the tail is zeroed again
                 np.fft.irfft(product, n_fft, out=series)
-                oj.real, oj.imag = series[..., :nt]
+                oj.real, oj.imag = series[..., 1:nt + 1]
                 series[..., nt:] = 0.0
                 if not np.all(np.isfinite(oj.view(float))):
                     raise ConfigurationError(
                         f"measured trace {j} has a non-finite sample: the "
                         "medium overflows the transfer kernel")
         return [BoundaryTrace(oj[0], oj[1], grid.dt) for oj in out]
+
+
+def _unit_samples(grid: GridSpec) -> np.ndarray:
+    """A unit data sample at step ``_REACH`` at end a and one at end b, as
+    (sample end, end, steps)."""
+    samples = np.zeros((2, 2, grid.nt))
+    samples[..., _REACH] = np.eye(2)
+    return samples
 
 
 def transfer_difference_nd_map(
@@ -595,16 +590,14 @@ def transfer_difference_nd_map(
             full = full + np.square(eps) * medium.sigma_ddot
     full = _as_sigma_array(full, grid.nx,
                            "sigma0 + eps sigma_dot + eps^2 sigma_ddot")
-    # unit impulses at step 1 in both media as rows (media, impulse end);
-    # the background's signals enter negated, each medium with its weights
+    # the unit samples in both media as rows (media, sample end), each
+    # medium's signals with its own taps
     media = np.stack((full, np.full(grid.nx, medium.sigma0)))[:, None]
-    weights = _weights(grid, media[..., _ENDS].ravel())
-    # (steps, *rows, output end)
-    impulses = np.zeros((grid.nt, 2, 2, 2))
-    impulses[1] = np.eye(2)
-    traces, _ = _time_loop(grid, _stencil(grid, media), impulses)
-    responses = np.concatenate((traces[0], -traces[1])) / eps
-    return _TransferMap(grid, responses, weights)
+    inj = _injection(_weights(grid, media[..., _ENDS].ravel()),
+                     _unit_samples(grid))
+    traces, _ = _time_loop(grid, _stencil(grid, media),
+                           np.moveaxis(inj, -1, 0))
+    return _TransferMap(grid, (traces[0] - traces[1]) / eps)
 
 
 def transfer_linearized_nd_map(
@@ -618,14 +611,7 @@ def transfer_linearized_nd_map(
     the stepper, its oracle, to about 1e-13 relative.  The map writes work
     arrays of its own: do not call it from two threads at once.
     """
-    sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
-    sigma, s = _complex_step(medium.sigma0, sd)
-    w = _weights(grid, sigma[_ENDS])
-    # (steps, impulse end, output end)
-    impulses = np.zeros((grid.nt, 2, 2))
-    impulses[1] = np.eye(2)
-    traces, _ = _time_loop(grid, _stencil(grid, sigma), impulses)
-    # d(w R) = Re(w) Im(R) / h + Im(w) / h Re(R); / h first, then * s
-    responses = np.concatenate((traces.imag / _STEP * s, traces.real))
-    weights = np.concatenate((w.real, w.imag / _STEP * s))
-    return _TransferMap(grid, responses, weights)
+    samples = [BoundaryTrace(*g, grid.dt) for g in _unit_samples(grid)]
+    return _TransferMap(grid, np.array(
+        [(tr.values_a, tr.values_b)
+         for tr in linearized_nd_map_many(grid, medium, samples)]))

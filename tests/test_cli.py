@@ -564,13 +564,21 @@ def test_memory_estimate_is_within_30_percent_of_the_peak(flags, tmp_path):
 
 
 def test_experiment_builds_no_injection_signals(tmp_path, monkeypatch):
-    # only the stepper builds injection signals; an experiment measures
-    # through the transfer maps alone
-    def unused(*args):
-        raise AssertionError("solver._injection was called")
+    # only the stepper builds injection signals, and an experiment runs it
+    # once: on the unit samples that give its transfer map's kernel; every
+    # trace is then measured by convolution
+    injection, calls = solver._injection, []
 
-    monkeypatch.setattr(solver, "_injection", unused)
+    def spy(weights, g):
+        calls.append(g)
+        return injection(weights, g)
+
+    monkeypatch.setattr(solver, "_injection", spy)
     assert main(["experiment", "--id", "1", "--out", str(tmp_path)]) == 0
+    (g,) = calls
+    samples = np.zeros((2, 2, g.shape[-1]))
+    samples[..., solver._REACH] = np.eye(2)
+    assert np.array_equal(g.reshape(samples.shape) / g.max(), samples)
 
 
 def test_run_config_grid_roundtrip():

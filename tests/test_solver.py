@@ -639,27 +639,52 @@ class TestTransfer:
         assert solver._fft_length(49999) == 50000
 
     def test_kernels_are_two_by_two_transfer_matrices(self, coarse_grid):
-        # both maps drive 4 signals, signal s at end s % 2; the signals of
-        # one input end add up into its row of the matrix
+        # the responses to a unit sample at either end, (input end, output
+        # end, steps), give a 2 x 2 matrix per frequency
         rng = np.random.default_rng(0)
-        responses = rng.standard_normal((4, 2, coarse_grid.nt))
-        weights = rng.standard_normal((4, 3))
-        measure = solver._TransferMap(coarse_grid, responses, weights)
+        responses = rng.standard_normal((2, 2, coarse_grid.nt))
+        measure = solver._TransferMap(coarse_grid, responses)
         assert measure.transfer.shape == (2, 2, measure.n_fft // 2 + 1)
+        assert measure.transfer.flags.c_contiguous
         assert not measure.transfer.flags.writeable
 
     def test_transfer_maps_build_no_injection_signals(self, coarse_grid,
                                                       monkeypatch):
-        # only the stepper calls _injection: the maps fold its filter into
-        # their kernels
+        # only making a map drives the stepper: a trace is measured by FFT
+        # convolution, never by a stepper pass
+        med = _medium(coarse_grid)
+        maps = (transfer_linearized_nd_map(coarse_grid, med),
+                transfer_difference_nd_map(coarse_grid, med, _EPS))
+
         def unused(*args):
-            raise AssertionError("the transfer backend built injection signals")
+            raise AssertionError("a transfer map built injection signals")
 
         monkeypatch.setattr(solver, "_injection", unused)
-        med = _medium(coarse_grid)
         fs = _window_traces(coarse_grid)
-        transfer_linearized_nd_map(coarse_grid, med)(fs)
-        transfer_difference_nd_map(coarse_grid, med, _EPS)(fs)
+        for measure in maps:
+            measure(fs)
+
+    @pytest.mark.parametrize("step", ["first", "last"])
+    def test_unit_samples_match_the_reference_maps(self, coarse_support_grid,
+                                                   step):
+        # a unit sample at either end, at the first or the last step the
+        # maps take, against each map's reference, relative to the trace's
+        # maximum: the kernels are those maps' own responses
+        grid = coarse_support_grid
+        med = _medium(grid)
+        med = MediumSpec(0.2, med.sigma_dot, med.sigma_ddot)
+        n, tol = {"first": (_REACH, 1e-14),
+                  "last": (grid.nt - 1 - _REACH, 1e-10)}[step]
+        g = np.zeros((2, 2, grid.nt))
+        g[..., n] = np.eye(2)
+        fs = [BoundaryTrace(*gj, grid.dt) for gj in g]
+        eps = 1e-3
+        for got, want in (
+                (transfer_linearized_nd_map(grid, med)(fs),
+                 linearized_nd_map_many(grid, med, fs)),
+                (transfer_difference_nd_map(grid, med, eps)(fs),
+                 _stepper_quotient(grid, med, eps, fs))):
+            assert _max_rel_deviation(got, want) <= tol
 
     @pytest.mark.parametrize("data_mode", [LINEARIZED, NONLINEAR_DIFFERENCE])
     def test_acquired_data_at_minimal_window_match_stepper(self, data_mode):
