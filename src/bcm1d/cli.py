@@ -191,7 +191,7 @@ def _check_memory(settings: ReconSettings) -> None:
         grid = support_grid(settings.grid)
         raise MemoryError(
             f"the run needs about {_readable(need / 2**20)} MiB (nt = "
-            f"{_readable(grid.nt)}, nx = {grid.nx}) but only "
+            f"{_readable(grid.nt)}, nx = {_readable(grid.nx)}) but only "
             f"{max(room, 0) / 2**20:.0f} MiB are available to the process")
 
 

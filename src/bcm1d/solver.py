@@ -32,8 +32,9 @@ velocity defect whose mean grows linearly under Neumann conditions.  Zero
 initial data need Neumann data that vanish near t = 0, and the stepper warns
 otherwise.
 
-One time loop serves every map.  It advances the increment v^n = u^n -
-u^{n-1} by per-node coefficients computed once per medium,
+One driver, ``_drive``, runs every loop pass, a row of data and a medium
+per field.  Its one time loop advances the increment v^n = u^n - u^{n-1}
+by per-node coefficients computed once per medium,
 
     v^{n+1} = carry v^n + right (u_{i+1} - u_i) - left (u_i - u_{i-1}),
 
@@ -49,13 +50,12 @@ keeps a constant field exact, so rounding does not feed the undamped mean
 mode's double root at z = 1: on the default grid the loop agrees with the
 scheme run in extended precision to about 1e-12.  Fields are rows of
 nodes, so every update runs along x.  A source comes as its real samples
-at every step before T, the same for every trace: their edge terms join the
+at every step before T, the same for every row: their edge terms join the
 injection signals before the loop, and each step adds gain S.  In a real
-medium a row is real when the data are, and complex otherwise; real data
-stay real from the stacked data through the injection signals.  The loop
-only adds, subtracts and multiplies by real coefficients, which numpy does
-on the two parts of a complex row exactly as on two real rows.  The ND
-map's traces keep the rows' dtype; the snapshots are complex either way.
+medium a row is real when its data are, and complex otherwise.  The loop
+only adds, subtracts and multiplies by real coefficients there, which numpy
+does on the two parts of a complex row exactly as on two real rows.  The
+ND map's traces keep the rows' dtype; the snapshots are complex either way.
 
 :func:`snapshots_many` reads the field at the half time T and u_x by
 centered differences, and stops at T: it takes T/dt steps, half of a map's
@@ -70,8 +70,8 @@ sigma_dot at sigma0, taken by a complex step through the same loop: real
 data in the damping sigma0 + i h sigma_dot / s, s = max |sigma_dot| (1 if
 sigma_dot = 0), give traces whose imaginary part over h, times s, is the
 derivative to a relative O(h^2), with no cancellation.  The data's real
-and imaginary parts advance as two real rows, each scaled to O(1); real
-data advance as one row, and their traces are real.  With
+and imaginary parts advance as rows of their own, each scaled to O(1);
+real data advance their real part alone, and their traces are real.  With
 h = 1e-30, the step h sigma_dot / s cannot underflow, and dividing by h
 before multiplying by s keeps the derivative from overflowing.
 
@@ -83,8 +83,8 @@ samples, and a unit sample at step k gives the traces of one at step
 ``_REACH``, delayed by k - _REACH.  So ``transfer_linearized_nd_map`` and
 ``transfer_difference_nd_map`` measure a unit data sample at step
 ``_REACH`` at each end through their reference map when they build the map
-from the medium: :func:`linearized_nd_map_many`, or one loop pass of the
-full and the background medium as rows, whose traces' difference is
+from the medium: :func:`linearized_nd_map_many`, or one loop pass with
+rows in the full and the background medium, whose traces' difference is
 divided by eps.  The responses' spectra form a 2 x 2 transfer matrix per
 frequency from input end to output end, stored C-contiguous with
 frequencies last; the map is one object that holds it and its FFT work
@@ -207,8 +207,8 @@ def _stencil(grid: GridSpec, sigma: np.ndarray):
     with v^n = u^n - u^{n-1} and gain = 1/(1/dt^2 + sigma/(2 dt)); at
     the end nodes the injection signals stand for the outer differences,
     with left = -gain at node 0 and right = gain at node nx-1, so that
-    either end adds gain times its signal.
-    Nodes run along the last axis of ``sigma``, which may hold several media.
+    either end adds gain times its signal.  ``sigma`` is (nx,) for every
+    row or (rows, nx), one medium per row.
     """
     dt, dx = grid.dt, grid.dx
     gain = 1.0 / (1.0 / dt**2 + sigma / (2.0 * dt))
@@ -225,43 +225,42 @@ def _stencil(grid: GridSpec, sigma: np.ndarray):
 
 
 def _weights(grid: GridSpec, sigma_ends):
-    """Each injection signal as weights (signals, 3) of the data g of its
-    end, of its centered difference g[n+1] - g[n-1] and of that difference
-    taken twice, one signal per entry of ``sigma_ends``.  Signal s reads end
-    s % 2 and is, with g_t and g_tt the centered derivatives,
+    """The taps (..., 2, 3) of media whose damping at a and b is
+    ``sigma_ends`` (..., 2): per end, the weights of its data g, of the
+    centered difference g[n+1] - g[n-1] and of that difference taken twice,
+    so that the end's injection signal is, with g_t and g_tt the centered
+    derivatives,
 
         (2/dx) g + (dx/3) (g_tt + sigma_end g_t).
     """
     dx, dt = grid.dx, grid.dt
-    return np.array([(2.0 / dx, dx * s / (6.0 * dt), dx / (12.0 * dt**2))
-                     for s in sigma_ends])
+    return np.stack(np.broadcast_arrays(
+        2.0 / dx, dx * np.asarray(sigma_ends) / (6.0 * dt),
+        dx / (12.0 * dt**2)), axis=-1)
 
 
-def _injection(weights, g):
-    """The injection signals (fields, *rows, 2, steps) of the endpoint data
-    ``g`` (*rows, 2, steps) under ``weights`` (see :func:`_weights`), signal
-    s as field s // 2 at end s % 2.  The differences are one-sided at the
-    first and the last step, as :func:`numpy.gradient` takes them.
+def _injection(taps, g):
+    """The injection signals (..., 2, steps) of the endpoint data ``g``
+    (..., 2, steps) under one medium's ``taps`` (2, 3) (see
+    :func:`_weights`).  The differences are one-sided at the first and the
+    last step, as :func:`numpy.gradient` takes them.
     """
-    # real for real data and weights, complex otherwise
-    dtype = np.result_type(weights, g)
+    # real for real data and taps, complex otherwise
+    dtype = np.result_type(taps, g)
     # np.gradient halves the differences, so doubling them is exact
     d = np.gradient(g, axis=-1)
     d *= 2.0
     # of the signals' dtype, as it serves as scratch for the products below
     dd = np.gradient(d, axis=-1).astype(dtype, copy=False)
     dd *= 2.0
-    # (tap, field, end, 1); with steps last, as the data are stored, and
-    # taps of the signals' dtype, no ufunc below buffers a tap
-    taps = np.moveaxis(weights.reshape(-1, 2, 1, 3), -1, 0).astype(dtype)
-    out = np.empty((len(taps[0]),) + g.shape, dtype)
-    for o, w in zip(out, taps[2]):
-        np.multiply(w, dd, out=o)
+    # (tap, end, 1); with steps last, as the data are stored, and taps of
+    # the signals' dtype, no ufunc below buffers a tap
+    w = np.moveaxis(taps, -1, 0)[..., None].astype(dtype)
+    out = w[2] * dd
     # accumulate in place, dd serving as scratch once it is applied
-    for w_tap, series in ((taps[1], d), (taps[0], g)):
-        for o, w in zip(out, w_tap):
-            np.multiply(w, series, out=dd)
-            o += dd
+    for w_tap, series in ((w[1], d), (w[0], g)):
+        np.multiply(w_tap, series, out=dd)
+        out += dd
     return out
 
 
@@ -282,10 +281,10 @@ class _Level(NamedTuple):
     nodes: np.ndarray  # (rows, nx)
 
     @classmethod
-    def of(cls, rows: tuple, nx: int, nodes=0.0, dtype=float) -> "_Level":
-        grid2d = np.zeros(rows + (nx + 2,), np.result_type(nodes, dtype))
-        grid2d[..., 1:-1] = nodes
-        return cls.on(grid2d.reshape(-1, nx + 2))
+    def of(cls, rows: int, nx: int, nodes=0.0, dtype=float) -> "_Level":
+        grid2d = np.zeros((rows, nx + 2), np.result_type(nodes, dtype))
+        grid2d[:, 1:-1] = nodes
+        return cls.on(grid2d)
 
     @classmethod
     def on(cls, grid2d: np.ndarray) -> "_Level":
@@ -294,34 +293,30 @@ class _Level(NamedTuple):
                    grid2d[:, 1:nx + 1:nx - 1], grid2d[:, 1:-1])
 
 
-def _time_loop(grid, stencil, inj, source=None, last=None):
+def _time_loop(grid, stencil, inj, last, source=None):
     """Advance rows of nodes from u^0 = 0 and u^1 = dt^2 S(0) / 2.
 
-    ``inj`` (steps, *rows, 2), steps = nt for a map, holds each row's
-    injection signals at a and b for steps 1 .. steps-2.  ``last``, if
-    given, holds each row's last step, longest first, for rows = (traces,);
-    without it every row runs to step steps-1.  ``source``, if given, holds
-    the real samples S(t_n, .) for n = 0 .. steps-2, (steps-1, nx), which
-    drive every row; their edge terms join ``inj`` in place.  The field has
-    shape (*rows, nx) and the wider dtype of ``inj`` and the stencil: a row
-    is real when its data and medium are.  Returns the endpoint traces
-    (*rows, 2, steps), zero past a row's last step, and the field at step
-    T/dt of the rows running then, (rows, nx), in the field's dtype.
+    ``inj`` (steps, rows, 2) holds each row's injection signals at a and b
+    for steps 1 .. steps-2, and ``last`` each row's last step, longest
+    first, the first steps-1.  ``source``, if given, holds the real samples
+    S(t_n, .) for n = 0 .. steps-2, (steps-1, nx), which drive every row;
+    their edge terms join ``inj`` in place.  The field has shape (rows, nx)
+    and the wider dtype of ``inj`` and the stencil: a row is real when its
+    data and medium are.  Returns the endpoint traces (rows, 2, steps),
+    zero past a row's last step, and the field at step T/dt of the rows
+    running then.
     """
-    shape, nx = inj.shape[1:-1], grid.nx
-    # the slots take the signals as they are (see _stencil)
-    outer = inj.reshape(len(inj), -1, 2)
-    last = last or [len(inj) - 1] * outer.shape[1]
+    rows, nx = len(last), grid.nx
     # Taylor first layer: with zero initial data, u_tt(0) = S(0)
     u1 = 0.0 if source is None else (grid.dt**2 / 2.0) * source[0]
     dtype = np.result_type(inj, *stencil)
-    buffers = [_Level.of(shape, nx, c) for c in stencil] + [
-        _Level.of(shape, nx, u, dtype) for u in (u1, u1, 0.0, 0.0)]
+    buffers = [_Level.of(rows, nx, c) for c in stencil] + [
+        _Level.of(rows, nx, u, dtype) for u in (u1, u1, 0.0, 0.0)]
     if source is not None:
-        outer[1:-1] -= _edge_term(source[1:, None])
+        inj[1:-1] -= _edge_term(source[1:, None])
     # steps last, as the data are stored: a row that stops early leaves
     # the rest of its memory untouched
-    traces = np.zeros((len(last), 2, len(inj)), dtype)
+    traces = np.zeros((rows, 2, len(inj)), dtype)
     traces[..., 1] = buffers[4].ends
     half, level = grid.half_index, None
     sub, mul, add = np.subtract, np.multiply, np.add
@@ -331,17 +326,17 @@ def _time_loop(grid, stencil, inj, source=None, last=None):
         # count of rows: a step reads no attribute
         k = sum(m >= n1 for m in last)
         carry, left, right, gain, u, v, diff, tmp = (
-            _Level.on(b.flat.reshape(len(last), -1)[:k]) for b in buffers)
+            _Level.on(b.flat.reshape(rows, -1)[:k]) for b in buffers)
         u_flat, u_head, u_tail, _, u_ends, u_nodes = u
         v_flat, v_head, v_tail, _, _, v_nodes = v
         diff_head, diff_slots = diff.head, diff.slots
         tmp_head, tmp_tail, tmp_nodes = tmp.head, tmp.tail, tmp.nodes
         carry_flat, right_head, left_tail = carry.flat, right.head, left.tail
-        gain_nodes, outer_k = gain.nodes, outer[:, :k]
+        gain_nodes, inj_k = gain.nodes, inj[:, :k]
         traces_k = np.moveaxis(traces[:k], -1, 0)
         for n in range(n0, n1):
             sub(u_tail, u_head, diff_head)
-            diff_slots[...] = outer_k[n]
+            diff_slots[...] = inj_k[n]
             mul(v_flat, carry_flat, v_flat)
             mul(diff_head, right_head, tmp_head)
             add(v_head, tmp_head, v_head)
@@ -355,32 +350,41 @@ def _time_loop(grid, stencil, inj, source=None, last=None):
             if n + 1 == half:
                 level = u_nodes.copy()
         n0 = n1
-    return traces.reshape(shape + traces.shape[1:]), level
+    return traces, level
+
+
+def _drive(grid: GridSpec, sigma: np.ndarray, g: np.ndarray, last=None,
+           source=None):
+    """One loop pass over the endpoint data ``g`` (rows, 2, nt), a side
+    then b, of the dtype of their injection signals, in the damping
+    ``sigma``: (nx,) for every row or (rows, nx), one medium per row.
+
+    Row j is read through step ``last[j]``, the longest first (through
+    nt-1 without ``last``).  Its data are differenced two steps past that
+    step and then overwritten in place by its injection signals, so that
+    every injection the loop takes, the last at step last[j] - 1, is that
+    of the full data, and only one row's differences take memory of their
+    own.  ``source``, if given, drives every row.  Returns as
+    :func:`_time_loop` does, with steps = last[0] + 1.
+    """
+    last = last or [grid.nt - 1] * len(g)
+    taps = _weights(grid, sigma[..., _ENDS])
+    for gj, tj, m in zip(g, np.broadcast_to(taps, (len(g), 2, 3)), last):
+        gj[:, :m + 1] = _injection(tj, gj[:, :m + 2])[:, :m + 1]
+    inj = np.moveaxis(g[..., :last[0] + 1], -1, 0)  # (steps, rows, end)
+    return _time_loop(grid, _stencil(grid, sigma), inj, last, source)
 
 
 def _pass(grid: GridSpec, sigma, neumanns: Sequence[BoundaryTrace], last,
           source=None):
-    """One loop pass over a field per Neumann trace, field j read through
-    step ``last[j]`` >= T/dt, the longest first (see :func:`_time_loop`).
-
-    Each field's data are differenced two steps past its last step before
-    the rest is dropped, so that every injection the loop takes, the last
-    at step last[j] - 1, is that of the full data.  ``source``, if given,
-    drives every field.  Returns the endpoint traces (traces, 2,
-    last[0] + 1), zero past a field's last step, and every field's
-    snapshots at T.
-    """
+    """:func:`_drive` over a field per Neumann trace, field j read through
+    step ``last[j]`` >= T/dt: the endpoint traces (traces, 2, last[0] + 1)
+    and every field's snapshots at T."""
     sig = _as_sigma_array(sigma, grid.nx)
     if not neumanns:
         return np.zeros((0, 2, grid.nt)), []
     g = _stack_neumann(grid, neumanns, stacklevel=4)
-    weights = _weights(grid, sig[_ENDS])
-    # each field's injection signals overwrite its data, so that only one
-    # field's differences take memory of their own
-    for gj, m in zip(g, last):
-        gj[:, :m + 1] = _injection(weights, gj[:, :m + 2])[0, :, :m + 1]
-    inj = np.moveaxis(g[..., :last[0] + 1], -1, 0)  # (steps, traces, end)
-    traces, level = _time_loop(grid, _stencil(grid, sig), inj, source, last)
+    traces, level = _drive(grid, sig, g, last, source)
     # complex arithmetic for real fields too: numpy divides a complex array
     # by a real through a rounded reciprocal, so real and complex fields
     # round alike only on that route
@@ -456,16 +460,15 @@ def linearized_nd_map_many(
     # the damping sigma0 + i h sigma_dot / s on the nodes
     s = np.max(np.abs(sd)) or 1.0
     sigma = medium.sigma0 + 1j * (_STEP * (sd / s))
-    weights = _weights(grid, sigma[_ENDS])
-    # rows (parts, traces): each data part, the real one alone for real
-    # data, times an exact power of two 1 / r
+    # rows: each trace's real parts, then its imaginary ones unless the
+    # data are real, times an exact power of two 1 / r, as complex data
     real = g.dtype == float
-    parts = g[None] if real else np.stack((g.real, g.imag))
-    r = np.ldexp(1.0, np.frexp(np.max(np.abs(parts), axis=(2, 3)))[1])
-    inj = _injection(weights, parts / r[..., None, None])[0]
-    traces, _ = _time_loop(grid, _stencil(grid, sigma), np.moveaxis(inj, -1, 0))
-    d = traces.imag / _STEP * s * r[..., None, None]
-    d = d[0] if real else d[0] + 1j * d[1]
+    parts = g if real else np.concatenate((g.real, g.imag))
+    r = np.ldexp(1.0, np.frexp(np.max(np.abs(parts), axis=(1, 2)))[1])
+    rows = (parts / r[:, None, None]).astype(complex)
+    traces, _ = _drive(grid, sigma, rows)
+    d = traces.imag / _STEP * s * r[:, None, None]
+    d = d if real else d[:len(g)] + 1j * d[len(g):]
     return [BoundaryTrace(*dj, grid.dt) for dj in d]
 
 
@@ -590,14 +593,10 @@ def transfer_difference_nd_map(
             full = full + np.square(eps) * medium.sigma_ddot
     full = _as_sigma_array(full, grid.nx,
                            "sigma0 + eps sigma_dot + eps^2 sigma_ddot")
-    # the unit samples in both media as rows (media, sample end), each
-    # medium's signals with its own taps
-    media = np.stack((full, np.full(grid.nx, medium.sigma0)))[:, None]
-    inj = _injection(_weights(grid, media[..., _ENDS].ravel()),
-                     _unit_samples(grid))
-    traces, _ = _time_loop(grid, _stencil(grid, media),
-                           np.moveaxis(inj, -1, 0))
-    return _TransferMap(grid, (traces[0] - traces[1]) / eps)
+    # the unit samples at a and b in media full, full, background, background
+    media = np.repeat([full, np.full(grid.nx, medium.sigma0)], 2, axis=0)
+    traces, _ = _drive(grid, media, np.tile(_unit_samples(grid), (2, 1, 1)))
+    return _TransferMap(grid, (traces[:2] - traces[2:]) / eps)
 
 
 def transfer_linearized_nd_map(

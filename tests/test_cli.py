@@ -385,23 +385,28 @@ class TestMain:
         assert "(nt = 60000000007, nx = 21)" in err and "available" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("dt, need, nt", [
-        ("1e-300", "5.32e+297", "6.00e+300"),
+    @pytest.mark.parametrize("dt, need, nt, dx, nx", [
+        pytest.param("1e-300", "5.32e+297", "6.00e+300", "0.004", "501",
+                     id="1e-300-5.32e+297-6.00e+300"),
         # nt beyond the largest float
-        ("2e-308", "2.66e+305", "3.00e+308")])
+        pytest.param("2e-308", "2.66e+305", "3.00e+308", "0.004", "501",
+                     id="2e-308-2.66e+305-3.00e+308"),
+        # and a tiny dx
+        pytest.param("1e-301", "5.46e+298", "6.00e+301", "1e-300",
+                     "2.00e+300", id="tiny-dx")])
     def test_memory_message_of_a_tiny_step_is_short(self, tmp_path, capsys,
                                                      monkeypatch, dt, need,
-                                                     nt):
+                                                     nt, dx, nx):
         # figures above 1e15 are printed to three digits, not to 300
         monkeypatch.setattr(cli, "_available_bytes", lambda: 8 << 30)
-        code = main(["experiment", "--id", "1", "--dt", dt, "--T", "3",
-                     "--out", str(tmp_path)])
+        code = main(["experiment", "--id", "1", "--dx", dx, "--dt", dt,
+                     "--T", "3", "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert err == (f"error: the run needs about {need} MiB (nt = {nt}, "
-                       "nx = 501) but only 8192 MiB are available to the "
+                       f"nx = {nx}) but only 8192 MiB are available to the "
                        "process\n")
-        assert len(err) < 120
+        assert len(err) < 130
 
     def test_a_long_T_runs_on_the_support_grid(self, tmp_path):
         # T = 1e9 and T = 1e17, where T / dt passes 2^54, measure on the
@@ -569,16 +574,18 @@ def test_experiment_builds_no_injection_signals(tmp_path, monkeypatch):
     # trace is then measured by convolution
     injection, calls = solver._injection, []
 
-    def spy(weights, g):
-        calls.append(g)
-        return injection(weights, g)
+    def spy(taps, g):
+        # the stepper overwrites the data with the signals
+        calls.append(g.copy())
+        return injection(taps, g)
 
     monkeypatch.setattr(solver, "_injection", spy)
     assert main(["experiment", "--id", "1", "--out", str(tmp_path)]) == 0
-    (g,) = calls
+    # one call per sample end
+    g = np.array(calls)
     samples = np.zeros((2, 2, g.shape[-1]))
     samples[..., solver._REACH] = np.eye(2)
-    assert np.array_equal(g.reshape(samples.shape) / g.max(), samples)
+    assert np.array_equal(g / g.max(), samples)
 
 
 def test_run_config_grid_roundtrip():

@@ -1,5 +1,6 @@
 import inspect
 import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -126,14 +127,14 @@ def test_real_pulses_run_one_row_in_the_linearized_map(coarse_grid,
     rows, time_loop = [], solver._time_loop
 
     def counted(grid, stencil, inj, *args):
-        rows.append(inj.shape[1:-1])  # (parts, traces)
+        rows.append(inj.shape[1])  # parts x traces
         return time_loop(grid, stencil, inj, *args)
 
     monkeypatch.setattr(solver, "_time_loop", counted)
     med = MediumSpec(0.1, smooth_sigma_dot(coarse_grid.xs))
     (real,) = linearized_nd_map_many(coarse_grid, med, [f])
     (mixed,) = linearized_nd_map_many(coarse_grid, med, [f + 1j * h])
-    assert rows == [(1, 1), (2, 1)]
+    assert rows == [1, 2]
     for vr, vm in zip(_fields(real), _fields(mixed)):
         assert vr.dtype == np.float64
         assert np.array_equal(vr, vm.real)
@@ -285,12 +286,13 @@ class TestSnapshots:
 
         monkeypatch.setattr(solver, "_time_loop", spy)
         snaps = snapshots_many(grid, sigma, fs)
-        weights = solver._weights(grid, sigma[[0, -1]])
+        taps = solver._weights(grid, sigma[[0, -1]])
         g = solver._stack_neumann(grid, fs)
-        full, cut = (np.moveaxis(solver._injection(weights, data)[0], -1, 0)
+        full, cut = (solver._injection(taps, data)[..., h - 1]
                      for data in (g, g[..., :h + 1]))
-        assert not np.array_equal(full[h - 1], cut[h - 1])
-        _, want = time_loop(grid, solver._stencil(grid, sigma), full)
+        assert not np.array_equal(full, cut)
+        # every field run through the last step
+        _, want = solver._drive(grid, sigma, g)
         assert np.array_equal(levels[0], want)
         for snap, u_mid in zip(snaps, want, strict=True):
             assert np.array_equal(snap.uT_snapshot, u_mid)
@@ -385,20 +387,39 @@ def test_injection_applies_the_documented_formula(coarse_grid):
     # the formula lives in code only as the tap table of _weights; a complex
     # sigma_end is a complex-step medium's
     grid = coarse_grid
-    sigma_ends = np.array([[0.2, 0.7], [0.2 - 1.1j, 0.7 + 2.5j]])  # (field, end)
+    sigma_ends = np.array([[0.2, 0.7], [0.2 - 1.1j, 0.7 + 2.5j]])  # (medium, end)
     rng = np.random.default_rng(11)
     g = (rng.standard_normal((3, 2, grid.nt))
          + 1j * rng.standard_normal((3, 2, grid.nt)))  # (traces, end, steps)
-    inj = solver._injection(solver._weights(grid, sigma_ends.ravel()), g)
     g_t = np.gradient(g, grid.dt, axis=-1)
     g_tt = np.gradient(g_t, grid.dt, axis=-1)
     dx = grid.dx
-    expected = (2.0 / dx) * g + (dx / 3.0) * (
-        g_tt + sigma_ends[:, None, :, None] * g_t)
-    assert inj.shape == expected.shape
-    per_field = (1, 2, 3)
-    assert np.all(np.max(np.abs(inj - expected), axis=per_field)
-                  <= 1e-13 * np.max(np.abs(expected), axis=per_field))
+    # the taps of both media at once, applied per medium
+    for taps, ends in zip(solver._weights(grid, sigma_ends), sigma_ends,
+                          strict=True):
+        inj = solver._injection(taps, g)
+        expected = (2.0 / dx) * g + (dx / 3.0) * (
+            g_tt + ends[:, None] * g_t)
+        assert inj.shape == expected.shape
+        assert (np.max(np.abs(inj - expected))
+                <= 1e-13 * np.max(np.abs(expected)))
+
+
+def test_a_pass_runs_one_medium_per_row(coarse_grid):
+    # rows in media (sa, sa, sb, sb) over two data rows step bit for bit as
+    # two passes of one medium each
+    grid = coarse_grid
+    sa, sb = 0.1 + 0.2 * grid.xs**2, np.full(grid.nx, 0.4)
+    data = solver._stack_neumann(grid, [
+        smooth_pulse_trace(grid, t0, 0.3, 4.0, w, 0.7)[0]
+        for t0, w in ((1.2, 0.5), (1.5, -1.0))])
+    both, levels = solver._drive(grid, np.repeat([sa, sb], 2, axis=0),
+                                 np.tile(data, (2, 1, 1)))
+    assert not np.array_equal(both[:2], both[2:])
+    for k, sigma in enumerate((sa, sb)):
+        traces, level = solver._drive(grid, sigma, data.copy())
+        assert np.array_equal(both[2 * k:2 * k + 2], traces)
+        assert np.array_equal(levels[2 * k:2 * k + 2], level)
 
 
 def _one_bad_sample(grid, bad):
@@ -628,14 +649,11 @@ class TestTransfer:
         assert dev <= 1e-9
 
     def test_fft_length_is_the_next_five_smooth_number(self):
-        def definition(n):
-            r = range(n.bit_length() + 1)
-            return min(m for m in (2**i * 3**j * 5**k
-                                   for i in r for j in r for k in r)
-                       if m >= n)
-
+        # every 5-smooth number below 2^14, sorted, and some above
+        r = range(14)
+        smooth = sorted(2**i * 3**j * 5**k for i in r for j in r for k in r)
         for n in range(1, 5001):
-            assert solver._fft_length(n) == definition(n)
+            assert solver._fft_length(n) == smooth[bisect_left(smooth, n)]
         assert solver._fft_length(49999) == 50000
 
     def test_kernels_are_two_by_two_transfer_matrices(self, coarse_grid):
@@ -801,8 +819,9 @@ class TestDifferenceMap:
         fs = [_at_rest(smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5,
                                           0.7)[0])]
         measure = transfer_difference_nd_map(coarse_grid, med, _EPS)
-        # one pass over rows (media, impulse end)
-        assert calls == [(coarse_grid.nt, 2, 2, 2)]
+        # one pass over four rows: the impulse at either end, in either
+        # medium
+        assert calls == [(coarse_grid.nt, 4, 2)]
         measure(fs)
         measure(fs)
         assert len(calls) == 1
@@ -991,7 +1010,7 @@ class TestTwoSidedWindow:
         grid = support_grid(GridSpec(-1.0, 1.0, 1.0 / 250, 1.0 / 2500, 5.0))
         steps = []
 
-        def zeros(grid, stencil, inj):
+        def zeros(grid, stencil, inj, last, source):
             steps.append(len(inj))
             return np.zeros(inj.shape[1:] + inj.shape[:1],
                             np.result_type(inj, *stencil)), []
