@@ -103,7 +103,7 @@ def build_control(pT: AnalyticProfile, lam: complex,
             t += z
             t -= w
             t *= sign * 0.5
-    return ControlBundle(*(BoundaryTrace(*tr, grid.dt) for tr in out))
+    return ControlBundle(*(BoundaryTrace(tr, grid.dt) for tr in out))
 
 
 def support_grid(grid: GridSpec) -> GridSpec:

@@ -5,8 +5,10 @@ are driven and recorded at the two endpoints over a time window of length 2T,
 and interior states are probed at the half time T.  Everything downstream
 (controls, solvers, identities, reconstruction) shares the uniform grid
 described by :class:`GridSpec` and exchanges endpoint time series as
-:class:`BoundaryTrace` values, which keep their data's dtype: real samples
-stay real, with no imaginary half of zeros, and complex ones complex.
+``BoundaryTrace(values, dt)``: one (2, samples) array, end a in row 0 and
+end b in row 1, so that each row of a (traces, 2, samples) block is a
+trace, with no copy.  A trace keeps its data's dtype: real samples stay
+real, with no imaginary half of zeros, and complex ones complex.
 
 Sample j of a trace is time j*dt, and 2T/dt is an integer, so time
 reversal about T is index reversal: the sample at 2T - t is sample
@@ -159,39 +161,33 @@ class MediumSpec:
 class BoundaryTrace:
     """Time series at the two endpoints, sampled at t = 0, dt, ..., 2T.
 
-    Sample j of either sequence corresponds to time j*dt.  Both ends share
-    one dtype: float64 when both series are real (ints and bools become
-    floats), complex128 otherwise; arithmetic promotes as numpy does.
-    Traces are value objects: arithmetic returns new traces and never
-    mutates.
+    ``values`` is (2, samples), end a then end b; sample j is time j*dt.
+    It is float64 for real data (ints, bools and float32 become floats;
+    float64 is kept, not copied), complex128 otherwise; arithmetic promotes
+    as numpy does.  Traces are value objects: arithmetic returns new traces
+    and never mutates.
     """
 
-    values_a: np.ndarray
-    values_b: np.ndarray
+    values: np.ndarray
     dt: float
 
     def __post_init__(self) -> None:
-        va, vb = np.asarray(self.values_a), np.asarray(self.values_b)
-        for name, v in (("values_a", va), ("values_b", vb)):
-            if v.dtype.kind not in "biufc":
-                raise ConfigurationError(
-                    f"{name} has dtype {v.dtype}; a trace holds numbers")
-        dtype = complex if np.iscomplexobj(va) or np.iscomplexobj(vb) else float
-        va, vb = va.astype(dtype, copy=False), vb.astype(dtype, copy=False)
-        if va.ndim != 1 or vb.ndim != 1 or va.shape != vb.shape:
+        v = np.asarray(self.values)
+        if v.dtype.kind not in "biufc":
+            raise ConfigurationError(
+                f"values has dtype {v.dtype}; a trace holds numbers")
+        v = v.astype(complex if v.dtype.kind == "c" else float, copy=False)
+        if v.ndim != 2 or v.shape[0] != 2:
             raise GridMismatchError(
-                f"endpoint series must be 1-d with equal length, "
-                f"got {va.shape} and {vb.shape}"
-            )
-        object.__setattr__(self, "values_a", va)
-        object.__setattr__(self, "values_b", vb)
+                f"values must have shape (2, samples), got {v.shape}")
+        object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
-        return self.values_a.shape[0]
+        return self.values.shape[1]
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "BoundaryTrace":
-        return cls(np.zeros(grid.nt), np.zeros(grid.nt), grid.dt)
+        return cls(np.zeros((2, grid.nt)), grid.dt)
 
     def _check_compatible(self, other: "BoundaryTrace") -> None:
         if len(self) != len(other) or self.dt != other.dt:
@@ -202,16 +198,14 @@ class BoundaryTrace:
 
     def __add__(self, other: "BoundaryTrace") -> "BoundaryTrace":
         self._check_compatible(other)
-        return BoundaryTrace(self.values_a + other.values_a,
-                             self.values_b + other.values_b, self.dt)
+        return BoundaryTrace(self.values + other.values, self.dt)
 
     def __sub__(self, other: "BoundaryTrace") -> "BoundaryTrace":
         self._check_compatible(other)
-        return BoundaryTrace(self.values_a - other.values_a,
-                             self.values_b - other.values_b, self.dt)
+        return BoundaryTrace(self.values - other.values, self.dt)
 
     def __mul__(self, c: complex) -> "BoundaryTrace":
-        return BoundaryTrace(c * self.values_a, c * self.values_b, self.dt)
+        return BoundaryTrace(c * self.values, self.dt)
 
     __rmul__ = __mul__
 

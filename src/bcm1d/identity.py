@@ -69,9 +69,8 @@ def _pair(x: BoundaryTrace, y: BoundaryTrace, grid: GridSpec) -> complex:
             raise GridMismatchError(f"trace of {len(tr)} samples (dt={tr.dt}) "
                                     f"is off the grid ({grid.nt}, dt={grid.dt})")
     n = grid.half_index + 1
-    integrand = (x.values_a[:n] * y.values_a[::-1][:n]
-                 + x.values_b[:n] * y.values_b[::-1][:n])
-    return complex(np.trapezoid(integrand, dx=grid.dt))
+    ends = x.values[:, :n] * y.values[:, ::-1][:, :n]
+    return complex(np.trapezoid(ends[0] + ends[1], dx=grid.dt))
 
 
 def linearized_rhs(
@@ -93,10 +92,8 @@ def linearized_rhs(
     Lh_tt + lam Lh_t and of Lf_t with h_t + lam h.
     """
     nT = grid.half_index
-    boundary_at_T = (
-        f.g.values_a[nT] * h.meas_t.values_a[nT]
-        + f.g.values_b[nT] * h.meas_t.values_b[nT]
-    )
+    at_T = f.g.values[:, nT] * h.meas_t.values[:, nT]
+    boundary_at_T = at_T[0] + at_T[1]
     return (
         -boundary_at_T
         - _pair(f.g, h.meas_tt + lam * h.meas_t, grid)
@@ -129,7 +126,7 @@ def nonlinear_identity_residual(f, h, sigma, grid: GridSpec) -> IdentityReport:
     traces, (out_ht, out_f, out_h, out_ft) = _pass(
         grid, sigma, [h_t_trace, f_trace, h_trace, f_t_trace],
         [grid.nt - 1, nT, nT, nT])
-    meas_ht, meas_ft = (BoundaryTrace(*traces[j], grid.dt) for j in (0, 3))
+    meas_ht, meas_ft = (BoundaryTrace(traces[j], grid.dt) for j in (0, 3))
     lhs = complex(np.trapezoid(out_ft.uT_snapshot * out_ht.uT_snapshot
                                - out_f.qT_snapshot * out_h.qT_snapshot,
                                dx=grid.dx))

@@ -177,16 +177,15 @@ def add_noise(
     if not (np.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     n = len(trace)
-    rms = np.sqrt((np.sum(np.abs(trace.values_a) ** 2)
-                   + np.sum(np.abs(trace.values_b) ** 2)) / (2 * n))
+    rms = np.sqrt(sum(np.sum(np.abs(v) ** 2) for v in trace.values) / (2 * n))
     if eps == 0.0 or rms == 0.0:
         return trace
     with np.errstate(over="ignore", invalid="ignore"):
         std = eps * rms / np.sqrt(2.0)
-        noise_a = std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        noise_b = std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        return BoundaryTrace(trace.values_a + noise_a,
-                             trace.values_b + noise_b, trace.dt)
+        # (end, real then imaginary part, sample): a then b
+        z = rng.standard_normal((2, 2, n))
+        noise = std * (z[:, 0] + 1j * z[:, 1])
+        return BoundaryTrace(trace.values + noise, trace.dt)
 
 
 def apply_measurement_noise(

@@ -160,7 +160,7 @@ def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace]):
                 f"Neumann trace {j} has {len(tr)} samples (dt={tr.dt}); "
                 f"the grid needs {grid.nt} (dt={grid.dt})"
             )
-        if not all(np.isfinite(v).all() for v in (tr.values_a, tr.values_b)):
+        if not np.isfinite(tr.values).all():
             raise ConfigurationError(
                 f"Neumann trace {j} has a non-finite sample"
             )
@@ -172,12 +172,11 @@ def _stack_neumann(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
     """Checked endpoint data as one (traces, 2, nt) array, a side then b,
     real when every imaginary part is zero; at most one warning, at the
     stepper's caller ``stacklevel`` frames up, for data nonzero at t = 0."""
-    real = not any(np.iscomplexobj(v) and np.any(v.imag) for tr in neumanns
-                   for v in (tr.values_a, tr.values_b))
+    real = not any(np.iscomplexobj(tr.values) and np.any(tr.values.imag)
+                   for tr in neumanns)
     g = np.empty((len(neumanns), 2, grid.nt), float if real else complex)
     for gj, tr in zip(g, _checked(grid, neumanns)):
-        for row, v in zip(gj, (tr.values_a, tr.values_b)):
-            row[...] = v.real if real else v
+        gj[...] = tr.values.real if real else tr.values
     first = np.max(np.abs(g[..., 0]), axis=-1)
     # per trace: no temporary of the stack's size
     scale = np.maximum([np.max(np.abs(gj)) for gj in g], 1.0)
@@ -367,6 +366,8 @@ def _drive(grid: GridSpec, sigma: np.ndarray, g: np.ndarray, last=None,
     own.  ``source``, if given, drives every row.  Returns as
     :func:`_time_loop` does, with steps = last[0] + 1.
     """
+    if not len(g):
+        return np.zeros((0, 2, grid.nt)), np.zeros((0, grid.nx))
     last = last or [grid.nt - 1] * len(g)
     taps = _weights(grid, sigma[..., _ENDS])
     for gj, tj, m in zip(g, np.broadcast_to(taps, (len(g), 2, 3)), last):
@@ -381,8 +382,6 @@ def _pass(grid: GridSpec, sigma, neumanns: Sequence[BoundaryTrace], last,
     step ``last[j]`` >= T/dt: the endpoint traces (traces, 2, last[0] + 1)
     and every field's snapshots at T."""
     sig = _as_sigma_array(sigma, grid.nx)
-    if not neumanns:
-        return np.zeros((0, 2, grid.nt)), []
     g = _stack_neumann(grid, neumanns, stacklevel=4)
     traces, level = _drive(grid, sig, g, last, source)
     # complex arithmetic for real fields too: numpy divides a complex array
@@ -396,7 +395,7 @@ def _pass(grid: GridSpec, sigma, neumanns: Sequence[BoundaryTrace], last,
     # outward normal at a is -d/dx, consistent with the ghost node
     h = grid.half_index
     for tr, q in zip(neumanns, qT):
-        q[0], q[-1] = -complex(tr.values_a[h]), complex(tr.values_b[h])
+        q[0], q[-1] = -complex(tr.values[0, h]), complex(tr.values[1, h])
     return traces, [SolveOutput(*snap) for snap in zip(qT, uT)]
 
 
@@ -410,7 +409,7 @@ def solve_many(
     zero, and the traces are those rows: real then, complex otherwise.
     """
     traces, _ = _pass(grid, sigma, neumanns, [grid.nt - 1] * len(neumanns))
-    return [BoundaryTrace(*tr, grid.dt) for tr in traces]
+    return [BoundaryTrace(tr, grid.dt) for tr in traces]
 
 
 def snapshots_many(
@@ -469,7 +468,7 @@ def linearized_nd_map_many(
     traces, _ = _drive(grid, sigma, rows)
     d = traces.imag / _STEP * s * r[:, None, None]
     d = d if real else d[:len(g)] + 1j * d[len(g):]
-    return [BoundaryTrace(*dj, grid.dt) for dj in d]
+    return [BoundaryTrace(dj, grid.dt) for dj in d]
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +534,14 @@ class _TransferMap:
         # an overflow gives a non-finite trace, which is rejected by name
         with np.errstate(over="ignore", invalid="ignore"):
             for j, (tr, oj) in enumerate(zip(_checked(grid, fs), out)):
-                for end, v in enumerate((tr.values_a, tr.values_b)):
-                    if np.any(v[:_REACH]) or np.any(v[-_REACH:]):
-                        raise ConfigurationError(
-                            f"Neumann trace {j} is nonzero within {_REACH} "
-                            "steps of an end of the grid, where the transfer "
-                            "maps take data at rest")
-                    series[0, end, :nt] = v.real
-                    series[1, end, :nt] = v.imag
+                v = tr.values
+                if np.any(v[:, :_REACH]) or np.any(v[:, -_REACH:]):
+                    raise ConfigurationError(
+                        f"Neumann trace {j} is nonzero within {_REACH} "
+                        "steps of an end of the grid, where the transfer "
+                        "maps take data at rest")
+                series[0, :, :nt] = v.real
+                series[1, :, :nt] = v.imag
                 np.fft.rfft(series, n_fft, out=spectrum)
                 # a 2 x 2 contraction over the input ends per frequency, one
                 # output end at a time
@@ -559,7 +558,7 @@ class _TransferMap:
                     raise ConfigurationError(
                         f"measured trace {j} has a non-finite sample: the "
                         "medium overflows the transfer kernel")
-        return [BoundaryTrace(oj[0], oj[1], grid.dt) for oj in out]
+        return [BoundaryTrace(oj, grid.dt) for oj in out]
 
 
 def _unit_samples(grid: GridSpec) -> np.ndarray:
@@ -610,7 +609,6 @@ def transfer_linearized_nd_map(
     the stepper, its oracle, to about 1e-13 relative.  The map writes work
     arrays of its own: do not call it from two threads at once.
     """
-    samples = [BoundaryTrace(*g, grid.dt) for g in _unit_samples(grid)]
-    return _TransferMap(grid, np.array(
-        [(tr.values_a, tr.values_b)
-         for tr in linearized_nd_map_many(grid, medium, samples)]))
+    samples = [BoundaryTrace(g, grid.dt) for g in _unit_samples(grid)]
+    return _TransferMap(grid, np.stack(
+        [tr.values for tr in linearized_nd_map_many(grid, medium, samples)]))

@@ -46,7 +46,7 @@ def assert_quiet(traces, quiet: int) -> None:
     ``quiet`` steps and nonzero among the three steps next to them: the
     controls' quiet steps, counted to the step."""
     for tr in traces:
-        for v in (tr.values_a, tr.values_b):
+        for v in tr.values:
             last = len(v) - quiet
             assert not np.any(v[:quiet]) and not np.any(v[last:])
             assert np.any(v[quiet:quiet + 3]) and np.any(v[last - 3:last])

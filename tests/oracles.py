@@ -35,7 +35,7 @@ def discrete_sobolev_norm(g: BoundaryTrace, s: int) -> float:
     if j + 1 < 3:
         raise ValueError("too few samples for second-order differences")
     total = 0.0
-    for series in (g.values_a[: j + 1], g.values_b[: j + 1]):
+    for series in g.values[:, : j + 1]:
         deriv = series
         for _ in range(s + 1):
             total += float(np.trapezoid(np.abs(deriv) ** 2, dx=g.dt))

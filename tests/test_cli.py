@@ -101,6 +101,31 @@ class TestConfigFile:
         assert main(["reconstruct", "--config", str(cfg)]) == 2
         assert "repeated" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"\xff\xfe\n")
+        assert main(["reconstruct", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    def test_experiment_id_refused_with_its_line(self, tmp_path, capsys,
+                                                 monkeypatch):
+        cfg = tmp_path / "four.cfg"
+        cfg.write_text("N = 4\nexperiment = 4\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(cfg)
+        assert str(exc.value) == (f"{cfg}:2: experiment: experiment id must "
+                                  "be 1, 2 or 3, got 4")
+        # refused while the file is read, before any run is set up
+
+        def no_run(config):
+            raise AssertionError("run started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        assert main(["reconstruct", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
 
 _XS = np.linspace(-1, 1, 11)
 
@@ -613,7 +638,7 @@ def test_check_identity_fails_on_one_measured_sample_off(monkeypatch,
 
         def measure_off(fs):
             traces = measure(fs)
-            a = traces[0].values_a
+            a = traces[0].values[0]
             a[np.argmax(np.abs(a))] *= 1.0 + 1e-6
             return traces
         return measure_off

@@ -20,7 +20,7 @@ from conftest import assert_quiet
 def test_zero_target_gives_zero_control(coarse_grid):
     bundle = build_control(sine_profile(0.0), 1j, coarse_grid)
     for tr in (bundle.f, bundle.f_t, bundle.f_tt):
-        assert np.all(tr.values_a == 0) and np.all(tr.values_b == 0)
+        assert np.all(tr.values == 0)
 
 
 def test_zero_lambda_rejected(coarse_grid):
@@ -84,15 +84,14 @@ def test_traces_match_direct_extension(coarse_grid):
 
     for g in (coarse_grid, shifted, coarse_grid):
         bundle = build_control(prof, lam, g)
-        for x0, sign, end in ((g.a, -1.0, "values_a"),
-                              (g.b, +1.0, "values_b")):
+        for x0, sign, end in ((g.a, -1.0, 0), (g.b, +1.0, 1)):
             m = extended_derivatives(prof, g.a, g.b, x0 - g.T + g.ts)
             p = extended_derivatives(prof, g.a, g.b, x0 + g.T - g.ts)
             want = normal_traces(sign, [v[::-1] for v in m], m)
             direct = normal_traces(sign, p, m)
             for tr, w, w_direct in zip((bundle.f, bundle.f_t, bundle.f_tt),
                                        want, direct):
-                got = getattr(tr, end)
+                got = tr.values[end]
                 assert np.array_equal(got, w)
                 assert (np.max(np.abs(got - w_direct))
                         <= 1e-12 * np.max(np.abs(w_direct)))
@@ -115,9 +114,8 @@ def test_controls_from_real_series_keep_their_bits(coarse_grid, monkeypatch):
     typed = [build_control(pT, lam, coarse_grid) for pT in (pT_f, pT_h)]
     for got, want in zip(real, typed, strict=True):
         for tg, tw in zip(got, want, strict=True):
-            for v, w in ((tg.values_a, tw.values_a), (tg.values_b, tw.values_b)):
-                assert v.dtype == np.complex128
-                assert v.tobytes() == w.tobytes()
+            assert tg.values.dtype == np.complex128
+            assert tg.values.tobytes() == tw.values.tobytes()
 
 
 def test_control_map_is_linear(coarse_grid):
@@ -131,8 +129,7 @@ def test_control_map_is_linear(coarse_grid):
     for attr in ("f", "f_t", "f_tt"):
         want = al * getattr(b1, attr) + be * getattr(b2, attr)
         got = getattr(bc, attr)
-        assert np.allclose(got.values_a, want.values_a, rtol=1e-12, atol=1e-12)
-        assert np.allclose(got.values_b, want.values_b, rtol=1e-12, atol=1e-12)
+        assert np.allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
 
 
 def test_conjugation_pairing_for_real_targets(coarse_grid):
@@ -140,11 +137,10 @@ def test_conjugation_pairing_for_real_targets(coarse_grid):
     kappa = np.pi / 2
     plus = build_control(sine_profile(kappa), 1j * kappa, coarse_grid)
     minus = build_control(sine_profile(kappa), -1j * kappa, coarse_grid)
-    assert np.allclose(np.conj(plus.f.values_a), minus.f.values_a, atol=1e-14)
-    assert np.allclose(np.conj(plus.f.values_b), minus.f.values_b, atol=1e-14)
+    assert np.allclose(np.conj(plus.f.values), minus.f.values, atol=1e-14)
     # psi terms are real, phi' terms imaginary
-    psi_part = (plus.f.values_a + minus.f.values_a) / 2
-    phi_part = (plus.f.values_a - minus.f.values_a) / 2
+    psi_part = (plus.f.values[0] + minus.f.values[0]) / 2
+    phi_part = (plus.f.values[0] - minus.f.values[0]) / 2
     assert np.max(np.abs(psi_part.imag)) <= 1e-14
     assert np.max(np.abs(phi_part.real)) <= 1e-14
 
@@ -155,10 +151,9 @@ def test_control_quiet_before_wave_arrival(coarse_grid_t5):
     bundle = build_control(sine_profile(np.pi / 2), 1j * np.pi / 2, g)
     onset = g.T - (g.b - g.a) - 1.0
     quiet = g.ts < onset - 1e-9
-    assert np.all(bundle.f.values_a[quiet] == 0)
-    assert np.all(bundle.f.values_b[quiet] == 0)
+    assert np.all(bundle.f.values[:, quiet] == 0)
     active = (g.ts > onset + 0.2) & (g.ts < onset + 0.8)
-    assert np.max(np.abs(bundle.f.values_b[active])) > 0
+    assert np.max(np.abs(bundle.f.values[1, active])) > 0
 
 
 def test_derivative_traces_match_numerical_differentiation():
@@ -171,10 +166,8 @@ def test_derivative_traces_match_numerical_differentiation():
         g = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / n_t, 3.0)
         bundle = build_control(sine_profile(kappa), 1j * kappa, g)
         devs.append(max(
-            np.max(np.abs(np.gradient(bundle.f.values_a, g.dt, edge_order=2)
-                          - bundle.f_t.values_a)),
-            np.max(np.abs(np.gradient(bundle.f.values_b, g.dt, edge_order=2)
-                          - bundle.f_t.values_b)),
+            np.max(np.abs(np.gradient(v, g.dt, edge_order=2) - w))
+            for v, w in zip(bundle.f.values, bundle.f_t.values)
         ))
     assert 3.0 <= devs[0] / devs[1] <= 5.2, devs
 
@@ -256,8 +249,7 @@ def test_quiet_steps_bounds_the_steps_before_it_only():
         pT_f, _, lam = fourier_targets(1, g)
         bundle = build_control(pT_f, lam, g)
         assert_quiet(bundle, quiet)
-        at = np.abs(np.stack((bundle.f.values_a[quiet],
-                              bundle.f.values_b[quiet])))
+        at = np.abs(bundle.f.values[:, quiet])
         assert 0.0 < np.max(at) < 1e-100
     assert _quiet_steps(grid) == 98
 
@@ -308,8 +300,7 @@ def test_controls_on_the_support_grid_are_the_grid_s_moved(grid):
         for pT in (pT_f, pT_h):
             for got, want in zip(build_control(pT, lam, short),
                                  build_control(pT, lam, grid)):
-                for v, w in ((got.values_a, want.values_a),
-                             (got.values_b, want.values_b)):
+                for v, w in zip(got.values, want.values):
                     assert (np.max(np.abs(v - w[s:grid.nt - s]))
                             <= 1e-13 * np.max(np.abs(w)))
                     assert not np.any(v[:3]) and not np.any(v[-3:])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,7 +64,7 @@ class TestGridSpec:
 
 
 def _trace_from(grid, fa, fb):
-    return BoundaryTrace(fa(grid.ts), fb(grid.ts), grid.dt)
+    return BoundaryTrace(np.stack((fa(grid.ts), fb(grid.ts))), grid.dt)
 
 
 class TestPairing:
@@ -126,16 +128,16 @@ class TestPairing:
     def test_pairing_scaling_property(self, data, alpha):
         arr = np.asarray(data, dtype=float)
         g = GridSpec(-1.0, 1.0, 0.5, 0.5, 3.0)  # 13 samples
-        g1 = BoundaryTrace(arr[:, 0], arr[:, 1], g.dt)
-        g2 = BoundaryTrace(arr[:, 2], arr[:, 3], g.dt)
+        g1 = BoundaryTrace(arr[:, :2].T, g.dt)
+        g2 = BoundaryTrace(arr[:, 2:].T, g.dt)
         base = _pair(g1, g2, g)
         for scaled in (_pair(alpha * g1, g2, g), _pair(g1, alpha * g2, g)):
             assert np.isclose(scaled, alpha * base, rtol=1e-12, atol=1e-12)
 
     def test_mismatched_traces_rejected(self, coarse_grid):
         z = BoundaryTrace.zeros(coarse_grid)
-        short = BoundaryTrace(np.zeros(10), np.zeros(10), coarse_grid.dt)
-        coarse = BoundaryTrace(z.values_a, z.values_b, 2 * coarse_grid.dt)
+        short = BoundaryTrace(np.zeros((2, 10)), coarse_grid.dt)
+        coarse = BoundaryTrace(z.values, 2 * coarse_grid.dt)
         for other in (short, coarse):
             with pytest.raises(GridMismatchError):
                 _pair(z, other, coarse_grid)
@@ -170,9 +172,9 @@ class TestSobolevNorm:
     def test_even_length_rejected(self, coarse_grid):
         # a trace over (0, 2T) has 2T/dt + 1 samples; one sample short, it
         # has no middle sample at t = T to end the window
-        ones = np.ones(coarse_grid.nt - 1)
+        ones = np.ones((2, coarse_grid.nt - 1))
         with pytest.raises(GridMismatchError, match="2T/dt \\+ 1 samples"):
-            discrete_sobolev_norm(BoundaryTrace(ones, ones, coarse_grid.dt), 0)
+            discrete_sobolev_norm(BoundaryTrace(ones, coarse_grid.dt), 0)
 
 
 class TestTraceAlgebra:
@@ -181,73 +183,78 @@ class TestTraceAlgebra:
         g2 = _trace_from(coarse_grid, np.cos, np.sin)
         s = g1 + g2
         d = (s - g2) - g1
-        assert np.allclose(d.values_a, 0) and np.allclose(d.values_b, 0)
+        assert np.allclose(d.values, 0)
         sc = 2j * g1
-        assert np.array_equal(sc.values_a, 2j * g1.values_a)
+        assert np.array_equal(sc.values, 2j * g1.values)
 
     def test_incompatible_addition_rejected(self, coarse_grid):
         g1 = BoundaryTrace.zeros(coarse_grid)
-        g2 = BoundaryTrace(np.zeros(5), np.zeros(5), coarse_grid.dt)
+        g2 = BoundaryTrace(np.zeros((2, 5)), coarse_grid.dt)
         with pytest.raises(GridMismatchError):
             g1 + g2
 
 
 class TestTraceDtype:
     """A trace keeps its data's dtype: float64 for real samples, complex128
-    otherwise, one dtype for both ends."""
+    otherwise, in one (2, samples) array for both ends."""
 
     def test_real_samples_stay_real_without_a_copy(self):
-        v = np.linspace(0.0, 1.0, 7)
-        tr = BoundaryTrace(v, -v, 0.1)
-        assert tr.values_a.dtype == tr.values_b.dtype == np.float64
-        assert tr.values_a is v
+        v = np.linspace(0.0, 1.0, 14).reshape(2, 7)
+        tr = BoundaryTrace(v, 0.1)
+        assert tr.values.dtype == np.float64
+        assert tr.values is v
 
     def test_complex_samples_stay_complex(self):
         v = np.linspace(0.0, 1.0, 7) * (1.0 + 2.0j)
-        tr = BoundaryTrace(v, v.conj(), 0.1)
-        assert tr.values_a.dtype == tr.values_b.dtype == np.complex128
-        assert np.array_equal(tr.values_b, v.conj())
+        tr = BoundaryTrace(np.stack((v, v.conj())), 0.1)
+        assert tr.values.dtype == np.complex128
+        assert np.array_equal(tr.values[1], v.conj())
 
     @pytest.mark.parametrize("v", [np.arange(7), np.arange(7, dtype=np.int8),
                                    np.arange(7) % 2 == 0,
                                    np.arange(7, dtype=np.float32)],
                              ids=["int64", "int8", "bool", "float32"])
     def test_ints_bools_and_narrow_floats_become_float64(self, v):
-        tr = BoundaryTrace(v, v, 0.1)
-        assert tr.values_a.dtype == tr.values_b.dtype == np.float64
-        assert np.array_equal(tr.values_a, v.astype(float))
+        tr = BoundaryTrace(np.stack((v, v)), 0.1)
+        assert tr.values.dtype == np.float64
+        assert np.array_equal(tr.values[0], v.astype(float))
 
     def test_mixed_ends_share_the_complex_dtype(self):
+        # the ends as a pair of rows, one real and one complex
         re, im = np.ones(5), np.full(5, 1j)
-        for va, vb in ((re, im), (im, re)):
-            tr = BoundaryTrace(va, vb, 0.1)
-            assert tr.values_a.dtype == tr.values_b.dtype == np.complex128
-            assert np.array_equal(tr.values_a, va)
-            assert np.array_equal(tr.values_b, vb)
+        for ends in ((re, im), (im, re)):
+            tr = BoundaryTrace(ends, 0.1)
+            assert tr.values.dtype == np.complex128
+            assert np.array_equal(tr.values, ends)
 
     def test_zeros_are_real(self, coarse_grid):
         z = BoundaryTrace.zeros(coarse_grid)
-        assert z.values_a.dtype == z.values_b.dtype == np.float64
-        assert not np.shares_memory(z.values_a, z.values_b)
+        assert z.values.dtype == np.float64
+        assert z.values.shape == (2, coarse_grid.nt)
 
     def test_arithmetic_promotes_as_numpy_does(self, coarse_grid):
         g = _trace_from(coarse_grid, np.sin, np.cos)
-        assert g.values_a.dtype == np.float64
-        assert (g + g).values_a.dtype == (2.0 * g).values_b.dtype == np.float64
+        assert g.values.dtype == np.float64
+        assert (g + g).values.dtype == (2.0 * g).values.dtype == np.float64
         for tr in (1j * g, g + 1j * g, g - 1j * g):
-            assert tr.values_a.dtype == tr.values_b.dtype == np.complex128
-        assert np.array_equal((g + 1j * g).values_a, g.values_a * (1 + 1j))
+            assert tr.values.dtype == np.complex128
+        assert np.array_equal((g + 1j * g).values, g.values * (1 + 1j))
 
-    @pytest.mark.parametrize("bad", [np.array(["a", "b"]),
-                                     np.array([1.0, None], dtype=object),
-                                     np.array(["2026-01-01"] * 2,
+    @pytest.mark.parametrize("bad", [np.array([["a", "b"]] * 2),
+                                     np.array([[1.0, None]] * 2, dtype=object),
+                                     np.array([["2026-01-01"] * 2] * 2,
                                               dtype="datetime64[D]")],
                              ids=["str", "object", "datetime"])
-    @pytest.mark.parametrize("end", ["values_a", "values_b"])
-    def test_non_numeric_samples_rejected_by_name(self, bad, end):
-        ends = {"values_a": np.zeros(2), "values_b": np.zeros(2), end: bad}
-        with pytest.raises(ConfigurationError, match=f"{end} has dtype"):
-            BoundaryTrace(dt=0.1, **ends)
+    def test_non_numeric_samples_rejected_by_name(self, bad):
+        with pytest.raises(ConfigurationError, match="values has dtype"):
+            BoundaryTrace(bad, 0.1)
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7), (2, 7, 1)],
+                             ids=["one-end", "three-rows", "three-axes"])
+    def test_values_not_of_two_rows_rejected_by_shape(self, shape):
+        with pytest.raises(GridMismatchError,
+                           match=re.escape(f"got {shape}")):
+            BoundaryTrace(np.zeros(shape), 0.1)
 
 
 class TestMediumSpec:

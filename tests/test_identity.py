@@ -61,14 +61,13 @@ def test_identities_never_read_the_trailing_tail(mode4_data, mid_grid):
     # the controls' quiet steps, (T - (b - a) - 1) / dt
     quiet = 2000
     for c in (f, h):
-        assert not np.any(c.g.values_a[:quiet])
-        assert not np.any(c.g.values_b[:quiet])
+        assert not np.any(c.g.values[:, :quiet])
     tail = slice(mid_grid.nt - quiet, None)
 
     def loud(tr):
-        va, vb = tr.values_a.copy(), tr.values_b.copy()
-        va[tail] = vb[tail] = 1e6
-        return BoundaryTrace(va, vb, tr.dt)
+        v = tr.values.copy()
+        v[:, tail] = 1e6
+        return BoundaryTrace(v, tr.dt)
 
     lf, lh = (replace(c, meas_t=loud(c.meas_t), meas_tt=loud(c.meas_tt))
               for c in (f, h))
@@ -142,14 +141,14 @@ class TestLinearizedRhs:
         n = g.half_index + 1
 
         def pairing(x, y):
-            ya, yb = y.values_a[::-1].copy(), y.values_b[::-1].copy()
-            return (np.trapezoid(x.values_a[:n] * ya[:n], dx=g.dt)
-                    + np.trapezoid(x.values_b[:n] * yb[:n], dx=g.dt))
+            (xa, xb), (ya, yb) = x.values, y.values[:, ::-1].copy()
+            return (np.trapezoid(xa[:n] * ya[:n], dx=g.dt)
+                    + np.trapezoid(xb[:n] * yb[:n], dx=g.dt))
 
         nT = g.half_index
+        (fa, fb), (ha, hb) = f.g.values, h.meas_t.values
         want = (
-            -(f.g.values_a[nT] * h.meas_t.values_a[nT]
-              + f.g.values_b[nT] * h.meas_t.values_b[nT])
+            -(fa[nT] * ha[nT] + fb[nT] * hb[nT])
             - pairing(f.g, h.meas_tt)
             + pairing(f.meas_t, h.g_t)
             - lam * pairing(f.g, h.meas_t)
@@ -292,10 +291,8 @@ class TestOnePass:
         # with zero imaginary parts, run as the same real rows and give lhs
         # and rhs of the same bits, the signs of zeros included
         grid, f, h = _pulses("paper", None)
-        assert all(v.dtype == np.float64
-                   for tr in (*f, *h) for v in (tr.values_a, tr.values_b))
-        typed = [tuple(BoundaryTrace(tr.values_a.astype(complex),
-                                     tr.values_b.astype(complex), tr.dt)
+        assert all(tr.values.dtype == np.float64 for tr in (*f, *h))
+        typed = [tuple(BoundaryTrace(tr.values.astype(complex), tr.dt)
                        for tr in pair) for pair in (f, h)]
         real, other = (nonlinear_identity_residual(*pairs, 0.3, grid)
                        for pairs in ((f, h), typed))
@@ -309,13 +306,13 @@ def test_pair_reads_x_through_T_and_y_from_T(coarse_grid):
     # from it, so the identity's shorter f_t field, paired as x, may stop
     # at T
     n, rng = coarse_grid.half_index, np.random.default_rng(3)
-    x, y = (BoundaryTrace(*rng.standard_normal((2, coarse_grid.nt)),
+    x, y = (BoundaryTrace(rng.standard_normal((2, coarse_grid.nt)),
                           coarse_grid.dt) for _ in range(2))
 
     def nan_at(tr, steps):
-        va, vb = tr.values_a.copy(), tr.values_b.copy()
-        va[steps] = vb[steps] = np.nan
-        return BoundaryTrace(va, vb, tr.dt)
+        v = tr.values.copy()
+        v[:, steps] = np.nan
+        return BoundaryTrace(v, tr.dt)
 
     want = _pair(x, y, coarse_grid)
     got = _pair(nan_at(x, slice(n + 1, None)), nan_at(y, slice(None, n)),

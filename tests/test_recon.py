@@ -50,12 +50,8 @@ class TestFourierTargets:
 
 class TestAddNoise:
     def _trace(self, n=25001, seed=3):
-        rng = np.random.default_rng(seed)
-        return BoundaryTrace(
-            rng.standard_normal(n) + 1j * rng.standard_normal(n),
-            rng.standard_normal(n) + 1j * rng.standard_normal(n),
-            4e-4,
-        )
+        z = np.random.default_rng(seed).standard_normal((2, 2, n))
+        return BoundaryTrace(z[:, 0] + 1j * z[:, 1], 4e-4)
 
     def test_zero_eps_identity(self):
         tr = self._trace()
@@ -64,7 +60,7 @@ class TestAddNoise:
     def test_zero_trace_unchanged(self, coarse_grid):
         z = BoundaryTrace.zeros(coarse_grid)
         out = add_noise(z, 0.05, np.random.default_rng(0))
-        assert np.all(out.values_a == 0) and np.all(out.values_b == 0)
+        assert np.all(out.values == 0)
 
     def test_empirical_noise_level(self):
         # across 2 x 25001 samples the empirical std of the perturbation
@@ -72,17 +68,15 @@ class TestAddNoise:
         tr = self._trace()
         eps = 0.01
         noisy = add_noise(tr, eps, np.random.default_rng(11))
-        delta = np.concatenate([noisy.values_a - tr.values_a,
-                                noisy.values_b - tr.values_b])
-        rms = np.sqrt(np.mean(np.abs(np.concatenate(
-            [tr.values_a, tr.values_b])) ** 2))
+        delta = noisy.values - tr.values
+        rms = np.sqrt(np.mean(np.abs(tr.values) ** 2))
         measured = np.sqrt(np.mean(np.abs(delta) ** 2))
         assert abs(measured - eps * rms) <= 0.05 * eps * rms
 
     def test_real_imag_parts_independent(self):
         tr = self._trace(n=50001)
         noisy = add_noise(tr, 0.02, np.random.default_rng(5))
-        delta = noisy.values_a - tr.values_a
+        delta = noisy.values[0] - tr.values[0]
         corr = np.corrcoef(delta.real, delta.imag)[0, 1]
         assert abs(corr) < 0.05
 
@@ -108,18 +102,18 @@ class TestNoiseDeterminism:
     def test_same_seed_bitwise_identical(self, pair_data):
         n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
         n2 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
-        assert np.array_equal(n1.f.meas_t.values_a, n2.f.meas_t.values_a)
-        assert np.array_equal(n1.h.meas_tt.values_b, n2.h.meas_tt.values_b)
+        assert np.array_equal(n1.f.meas_t.values[0], n2.f.meas_t.values[0])
+        assert np.array_equal(n1.h.meas_tt.values[1], n2.h.meas_tt.values[1])
 
     def test_different_seeds_differ(self, pair_data):
         n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
         n2 = apply_measurement_noise(pair_data, 1, 0.01, seed=43)
-        assert not np.array_equal(n1.f.meas_t.values_a, n2.f.meas_t.values_a)
+        assert not np.array_equal(n1.f.meas_t.values[0], n2.f.meas_t.values[0])
 
     def test_roles_get_independent_streams(self, pair_data):
         noisy = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
-        d1 = (noisy.f.meas_t - pair_data.f.meas_t).values_a
-        d2 = (noisy.h.meas_t - pair_data.h.meas_t).values_a
+        d1 = (noisy.f.meas_t - pair_data.f.meas_t).values[0]
+        d2 = (noisy.h.meas_t - pair_data.h.meas_t).values[0]
         # identical streams would give perfectly correlated increments
         scale1 = np.sqrt(np.mean(np.abs(d1) ** 2))
         scale2 = np.sqrt(np.mean(np.abs(d2) ** 2))
@@ -129,7 +123,7 @@ class TestNoiseDeterminism:
     def test_mode_index_changes_stream(self, pair_data):
         n1 = apply_measurement_noise(pair_data, 1, 0.01, seed=42)
         n2 = apply_measurement_noise(pair_data, 2, 0.01, seed=42)
-        assert not np.array_equal(n1.f.meas_t.values_a, n2.f.meas_t.values_a)
+        assert not np.array_equal(n1.f.meas_t.values[0], n2.f.meas_t.values[0])
 
     def test_substream_labels_pinned(self, coarse_support_grid):
         # the (mode, label) spawn keys fix every noisy output; moving a label
@@ -148,8 +142,7 @@ class TestNoiseDeterminism:
             want = add_noise(getattr(getattr(clean, control), field), eps,
                              rng)
             got = getattr(getattr(noisy, control), field)
-            assert np.array_equal(got.values_a, want.values_a)
-            assert np.array_equal(got.values_b, want.values_b)
+            assert np.array_equal(got.values, want.values)
 
 
 def test_noise_level_is_the_same_at_every_T():
@@ -167,7 +160,7 @@ def test_noise_level_is_the_same_at_every_T():
         measure = ReconSettings(grid=grid, N=1).measurement(medium)
         trace = acquire_clean_pair_data(1, grid, measure).f.meas_t
         noise = add_noise(trace, 0.05, UnitDraws()) - trace
-        stds.append(np.median(noise.values_a.real))
+        stds.append(np.median(noise.values[0].real))
     assert stds[0] > 0
     assert stds[1] == pytest.approx(stds[0], rel=1e-9)
 

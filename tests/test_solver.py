@@ -35,7 +35,7 @@ def _fields(out):
     """The arrays of a trace of :func:`solve_many` or of the snapshots of
     :func:`snapshots_many`."""
     if isinstance(out, BoundaryTrace):
-        return out.values_a, out.values_b
+        return out.values
     return out.qT_snapshot, out.uT_snapshot
 
 
@@ -108,8 +108,7 @@ def test_real_pulses_give_real_traces(coarse_grid):
     # imaginary parts are all zero, whatever the data's dtype
     fs = [smooth_pulse_trace(coarse_grid, t0, 0.3, 4.0, w, 0.7)[0]
           for t0, w in ((1.2, 0.5), (1.5, -1.0))]
-    as_complex = [BoundaryTrace(f.values_a.astype(complex),
-                                f.values_b.astype(complex), f.dt) for f in fs]
+    as_complex = [BoundaryTrace(f.values.astype(complex), f.dt) for f in fs]
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
     real, typed = (solve_many(coarse_grid, sigma, gs) for gs in (fs, as_complex))
     for r, t in zip(real, typed, strict=True):
@@ -162,9 +161,7 @@ def test_complex_linearized_equals_pair_of_real_passes(coarse_grid):
     (out_c,), (out_r,), (out_i,) = (
         linearized_nd_map_many(coarse_grid, med, [f])
         for f in (fr + 1j * fi, fr, fi))
-    for side in ("values_a", "values_b"):
-        c, r, i = (getattr(out, side) for out in (out_c, out_r, out_i))
-        assert np.array_equal(c, r + 1j * i)
+    assert np.array_equal(out_c.values, out_r.values + 1j * out_i.values)
 
 
 def _edge_sloped_source(grid):
@@ -194,8 +191,7 @@ def test_nd_map_linearity(coarse_grid):
     combo, m1, m2 = (solve_many(coarse_grid, 0.25, [f])[0]
                      for f in (al * f1 + be * f2, f1, f2))
     separate = al * m1 + be * m2
-    assert np.allclose(combo.values_a, separate.values_a, rtol=1e-12, atol=1e-14)
-    assert np.allclose(combo.values_b, separate.values_b, rtol=1e-12, atol=1e-14)
+    assert np.allclose(combo.values, separate.values, rtol=1e-12, atol=1e-14)
 
 
 def test_nd_map_commutes_with_time_derivative(coarse_grid):
@@ -204,10 +200,10 @@ def test_nd_map_commutes_with_time_derivative(coarse_grid):
     f, f_t = smooth_pulse_trace(coarse_grid, 1.2, 0.25, 4.0, 1.0, 0.6)
     sigma = 0.2
     meas_dot, meas = solve_many(coarse_grid, sigma, [f_t, f])
-    for side in ("values_a", "values_b"):
-        fd = np.gradient(getattr(meas, side), coarse_grid.dt, edge_order=2)
-        err = np.max(np.abs(fd - getattr(meas_dot, side)))
-        assert err <= 5e-3 * np.max(np.abs(getattr(meas_dot, side)))
+    for v, v_dot in zip(meas.values, meas_dot.values):
+        fd = np.gradient(v, coarse_grid.dt, edge_order=2)
+        err = np.max(np.abs(fd - v_dot))
+        assert err <= 5e-3 * np.max(np.abs(v_dot))
 
 
 def test_energy_non_increasing_after_data_stops(coarse_grid):
@@ -275,7 +271,7 @@ class TestSnapshots:
         control = build_control(pT, lam, grid)
         fs = [control.f, control.f_tt]
         h = grid.half_index
-        assert all(np.abs(tr.values_a[h - 2:h + 3]).min() > 1e-3 for tr in fs)
+        assert all(np.abs(tr.values[0, h - 2:h + 3]).min() > 1e-3 for tr in fs)
         sigma = 0.2 + 0.1 * grid.xs
         levels, time_loop = [], solver._time_loop
 
@@ -302,8 +298,7 @@ class TestLinearized:
     def test_zero_perturbation_zero_response(self, coarse_grid, zero_medium):
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
         (out,) = linearized_nd_map_many(coarse_grid, zero_medium, [f])
-        assert np.all(out.values_a == 0)
-        assert np.all(out.values_b == 0)
+        assert np.all(out.values == 0)
 
     def test_linearity_in_perturbation(self, coarse_grid):
         xs = coarse_grid.xs
@@ -315,7 +310,8 @@ class TestLinearized:
         lin = lambda s: linearized_nd_map_many(coarse_grid, med(s), [f])[0]
         combo = lin(al * s1 + be * s2)
         separate = al * lin(s1) + be * lin(s2)
-        assert np.allclose(combo.values_a, separate.values_a, rtol=1e-12, atol=1e-15)
+        assert np.allclose(combo.values[0], separate.values[0], rtol=1e-12,
+                           atol=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
     @pytest.mark.parametrize("scaled", ["sigma_dot", "data"])
@@ -358,8 +354,7 @@ class TestLinearized:
             (pert,) = solve_many(coarse_grid, sigma0 + eps * sigma_dot, [f])
             diff = pert - base
             resid = diff - eps * lin
-            errs.append(max(np.max(np.abs(resid.values_a)),
-                            np.max(np.abs(resid.values_b))))
+            errs.append(np.max(np.abs(resid.values)))
         assert errs[0] / errs[1] > 50
         assert errs[1] / errs[2] > 50
 
@@ -424,10 +419,9 @@ def test_a_pass_runs_one_medium_per_row(coarse_grid):
 
 def _one_bad_sample(grid, bad):
     """A clean trace, then one with a single sample ``bad`` at end b."""
-    values = np.zeros(grid.nt, dtype=complex)
-    values[grid.nt // 2] = bad
-    return [BoundaryTrace.zeros(grid),
-            BoundaryTrace(np.zeros(grid.nt), values, grid.dt)]
+    values = np.zeros((2, grid.nt), dtype=complex)
+    values[1, grid.nt // 2] = bad
+    return [BoundaryTrace.zeros(grid), BoundaryTrace(values, grid.dt)]
 
 
 _NON_FINITE = {"nan": np.nan, "inf": np.inf,
@@ -478,13 +472,14 @@ class TestValidation:
             solve_many(coarse_grid, sigma, [BoundaryTrace.zeros(coarse_grid)])
 
     def test_trace_length_mismatch(self, coarse_grid):
-        bad = BoundaryTrace(np.zeros(11), np.zeros(11), coarse_grid.dt)
+        bad = BoundaryTrace(np.zeros((2, 11)), coarse_grid.dt)
         with pytest.raises(ConfigurationError):
             solve_many(coarse_grid, 0.0, [bad])
 
     def test_nonzero_initial_data_warns(self, coarse_grid):
         ts = coarse_grid.ts
-        f = BoundaryTrace(np.cos(ts), np.zeros_like(ts), coarse_grid.dt)
+        f = BoundaryTrace(np.stack((np.cos(ts), np.zeros_like(ts))),
+                          coarse_grid.dt)
         with pytest.warns(UserWarning, match="Neumann data nonzero"):
             solve_many(coarse_grid, 0.0, [f])
 
@@ -494,8 +489,8 @@ class TestValidation:
         small = np.zeros(nt)
         small[0] = 1e-6
         large = 1e6 * np.sin(np.pi * coarse_grid.ts)
-        fs = [BoundaryTrace(np.zeros(nt), large, coarse_grid.dt),
-              BoundaryTrace(small, np.zeros(nt), coarse_grid.dt)]
+        fs = [BoundaryTrace(np.stack((np.zeros(nt), large)), coarse_grid.dt),
+              BoundaryTrace(np.stack((small, np.zeros(nt))), coarse_grid.dt)]
         with pytest.warns(UserWarning, match="Neumann data nonzero"):
             solve_many(coarse_grid, 0.0, fs)
 
@@ -558,10 +553,9 @@ class TestValidation:
 def _at_rest(tr):
     """``tr`` with its samples within ``_REACH`` steps of either end of the
     grid set to zero, as the transfer maps take them."""
-    va, vb = tr.values_a.copy(), tr.values_b.copy()
-    for v in (va, vb):
-        v[:_REACH] = v[-_REACH:] = 0.0
-    return BoundaryTrace(va, vb, tr.dt)
+    v = tr.values.copy()
+    v[:, :_REACH] = v[:, -_REACH:] = 0.0
+    return BoundaryTrace(v, tr.dt)
 
 
 def _window_traces(grid):
@@ -570,7 +564,7 @@ def _window_traces(grid):
     f, _ = smooth_pulse_trace(grid, 1.0, 0.2, 5.0, 1.0, 0.3)
     h, _ = smooth_pulse_trace(grid, 1.3, 0.25, 3.0, 0.2, 1.0)
     ts = grid.ts
-    ramp = BoundaryTrace(0.3 + 0.1 * ts, np.cos(2.0 * ts) - 0.5j, grid.dt)
+    ramp = BoundaryTrace((0.3 + 0.1 * ts, np.cos(2.0 * ts) - 0.5j), grid.dt)
     return [_at_rest(tr)
             for tr in (f + 1j * h + ramp, (0.5 - 2j) * h + 1j * ramp)]
 
@@ -583,19 +577,18 @@ def _edge_traces(grid, window, seed=7):
     traces = []
     shape = (2, len(range(grid.nt)[window]))
     for _ in range(2):
-        va, vb = np.zeros((2, grid.nt), dtype=complex)
-        va[window], vb[window] = (rng.standard_normal(shape)
-                                  + 1j * rng.standard_normal(shape))
-        traces.append(BoundaryTrace(va, vb, grid.dt))
+        v = np.zeros((2, grid.nt), dtype=complex)
+        v[:, window] = (rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+        traces.append(BoundaryTrace(v, grid.dt))
     return traces
 
 
 def _max_rel_deviation(traces, refs):
     worst = 0.0
     for tr, ref in zip(traces, refs, strict=True):
-        dev = max(np.max(np.abs(tr.values_a - ref.values_a)),
-                  np.max(np.abs(tr.values_b - ref.values_b)))
-        scale = max(np.max(np.abs(ref.values_a)), np.max(np.abs(ref.values_b)))
+        dev = np.max(np.abs(tr.values - ref.values))
+        scale = np.max(np.abs(ref.values))
         worst = max(worst, dev / scale)
     return worst
 
@@ -617,6 +610,39 @@ def _medium(grid):
 
 # at eps = 1e-3 the stepper quotient's own cancellation reaches 4e-9
 _EPS = 0.5
+
+
+# every ND map, as (grid, medium, traces) -> traces
+_ND_MAPS = {
+    "solve_many": lambda grid, med, fs: solve_many(grid, med.sigma0, fs),
+    "linearized_nd_map_many": linearized_nd_map_many,
+    "transfer_linearized": lambda grid, med, fs:
+        transfer_linearized_nd_map(grid, med)(fs),
+    "transfer_difference": lambda grid, med, fs:
+        transfer_difference_nd_map(grid, med, _EPS)(fs),
+}
+
+
+@pytest.mark.parametrize("entry", [*sorted(_ND_MAPS), "snapshots_many"])
+def test_no_traces_give_no_outputs(entry, coarse_grid):
+    if entry == "snapshots_many":
+        assert snapshots_many(coarse_grid, 0.1, []) == []
+    else:
+        assert _ND_MAPS[entry](coarse_grid, _medium(coarse_grid), []) == []
+
+
+@pytest.mark.parametrize("entry", sorted(_ND_MAPS))
+def test_traces_of_a_call_are_views_of_one_block(entry, coarse_grid):
+    # for real and for complex data, the traces' values are the rows of
+    # one block per call, with no copy
+    pulses = [_at_rest(smooth_pulse_trace(coarse_grid, t0, 0.25, 4.0, 1.0,
+                                          0.5)[0]) for t0 in (1.0, 1.4)]
+    med = _medium(coarse_grid)
+    for fs in (pulses, _window_traces(coarse_grid) + pulses[:1]):
+        out = _ND_MAPS[entry](coarse_grid, med, fs)
+        block = out[0].values.base
+        assert block.shape == (len(fs), 2, coarse_grid.nt)
+        assert all(tr.values.base is block for tr in out)
 
 
 class TestTransfer:
@@ -695,7 +721,7 @@ class TestTransfer:
                   "last": (grid.nt - 1 - _REACH, 1e-10)}[step]
         g = np.zeros((2, 2, grid.nt))
         g[..., n] = np.eye(2)
-        fs = [BoundaryTrace(*gj, grid.dt) for gj in g]
+        fs = [BoundaryTrace(gj, grid.dt) for gj in g]
         eps = 1e-3
         for got, want in (
                 (transfer_linearized_nd_map(grid, med)(fs),
@@ -719,7 +745,7 @@ class TestTransfer:
             bf, bh = (build_control(pT, lam, grid) for pT in (pT_f, pT_h))
             driven = [bf.f_t, bf.f_tt, bh.f_t, bh.f_tt, bf.f, bh.f]
             for tr in driven:
-                g = np.stack((tr.values_a, tr.values_b))
+                g = tr.values
                 assert not np.any(g[:, :3]) and not np.any(g[:, -3:])
                 assert np.any(g[:, 3:6]) and np.any(g[:, -6:-3])
             f, h = acquire_clean_pair_data(k, grid, measure)[1:]
@@ -748,16 +774,14 @@ class TestTransfer:
             quotient, _stepper_quotient(coarse_grid, med, _EPS, fs)) <= 1e-9
         for measure, old in zip(maps, before):
             (again,) = measure(fs)
-            assert np.array_equal(again.values_a, old.values_a)
-            assert np.array_equal(again.values_b, old.values_b)
+            assert np.array_equal(again.values, old.values)
 
     def test_earlier_results_survive_later_calls(self, coarse_support_grid):
         # a map's outputs must not alias its work buffers, and a call must
         # not leave data behind in them for the next
         def unchanged(traces, copies):
-            for tr, (want_a, want_b) in zip(traces, copies, strict=True):
-                assert np.array_equal(tr.values_a, want_a)
-                assert np.array_equal(tr.values_b, want_b)
+            for tr, want in zip(traces, copies, strict=True):
+                assert np.array_equal(tr.values, want)
 
         grid = coarse_support_grid
         med = _medium(grid)
@@ -769,7 +793,7 @@ class TestTransfer:
         for make in makers:
             measure = make()
             kept = measure(fs)
-            copies = [(tr.values_a.copy(), tr.values_b.copy()) for tr in kept]
+            copies = [tr.values.copy() for tr in kept]
             measure(controls)
             unchanged(kept, copies)
             unchanged(measure(fs), copies)
@@ -790,8 +814,7 @@ class TestTransfer:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            returned = sum(tr.values_a.nbytes + tr.values_b.nbytes
-                           for tr in out)
+            returned = sum(tr.values.nbytes for tr in out)
             assert peak <= 1.5 * returned
 
     def test_work_arrays_hold_fourteen_real_series(self, coarse_grid):
@@ -877,8 +900,7 @@ def _quiet_grid(quiet):
 
 def _between(traces, start, stop):
     """The samples at steps ``start`` .. ``stop``-1 of ``traces``."""
-    return [BoundaryTrace(tr.values_a[start:stop], tr.values_b[start:stop],
-                          tr.dt) for tr in traces]
+    return [BoundaryTrace(tr.values[:, start:stop], tr.dt) for tr in traces]
 
 
 @pytest.mark.parametrize("kind", sorted(_MAPS))
@@ -966,10 +988,10 @@ class TestTwoSidedWindow:
         med = _medium(grid)
         fs = _controls(grid)
         for tr in fs:  # zero in the last three steps
-            assert not np.any(tr.values_a[-3:]) and not np.any(tr.values_b[-3:])
+            assert not np.any(tr.values[:, -3:])
         got = make(grid, med)(fs)
         assert _max_rel_deviation(got, oracle(grid, med, fs)) <= 1e-9
-        assert all(np.any(tr.values_a[-3:]) for tr in got)
+        assert all(np.any(tr.values[0, -3:]) for tr in got)
 
     @pytest.mark.parametrize("quiet", [1, 2, 3])
     def test_a_window_to_the_last_step_is_the_one_sided_map(self, kind,
@@ -1066,7 +1088,7 @@ class TestTransferValidation:
             _TRANSFER_MAPS[kind](g)
 
     def test_trace_length_mismatch(self, kind, coarse_grid):
-        bad = BoundaryTrace(np.zeros(11), np.zeros(11), coarse_grid.dt)
+        bad = BoundaryTrace(np.zeros((2, 11)), coarse_grid.dt)
         with pytest.raises(ConfigurationError, match="Neumann trace 0"):
             _TRANSFER_MAPS[kind](coarse_grid)([bad])
 
@@ -1080,7 +1102,7 @@ class TestTransferValidation:
         values = np.zeros((2, coarse_grid.nt), dtype=complex)
         values[end, step] = 1e-300j
         fs = [BoundaryTrace.zeros(coarse_grid),
-              BoundaryTrace(*values, coarse_grid.dt)]
+              BoundaryTrace(values, coarse_grid.dt)]
         with pytest.raises(ConfigurationError,
                            match="Neumann trace 1 is nonzero within 3 steps "
                                  "of an end of the grid"):
@@ -1101,8 +1123,7 @@ class TestTransferValidation:
         batched = measure(fs)
         for f, got in zip(fs, batched, strict=True):
             (single,) = measure([f])
-            assert np.array_equal(got.values_a, single.values_a)
-            assert np.array_equal(got.values_b, single.values_b)
+            assert np.array_equal(got.values, single.values)
 
 
 @pytest.mark.parametrize("kind", ["stepper", "snapshots"])
@@ -1110,7 +1131,8 @@ def test_initial_data_warning_names_the_caller(kind, coarse_grid):
     # the transfer maps refuse such data instead
     solve = {"stepper": solve_many, "snapshots": snapshots_many}[kind]
     ts = coarse_grid.ts
-    f = BoundaryTrace(np.cos(ts), np.zeros_like(ts), coarse_grid.dt)
+    f = BoundaryTrace(np.stack((np.cos(ts), np.zeros_like(ts))),
+                      coarse_grid.dt)
     with pytest.warns(UserWarning, match="Neumann data nonzero") as record:
         line = inspect.currentframe().f_lineno + 1
         solve(coarse_grid, 0.0, [f])

@@ -44,8 +44,7 @@ def reference_solve(grid, sigma, f, source=None):
     """Endpoint trace (nt, 2) and u(T) of one field, scheme as documented;
     ``source`` holds S(t_n, .) for n = 0 .. nt-2."""
     dt, dx = grid.dt, grid.dx
-    ga_t, ga_tt = _derivs(f.values_a, dt)
-    gb_t, gb_tt = _derivs(f.values_b, dt)
+    (ga_t, ga_tt), (gb_t, gb_tt) = (_derivs(v, dt) for v in f.values)
     sx_a, sx_b = _edge_slopes(sigma, dx)
     u_prev = np.zeros(grid.nx, dtype=complex)
     u = np.zeros_like(u_prev)
@@ -60,8 +59,8 @@ def reference_solve(grid, sigma, f, source=None):
         u_t = (u - u_prev) / dt
         uxxx_a = (-ga_tt[n] + sx_a * u_t[0] - sigma[0] * ga_t[n] - s_xa)
         uxxx_b = (gb_tt[n] + sx_b * u_t[-1] + sigma[-1] * gb_t[n] - s_xb)
-        u_prev, u = u, _step(u, u_prev, sigma, dt, dx, f.values_a[n],
-                             f.values_b[n], uxxx_a, uxxx_b, s)
+        u_prev, u = u, _step(u, u_prev, sigma, dt, dx, f.values[0, n],
+                             f.values[1, n], uxxx_a, uxxx_b, s)
         trace[n + 1] = u[[0, -1]]
         if n + 1 == grid.half_index:
             u_mid = u
@@ -80,8 +79,7 @@ def reference_linearized(grid, medium, f):
     sigma = medium.sigma0 + 1j * h * medium.sigma_dot
     part_re, part_im = (
         reference_solve(grid, sigma,
-                        BoundaryTrace(part(f.values_a), part(f.values_b), f.dt)
-                        )[0].imag / h
+                        BoundaryTrace(part(f.values), f.dt))[0].imag / h
         for part in (np.real, np.imag))
     return part_re + 1j * part_im
 
@@ -91,7 +89,7 @@ def _rel(got, want):
 
 
 def _as_array(trace: BoundaryTrace):
-    return np.stack((trace.values_a, trace.values_b), axis=1)
+    return trace.values.T
 
 
 @pytest.fixture(scope="module")

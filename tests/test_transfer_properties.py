@@ -79,13 +79,9 @@ def _trace(grid, params, phase=1.0):
     _DELAY - 2, where it is below rounding already, so that its centered
     difference and its delays by up to _DELAY steps are at rest in the
     _REACH steps at either end too."""
-    values = _values(phase * smooth_pulse_trace(grid, *params)[0])
+    values = (phase * smooth_pulse_trace(grid, *params)[0]).values
     values[:, :_REACH + 1] = values[:, -(_REACH + _DELAY + 1):] = 0.0
-    return BoundaryTrace(*values, grid.dt)
-
-
-def _values(trace):
-    return np.stack((trace.values_a, trace.values_b))
+    return BoundaryTrace(values, grid.dt)
 
 
 def _rel(got, want):
@@ -99,15 +95,15 @@ class TestProperties:
     def test_linear_in_the_trace(self, kind, coarse_grid, p, q, al, be):
         f, h = _trace(coarse_grid, p), _trace(coarse_grid, q, 1j)
         combo, mf, mh = MAPS[kind](coarse_grid, [al * f + be * h, f, h])
-        assert _rel(_values(combo), _values(al * mf + be * mh)) <= 1e-11
+        assert _rel(combo.values, (al * mf + be * mh).values) <= 1e-11
 
     @given(p=pulses, k=st.integers(1, _DELAY))
     @settings(max_examples=4, deadline=None)
     def test_delay_delays_the_measurement(self, kind, coarse_grid, p, k):
         f = _trace(coarse_grid, p, 0.3 - 1j)
-        late = BoundaryTrace(*(np.concatenate((np.zeros(k), v[:-k]))
-                               for v in _values(f)), f.dt)
-        meas, meas_late = (_values(m) for m in MAPS[kind](coarse_grid, [f, late]))
+        late = BoundaryTrace(
+            np.concatenate((np.zeros((2, k)), f.values[:, :-k]), axis=1), f.dt)
+        meas, meas_late = (m.values for m in MAPS[kind](coarse_grid, [f, late]))
         assert np.max(np.abs(meas_late[:, :k])) <= 1e-12 * np.max(np.abs(meas))
         assert _rel(meas_late[:, k:], meas[:, :-k]) <= 1e-11
 
@@ -120,8 +116,8 @@ class TestProperties:
             return out
 
         f = _trace(coarse_grid, p, 1.0 + 0.5j)
-        f_diff = BoundaryTrace(*diff(_values(f)), f.dt)
-        meas, meas_diff = (_values(m) for m in MAPS[kind](coarse_grid, [f, f_diff]))
+        f_diff = BoundaryTrace(diff(f.values), f.dt)
+        meas, meas_diff = (m.values for m in MAPS[kind](coarse_grid, [f, f_diff]))
         assert _rel(meas_diff[:, 1:-1], diff(meas)[:, 1:-1]) <= 1e-10
 
 
@@ -133,4 +129,4 @@ def test_transfer_matches_stepper(kind, coarse_grid, p, q):
     stepper = MAPS[f"{kind}-stepper"](coarse_grid, fs)
     transfer = MAPS[f"{kind}-transfer"](coarse_grid, fs)
     for got, want in zip(transfer, stepper, strict=True):
-        assert _rel(_values(got), _values(want)) <= 1e-11
+        assert _rel(got.values, want.values) <= 1e-11
