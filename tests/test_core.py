@@ -240,12 +240,24 @@ class TestTraceDtype:
             assert tr.values.dtype == np.complex128
         assert np.array_equal((g + 1j * g).values, g.values * (1 + 1j))
 
+    @pytest.mark.parametrize("bad", [np.array(["a", "b"]),
+                                     np.array([1.0, None], dtype=object),
+                                     np.array(["2026-01-01"] * 2,
+                                              dtype="datetime64[D]")],
+                             ids=["str", "object", "datetime"])
+    @pytest.mark.parametrize("end", ["values_a", "values_b"])
+    def test_non_numeric_samples_rejected_by_name(self, bad, end):
+        # the ends as a pair of rows, one numeric and one not
+        ends = {"values_a": np.zeros(2), "values_b": np.zeros(2), end: bad}
+        with pytest.raises(ConfigurationError, match="values has dtype"):
+            BoundaryTrace((ends["values_a"], ends["values_b"]), 0.1)
+
     @pytest.mark.parametrize("bad", [np.array([["a", "b"]] * 2),
                                      np.array([[1.0, None]] * 2, dtype=object),
                                      np.array([["2026-01-01"] * 2] * 2,
                                               dtype="datetime64[D]")],
                              ids=["str", "object", "datetime"])
-    def test_non_numeric_samples_rejected_by_name(self, bad):
+    def test_non_numeric_array_rejected_by_name(self, bad):
         with pytest.raises(ConfigurationError, match="values has dtype"):
             BoundaryTrace(bad, 0.1)
 
