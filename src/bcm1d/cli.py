@@ -209,6 +209,9 @@ def _readable(x) -> str:
 
 
 def run_experiment(config: RunConfig) -> int:
+    if not config.out_dir:
+        print("error: the output directory (--out) is empty", file=sys.stderr)
+        return 2
     try:
         grid = config.grid()
         # checks N before experiment 2 sums its N-term truth
@@ -421,6 +424,8 @@ def parse_config_file(path) -> dict:
         lines[key] = lineno
         attr, conv = _CONFIG_KEYS[key]
         try:
+            if not value:
+                raise ValueError("empty value")
             updates[attr] = conv(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None

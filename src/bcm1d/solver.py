@@ -54,8 +54,9 @@ at every step before T, the same for every row: their edge terms join the
 injection signals before the loop, and each step adds gain S.  In a real
 medium a row is real when its data are, and complex otherwise.  The loop
 only adds, subtracts and multiplies by real coefficients there, which numpy
-does on the two parts of a complex row exactly as on two real rows.  The
-ND map's traces keep the rows' dtype; the snapshots are complex either way.
+does on the two parts of a complex row exactly as on two real rows.  Every
+ND map takes data whose imaginary parts are all zero as real, and returns
+float64 traces for them; the snapshots are complex either way.
 
 :func:`snapshots_many` reads the field at the half time T and u_x by
 centered differences, and stops at T: it takes T/dt steps, half of a map's
@@ -111,7 +112,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -167,13 +168,19 @@ def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace]):
         yield tr
 
 
+def _real(traces: Sequence[BoundaryTrace]) -> bool:
+    """Whether every imaginary part of the traces is zero: every ND map
+    takes such a batch as real data and returns float64 traces for it."""
+    return not any(np.iscomplexobj(tr.values) and np.any(tr.values.imag)
+                   for tr in traces)
+
+
 def _stack_neumann(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
                    stacklevel: int = 3) -> np.ndarray:
     """Checked endpoint data as one (traces, 2, nt) array, a side then b,
-    real when every imaginary part is zero; at most one warning, at the
-    stepper's caller ``stacklevel`` frames up, for data nonzero at t = 0."""
-    real = not any(np.iscomplexobj(tr.values) and np.any(tr.values.imag)
-                   for tr in neumanns)
+    real when :func:`_real`; at most one warning, at the stepper's caller
+    ``stacklevel`` frames up, for data nonzero at t = 0."""
+    real = _real(neumanns)
     g = np.empty((len(neumanns), 2, grid.nt), float if real else complex)
     for gj, tr in zip(g, _checked(grid, neumanns)):
         gj[...] = tr.values.real if real else tr.values
@@ -263,35 +270,6 @@ def _injection(taps, g):
     return out
 
 
-class _Level(NamedTuple):
-    """A level of the loop: a flat buffer and the views the loop updates.
-
-    Each row of nodes sits between two cells, so that a whole update is a
-    few contiguous numpy calls; the coefficients vanish at the cells, which
-    keeps the rows apart.  In the buffer of differences u_{k+1} - u_k, the
-    slots next to the cells take the injection signals.
-    """
-
-    flat: np.ndarray
-    head: np.ndarray   # flat[:-1]
-    tail: np.ndarray   # flat[1:]
-    slots: np.ndarray  # (rows, 2) outer differences at a and b
-    ends: np.ndarray   # (rows, 2) nodes 0 and nx-1
-    nodes: np.ndarray  # (rows, nx)
-
-    @classmethod
-    def of(cls, rows: int, nx: int, nodes=0.0, dtype=float) -> "_Level":
-        grid2d = np.zeros((rows, nx + 2), np.result_type(nodes, dtype))
-        grid2d[:, 1:-1] = nodes
-        return cls.on(grid2d)
-
-    @classmethod
-    def on(cls, grid2d: np.ndarray) -> "_Level":
-        nx, flat = grid2d.shape[1] - 2, grid2d.reshape(-1)
-        return cls(flat, flat[:-1], flat[1:], grid2d[:, ::nx],
-                   grid2d[:, 1:nx + 1:nx - 1], grid2d[:, 1:-1])
-
-
 def _time_loop(grid, stencil, inj, last, source=None):
     """Advance rows of nodes from u^0 = 0 and u^1 = dt^2 S(0) / 2.
 
@@ -304,35 +282,44 @@ def _time_loop(grid, stencil, inj, last, source=None):
     data and medium are.  Returns the endpoint traces (rows, 2, steps),
     zero past a row's last step, and the field at step T/dt of the rows
     running then.
+
+    In each (rows, nx + 2) buffer a row of nodes sits between two cells,
+    so that an update is a few numpy calls on the buffer read flat, its
+    head flat[:-1] against its tail flat[1:]; the coefficients vanish at
+    the cells, which keeps the rows apart.  In the buffer of differences
+    u_{k+1} - u_k, the slots next to the cells take the injection signals.
     """
     rows, nx = len(last), grid.nx
     # Taylor first layer: with zero initial data, u_tt(0) = S(0)
     u1 = 0.0 if source is None else (grid.dt**2 / 2.0) * source[0]
     dtype = np.result_type(inj, *stencil)
-    buffers = [_Level.of(rows, nx, c) for c in stencil] + [
-        _Level.of(rows, nx, u, dtype) for u in (u1, u1, 0.0, 0.0)]
+    # carry, left, right, gain; then u, v, the differences and scratch
+    buffers = [np.zeros((rows, nx + 2), kind)
+               for kind in [c.dtype for c in stencil] + [dtype] * 4]
+    for b, nodes in zip(buffers, (*stencil, u1, u1)):
+        b[:, 1:-1] = nodes
     if source is not None:
         inj[1:-1] -= _edge_term(source[1:, None])
     # steps last, as the data are stored: a row that stops early leaves
     # the rest of its memory untouched
     traces = np.zeros((rows, 2, len(inj)), dtype)
-    traces[..., 1] = buffers[4].ends
+    traces[..., 1] = buffers[4][:, 1:nx + 1:nx - 1]
     half, level = grid.half_index, None
     sub, mul, add = np.subtract, np.multiply, np.add
     n0 = 1
     for n1 in sorted(set(last)):
         # views of the k rows that run through step n1, bound once per
-        # count of rows: a step reads no attribute
+        # count of rows
         k = sum(m >= n1 for m in last)
-        carry, left, right, gain, u, v, diff, tmp = (
-            _Level.on(b.flat.reshape(rows, -1)[:k]) for b in buffers)
-        u_flat, u_head, u_tail, _, u_ends, u_nodes = u
-        v_flat, v_head, v_tail, _, _, v_nodes = v
-        diff_head, diff_slots = diff.head, diff.slots
-        tmp_head, tmp_tail, tmp_nodes = tmp.head, tmp.tail, tmp.nodes
-        carry_flat, right_head, left_tail = carry.flat, right.head, left.tail
-        gain_nodes, inj_k = gain.nodes, inj[:, :k]
-        traces_k = np.moveaxis(traces[:k], -1, 0)
+        carry, left, right, gain, u, v, diff, tmp = (b[:k] for b in buffers)
+        carry_flat, u_flat, v_flat = (b.reshape(-1) for b in (carry, u, v))
+        u_head, v_head, tmp_head, diff_head, right_head = (
+            b.reshape(-1)[:-1] for b in (u, v, tmp, diff, right))
+        u_tail, v_tail, tmp_tail, left_tail = (
+            b.reshape(-1)[1:] for b in (u, v, tmp, left))
+        v_nodes, tmp_nodes, gain_nodes = (b[:, 1:-1] for b in (v, tmp, gain))
+        diff_slots, u_ends = diff[:, ::nx], u[:, 1:nx + 1:nx - 1]
+        inj_k, traces_k = inj[:, :k], np.moveaxis(traces[:k], -1, 0)
         for n in range(n0, n1):
             sub(u_tail, u_head, diff_head)
             diff_slots[...] = inj_k[n]
@@ -347,7 +334,7 @@ def _time_loop(grid, stencil, inj, last, source=None):
             add(u_flat, v_flat, u_flat)
             traces_k[n + 1] = u_ends
             if n + 1 == half:
-                level = u_nodes.copy()
+                level = u[:, 1:-1].copy()
         n0 = n1
     return traces, level
 
@@ -503,7 +490,8 @@ class _TransferMap:
     contraction's product, (parts, ends, frequencies); and one output end's
     term, (parts, frequencies): 14 real series of n_fft, a spectrum of
     n_fft // 2 + 1 complex samples counting as one; 3.4 MB on the paper
-    grid's support grid.
+    grid's support grid.  Real data (see :func:`_real`) take the same
+    operations and give the real parts of the traces, as float64.
     """
 
     def __init__(self, grid: GridSpec, responses: np.ndarray):
@@ -558,7 +546,8 @@ class _TransferMap:
                     raise ConfigurationError(
                         f"measured trace {j} has a non-finite sample: the "
                         "medium overflows the transfer kernel")
-        return [BoundaryTrace(oj, grid.dt) for oj in out]
+        return [BoundaryTrace(oj, grid.dt)
+                for oj in (out.real if _real(fs) else out)]
 
 
 def _unit_samples(grid: GridSpec) -> np.ndarray:
@@ -595,6 +584,10 @@ def transfer_difference_nd_map(
     # the unit samples at a and b in media full, full, background, background
     media = np.repeat([full, np.full(grid.nx, medium.sigma0)], 2, axis=0)
     traces, _ = _drive(grid, media, np.tile(_unit_samples(grid), (2, 1, 1)))
+    if (np.array_equal(traces[:2], traces[2:])
+            and (np.any(sd) or np.any(medium.sigma_ddot))):
+        raise ConfigurationError(f"eps = {eps} is too small: the perturbed "
+                                 "medium gives the background's traces")
     return _TransferMap(grid, (traces[:2] - traces[2:]) / eps)
 
 

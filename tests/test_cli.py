@@ -126,6 +126,18 @@ class TestConfigFile:
         assert main(["reconstruct", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {exc.value}\n"
 
+    @pytest.mark.parametrize("key", ["out", "N"])
+    def test_empty_value_refused_with_its_line(self, key, tmp_path, capsys,
+                                               monkeypatch):
+        # `out =` once wrote the run's files into the working directory
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(f"experiment = 1\n{key} =  # nothing\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["reconstruct", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: {key}: empty value\n")
+        assert os.listdir(tmp_path) == ["empty.cfg"]
+
 
 _XS = np.linspace(-1, 1, 11)
 
@@ -234,6 +246,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "error: T/dt = inf is not an integer\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "reconstruct"])
+    def test_empty_out_refused(self, command, tmp_path, capsys, monkeypatch):
+        # an empty --out once wrote the run's files into the working
+        # directory
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = 1\nN = 2\ndx = 0.02\ndt = 0.002\n")
+        argv = {"experiment": ["experiment", "--id", "1", "--N", "2",
+                               "--dx", "0.02", "--dt", "0.002"],
+                "reconstruct": ["reconstruct", "--config", str(cfg)]}
+        monkeypatch.chdir(tmp_path)
+        assert main(argv[command] + ["--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     @pytest.mark.parametrize("exp_id,tol", [(1, 1e-3), (2, 1e-2)])
     def test_coarse_unit_cfl_run_is_accurate(self, exp_id, tol, tmp_path):

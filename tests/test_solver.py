@@ -24,7 +24,7 @@ from bcm1d import (
     transfer_linearized_nd_map,
 )
 from bcm1d import solver
-from bcm1d.cli import _mms_error, smooth_pulse_trace
+from bcm1d.cli import _mms_error, experiment_setup, smooth_pulse_trace
 from bcm1d.control import support_grid
 from bcm1d.solver import _REACH
 
@@ -871,6 +871,34 @@ class TestDifferenceMap:
             transfer_difference_nd_map(coarse_grid, med, 1e3)
 
 
+    def test_eps_too_small_to_change_the_medium_refused(self, coarse_grid):
+        # sigma0 + eps sigma_dot rounds to sigma0: the full and background
+        # traces are identical, and the map once measured zeros
+        with pytest.raises(ConfigurationError,
+                           match="eps = 1e-200 is too small"):
+            transfer_difference_nd_map(coarse_grid, _medium(coarse_grid),
+                                       1e-200)
+
+    @pytest.mark.parametrize("ddot", [None, 0.0], ids=["none", "zero"])
+    def test_zero_perturbation_gives_a_zero_map(self, ddot, coarse_grid):
+        zeros = np.zeros(coarse_grid.nx)
+        med = MediumSpec(0.1, zeros, None if ddot is None else zeros + ddot)
+        fs = [_at_rest(smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5,
+                                          0.7)[0])]
+        (out,) = transfer_difference_nd_map(coarse_grid, med, 1e-200)(fs)
+        assert not np.any(out.values)
+
+    def test_reconstruct_refuses_an_eps_too_small(self):
+        # experiment 3's medium, which at eps = 1e-3 reads 1.088%; at
+        # 1e-200 the run once returned a0 = 0 and rel_l2 = 1 with no error
+        grid = GridSpec(-1.0, 1.0, 0.02, 0.002, 3.0)
+        medium, truth, mode, _ = experiment_setup(3, grid, 4)
+        settings = ReconSettings(grid, N=4, data_mode=mode,
+                                 eps_linearization=1e-200)
+        with pytest.raises(ConfigurationError, match="eps = 1e-200"):
+            reconstruct(settings, medium, truth)
+
+
 def _controls(grid, ks=(1, 3)):
     """Every trace of the reconstruction controls of the modes ``ks``."""
     traces = []
@@ -888,6 +916,23 @@ _MAPS = {
         lambda grid, med: transfer_difference_nd_map(grid, med, _EPS),
         lambda grid, med, fs: _stepper_quotient(grid, med, _EPS, fs)),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(_MAPS))
+def test_transfer_maps_return_real_traces_for_real_data(kind, coarse_grid):
+    # the dtype rule of every ND map: data whose imaginary parts are all
+    # zero give float64 traces, the real parts of the traces that the same
+    # data give in one call with complex data
+    f = _at_rest(smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5, 0.7)[0])
+    h = _window_traces(coarse_grid)[0]
+    measure = _MAPS[kind][0](coarse_grid, _medium(coarse_grid))
+    mixed = measure([f, h])
+    assert all(tr.values.dtype == np.complex128 for tr in mixed)
+    want = np.ascontiguousarray(mixed[0].values.real)
+    for real in (f, BoundaryTrace(f.values.astype(complex), f.dt)):
+        (out,) = measure([real])
+        assert out.values.dtype == np.float64
+        assert out.values.tobytes() == want.tobytes()
 
 
 def _quiet_grid(quiet):
@@ -1027,17 +1072,20 @@ class TestTwoSidedWindow:
                                   oracle(grid, med, fs)) <= 1e-9
 
     def test_paper_grid_window_sizes(self, kind, monkeypatch):
-        # the loop is replaced by zeros of its traces' shape: only the
-        # sizes are under test
+        # the loop is replaced by traces of its traces' shape, each row a
+        # constant of its own, so that the difference map's media differ:
+        # only the sizes are under test
         grid = support_grid(GridSpec(-1.0, 1.0, 1.0 / 250, 1.0 / 2500, 5.0))
         steps = []
 
-        def zeros(grid, stencil, inj, last, source):
+        def constants(grid, stencil, inj, last, source):
             steps.append(len(inj))
-            return np.zeros(inj.shape[1:] + inj.shape[:1],
-                            np.result_type(inj, *stencil)), []
+            traces = np.zeros(inj.shape[1:] + inj.shape[:1],
+                              np.result_type(inj, *stencil))
+            traces += np.arange(len(last))[:, None, None]
+            return traces, []
 
-        monkeypatch.setattr(solver, "_time_loop", zeros)
+        monkeypatch.setattr(solver, "_time_loop", constants)
         measure = _MAPS[kind][0](grid, _medium(grid))
         # 15007 steps, of which the loop takes 1 .. 15005
         assert grid.nt == 15007
