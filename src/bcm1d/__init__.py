@@ -44,7 +44,6 @@ from .recon import (
     synthesize,
 )
 from .solver import (
-    SolveOutput,
     linearized_nd_map_many,
     snapshots_many,
     solve_many,

@@ -163,24 +163,23 @@ def verify_control(targets: Sequence[tuple[AnalyticProfile, complex]],
     cancellation, not a solver property.
 
     The velocity snapshot is u(T) of the field driven by the analytic trace
-    f_t: time differentiation commutes with the solution map, so that field
-    is the velocity field (see :class:`~bcm1d.solver.SolveOutput`).
+    f_t, and the gradient u_x(T) of f's: time differentiation commutes with
+    the solution map, so f_t's field is the velocity field.
     """
     grid = support_grid(grid)
     xs = grid.xs
     shifted = np.concatenate((xs - grid.T, xs + grid.T))
     controls = [build_control(pT, lam, grid) for pT, lam in targets]
-    outs = snapshots_many(grid, 0.0,
+    u, q = snapshots_many(grid, 0.0,
                           [tr for c in controls for tr in (c.f, c.f_t)])
     reports = []
-    for (pT, lam), out, out_t in zip(targets, outs[0::2], outs[1::2]):
-        p_got = out_t.uT_snapshot
+    for (pT, lam), q_got, p_got in zip(targets, q[0::2], u[1::2]):
         value, slope = pT(xs)[:2]
         p_want = np.asarray(value, dtype=complex)
         q_want = -np.asarray(slope, dtype=complex) / lam
         err_p, err_q = (
             float(np.linalg.norm(got - want) / (np.linalg.norm(want) or 1.0))
-            for got, want in ((p_got, p_want), (out.qT_snapshot, q_want)))
+            for got, want in ((p_got, p_want), (q_got, q_want)))
         (psi_m, psi_p), (dpsi_m, dpsi_p) = (
             np.split(v, 2)
             for v in extended_derivatives(pT, grid.a, grid.b, shifted)[:2])

@@ -112,8 +112,9 @@ def nonlinear_identity_residual(f, h, sigma, grid: GridSpec) -> IdentityReport:
     """Check the nonlinear identity for full damping ``sigma``.
 
     ``f`` and ``h`` are pairs (trace, analytic time-derivative trace).  The
-    interior side takes the t = T snapshots: q^f and q^h are u_x(T) of the
-    fields of f and h, p^f and p^h are u(T) of the fields of f_t and h_t.
+    interior side reads the pass's t = T blocks, rows h_t, f, h, f_t: q^f
+    and q^h are u_x(T) of f's and h's rows, p^f and p^h u(T) of f_t's and
+    h_t's.
     The boundary side pairs each datum with the reflected ND map of the
     other datum's derivative, so it reads h_t's over (T, 2T) and f_t's over
     (0, T).  One loop pass serves both: h_t's field runs to 2T, the other
@@ -123,13 +124,10 @@ def nonlinear_identity_residual(f, h, sigma, grid: GridSpec) -> IdentityReport:
     f_trace, f_t_trace = f
     h_trace, h_t_trace = h
     nT = grid.half_index
-    traces, (out_ht, out_f, out_h, out_ft) = _pass(
-        grid, sigma, [h_t_trace, f_trace, h_trace, f_t_trace],
-        [grid.nt - 1, nT, nT, nT])
+    traces, u, q = _pass(grid, sigma, [h_t_trace, f_trace, h_trace, f_t_trace],
+                         [grid.nt - 1, nT, nT, nT])
     meas_ht, meas_ft = (BoundaryTrace(traces[j], grid.dt) for j in (0, 3))
-    lhs = complex(np.trapezoid(out_ft.uT_snapshot * out_ht.uT_snapshot
-                               - out_f.qT_snapshot * out_h.qT_snapshot,
-                               dx=grid.dx))
+    lhs = complex(np.trapezoid(u[3] * u[0] - q[1] * q[2], dx=grid.dx))
     rhs = _pair(f_trace, meas_ht, grid) - _pair(meas_ft, h_trace, grid)
     denom = max(abs(lhs), abs(rhs))
     rel = abs(lhs - rhs) / denom if denom > _RESIDUAL_FLOOR else 0.0

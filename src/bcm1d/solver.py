@@ -55,13 +55,13 @@ injection signals before the loop, and each step adds gain S.  In a real
 medium a row is real when its data are, and complex otherwise.  The loop
 only adds, subtracts and multiplies by real coefficients there, which numpy
 does on the two parts of a complex row exactly as on two real rows.  Every
-ND map takes data whose imaginary parts are all zero as real, and returns
-float64 traces for them; the snapshots are complex either way.
+ND map and the snapshots take data whose imaginary parts are all zero as
+real, and return float64 traces and fields for them.
 
-:func:`snapshots_many` reads the field at the half time T and u_x by
-centered differences, and stops at T: it takes T/dt steps, half of a map's
-2T/dt.  It alone takes a source.  u_t(T) is u(T) of the derivative datum's
-field (see :class:`SolveOutput`).  A pass runs each field to the last step
+:func:`snapshots_many` reads the fields u and u_x at the half time T as two
+blocks, u_x by centered differences, and stops at T: it takes T/dt steps,
+half of a map's 2T/dt.  It alone takes a source.  u_t(T) is u(T) of the
+derivative datum's field.  A pass runs each field to the last step
 its caller reads and then drops it, so the nonlinear identity's four
 fields, read to 2T and T, share one pass.
 
@@ -111,7 +111,6 @@ the backend rejects a non-finite output.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,16 +124,9 @@ _STEP = 1e-30
 # the injection filter's reach: the data samples nearest either end of the
 # grid that must be zero for the stepper's signals to be the filtered data
 _REACH = 3
-
-
-@dataclass(frozen=True)
-class SolveOutput:
-    """Interior snapshots of one field at the half time T.  As d/dt commutes
-    with the solution map, u(T) of a derivative datum g_t's field is u_t(T)
-    of g's."""
-
-    qT_snapshot: np.ndarray  # u_x(T, .) on the spatial nodes
-    uT_snapshot: np.ndarray  # u(T, .) on the spatial nodes
+# the largest share of a difference map's quotient that its rounding, about
+# nt ulps of either medium's traces, may reach
+_ROUNDING_SHARE = 1e-3
 
 
 def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
@@ -367,23 +359,19 @@ def _pass(grid: GridSpec, sigma, neumanns: Sequence[BoundaryTrace], last,
           source=None):
     """:func:`_drive` over a field per Neumann trace, field j read through
     step ``last[j]`` >= T/dt: the endpoint traces (traces, 2, last[0] + 1)
-    and every field's snapshots at T."""
+    and every field's u and u_x at T, (traces, nx) each."""
     sig = _as_sigma_array(sigma, grid.nx)
     g = _stack_neumann(grid, neumanns, stacklevel=4)
-    traces, level = _drive(grid, sig, g, last, source)
-    # complex arithmetic for real fields too: numpy divides a complex array
-    # by a real through a rounded reciprocal, so real and complex fields
-    # round alike only on that route
-    uT = level.astype(complex, copy=False)
-    qT = np.empty_like(uT)
-    qT[:, 1:-1] = (uT[:, 2:] - uT[:, :-2]) / (2.0 * grid.dx)
-    # the data's samples as complex numbers, whose zero imaginary parts
-    # keep their signs (+0 for real data), as real rows in g do not; the
-    # outward normal at a is -d/dx, consistent with the ghost node
-    h = grid.half_index
-    for tr, q in zip(neumanns, qT):
-        q[0], q[-1] = -complex(tr.values[0, h]), complex(tr.values[1, h])
-    return traces, [SolveOutput(*snap) for snap in zip(qT, uT)]
+    # u_x at the ends is the data at T, read before _drive overwrites them;
+    # the outward normal at a is -d/dx, consistent with the ghost node
+    ends = g[..., grid.half_index] * [-1.0, 1.0]
+    traces, u = _drive(grid, sig, g, last, source)
+    # numpy divides complex by real through the rounded reciprocal: so a
+    # complex field's u_x is that of its two real parts, bit for bit
+    q = np.empty_like(u)
+    q[:, 1:-1] = (u[:, 2:] - u[:, :-2]) * (1.0 / (2.0 * grid.dx))
+    q[:, _ENDS] = ends
+    return traces, u, q
 
 
 def solve_many(
@@ -395,7 +383,7 @@ def solve_many(
     The loop advances real rows when every imaginary part of the data is
     zero, and the traces are those rows: real then, complex otherwise.
     """
-    traces, _ = _pass(grid, sigma, neumanns, [grid.nt - 1] * len(neumanns))
+    traces, _, _ = _pass(grid, sigma, neumanns, [grid.nt - 1] * len(neumanns))
     return [BoundaryTrace(tr, grid.dt) for tr in traces]
 
 
@@ -404,14 +392,16 @@ def snapshots_many(
     sigma,
     neumanns: Sequence[BoundaryTrace],
     source: np.ndarray | None = None,
-) -> list[SolveOutput]:
-    """The snapshots at the half time T of one field per Neumann trace,
-    through a single time loop that stops at step T/dt.
+) -> tuple[np.ndarray, np.ndarray]:
+    """u(T) and u_x(T) at the half time T, two (traces, nx) blocks with a
+    row per Neumann trace, through a single time loop that stops at step
+    T/dt; u_x is the data at the ends.  As d/dt commutes with the solution
+    map, u(T) of a derivative datum g_t's field is u_t(T) of g's.
 
     ``source``, if given, holds the real samples S(t_n, .) that the loop
     reads, n = 0 .. T/dt - 1, of shape (T/dt, nx), and drives every trace.
-    The loop advances real rows when the data are real; the outputs are
-    complex.
+    The blocks are the loop's rows: float64 when every imaginary part of
+    the data is zero (see :func:`_real`), complex128 otherwise.
     """
     h = grid.half_index
     if source is not None:
@@ -427,8 +417,7 @@ def snapshots_many(
         if bad.size:
             raise ConfigurationError(
                 f"source has a non-finite sample at step {bad[0]}")
-    _, snaps = _pass(grid, sigma, neumanns, [h] * len(neumanns), source)
-    return snaps
+    return _pass(grid, sigma, neumanns, [h] * len(neumanns), source)[1:]
 
 
 def linearized_nd_map_many(
@@ -568,7 +557,9 @@ def transfer_difference_nd_map(
 
     Making the map checks its arguments and runs the one time loop of its
     kernel, so the map measures the medium as it was then.  It agrees with
-    the stepper's quotient to about 1e-13 of either medium's traces / eps.
+    the stepper's quotient to about 1e-13 of either medium's traces / eps,
+    and an eps at which that rounding, taken as nt ulps, would exceed
+    ``_ROUNDING_SHARE`` of the quotient is refused.
     The map writes work arrays of its own: do not call it from two threads
     at once.
     """
@@ -584,11 +575,19 @@ def transfer_difference_nd_map(
     # the unit samples at a and b in media full, full, background, background
     media = np.repeat([full, np.full(grid.nx, medium.sigma0)], 2, axis=0)
     traces, _ = _drive(grid, media, np.tile(_unit_samples(grid), (2, 1, 1)))
-    if (np.array_equal(traces[:2], traces[2:])
+    diff = traces[:2] - traces[2:]
+    # the loop rounds either medium's traces to about nt ulps of their size
+    rounding = grid.nt * np.finfo(float).eps
+    with np.errstate(invalid="ignore"):
+        rho = np.max(np.abs(diff)) / np.max(np.abs(traces[:2]))
+    if (rounding > _ROUNDING_SHARE * rho
             and (np.any(sd) or np.any(medium.sigma_ddot))):
-        raise ConfigurationError(f"eps = {eps} is too small: the perturbed "
-                                 "medium gives the background's traces")
-    return _TransferMap(grid, (traces[:2] - traces[2:]) / eps)
+        raise ConfigurationError(
+            f"eps = {eps} is too small: the media's traces differ by "
+            f"{rho:.2g} of their size, and their rounding, about "
+            f"{rounding:.2g}, would make up more than {_ROUNDING_SHARE:g} of "
+            "the quotient")
+    return _TransferMap(grid, diff / eps)
 
 
 def transfer_linearized_nd_map(

@@ -1,9 +1,10 @@
 """Norms, quadratures and bounds that the tests check the pipeline against.
 
 None of these is part of a reconstruction: the volume pairing is the
-interior side the linearized identity is checked against, and the
-stability chain bounds an identity value by discrete Sobolev norms of
-its traces.
+interior side the linearized identity is checked against, the stability
+chain bounds an identity value by discrete Sobolev norms of its traces,
+and the Born reflection is the exact linearized trace the stepper's
+linearized map is checked against.
 """
 
 from __future__ import annotations
@@ -56,6 +57,24 @@ def weighted_volume_pairing(
             f"{pf.shape}, {ph.shape}, {sigma_dot.shape}"
         )
     return complex(np.trapezoid(sigma_dot * pf * ph, dx=grid.dx))
+
+
+def born_reflection(grid: GridSpec, g: np.ndarray, depth_integral):
+    """The linearized ND map's trace at the end where the Neumann series
+    ``g`` enters, for sigma0 = 0 and no data at the other end,
+
+        -int_0^t g(t - s) F(s/2) ds,
+
+    with F = ``depth_integral``, F(xi) the integral of sigma_dot over the
+    first xi of depth from that end.  It is exact until the far end's echo
+    of the data returns, for t < t_on + 2 (b - a), t_on the data's onset:
+    the single-scattering (Born) reflection from depth s/2 (Bube &
+    Burridge, SIAM Review 25 (1983) 497-559).  The convolution is a
+    rectangle sum, the trapezoid rule here, as F(0) = 0 and g is at rest at
+    t = 0.
+    """
+    depth = np.clip(grid.ts / 2.0, 0.0, grid.b - grid.a)
+    return -np.convolve(g, depth_integral(depth))[:grid.nt] * grid.dt
 
 
 @dataclass(frozen=True)

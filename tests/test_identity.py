@@ -249,12 +249,9 @@ class TestOnePass:
         # snapshots of f, h, f_t and h_t and the ND map of f_t and h_t, bit
         # for bit; p is u(T) of the derivative datum's field
         grid, (f, f_t), (h, h_t) = _pulses(case, coarse_grid)
-        out_f, out_h, out_ft, out_ht = snapshots_many(grid, 0.3,
-                                                      [f, h, f_t, h_t])
+        u, q = snapshots_many(grid, 0.3, [f, h, f_t, h_t])
         meas_ft, meas_ht = solve_many(grid, 0.3, [f_t, h_t])
-        lhs = complex(np.trapezoid(out_ft.uT_snapshot * out_ht.uT_snapshot
-                                   - out_f.qT_snapshot * out_h.qT_snapshot,
-                                   dx=grid.dx))
+        lhs = complex(np.trapezoid(u[2] * u[3] - q[0] * q[1], dx=grid.dx))
         rhs = _pair(f, meas_ht, grid) - _pair(meas_ft, h, grid)
         rep = nonlinear_identity_residual((f, f_t), (h, h_t), 0.3, grid)
         assert abs(lhs) > 1e-4 or case == "bundles"  # a non-degenerate pair

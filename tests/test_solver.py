@@ -29,21 +29,23 @@ from bcm1d.control import support_grid
 from bcm1d.solver import _REACH
 
 from conftest import assert_quiet, smooth_sigma_dot
+from oracles import born_reflection
 
 
-def _fields(out):
-    """The arrays of a trace of :func:`solve_many` or of the snapshots of
-    :func:`snapshots_many`."""
-    if isinstance(out, BoundaryTrace):
-        return out.values
-    return out.qT_snapshot, out.uT_snapshot
+def _per_trace(out):
+    """Each trace's arrays: its values from :func:`solve_many`, its rows of
+    the u and u_x blocks from :func:`snapshots_many`."""
+    if isinstance(out, list):
+        return [(tr.values,) for tr in out]
+    return list(zip(*out))
 
 
 def test_zero_data_zero_solution(coarse_grid):
     for solve in (solve_many, snapshots_many):
-        (out,) = solve(coarse_grid, 0.3, [BoundaryTrace.zeros(coarse_grid)])
-        assert all(np.all(v == 0) for v in _fields(out))
-        assert solve(coarse_grid, 0.3, []) == []
+        (out,) = _per_trace(solve(coarse_grid, 0.3,
+                                  [BoundaryTrace.zeros(coarse_grid)]))
+        assert all(np.all(v == 0) for v in out)
+        assert _per_trace(solve(coarse_grid, 0.3, [])) == []
 
 
 def test_manufactured_solution_second_order():
@@ -69,10 +71,10 @@ def test_manufactured_solution_with_cubic_start_second_order():
         cos_px = np.cos(np.pi * xs)
         source = (2.0 + 6.0 * t + sigma * (2.0 * t + 3.0 * t**2)
                   + np.pi**2 * (t**2 + t**3)) * cos_px
-        (out,) = snapshots_many(grid, sigma, [BoundaryTrace.zeros(grid)],
-                                source)
+        u, _ = snapshots_many(grid, sigma, [BoundaryTrace.zeros(grid)],
+                              source)
         exact = (grid.T**2 + grid.T**3) * cos_px
-        errs.append(np.linalg.norm(out.uT_snapshot - exact)
+        errs.append(np.linalg.norm(u[0] - exact)
                     / np.linalg.norm(exact))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.9 <= coarse / fine <= 4.1
@@ -81,8 +83,8 @@ def test_manufactured_solution_with_cubic_start_second_order():
 def test_real_data_real_field(coarse_grid):
     f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.5)
     for solve in (solve_many, snapshots_many):
-        (out,) = solve(coarse_grid, 0.2, [f])
-        assert all(np.all(v.imag == 0) for v in _fields(out))
+        (out,) = _per_trace(solve(coarse_grid, 0.2, [f]))
+        assert all(np.all(v.imag == 0) for v in out)
 
 
 def test_real_pulses_stay_real_in_the_stepper(coarse_grid):
@@ -112,7 +114,7 @@ def test_real_pulses_give_real_traces(coarse_grid):
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
     real, typed = (solve_many(coarse_grid, sigma, gs) for gs in (fs, as_complex))
     for r, t in zip(real, typed, strict=True):
-        for vr, vt in zip(_fields(r), _fields(t)):
+        for vr, vt in zip(r.values, t.values):
             assert vr.dtype == vt.dtype == np.float64
             assert np.array_equal(vr, vt)
 
@@ -134,7 +136,7 @@ def test_real_pulses_run_one_row_in_the_linearized_map(coarse_grid,
     (real,) = linearized_nd_map_many(coarse_grid, med, [f])
     (mixed,) = linearized_nd_map_many(coarse_grid, med, [f + 1j * h])
     assert rows == [1, 2]
-    for vr, vm in zip(_fields(real), _fields(mixed)):
+    for vr, vm in zip(real.values, mixed.values):
         assert vr.dtype == np.float64
         assert np.array_equal(vr, vm.real)
 
@@ -147,9 +149,10 @@ def test_complex_solve_equals_pair_of_real_solves(coarse_grid):
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
     for solve in (solve_many, snapshots_many):
         # one call each: a batch holding a complex trace advances complex rows
-        (out_c,), (out_r,), (out_i,) = (solve(coarse_grid, sigma, [f])
-                                        for f in (fr + 1j * fi, fr, fi))
-        for c, r, i in zip(_fields(out_c), _fields(out_r), _fields(out_i)):
+        (out_c,), (out_r,), (out_i,) = (
+            _per_trace(solve(coarse_grid, sigma, [f]))
+            for f in (fr + 1j * fi, fr, fi))
+        for c, r, i in zip(out_c, out_r, out_i):
             assert np.iscomplexobj(c)
             assert np.array_equal(c, r + 1j * i)
 
@@ -177,10 +180,10 @@ def test_source_rows_match_single_solves(coarse_grid, shared):
           smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)[0]]
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
     source = _edge_sloped_source(coarse_grid)
-    batch = snapshots_many(coarse_grid, sigma, fs, source)
+    batch = _per_trace(snapshots_many(coarse_grid, sigma, fs, source))
     for f, out in zip(fs, batch):
-        (single,) = snapshots_many(coarse_grid, sigma, [f], source)
-        for b, o in zip(_fields(out), _fields(single)):
+        (single,) = _per_trace(snapshots_many(coarse_grid, sigma, [f], source))
+        for b, o in zip(out, single):
             assert np.array_equal(b, o)
 
 
@@ -215,15 +218,41 @@ def test_energy_non_increasing_after_data_stops(coarse_grid):
     for T in np.arange(3.0, 5.001, 0.25):
         grid = GridSpec(coarse_grid.a, coarse_grid.b, dx, dt, T)
         f, f_t = smooth_pulse_trace(grid, 1.0, 0.15, 6.0, 1.0, 0.0)
-        out, out_t = snapshots_many(grid, 0.3, [f, f_t])
-        energies.append(0.5 * np.trapezoid(np.abs(out_t.uT_snapshot) ** 2, dx=dx)
-                        + 0.5 * np.trapezoid(np.abs(out.qT_snapshot) ** 2, dx=dx))
+        u, q = snapshots_many(grid, 0.3, [f, f_t])
+        energies.append(0.5 * np.trapezoid(np.abs(u[1]) ** 2, dx=dx)
+                        + 0.5 * np.trapezoid(np.abs(q[0]) ** 2, dx=dx))
     energies = np.asarray(energies)
     tol = 10 * dt * energies[0]
     assert np.all(np.diff(energies) <= tol)
 
 
 class TestSnapshots:
+    @pytest.mark.parametrize("case", ["real", "typed_complex", "complex",
+                                      "none"])
+    def test_two_blocks_in_the_data_dtype(self, case, coarse_grid):
+        # u(T) and u_x(T) are two (traces, nx) blocks, float64 when every
+        # imaginary part of the data is zero; a complex batch's blocks are
+        # those of its real and its imaginary parts, bit for bit
+        f, h = (smooth_pulse_trace(coarse_grid, t0, 0.25, 4.0, w, 0.6)[0]
+                for t0, w in ((1.0, 1.0), (1.3, -0.5)))
+        sigma = 0.1 + 0.2 * coarse_grid.xs**2
+        typed = [BoundaryTrace(tr.values.astype(complex), tr.dt)
+                 for tr in (f, h)]
+        fs, re, im = {"real": ([f, h], [f, h], None),
+                      "typed_complex": (typed, [f, h], None),
+                      "complex": ([f + h * 1j, typed[1]], [f, h],
+                                  [h, BoundaryTrace.zeros(coarse_grid)]),
+                      "none": ([], [], None)}[case]
+        u, q = snapshots_many(coarse_grid, sigma, fs)
+        assert u.shape == q.shape == (len(fs), coarse_grid.nx)
+        assert u.dtype == q.dtype == (np.float64 if im is None
+                                      else np.complex128)
+        for got, want in zip((u, q), snapshots_many(coarse_grid, sigma, re)):
+            assert np.array_equal(got.real, want)
+        if im is not None:
+            for got, want in zip((u, q),
+                                 snapshots_many(coarse_grid, sigma, im)):
+                assert np.array_equal(got.imag, want)
     def test_the_loop_stops_at_T(self, coarse_grid, monkeypatch):
         # a loop of k injection rows reaches u^{k-1}: the snapshots take
         # u^1 .. u^{T/dt}, T/dt steps, against the map's 2T/dt
@@ -248,7 +277,7 @@ class TestSnapshots:
             """u(T) of the field of the pulse (j = 0) or its derivative."""
             grid = GridSpec(-1.0, 1.0, dx, dt, T)
             datum = smooth_pulse_trace(grid, 1.2, 0.25, 6.0, 1.0, 0.3)[j]
-            return snapshots_many(grid, 0.3, [datum])[0].uT_snapshot
+            return snapshots_many(grid, 0.3, [datum])[0][0]
 
         gaps = []
         for n in (50, 100):
@@ -281,7 +310,7 @@ class TestSnapshots:
             return traces, reached
 
         monkeypatch.setattr(solver, "_time_loop", spy)
-        snaps = snapshots_many(grid, sigma, fs)
+        u, _ = snapshots_many(grid, sigma, fs)
         taps = solver._weights(grid, sigma[[0, -1]])
         g = solver._stack_neumann(grid, fs)
         full, cut = (solver._injection(taps, data)[..., h - 1]
@@ -290,11 +319,38 @@ class TestSnapshots:
         # every field run through the last step
         _, want = solver._drive(grid, sigma, g)
         assert np.array_equal(levels[0], want)
-        for snap, u_mid in zip(snaps, want, strict=True):
-            assert np.array_equal(snap.uT_snapshot, u_mid)
+        assert np.array_equal(u, want)
 
 
 class TestLinearized:
+    @pytest.mark.parametrize("end", [0, 1], ids=["a", "b"])
+    def test_converges_to_the_born_reflection(self, end):
+        # sigma0 = 0 and data at one end: until the far end's echo returns
+        # the trace at that end is the Born reflection, and the stepper's
+        # linearized map meets it at second order
+        def antiderivative(x):
+            """Of sigma_dot = cos(pi x) + sin(2 pi x) / 2 + 2."""
+            return (np.sin(np.pi * x) / np.pi
+                    - np.cos(2.0 * np.pi * x) / (4.0 * np.pi) + 2.0 * x)
+
+        gaps = []
+        for n in (50, 100, 200):
+            grid = GridSpec(-1.0, 1.0, 1.0 / n, 1.0 / (10 * n), 3.0)
+            xs = grid.xs
+            medium = MediumSpec(0.0, np.cos(np.pi * xs)
+                                + 0.5 * np.sin(2.0 * np.pi * xs) + 2.0)
+            g = smooth_pulse_trace(grid, 0.5, 0.08, 20.0, 1.0 - end, end)[0]
+            (out,) = linearized_nd_map_many(grid, medium, [g])
+            # depth runs inward from the end the data enter
+            x0, inward = ((grid.a, 1.0), (grid.b, -1.0))[end]
+            exact = born_reflection(grid, g.values[end], lambda xi: inward * (
+                antiderivative(x0 + inward * xi) - antiderivative(x0)))
+            early = grid.ts < 3.5
+            gaps.append(np.max(np.abs(out.values[end] - exact)[early])
+                        / np.max(np.abs(exact[early])))
+        assert gaps[-1] <= 1e-5
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.4 <= coarse / fine <= 4.6
     def test_zero_perturbation_zero_response(self, coarse_grid, zero_medium):
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
         (out,) = linearized_nd_map_many(coarse_grid, zero_medium, [f])
@@ -543,10 +599,10 @@ class TestValidation:
         f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
         f2, _ = smooth_pulse_trace(coarse_grid, 1.5, 0.3, 2.0, 0.3, 1.0)
         for solve in (solve_many, snapshots_many):
-            outs = solve(coarse_grid, 0.15, [f1, f2])
+            outs = _per_trace(solve(coarse_grid, 0.15, [f1, f2]))
             for f, out in zip((f1, f2), outs):
-                (single,) = solve(coarse_grid, 0.15, [f])
-                for b, o in zip(_fields(out), _fields(single), strict=True):
+                (single,) = _per_trace(solve(coarse_grid, 0.15, [f]))
+                for b, o in zip(out, single, strict=True):
                     assert np.array_equal(b, o)
 
 
@@ -626,7 +682,8 @@ _ND_MAPS = {
 @pytest.mark.parametrize("entry", [*sorted(_ND_MAPS), "snapshots_many"])
 def test_no_traces_give_no_outputs(entry, coarse_grid):
     if entry == "snapshots_many":
-        assert snapshots_many(coarse_grid, 0.1, []) == []
+        u, q = snapshots_many(coarse_grid, 0.1, [])
+        assert u.shape == q.shape == (0, coarse_grid.nx)
     else:
         assert _ND_MAPS[entry](coarse_grid, _medium(coarse_grid), []) == []
 
@@ -896,6 +953,33 @@ class TestDifferenceMap:
         settings = ReconSettings(grid, N=4, data_mode=mode,
                                  eps_linearization=1e-200)
         with pytest.raises(ConfigurationError, match="eps = 1e-200"):
+            reconstruct(settings, medium, truth)
+
+    @pytest.mark.parametrize("dx, dt", [(0.02, 0.002), (1 / 250, 1 / 2500),
+                                        (1 / 250, 1 / 250)],
+                             ids=["coarse", "paper", "unit_cfl"])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-8, 1e-13])
+    def test_eps_whose_quotient_is_mostly_rounding_refused(self, dx, dt,
+                                                           eps):
+        # experiment 3's medium: at eps = 1e-13 the media's traces differ
+        # by about 1e-12 of their size, near the loop's rounding of them,
+        # and the coarse grid's run once read rel_l2 9.45% with no error
+        grid = support_grid(GridSpec(-1.0, 1.0, dx, dt, 3.0))
+        medium = experiment_setup(3, grid, 4)[0]
+        if eps > 1e-13:
+            transfer_difference_nd_map(grid, medium, eps)
+        else:
+            with pytest.raises(ConfigurationError,
+                               match="eps = 1e-13 is too small"):
+                transfer_difference_nd_map(grid, medium, eps)
+
+    def test_reconstruct_refuses_an_eps_whose_quotient_is_rounding(self):
+        grid = GridSpec(-1.0, 1.0, 0.02, 0.002, 3.0)
+        medium, truth, mode, _ = experiment_setup(3, grid, 4)
+        settings = ReconSettings(grid, N=4, data_mode=mode,
+                                 eps_linearization=1e-13)
+        with pytest.raises(ConfigurationError,
+                           match="eps = 1e-13 is too small"):
             reconstruct(settings, medium, truth)
 
 
