@@ -331,7 +331,7 @@ def _check_identity(table: _CheckTable) -> None:
     (got,) = measure([f_t])
     (want,) = linearized_nd_map_many(grid, medium, [f_t])
     table.row("linearized map: transfer vs stepper (rel)",
-              np.max(np.abs((got - want).values))
+              np.max(np.abs(got.values - want.values))
               / np.max(np.abs(want.values)), 1e-9)
 
 

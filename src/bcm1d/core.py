@@ -1,4 +1,4 @@
-"""Shared numeric types and trace algebra for the 1D damped-wave pipeline.
+"""Shared numeric types for the 1D damped-wave pipeline.
 
 The measurement geometry is the space-time cylinder (0, 2T) x (a, b): waves
 are driven and recorded at the two endpoints over a time window of length 2T,
@@ -163,9 +163,8 @@ class BoundaryTrace:
 
     ``values`` is (2, samples), end a then end b; sample j is time j*dt.
     It is float64 for real data (ints, bools and float32 become floats;
-    float64 is kept, not copied), complex128 otherwise; arithmetic promotes
-    as numpy does.  Traces are value objects: arithmetic returns new traces
-    and never mutates.
+    float64 is kept, not copied), complex128 otherwise.  A trace is a
+    record: its consumers compute on ``values``.
     """
 
     values: np.ndarray
@@ -188,26 +187,6 @@ class BoundaryTrace:
     @classmethod
     def zeros(cls, grid: GridSpec) -> "BoundaryTrace":
         return cls(np.zeros((2, grid.nt)), grid.dt)
-
-    def _check_compatible(self, other: "BoundaryTrace") -> None:
-        if len(self) != len(other) or self.dt != other.dt:
-            raise GridMismatchError(
-                f"traces on different grids: ({len(self)}, dt={self.dt}) vs "
-                f"({len(other)}, dt={other.dt})"
-            )
-
-    def __add__(self, other: "BoundaryTrace") -> "BoundaryTrace":
-        self._check_compatible(other)
-        return BoundaryTrace(self.values + other.values, self.dt)
-
-    def __sub__(self, other: "BoundaryTrace") -> "BoundaryTrace":
-        self._check_compatible(other)
-        return BoundaryTrace(self.values - other.values, self.dt)
-
-    def __mul__(self, c: complex) -> "BoundaryTrace":
-        return BoundaryTrace(c * self.values, self.dt)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

@@ -58,19 +58,16 @@ class ControlData:
     meas_tt: BoundaryTrace
 
 
-def _pair(x: BoundaryTrace, y: BoundaryTrace, grid: GridSpec) -> complex:
+def _pair(x: np.ndarray, y: np.ndarray, dt: float) -> complex:
     """Reflected bilinear pairing < x(t), y(2T - t) > over (0, T) x {a, b}.
 
-    Composite trapezoid of x(t, a) y(2T - t, a) + x(t, b) y(2T - t, b), with
-    no complex conjugation; ``y`` is read through a reversed view.
+    ``x`` holds samples 0 .. T/dt and ``y`` samples T/dt .. 2T/dt, each
+    (2, T/dt + 1).  Composite trapezoid of x(t, a) y(2T - t, a) +
+    x(t, b) y(2T - t, b), with no complex conjugation; ``y`` is read through
+    a reversed view.
     """
-    for tr in (x, y):
-        if (len(tr), tr.dt) != (grid.nt, grid.dt):
-            raise GridMismatchError(f"trace of {len(tr)} samples (dt={tr.dt}) "
-                                    f"is off the grid ({grid.nt}, dt={grid.dt})")
-    n = grid.half_index + 1
-    ends = x.values[:, :n] * y.values[:, ::-1][:, :n]
-    return complex(np.trapezoid(ends[0] + ends[1], dx=grid.dt))
+    ends = x * y[:, ::-1]
+    return complex(np.trapezoid(ends[0] + ends[1], dx=dt))
 
 
 def linearized_rhs(
@@ -89,15 +86,23 @@ def linearized_rhs(
     where L denotes the measured linearized map, [.] sums the two endpoint
     products at t = T and <.,.> is the bilinear pairing over (0, T) x {a, b}.
     By bilinearity the four pairings are taken as two, of f with
-    Lh_tt + lam Lh_t and of Lf_t with h_t + lam h.
+    Lh_tt + lam Lh_t and of Lf_t with h_t + lam h; f's traces are read over
+    (0, T) and h's over (T, 2T).
     """
+    for tr in (f.g, f.meas_t, h.g, h.g_t, h.meas_t, h.meas_tt):
+        if (len(tr), tr.dt) != (grid.nt, grid.dt):
+            raise GridMismatchError(f"trace of {len(tr)} samples (dt={tr.dt}) "
+                                    f"is off the grid ({grid.nt}, dt={grid.dt})")
     nT = grid.half_index
+    first, second = slice(None, nT + 1), slice(nT, None)
     at_T = f.g.values[:, nT] * h.meas_t.values[:, nT]
     boundary_at_T = at_T[0] + at_T[1]
+    h_meas = h.meas_tt.values[:, second] + lam * h.meas_t.values[:, second]
+    h_data = h.g_t.values[:, second] + lam * h.g.values[:, second]
     return (
         -boundary_at_T
-        - _pair(f.g, h.meas_tt + lam * h.meas_t, grid)
-        + _pair(f.meas_t, h.g_t + lam * h.g, grid)
+        - _pair(f.g.values[:, first], h_meas, grid.dt)
+        + _pair(f.meas_t.values[:, first], h_data, grid.dt)
     )
 
 
@@ -126,9 +131,10 @@ def nonlinear_identity_residual(f, h, sigma, grid: GridSpec) -> IdentityReport:
     nT = grid.half_index
     traces, u, q = _pass(grid, sigma, [h_t_trace, f_trace, h_trace, f_t_trace],
                          [grid.nt - 1, nT, nT, nT])
-    meas_ht, meas_ft = (BoundaryTrace(traces[j], grid.dt) for j in (0, 3))
+    first, second = slice(None, nT + 1), slice(nT, None)
     lhs = complex(np.trapezoid(u[3] * u[0] - q[1] * q[2], dx=grid.dx))
-    rhs = _pair(f_trace, meas_ht, grid) - _pair(meas_ft, h_trace, grid)
+    rhs = (_pair(f_trace.values[:, first], traces[0, :, second], grid.dt)
+           - _pair(traces[3, :, first], h_trace.values[:, second], grid.dt))
     denom = max(abs(lhs), abs(rhs))
     rel = abs(lhs - rhs) / denom if denom > _RESIDUAL_FLOOR else 0.0
     return IdentityReport(lhs=lhs, rhs=rhs, rel_residual=rel)

@@ -127,9 +127,9 @@ def test_control_map_is_linear(coarse_grid):
     b2 = build_control(p2, lam, coarse_grid)
     bc = build_control(combo, lam, coarse_grid)
     for attr in ("f", "f_t", "f_tt"):
-        want = al * getattr(b1, attr) + be * getattr(b2, attr)
+        want = al * getattr(b1, attr).values + be * getattr(b2, attr).values
         got = getattr(bc, attr)
-        assert np.allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
+        assert np.allclose(got.values, want, rtol=1e-12, atol=1e-12)
 
 
 def test_conjugation_pairing_for_real_targets(coarse_grid):

@@ -164,7 +164,9 @@ class TestLinearizedRhs:
 
         lam, f, h = mode4_data
         al = 1.5 - 0.5j
-        scaled = replace(f, g=al * f.g, g_t=al * f.g_t, meas_t=al * f.meas_t)
+        scaled = replace(f, **{name: BoundaryTrace(al * getattr(f, name).values,
+                                                   mid_grid.dt)
+                               for name in ("g", "g_t", "meas_t")})
         assert np.isclose(linearized_rhs(scaled, h, lam, mid_grid),
                           al * linearized_rhs(f, h, lam, mid_grid), rtol=1e-12)
 
@@ -252,7 +254,10 @@ class TestOnePass:
         u, q = snapshots_many(grid, 0.3, [f, h, f_t, h_t])
         meas_ft, meas_ht = solve_many(grid, 0.3, [f_t, h_t])
         lhs = complex(np.trapezoid(u[2] * u[3] - q[0] * q[1], dx=grid.dx))
-        rhs = _pair(f, meas_ht, grid) - _pair(meas_ft, h, grid)
+        first, second = slice(None, grid.half_index + 1), slice(grid.half_index,
+                                                                None)
+        rhs = (_pair(f.values[:, first], meas_ht.values[:, second], grid.dt)
+               - _pair(meas_ft.values[:, first], h.values[:, second], grid.dt))
         rep = nonlinear_identity_residual((f, f_t), (h, h_t), 0.3, grid)
         assert abs(lhs) > 1e-4 or case == "bundles"  # a non-degenerate pair
         assert (rep.lhs, rep.rhs) == (lhs, rhs)
@@ -299,22 +304,38 @@ class TestOnePass:
 
 
 def test_pair_reads_x_through_T_and_y_from_T(coarse_grid):
-    # < x(t), y(2T - t) > over (0, T): x is read through step T/dt and y
-    # from it, so the identity's shorter f_t field, paired as x, may stop
-    # at T
+    # < x(t), y(2T - t) > over (0, T): x's samples 0 .. T/dt meet y's
+    # 2T/dt .. T/dt, so the identity's shorter f_t field, paired as x, may
+    # stop at T
     n, rng = coarse_grid.half_index, np.random.default_rng(3)
-    x, y = (BoundaryTrace(rng.standard_normal((2, coarse_grid.nt)),
-                          coarse_grid.dt) for _ in range(2))
+    x, y = (rng.standard_normal((2, coarse_grid.nt)) for _ in range(2))
+    ends = x[:, :n + 1] * y[:, ::-1][:, :n + 1].copy()
+    want = np.trapezoid(ends[0], dx=coarse_grid.dt) + np.trapezoid(
+        ends[1], dx=coarse_grid.dt)
+    got = _pair(x[:, :n + 1], y[:, n:], coarse_grid.dt)
+    assert np.isfinite(want) and got == pytest.approx(want, rel=1e-14)
 
-    def nan_at(tr, steps):
-        v = tr.values.copy()
-        v[:, steps] = np.nan
-        return BoundaryTrace(v, tr.dt)
 
-    want = _pair(x, y, coarse_grid)
-    got = _pair(nan_at(x, slice(n + 1, None)), nan_at(y, slice(None, n)),
-                coarse_grid)
-    assert np.isfinite(want) and got == want
+def test_linearized_rhs_reads_only_its_halves(mode4_data, mid_grid):
+    # the first record is read over (0, T) and the second over (T, 2T): NaN
+    # in the samples it does not read changes none of the three values
+    lam, f, h = mode4_data
+    n = mid_grid.half_index
+
+    def nan_at(c, names, steps):
+        fields = {}
+        for name in names:
+            v = getattr(c, name).values.copy()
+            v[:, steps] = np.nan
+            fields[name] = BoundaryTrace(v, mid_grid.dt)
+        return replace(c, **fields)
+
+    for x, y in ((f, f), (h, h), (f, h)):
+        want = linearized_rhs(x, y, lam, mid_grid)
+        first = nan_at(x, ("g", "meas_t"), slice(n + 1, None))
+        second = nan_at(y, ("g", "g_t", "meas_t", "meas_tt"), slice(None, n))
+        assert np.isfinite(want)
+        assert linearized_rhs(first, second, lam, mid_grid) == want
 
 
 class TestStabilityBound:

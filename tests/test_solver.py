@@ -134,7 +134,8 @@ def test_real_pulses_run_one_row_in_the_linearized_map(coarse_grid,
     monkeypatch.setattr(solver, "_time_loop", counted)
     med = MediumSpec(0.1, smooth_sigma_dot(coarse_grid.xs))
     (real,) = linearized_nd_map_many(coarse_grid, med, [f])
-    (mixed,) = linearized_nd_map_many(coarse_grid, med, [f + 1j * h])
+    mixed_data = BoundaryTrace(f.values + 1j * h.values, f.dt)
+    (mixed,) = linearized_nd_map_many(coarse_grid, med, [mixed_data])
     assert rows == [1, 2]
     for vr, vm in zip(real.values, mixed.values):
         assert vr.dtype == np.float64
@@ -146,12 +147,12 @@ def test_complex_solve_equals_pair_of_real_solves(coarse_grid):
     # advanced as two real fields
     fr, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.4)
     fi, _ = smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)
+    fc = BoundaryTrace(fr.values + 1j * fi.values, fr.dt)
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
     for solve in (solve_many, snapshots_many):
         # one call each: a batch holding a complex trace advances complex rows
         (out_c,), (out_r,), (out_i,) = (
-            _per_trace(solve(coarse_grid, sigma, [f]))
-            for f in (fr + 1j * fi, fr, fi))
+            _per_trace(solve(coarse_grid, sigma, [f])) for f in (fc, fr, fi))
         for c, r, i in zip(out_c, out_r, out_i):
             assert np.iscomplexobj(c)
             assert np.array_equal(c, r + 1j * i)
@@ -160,10 +161,10 @@ def test_complex_solve_equals_pair_of_real_solves(coarse_grid):
 def test_complex_linearized_equals_pair_of_real_passes(coarse_grid):
     fr, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.4)
     fi, _ = smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)
+    fc = BoundaryTrace(fr.values + 1j * fi.values, fr.dt)
     med = MediumSpec(0.1, smooth_sigma_dot(coarse_grid.xs))
     (out_c,), (out_r,), (out_i,) = (
-        linearized_nd_map_many(coarse_grid, med, [f])
-        for f in (fr + 1j * fi, fr, fi))
+        linearized_nd_map_many(coarse_grid, med, [f]) for f in (fc, fr, fi))
     assert np.array_equal(out_c.values, out_r.values + 1j * out_i.values)
 
 
@@ -191,10 +192,11 @@ def test_nd_map_linearity(coarse_grid):
     f1, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.0)
     f2, _ = smooth_pulse_trace(coarse_grid, 1.4, 0.3, 3.0, 0.0, 1.0)
     al, be = 2.0 - 1.0j, 0.7
+    f12 = BoundaryTrace(al * f1.values + be * f2.values, f1.dt)
     combo, m1, m2 = (solve_many(coarse_grid, 0.25, [f])[0]
-                     for f in (al * f1 + be * f2, f1, f2))
-    separate = al * m1 + be * m2
-    assert np.allclose(combo.values, separate.values, rtol=1e-12, atol=1e-14)
+                     for f in (f12, f1, f2))
+    separate = al * m1.values + be * m2.values
+    assert np.allclose(combo.values, separate, rtol=1e-12, atol=1e-14)
 
 
 def test_nd_map_commutes_with_time_derivative(coarse_grid):
@@ -238,9 +240,10 @@ class TestSnapshots:
         sigma = 0.1 + 0.2 * coarse_grid.xs**2
         typed = [BoundaryTrace(tr.values.astype(complex), tr.dt)
                  for tr in (f, h)]
+        mixed = BoundaryTrace(f.values + h.values * 1j, f.dt)
         fs, re, im = {"real": ([f, h], [f, h], None),
                       "typed_complex": (typed, [f, h], None),
-                      "complex": ([f + h * 1j, typed[1]], [f, h],
+                      "complex": ([mixed, typed[1]], [f, h],
                                   [h, BoundaryTrace.zeros(coarse_grid)]),
                       "none": ([], [], None)}[case]
         u, q = snapshots_many(coarse_grid, sigma, fs)
@@ -365,8 +368,8 @@ class TestLinearized:
         med = lambda s: MediumSpec(0.0, s)
         lin = lambda s: linearized_nd_map_many(coarse_grid, med(s), [f])[0]
         combo = lin(al * s1 + be * s2)
-        separate = al * lin(s1) + be * lin(s2)
-        assert np.allclose(combo.values[0], separate.values[0], rtol=1e-12,
+        separate = al * lin(s1).values + be * lin(s2).values
+        assert np.allclose(combo.values[0], separate[0], rtol=1e-12,
                            atol=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
@@ -383,16 +386,17 @@ class TestLinearized:
         xs = coarse_grid.xs
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
         h, _ = smooth_pulse_trace(coarse_grid, 1.3, 0.25, 3.0, 0.2, 1.0)
-        f = _at_rest(f + 0.5j * h)
+        f = _at_rest(BoundaryTrace(f.values + 0.5j * h.values, f.dt))
         sigma_dot = np.cos(np.pi * xs) + 2.0 + xs
 
         def measure(c):
             sd, data = ((c * sigma_dot, f) if scaled == "sigma_dot"
-                        else (sigma_dot, c * f))
+                        else (sigma_dot, BoundaryTrace(c * f.values, f.dt)))
             return linearized_map(coarse_grid, MediumSpec(0.1, sd), [data])
 
         (ref,), (got,) = measure(1.0), measure(scale)
-        assert _max_rel_deviation([got * (1.0 / scale)], [ref]) <= 1e-12
+        got = BoundaryTrace(got.values * (1.0 / scale), got.dt)
+        assert _max_rel_deviation([got], [ref]) <= 1e-12
 
     def test_matches_nonlinear_differences(self, coarse_grid):
         # the linearized map is the parameter derivative of the discrete
@@ -408,9 +412,8 @@ class TestLinearized:
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
             (pert,) = solve_many(coarse_grid, sigma0 + eps * sigma_dot, [f])
-            diff = pert - base
-            resid = diff - eps * lin
-            errs.append(np.max(np.abs(resid.values)))
+            resid = pert.values - base.values - eps * lin.values
+            errs.append(np.max(np.abs(resid)))
         assert errs[0] / errs[1] > 50
         assert errs[1] / errs[2] > 50
 
@@ -428,7 +431,8 @@ class TestLinearized:
         for eps in (1e-2, 1e-3, 1e-4):
             plus, minus = (solve_many(coarse_grid, sigma0 + e * sigma_dot,
                                       [f])[0] for e in (eps, -eps))
-            quotient = (plus - minus) * (1.0 / (2.0 * eps))
+            quotient = BoundaryTrace(
+                (plus.values - minus.values) * (1.0 / (2.0 * eps)), f.dt)
             gaps.append(_max_rel_deviation([quotient], [lin]))
         assert gaps[0] / gaps[1] > 50
         assert gaps[1] / gaps[2] > 50
@@ -620,9 +624,10 @@ def _window_traces(grid):
     f, _ = smooth_pulse_trace(grid, 1.0, 0.2, 5.0, 1.0, 0.3)
     h, _ = smooth_pulse_trace(grid, 1.3, 0.25, 3.0, 0.2, 1.0)
     ts = grid.ts
-    ramp = BoundaryTrace((0.3 + 0.1 * ts, np.cos(2.0 * ts) - 0.5j), grid.dt)
-    return [_at_rest(tr)
-            for tr in (f + 1j * h + ramp, (0.5 - 2j) * h + 1j * ramp)]
+    ramp = np.stack((0.3 + 0.1 * ts, np.cos(2.0 * ts) - 0.5j))
+    return [_at_rest(BoundaryTrace(v, grid.dt))
+            for v in (f.values + 1j * h.values + ramp,
+                      (0.5 - 2j) * h.values + 1j * ramp)]
 
 
 def _edge_traces(grid, window, seed=7):
@@ -653,7 +658,8 @@ def _stepper_quotient(grid, medium, eps, fs):
     """(Lambda(sigma0 + eps sigma_dot + eps^2 sigma_ddot) - Lambda(sigma0)) / eps
     from two stepper solves."""
     full = medium.sigma0 + eps * medium.sigma_dot + eps**2 * medium.sigma_ddot
-    return [(f - b) * (1.0 / eps) for f, b in
+    return [BoundaryTrace((f.values - b.values) * (1.0 / eps), grid.dt)
+            for f, b in
             zip(solve_many(grid, full, fs),
                 solve_many(grid, medium.sigma0, fs))]
 
@@ -1250,7 +1256,8 @@ class TestTransferValidation:
     def test_batched_matches_single(self, kind, coarse_grid):
         # a batch must not mix up traces, fields or ends
         pulse, _ = smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5, 0.7)
-        fs = _window_traces(coarse_grid) + [(1.0 - 0.5j) * _at_rest(pulse)]
+        fs = _window_traces(coarse_grid) + [
+            BoundaryTrace((1.0 - 0.5j) * _at_rest(pulse).values, pulse.dt)]
         measure = _TRANSFER_MAPS[kind](coarse_grid)
         batched = measure(fs)
         for f, got in zip(fs, batched, strict=True):

@@ -96,7 +96,7 @@ def _as_array(trace: BoundaryTrace):
 def complex_trace(coarse_grid):
     f, _ = smooth_pulse_trace(coarse_grid, 1.2, 0.2, 5.0, 1.0, 0.3)
     h, _ = smooth_pulse_trace(coarse_grid, 1.6, 0.25, 3.0, -0.4, 1.0)
-    return f + (0.5 - 1j) * h
+    return BoundaryTrace(f.values + (0.5 - 1j) * h.values, f.dt)
 
 
 def _varying_sigma(grid):

@@ -46,7 +46,8 @@ def _stepper_quotient(grid, fs):
     med = _difference_medium(grid)
     full, base = (solve_many(grid, sigma, fs)
                   for sigma in (med.sigma0 + _EPS * med.sigma_dot, med.sigma0))
-    return [(f - b) * (1.0 / _EPS) for f, b in zip(full, base)]
+    return [BoundaryTrace((f.values - b.values) * (1.0 / _EPS), grid.dt)
+            for f, b in zip(full, base)]
 
 
 MAPS = {
@@ -79,7 +80,7 @@ def _trace(grid, params, phase=1.0):
     _DELAY - 2, where it is below rounding already, so that its centered
     difference and its delays by up to _DELAY steps are at rest in the
     _REACH steps at either end too."""
-    values = (phase * smooth_pulse_trace(grid, *params)[0]).values
+    values = phase * smooth_pulse_trace(grid, *params)[0].values
     values[:, :_REACH + 1] = values[:, -(_REACH + _DELAY + 1):] = 0.0
     return BoundaryTrace(values, grid.dt)
 
@@ -94,8 +95,9 @@ class TestProperties:
     @settings(max_examples=4, deadline=None)
     def test_linear_in_the_trace(self, kind, coarse_grid, p, q, al, be):
         f, h = _trace(coarse_grid, p), _trace(coarse_grid, q, 1j)
-        combo, mf, mh = MAPS[kind](coarse_grid, [al * f + be * h, f, h])
-        assert _rel(combo.values, (al * mf + be * mh).values) <= 1e-11
+        f_h = BoundaryTrace(al * f.values + be * h.values, f.dt)
+        combo, mf, mh = MAPS[kind](coarse_grid, [f_h, f, h])
+        assert _rel(combo.values, al * mf.values + be * mh.values) <= 1e-11
 
     @given(p=pulses, k=st.integers(1, _DELAY))
     @settings(max_examples=4, deadline=None)
