@@ -208,6 +208,25 @@ def _readable(x) -> str:
     return f"{Decimal(x):.3g}" if x > 1e15 else f"{x:.0f}"
 
 
+# mode N's phase error phi'_N above which a run is warned of, and above
+# which it is refused (README, "Under-resolved N")
+_PHASE_WARN = 0.12
+_PHASE_REFUSE = 0.36
+
+
+def _phase_error(grid: GridSpec, N: int) -> float:
+    """phi'_N = 2((b - a) + 1) |kappa_N - omega(kappa_N)|: the phase by which
+    the scheme's wave of mode N's wavenumber kappa_N = N pi / (b - a) falls
+    behind the exact one over twice the controls' duration (b - a) + 1, with
+    omega from the scheme's dispersion relation
+    sin(omega dt / 2) = (dt / dx) sin(kappa dx / 2)."""
+    length = grid.b - grid.a
+    kappa = N * np.pi / length
+    omega = 2.0 / grid.dt * np.arcsin(
+        grid.dt / grid.dx * np.sin(kappa * grid.dx / 2.0))
+    return float(2.0 * (length + 1.0) * abs(kappa - omega))
+
+
 def run_experiment(config: RunConfig) -> int:
     if not config.out_dir:
         print("error: the output directory (--out) is empty", file=sys.stderr)
@@ -218,6 +237,17 @@ def run_experiment(config: RunConfig) -> int:
         settings = ReconSettings(grid=grid, N=config.N,
                                  noise_eps=config.noise, seed=config.seed)
         _check_memory(settings)
+        phase = _phase_error(grid, config.N)
+        if phase > _PHASE_REFUSE:
+            raise ValueError(
+                f"N = {config.N} is under-resolved on this grid: mode N's "
+                f"phase error phi'_N = {phase:.3g} exceeds {_PHASE_REFUSE}; "
+                "lower N or refine dx and dt")
+        if phase > _PHASE_WARN:
+            print(f"warning: N = {config.N} is near the grid's resolution: "
+                  f"mode N's phase error phi'_N = {phase:.3g} exceeds "
+                  f"{_PHASE_WARN}, so the top modes lose accuracy",
+                  file=sys.stderr)
         medium, truth, mode, eps_lin = experiment_setup(
             config.experiment_id, grid, config.N
         )

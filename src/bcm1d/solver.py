@@ -559,7 +559,11 @@ def transfer_difference_nd_map(
     kernel, so the map measures the medium as it was then.  It agrees with
     the stepper's quotient to about 1e-13 of either medium's traces / eps,
     and an eps at which that rounding, taken as nt ulps, would exceed
-    ``_ROUNDING_SHARE`` of the quotient is refused.
+    ``_ROUNDING_SHARE`` of the quotient is refused.  That estimate holds at
+    dt = dx/10 but not at dt = dx: there, on experiment 3's medium at the
+    paper dx, the kernel's rounding is about 80 times the estimate (2.4e-2
+    of the kernel at eps = 1e-10, which is accepted, against 2.8e-4), so at
+    unit CFL an accepted eps is not promised a small rounding share.
     The map writes work arrays of its own: do not call it from two threads
     at once.
     """

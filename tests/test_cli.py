@@ -399,6 +399,26 @@ class TestMain:
         assert err.startswith("error: N = 100000 exceeds") and "N <= 249" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("N, dt, code, err", [
+        ("4", "0.002", 0, ""),
+        ("8", "0.002", 0,
+         "warning: N = 8 is near the grid's resolution: mode N's phase error "
+         "phi'_N = 0.196 exceeds 0.12, so the top modes lose accuracy\n"),
+        ("12", "0.002", 2,
+         "error: N = 12 is under-resolved on this grid: mode N's phase error "
+         "phi'_N = 0.662 exceeds 0.36; lower N or refine dx and dt\n"),
+        # at dt = dx the scheme has no phase error
+        ("12", "0.02", 0, ""),
+    ], ids=["N4", "N8-warned", "N12-refused", "N12-unit-cfl"])
+    def test_under_resolved_N(self, tmp_path, capsys, N, dt, code, err):
+        # phi'_N reads 0.0246, 0.196 and 0.662 at dt = dx / 10: rel_l2
+        # 0.08%, 1.94% and 24.5%
+        out = tmp_path / "out"
+        assert main(["experiment", "--id", "1", "--N", N, "--dx", "0.02",
+                     "--dt", dt, "--T", "3", "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert out.exists() == (code == 0)
+
     def test_out_of_memory_reported(self, tmp_path, capsys, monkeypatch):
         def oversized(*args):
             raise MemoryError("Unable to allocate 14.9 GiB for an array")

@@ -354,6 +354,25 @@ class TestLinearized:
         assert gaps[-1] <= 1e-5
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 3.4 <= coarse / fine <= 4.6
+
+    @pytest.mark.parametrize("steps_per_dx", [10, 1], ids=["dx/10", "dx"])
+    def test_kernel_is_reciprocal_and_mirror_symmetric(self, steps_per_dx):
+        # K[i, j] is the response at end j to a unit sample at end i: the
+        # response at b to a sample at a is that at a to a sample at b, and
+        # mirroring the medium about the midpoint swaps the two ends
+        grid = support_grid(GridSpec(-1.0, 1.0, 1.0 / 50,
+                                     1.0 / (50 * steps_per_dx), 3.0))
+        xs = grid.xs
+        sigma_dot = np.cos(np.pi * xs) + 0.5 * np.sin(2.0 * np.pi * xs) + 2.0
+        samples = [BoundaryTrace(g, grid.dt)
+                   for g in solver._unit_samples(grid)]
+        k, k_mirrored = (
+            np.stack([tr.values for tr in linearized_nd_map_many(
+                grid, MediumSpec(0.0, s), samples)])
+            for s in (sigma_dot, sigma_dot[::-1]))
+        scale = np.max(np.abs(k))
+        assert np.max(np.abs(k[0, 1] - k[1, 0])) <= 1e-12 * scale
+        assert np.max(np.abs(k - k_mirrored[::-1, ::-1])) <= 1e-12 * scale
     def test_zero_perturbation_zero_response(self, coarse_grid, zero_medium):
         f, _ = smooth_pulse_trace(coarse_grid, 1.0, 0.2, 5.0, 1.0, 0.3)
         (out,) = linearized_nd_map_many(coarse_grid, zero_medium, [f])
