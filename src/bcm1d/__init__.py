@@ -31,12 +31,12 @@ from .identity import (
 from .recon import (
     LINEARIZED,
     NONLINEAR_DIFFERENCE,
-    ReconResult,
     ReconSettings,
     acquire_clean_pair_data,
     add_noise,
     apply_measurement_noise,
     assemble_coefficients,
+    error_metrics,
     fourier_targets,
     projection_truth,
     reconstruct,

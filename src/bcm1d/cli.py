@@ -29,16 +29,17 @@ from pathlib import Path
 import numpy as np
 
 from .control import build_control, support_grid, verify_control
-from .core import BoundaryTrace, GridSpec, MediumSpec
+from .core import BoundaryTrace, FourierCoeffs, GridSpec, MediumSpec
 from .identity import nonlinear_identity_residual
 from .recon import (
     LINEARIZED,
     NONLINEAR_DIFFERENCE,
-    ReconResult,
     ReconSettings,
+    error_metrics,
     fourier_targets,
     projection_truth,
     reconstruct,
+    synthesize,
 )
 from .solver import linearized_nd_map_many, snapshots_many
 
@@ -100,13 +101,13 @@ def _experiment_id(value: str) -> int:
 # result emission
 
 
-def emit_results(result: ReconResult, xs: np.ndarray, out_dir,
-                 summary_extra: dict | None = None):
+def emit_results(coeffs: FourierCoeffs, sigma: np.ndarray, truth: np.ndarray,
+                 xs: np.ndarray, out_dir, summary: dict):
     """Write reconstruction.csv, coefficients.csv and summary.json.
 
-    ``xs`` are the spatial nodes the result is sampled on.  Formatting is
-    deterministic, so re-emitting the same result (with the same extra
-    summary fields) reproduces the files byte for byte.
+    ``sigma`` and ``truth`` are the reconstruction and the truth sampled on
+    the spatial nodes ``xs``.  Formatting is deterministic, so re-emitting
+    the same data reproduces the files byte for byte.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -116,20 +117,15 @@ def emit_results(result: ReconResult, xs: np.ndarray, out_dir,
                    header=header, comments="")
 
     rec_path = out / "reconstruction.csv"
-    sigma = result.sigma_recon
     write_csv(rec_path, "x,sigma_true,sigma_recon_re,sigma_recon_im",
-              (xs, result.truth, sigma.real, sigma.imag))
+              (xs, truth, sigma.real, sigma.imag))
 
     coeff_path = out / "coefficients.csv"
-    coeffs = result.coeffs
     a = np.concatenate(([coeffs.a0], coeffs.a))
     b = np.concatenate(([0.0], coeffs.b))
     write_csv(coeff_path, "k,a_re,a_im,b_re,b_im",
               (np.arange(coeffs.N + 1), a.real, a.imag, b.real, b.imag))
 
-    summary = {"rel_l2": result.rel_l2, "linf": result.linf}
-    if summary_extra:
-        summary.update(summary_extra)
     summary_path = out / "summary.json"
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -254,21 +250,25 @@ def run_experiment(config: RunConfig) -> int:
         settings = replace(settings, data_mode=mode,
                            eps_linearization=eps_lin)
         t0 = time.perf_counter()
-        result = reconstruct(settings, medium, truth)
+        coeffs = reconstruct(settings, medium)
+        sigma = synthesize(coeffs, grid)
+        rel_l2, linf = error_metrics(sigma, truth, grid)
         runtime = time.perf_counter() - t0
     # ConfigurationError is a ValueError; a run too large for the memory
     # left, or a failed allocation, raises MemoryError
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not np.isfinite([result.rel_l2, result.linf]).all():
+    if not np.isfinite([rel_l2, linf]).all():
         print(f"error: the reconstruction error is not finite (rel_l2 = "
-              f"{result.rel_l2}, linf = {result.linf}); its data are too "
-              "large or not finite", file=sys.stderr)
+              f"{rel_l2}, linf = {linf}); its data are too large or not "
+              "finite", file=sys.stderr)
         return 2
     # the grid the run measured on, next to the requested one
     measured = support_grid(grid)
-    extra = {
+    summary = {
+        "rel_l2": rel_l2,
+        "linf": linf,
         "experiment": config.experiment_id,
         "noise": config.noise,
         "seed": config.seed,
@@ -281,12 +281,13 @@ def run_experiment(config: RunConfig) -> int:
         "support_grid": {"T": measured.T, "nt": measured.nt},
     }
     try:
-        paths = emit_results(result, grid.xs, config.out_dir, extra)
+        paths = emit_results(coeffs, sigma, truth, grid.xs, config.out_dir,
+                             summary)
     except OSError as exc:
         print(f"error writing results: {exc}", file=sys.stderr)
         return 1
-    print(f"experiment {config.experiment_id}: rel_l2 = {result.rel_l2:.4%}, "
-          f"linf = {result.linf:.4g}, runtime = {runtime:.1f}s")
+    print(f"experiment {config.experiment_id}: rel_l2 = {rel_l2:.4%}, "
+          f"linf = {linf:.4g}, runtime = {runtime:.1f}s")
     for p in paths:
         print(f"  wrote {p}")
     return 0

@@ -132,15 +132,6 @@ class ReconSettings:
                 + _FIXED_BYTES + (self.noise_eps > 0) * _NUMPY_RANDOM_BYTES)
 
 
-@dataclass(frozen=True)
-class ReconResult:
-    coeffs: FourierCoeffs
-    sigma_recon: np.ndarray  # complex samples on the spatial nodes
-    truth: np.ndarray        # real samples the error metrics refer to
-    rel_l2: float
-    linf: float
-
-
 class ModeData(NamedTuple):
     """Free parameter and the sine (f) and cosine (h) control data of a mode."""
 
@@ -288,9 +279,16 @@ def projection_truth(N: int, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _error_metrics(sigma_recon, truth, grid):
-    """(rel_l2, linf), inf where the squares overflow: the caller judges."""
-    diff = sigma_recon.real - truth
+def error_metrics(sigma: np.ndarray, truth: np.ndarray, grid: GridSpec
+                  ) -> tuple[float, float]:
+    """(rel_l2, linf) of the real part of ``sigma`` against ``truth``, both
+    sampled on the nodes of ``grid``: inf where the squares overflow, for
+    the caller to judge.  A ``truth`` off the grid's nodes is refused."""
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != (grid.nx,):
+        raise ValueError(f"truth must have shape ({grid.nx},) to match the "
+                         f"grid, got {truth.shape}")
+    diff = sigma.real - truth
     with np.errstate(over="ignore"):
         num = np.sqrt(np.trapezoid(diff**2, dx=grid.dx))
         den = np.sqrt(np.trapezoid(truth**2, dx=grid.dx))
@@ -299,20 +297,15 @@ def _error_metrics(sigma_recon, truth, grid):
 
 
 def reconstruct_from_data(
-    mode_data: Iterable[ModeData], settings: ReconSettings, truth: np.ndarray
-) -> ReconResult:
-    """Identity evaluation, coefficient assembly and synthesis for the data
-    of modes 1 .. N, taken one mode at a time.
+    mode_data: Iterable[ModeData], settings: ReconSettings
+) -> FourierCoeffs:
+    """Identity evaluation and coefficient assembly for the data of modes
+    1 .. N, taken one mode at a time.
 
     Raises ``ConfigurationError`` naming the mode whose identity values are
-    not finite, so that overflowing data never become NaN results.  A
-    ``truth`` off the spatial grid is rejected before any mode is taken.
+    not finite, so that overflowing data never become NaN results.
     """
     grid = settings.grid
-    truth = np.asarray(truth, dtype=float)
-    if truth.shape != (grid.nx,):
-        raise ValueError(f"truth must have shape ({grid.nx},) to match the "
-                         f"grid, got {truth.shape}")
 
     def values(k: int, data: ModeData) -> tuple[complex, complex, complex]:
         lam, f, h = data
@@ -332,23 +325,18 @@ def reconstruct_from_data(
     # data alive while ``mode_data`` produces the next one
     S = np.array(list(map(values, itertools.count(1), mode_data)),
                  dtype=complex).reshape(-1, 3)
-    coeffs = assemble_coefficients(*S.T, settings.N)
-    sigma_recon = synthesize(coeffs, grid)
-    rel_l2, linf = _error_metrics(sigma_recon, truth, grid)
-    return ReconResult(coeffs=coeffs, sigma_recon=sigma_recon, truth=truth,
-                       rel_l2=rel_l2, linf=linf)
+    return assemble_coefficients(*S.T, settings.N)
 
 
-def reconstruct(
-    settings: ReconSettings, medium: MediumSpec, truth: np.ndarray
-) -> ReconResult:
-    """Full pipeline: controls -> data -> identity values -> series.
+def reconstruct(settings: ReconSettings, medium: MediumSpec) -> FourierCoeffs:
+    """Full pipeline: controls -> data -> identity values -> moments.
 
     Deterministic for a fixed seed.  The medium must be the free background
     (sigma0 = 0), the regime with exact closed-form controls.  The controls
     are measured on their support grid, which replaces ``settings.grid``.
     Each mode's data are dropped as soon as its identity values are taken,
-    before the next mode is acquired.
+    before the next mode is acquired.  :func:`synthesize` samples the
+    series and :func:`error_metrics` scores it.
     """
     if medium.sigma0 != 0.0:
         raise UnsupportedRegimeError(
@@ -361,4 +349,4 @@ def reconstruct(
                                 k, settings.noise_eps, settings.seed)
         for k in range(1, settings.N + 1)
     )
-    return reconstruct_from_data(modes, settings, truth)
+    return reconstruct_from_data(modes, settings)

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 import bcm1d
-from bcm1d import (FourierCoeffs, GridSpec, ReconResult, ReconSettings, cli,
-                   solver)
+from bcm1d import FourierCoeffs, GridSpec, ReconSettings, cli, solver
 from bcm1d.cli import (
     RunConfig,
     emit_results,
@@ -142,18 +141,18 @@ class TestConfigFile:
 _XS = np.linspace(-1, 1, 11)
 
 
-def _fake_result(xs=_XS, N=2):
-    nx = len(xs)
-    coeffs = FourierCoeffs(N=N, a0=8.0 + 0.25j,
+def _emit(out_dir, summary):
+    """Emit two modes' coefficients, a zero reconstruction and a cosine
+    truth on the nodes ``_XS``."""
+    coeffs = FourierCoeffs(N=2, a0=8.0 + 0.25j,
                            a=np.array([1.0, 0.5j]), b=np.array([0.25, 0.0]))
-    return ReconResult(coeffs=coeffs, sigma_recon=np.zeros(nx, dtype=complex),
-                       truth=np.cos(np.pi * xs), rel_l2=0.01, linf=0.02)
+    return emit_results(coeffs, np.zeros(len(_XS), dtype=complex),
+                        np.cos(np.pi * _XS), _XS, out_dir, summary)
 
 
 class TestEmission:
     def test_headers_and_zero_rows(self, tmp_path):
-        rec, coeff, summary = emit_results(_fake_result(), _XS, tmp_path,
-                                           {"seed": 0})
+        rec, coeff, summary = _emit(tmp_path, {"seed": 0})
         rec_lines = Path(rec).read_text().splitlines()
         assert rec_lines[0] == "x,sigma_true,sigma_recon_re,sigma_recon_im"
         assert all(line.split(",")[2] == "0" for line in rec_lines[1:])
@@ -165,24 +164,18 @@ class TestEmission:
         assert len(coeff_lines) == 1 + 1 + 2  # header, k=0, k=1..2
 
     def test_reemission_byte_identical(self, tmp_path):
-        result = _fake_result()
-        first = [Path(p).read_bytes()
-                 for p in emit_results(result, _XS, tmp_path, {"seed": 1})]
-        second = [Path(p).read_bytes()
-                  for p in emit_results(result, _XS, tmp_path, {"seed": 1})]
+        first = [Path(p).read_bytes() for p in _emit(tmp_path, {"seed": 1})]
+        second = [Path(p).read_bytes() for p in _emit(tmp_path, {"seed": 1})]
         assert first == second
 
     def test_summary_contents(self, tmp_path):
-        _, _, summary = emit_results(_fake_result(), _XS, tmp_path,
-                                     {"seed": 3, "noise": 0.05})
-        data = json.loads(Path(summary).read_text())
-        assert data["rel_l2"] == 0.01 and data["linf"] == 0.02
-        assert data["seed"] == 3 and data["noise"] == 0.05
+        summary = {"rel_l2": 0.01, "linf": 0.02, "seed": 3, "noise": 0.05}
+        path = _emit(tmp_path, summary)[2]
+        assert json.loads(Path(path).read_text()) == summary
 
     def test_summary_rejects_non_finite_values(self, tmp_path):
-        result = _fake_result()
         with pytest.raises(ValueError, match="not JSON compliant"):
-            emit_results(result, _XS, tmp_path, {"runtime_seconds": np.inf})
+            _emit(tmp_path, {"runtime_seconds": np.inf})
 
 
 class TestMallocThresholds:

@@ -16,6 +16,7 @@ from bcm1d import (
     add_noise,
     apply_measurement_noise,
     assemble_coefficients,
+    error_metrics,
     fourier_targets,
     projection_truth,
     reconstruct,
@@ -238,9 +239,8 @@ class TestReconstructPipeline:
     def test_zero_perturbation(self, coarse_grid):
         medium = MediumSpec(0.0, np.zeros(coarse_grid.nx))
         settings = ReconSettings(grid=coarse_grid, N=2)
-        res = reconstruct(settings, medium, np.zeros(coarse_grid.nx))
-        biggest = max(abs(res.coeffs.a0), np.max(np.abs(res.coeffs.a)),
-                      np.max(np.abs(res.coeffs.b)))
+        c = reconstruct(settings, medium)
+        biggest = max(abs(c.a0), np.max(np.abs(c.a)), np.max(np.abs(c.b)))
         assert biggest <= 1e-3
 
     def test_end_to_end_linearity(self, coarse_grid):
@@ -251,8 +251,8 @@ class TestReconstructPipeline:
         settings = ReconSettings(grid=coarse_grid, N=1)
 
         def coeffs_for(sig):
-            res = reconstruct(settings, MediumSpec(0.0, sig), sig)
-            return np.array([res.coeffs.a0, res.coeffs.a[0], res.coeffs.b[0]])
+            c = reconstruct(settings, MediumSpec(0.0, sig))
+            return np.array([c.a0, c.a[0], c.b[0]])
 
         combo = coeffs_for(al * s1 + be * s2)
         separate = al * coeffs_for(s1) + be * coeffs_for(s2)
@@ -261,12 +261,11 @@ class TestReconstructPipeline:
     def test_deterministic_with_noise(self, coarse_grid):
         medium = MediumSpec(0.0, smooth_sigma_dot(coarse_grid.xs))
         settings = ReconSettings(grid=coarse_grid, N=2, noise_eps=0.02, seed=9)
-        truth = smooth_sigma_dot(coarse_grid.xs)
-        r1 = reconstruct(settings, medium, truth)
-        r2 = reconstruct(settings, medium, truth)
-        assert np.array_equal(r1.coeffs.a, r2.coeffs.a)
-        assert np.array_equal(r1.coeffs.b, r2.coeffs.b)
-        assert r1.coeffs.a0 == r2.coeffs.a0
+        c1 = reconstruct(settings, medium)
+        c2 = reconstruct(settings, medium)
+        assert np.array_equal(c1.a, c2.a)
+        assert np.array_equal(c1.b, c2.b)
+        assert c1.a0 == c2.a0
 
     @pytest.mark.parametrize("noise", [0.05, 0.0])
     def test_noisy_and_noise_free_runs_build_one_map(self, coarse_grid_t5,
@@ -285,7 +284,7 @@ class TestReconstructPipeline:
             return measurement(self, medium)
 
         monkeypatch.setattr(ReconSettings, "measurement", spy)
-        got = reconstruct(settings, medium, sig)
+        got = reconstruct(settings, medium)
         short = support_grid(grid)
         assert grids == [short] and short.nt == grid.nt - 2 * 997
         settings = ReconSettings(grid=short, N=2)
@@ -293,10 +292,10 @@ class TestReconstructPipeline:
         want = reconstruct_from_data(
             (apply_measurement_noise(
                 acquire_clean_pair_data(k, short, measure), k, noise, 3)
-             for k in (1, 2)), settings, sig)
-        assert got.rel_l2 == want.rel_l2
-        assert np.array_equal(got.coeffs.a, want.coeffs.a)
-        assert np.array_equal(got.coeffs.b, want.coeffs.b)
+             for k in (1, 2)), settings)
+        assert got.a0 == want.a0
+        assert np.array_equal(got.a, want.a)
+        assert np.array_equal(got.b, want.b)
 
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     def test_T_4_and_T_5_give_the_same_coefficients(self, noise):
@@ -306,8 +305,7 @@ class TestReconstructPipeline:
             grid = GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, T)
             sig = smooth_sigma_dot(grid.xs)
             settings = ReconSettings(grid=grid, N=2, noise_eps=noise, seed=5)
-            coeffs.append(reconstruct(settings, MediumSpec(0.0, sig),
-                                      sig).coeffs)
+            coeffs.append(reconstruct(settings, MediumSpec(0.0, sig)))
         assert coeffs[0].a0 == coeffs[1].a0
         assert np.array_equal(coeffs[0].a, coeffs[1].a)
         assert np.array_equal(coeffs[0].b, coeffs[1].b)
@@ -316,14 +314,13 @@ class TestReconstructPipeline:
         medium = MediumSpec(0.0, np.full(coarse_grid.nx, 1e305))
         with pytest.raises(ConfigurationError,
                            match="measured trace 0 has a non-finite sample"):
-            reconstruct(ReconSettings(grid=coarse_grid, N=2), medium,
-                        np.zeros(coarse_grid.nx))
+            reconstruct(ReconSettings(grid=coarse_grid, N=2), medium)
 
     def test_damped_background_rejected(self, coarse_grid):
         medium = MediumSpec(0.3, np.zeros(coarse_grid.nx))
         settings = ReconSettings(grid=coarse_grid, N=1)
         with pytest.raises(UnsupportedRegimeError):
-            reconstruct(settings, medium, np.zeros(coarse_grid.nx))
+            reconstruct(settings, medium)
 
     def test_nonlinear_difference_mode_consistent(self, coarse_grid):
         # the difference route carries an O(eps) linearization bias from the
@@ -331,17 +328,16 @@ class TestReconstructPipeline:
         # nonlinear experiment), so agreement is first order in eps
         sig = smooth_sigma_dot(coarse_grid.xs)
         medium = MediumSpec(0.0, sig)
-        lin = reconstruct(ReconSettings(grid=coarse_grid, N=1), medium, sig)
+        lin = reconstruct(ReconSettings(grid=coarse_grid, N=1), medium)
         gaps = []
         for eps in (1e-3, 1e-4):
             non = reconstruct(
                 ReconSettings(grid=coarse_grid, N=1,
                               data_mode="nonlinear_difference",
                               eps_linearization=eps),
-                medium, sig,
+                medium,
             )
-            gaps.append(max(abs(lin.coeffs.a0 - non.coeffs.a0),
-                            np.max(np.abs(lin.coeffs.a - non.coeffs.a))))
+            gaps.append(max(abs(lin.a0 - non.a0), np.max(np.abs(lin.a - non.a))))
         assert gaps[0] <= 0.1
         assert gaps[1] <= 0.2 * gaps[0]  # bias shrinks linearly in eps
 
@@ -384,12 +380,13 @@ class TestReconstructPipeline:
         sig = smooth_sigma_dot(grid.xs)
         medium = MediumSpec(0.0, sig)
         settings = ReconSettings(grid=grid, N=2)
-        direct = reconstruct(settings, medium, sig)
+        direct = reconstruct(settings, medium)
         measure = settings.measurement(medium)
         data = [acquire_clean_pair_data(k, grid, measure) for k in (1, 2)]
-        via_data = reconstruct_from_data(data, settings, sig)
-        assert np.array_equal(direct.coeffs.a, via_data.coeffs.a)
-        assert direct.rel_l2 == via_data.rel_l2
+        via_data = reconstruct_from_data(data, settings)
+        assert direct.a0 == via_data.a0
+        assert np.array_equal(direct.a, via_data.a)
+        assert np.array_equal(direct.b, via_data.b)
 
     def test_each_mode_dropped_before_the_next_is_acquired(self, coarse_grid,
                                                             monkeypatch):
@@ -405,7 +402,7 @@ class TestReconstructPipeline:
             return data
 
         monkeypatch.setattr(recon, "acquire_clean_pair_data", spy)
-        reconstruct(settings, MediumSpec(0.0, sig), sig)
+        reconstruct(settings, MediumSpec(0.0, sig))
         assert alive == [0, 0, 0]
 
     @pytest.mark.parametrize("modes", [0, 2])
@@ -417,16 +414,31 @@ class TestReconstructPipeline:
         data = [acquire_clean_pair_data(k, grid, measure)
                 for k in range(1, modes + 1)]
         with pytest.raises(ValueError, match="need 3 identity values"):
-            reconstruct_from_data(data, settings, sig)
+            reconstruct_from_data(data, settings)
 
-    def test_truth_off_grid_rejected_before_any_mode(self, coarse_grid,
-                                                     monkeypatch):
-        def acquire(*args):
-            raise AssertionError("a mode was measured")
 
-        monkeypatch.setattr(recon, "acquire_clean_pair_data", acquire)
-        settings = ReconSettings(grid=coarse_grid, N=3)
-        medium = MediumSpec(0.0, smooth_sigma_dot(coarse_grid.xs))
+class TestErrorMetrics:
+    def test_values_on_the_nodes(self, coarse_grid):
+        xs = coarse_grid.xs
+        truth = 2.0 + np.cos(np.pi * xs)
+        # an imaginary part is not scored
+        sigma = truth + 0.01 * np.sin(np.pi * xs) + 5j
+        rel_l2, linf = error_metrics(sigma, truth, coarse_grid)
+        num = np.sqrt(np.trapezoid((0.01 * np.sin(np.pi * xs)) ** 2,
+                                   dx=coarse_grid.dx))
+        den = np.sqrt(np.trapezoid(truth**2, dx=coarse_grid.dx))
+        assert rel_l2 == pytest.approx(num / den, rel=1e-10)
+        assert linf == pytest.approx(0.01, rel=1e-12)
+        assert error_metrics(truth, truth, coarse_grid) == (0.0, 0.0)
+
+    def test_overflowing_squares_give_inf(self, coarse_grid, recwarn):
+        truth = np.ones(coarse_grid.nx)
+        rel_l2, linf = error_metrics(truth + 1e200, truth, coarse_grid)
+        assert rel_l2 == np.inf and linf == pytest.approx(1e200)
+        assert not recwarn.list
+
+    def test_truth_off_the_grid_refused(self, coarse_grid):
+        sigma = np.zeros(coarse_grid.nx, dtype=complex)
         with pytest.raises(ValueError, match=rf"truth must have shape "
                            rf"\({coarse_grid.nx},\).*got \(7,\)"):
-            reconstruct(settings, medium, np.ones(7))
+            error_metrics(sigma, np.ones(7), coarse_grid)

@@ -974,11 +974,11 @@ class TestDifferenceMap:
         # experiment 3's medium, which at eps = 1e-3 reads 1.088%; at
         # 1e-200 the run once returned a0 = 0 and rel_l2 = 1 with no error
         grid = GridSpec(-1.0, 1.0, 0.02, 0.002, 3.0)
-        medium, truth, mode, _ = experiment_setup(3, grid, 4)
+        medium, _, mode, _ = experiment_setup(3, grid, 4)
         settings = ReconSettings(grid, N=4, data_mode=mode,
                                  eps_linearization=1e-200)
         with pytest.raises(ConfigurationError, match="eps = 1e-200"):
-            reconstruct(settings, medium, truth)
+            reconstruct(settings, medium)
 
     @pytest.mark.parametrize("dx, dt", [(0.02, 0.002), (1 / 250, 1 / 2500),
                                         (1 / 250, 1 / 250)],
@@ -1000,12 +1000,12 @@ class TestDifferenceMap:
 
     def test_reconstruct_refuses_an_eps_whose_quotient_is_rounding(self):
         grid = GridSpec(-1.0, 1.0, 0.02, 0.002, 3.0)
-        medium, truth, mode, _ = experiment_setup(3, grid, 4)
+        medium, _, mode, _ = experiment_setup(3, grid, 4)
         settings = ReconSettings(grid, N=4, data_mode=mode,
                                  eps_linearization=1e-13)
         with pytest.raises(ConfigurationError,
                            match="eps = 1e-13 is too small"):
-            reconstruct(settings, medium, truth)
+            reconstruct(settings, medium)
 
 
 def _controls(grid, ks=(1, 3)):
@@ -1225,7 +1225,7 @@ def test_measurement_skips_the_controls_lead_in(coarse_grid_t5, data_mode,
     monkeypatch.setattr(ReconSettings, "measurement", spy)
     sig = smooth_sigma_dot(grid.xs)
     reconstruct(ReconSettings(grid=grid, N=2, data_mode=data_mode,
-                              noise_eps=0.05), MediumSpec(0.0, sig), sig)
+                              noise_eps=0.05), MediumSpec(0.0, sig))
     assert grids == [short]
 
 
