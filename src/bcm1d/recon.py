@@ -81,7 +81,9 @@ class ReconSettings:
     eps_linearization: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)):
+        # a bool is an int: N = True would run as N = 1
+        if (isinstance(self.N, bool)
+                or not isinstance(self.N, (int, np.integer))):
             raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
@@ -93,7 +95,8 @@ class ReconSettings:
                 f"this grid allows N <= {n_max}" if n_max else
                 f"the grid's {self.grid.nx} nodes are too few for any mode "
                 "(N >= 1 needs nx >= 4)"))
-        if not isinstance(self.seed, (int, np.integer)):
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, (int, np.integer))):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

@@ -367,6 +367,14 @@ class TestReconstructPipeline:
             ReconSettings(grid=coarse_grid, data_mode="nonlinear_difference",
                           eps_linearization=0.0)
 
+    @pytest.mark.parametrize("field", ["N", "seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_refused_as_an_integer(self, coarse_grid, field, value):
+        # a bool is an int: N = True once ran as N = 1, seed = False as 0
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, "
+                           f"got {value}$"):
+            ReconSettings(grid=coarse_grid, **{field: value})
+
     def test_N_limited_by_grid_resolution(self, coarse_grid):
         # on 101 nodes mode 50's frequency 2 kappa_50 = 50 pi reaches the
         # nodes' Nyquist limit pi / dx
