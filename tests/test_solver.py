@@ -970,6 +970,29 @@ class TestDifferenceMap:
         (out,) = transfer_difference_nd_map(coarse_grid, med, 1e-200)(fs)
         assert not np.any(out.values)
 
+    @pytest.mark.parametrize("ddot", [0.0, 200.0], ids=["no_ddot", "ddot"])
+    @pytest.mark.parametrize("steps_per_dx", [10, 1], ids=["dx/10", "dx"])
+    def test_kernel_is_reciprocal_and_mirror_symmetric(self, steps_per_dx,
+                                                       ddot):
+        # as the linearized kernel is (TestLinearized): K[i, j] is the
+        # map's response at end j to a unit sample at end i, with and
+        # without experiment 3's second-order term
+        grid = support_grid(GridSpec(-1.0, 1.0, 1.0 / 50,
+                                     1.0 / (50 * steps_per_dx), 3.0))
+        xs = grid.xs
+        sigma_dot = np.cos(np.pi * xs) + 0.5 * np.sin(2.0 * np.pi * xs) + 2.0
+        sigma_ddot = ddot * np.sin(20.0 * np.pi * xs)
+        samples = [BoundaryTrace(g, grid.dt)
+                   for g in solver._unit_samples(grid)]
+        k, k_mirrored = (
+            np.stack([tr.values for tr in transfer_difference_nd_map(
+                grid, MediumSpec(0.0, sd, sdd), 1e-3)(samples)])
+            for sd, sdd in ((sigma_dot, sigma_ddot),
+                            (sigma_dot[::-1], sigma_ddot[::-1])))
+        scale = np.max(np.abs(k))
+        assert np.max(np.abs(k[0, 1] - k[1, 0])) <= 1e-10 * scale
+        assert np.max(np.abs(k - k_mirrored[::-1, ::-1])) <= 1e-10 * scale
+
     def test_reconstruct_refuses_an_eps_too_small(self):
         # experiment 3's medium, which at eps = 1e-3 reads 1.088%; at
         # 1e-200 the run once returned a0 = 0 and rel_l2 = 1 with no error
