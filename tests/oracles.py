@@ -3,8 +3,9 @@
 None of these is part of a reconstruction: the volume pairing is the
 interior side the linearized identity is checked against, the stability
 chain bounds an identity value by discrete Sobolev norms of its traces,
-and the Born reflection is the exact linearized trace the stepper's
-linearized map is checked against.
+and the Born reflection and the exact linearized map for sigma0 = 0 are
+the exact linearized traces the stepper's linearized map is checked
+against.
 """
 
 from __future__ import annotations
@@ -75,6 +76,66 @@ def born_reflection(grid: GridSpec, g: np.ndarray, depth_integral):
     """
     depth = np.clip(grid.ts / 2.0, 0.0, grid.b - grid.a)
     return -np.convolve(g, depth_integral(depth))[:grid.nt] * grid.dt
+
+
+def exact_linearized_kernel(grid: GridSpec, depth_integral) -> np.ndarray:
+    """The exact linearized ND map's kernel for sigma0 = 0, as (input end,
+    output end, samples) at s = ``grid.ts``: the map takes the Neumann
+    data g at the input end to the trace -int_0^t g(t - s) K(s) ds at the
+    output end (d'Alembert with wall images and Duhamel's principle; Evans,
+    *Partial Differential Equations*, 2nd ed., AMS 2010, section 2.4).
+
+    K is built from F = ``depth_integral`` alone, F(xi) the integral of
+    sigma_dot over the first xi of depth from end a, vectorized.  Each image
+    path to the scatterer and back has a lag 2 xi + c, c - 2 xi or c, with c
+    a multiple of L = b - a; j + 1 paths share each lag of order j.  A path
+    adds F(clip((s - c)/2, 0, L)), F(L) - F(clip((c - s)/2, 0, L)) or
+    F(L) H(s - c), with H = 1/2 at the jump.  For s < 2L the a -> a entry
+    is F(s/2), :func:`born_reflection`'s kernel.  Data at b see the medium
+    mirrored, whose depth integral is F(L) - F(L - xi).
+    """
+    s, L = grid.ts, grid.b - grid.a
+    F_L = depth_integral(L)
+
+    def entries(F):
+        """The entries at the input end and at the far end."""
+        def down(c):  # lag 2 xi + c
+            return F(np.clip((s - c) / 2.0, 0.0, L))
+
+        def up(c):  # lag c - 2 xi
+            return F_L - F(np.clip((c - s) / 2.0, 0.0, L))
+
+        def flat(c):  # lag c, which may fall on a sample
+            return F_L * np.heaviside(np.round((s - c) / grid.dt, 6), 0.5)
+
+        near = far = 0.0
+        for j in range(int(s[-1] / (2.0 * L)) + 1):
+            c = 2.0 * j * L
+            near = near + (j + 1) * (down(c) + 2.0 * flat(c + 2.0 * L)
+                                     + up(c + 4.0 * L))
+            far = far + (j + 1) * (flat(c + L) + up(c + 3.0 * L)
+                                   + down(c + L) + flat(c + 3.0 * L))
+        return near, far
+
+    (aa, ab), (bb, ba) = (entries(depth_integral),
+                          entries(lambda xi: F_L - depth_integral(L - xi)))
+    return np.array([[aa, ab], [ba, bb]])
+
+
+def exact_linearized_nd_map(grid: GridSpec, depth_integral):
+    """The map from Neumann traces to the exact linearized ND map's traces
+    for sigma0 = 0, by FFT convolution with
+    :func:`exact_linearized_kernel`; a rectangle sum, the trapezoid rule
+    here, as K(0) = 0 and the data are at rest at t = 0."""
+    n_fft = 1 << (2 * grid.nt - 1).bit_length()  # no wrap-around
+    transfer = np.fft.fft(exact_linearized_kernel(grid, depth_integral), n_fft)
+
+    def measure(fs):
+        return [BoundaryTrace(-grid.dt * np.fft.ifft(np.einsum(
+            "iof,if->of", transfer, np.fft.fft(f.values, n_fft)))[:, :grid.nt],
+            grid.dt) for f in fs]
+
+    return measure
 
 
 @dataclass(frozen=True)
