@@ -38,7 +38,6 @@ from .recon import (
     assemble_coefficients,
     error_metrics,
     fourier_targets,
-    projection_truth,
     reconstruct,
     reconstruct_from_data,
     synthesize,

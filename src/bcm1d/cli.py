@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .control import build_control, support_grid, verify_control
-from .core import BoundaryTrace, FourierCoeffs, GridSpec, MediumSpec
+from .core import (BoundaryTrace, FourierCoeffs, GridSpec, MediumSpec,
+                   UnsupportedRegimeError)
 from .identity import nonlinear_identity_residual
 from .recon import (
     LINEARIZED,
@@ -37,13 +38,16 @@ from .recon import (
     ReconSettings,
     error_metrics,
     fourier_targets,
-    projection_truth,
+    mode_wavenumber,
     reconstruct,
     synthesize,
 )
 from .solver import linearized_nd_map_many, snapshots_many
 
 PAPER = dict(a=-1.0, b=1.0, dx=1.0 / 250, dt=1.0 / 2500, T=5.0, N=10)
+
+# experiment 2's medium on [-1, 1]: (start, end, level) of each piece
+PIECEWISE = ((-1.0, -0.5, 2.0), (-0.5, 1.0 / 3.0, 1.5), (1.0 / 3.0, 1.0, 1.0))
 
 
 @dataclass
@@ -72,6 +76,20 @@ def smooth_perturbation(xs: np.ndarray) -> np.ndarray:
 
 def piecewise_perturbation(xs: np.ndarray) -> np.ndarray:
     return np.where(xs <= -0.5, 2.0, np.where(xs < 1.0 / 3.0, 1.5, 1.0))
+
+
+def projection_truth(N: int, grid: GridSpec) -> np.ndarray:
+    """The N-term series of experiment 2's medium on the nodes of ``grid``,
+    from the pieces' exact moments: only this truncation is recoverable
+    with an N-mode basis, so errors are reported against it."""
+    if not (np.isclose(grid.a, -1.0) and np.isclose(grid.b, 1.0)):
+        raise UnsupportedRegimeError(
+            "the piecewise reference perturbation lives on [-1, 1]")
+    u, v, level = np.array(PIECEWISE).T
+    w = 2.0 * mode_wavenumber(np.arange(1, N + 1), grid)[:, None]
+    a = (np.sin(w * v) - np.sin(w * u)) / w @ level
+    b = (np.cos(w * u) - np.cos(w * v)) / w @ level
+    return synthesize(FourierCoeffs(N, level @ (v - u), a, b), grid).real
 
 
 def experiment_setup(exp_id: int, grid: GridSpec, N: int):

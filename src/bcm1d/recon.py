@@ -254,34 +254,6 @@ def synthesize(coeffs: FourierCoeffs, grid: GridSpec) -> np.ndarray:
     return result
 
 
-def projection_truth(N: int, grid: GridSpec) -> np.ndarray:
-    """Truncated series of the reference piecewise perturbation on [-1, 1].
-
-    The piecewise levels 2, 3/2, 1 with breakpoints -1/2 and 1/3 have the
-    closed-form cosine/sine moments
-
-        c_k = [sin(k pi/3) - sin(k pi/2)] / (2 k pi),
-        d_k = -[cos(k pi/3) + cos(k pi/2) - 2 cos(k pi)] / (2 k pi),
-
-    around the mean 35/24.  Only the N-term truncation is recoverable with
-    an N-mode basis, so errors are reported against it.
-    """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not (np.isclose(grid.a, -1.0) and np.isclose(grid.b, 1.0)):
-        raise UnsupportedRegimeError(
-            "the piecewise reference perturbation lives on [-1, 1]"
-        )
-    xs = grid.xs
-    out = np.full(grid.nx, 35.0 / 24.0)
-    for k in range(1, N + 1):
-        c_k = (np.sin(k * np.pi / 3) - np.sin(k * np.pi / 2)) / (2 * k * np.pi)
-        d_k = -(np.cos(k * np.pi / 3) + np.cos(k * np.pi / 2)
-                - 2 * np.cos(k * np.pi)) / (2 * k * np.pi)
-        out += c_k * np.cos(k * np.pi * xs) + d_k * np.sin(k * np.pi * xs)
-    return out
-
-
 def error_metrics(sigma: np.ndarray, truth: np.ndarray, grid: GridSpec
                   ) -> tuple[float, float]:
     """(rel_l2, linf) of the real part of ``sigma`` against ``truth``, both

@@ -22,13 +22,13 @@ from bcm1d import (
     error_metrics,
     linearized_rhs,
     nonlinear_identity_residual,
-    projection_truth,
     reconstruct_from_data,
     synthesize,
     verify_control,
 )
 from bcm1d.cli import (_mms_error, main, piecewise_perturbation,
-                       smooth_perturbation, smooth_pulse_trace)
+                       projection_truth, smooth_perturbation,
+                       smooth_pulse_trace)
 from bcm1d.control import support_grid
 from bcm1d.recon import NONLINEAR_DIFFERENCE, fourier_targets
 

@@ -18,12 +18,12 @@ from bcm1d import (
     assemble_coefficients,
     error_metrics,
     fourier_targets,
-    projection_truth,
     reconstruct,
     reconstruct_from_data,
     synthesize,
 )
 from bcm1d import recon
+from bcm1d.cli import projection_truth
 from bcm1d.control import support_grid
 from conftest import smooth_sigma_dot
 
@@ -212,27 +212,27 @@ class TestProjectionTruth:
 
     def test_coefficients_match_direct_projection(self, coarse_grid):
         # independent oracle: adaptive quadrature of the piecewise function
-        # against each mode
-        for k in (1, 2, 5):
-            got_c = (np.sin(k * np.pi / 3) - np.sin(k * np.pi / 2)) / (2 * k * np.pi)
-            got_d = -(np.cos(k * np.pi / 3) + np.cos(k * np.pi / 2)
-                      - 2 * np.cos(k * np.pi)) / (2 * k * np.pi)
-            pieces = ((-1.0, -0.5, 2.0), (-0.5, 1.0 / 3.0, 1.5), (1.0 / 3.0, 1.0, 1.0))
-            want_c = sum(
-                lv * quad(lambda x: np.cos(k * np.pi * x), lo, hi)[0]
-                for lo, hi, lv in pieces
-            )
-            want_d = sum(
-                lv * quad(lambda x: np.sin(k * np.pi * x), lo, hi)[0]
-                for lo, hi, lv in pieces
-            )
-            assert np.isclose(got_c, want_c, atol=1e-10)
-            assert np.isclose(got_d, want_d, atol=1e-10)
+        # against each mode, summed as a series on [-1, 1]
+        pieces = ((-1.0, -0.5, 2.0), (-0.5, 1.0 / 3.0, 1.5), (1.0 / 3.0, 1.0, 1.0))
+
+        def moment(mode):
+            return sum(lv * quad(mode, lo, hi)[0] for lo, hi, lv in pieces)
+
+        xs = coarse_grid.xs
+        want = np.full(coarse_grid.nx, moment(lambda x: 1.0) / 2.0)
+        for k in range(1, 6):
+            want += (moment(lambda x: np.cos(k * np.pi * x)) * np.cos(k * np.pi * xs)
+                     + moment(lambda x: np.sin(k * np.pi * x)) * np.sin(k * np.pi * xs))
+        assert np.allclose(projection_truth(5, coarse_grid), want, atol=1e-10)
 
     def test_wrong_domain_rejected(self):
         g = GridSpec(0.0, 2.0, 1.0 / 50, 1.0 / 500, 3.0)
         with pytest.raises(UnsupportedRegimeError):
             projection_truth(5, g)
+
+    def test_N_below_one_rejected(self, coarse_grid):
+        with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+            projection_truth(0, coarse_grid)
 
 
 class TestReconstructPipeline:
