@@ -5,8 +5,8 @@ default grid dx = 1/250, dt = 1/2500, T = 5 and truncation N = 10:
 
   1. smooth perturbation cos(pi x) + cos(2 pi x) + cos(3 pi x)
      + sin(4 pi x) + 4, linearized data;
-  2. piecewise perturbation (levels 2, 3/2, 1), compared against its
-     N-term projection;
+  2. piecewise-constant perturbation (``PIECEWISE``), averaged over the
+     cells that hold its breaks, compared against its N-term projection;
   3. the smooth perturbation measured through nonlinear differences at
      eps = 1e-3 with a second-order term 200 sin(20 pi x).
 
@@ -75,7 +75,16 @@ def smooth_perturbation(xs: np.ndarray) -> np.ndarray:
 
 
 def piecewise_perturbation(xs: np.ndarray) -> np.ndarray:
-    return np.where(xs <= -0.5, 2.0, np.where(xs < 1.0 / 3.0, 1.5, 1.0))
+    """Experiment 2's medium on a grid's nodes ``xs``: a node whose cell
+    [x - dx/2, x + dx/2] holds a break takes the pieces' exact average over
+    the cell, every other node its piece's level."""
+    u, v, level = np.array(PIECEWISE).T
+    dx, breaks = xs[1] - xs[0], u[1:]
+    lo, hi = xs[:, None] - dx / 2.0, xs[:, None] + dx / 2.0
+    cut = np.any((lo < breaks) & (breaks < hi), axis=1)
+    average = (np.clip(np.minimum(hi, v) - np.maximum(lo, u), 0.0, None)
+               @ level / dx)
+    return np.where(cut, average, level[np.searchsorted(breaks, xs)])
 
 
 def projection_truth(N: int, grid: GridSpec) -> np.ndarray:

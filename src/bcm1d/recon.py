@@ -258,11 +258,13 @@ def error_metrics(sigma: np.ndarray, truth: np.ndarray, grid: GridSpec
                   ) -> tuple[float, float]:
     """(rel_l2, linf) of the real part of ``sigma`` against ``truth``, both
     sampled on the nodes of ``grid``: inf where the squares overflow, for
-    the caller to judge.  A ``truth`` off the grid's nodes is refused."""
-    truth = np.asarray(truth, dtype=float)
-    if truth.shape != (grid.nx,):
-        raise ValueError(f"truth must have shape ({grid.nx},) to match the "
-                         f"grid, got {truth.shape}")
+    the caller to judge.  A ``sigma`` or ``truth`` off the grid's nodes is
+    refused."""
+    sigma, truth = np.asarray(sigma), np.asarray(truth, dtype=float)
+    for name, samples in (("sigma", sigma), ("truth", truth)):
+        if samples.shape != (grid.nx,):
+            raise ValueError(f"{name} must have shape ({grid.nx},) to match "
+                             f"the grid, got {samples.shape}")
     diff = sigma.real - truth
     with np.errstate(over="ignore"):
         num = np.sqrt(np.trapezoid(diff**2, dx=grid.dx))

@@ -13,6 +13,7 @@ import pytest
 import bcm1d
 from bcm1d import FourierCoeffs, GridSpec, ReconSettings, cli, solver
 from bcm1d.cli import (
+    PIECEWISE,
     RunConfig,
     emit_results,
     experiment_setup,
@@ -30,8 +31,29 @@ class TestPresets:
         assert np.allclose(smooth_perturbation(xs), [7.0, 3.0])
 
     def test_piecewise_levels(self):
-        xs = np.array([-0.75, -0.5, 0.0, 1.0 / 3.0, 0.5])
-        assert np.allclose(piecewise_perturbation(xs), [2.0, 2.0, 1.5, 1.0, 1.0])
+        # dx = 1/12: both breaks are nodes, whose cells average two levels
+        xs = np.linspace(-1.0, 1.0, 25)
+        got = piecewise_perturbation(xs)
+        assert np.allclose(got[[6, 16]], [1.75, 1.25], rtol=1e-14, atol=0)
+        levels = np.repeat([2.0, 1.5, 1.0], [6, 9, 8])
+        assert np.array_equal(np.delete(got, [6, 16]), levels)
+
+    def test_piecewise_moments_match_the_pieces(self):
+        # the 21 trapezoid moments (a0, a_k, b_k for k <= 10) of the medium
+        # on the paper grid's nodes against the pieces' exact ones
+        grid = RunConfig().grid()
+        xs, (u, v, level) = grid.xs, np.array(PIECEWISE).T
+        w = np.pi * np.arange(1, 11)[:, None]
+        sampled = piecewise_perturbation(xs)
+        got = np.concatenate((
+            [np.trapezoid(sampled, dx=grid.dx)],
+            np.trapezoid(sampled * np.cos(w * xs), dx=grid.dx, axis=1),
+            np.trapezoid(sampled * np.sin(w * xs), dx=grid.dx, axis=1)))
+        want = np.concatenate((
+            [level @ (v - u)],
+            (np.sin(w * v) - np.sin(w * u)) / w @ level,
+            (np.cos(w * u) - np.cos(w * v)) / w @ level))
+        assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
 
     def test_experiment_setup(self, coarse_grid):
         med1, truth1, mode1, _ = experiment_setup(1, coarse_grid, 4)

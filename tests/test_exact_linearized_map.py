@@ -22,7 +22,7 @@ from bcm1d import (
     reconstruct_from_data,
     synthesize,
 )
-from bcm1d.cli import smooth_pulse_trace
+from bcm1d.cli import PIECEWISE, projection_truth, smooth_pulse_trace
 from bcm1d.control import support_grid
 
 from conftest import smooth_sigma_dot
@@ -46,6 +46,27 @@ def _smooth_antiderivative(x):
 def _depth_integral(grid, antiderivative):
     """F(xi), the integral of sigma_dot over the first xi of depth from a."""
     return lambda xi: antiderivative(grid.a + xi) - antiderivative(grid.a)
+
+
+def _piecewise_depth_integral(grid):
+    """F(xi) of experiment 2's medium, exact across its breaks."""
+    u, v, level = np.array(PIECEWISE).T
+    return lambda xi: (np.clip(grid.a + np.asarray(xi)[..., None], u, v)
+                       - u) @ level
+
+
+def _rel_l2_from_exact_data(grid, F, N, truth):
+    """rel_l2 against ``truth`` of the N-mode reconstruction from the exact
+    map's data in the medium whose depth integral is ``F``."""
+    exact = exact_linearized_nd_map(grid, F)
+    coeffs = reconstruct_from_data(
+        (acquire_clean_pair_data(k, grid, exact) for k in range(1, N + 1)),
+        ReconSettings(grid, N=N))
+    return error_metrics(synthesize(coeffs, grid), truth, grid)[0]
+
+
+def _paper_support_grid():
+    return support_grid(GridSpec(-1.0, 1.0, 1.0 / 250, 1.0 / 2500, 5.0))
 
 
 def test_kernel_is_the_born_reflection_then_reciprocal_and_mirrored():
@@ -93,12 +114,27 @@ def test_stepper_converges_to_the_exact_map():
 def test_reconstruction_from_exact_data():
     # experiment 1 on the paper grid's support grid: with the instrument's
     # error gone, what is left is the quadratures' O(dt^2)
-    grid = support_grid(GridSpec(-1.0, 1.0, 1.0 / 250, 1.0 / 2500, 5.0))
-    exact = exact_linearized_nd_map(
-        grid, _depth_integral(grid, _smooth_antiderivative))
-    coeffs = reconstruct_from_data(
-        (acquire_clean_pair_data(k, grid, exact) for k in range(1, 11)),
-        ReconSettings(grid, N=10))
-    rel_l2, _ = error_metrics(synthesize(coeffs, grid),
-                              smooth_sigma_dot(grid.xs), grid)
+    grid = _paper_support_grid()
+    rel_l2 = _rel_l2_from_exact_data(
+        grid, _depth_integral(grid, _smooth_antiderivative), 10,
+        smooth_sigma_dot(grid.xs))
     assert rel_l2 <= 1e-6
+
+
+def test_reconstruction_from_exact_data_at_N_40():
+    # the stepper's phase error makes N = 40 unreadable on this grid; the
+    # exact map's data carry none
+    grid = _paper_support_grid()
+    rel_l2 = _rel_l2_from_exact_data(
+        grid, _depth_integral(grid, _smooth_antiderivative), 40,
+        smooth_sigma_dot(grid.xs))
+    assert rel_l2 <= 1e-6
+
+
+def test_piecewise_reconstruction_from_exact_data():
+    # experiment 2 against its N-term projection: the depth integral takes
+    # the jumps exactly, so no sampling of the medium enters
+    grid = _paper_support_grid()
+    rel_l2 = _rel_l2_from_exact_data(grid, _piecewise_depth_integral(grid),
+                                     10, projection_truth(10, grid))
+    assert rel_l2 <= 1e-5

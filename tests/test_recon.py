@@ -450,3 +450,11 @@ class TestErrorMetrics:
         with pytest.raises(ValueError, match=rf"truth must have shape "
                            rf"\({coarse_grid.nx},\).*got \(7,\)"):
             error_metrics(sigma, np.ones(7), coarse_grid)
+
+    @pytest.mark.parametrize("samples", [1, 7])
+    def test_sigma_off_the_grid_refused(self, coarse_grid, samples):
+        # one sample would broadcast and be scored as a constant
+        truth = np.full(coarse_grid.nx, 2.0)
+        with pytest.raises(ValueError, match=rf"sigma must have shape "
+                           rf"\({coarse_grid.nx},\).*got \({samples},\)"):
+            error_metrics(np.ones(samples), truth, coarse_grid)
