@@ -44,19 +44,20 @@ the outer differences there take one injection signal per end,
 
     (2/dx) g + (dx/3) (d2g/dt2 + sigma_end dg/dt),
 
-computed before the loop from one tap table, ``_weights`` (a source adds
-gain S, and -+ (dx/3) S_x to the injection).  Differencing before scaling
-keeps a constant field exact, so rounding does not feed the undamped mean
-mode's double root at z = 1: on the default grid the loop agrees with the
-scheme run in extended precision to about 1e-12.  Fields are rows of
-nodes, so every update runs along x.  A source comes as its real samples
-at every step before T, the same for every row: their edge terms join the
-injection signals before the loop, and each step adds gain S.  In a real
-medium a row is real when its data are, and complex otherwise.  The loop
-only adds, subtracts and multiplies by real coefficients there, which numpy
-does on the two parts of a complex row exactly as on two real rows.  Every
-ND map and the snapshots take data whose imaginary parts are all zero as
-real, and return float64 traces and fields for them.
+computed before the loop by ``_injection``, the one place the formula is
+written (a source adds gain S, and +- (dx/3) S_x to the injection).
+Differencing before scaling keeps a constant field exact, so rounding does
+not feed the undamped mean mode's double root at z = 1: on the default
+grid the loop agrees with the scheme run in extended precision to about
+1e-12.  Fields are rows of nodes, so every update runs along x.  A source
+comes as its real samples at every step before T, the same for every row:
+their edge terms join each row's injection signals before the loop, and
+each step adds gain S.  In a real medium a row is real when its data are,
+and complex otherwise.  The loop only adds, subtracts and multiplies by
+real coefficients there, which numpy does on the two parts of a complex
+row exactly as on two real rows.  Every ND map and the snapshots take data
+whose imaginary parts are all zero as real, and return float64 traces and
+fields for them.
 
 :func:`snapshots_many` reads the fields u and u_x at the half time T as two
 blocks, u_x by centered differences, and stops at T: it takes T/dt steps,
@@ -91,7 +92,7 @@ frequency from input end to output end, stored C-contiguous with
 frequencies last; the map is one object that holds it and its FFT work
 arrays.  A trace then costs one forward FFT of its four real endpoint
 series, the 2 x 2 contraction and the inverse FFT.  The stepper alone
-applies the tap table, and the linearized map alone takes the complex
+builds injection signals, and the linearized map alone takes the complex
 step.  Other data meet the stepper's one-sided differences at the grid's
 ends, so the maps refuse them; the reconstruction controls on their
 support grid (see :func:`~bcm1d.control.support_grid`) are at rest
@@ -222,58 +223,55 @@ def _stencil(grid: GridSpec, sigma: np.ndarray):
     return carry, left, right, gain
 
 
-def _weights(grid: GridSpec, sigma_ends):
-    """The taps (..., 2, 3) of media whose damping at a and b is
-    ``sigma_ends`` (..., 2): per end, the weights of its data g, of the
-    centered difference g[n+1] - g[n-1] and of that difference taken twice,
-    so that the end's injection signal is, with g_t and g_tt the centered
+def _injection(grid: GridSpec, sigma_ends, g, source=None):
+    """The injection signals (..., 2, steps) of the endpoint data ``g``
+    (..., 2, steps) in one medium, whose damping at a and b is
+    ``sigma_ends`` (2,): per end, with g_t and g_tt the centered
     derivatives,
 
-        (2/dx) g + (dx/3) (g_tt + sigma_end g_t).
+        (2/dx) g + (dx/3) (g_tt + sigma_end g_t),
+
+    less (dx/3) (-d/dx at a, +d/dx at b) of the real samples ``source``
+    (see :func:`_time_loop`) at steps 1 .. len(source)-1, if given.  The
+    differences are one-sided at the first and the last step, as
+    :func:`numpy.gradient` takes them.
     """
     dx, dt = grid.dx, grid.dt
-    return np.stack(np.broadcast_arrays(
-        2.0 / dx, dx * np.asarray(sigma_ends) / (6.0 * dt),
-        dx / (12.0 * dt**2)), axis=-1)
-
-
-def _injection(taps, g):
-    """The injection signals (..., 2, steps) of the endpoint data ``g``
-    (..., 2, steps) under one medium's ``taps`` (2, 3) (see
-    :func:`_weights`).  The differences are one-sided at the first and the
-    last step, as :func:`numpy.gradient` takes them.
-    """
-    # real for real data and taps, complex otherwise
-    dtype = np.result_type(taps, g)
+    # real for real data and medium, complex otherwise
+    dtype = np.result_type(sigma_ends, g)
     # np.gradient halves the differences, so doubling them is exact
     d = np.gradient(g, axis=-1)
     d *= 2.0
     # of the signals' dtype, as it serves as scratch for the products below
     dd = np.gradient(d, axis=-1).astype(dtype, copy=False)
     dd *= 2.0
-    # (tap, end, 1); with steps last, as the data are stored, and taps of
-    # the signals' dtype, no ufunc below buffers a tap
-    w = np.moveaxis(taps, -1, 0)[..., None].astype(dtype)
-    out = w[2] * dd
+    # per end, the weights of g, of the centered difference g[n+1] - g[n-1]
+    # and of that difference taken twice; of the signals' dtype, so that no
+    # ufunc below buffers a weight
+    w_g, w_d, w_dd = (np.broadcast_to(w, (2, 1)).astype(dtype) for w in (
+        2.0 / dx, dx * sigma_ends[:, None] / (6.0 * dt), dx / (12.0 * dt**2)))
+    out = w_dd * dd
     # accumulate in place, dd serving as scratch once it is applied
-    for w_tap, series in ((w[1], d), (w[0], g)):
-        np.multiply(w_tap, series, out=dd)
+    for w, series in ((w_d, d), (w_g, g)):
+        np.multiply(w, series, out=dd)
         out += dd
+    if source is not None:
+        out[..., 1:len(source)] -= _edge_term(source[1:]).T
     return out
 
 
 def _time_loop(grid, stencil, inj, last, source=None):
     """Advance rows of nodes from u^0 = 0 and u^1 = dt^2 S(0) / 2.
 
-    ``inj`` (steps, rows, 2) holds each row's injection signals at a and b
-    for steps 1 .. steps-2, and ``last`` each row's last step, longest
-    first, the first steps-1.  ``source``, if given, holds the real samples
-    S(t_n, .) for n = 0 .. steps-2, (steps-1, nx), which drive every row;
-    their edge terms join ``inj`` in place.  The field has shape (rows, nx)
-    and the wider dtype of ``inj`` and the stencil: a row is real when its
-    data and medium are.  Returns the endpoint traces (rows, 2, steps),
-    zero past a row's last step, and the field at step T/dt of the rows
-    running then.
+    ``inj`` (steps, rows, 2), which the loop only reads, holds each row's
+    injection signals at a and b for steps 1 .. steps-2, the edge terms of
+    ``source`` included (see :func:`_injection`), and ``last`` each row's
+    last step, longest first, the first steps-1.  ``source``, if given,
+    holds the real samples S(t_n, .) for n = 0 .. steps-2, (steps-1, nx),
+    which drive every row.  The field has shape (rows, nx) and the wider
+    dtype of ``inj`` and the stencil: a row is real when its data and
+    medium are.  Returns the endpoint traces (rows, 2, steps), zero past a
+    row's last step, and the field at step T/dt of the rows running then.
 
     In each (rows, nx + 2) buffer a row of nodes sits between two cells,
     so that an update is a few numpy calls on the buffer read flat, its
@@ -290,8 +288,6 @@ def _time_loop(grid, stencil, inj, last, source=None):
                for kind in [c.dtype for c in stencil] + [dtype] * 4]
     for b, nodes in zip(buffers, (*stencil, u1, u1)):
         b[:, 1:-1] = nodes
-    if source is not None:
-        inj[1:-1] -= _edge_term(source[1:, None])
     # steps last, as the data are stored: a row that stops early leaves
     # the rest of its memory untouched
     traces = np.zeros((rows, 2, len(inj)), dtype)
@@ -342,15 +338,16 @@ def _drive(grid: GridSpec, sigma: np.ndarray, g: np.ndarray, last=None,
     step and then overwritten in place by its injection signals, so that
     every injection the loop takes, the last at step last[j] - 1, is that
     of the full data, and only one row's differences take memory of their
-    own.  ``source``, if given, drives every row.  Returns as
-    :func:`_time_loop` does, with steps = last[0] + 1.
+    own.  Each row's signals take its medium's damping at the ends and the
+    edge terms of ``source``, which, if given, drives every row.  Returns
+    as :func:`_time_loop` does, with steps = last[0] + 1.
     """
     if not len(g):
         return np.zeros((0, 2, grid.nt)), np.zeros((0, grid.nx))
     last = last or [grid.nt - 1] * len(g)
-    taps = _weights(grid, sigma[..., _ENDS])
-    for gj, tj, m in zip(g, np.broadcast_to(taps, (len(g), 2, 3)), last):
-        gj[:, :m + 1] = _injection(tj, gj[:, :m + 2])[:, :m + 1]
+    ends = np.broadcast_to(sigma[..., _ENDS], (len(g), 2))
+    for gj, ej, m in zip(g, ends, last):
+        gj[:, :m + 1] = _injection(grid, ej, gj[:, :m + 2], source)[:, :m + 1]
     inj = np.moveaxis(g[..., :last[0] + 1], -1, 0)  # (steps, rows, end)
     return _time_loop(grid, _stencil(grid, sigma), inj, last, source)
 

@@ -661,10 +661,10 @@ def test_experiment_builds_no_injection_signals(tmp_path, monkeypatch):
     # trace is then measured by convolution
     injection, calls = solver._injection, []
 
-    def spy(taps, g):
+    def spy(grid, sigma_ends, g, source=None):
         # the stepper overwrites the data with the signals
         calls.append(g.copy())
-        return injection(taps, g)
+        return injection(grid, sigma_ends, g, source)
 
     monkeypatch.setattr(solver, "_injection", spy)
     assert main(["experiment", "--id", "1", "--out", str(tmp_path)]) == 0

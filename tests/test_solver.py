@@ -314,9 +314,8 @@ class TestSnapshots:
 
         monkeypatch.setattr(solver, "_time_loop", spy)
         u, _ = snapshots_many(grid, sigma, fs)
-        taps = solver._weights(grid, sigma[[0, -1]])
         g = solver._stack_neumann(grid, fs)
-        full, cut = (solver._injection(taps, data)[..., h - 1]
+        full, cut = (solver._injection(grid, sigma[[0, -1]], data)[..., h - 1]
                      for data in (g, g[..., :h + 1]))
         assert not np.array_equal(full, cut)
         # every field run through the last step
@@ -458,8 +457,10 @@ class TestLinearized:
 
 
 def test_injection_applies_the_documented_formula(coarse_grid):
-    # the formula lives in code only as the tap table of _weights; a complex
-    # sigma_end is a complex-step medium's
+    # the formula is written in code only in _injection; a complex
+    # sigma_end is a complex-step medium's.  A source s_n x^2, whose
+    # one-sided S_x is exact, adds +(dx/3) S_x at a and -(dx/3) S_x at b
+    # at steps 1 .. T/dt - 1
     grid = coarse_grid
     sigma_ends = np.array([[0.2, 0.7], [0.2 - 1.1j, 0.7 + 2.5j]])  # (medium, end)
     rng = np.random.default_rng(11)
@@ -467,16 +468,42 @@ def test_injection_applies_the_documented_formula(coarse_grid):
          + 1j * rng.standard_normal((3, 2, grid.nt)))  # (traces, end, steps)
     g_t = np.gradient(g, grid.dt, axis=-1)
     g_tt = np.gradient(g_t, grid.dt, axis=-1)
-    dx = grid.dx
-    # the taps of both media at once, applied per medium
-    for taps, ends in zip(solver._weights(grid, sigma_ends), sigma_ends,
-                          strict=True):
-        inj = solver._injection(taps, g)
-        expected = (2.0 / dx) * g + (dx / 3.0) * (
-            g_tt + ends[:, None] * g_t)
-        assert inj.shape == expected.shape
-        assert (np.max(np.abs(inj - expected))
-                <= 1e-13 * np.max(np.abs(expected)))
+    dx, h = grid.dx, grid.half_index
+    s = rng.standard_normal(h)
+    source = np.outer(s, grid.xs**2)
+    # (dx/3) (S_x at a, -S_x at b), with a = -1 and b = 1
+    edge = (dx / 3.0) * np.outer([-2.0, -2.0], s[1:])
+    for ends in sigma_ends:
+        expected = (2.0 / dx) * g + (dx / 3.0) * (g_tt + ends[:, None] * g_t)
+        for src in (None, source):
+            inj = solver._injection(grid, ends, g, src)
+            if src is not None:
+                expected[..., 1:h] += edge
+            assert inj.shape == expected.shape
+            assert (np.max(np.abs(inj - expected))
+                    <= 1e-13 * np.max(np.abs(expected)))
+
+
+def test_time_loop_reads_its_injection_signals_only(coarse_grid):
+    # a source's edge terms are in the signals _injection forms: the loop
+    # runs on read-only signals and steps as _drive does
+    grid = coarse_grid
+    h = grid.half_index
+    sigma = 0.1 + 0.2 * grid.xs**2
+    data = solver._stack_neumann(grid, [
+        smooth_pulse_trace(grid, t0, 0.3, 4.0, w, 0.7)[0]
+        for t0, w in ((1.2, 0.5), (1.5, -1.0))])
+    source = np.outer(np.sin(grid.ts[:h]), np.cos(grid.xs))
+    inj = np.moveaxis(np.stack([
+        solver._injection(grid, sigma[[0, -1]], gj[:, :h + 2], source)
+        for gj in data])[..., :h + 1], -1, 0)
+    inj.flags.writeable = False
+    last = [h] * len(data)
+    got = solver._time_loop(grid, solver._stencil(grid, sigma), inj, last,
+                            source)
+    want = solver._drive(grid, sigma, data.copy(), last, source)
+    for got_part, want_part in zip(got, want, strict=True):
+        assert np.array_equal(got_part, want_part)
 
 
 def test_a_pass_runs_one_medium_per_row(coarse_grid):
