@@ -243,11 +243,10 @@ def _phase_error(grid: GridSpec, N: int) -> float:
     behind the exact one over twice the controls' duration (b - a) + 1, with
     omega from the scheme's dispersion relation
     sin(omega dt / 2) = (dt / dx) sin(kappa dx / 2)."""
-    length = grid.b - grid.a
-    kappa = N * np.pi / length
+    kappa = mode_wavenumber(N, grid)
     omega = 2.0 / grid.dt * np.arcsin(
         grid.dt / grid.dx * np.sin(kappa * grid.dx / 2.0))
-    return float(2.0 * (length + 1.0) * abs(kappa - omega))
+    return float(2.0 * (grid.b - grid.a + 1.0) * abs(kappa - omega))
 
 
 def run_experiment(config: RunConfig) -> int:

@@ -37,6 +37,12 @@ class UnsupportedRegimeError(ValueError):
 def _check_finite(spec, names: tuple[str, ...]) -> None:
     for name in names:
         value = getattr(spec, name)
+        # numpy runs a bool as 0 or 1 and fails late on a str, a complex
+        # number or an array
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)):
+            raise ConfigurationError(
+                f"{name} must be a real number, got {value!r}")
         if not np.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
 
@@ -132,9 +138,9 @@ class MediumSpec:
     sigma_ddot: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("sigma0",))
         if np.iscomplexobj(self.sigma0):
             raise ConfigurationError("sigma0 is complex; the damping is real")
+        _check_finite(self, ("sigma0",))
         if self.sigma0 < 0:
             raise ConfigurationError(f"sigma0 must be non-negative, got {self.sigma0}")
         for name in ("sigma_dot", "sigma_ddot"):

@@ -48,6 +48,7 @@ from .core import (
     GridSpec,
     MediumSpec,
     UnsupportedRegimeError,
+    _check_finite,
 )
 from .extension import AnalyticProfile, cosine_profile, sine_profile
 from .identity import ControlData, linearized_rhs
@@ -100,10 +101,7 @@ class ReconSettings:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("noise_eps", "eps_linearization"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _check_finite(self, ("noise_eps", "eps_linearization"))
         if self.noise_eps < 0:
             raise ValueError(f"noise_eps must be >= 0, got {self.noise_eps}")
         if self.data_mode not in (LINEARIZED, NONLINEAR_DIFFERENCE):
@@ -259,7 +257,9 @@ def error_metrics(sigma: np.ndarray, truth: np.ndarray, grid: GridSpec
     """(rel_l2, linf) of the real part of ``sigma`` against ``truth``, both
     sampled on the nodes of ``grid``: inf where the squares overflow, for
     the caller to judge.  A ``sigma`` or ``truth`` off the grid's nodes is
-    refused."""
+    refused, and so is a complex ``truth``."""
+    if np.iscomplexobj(truth):
+        raise ValueError("truth is complex; the damping it samples is real")
     sigma, truth = np.asarray(sigma), np.asarray(truth, dtype=float)
     for name, samples in (("sigma", sigma), ("truth", truth)):
         if samples.shape != (grid.nx,):

@@ -12,6 +12,7 @@ from bcm1d import (
     GridMismatchError,
     GridSpec,
     MediumSpec,
+    ReconSettings,
 )
 from bcm1d.identity import ControlData, _pair, linearized_rhs
 
@@ -62,6 +63,40 @@ class TestGridSpec:
         fields[field] = bad
         with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
             GridSpec(**fields)
+
+
+def _with(field, value):
+    """A GridSpec, MediumSpec or ReconSettings with ``field`` set to
+    ``value``, the rest valid."""
+    grid = dict(a=-1.0, b=1.0, dx=0.02, dt=0.002, T=3.0)
+    if field == "sigma0":
+        return MediumSpec(value, np.ones(3))
+    if field in grid:
+        return GridSpec(**{**grid, field: value})
+    return ReconSettings(GridSpec(**grid), data_mode="nonlinear_difference",
+                         **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_eps", True), ("noise_eps", "0.1"), ("noise_eps", 1 + 0j),
+    ("noise_eps", np.array([0.1])), ("eps_linearization", True),
+    ("eps_linearization", np.array(1e-3)), ("T", "3"), ("dx", 0.02 + 0j),
+    ("sigma0", True), ("sigma0", "0.1"),
+])
+def test_scalar_fields_refuse_what_is_not_a_real_number(field, value):
+    # a bool would run as 0 or 1, and numpy would take the rest only to
+    # fail later with an error of its own
+    with pytest.raises(ConfigurationError,
+                       match=f"^{field} must be a real number, got "):
+        _with(field, value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_eps", np.float32(0.1)), ("eps_linearization", 1),
+    ("T", np.int64(3)), ("sigma0", np.float64(0.1)),
+])
+def test_scalar_fields_take_numpy_and_python_reals(field, value):
+    assert getattr(_with(field, value), field) == value
 
 
 def _ends_from(grid, fa, fb):

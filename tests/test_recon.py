@@ -451,6 +451,12 @@ class TestErrorMetrics:
                            rf"\({coarse_grid.nx},\).*got \(7,\)"):
             error_metrics(sigma, np.ones(7), coarse_grid)
 
+    def test_complex_truth_refused(self, coarse_grid):
+        # never scored by its real part alone
+        sigma = np.ones(coarse_grid.nx)
+        with pytest.raises(ValueError, match="^truth is complex"):
+            error_metrics(sigma, sigma + 1j, coarse_grid)
+
     @pytest.mark.parametrize("samples", [1, 7])
     def test_sigma_off_the_grid_refused(self, coarse_grid, samples):
         # one sample would broadcast and be scored as a constant

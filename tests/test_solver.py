@@ -523,6 +523,26 @@ def test_a_pass_runs_one_medium_per_row(coarse_grid):
         assert np.array_equal(levels[2 * k:2 * k + 2], level)
 
 
+def test_free_space_trace_is_the_running_integral():
+    # sigma = 0 and data g at end a only: until the far end's echo returns
+    # at t = 2 (b - a) = 4, u(a, t) = integral of g from 0 to t, and the
+    # nonlinear map meets its trapezoid sum at second order
+    gaps = []
+    for dx in (0.04, 0.02, 0.01, 0.005):
+        grid = GridSpec(-1.0, 1.0, dx, dx / 10, 3.0)
+        f, _ = smooth_pulse_trace(grid, 1.2, 0.25, 6.0, 1.0, 0.0)
+        (trace,) = solve_many(grid, 0.0, [f])
+        g = f.values[0]
+        running = np.concatenate(
+            ([0.0], np.cumsum(g[1:] + g[:-1]) * (grid.dt / 2.0)))
+        early = grid.ts < 4.0
+        gaps.append(np.max(np.abs(trace.values[0, early] - running[early]))
+                    / np.max(np.abs(running[early])))
+    assert gaps[0] <= 2e-3
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.4 <= coarse / fine <= 4.6
+
+
 def _one_bad_sample(grid, bad):
     """A clean trace, then one with a single sample ``bad`` at end b."""
     values = np.zeros((2, grid.nt), dtype=complex)
