@@ -35,7 +35,6 @@ from .recon import (
     acquire_clean_pair_data,
     add_noise,
     apply_measurement_noise,
-    assemble_coefficients,
     error_metrics,
     fourier_targets,
     reconstruct,

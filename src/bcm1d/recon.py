@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -211,30 +211,6 @@ def acquire_clean_pair_data(k: int, grid: GridSpec, measure: Callable) -> ModeDa
                     ControlData(bh.f, bh.f_t, h_t, h_tt))
 
 
-def assemble_coefficients(
-    S_ff: Sequence[complex],
-    S_hh: Sequence[complex],
-    S_fh: Sequence[complex],
-    N: int,
-) -> FourierCoeffs:
-    """Turn per-mode identity values into cosine/sine moments.
-
-    ``S_ff[k-1]``, ``S_hh[k-1]``, ``S_fh[k-1]`` are the identity values of
-    the pairs (f_k, f_k), (h_k, h_k), (f_k, h_k).
-    """
-    if not (len(S_ff) == len(S_hh) == len(S_fh) == N):
-        raise ValueError(f"need {N} identity values per pair kind")
-    S_ff = np.asarray(S_ff, dtype=complex)
-    S_hh = np.asarray(S_hh, dtype=complex)
-    S_fh = np.asarray(S_fh, dtype=complex)
-    return FourierCoeffs(
-        N=N,
-        a0=complex(S_hh[0] + S_ff[0]),
-        a=S_hh - S_ff,
-        b=2.0 * S_fh,
-    )
-
-
 def synthesize(coeffs: FourierCoeffs, grid: GridSpec) -> np.ndarray:
     """Sample the truncated series on the spatial grid.
 
@@ -276,8 +252,9 @@ def error_metrics(sigma: np.ndarray, truth: np.ndarray, grid: GridSpec
 def reconstruct_from_data(
     mode_data: Iterable[ModeData], settings: ReconSettings
 ) -> FourierCoeffs:
-    """Identity evaluation and coefficient assembly for the data of modes
-    1 .. N, taken one mode at a time.
+    """Identity values of the pairs (f, f), (h, h), (f, h) for the data of
+    modes 1 .. N, taken one mode at a time, mapped to moments by the
+    double-angle relations a = S_hh - S_ff, b = 2 S_fh, a0 = (S_hh + S_ff)[0].
 
     Raises ``ConfigurationError`` naming the mode whose identity values are
     not finite, so that overflowing data never become NaN results.
@@ -302,7 +279,11 @@ def reconstruct_from_data(
     # data alive while ``mode_data`` produces the next one
     S = np.array(list(map(values, itertools.count(1), mode_data)),
                  dtype=complex).reshape(-1, 3)
-    return assemble_coefficients(*S.T, settings.N)
+    if len(S) != settings.N:
+        raise ValueError(f"need {settings.N} identity values per pair kind")
+    S_ff, S_hh, S_fh = S.T
+    return FourierCoeffs(settings.N, complex(S_hh[0] + S_ff[0]), S_hh - S_ff,
+                         2.0 * S_fh)
 
 
 def reconstruct(settings: ReconSettings, medium: MediumSpec) -> FourierCoeffs:

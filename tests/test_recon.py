@@ -15,7 +15,6 @@ from bcm1d import (
     acquire_clean_pair_data,
     add_noise,
     apply_measurement_noise,
-    assemble_coefficients,
     error_metrics,
     fourier_targets,
     reconstruct,
@@ -167,11 +166,34 @@ def test_noise_level_is_the_same_at_every_T():
 
 
 class TestAssembleAndSynthesize:
-    def test_zero_values(self, coarse_grid):
-        z = [0.0] * 3
-        coeffs = assemble_coefficients(z, z, z, 3)
+    def test_zero_values(self, coarse_support_grid):
+        # the free medium's data give identity values, and moments, of zero
+        grid = coarse_support_grid
+        settings = ReconSettings(grid=grid, N=3)
+        measure = settings.measurement(MediumSpec(0.0, np.zeros(grid.nx)))
+        data = (acquire_clean_pair_data(k, grid, measure) for k in (1, 2, 3))
+        coeffs = reconstruct_from_data(data, settings)
         assert coeffs.a0 == 0 and np.all(coeffs.a == 0) and np.all(coeffs.b == 0)
-        assert np.all(synthesize(coeffs, coarse_grid) == 0)
+        assert np.all(synthesize(coeffs, grid) == 0)
+
+    def test_double_angle_map(self, coarse_grid, monkeypatch):
+        # a distinct identity value for each pair and mode, exact in floats
+        base = {("f", "f"): 1 + 2j, ("h", "h"): 5 - 3j, ("f", "h"): 7 + 11j}
+
+        def rhs(x, y, lam, grid):
+            return base[x, y] * 10**lam + lam
+
+        monkeypatch.setattr(recon, "linearized_rhs", rhs)
+        settings = ReconSettings(grid=coarse_grid, N=3)
+        coeffs = reconstruct_from_data(
+            (recon.ModeData(k, "f", "h") for k in (1, 2, 3)), settings)
+        S_ff, S_hh, S_fh = (np.array([rhs(x, y, k, None) for k in (1, 2, 3)])
+                            for x, y in base)
+        assert coeffs.N == 3
+        assert coeffs.a0 == S_hh[0] + S_ff[0] == 60 - 10j + 2
+        assert np.array_equal(coeffs.a, S_hh - S_ff)
+        assert np.array_equal(coeffs.b, 2 * S_fh)
+        assert coeffs.a[2] == (4 - 5j) * 1000 and coeffs.b[1] == 1404 + 2200j
 
     def test_known_coefficients_roundtrip(self, coarse_grid):
         xs = coarse_grid.xs
@@ -193,8 +215,9 @@ class TestAssembleAndSynthesize:
                            synthesize(c1, coarse_grid) + synthesize(c2, coarse_grid))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            assemble_coefficients([1.0], [1.0], [1.0, 2.0], 2)
+        with pytest.raises(ValueError,
+                           match=r"coefficient arrays must have shape \(2,\)"):
+            FourierCoeffs(2, 0.0, [1.0], [1.0, 2.0])
 
 
 class TestProjectionTruth:
