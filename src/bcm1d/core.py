@@ -34,17 +34,31 @@ class UnsupportedRegimeError(ValueError):
     """An operation was requested outside the background regime it supports."""
 
 
+def _check_real(name: str, value) -> None:
+    # numpy runs a bool as 0 or 1 and fails late on a str, a complex
+    # number, an array or an int past the float range
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name} must be finite, got an int past "
+                                 "the float range") from None
+
+
 def _check_finite(spec, names: tuple[str, ...]) -> None:
     for name in names:
         value = getattr(spec, name)
-        # numpy runs a bool as 0 or 1 and fails late on a str, a complex
-        # number or an array
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float, np.integer, np.floating)):
-            raise ConfigurationError(
-                f"{name} must be a real number, got {value!r}")
+        _check_real(name, value)
         if not np.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
+def _check_integer(name: str, value) -> None:
+    # a bool is an int: N = True would run as N = 1
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _is_close_to_integer(x: float, tol: float = 1e-9) -> bool:
@@ -211,6 +225,7 @@ class FourierCoeffs:
     b: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_integer("N", self.N)
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         a = np.asarray(self.a, dtype=complex)

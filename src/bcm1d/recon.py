@@ -49,6 +49,8 @@ from .core import (
     MediumSpec,
     UnsupportedRegimeError,
     _check_finite,
+    _check_integer,
+    _check_real,
 )
 from .extension import AnalyticProfile, cosine_profile, sine_profile
 from .identity import ControlData, linearized_rhs
@@ -82,10 +84,7 @@ class ReconSettings:
     eps_linearization: float = 1e-3
 
     def __post_init__(self) -> None:
-        # a bool is an int: N = True would run as N = 1
-        if (isinstance(self.N, bool)
-                or not isinstance(self.N, (int, np.integer))):
-            raise ValueError(f"N must be an integer, got {self.N!r}")
+        _check_integer("N", self.N)
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         # mode N's frequency 2 N pi / (b - a) must stay below the nodes'
@@ -96,9 +95,7 @@ class ReconSettings:
                 f"this grid allows N <= {n_max}" if n_max else
                 f"the grid's {self.grid.nx} nodes are too few for any mode "
                 "(N >= 1 needs nx >= 4)"))
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, (int, np.integer))):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        _check_integer("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_finite(self, ("noise_eps", "eps_linearization"))
@@ -166,6 +163,7 @@ def add_noise(
     unchanged.  Noise too large for floats gives infinite samples, which
     :func:`reconstruct_from_data` rejects, naming the mode.
     """
+    _check_real("eps", eps)
     if not (np.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     n = len(trace)

@@ -116,7 +116,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoundaryTrace, ConfigurationError, GridSpec, MediumSpec
+from .core import (BoundaryTrace, ConfigurationError, GridSpec, MediumSpec,
+                   _check_real)
 
 _INITIAL_DATA_TOL = 1e-9
 _ENDS = [0, -1]
@@ -564,6 +565,7 @@ def transfer_difference_nd_map(
     The map writes work arrays of its own: do not call it from two threads
     at once.
     """
+    _check_real("eps", eps)
     if not (np.isfinite(eps) and eps > 0):
         raise ConfigurationError(f"eps must be positive and finite, got {eps}")
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")

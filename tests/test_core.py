@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bcm1d import (
     BoundaryTrace,
     ConfigurationError,
+    FourierCoeffs,
     GridMismatchError,
     GridSpec,
     MediumSpec,
@@ -97,6 +98,28 @@ def test_scalar_fields_refuse_what_is_not_a_real_number(field, value):
 ])
 def test_scalar_fields_take_numpy_and_python_reals(field, value):
     assert getattr(_with(field, value), field) == value
+
+
+@pytest.mark.parametrize("field, sign", [
+    ("T", 1), ("a", -1), ("sigma0", 1), ("noise_eps", 1),
+    ("eps_linearization", 1),
+])
+def test_scalar_fields_refuse_an_int_past_the_float_range(field, sign):
+    # numpy would fail with an error of its own
+    with pytest.raises(ConfigurationError) as exc:
+        _with(field, sign * 10**400)
+    message = str(exc.value)
+    assert message == f"{field} must be finite, got an int past the float range"
+    assert len(message) < 200
+
+
+@pytest.mark.parametrize("N", [True, 2.0, np.float64(2.0), "2"],
+                         ids=["bool", "float", "float64", "str"])
+def test_fourier_coeffs_refuse_a_non_integer_N(N):
+    # N = 2.0 was accepted, then failed inside synthesize
+    message = re.escape(f"N must be an integer, got {N!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FourierCoeffs(N, 0.0, np.ones(2), np.ones(2))
 
 
 def _ends_from(grid, fa, fb):

@@ -89,6 +89,18 @@ class TestAddNoise:
         with pytest.raises(ValueError, match=rf"eps must be finite.*, got {eps}$"):
             add_noise(self._trace(n=100), eps, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("eps, message", [
+        (True, "eps must be a real number, got True"),
+        ("0.1", "eps must be a real number, got '0.1'"),
+        (1 + 0j, r"eps must be a real number, got \(1\+0j\)"),
+        (np.array([0.1]), r"eps must be a real number, got array"),
+        (10**400, "eps must be finite, got an int past the float range"),
+    ], ids=["bool", "str", "complex", "array", "huge_int"])
+    def test_non_real_eps_refused(self, eps, message):
+        # True once ran at 100 % noise
+        with pytest.raises(ConfigurationError, match=f"^{message}"):
+            add_noise(self._trace(n=100), eps, np.random.default_rng(0))
+
 
 @pytest.fixture(scope="module")
 def pair_data(coarse_support_grid):

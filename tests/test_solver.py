@@ -992,6 +992,16 @@ class TestDifferenceMap:
                            match="eps must be positive and finite"):
             transfer_difference_nd_map(coarse_grid, _medium(coarse_grid), eps)
 
+    @pytest.mark.parametrize("eps, message", [
+        (True, "eps must be a real number, got True"),
+        ("1e-3", "eps must be a real number, got '1e-3'"),
+        (10**400, "eps must be finite, got an int past the float range"),
+    ], ids=["bool", "str", "huge_int"])
+    def test_non_real_eps_refused(self, coarse_grid, eps, message):
+        # True once built the map at eps = 1
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            transfer_difference_nd_map(coarse_grid, _medium(coarse_grid), eps)
+
     def test_overflowing_sigma_ddot_rejected(self, coarse_grid):
         nx = coarse_grid.nx
         med = MediumSpec(0.1, np.ones(nx), np.full(nx, 1e306))
