@@ -460,10 +460,11 @@ _CONFIG_KEYS = {
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines with ``#`` comments, each key at most once."""
+    """Flat ``key = value`` lines with ``#`` comments, each key at most once,
+    in UTF-8 with or without a byte-order mark."""
     updates, lines = {}, {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -130,6 +130,19 @@ class TestConfigFile:
         assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode")
         assert err.count("\n") == 1
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # Windows Notepad starts a UTF-8 file with one
+        text = "experiment = 1\nN = 1\ndx = 0.02\ndt = 0.002\nT = 3\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        for cfg in (plain, marked):
+            assert main(["reconstruct", "--config", str(cfg),
+                         "--out", str(tmp_path / cfg.stem)]) == 0
+        assert ((tmp_path / "bom" / "coefficients.csv").read_bytes()
+                == (tmp_path / "plain" / "coefficients.csv").read_bytes())
+
     def test_experiment_id_refused_with_its_line(self, tmp_path, capsys,
                                                  monkeypatch):
         cfg = tmp_path / "four.cfg"
@@ -242,6 +255,18 @@ class TestMain:
         assert summary["grid"]["dx"] == 0.02
         assert (tmp_path / "reconstruction.csv").exists()
         assert (tmp_path / "coefficients.csv").exists()
+
+    def test_write_error_exits_1(self, tmp_path, capsys):
+        # --out names an existing regular file, which is left as it was
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        code = main(["experiment", "--id", "1", "--N", "2", "--dx", "0.02",
+                     "--dt", "0.002", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error writing results: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_summary_records_the_support_grid(self, tmp_path):
         # the paper grid, T = 5, measures on 15007 of its 25001 steps
