@@ -250,10 +250,9 @@ def _phase_error(grid: GridSpec, N: int) -> float:
 
 
 def run_experiment(config: RunConfig) -> int:
-    if not config.out_dir:
-        print("error: the output directory (--out) is empty", file=sys.stderr)
-        return 2
     try:
+        if not config.out_dir:
+            raise ValueError("the output directory (--out) is empty")
         grid = config.grid()
         # checks N before experiment 2 sums its N-term truth
         settings = ReconSettings(grid=grid, N=config.N,
@@ -280,15 +279,14 @@ def run_experiment(config: RunConfig) -> int:
         sigma = synthesize(coeffs, grid)
         rel_l2, linf = error_metrics(sigma, truth, grid)
         runtime = time.perf_counter() - t0
+        if not np.isfinite([rel_l2, linf]).all():
+            raise ValueError(
+                f"the reconstruction error is not finite (rel_l2 = {rel_l2}, "
+                f"linf = {linf}); its data are too large or not finite")
     # ConfigurationError is a ValueError; a run too large for the memory
     # left, or a failed allocation, raises MemoryError
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not np.isfinite([rel_l2, linf]).all():
-        print(f"error: the reconstruction error is not finite (rel_l2 = "
-              f"{rel_l2}, linf = {linf}); its data are too large or not "
-              "finite", file=sys.stderr)
         return 2
     # the grid the run measured on, next to the requested one
     measured = support_grid(grid)
@@ -337,31 +335,18 @@ def smooth_pulse_trace(grid: GridSpec, t0: float, width: float, omega: float,
                  for v in (val, dval))
 
 
-class _CheckTable:
-    def __init__(self):
-        self.failed = False
-
-    def row(self, name, measured, tol, ok=None):
-        if ok is None:
-            ok = measured <= tol
-        if not ok:
-            self.failed = True
-        print(f"{name:<44s} measured={measured:<12.4g} tol={tol:<10.4g} "
-              f"{'PASS' if ok else 'FAIL'}")
-
-    def exit_code(self) -> int:
-        return 1 if self.failed else 0
-
-
-def _check_control(table: _CheckTable) -> None:
+# each check suite yields its rows (name, measured, low, tol) as it measures
+# them; a row passes when low <= measured <= tol, so NaN fails every row
+def _check_control():
     # unit-CFL time step: exact 1D propagation isolates the controls from
     # the instrument's dispersion (see README, notes on numerics)
     grid = GridSpec(PAPER["a"], PAPER["b"], PAPER["dx"], PAPER["dx"], PAPER["T"])
     pT_f, pT_h, lam = fourier_targets(1, grid)
     reps = verify_control([(pT_f, lam), (pT_h, lam)], grid)
     for name, rep in zip(("sin", "cos"), reps):
-        table.row(f"control fidelity err_p ({name}, k=1)", rep.err_p, 1e-2)
-        table.row(f"control fidelity err_init ({name}, k=1)", rep.err_init, 1e-10)
+        yield f"control fidelity err_p ({name}, k=1)", rep.err_p, -np.inf, 1e-2
+        yield (f"control fidelity err_init ({name}, k=1)", rep.err_init,
+               -np.inf, 1e-10)
 
 
 def _identity_pulses(grid: GridSpec):
@@ -370,12 +355,12 @@ def _identity_pulses(grid: GridSpec):
     return f, h
 
 
-def _check_identity(table: _CheckTable) -> None:
+def _check_identity():
     grid = GridSpec(PAPER["a"], PAPER["b"], PAPER["dx"], PAPER["dt"], PAPER["T"])
     f, h = _identity_pulses(grid)
     rep = nonlinear_identity_residual(f, h, 0.3, grid)
-    table.row("nonlinear identity rel residual (sigma=0.3)",
-              rep.rel_residual, 1e-2)
+    yield ("nonlinear identity rel residual (sigma=0.3)", rep.rel_residual,
+           -np.inf, 1e-2)
     # the map the experiments measure with against the stepper, its
     # reference, on the support grid of the control check's unit-CFL grid,
     # where the stepper is cheap, driven by mode 1's sine control
@@ -387,9 +372,9 @@ def _check_identity(table: _CheckTable) -> None:
     measure = ReconSettings(grid).measurement(medium)
     (got,) = measure([f_t])
     (want,) = linearized_nd_map_many(grid, medium, [f_t])
-    table.row("linearized map: transfer vs stepper (rel)",
-              np.max(np.abs(got.values - want.values))
-              / np.max(np.abs(want.values)), 1e-9)
+    yield ("linearized map: transfer vs stepper (rel)",
+           np.max(np.abs(got.values - want.values))
+           / np.max(np.abs(want.values)), -np.inf, 1e-9)
 
 
 def _mms_error(grid: GridSpec) -> float:
@@ -411,14 +396,13 @@ def _mms_error(grid: GridSpec) -> float:
                  / np.linalg.norm(exact))
 
 
-def _check_convergence(table: _CheckTable) -> None:
+def _check_convergence():
     grids = [GridSpec(-1.0, 1.0, 1.0 / 25 / 2**i, 1.0 / 250 / 2**i, 3.0)
              for i in range(3)]
     errs = [_mms_error(g) for g in grids]
     for i in range(2):
-        factor = errs[i] / errs[i + 1]
-        table.row(f"solver order: MMS factor level {i}->{i + 1}",
-                  factor, 4.6, ok=3.4 <= factor <= 4.6)
+        yield (f"solver order: MMS factor level {i}->{i + 1}",
+               errs[i] / errs[i + 1], 3.4, 4.6)
 
     diffs = []
     for g in (GridSpec(-1.0, 1.0, 1.0 / 50, 1.0 / 500, 3.0),
@@ -426,9 +410,7 @@ def _check_convergence(table: _CheckTable) -> None:
         f, h = _identity_pulses(g)
         rep = nonlinear_identity_residual(f, h, 0.3, g)
         diffs.append(abs(rep.lhs - rep.rhs))
-    factor = diffs[0] / diffs[1]
-    table.row("identity residual refinement factor", factor, 4.6,
-              ok=3.4 <= factor <= 4.6)
+    yield "identity residual refinement factor", diffs[0] / diffs[1], 3.4, 4.6
 
 
 _CHECKS = {
@@ -439,9 +421,14 @@ _CHECKS = {
 
 
 def run_check(kind: str) -> int:
-    table = _CheckTable()
-    _CHECKS[kind](table)
-    return table.exit_code()
+    """Print each row of suite ``kind`` as it is measured; 1 if any fails."""
+    failed = False
+    for name, measured, low, tol in _CHECKS[kind]():
+        ok = low <= measured <= tol
+        failed |= not ok
+        print(f"{name:<44s} measured={measured:<12.4g} tol={tol:<10.4g} "
+              f"{'PASS' if ok else 'FAIL'}")
+    return int(failed)
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +546,9 @@ def _dispatch(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        config = RunConfig()
-        for attr, value in updates.items():
-            setattr(config, attr, value)
         if args.out is not None:
-            config.out_dir = args.out
-        return run_experiment(config)
+            updates["out_dir"] = args.out
+        return run_experiment(RunConfig(**updates))
     return run_check(args.kind)
 
 
