@@ -228,6 +228,11 @@ class FourierCoeffs:
         _check_integer("N", self.N)
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
+        # numpy broadcasts an array, fails late on a str and runs a bool as 1
+        if isinstance(self.a0, bool) or not isinstance(
+                self.a0, (int, float, complex, np.number)):
+            raise ValueError("a0 must be a real or complex number, got "
+                             f"{type(self.a0).__name__}")
         a = np.asarray(self.a, dtype=complex)
         b = np.asarray(self.b, dtype=complex)
         if a.shape != (self.N,) or b.shape != (self.N,):

@@ -146,6 +146,7 @@ def fourier_targets(k: int, grid: GridSpec
                     ) -> tuple[AnalyticProfile, AnalyticProfile, complex]:
     """Sine/cosine velocity targets and free parameter for mode ``k``:
     ``(pT_f, pT_h, lam)``."""
+    _check_integer("mode index", k)
     if k < 1:
         raise ValueError(f"mode index must be >= 1, got {k}")
     kappa = mode_wavenumber(k, grid)

@@ -325,6 +325,31 @@ class TestMain:
         assert code == 0
         assert (out / "summary.json").exists()
 
+    def test_config_file_reaches_every_field(self, tmp_path):
+        # all eight keys: the run must match the same flags, and --out must
+        # override the file's out
+        flags = {"noise": "0.01", "seed": "7", "N": "4", "dx": "0.02",
+                 "dt": "0.002", "T": "4.0"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = 2\n"
+                       + "".join(f"{k} = {v}\n" for k, v in flags.items())
+                       + f"out = {tmp_path / 'from-file'}\n")
+        argv = [a for k, v in flags.items() for a in (f"--{k}", v)]
+        assert main(["experiment", "--id", "2", *argv,
+                     "--out", str(tmp_path / "flags")]) == 0
+        assert main(["reconstruct", "--config", str(cfg),
+                     "--out", str(tmp_path / "config")]) == 0
+        assert not (tmp_path / "from-file").exists()
+        for name in ("coefficients.csv", "reconstruction.csv"):
+            assert ((tmp_path / "flags" / name).read_bytes()
+                    == (tmp_path / "config" / name).read_bytes())
+        summaries = [json.loads((tmp_path / run / "summary.json").read_text())
+                     for run in ("flags", "config")]
+        for summary in summaries:
+            del summary["runtime_seconds"]
+        assert summaries[0] == summaries[1]
+        assert summaries[1]["noise"] == 0.01 and summaries[1]["seed"] == 7
+
     @pytest.mark.parametrize("flag,value", [
         ("T", "2.0"), ("dx", "inf"), ("dx", "nan"), ("dt", "nan"), ("T", "inf"),
     ])
@@ -739,6 +764,33 @@ def test_check_identity_fails_on_one_measured_sample_off(monkeypatch,
     # relative to the largest sample of either end
     assert 1e-7 < float(measured.split("=")[1]) <= 1e-6
     assert (tol, verdict) == ("tol=1e-09", "FAIL")
+
+
+@pytest.mark.parametrize("mms_error, measured", [
+    (lambda grid: grid.dx, "2"), (lambda grid: float("nan"), "nan"),
+], ids=["below-low", "nan"])
+def test_check_convergence_fails_a_factor_out_of_bounds(monkeypatch, capsys,
+                                                        mms_error, measured):
+    # a factor of 2 is under the printed tol = 4.6 but below the lower
+    # bound 3.4; NaN fails both bounds
+    monkeypatch.setattr(cli, "_mms_error", mms_error)
+    assert main(["check", "convergence"]) == 1
+    rows = [r for r in capsys.readouterr().out.splitlines()
+            if r.startswith("solver order: MMS factor")]
+    assert len(rows) == 2
+    for row in rows:
+        assert row.split()[-3:] == [f"measured={measured}", "tol=4.6", "FAIL"]
+
+
+def test_check_identity_fails_a_nan_residual(monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "nonlinear_identity_residual",
+        lambda *args: types.SimpleNamespace(rel_residual=float("nan")))
+    assert main(["check", "identity"]) == 1
+    label = "nonlinear identity rel residual (sigma=0.3)"
+    (row,) = [r for r in capsys.readouterr().out.splitlines()
+              if r.startswith(label)]
+    assert row[len(label):].split() == ["measured=nan", "tol=0.01", "FAIL"]
 
 
 def test_check_identity_memory_peak(capsys):

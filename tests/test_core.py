@@ -122,6 +122,17 @@ def test_fourier_coeffs_refuse_a_non_integer_N(N):
         FourierCoeffs(N, 0.0, np.ones(2), np.ones(2))
 
 
+@pytest.mark.parametrize("a0", ["x", None, [1.0], np.array([1.0, 2.0]), True,
+                                np.True_],
+                         ids=["str", "None", "list", "array", "bool",
+                              "numpy-bool"])
+def test_fourier_coeffs_refuse_an_a0_that_is_not_one_number(a0):
+    # each was accepted, then failed inside synthesize or ran as 1
+    message = f"a0 must be a real or complex number, got {type(a0).__name__}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FourierCoeffs(1, a0, [1.0], [1.0])
+
+
 def _ends_from(grid, fa, fb):
     """The (2, nt) samples of fa at end a and fb at end b."""
     return np.stack((fa(grid.ts), fb(grid.ts)))

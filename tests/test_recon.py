@@ -47,6 +47,14 @@ class TestFourierTargets:
         with pytest.raises(ValueError):
             fourier_targets(0, coarse_grid)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "1"],
+                             ids=["half", "float", "bool", "str"])
+    def test_non_integer_mode_refused(self, k, coarse_grid):
+        # k = 1.5 gave a target at kappa = 1.5 pi / 2, outside the basis
+        message = f"^mode index must be an integer, got {k!r}$"
+        with pytest.raises(ValueError, match=message):
+            fourier_targets(k, coarse_grid)
+
 
 class TestAddNoise:
     def _trace(self, n=25001, seed=3):
