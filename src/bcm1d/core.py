@@ -22,43 +22,87 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class GridMismatchError(ValueError):
-    """Two objects that must share a discretization do not."""
-
-
 class ConfigurationError(ValueError):
-    """A grid/medium combination violates a scheme requirement (e.g. CFL)."""
+    """An input that breaks a rule of its kind or of the scheme (e.g. CFL).
+
+    A refused number, array or trace reads ``<field> must be <rule>, got
+    <value>``.
+    """
+
+
+class GridMismatchError(ConfigurationError):
+    """Two objects that must share a discretization do not."""
 
 
 class UnsupportedRegimeError(ValueError):
     """An operation was requested outside the background regime it supports."""
 
 
-def _check_real(name: str, value) -> None:
-    # numpy runs a bool as 0 or 1 and fails late on a str, a complex
-    # number, an array or an int past the float range
-    if isinstance(value, bool) or not isinstance(
-            value, (int, float, np.integer, np.floating)):
-        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+def _check_number(name: str, value, types: tuple, kind: str) -> complex:
+    # numpy runs a bool as 0 or 1 and fails late on a str, an array or an
+    # int past the float range
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
     try:
-        float(value)
+        z = complex(value)
     except OverflowError:
         raise ConfigurationError(f"{name} must be finite, got an int past "
                                  "the float range") from None
+    if not np.isfinite(z):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+    return z
 
 
-def _check_finite(spec, names: tuple[str, ...]) -> None:
-    for name in names:
-        value = getattr(spec, name)
-        _check_real(name, value)
-        if not np.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
+def _check_real(name: str, value, low: float | None = None,
+                strict: bool = False) -> None:
+    """Refuse a ``value`` that is not a finite real number or, given
+    ``low``, lies below it (or at it, if ``strict``)."""
+    x = _check_number(name, value, (int, float, np.integer, np.floating),
+                      "a real number").real
+    if low is not None and (x <= low if strict else x < low):
+        raise ConfigurationError(
+            f"{name} must be {'>' if strict else '>='} {low}, got {value}")
 
 
-def _check_integer(name: str, value) -> None:
-    # a bool is an int: N = True would run as N = 1
+def _check_integer(name: str, value, low: int) -> None:
+    """Refuse a ``value`` that is not an integer, lies past the float range
+    or is below ``low``.  A bool is an int: N = True would run as N = 1."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    _check_real(name, value, low)
+
+
+def _check_complex(name: str, value) -> None:
+    """Refuse a ``value`` that is not a finite real or complex number."""
+    _check_number(name, value, (int, float, complex, np.number),
+                  "a real or complex number")
+
+
+def _check_samples(name: str, value, n: int | None = None,
+                   dtype: type = float) -> np.ndarray:
+    """``value`` as a 1-D array of ``dtype``, of ``n`` entries if given.
+    Complex samples, where ``dtype`` is float, another shape and a
+    non-finite entry are refused."""
+    if dtype is float and np.iscomplexobj(value):
+        raise ConfigurationError(f"{name} must be real, got complex samples")
+    arr = np.asarray(value, dtype=dtype)
+    if arr.ndim != 1:
+        raise ConfigurationError(f"{name} must be 1-D, got shape {arr.shape}")
+    if n is not None and arr.size != n:
+        raise ConfigurationError(f"{name} must have {n} entries, got {arr.size}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = bad[0]
+        raise ConfigurationError(f"{name}[{i}] must be finite, got {arr[i]}")
+    return arr
+
+
+def _check_trace(name: str, trace: BoundaryTrace, grid: GridSpec) -> None:
+    """Refuse a trace that is not sampled at the time steps of ``grid``."""
+    if (len(trace), trace.dt) != (grid.nt, grid.dt):
+        raise GridMismatchError(
+            f"{name} must have {grid.nt} samples at dt = {grid.dt}, got "
+            f"{len(trace)} at dt = {trace.dt}")
 
 
 def _is_close_to_integer(x: float, tol: float = 1e-9) -> bool:
@@ -91,11 +135,12 @@ class GridSpec:
     T: float
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("a", "b", "dx", "dt", "T"))
+        _check_real("a", self.a)
+        _check_real("b", self.b)
+        for name in ("dx", "dt", "T"):
+            _check_real(name, getattr(self, name), 0, strict=True)
         if not self.b > self.a:
             raise ConfigurationError(f"need b > a, got a={self.a}, b={self.b}")
-        if self.dx <= 0 or self.dt <= 0 or self.T <= 0:
-            raise ConfigurationError("dx, dt and T must be positive")
         if not _is_close_to_integer((self.b - self.a) / self.dx):
             raise ConfigurationError(
                 f"(b - a)/dx = {(self.b - self.a) / self.dx} is not an integer"
@@ -152,29 +197,12 @@ class MediumSpec:
     sigma_ddot: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if np.iscomplexobj(self.sigma0):
-            raise ConfigurationError("sigma0 is complex; the damping is real")
-        _check_finite(self, ("sigma0",))
-        if self.sigma0 < 0:
-            raise ConfigurationError(f"sigma0 must be non-negative, got {self.sigma0}")
-        for name in ("sigma_dot", "sigma_ddot"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if np.iscomplexobj(value):
-                raise ConfigurationError(
-                    f"{name} is complex; the damping is real")
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim != 1:
-                raise ConfigurationError(
-                    f"{name} must be 1-D node samples, got shape {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ConfigurationError(f"{name} has non-finite samples")
-            if name == "sigma_ddot" and arr.shape != self.sigma_dot.shape:
-                raise ConfigurationError(f"sigma_ddot has {arr.size} samples "
-                                         f"but sigma_dot has {self.sigma_dot.size}")
-            object.__setattr__(self, name, arr)
+        _check_real("sigma0", self.sigma0, 0)
+        object.__setattr__(self, "sigma_dot",
+                           _check_samples("sigma_dot", self.sigma_dot))
+        if self.sigma_ddot is not None:
+            object.__setattr__(self, "sigma_ddot", _check_samples(
+                "sigma_ddot", self.sigma_ddot, self.sigma_dot.size))
 
 
 @dataclass(frozen=True)
@@ -225,18 +253,8 @@ class FourierCoeffs:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_integer("N", self.N)
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        # numpy broadcasts an array, fails late on a str and runs a bool as 1
-        if isinstance(self.a0, bool) or not isinstance(
-                self.a0, (int, float, complex, np.number)):
-            raise ValueError("a0 must be a real or complex number, got "
-                             f"{type(self.a0).__name__}")
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
-        if a.shape != (self.N,) or b.shape != (self.N,):
-            raise ValueError(f"coefficient arrays must have shape ({self.N},)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
+        _check_integer("N", self.N, 1)
+        _check_complex("a0", self.a0)
+        for name in ("a", "b"):
+            object.__setattr__(self, name, _check_samples(
+                name, getattr(self, name), self.N, complex))

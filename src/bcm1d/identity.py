@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryTrace, GridMismatchError, GridSpec
+from .core import BoundaryTrace, GridSpec, _check_trace
 from .solver import _pass
 
 _RESIDUAL_FLOOR = 1e-12
@@ -89,10 +89,10 @@ def linearized_rhs(
     Lh_tt + lam Lh_t and of Lf_t with h_t + lam h; f's traces are read over
     (0, T) and h's over (T, 2T).
     """
-    for tr in (f.g, f.meas_t, h.g, h.g_t, h.meas_t, h.meas_tt):
-        if (len(tr), tr.dt) != (grid.nt, grid.dt):
-            raise GridMismatchError(f"trace of {len(tr)} samples (dt={tr.dt}) "
-                                    f"is off the grid ({grid.nt}, dt={grid.dt})")
+    for name, record, fields in (("f", f, ("g", "meas_t")),
+                                 ("h", h, ("g", "g_t", "meas_t", "meas_tt"))):
+        for field in fields:
+            _check_trace(f"{name}.{field}", getattr(record, field), grid)
     nT = grid.half_index
     first, second = slice(None, nT + 1), slice(nT, None)
     at_T = f.g.values[:, nT] * h.meas_t.values[:, nT]

@@ -48,7 +48,6 @@ from .core import (
     GridSpec,
     MediumSpec,
     UnsupportedRegimeError,
-    _check_finite,
     _check_integer,
     _check_real,
 )
@@ -84,9 +83,7 @@ class ReconSettings:
     eps_linearization: float = 1e-3
 
     def __post_init__(self) -> None:
-        _check_integer("N", self.N)
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        _check_integer("N", self.N, 1)
         # mode N's frequency 2 N pi / (b - a) must stay below the nodes'
         # Nyquist limit pi / dx = (nx - 1) pi / (b - a)
         n_max = (self.grid.nx - 2) // 2
@@ -95,17 +92,14 @@ class ReconSettings:
                 f"this grid allows N <= {n_max}" if n_max else
                 f"the grid's {self.grid.nx} nodes are too few for any mode "
                 "(N >= 1 needs nx >= 4)"))
-        _check_integer("seed", self.seed)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        _check_finite(self, ("noise_eps", "eps_linearization"))
-        if self.noise_eps < 0:
-            raise ValueError(f"noise_eps must be >= 0, got {self.noise_eps}")
+        _check_integer("seed", self.seed, 0)
+        _check_real("noise_eps", self.noise_eps, 0)
         if self.data_mode not in (LINEARIZED, NONLINEAR_DIFFERENCE):
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
-        if self.data_mode == NONLINEAR_DIFFERENCE and self.eps_linearization <= 0:
-            raise ValueError("eps_linearization must be positive for "
-                             "nonlinear-difference data")
+        # only nonlinear-difference data divide by it
+        _check_real("eps_linearization", self.eps_linearization,
+                    0 if self.data_mode == NONLINEAR_DIFFERENCE else None,
+                    strict=True)
 
     def measurement(self, medium: MediumSpec) -> Callable:
         """The map from driven traces to measured traces in ``medium``: the
@@ -146,9 +140,7 @@ def fourier_targets(k: int, grid: GridSpec
                     ) -> tuple[AnalyticProfile, AnalyticProfile, complex]:
     """Sine/cosine velocity targets and free parameter for mode ``k``:
     ``(pT_f, pT_h, lam)``."""
-    _check_integer("mode index", k)
-    if k < 1:
-        raise ValueError(f"mode index must be >= 1, got {k}")
+    _check_integer("mode index", k, 1)
     kappa = mode_wavenumber(k, grid)
     return sine_profile(kappa), cosine_profile(kappa), 1j * kappa
 
@@ -164,9 +156,7 @@ def add_noise(
     unchanged.  Noise too large for floats gives infinite samples, which
     :func:`reconstruct_from_data` rejects, naming the mode.
     """
-    _check_real("eps", eps)
-    if not (np.isfinite(eps) and eps >= 0):
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    _check_real("eps", eps, 0)
     n = len(trace)
     rms = np.sqrt(sum(np.sum(np.abs(v) ** 2) for v in trace.values) / (2 * n))
     if eps == 0.0 or rms == 0.0:

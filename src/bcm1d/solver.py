@@ -117,7 +117,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (BoundaryTrace, ConfigurationError, GridSpec, MediumSpec,
-                   _check_real)
+                   _check_real, _check_samples, _check_trace)
 
 _INITIAL_DATA_TOL = 1e-9
 _ENDS = [0, -1]
@@ -132,29 +132,16 @@ _ROUNDING_SHARE = 1e-3
 
 
 def _as_sigma_array(sigma, nx: int, name: str = "sigma") -> np.ndarray:
-    if np.iscomplexobj(sigma):
-        raise ConfigurationError(f"{name} is complex; the damping is real")
-    arr = np.asarray(sigma, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(nx, float(arr))
-    elif arr.shape != (nx,):
-        raise ConfigurationError(
-            f"{name} has shape {arr.shape} but the grid has {nx} nodes"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError(f"{name} has a non-finite value")
-    return arr
+    # a number is the constant damping
+    return _check_samples(name, np.full(nx, sigma) if np.ndim(sigma) == 0
+                          else sigma, nx)
 
 
 def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace]):
     """Yield each Neumann trace once its length, its step and the finiteness
     of its samples are checked."""
     for j, tr in enumerate(neumanns):
-        if len(tr) != grid.nt or tr.dt != grid.dt:
-            raise ConfigurationError(
-                f"Neumann trace {j} has {len(tr)} samples (dt={tr.dt}); "
-                f"the grid needs {grid.nt} (dt={grid.dt})"
-            )
+        _check_trace(f"Neumann trace {j}", tr, grid)
         if not np.isfinite(tr.values).all():
             raise ConfigurationError(
                 f"Neumann trace {j} has a non-finite sample"
@@ -565,16 +552,14 @@ def transfer_difference_nd_map(
     The map writes work arrays of its own: do not call it from two threads
     at once.
     """
-    _check_real("eps", eps)
-    if not (np.isfinite(eps) and eps > 0):
-        raise ConfigurationError(f"eps must be positive and finite, got {eps}")
+    _check_real("eps", eps, 0, strict=True)
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     with np.errstate(over="ignore"):
         full = medium.sigma0 + eps * sd
         if medium.sigma_ddot is not None:
             full = full + np.square(eps) * medium.sigma_ddot
     full = _as_sigma_array(full, grid.nx,
-                           "sigma0 + eps sigma_dot + eps^2 sigma_ddot")
+                           "(sigma0 + eps sigma_dot + eps^2 sigma_ddot)")
     # the unit samples at a and b in media full, full, background, background
     media = np.repeat([full, np.full(grid.nx, medium.sigma0)], 2, axis=0)
     traces, _ = _drive(grid, media, np.tile(_unit_samples(grid), (2, 1, 1)))

@@ -67,11 +67,16 @@ class TestGridSpec:
 
 
 def _with(field, value):
-    """A GridSpec, MediumSpec or ReconSettings with ``field`` set to
-    ``value``, the rest valid."""
+    """A GridSpec, MediumSpec, FourierCoeffs or ReconSettings with ``field``
+    set to ``value``, the rest valid."""
     grid = dict(a=-1.0, b=1.0, dx=0.02, dt=0.002, T=3.0)
+    coeffs = {"a0": 0.0, "a[0]": 1.0, "b[0]": 1.0}
     if field == "sigma0":
         return MediumSpec(value, np.ones(3))
+    if field in coeffs:
+        coeffs[field] = value
+        return FourierCoeffs(1, coeffs["a0"], [coeffs["a[0]"]],
+                             [coeffs["b[0]"]])
     if field in grid:
         return GridSpec(**{**grid, field: value})
     return ReconSettings(GridSpec(**grid), data_mode="nonlinear_difference",
@@ -82,13 +87,17 @@ def _with(field, value):
     ("noise_eps", True), ("noise_eps", "0.1"), ("noise_eps", 1 + 0j),
     ("noise_eps", np.array([0.1])), ("eps_linearization", True),
     ("eps_linearization", np.array(1e-3)), ("T", "3"), ("dx", 0.02 + 0j),
-    ("sigma0", True), ("sigma0", "0.1"),
+    ("sigma0", True), ("sigma0", "0.1"), ("a0", np.nan), ("a0", np.inf),
+    ("a0", complex(1.0, -np.inf)), ("a[0]", np.nan), ("a[0]", np.inf),
+    ("b[0]", np.nan), ("b[0]", -np.inf),
 ])
 def test_scalar_fields_refuse_what_is_not_a_real_number(field, value):
-    # a bool would run as 0 or 1, and numpy would take the rest only to
-    # fail later with an error of its own
+    # a bool would run as 0 or 1, numpy would take a str, a complex number
+    # or an array only to fail later with an error of its own, and a
+    # coefficient of NaN or inf made every synthesized node NaN
+    rule = "finite" if field in ("a0", "a[0]", "b[0]") else "a real number"
     with pytest.raises(ConfigurationError,
-                       match=f"^{field} must be a real number, got "):
+                       match=f"^{re.escape(field)} must be {rule}, got "):
         _with(field, value)
 
 
@@ -102,7 +111,7 @@ def test_scalar_fields_take_numpy_and_python_reals(field, value):
 
 @pytest.mark.parametrize("field, sign", [
     ("T", 1), ("a", -1), ("sigma0", 1), ("noise_eps", 1),
-    ("eps_linearization", 1),
+    ("eps_linearization", 1), ("a0", 1), ("a0", -1),
 ])
 def test_scalar_fields_refuse_an_int_past_the_float_range(field, sign):
     # numpy would fail with an error of its own
@@ -128,7 +137,7 @@ def test_fourier_coeffs_refuse_a_non_integer_N(N):
                               "numpy-bool"])
 def test_fourier_coeffs_refuse_an_a0_that_is_not_one_number(a0):
     # each was accepted, then failed inside synthesize or ran as 1
-    message = f"a0 must be a real or complex number, got {type(a0).__name__}"
+    message = re.escape(f"a0 must be a real or complex number, got {a0!r}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         FourierCoeffs(1, a0, [1.0], [1.0])
 
@@ -228,7 +237,11 @@ class TestPairing:
             for record, field in slots:
                 pair = [ok, ok]
                 pair[record] = replace(ok, **{field: other})
-                with pytest.raises(GridMismatchError, match="off the grid"):
+                name = f"{'fh'[record]}.{field}"
+                message = re.escape(
+                    f"{name} must have {coarse_grid.nt} samples at dt = "
+                    f"{coarse_grid.dt}, got {len(other)} at dt = {other.dt}")
+                with pytest.raises(GridMismatchError, match=f"^{message}$"):
                     linearized_rhs(*pair, 2j, coarse_grid)
 
 
@@ -338,7 +351,8 @@ class TestMediumSpec:
         samples = np.ones(11)
         samples[4] = bad
         fields = {"sigma_dot": np.ones(11), field: samples}
-        with pytest.raises(ConfigurationError, match=f"{field} has non-finite"):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field}\[4\] must be finite, got {bad}$"):
             MediumSpec(0.0, **fields)
 
     @pytest.mark.parametrize("field", ["sigma_dot", "sigma_ddot"])
@@ -346,14 +360,14 @@ class TestMediumSpec:
         # never cast to their real part
         fields = {"sigma_dot": np.ones(11), field: np.full(11, 1.0 + 0.5j)}
         with pytest.raises(ConfigurationError,
-                           match=f"{field} is complex; the damping is real"):
+                           match=f"^{field} must be real, got complex samples$"):
             MediumSpec(0.0, **fields)
 
     @pytest.mark.parametrize("sigma0", [0.1 + 0.2j, np.complex128(0.5)])
     def test_complex_background_rejected(self, sigma0):
         # never compared with 0 as a complex number
-        with pytest.raises(ConfigurationError,
-                           match="^sigma0 is complex; the damping is real$"):
+        message = re.escape(f"sigma0 must be a real number, got {sigma0!r}")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
             MediumSpec(sigma0, np.ones(3))
 
     @pytest.mark.parametrize("sigma0", [np.nan, np.inf])
@@ -365,7 +379,8 @@ class TestMediumSpec:
     @pytest.mark.parametrize("shape", [(), (11, 2)])
     def test_non_1d_samples_rejected(self, field, shape):
         fields = {"sigma_dot": np.ones(11), field: np.ones(shape)}
-        with pytest.raises(ConfigurationError, match=f"{field} must be 1-D"):
+        message = re.escape(f"{field} must be 1-D, got shape {shape}")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
             MediumSpec(0.0, **fields)
 
     def test_samples_stored_as_float_arrays(self):
@@ -374,5 +389,6 @@ class TestMediumSpec:
         assert MediumSpec(0.0, [1.0]).sigma_ddot is None
 
     def test_sigma_ddot_length_must_match_sigma_dot(self):
-        with pytest.raises(ConfigurationError, match="sigma_ddot has 7 samples"):
+        with pytest.raises(ConfigurationError,
+                           match="^sigma_ddot must have 501 entries, got 7$"):
             MediumSpec(0.0, np.ones(501), np.ones(7))

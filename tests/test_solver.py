@@ -569,7 +569,7 @@ class TestValidation:
     def test_sigma_bad_shape_named(self, coarse_grid, nonlinear_map):
         nx = coarse_grid.nx
         with pytest.raises(ConfigurationError,
-                           match=rf"sigma has shape \({nx}, 1\) but the grid"):
+                           match=rf"^sigma must be 1-D, got shape \({nx}, 1\)$"):
             nonlinear_map(coarse_grid, np.zeros((nx, 1)),
                           [BoundaryTrace.zeros(coarse_grid)])
 
@@ -582,8 +582,9 @@ class TestValidation:
         if where == "node":
             sigma = np.full(coarse_grid.nx, 0.2)
             sigma[3] = bad
+        index = 3 if where == "node" else 0
         with pytest.raises(ConfigurationError,
-                           match="sigma has a non-finite value"):
+                           match=rf"^sigma\[{index}\] must be finite, got {bad}$"):
             nonlinear_map(coarse_grid, sigma,
                           [BoundaryTrace.zeros(coarse_grid)])
 
@@ -594,7 +595,7 @@ class TestValidation:
         if where == "node":
             sigma = np.full(coarse_grid.nx, sigma)
         with pytest.raises(ConfigurationError,
-                           match="sigma is complex; the damping is real"):
+                           match="^sigma must be real, got complex samples$"):
             solve_many(coarse_grid, sigma, [BoundaryTrace.zeros(coarse_grid)])
 
     def test_trace_length_mismatch(self, coarse_grid):
@@ -983,13 +984,16 @@ class TestDifferenceMap:
     def test_sigma_dot_wrong_length_rejected(self, coarse_grid):
         med = MediumSpec(0.1, np.ones(7))
         with pytest.raises(ConfigurationError,
-                           match=r"sigma_dot has shape \(7,\) but the grid"):
+                           match=rf"^sigma_dot must have {coarse_grid.nx} "
+                                 "entries, got 7$"):
             transfer_difference_nd_map(coarse_grid, med, _EPS)
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
-    def test_bad_eps_rejected(self, coarse_grid, eps):
+    @pytest.mark.parametrize("eps, rule", [
+        (0.0, "> 0"), (-1e-3, "> 0"), (np.nan, "finite"), (np.inf, "finite"),
+    ], ids=["0.0", "-0.001", "nan", "inf"])
+    def test_bad_eps_rejected(self, coarse_grid, eps, rule):
         with pytest.raises(ConfigurationError,
-                           match="eps must be positive and finite"):
+                           match=f"^eps must be {rule}, got {eps}$"):
             transfer_difference_nd_map(coarse_grid, _medium(coarse_grid), eps)
 
     @pytest.mark.parametrize("eps, message", [
@@ -1006,7 +1010,8 @@ class TestDifferenceMap:
         nx = coarse_grid.nx
         med = MediumSpec(0.1, np.ones(nx), np.full(nx, 1e306))
         with pytest.raises(ConfigurationError,
-                           match="eps\\^2 sigma_ddot has a non-finite value"):
+                           match=r"eps\^2 sigma_ddot\)\[0\] must be finite, "
+                                 "got inf$"):
             transfer_difference_nd_map(coarse_grid, med, 1e3)
 
 
