@@ -50,6 +50,7 @@ from .core import (
     UnsupportedRegimeError,
     _check_integer,
     _check_real,
+    _check_samples,
 )
 from .extension import AnalyticProfile, cosine_profile, sine_profile
 from .identity import ControlData, linearized_rhs
@@ -220,16 +221,10 @@ def synthesize(coeffs: FourierCoeffs, grid: GridSpec) -> np.ndarray:
 def error_metrics(sigma: np.ndarray, truth: np.ndarray, grid: GridSpec
                   ) -> tuple[float, float]:
     """(rel_l2, linf) of the real part of ``sigma`` against ``truth``, both
-    sampled on the nodes of ``grid``: inf where the squares overflow, for
-    the caller to judge.  A ``sigma`` or ``truth`` off the grid's nodes is
-    refused, and so is a complex ``truth``."""
-    if np.iscomplexobj(truth):
-        raise ValueError("truth is complex; the damping it samples is real")
-    sigma, truth = np.asarray(sigma), np.asarray(truth, dtype=float)
-    for name, samples in (("sigma", sigma), ("truth", truth)):
-        if samples.shape != (grid.nx,):
-            raise ValueError(f"{name} must have shape ({grid.nx},) to match "
-                             f"the grid, got {samples.shape}")
+    checked as finite samples on the nodes of ``grid`` and ``truth`` as
+    real: inf where the squares overflow, for the caller to judge."""
+    sigma = _check_samples("sigma", sigma, grid.nx, complex)
+    truth = _check_samples("truth", truth, grid.nx)
     diff = sigma.real - truth
     with np.errstate(over="ignore"):
         num = np.sqrt(np.trapezoid(diff**2, dx=grid.dx))

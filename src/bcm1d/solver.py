@@ -55,9 +55,11 @@ their edge terms join each row's injection signals before the loop, and
 each step adds gain S.  In a real medium a row is real when its data are,
 and complex otherwise.  The loop only adds, subtracts and multiplies by
 real coefficients there, which numpy does on the two parts of a complex
-row exactly as on two real rows.  Every ND map and the snapshots take data
-whose imaginary parts are all zero as real, and return float64 traces and
-fields for them.
+row exactly as on two real rows.  A batch of Neumann traces is complex
+when one of its traces is complex128 (see
+:class:`~bcm1d.core.BoundaryTrace`), whatever its samples, and real
+otherwise: every ND map and the snapshots return float64 traces and
+fields for a real batch and complex128 ones for a complex batch.
 
 :func:`snapshots_many` reads the fields u and u_x at the half time T as two
 blocks, u_x by centered differences, and stops at T: it takes T/dt steps,
@@ -149,22 +151,15 @@ def _checked(grid: GridSpec, neumanns: Sequence[BoundaryTrace]):
         yield tr
 
 
-def _real(traces: Sequence[BoundaryTrace]) -> bool:
-    """Whether every imaginary part of the traces is zero: every ND map
-    takes such a batch as real data and returns float64 traces for it."""
-    return not any(np.iscomplexobj(tr.values) and np.any(tr.values.imag)
-                   for tr in traces)
-
-
 def _stack_neumann(grid: GridSpec, neumanns: Sequence[BoundaryTrace],
                    stacklevel: int = 3) -> np.ndarray:
     """Checked endpoint data as one (traces, 2, nt) array, a side then b,
-    real when :func:`_real`; at most one warning, at the stepper's caller
+    of the batch's dtype; at most one warning, at the stepper's caller
     ``stacklevel`` frames up, for data nonzero at t = 0."""
-    real = _real(neumanns)
-    g = np.empty((len(neumanns), 2, grid.nt), float if real else complex)
+    cplx = any(np.iscomplexobj(tr.values) for tr in neumanns)
+    g = np.empty((len(neumanns), 2, grid.nt), complex if cplx else float)
     for gj, tr in zip(g, _checked(grid, neumanns)):
-        gj[...] = tr.values.real if real else tr.values
+        gj[...] = tr.values
     first = np.max(np.abs(g[..., 0]), axis=-1)
     # per trace: no temporary of the stack's size
     scale = np.maximum([np.max(np.abs(gj)) for gj in g], 1.0)
@@ -363,11 +358,7 @@ def solve_many(
     grid: GridSpec, sigma, neumanns: Sequence[BoundaryTrace]
 ) -> list[BoundaryTrace]:
     """Nonlinear ND map: the endpoint traces of one field per Neumann trace,
-    through a single time loop.
-
-    The loop advances real rows when every imaginary part of the data is
-    zero, and the traces are those rows: real then, complex otherwise.
-    """
+    through a single time loop; the traces are the loop's rows."""
     traces, _, _ = _pass(grid, sigma, neumanns, [grid.nt - 1] * len(neumanns))
     return [BoundaryTrace(tr, grid.dt) for tr in traces]
 
@@ -385,8 +376,7 @@ def snapshots_many(
 
     ``source``, if given, holds the real samples S(t_n, .) that the loop
     reads, n = 0 .. T/dt - 1, of shape (T/dt, nx), and drives every trace.
-    The blocks are the loop's rows: float64 when every imaginary part of
-    the data is zero (see :func:`_real`), complex128 otherwise.
+    The blocks are the loop's rows.
     """
     h = grid.half_index
     if source is not None:
@@ -412,8 +402,7 @@ def linearized_nd_map_many(
 
     Returns, per trace, the derivative of the endpoint traces of
     :func:`solve_many` along sigma_dot at the damping sigma0: the linearized
-    measurements, taken by a complex step (see the module docstring):
-    real for data whose imaginary parts are all zero, complex otherwise.
+    measurements, taken by a complex step (see the module docstring).
     """
     sd = _as_sigma_array(medium.sigma_dot, grid.nx, "sigma_dot")
     g = _stack_neumann(grid, fs)
@@ -464,8 +453,8 @@ class _TransferMap:
     contraction's product, (parts, ends, frequencies); and one output end's
     term, (parts, frequencies): 14 real series of n_fft, a spectrum of
     n_fft // 2 + 1 complex samples counting as one; 3.4 MB on the paper
-    grid's support grid.  Real data (see :func:`_real`) take the same
-    operations and give the real parts of the traces, as float64.
+    grid's support grid.  A real batch takes the same operations and gives
+    the real parts of the traces.
     """
 
     def __init__(self, grid: GridSpec, responses: np.ndarray):
@@ -520,8 +509,9 @@ class _TransferMap:
                     raise ConfigurationError(
                         f"measured trace {j} has a non-finite sample: the "
                         "medium overflows the transfer kernel")
+        cplx = any(np.iscomplexobj(tr.values) for tr in fs)
         return [BoundaryTrace(oj, grid.dt)
-                for oj in (out.real if _real(fs) else out)]
+                for oj in (out if cplx else out.real)]
 
 
 def _unit_samples(grid: GridSpec) -> np.ndarray:

@@ -17,7 +17,7 @@ from bcm1d import (
     snapshots_many,
     solve_many,
 )
-from bcm1d import solver
+from bcm1d import identity, solver
 from bcm1d.cli import PAPER, _identity_pulses, smooth_pulse_trace
 from bcm1d.identity import ControlData, _pair
 from bcm1d.recon import fourier_targets
@@ -287,18 +287,37 @@ class TestOnePass:
         # snapshots and 2 (2T/dt - 1) for the ND map, 8 T/dt - 6
         assert sum(k - 1 for k in reached) == 5 * n - 4
 
-    def test_real_and_complex_typed_pulses_agree_bit_for_bit(self):
+    def test_real_and_complex_typed_pulses_agree_bit_for_bit(self,
+                                                             monkeypatch):
         # the pulses are real and stay real; the same samples typed complex,
-        # with zero imaginary parts, run as the same real rows and give lhs
-        # and rhs of the same bits, the signs of zeros included
+        # with zero imaginary parts, run as complex rows: the pass's traces,
+        # u and q have zero imaginary parts and the real pulses' real parts,
+        # bit for bit, the signs of zeros included.  numpy sums complex
+        # arrays in another order than real ones, so lhs and rhs are those
+        # of the real pulses' pass typed complex, bit for bit
         grid, f, h = _pulses("paper", None)
         assert all(tr.values.dtype == np.float64 for tr in (*f, *h))
         typed = [tuple(BoundaryTrace(tr.values.astype(complex), tr.dt)
                        for tr in pair) for pair in (f, h)]
+        blocks, one_pass = [], identity._pass
+
+        def spy(*args):
+            blocks.append(one_pass(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(identity, "_pass", spy)
         real, other = (nonlinear_identity_residual(*pairs, 0.3, grid)
                        for pairs in ((f, h), typed))
         assert abs(real.lhs) > 1e-4  # a non-degenerate pair
-        for got, want in ((real.lhs, other.lhs), (real.rhs, other.rhs)):
+        for want, got in zip(*blocks, strict=True):
+            assert want.dtype == np.float64 and got.dtype == np.complex128
+            assert not np.any(got.imag)
+            assert np.ascontiguousarray(got.real).tobytes() == want.tobytes()
+        monkeypatch.setattr(identity, "_pass", lambda *args: tuple(
+            block.astype(complex) for block in blocks[0]))
+        typed_real = nonlinear_identity_residual(*typed, 0.3, grid)
+        for got, want in ((other.lhs, typed_real.lhs),
+                          (other.rhs, typed_real.rhs)):
             assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
 
 

@@ -494,20 +494,31 @@ class TestErrorMetrics:
 
     def test_truth_off_the_grid_refused(self, coarse_grid):
         sigma = np.zeros(coarse_grid.nx, dtype=complex)
-        with pytest.raises(ValueError, match=rf"truth must have shape "
-                           rf"\({coarse_grid.nx},\).*got \(7,\)"):
+        with pytest.raises(ValueError, match=rf"^truth must have "
+                           rf"{coarse_grid.nx} entries, got 7$"):
             error_metrics(sigma, np.ones(7), coarse_grid)
 
     def test_complex_truth_refused(self, coarse_grid):
         # never scored by its real part alone
         sigma = np.ones(coarse_grid.nx)
-        with pytest.raises(ValueError, match="^truth is complex"):
+        with pytest.raises(ValueError,
+                           match="^truth must be real, got complex samples$"):
             error_metrics(sigma, sigma + 1j, coarse_grid)
 
     @pytest.mark.parametrize("samples", [1, 7])
     def test_sigma_off_the_grid_refused(self, coarse_grid, samples):
         # one sample would broadcast and be scored as a constant
         truth = np.full(coarse_grid.nx, 2.0)
-        with pytest.raises(ValueError, match=rf"sigma must have shape "
-                           rf"\({coarse_grid.nx},\).*got \({samples},\)"):
+        with pytest.raises(ValueError, match=rf"^sigma must have "
+                           rf"{coarse_grid.nx} entries, got {samples}$"):
             error_metrics(np.ones(samples), truth, coarse_grid)
+
+    @pytest.mark.parametrize("name", ["sigma", "truth"])
+    def test_non_finite_samples_refused(self, coarse_grid, name):
+        # a NaN node was scored as a NaN error
+        samples = {"sigma": np.ones(coarse_grid.nx, dtype=complex),
+                   "truth": np.ones(coarse_grid.nx)}
+        samples[name][3] = np.nan
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{name}\[3\] must be finite, got "):
+            error_metrics(samples["sigma"], samples["truth"], coarse_grid)

@@ -106,17 +106,21 @@ def test_real_pulses_stay_real_in_the_stepper(coarse_grid):
 
 
 def test_real_pulses_give_real_traces(coarse_grid):
-    # the ND map's traces are the loop's rows: real for data whose
-    # imaginary parts are all zero, whatever the data's dtype
+    # the ND map's traces are the loop's rows, in the data's dtype: float64
+    # for float64 data; the same samples typed complex run as complex rows,
+    # whose imaginary parts stay zero and whose real parts are the real
+    # rows, bit for bit
     fs = [smooth_pulse_trace(coarse_grid, t0, 0.3, 4.0, w, 0.7)[0]
           for t0, w in ((1.2, 0.5), (1.5, -1.0))]
     as_complex = [BoundaryTrace(f.values.astype(complex), f.dt) for f in fs]
     sigma = 0.1 + 0.2 * coarse_grid.xs**2
     real, typed = (solve_many(coarse_grid, sigma, gs) for gs in (fs, as_complex))
     for r, t in zip(real, typed, strict=True):
-        for vr, vt in zip(r.values, t.values):
-            assert vr.dtype == vt.dtype == np.float64
-            assert np.array_equal(vr, vt)
+        assert r.values.dtype == np.float64
+        assert t.values.dtype == np.complex128
+        assert not np.any(t.values.imag)
+        assert np.ascontiguousarray(t.values.real).tobytes() == (
+            r.values.tobytes())
 
 
 def test_real_pulses_run_one_row_in_the_linearized_map(coarse_grid,
@@ -233,18 +237,18 @@ class TestSnapshots:
                                       "none"])
     def test_two_blocks_in_the_data_dtype(self, case, coarse_grid):
         # u(T) and u_x(T) are two (traces, nx) blocks, float64 when every
-        # imaginary part of the data is zero; a complex batch's blocks are
-        # those of its real and its imaginary parts, bit for bit
+        # trace is float64; a complex batch's blocks are those of its real
+        # and its imaginary parts, bit for bit, zero imaginary parts too
         f, h = (smooth_pulse_trace(coarse_grid, t0, 0.25, 4.0, w, 0.6)[0]
                 for t0, w in ((1.0, 1.0), (1.3, -0.5)))
         sigma = 0.1 + 0.2 * coarse_grid.xs**2
         typed = [BoundaryTrace(tr.values.astype(complex), tr.dt)
                  for tr in (f, h)]
         mixed = BoundaryTrace(f.values + h.values * 1j, f.dt)
+        zero = BoundaryTrace.zeros(coarse_grid)
         fs, re, im = {"real": ([f, h], [f, h], None),
-                      "typed_complex": (typed, [f, h], None),
-                      "complex": ([mixed, typed[1]], [f, h],
-                                  [h, BoundaryTrace.zeros(coarse_grid)]),
+                      "typed_complex": (typed, [f, h], [zero, zero]),
+                      "complex": ([mixed, typed[1]], [f, h], [h, zero]),
                       "none": ([], [], None)}[case]
         u, q = snapshots_many(coarse_grid, sigma, fs)
         assert u.shape == q.shape == (len(fs), coarse_grid.nx)
@@ -1114,19 +1118,24 @@ _MAPS = {
 
 @pytest.mark.parametrize("kind", sorted(_MAPS))
 def test_transfer_maps_return_real_traces_for_real_data(kind, coarse_grid):
-    # the dtype rule of every ND map: data whose imaginary parts are all
-    # zero give float64 traces, the real parts of the traces that the same
-    # data give in one call with complex data
+    # the dtype rule of every ND map: float64 data give float64 traces, the
+    # real parts of the traces that the same data give in one call with
+    # complex data; the same samples typed complex give complex128 traces
+    # with those real parts and zero imaginary parts
     f = _at_rest(smooth_pulse_trace(coarse_grid, 1.2, 0.3, 4.0, 0.5, 0.7)[0])
     h = _window_traces(coarse_grid)[0]
     measure = _MAPS[kind][0](coarse_grid, _medium(coarse_grid))
     mixed = measure([f, h])
     assert all(tr.values.dtype == np.complex128 for tr in mixed)
     want = np.ascontiguousarray(mixed[0].values.real)
-    for real in (f, BoundaryTrace(f.values.astype(complex), f.dt)):
-        (out,) = measure([real])
-        assert out.values.dtype == np.float64
-        assert out.values.tobytes() == want.tobytes()
+    for data, dtype in ((f, np.float64),
+                        (BoundaryTrace(f.values.astype(complex), f.dt),
+                         np.complex128)):
+        (out,) = measure([data])
+        assert out.values.dtype == dtype
+        assert not np.any(out.values.imag)
+        assert np.ascontiguousarray(out.values.real).tobytes() == (
+            want.tobytes())
 
 
 def _quiet_grid(quiet):
