@@ -242,7 +242,8 @@ class FourierCoeffs:
     """Recovered cosine/sine coefficients up to truncation N.
 
     ``a[k-1]`` multiplies the k-th cosine mode and ``b[k-1]`` the k-th sine
-    mode of the synthesized perturbation; ``a0`` is twice its mean value.
+    mode of the synthesized perturbation; ``a0`` is its integral over
+    [a, b], L = b - a times its mean (twice the mean on [-1, 1]).
     For real perturbations and noiseless data the imaginary parts are small
     (a tested property, not an assumption).
     """

@@ -142,7 +142,11 @@ def fourier_targets(k: int, grid: GridSpec
     """Sine/cosine velocity targets and free parameter for mode ``k``:
     ``(pT_f, pT_h, lam)``."""
     _check_integer("mode index", k, 1)
-    kappa = mode_wavenumber(k, grid)
+    with np.errstate(over="ignore"):
+        kappa = mode_wavenumber(k, grid)
+    if not np.isfinite(kappa):
+        raise ConfigurationError("mode index must be small enough for a "
+                                 f"finite wavenumber, got {k:.3g}")
     return sine_profile(kappa), cosine_profile(kappa), 1j * kappa
 
 
@@ -210,12 +214,14 @@ def synthesize(coeffs: FourierCoeffs, grid: GridSpec) -> np.ndarray:
     """
     xs = grid.xs
     L = grid.b - grid.a
-    result = np.full(grid.nx, coeffs.a0 / L, dtype=complex)
-    for k in range(1, coeffs.N + 1):
-        w = 2.0 * mode_wavenumber(k, grid)
-        result += (2.0 / L) * (coeffs.a[k - 1] * np.cos(w * xs)
-                               + coeffs.b[k - 1] * np.sin(w * xs))
-    return result
+    # an overflowing node is refused by name below
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = np.full(grid.nx, coeffs.a0 / L, dtype=complex)
+        for k in range(1, coeffs.N + 1):
+            w = 2.0 * mode_wavenumber(k, grid)
+            result += (2.0 / L) * (coeffs.a[k - 1] * np.cos(w * xs)
+                                   + coeffs.b[k - 1] * np.sin(w * xs))
+    return _check_samples("synthesized sigma", result, dtype=complex)
 
 
 def error_metrics(sigma: np.ndarray, truth: np.ndarray, grid: GridSpec

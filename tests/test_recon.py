@@ -52,10 +52,13 @@ class TestFourierTargets:
         (True, "an integer, got True"), ("1", "an integer, got '1'"),
         (10**400, "finite, got an int past the float range"),
         (2**1100, "finite, got an int past the float range"),
-    ], ids=["half", "float", "bool", "str", "ten-to-the-400", "two-to-the-1100"])
+        (2**1023, r"small enough for a finite wavenumber, got 8\.99e\+307"),
+    ], ids=["half", "float", "bool", "str", "ten-to-the-400", "two-to-the-1100",
+            "two-to-the-1023"])
     def test_non_integer_mode_refused(self, k, rule, coarse_grid):
         # k = 1.5 gave a target at kappa = 1.5 pi / 2, outside the basis;
-        # k = 10**400 failed with a bare OverflowError
+        # k = 10**400 failed with a bare OverflowError, and k = 2**1023
+        # gave lam = nan + inf j, as k pi / 2 overflows
         with pytest.raises(ConfigurationError,
                            match=f"^mode index must be {rule}$"):
             fourier_targets(k, coarse_grid)
@@ -242,6 +245,15 @@ class TestAssembleAndSynthesize:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="^a must have 2 entries, got 1$"):
             FourierCoeffs(2, 0.0, [1.0], [1.0, 2.0])
+
+    def test_overflowing_series_refused(self, coarse_grid, recwarn):
+        # finite coefficients whose sum overflows: numpy warned and
+        # returned inf at the nodes where it did
+        coeffs = FourierCoeffs(1, 1e308, [1e308], [1e308])
+        with pytest.raises(ConfigurationError, match=r"^synthesized "
+                           r"sigma\[\d+\] must be finite, got \(inf"):
+            synthesize(coeffs, coarse_grid)
+        assert not recwarn.list
 
 
 class TestProjectionTruth:
