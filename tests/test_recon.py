@@ -247,8 +247,8 @@ class TestAssembleAndSynthesize:
             FourierCoeffs(2, 0.0, [1.0], [1.0, 2.0])
 
     def test_overflowing_series_refused(self, coarse_grid, recwarn):
-        # finite coefficients whose sum overflows: numpy warned and
-        # returned inf at the nodes where it did
+        # finite coefficients whose sum overflows: numpy warned of the
+        # overflow and returned inf at those nodes
         coeffs = FourierCoeffs(1, 1e308, [1e308], [1e308])
         with pytest.raises(ConfigurationError, match=r"^synthesized "
                            r"sigma\[\d+\] must be finite, got \(inf"):
